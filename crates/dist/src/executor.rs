@@ -12,7 +12,9 @@
 //! 3. **Compute** — when all acks are in (or after `max_retries`
 //!    timeouts under the configured [`Backoff`] policy) the node runs
 //!    the LAACAD local view: expanding-ring search, order-k subdivision,
-//!    Chebyshev center — the same kernel the synchronous engine calls.
+//!    Chebyshev center — the same kernel the synchronous engine calls,
+//!    searching the same one-hop CSR ([`Adjacency`]), patched on every
+//!    applied move.
 //! 4. **Move** — if the target is further than `ε`, step toward it
 //!    (`α`-lerp, projected into the region) one tick later, then start
 //!    the next round.
@@ -54,7 +56,7 @@ use laacad_region::Region;
 use laacad_telemetry::Recorder;
 use laacad_wsn::mobility::step_toward;
 use laacad_wsn::radio::MessageStats;
-use laacad_wsn::{Network, NodeId};
+use laacad_wsn::{Adjacency, Network, NodeId};
 
 use crate::backoff::{Backoff, RttEstimator};
 use crate::fault::FaultPlan;
@@ -421,6 +423,10 @@ pub struct AsyncExecutor {
     config: LaacadConfig,
     region: Region,
     net: Network,
+    /// One-hop CSR of `net`'s ground-truth positions, patched on every
+    /// applied move — the ring searches and hello fan-outs read it
+    /// instead of querying the spatial grid.
+    adjacency: Adjacency,
     plan: FaultPlan,
     proto: AsyncConfig,
     /// Per-node fault streams: node `i`'s draws depend only on the seed,
@@ -475,7 +481,8 @@ impl AsyncExecutor {
     /// The kernel-level local-view cache is disabled internally: node
     /// rounds interleave arbitrarily under faults, outside the cadence
     /// the cache's invalidation reasoning assumes — and cache on/off is
-    /// bit-identical anyway, so nothing is lost.
+    /// bit-identical anyway, so nothing is lost. The spatial grid layout
+    /// follows [`LaacadConfig::flat_grid`], as in [`laacad::Session`].
     ///
     /// # Errors
     ///
@@ -511,7 +518,9 @@ impl AsyncExecutor {
         }
         let mut config = config;
         config.cache = false;
-        let net = Network::from_positions(config.gamma, positions);
+        let mut net = Network::from_positions(config.gamma, positions);
+        net.set_flat_grid(config.flat_grid);
+        let adjacency = Adjacency::build(&net);
         let seed = config.seed;
         let link_rngs = (0..n as u64)
             .map(|i| {
@@ -548,6 +557,7 @@ impl AsyncExecutor {
         Ok(AsyncExecutor {
             region,
             net,
+            adjacency,
             proto: AsyncConfig {
                 ack_timeout: proto.ack_timeout.max(1),
                 ..proto
@@ -887,11 +897,20 @@ impl AsyncExecutor {
             return out;
         }
         let net = &self.net;
+        let adjacency = &self.adjacency;
         let region = &self.region;
         let config = &self.config;
         let views = parallel_map_scratched(&mut self.scratches, cands.len(), |scratch, idx| {
             let (_, node, round) = cands[idx];
-            compute_node_view(net, None, NodeId(node), region, config, round, scratch)
+            compute_node_view(
+                net,
+                Some(adjacency),
+                NodeId(node),
+                region,
+                config,
+                round,
+                scratch,
+            )
         });
         for ((seq, _, _), view) in cands.into_iter().zip(views) {
             out.insert(seq, view);
@@ -953,25 +972,23 @@ impl AsyncExecutor {
             return;
         }
         self.ensure_round(next_round);
-        let expected: Vec<usize> = self
-            .net
-            .one_hop_neighbors(NodeId(i))
-            .into_iter()
-            .map(NodeId::index)
-            .collect();
+        let row = self.adjacency.neighbors(i);
         {
             let m = &mut self.nodes[i];
             m.round = next_round;
             m.phase = Phase::Waiting;
-            m.missing = expected.len();
-            m.got = vec![false; expected.len()];
-            m.expected = expected.clone();
+            m.missing = row.len();
+            m.expected.clear();
+            m.expected.extend(row.iter().map(|&j| j as usize));
+            m.got.clear();
+            m.got.resize(row.len(), false);
             m.hello_tick = self.now;
             m.retransmitted = false;
         }
         self.stats.hellos += 1;
         let hello = self.honest_hello(i, next_round);
-        for j in expected {
+        for slot in 0..self.nodes[i].expected.len() {
+            let j = self.nodes[i].expected[slot];
             self.transmit(i, j, hello);
         }
         let slot = self.local_ticks(i, COMPUTE_SLOT);
@@ -1115,20 +1132,16 @@ impl AsyncExecutor {
             }
         }
         if self.nodes[i].missing > 0 && attempt < self.proto.max_retries {
-            let missing: Vec<usize> = {
-                let m = &self.nodes[i];
-                m.expected
-                    .iter()
-                    .zip(&m.got)
-                    .filter(|(_, &got)| !got)
-                    .map(|(&j, _)| j)
-                    .collect()
-            };
-            self.stats.retransmissions += missing.len() as u64;
+            self.stats.retransmissions += self.nodes[i].missing as u64;
             self.nodes[i].retransmitted = true;
             let hello = self.honest_hello(i, round);
-            for j in missing {
-                self.transmit(i, j, hello);
+            // Acks only arrive through `on_deliver`, never inside
+            // `transmit`, so `got` is stable across this walk.
+            for slot in 0..self.nodes[i].expected.len() {
+                if !self.nodes[i].got[slot] {
+                    let j = self.nodes[i].expected[slot];
+                    self.transmit(i, j, hello);
+                }
             }
             let rto = self.nodes[i].rtt.rto(self.proto.ack_timeout);
             let timeout = self.proto.backoff.timeout(
@@ -1159,6 +1172,8 @@ impl AsyncExecutor {
     /// forged claims are applied as temporary position overrides (no
     /// odometry), the kernel runs against the perturbed snapshot, and
     /// the ground truth is restored before anything else observes it.
+    /// The adjacency describes the ground truth, not the overrides, so
+    /// this is the one search that queries the live grid.
     fn compute_view_with_beliefs(&mut self, i: usize, round: usize) -> NodeView {
         let overrides: Vec<(usize, Point)> = self.beliefs[i]
             .iter()
@@ -1197,7 +1212,7 @@ impl AsyncExecutor {
             _ if believes_lies => self.compute_view_with_beliefs(i, round),
             _ => compute_node_view(
                 &self.net,
-                None,
+                Some(&self.adjacency),
                 id,
                 &self.region,
                 &self.config,
@@ -1280,6 +1295,7 @@ impl AsyncExecutor {
                 return;
             }
         }
+        let from = self.net.position(NodeId(i));
         step_toward(
             &mut self.net,
             NodeId(i),
@@ -1287,6 +1303,8 @@ impl AsyncExecutor {
             self.config.alpha,
             Some(&self.region),
         );
+        let to = self.net.position(NodeId(i));
+        self.adjacency.apply_moves(&self.net, [(i, from, to)]);
         self.last_move_tick = self.now;
         // Advance the movement epoch: every previously counted node's
         // compute is now stale (completed_tick ≤ the new watermark), so
@@ -1374,12 +1392,13 @@ impl AsyncExecutor {
         let n = self.net.len();
         let views: Vec<NodeView> = if self.workers > 1 && n > 1 {
             let net = &self.net;
+            let adjacency = &self.adjacency;
             let region = &self.region;
             let config = &self.config;
             parallel_map_scratched(&mut self.scratches, n, |scratch, i| {
                 compute_node_view(
                     net,
-                    None,
+                    Some(adjacency),
                     NodeId(i),
                     region,
                     config,
@@ -1392,7 +1411,7 @@ impl AsyncExecutor {
                 .map(|i| {
                     compute_node_view(
                         &self.net,
-                        None,
+                        Some(&self.adjacency),
                         NodeId(i),
                         &self.region,
                         &self.config,
@@ -1504,6 +1523,125 @@ impl AsyncExecutor {
                 rec.counter("async_ticks", round, self.now);
             }
             rec.round_end(round);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::{Corruption, CrashEvent, DelayModel, Drift};
+    use crate::partition::{Axis, PartitionKind, PartitionSchedule};
+    use laacad_region::sampling::sample_uniform;
+
+    fn plans() -> Vec<(&'static str, FaultPlan)> {
+        let corruption = |validate| FaultPlan {
+            loss: 0.05,
+            corruption: Some(Corruption {
+                rate: 0.15,
+                validate,
+                ..Corruption::default()
+            }),
+            ..FaultPlan::default()
+        };
+        vec![
+            (
+                "loss_exp_delay",
+                FaultPlan {
+                    loss: 0.1,
+                    delay: DelayModel::Exp { mean: 1.0 },
+                    ..FaultPlan::default()
+                },
+            ),
+            (
+                "crash_recover",
+                FaultPlan {
+                    crashes: vec![CrashEvent {
+                        node: 2,
+                        at: 30,
+                        recover_at: Some(300),
+                    }],
+                    ..FaultPlan::default()
+                },
+            ),
+            (
+                "healing_bipartition",
+                FaultPlan {
+                    partitions: vec![PartitionSchedule {
+                        kind: PartitionKind::Bipartition {
+                            axis: Axis::X,
+                            at: 0.5,
+                        },
+                        at: 10,
+                        heal_at: Some(160),
+                    }],
+                    ..FaultPlan::default()
+                },
+            ),
+            (
+                "clock_drift",
+                FaultPlan {
+                    loss: 0.05,
+                    drift: Some(Drift { rate: 0.2, skew: 3 }),
+                    ..FaultPlan::default()
+                },
+            ),
+            ("corruption_validated", corruption(true)),
+            ("corruption_believed", corruption(false)),
+        ]
+    }
+
+    /// The move-patched adjacency never drifts from the ground truth:
+    /// after a run, every row equals a from-scratch build over the final
+    /// positions, whatever the fault plan or thread count.
+    #[test]
+    fn patched_adjacency_matches_fresh_build() {
+        let region = Region::square(1.0).unwrap();
+        for (name, plan) in plans() {
+            for threads in [1, 4] {
+                let mut config = LaacadConfig::builder(1)
+                    .alpha(0.6)
+                    .epsilon(1e-3)
+                    .transmission_range(0.45)
+                    .max_rounds(400)
+                    .seed(2024)
+                    .build()
+                    .unwrap();
+                config.threads = threads;
+                let positions = sample_uniform(&region, 18, 2024);
+                let mut exec = AsyncExecutor::new(
+                    config,
+                    region.clone(),
+                    positions,
+                    plan.clone(),
+                    AsyncConfig::default(),
+                )
+                .unwrap();
+                let report = exec.run();
+                assert!(
+                    report.summary.total_distance_moved > 0.0,
+                    "{name}: nothing moved, so nothing was patched"
+                );
+                match plan.corruption {
+                    Some(c) if c.validate => {
+                        assert!(report.protocol.quarantined > 0, "{name}: nothing rejected")
+                    }
+                    Some(_) => assert!(
+                        report.protocol.corrupted_accepted > 0,
+                        "{name}: no belief absorbed"
+                    ),
+                    None => {}
+                }
+                let fresh = Adjacency::build(exec.network());
+                assert_eq!(exec.adjacency.len(), fresh.len(), "{name}");
+                for i in 0..fresh.len() {
+                    assert_eq!(
+                        exec.adjacency.neighbors(i),
+                        fresh.neighbors(i),
+                        "{name}, threads {threads}: row {i}"
+                    );
+                }
+            }
         }
     }
 }

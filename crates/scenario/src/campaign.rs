@@ -274,9 +274,10 @@ pub struct CampaignSpec {
     /// beside the result store every `checkpoint_every` rounds of each
     /// synchronous cell, removes it when the cell completes, and
     /// **resumes from it** when a killed campaign is rerun — with
-    /// results bit-identical to an uninterrupted run. Cells carrying a
-    /// `[faults]` section run on the asynchronous executor and are
-    /// executed without checkpointing.
+    /// results bit-identical to an uninterrupted run. Scenarios carrying
+    /// a `[faults]` section run on the asynchronous executor, which has
+    /// no snapshot support: [`CampaignSpec::expand`] rejects them when
+    /// this is set.
     pub checkpoint_every: usize,
 }
 
@@ -390,6 +391,13 @@ impl CampaignSpec {
             return Err(SpecError::Build(
                 "the grid sweeps `loss`/`delay`/`corruption` but the scenario has \
                  no [faults] section to override"
+                    .into(),
+            ));
+        }
+        if self.checkpoint_every > 0 && self.scenario.laacad.faults.is_some() {
+            return Err(SpecError::Build(
+                "`checkpoint_every` cannot be combined with a [faults] section: \
+                 the asynchronous executor has no snapshot support"
                     .into(),
             ));
         }
@@ -880,8 +888,8 @@ fn run_cell_recorded(cell: CampaignCell, record: bool) -> (CellResult, Option<Se
 /// `every` rounds, **resumes** from an existing file (a killed campaign
 /// rerun), and removes the file once the cell completes — so a resumed
 /// campaign produces results bit-identical to an uninterrupted one.
-/// `[faults]` cells run on the asynchronous executor, which has no
-/// snapshot support, and fall back to the plain runner.
+/// `[faults]` cells never get here with `every > 0`:
+/// [`CampaignSpec::expand`] refuses that combination up front.
 fn run_cell_checkpointed(
     cell: CampaignCell,
     record: bool,
@@ -889,22 +897,8 @@ fn run_cell_checkpointed(
     dir: &Path,
     name: &str,
 ) -> (CellResult, Option<SessionTelemetry>) {
-    if every == 0 || cell.scenario.laacad.faults.is_some() {
-        // `[faults]` cells run on the asynchronous executor, which has
-        // no snapshot support: a requested checkpoint cadence is
-        // silently impossible, so say so in the outcome instead of
-        // letting the operator believe the cell is resumable.
-        let bypassed = every > 0;
-        let (mut result, telemetry) = run_cell_recorded(cell, record);
-        if bypassed {
-            if let Ok(outcome) = result.outcome.as_mut() {
-                outcome.warnings.push(format!(
-                    "checkpoint_every = {every} ignored: asynchronous `[faults]` \
-                     cells do not support checkpointing and always run start-to-finish"
-                ));
-            }
-        }
-        return (result, telemetry);
+    if every == 0 {
+        return run_cell_recorded(cell, record);
     }
     let info = cell_info(&cell);
     let path = dir.join(format!("{name}.cell{}.checkpoint", cell.index));
@@ -1343,34 +1337,24 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_bypass_for_faults_cells_is_reported() {
+    fn checkpoint_every_with_faults_is_rejected() {
         let mut spec = ScenarioSpec::uniform("ckpt-async", 10, 1);
-        spec.laacad.max_rounds = 60;
         spec.laacad.faults = Some(crate::spec::FaultSpec::default());
-        let campaign = CampaignSpec::over_seeds(spec, [3]);
-        let cells = campaign.expand().unwrap();
-        let dir = std::env::temp_dir();
+        let mut campaign = CampaignSpec::over_seeds(spec, [3]);
+        campaign.expand().expect("no cadence, no conflict");
 
-        // A requested cadence that cannot apply is surfaced as a warning…
-        let (result, _) = run_cell_checkpointed(cells[0].clone(), false, 5, &dir, "ckpt-async");
-        let outcome = result.outcome.expect("cell runs");
+        campaign.checkpoint_every = 5;
+        let err = campaign.expand().unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, SpecError::Build(_)), "{err:?}");
         assert!(
-            outcome
-                .warnings
-                .iter()
-                .any(|w| w.contains("checkpoint_every = 5 ignored")),
-            "missing bypass warning: {:?}",
-            outcome.warnings
+            msg.contains("checkpoint_every") && msg.contains("[faults]"),
+            "{msg}"
         );
 
-        // …while an unrequested one stays silent.
-        let (result, _) = run_cell_checkpointed(cells[0].clone(), false, 0, &dir, "ckpt-async");
-        let outcome = result.outcome.expect("cell runs");
-        assert!(
-            !outcome.warnings.iter().any(|w| w.contains("checkpoint")),
-            "spurious warning: {:?}",
-            outcome.warnings
-        );
+        // The decoded form is refused the same way.
+        let back = CampaignSpec::from_toml(&campaign.to_toml()).unwrap();
+        assert!(back.expand().is_err());
     }
 
     #[test]
