@@ -241,13 +241,30 @@ impl ArcCover {
         // so relative order of equal keys cannot affect the result — and
         // the in-place sort keeps the sweep allocation-free.
         events.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
-        bs.push(0.0);
-        bs.extend(events.iter().map(|&(t, _)| t));
+        // Breakpoints: the sorted event angles merged with 0 and the
+        // query endpoints (sorted on their own — a handful of values).
+        // Keys equal under `total_cmp` are bit-equal, so the merge is
+        // exactly the sorted union without sorting the events twice.
+        let extra = &mut scratch.extra;
+        extra.clear();
+        extra.push(0.0);
         for q in query.iter().filter(live) {
-            bs.push(q.start());
-            bs.push(normalize_angle(q.end()));
+            extra.push(q.start());
+            extra.push(normalize_angle(q.end()));
         }
-        bs.sort_unstable_by(f64::total_cmp);
+        extra.sort_unstable_by(f64::total_cmp);
+        let (mut i, mut j) = (0, 0);
+        while i < events.len() && j < extra.len() {
+            if events[i].0.total_cmp(&extra[j]).is_le() {
+                bs.push(events[i].0);
+                i += 1;
+            } else {
+                bs.push(extra[j]);
+                j += 1;
+            }
+        }
+        bs.extend(events[i..].iter().map(|&(t, _)| t));
+        bs.extend_from_slice(&extra[j..]);
         bs.dedup_by(|a, b| (*a - *b).abs() < 1e-15);
         let mut best: Option<usize> = None;
         let m = bs.len();
@@ -294,12 +311,13 @@ impl ArcCover {
     }
 }
 
-/// Reusable buffers for the [`ArcCover`] depth sweep (endpoint events
-/// and breakpoint angles). One instance per worker makes every
-/// ring-domination check allocation-free after warm-up.
+/// Reusable buffers for the [`ArcCover`] depth sweep (endpoint events,
+/// query endpoints and breakpoint angles). One instance per worker makes
+/// every ring-domination check allocation-free after warm-up.
 #[derive(Debug, Clone, Default)]
 pub struct DepthScratch {
     events: Vec<(f64, i32)>,
+    extra: Vec<f64>,
     bs: Vec<f64>,
 }
 
@@ -436,6 +454,109 @@ mod tests {
         }
         assert_eq!(cover.min_depth(), brute_min);
         assert_eq!(cover.max_depth(), brute_max);
+
+        // Random arc sets under random queries: the merged-breakpoint
+        // sweep must equal the two-sort sweep exactly.
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let pool: Vec<f64> = (0..9).map(|i| i as f64 * 0.7).chain([0.0, PI]).collect();
+        let mut scratch = DepthScratch::default();
+        for _ in 0..3000 {
+            let mut cover = ArcCover::new();
+            for _ in 0..pick(&mut rng, 9) {
+                let a = random_arc(&mut rng, &pool);
+                cover.add(a);
+                if pick(&mut rng, 5) == 0 {
+                    cover.add(a); // an exact duplicate
+                }
+            }
+            let q: Vec<Arc> = (0..1 + pick(&mut rng, 3))
+                .map(|_| random_arc(&mut rng, &pool))
+                .collect();
+            for (query, take_min) in [(&q[..], true), (&q[..], false), (&[Arc::full()][..], true)] {
+                assert_eq!(
+                    cover.extreme_depth_on(query, take_min, &mut scratch),
+                    two_sort_sweep(&cover, query, take_min),
+                    "arcs {:?} query {query:?} take_min {take_min}",
+                    cover.arcs
+                );
+            }
+        }
+    }
+
+    /// The sweep as it stood before the breakpoint merge: event angles,
+    /// 0 and the query endpoints sorted together in a second full sort.
+    /// The test oracle for [`ArcCover::extreme_depth_on`].
+    fn two_sort_sweep(cover: &ArcCover, query: &[Arc], take_min: bool) -> usize {
+        let live = |a: &&Arc| a.span() > 0.0;
+        if !query.iter().any(|a| a.span() > 0.0) {
+            return if take_min { usize::MAX } else { 0 };
+        }
+        let mut events = Vec::new();
+        let mut depth = cover.full_count as i64;
+        for a in &cover.arcs {
+            let s = a.start();
+            let e = normalize_angle(a.end());
+            events.push((s, 1));
+            events.push((e, -1));
+            if e <= s {
+                depth += 1;
+            }
+        }
+        events.sort_unstable_by(|x: &(f64, i32), y| x.0.total_cmp(&y.0));
+        let mut bs = vec![0.0];
+        bs.extend(events.iter().map(|&(t, _)| t));
+        for q in query.iter().filter(live) {
+            bs.push(q.start());
+            bs.push(normalize_angle(q.end()));
+        }
+        bs.sort_unstable_by(f64::total_cmp);
+        bs.dedup_by(|a, b| (*a - *b).abs() < 1e-15);
+        let mut best: Option<usize> = None;
+        let m = bs.len();
+        let mut next_event = 0;
+        for i in 0..m {
+            let a = bs[i];
+            while next_event < events.len() && events[next_event].0 <= a + 1e-15 {
+                depth += i64::from(events[next_event].1);
+                next_event += 1;
+            }
+            let b = if i + 1 < m { bs[i + 1] } else { bs[0] + TAU };
+            if b - a <= 1e-14 {
+                continue;
+            }
+            let mid = normalize_angle(0.5 * (a + b));
+            if !query.iter().filter(live).any(|q| q.contains(mid)) {
+                continue;
+            }
+            let d = depth.max(0) as usize;
+            best = Some(match best {
+                None => d,
+                Some(x) if take_min => x.min(d),
+                Some(x) => x.max(d),
+            });
+        }
+        best.unwrap_or(if take_min { usize::MAX } else { 0 })
+    }
+
+    /// xorshift64: a uniform pick from `0..n`.
+    fn pick(rng: &mut u64, n: usize) -> usize {
+        *rng ^= *rng << 13;
+        *rng ^= *rng >> 7;
+        *rng ^= *rng << 17;
+        (*rng % n as u64) as usize
+    }
+
+    /// Random arcs over a small pool of angles, so endpoints collide:
+    /// wrapping, full, zero-span and duplicated arcs all appear.
+    fn random_arc(rng: &mut u64, pool: &[f64]) -> Arc {
+        let start = pool[pick(rng, pool.len())];
+        match pick(rng, 6) {
+            0 => Arc::full(),
+            1 => Arc::new(start, 0.0),
+            // Ends exactly on another pool angle (possibly wrapping).
+            2 | 3 => Arc::new(start, normalize_angle(pool[pick(rng, pool.len())] - start)),
+            _ => Arc::new(start, (pick(rng, 1000) as f64 + 0.5) / 1000.0 * TAU),
+        }
     }
 
     #[test]

@@ -459,6 +459,37 @@ impl PolygonBuf {
         clip_halfplane_core(&self.vertices, h, &mut out.vertices)
     }
 
+    /// Splits the held polygon along `h` in one pass: `outside` receives
+    /// [`PolygonBuf::clip_halfplane_into`] by `h.complement()` and
+    /// `inside`, when given, the clip by `h` — each vertex for vertex
+    /// what that call would write, but with the bounding box and the
+    /// signed distances computed once for both sides. `dist` is a
+    /// reusable scratch vector. Returns the two clips' validity flags
+    /// (`inside`'s is `false` when it is `None`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the buffer is empty (no polygon loaded).
+    pub fn split_halfplane_into(
+        &self,
+        h: &HalfPlane,
+        dist: &mut Vec<f64>,
+        outside: &mut PolygonBuf,
+        inside: Option<&mut PolygonBuf>,
+    ) -> (bool, bool) {
+        assert!(!self.is_empty(), "split subject buffer is empty");
+        let subject = &self.vertices;
+        let tol = clip_tol(subject);
+        dist.clear();
+        dist.extend(subject.iter().map(|&p| h.signed_distance(p)));
+        // The complement's distances are the negated ones, exactly up to
+        // the sign of a zero — and a zero distance only ever feeds a
+        // crossing point that merges into the vertex it sits on.
+        let out_ok = clip_walk(subject, tol, |i| -dist[i], &mut outside.vertices);
+        let in_ok = inside.is_some_and(|b| clip_walk(subject, tol, |i| dist[i], &mut b.vertices));
+        (out_ok, in_ok)
+    }
+
     /// Materializes the held loop as an owned [`Polygon`].
     ///
     /// Returns `None` when the buffer is empty.
@@ -511,15 +542,36 @@ impl PolygonPool {
 /// orientation / degeneracy rules apply.
 fn clip_halfplane_core(subject: &[Point], h: &HalfPlane, out: &mut Vec<Point>) -> bool {
     out.clear();
-    let n = subject.len();
-    if n == 0 {
+    if subject.is_empty() {
         return false;
     }
-    let scale = 1.0
-        + Aabb::from_points(subject.iter().copied())
-            .expect("clip subject is non-empty")
-            .diagonal();
-    let tol = EPS * scale;
+    clip_walk(
+        subject,
+        clip_tol(subject),
+        |i| h.signed_distance(subject[i]),
+        out,
+    )
+}
+
+/// The boundary tolerance of a clip: [`EPS`] scaled by the subject's
+/// bounding-box diagonal.
+fn clip_tol(subject: &[Point]) -> f64 {
+    let bb = Aabb::from_points(subject.iter().copied()).expect("clip subject is non-empty");
+    EPS * (1.0 + bb.diagonal())
+}
+
+/// The clip walk over a non-empty `subject`, with the signed distance of
+/// vertex `i` given by `dist(i)` (each index is asked for once). Vertices
+/// with distance `≤ tol` are kept; crossing edges contribute their
+/// interpolated boundary point.
+#[inline]
+fn clip_walk(
+    subject: &[Point],
+    tol: f64,
+    dist: impl Fn(usize) -> f64,
+    out: &mut Vec<Point>,
+) -> bool {
+    out.clear();
     // Push with the constructor's finiteness check and duplicate merge.
     let push = |out: &mut Vec<Point>, v: Point| -> bool {
         if !v.is_finite() {
@@ -530,12 +582,16 @@ fn clip_halfplane_core(subject: &[Point], h: &HalfPlane, out: &mut Vec<Point>) -
         }
         true
     };
-    let d0 = h.signed_distance(subject[0]);
+    let n = subject.len();
+    let d0 = dist(0);
     let mut da = d0;
     for i in 0..n {
         let a = subject[i];
-        let b = subject[(i + 1) % n];
-        let db = if i + 1 == n { d0 } else { h.signed_distance(b) };
+        let (b, db) = if i + 1 == n {
+            (subject[0], d0)
+        } else {
+            (subject[i + 1], dist(i + 1))
+        };
         let a_in = da <= tol;
         let b_in = db <= tol;
         if a_in && !push(out, a) {
@@ -567,7 +623,8 @@ fn clip_convex_core(
     out.vertices.extend_from_slice(subject);
     let n = clip.len();
     for i in 0..n {
-        let Some(h) = HalfPlane::left_of(clip[i], clip[(i + 1) % n]) else {
+        let next = if i + 1 == n { clip[0] } else { clip[i + 1] };
+        let Some(h) = HalfPlane::left_of(clip[i], next) else {
             out.vertices.clear();
             return false;
         };

@@ -4,8 +4,8 @@ use laacad_geom::hull::hull_contains;
 use laacad_geom::polygon::signed_area;
 use laacad_geom::welzl::min_enclosing_circle_brute;
 use laacad_geom::{
-    convex_hull, min_enclosing_circle, min_enclosing_circle_in_place, Arc, ArcCover, HalfPlane,
-    Point, Polygon, PolygonBuf, Segment, Vector,
+    convex_hull, min_enclosing_circle, min_enclosing_circle_in_place, Aabb, Arc, ArcCover,
+    HalfPlane, Point, Polygon, PolygonBuf, Segment, Vector,
 };
 use proptest::prelude::*;
 
@@ -123,6 +123,65 @@ proptest! {
             }
             None => prop_assert!(!ok, "buffer form accepted a degenerate clip"),
         }
+    }
+
+    #[test]
+    fn split_halfplane_into_matches_two_clips(
+        pts in points(3, 20),
+        kind in 0usize..6,
+        pick in 0usize..64,
+        nx in -1.0f64..1.0,
+        ny in -1.0f64..1.0,
+        off in -500.0f64..500.0,
+    ) {
+        let hull = convex_hull(&pts);
+        prop_assume!(hull.len() >= 3);
+        let mut subject = PolygonBuf::new();
+        prop_assume!(subject.assign(hull));
+        let vs = subject.vertices();
+        let v = vs[pick % vs.len()];
+        let w = vs[(pick + 1) % vs.len()];
+        // Offsets a few clip tolerances either side of a vertex, where
+        // the in/out verdicts and the degeneracy checks are decided.
+        let bb = Aabb::from_points(vs.iter().copied()).unwrap();
+        let tol = laacad_geom::EPS * (1.0 + bb.diagonal());
+        let shift = [0.0, 0.5, -0.5, 2.0, -2.0, 8.0, -8.0][pick % 7] * tol;
+        let unit = Vector::new(nx, ny).normalized(1e-6);
+        let h = match kind {
+            // Through (or just beside) a vertex.
+            0 => unit.and_then(|n| HalfPlane::new(n, n.dot(v.to_vector()) + shift)),
+            // Along an edge (either orientation).
+            1 => HalfPlane::left_of(v, w),
+            2 => HalfPlane::left_of(w, v),
+            // Missing the polygon on either side.
+            3 => unit.and_then(|n| HalfPlane::new(n, if off < 0.0 { -1e5 } else { 1e5 })),
+            // A sliver off the extreme vertex along the normal, a few
+            // tolerances deep: its area is below EPS.
+            4 => unit.and_then(|n| {
+                let top = vs.iter().map(|p| n.dot(p.to_vector())).fold(f64::MIN, f64::max);
+                HalfPlane::new(n, top - shift.abs())
+            }),
+            _ => unit.and_then(|n| HalfPlane::new(n, off)),
+        };
+        let Some(h) = h else {
+            return Ok(());
+        };
+        let bits = |b: &PolygonBuf| -> Vec<(u64, u64)> {
+            b.vertices().iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+        };
+        let (mut out_ref, mut in_ref) = (PolygonBuf::new(), PolygonBuf::new());
+        let out_ok_ref = subject.clip_halfplane_into(&h.complement(), &mut out_ref);
+        let in_ok_ref = subject.clip_halfplane_into(&h, &mut in_ref);
+        let mut dist = Vec::new();
+        let (mut out, mut inside) = (PolygonBuf::new(), PolygonBuf::new());
+        let flags = subject.split_halfplane_into(&h, &mut dist, &mut out, Some(&mut inside));
+        prop_assert_eq!(flags, (out_ok_ref, in_ok_ref));
+        prop_assert_eq!(bits(&out), bits(&out_ref));
+        prop_assert_eq!(bits(&inside), bits(&in_ref));
+        // Without the inside child: the same outside, a `false` flag.
+        let flags = subject.split_halfplane_into(&h, &mut dist, &mut out, None);
+        prop_assert_eq!(flags, (out_ok_ref, false));
+        prop_assert_eq!(bits(&out), bits(&out_ref));
     }
 
     #[test]

@@ -257,39 +257,26 @@ enum Classification {
     /// The whole face is strictly closer to the competitor: charge budget.
     CompetitorSide,
     /// The bisector cuts the face.
-    Cuts(HalfPlane),
+    Cuts,
 }
 
-fn classify(face: &[Point], bb: &Aabb, tol: f64, h: &HalfPlane) -> Classification {
-    // Fast reject on the face's bounding box: the signed distance is
-    // linear, so two corner evaluations bound it over the whole face.
-    // Competitors whose bisector clearly misses the box — the common
-    // case deep in the subdivision tree — resolve without walking the
-    // vertex loop.
-    let (lo, hi) = h.signed_distance_extremes(bb);
-    if lo > tol {
-        return Classification::CenterSide;
-    }
-    if hi < -tol {
-        return Classification::CompetitorSide;
-    }
-    let mut any_comp = false;
-    let mut any_center = false;
+/// Classifies `face` against bisector `h` from the extremes of the
+/// signed distance over its vertices, taken in one branch-free pass: a
+/// vertex beyond `-tol` is strictly closer to the competitor, one beyond
+/// `tol` strictly closer to the center. (`f64::min`/`max` skip a NaN
+/// distance, which counts for neither side.)
+fn classify(face: &[Point], tol: f64, h: &HalfPlane) -> Classification {
+    let mut lo = f64::INFINITY;
+    let mut hi = f64::NEG_INFINITY;
     for &v in face {
         let d = h.signed_distance(v);
-        if d < -tol {
-            any_comp = true;
-        } else if d > tol {
-            any_center = true;
-        }
-        if any_comp && any_center {
-            return Classification::Cuts(*h);
-        }
+        lo = lo.min(d);
+        hi = hi.max(d);
     }
-    if any_comp {
-        Classification::CompetitorSide
-    } else {
-        Classification::CenterSide
+    match (lo < -tol, hi > tol) {
+        (true, true) => Classification::Cuts,
+        (true, false) => Classification::CompetitorSide,
+        (false, _) => Classification::CenterSide,
     }
 }
 
@@ -319,6 +306,9 @@ pub struct SubdivisionScratch {
     /// a normalization (square root) per classification — would repeat
     /// identical work thousands of times per node view.
     arena: Vec<HalfPlane>,
+    /// Signed distances of a face's vertices, shared by both sides of a
+    /// split.
+    dist: Vec<f64>,
     pool: PolygonPool,
     /// Spare buffer for the legacy owned-output API.
     tmp_pieces: PieceSet,
@@ -351,6 +341,7 @@ fn subdivide(
     let stack = &mut scratch.stack;
     let arena = &mut scratch.arena;
     let pool = &mut scratch.pool;
+    let dist = &mut scratch.dist;
     stack.push(WorkItem {
         face: domain,
         budget,
@@ -375,12 +366,11 @@ fn subdivide(
         // the sublist for this face's children.
         let cut_lo = arena.len();
         let mut discard = false;
-        let mut first_cut: Option<HalfPlane> = None;
         let bb = Aabb::from_points(face.vertices().iter().copied()).expect("faces are non-empty");
         let tol = classify_tol(&bb);
         for j in lo..hi {
             let c = arena[j];
-            match classify(face.vertices(), &bb, tol, &c) {
+            match classify(face.vertices(), tol, &c) {
                 Classification::CenterSide => {}
                 Classification::CompetitorSide => {
                     if budget == 0 {
@@ -389,12 +379,7 @@ fn subdivide(
                     }
                     budget -= 1;
                 }
-                Classification::Cuts(h) => {
-                    if first_cut.is_none() {
-                        first_cut = Some(h);
-                    }
-                    arena.push(c);
-                }
+                Classification::Cuts => arena.push(c),
             }
         }
         let cut_hi = arena.len();
@@ -414,10 +399,15 @@ fn subdivide(
         // Split along the first cutting bisector; children resolve the
         // remaining cutting competitors. (LIFO stack: push the
         // center-side child first so the competitor side is processed
-        // first, matching the original recursion's piece order.)
-        let h = first_cut.expect("cut_hi > cut_lo implies a cutting bisector");
+        // first, matching the original recursion's piece order.) `h`
+        // contains the points closer to the competitor; the center side
+        // is its complement.
+        let h = arena[cut_lo];
         let mut center_side = pool.acquire();
-        if face.clip_halfplane_into(&h.complement(), &mut center_side) {
+        let mut comp_side = (budget > 0).then(|| pool.acquire());
+        let (center_ok, comp_ok) =
+            face.split_halfplane_into(&h, dist, &mut center_side, comp_side.as_mut());
+        if center_ok {
             stack.push(WorkItem {
                 face: center_side,
                 budget,
@@ -427,10 +417,8 @@ fn subdivide(
         } else {
             pool.release(center_side);
         }
-        // h contains the points closer to the competitor.
-        if budget > 0 {
-            let mut comp_side = pool.acquire();
-            if face.clip_halfplane_into(&h, &mut comp_side) {
+        if let Some(comp_side) = comp_side {
+            if comp_ok {
                 stack.push(WorkItem {
                     face: comp_side,
                     budget: budget - 1,
@@ -516,12 +504,33 @@ pub fn dominating_region_pooled(
     out: &mut PieceSet,
 ) {
     assert!(k >= 1, "coverage degree k must be at least 1");
+    load_competitors(center, sites, scratch);
+    let mut root = scratch.pool.acquire();
+    root.copy_from(domain);
+    subdivide(root, k - 1, scratch, out);
+}
+
+/// Loads `scratch.arena` with every competitor's bisector
+/// (`closer_to(competitor, center)`), in split order.
+///
+/// Each bisector is computed once. Co-located sites have no bisector
+/// (`closer_to` returns `None`) and are never strictly closer anywhere —
+/// exactly the `CenterSide` verdict a per-face classification would give
+/// them — so they are dropped up front.
+///
+/// Near-first split order: the signed distance of a bisector at the
+/// center is `+d/2` (the center lies outside the competitor's
+/// half-plane), so ascending order puts the nearest competitors first.
+/// Near bisectors carve the faces around the center early; the far
+/// competitors then resolve as whole-face verdicts on the small faces
+/// that remain. A far-first order does about twice the work (twice the
+/// faces and classifications at k = 4). Ordering affects only the work
+/// and the piece decomposition, never the region itself. The comparator
+/// recomputes its keys (a dot product each): a buffer of precomputed
+/// keys would live in every session's scratch for no measurable gain.
+fn load_competitors(center: usize, sites: &[Point], scratch: &mut SubdivisionScratch) {
     let u = sites[center];
     scratch.arena.clear();
-    // Precompute every competitor's bisector once. Co-located sites have
-    // no bisector (`closer_to` returns `None`) and are never strictly
-    // closer anywhere — exactly the `CenterSide` verdict the per-face
-    // classification used to give them — so they are dropped up front.
     scratch.arena.extend(
         sites
             .iter()
@@ -529,22 +538,9 @@ pub fn dominating_region_pooled(
             .filter(|&(j, _)| j != center)
             .filter_map(|(_, &s)| HalfPlane::closer_to(s, u)),
     );
-    // Far-first split order: the signed distance of a bisector at the
-    // center is −d/2, so ascending order puts the farthest competitors
-    // first. A far bisector only shaves a rim sliver off the current
-    // face — the sliver immediately burns budget and dies, while the
-    // surviving face shrinks toward the center and lets the bounding-box
-    // fast reject retire the remaining far competitors without vertex
-    // walks. Empirically this roughly halves the subdivision tree versus
-    // input order (near-first is far worse: central bisectors cut every
-    // descendant face). Ordering affects only the work and the piece
-    // decomposition, never the region itself.
     scratch
         .arena
         .sort_unstable_by(|a, b| a.signed_distance(u).total_cmp(&b.signed_distance(u)));
-    let mut root = scratch.pool.acquire();
-    root.copy_from(domain);
-    subdivide(root, k - 1, scratch, out);
 }
 
 /// Computes `V^k_i ∩ A` for a (possibly non-convex, holed) target area by
@@ -730,9 +726,194 @@ mod tests {
     }
 
     #[test]
+    fn split_order_puts_the_nearest_competitor_first() {
+        // The sort key `closer_to(s, u).signed_distance(u)` is +d/2: the
+        // center lies outside every competitor's half-plane. Ascending
+        // order is therefore near-first.
+        let u = Point::new(0.5, 0.5);
+        let sites = vec![
+            Point::new(0.9, 0.1),
+            u,
+            Point::new(0.1, 0.95),
+            Point::new(0.55, 0.45), // the nearest competitor
+            Point::new(0.2, 0.6),
+        ];
+        let mut scratch = SubdivisionScratch::new();
+        load_competitors(1, &sites, &mut scratch);
+        assert_eq!(
+            scratch.arena[0],
+            HalfPlane::closer_to(sites[3], u).unwrap(),
+            "the arena's first half-plane belongs to the nearest competitor"
+        );
+        let keys: Vec<f64> = scratch.arena.iter().map(|h| h.signed_distance(u)).collect();
+        for (h, &key) in scratch.arena.iter().zip(&keys) {
+            let s = sites
+                .iter()
+                .find(|&&s| HalfPlane::closer_to(s, u) == Some(*h))
+                .unwrap();
+            assert!((key - 0.5 * s.distance(u)).abs() < 1e-12, "key {key} ≠ d/2");
+        }
+        assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys {keys:?}");
+    }
+
+    #[test]
     #[should_panic(expected = "k must be at least 1")]
     fn zero_k_panics() {
         let sites = vec![Point::new(0.5, 0.5)];
         let _ = dominating_region(0, &sites, 0, &unit_domain());
+    }
+}
+
+/// The subdivision as it stood before the branch-free kernels: the
+/// bounding-box pre-test with an early-exit vertex walk, two clip calls
+/// per split and a sort comparator that recomputes its keys. The single
+/// test-only reference the pooled path is checked against, bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use laacad_region::sampling::SplitMix64;
+
+    fn classify_walk(face: &[Point], bb: &Aabb, tol: f64, h: &HalfPlane) -> Classification {
+        let (lo, hi) = h.signed_distance_extremes(bb);
+        if lo > tol {
+            return Classification::CenterSide;
+        }
+        if hi < -tol {
+            return Classification::CompetitorSide;
+        }
+        let mut any_comp = false;
+        let mut any_center = false;
+        for &v in face {
+            let d = h.signed_distance(v);
+            if d < -tol {
+                any_comp = true;
+            } else if d > tol {
+                any_center = true;
+            }
+            if any_comp && any_center {
+                return Classification::Cuts;
+            }
+        }
+        if any_comp {
+            Classification::CompetitorSide
+        } else {
+            Classification::CenterSide
+        }
+    }
+
+    fn reference_pooled(center: usize, sites: &[Point], k: usize, domain: &[Point]) -> PieceSet {
+        let u = sites[center];
+        let mut arena: Vec<HalfPlane> = sites
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != center)
+            .filter_map(|(_, &s)| HalfPlane::closer_to(s, u))
+            .collect();
+        arena.sort_unstable_by(|a, b| a.signed_distance(u).total_cmp(&b.signed_distance(u)));
+        let mut root = PolygonBuf::new();
+        root.copy_from(domain);
+        let mut out = PieceSet::new();
+        let mut stack = vec![(root, k - 1, 0, arena.len())];
+        while let Some((face, mut budget, lo, hi)) = stack.pop() {
+            if hi == lo {
+                out.push_piece(face.vertices());
+                continue;
+            }
+            let cut_lo = arena.len();
+            let mut discard = false;
+            let bb = Aabb::from_points(face.vertices().iter().copied()).unwrap();
+            let tol = classify_tol(&bb);
+            for j in lo..hi {
+                let c = arena[j];
+                match classify_walk(face.vertices(), &bb, tol, &c) {
+                    Classification::CenterSide => {}
+                    Classification::CompetitorSide => {
+                        if budget == 0 {
+                            discard = true;
+                            break;
+                        }
+                        budget -= 1;
+                    }
+                    Classification::Cuts => arena.push(c),
+                }
+            }
+            let cut_hi = arena.len();
+            if discard {
+                arena.truncate(cut_lo);
+                continue;
+            }
+            if cut_hi - cut_lo <= budget {
+                arena.truncate(cut_lo);
+                out.push_piece(face.vertices());
+                continue;
+            }
+            let h = arena[cut_lo];
+            let mut center_side = PolygonBuf::new();
+            if face.clip_halfplane_into(&h.complement(), &mut center_side) {
+                stack.push((center_side, budget, cut_lo + 1, cut_hi));
+            }
+            if budget > 0 {
+                let mut comp_side = PolygonBuf::new();
+                if face.clip_halfplane_into(&h, &mut comp_side) {
+                    stack.push((comp_side, budget - 1, cut_lo + 1, cut_hi));
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(pieces: &PieceSet) -> (Vec<(u64, u64)>, Vec<usize>) {
+        let verts = pieces
+            .vertices()
+            .iter()
+            .map(|p| (p.x.to_bits(), p.y.to_bits()))
+            .collect();
+        (verts, pieces.ends.clone())
+    }
+
+    /// A ring-cap-like domain: a 24-gon around `c` clipped to the unit
+    /// square, as the engine's search caps are.
+    fn cap(c: Point, r: f64) -> Vec<Point> {
+        let disk = Polygon::regular(c, r, 24, 0.1).unwrap();
+        let square = Polygon::rectangle(Point::new(0.0, 0.0), Point::new(1.0, 1.0)).unwrap();
+        disk.clip_convex(&square).unwrap().vertices().to_vec()
+    }
+
+    #[test]
+    fn pooled_subdivision_matches_the_reference_bit_for_bit() {
+        let mut rng = SplitMix64::new(0x5EED);
+        let mut scratch = SubdivisionScratch::new();
+        let mut pieces = PieceSet::new();
+        let square = Polygon::rectangle(Point::new(0.0, 0.0), Point::new(1.0, 1.0)).unwrap();
+        let mut checked = 0;
+        for trial in 0..120 {
+            let n = 3 + (rng.next_u64() % 30) as usize;
+            let mut sites: Vec<Point> = match trial % 3 {
+                // A lattice: many competitors tie on distance.
+                0 => (0..n)
+                    .map(|i| Point::new((i % 6) as f64 * 0.125 + 0.2, (i / 6) as f64 * 0.125 + 0.2))
+                    .collect(),
+                // A corner pile, as at the start of Fig. 5.
+                1 => (0..n)
+                    .map(|_| Point::new(0.2 * rng.next_f64(), 0.2 * rng.next_f64()))
+                    .collect(),
+                _ => (0..n)
+                    .map(|_| Point::new(rng.next_f64(), rng.next_f64()))
+                    .collect(),
+            };
+            sites.push(sites[0]); // a co-located twin
+            let center = (rng.next_u64() % sites.len() as u64) as usize;
+            let r = 0.1 + 0.5 * rng.next_f64();
+            for domain in [square.vertices().to_vec(), cap(sites[center], r)] {
+                for k in 1..=4 {
+                    pieces.clear();
+                    dominating_region_pooled(center, &sites, k, &domain, &mut scratch, &mut pieces);
+                    let expect = reference_pooled(center, &sites, k, &domain);
+                    assert_eq!(bits(&pieces), bits(&expect), "trial {trial} k {k}");
+                    checked += pieces.len();
+                }
+            }
+        }
+        assert!(checked > 1000, "only {checked} pieces compared");
     }
 }
