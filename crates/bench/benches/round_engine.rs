@@ -1,9 +1,8 @@
 //! End-to-end round-engine benchmark: one synchronous LAACAD round at
 //! N ∈ {1 000, 4 000, 10 000}, k ∈ {1, 3}, serial vs parallel — plus the
-//! PR-3 section (cached vs uncached steady-state rounds and
-//! allocations-per-round under a counting global allocator) and the
 //! PR-4 section: quiescent steady-state rounds under the dirty-node
-//! index, which skips every ring search once nothing moves. The PR-6
+//! index, which skips every ring search once nothing moves, with
+//! allocations-per-round under a counting global allocator. The PR-6
 //! section records one cold / steady / partial round at N = 10⁴ through
 //! the telemetry registry and reports the per-stage wall-clock split
 //! (classify / adjacency / ring search / geometry / move apply); smoke
@@ -20,21 +19,25 @@
 //! rerunning on other hardware refreshes the current-engine numbers but
 //! keeps those references labeled with their origin.
 //!
-//! The PR-8 section sweeps the memory-layout rewrite (struct-of-arrays
-//! network, flat dense grid, per-worker arenas) at N ∈ {10⁵, 10⁶},
-//! k = 1: cold round (flat vs hash grid, serial and parallel), steady
-//! quiescent round, and the 1%-movers partial-activity round with its
-//! per-stage telemetry breakdown.
+//! The PR-8 section sweeps the memory layout (struct-of-arrays network,
+//! flat dense grid, per-worker arenas) at N ∈ {10⁵, 10⁶}, k = 1: cold
+//! round (serial and parallel), steady quiescent round, and the
+//! 1%-movers partial-activity round with its per-stage telemetry
+//! breakdown.
 //!
 //! Run `cargo bench -p laacad-bench --bench round_engine -- --smoke` for
 //! the CI smoke mode: N = 10³ plus the N = 10⁵ layout guard, with a
 //! generous (3×) wall-clock regression guard against the committed
-//! reference and the zero-geometry-allocation steady-state assertion.
+//! reference and the zero-geometry-allocation steady-state assertions.
+//! The engine's work-counter guards (quiescent rounds, partial activity)
+//! are tier-1 tests in `crates/core/tests/active_set_counters.rs`.
 //! `--n <N>` (or `LAACAD_BENCH_N=<N>`) caps the sweep — cells above the
 //! cap are skipped, and a capped full run prints measurements without
 //! rewriting the committed JSON.
 
-use laacad::{LaacadConfig, NoopRecorder, Session, SessionBuilder, Stage, TelemetryRegistry};
+use laacad::{
+    ExecutionMode, LaacadConfig, NoopRecorder, Session, SessionBuilder, Stage, TelemetryRegistry,
+};
 use laacad_dist::{AsyncConfig, AsyncExecutor, Backoff, DelayModel, FaultPlan};
 use laacad_region::sampling::sample_uniform;
 use laacad_region::Region;
@@ -134,12 +137,6 @@ const PR4_PARTIAL_SECONDS: &[(usize, usize, f64, f64)] = &[
 /// vary; a real regression on this path is multiplicative, not 20%).
 const SMOKE_GUARD_FACTOR: f64 = 3.0;
 
-/// Smoke-mode partial-activity guard: a round with 10% localized movers
-/// must re-activate well under this fraction of the deployment — the
-/// classifier's work has to stay proportional to the perturbed set, not
-/// to `N`.
-const SMOKE_PARTIAL_SEARCH_FRACTION: f64 = 0.30;
-
 /// Steady-state allocation ceiling. A converged round still builds its
 /// per-round decision vector (O(1) allocations); any polygon-vertex or
 /// ring-check allocation would show up once per node, i.e. ≥ N — so a
@@ -209,30 +206,16 @@ fn pr3_steady_reference(n: usize, k: usize) -> f64 {
         .expect("reference row exists")
 }
 
-fn build(n: usize, k: usize, threads: usize, cache: bool, epsilon: f64) -> Session {
-    build_with_dirty(n, k, threads, cache, true, epsilon)
+fn build(n: usize, k: usize, threads: usize, epsilon: f64) -> Session {
+    build_mode(n, k, threads, epsilon, ExecutionMode::Synchronous)
 }
 
-fn build_with_dirty(
+fn build_mode(
     n: usize,
     k: usize,
     threads: usize,
-    cache: bool,
-    dirty_skip: bool,
     epsilon: f64,
-) -> Session {
-    build_layout(n, k, threads, cache, dirty_skip, epsilon, true)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_layout(
-    n: usize,
-    k: usize,
-    threads: usize,
-    cache: bool,
-    dirty_skip: bool,
-    epsilon: f64,
-    flat_grid: bool,
+    execution: ExecutionMode,
 ) -> Session {
     let region = Region::square(1.0).expect("unit square");
     let config = LaacadConfig::builder(k)
@@ -241,9 +224,7 @@ fn build_layout(
         .epsilon(epsilon)
         .max_rounds(1_000)
         .threads(threads)
-        .cache(cache)
-        .dirty_skip(dirty_skip)
-        .flat_grid(flat_grid)
+        .execution(execution)
         .build()
         .expect("valid config");
     let initial = sample_uniform(&region, n, 42);
@@ -254,16 +235,16 @@ fn build_layout(
         .expect("valid deployment")
 }
 
-/// Times one cold `step()` under an explicit grid layout (best of
-/// `reps`; construction and index build excluded, as in [`time_round`]).
-/// ε scales with the expected sensing range `√(k/πN)` — at N = 10⁶ the
-/// fixed 2·10⁻³ used by the small-N cells exceeds the inter-node
-/// spacing, and a fresh deployment would count as already-at-target.
-fn time_cold_layout(n: usize, k: usize, threads: usize, flat_grid: bool, reps: usize) -> f64 {
+/// Times one cold `step()` (best of `reps`; construction and index
+/// build excluded, as in [`time_round`]). ε scales with the expected
+/// sensing range `√(k/πN)` — at N = 10⁶ the fixed 2·10⁻³ used by the
+/// small-N cells exceeds the inter-node spacing, and a fresh deployment
+/// would count as already-at-target.
+fn time_cold(n: usize, k: usize, threads: usize, reps: usize) -> f64 {
     let epsilon = 5e-3 * (k as f64 / (std::f64::consts::PI * n as f64)).sqrt();
     let mut best = f64::INFINITY;
     for _ in 0..reps {
-        let mut sim = build_layout(n, k, threads, true, true, epsilon, flat_grid);
+        let mut sim = build(n, k, threads, epsilon);
         let t = Instant::now();
         let delta = sim.step();
         let dt = t.elapsed().as_secs_f64();
@@ -278,7 +259,7 @@ fn time_cold_layout(n: usize, k: usize, threads: usize, flat_grid: bool, reps: u
 /// all carry real content).
 fn snapshot_roundtrip(n: usize, k: usize) -> (f64, f64, usize) {
     let epsilon = 5e-3 * (k as f64 / (std::f64::consts::PI * n as f64)).sqrt();
-    let mut sim = build(n, k, 1, true, epsilon);
+    let mut sim = build(n, k, 1, epsilon);
     sim.step();
     let t = Instant::now();
     let bytes = sim.snapshot();
@@ -414,7 +395,7 @@ fn backoff_overhead(n: usize, backoff: Backoff) -> (u64, u64, usize) {
 fn time_round(n: usize, k: usize, threads: usize, reps: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
-        let mut sim = build(n, k, threads, true, 2e-3);
+        let mut sim = build(n, k, threads, 2e-3);
         let t = Instant::now();
         let delta = sim.step();
         let dt = t.elapsed().as_secs_f64();
@@ -428,17 +409,13 @@ fn time_round(n: usize, k: usize, threads: usize, reps: usize) -> f64 {
 /// converges (movement per round drops below typical displacement almost
 /// immediately on a uniform start), take one extra round so every cache
 /// entry reflects the final positions, then time and alloc-count one
-/// more round.
-fn steady_round(n: usize, k: usize, cache: bool) -> (f64, u64) {
-    // The PR-3 measurement: dirty tracking off, so every round still
-    // runs its ring searches and hits the per-worker view cache.
-    steady_round_with(n, k, cache, false).0
-}
-
-/// Converges a deployment, then times one more round. Returns
-/// `((seconds, allocations), ring searches in the timed round)`.
-fn steady_round_with(n: usize, k: usize, cache: bool, dirty_skip: bool) -> ((f64, u64), usize) {
-    let mut sim = build_with_dirty(n, k, 1, cache, dirty_skip, 0.05);
+/// more round. Synchronous rounds are then quiescent (zero ring
+/// searches, stored views replayed); Gauss–Seidel rounds still run
+/// every node's ring search and serve its geometry from the view
+/// cache. Returns `((seconds, allocations), ring searches in the timed
+/// round)`.
+fn steady_round(n: usize, k: usize, execution: ExecutionMode) -> ((f64, u64), usize) {
+    let mut sim = build_mode(n, k, 1, 0.05, execution);
     let mut converged = false;
     for _ in 0..40 {
         let delta = sim.step();
@@ -492,7 +469,7 @@ fn partial_round_once(
     fraction: f64,
     record: bool,
 ) -> (f64, usize, usize, Option<TelemetryRegistry>) {
-    let mut sim = build_with_dirty(n, k, 1, true, true, 0.05);
+    let mut sim = build(n, k, 1, 0.05);
     let mut converged = false;
     for _ in 0..60 {
         if sim.step().report.converged {
@@ -578,14 +555,14 @@ fn stage_row(phase: &str, reg: &TelemetryRegistry) -> String {
     )
 }
 
-/// Times `rounds` steady-state rounds (N = 10³, k = 3, cache on, dirty
-/// tracking **off** so every round does full ring-search work), best of
-/// `reps` fresh deployments — optionally with a [`NoopRecorder`]
-/// installed, for the telemetry-overhead guard.
+/// Times `rounds` steady-state rounds (N = 10³, k = 3, Gauss–Seidel so
+/// every round does full ring-search work), best of `reps` fresh
+/// deployments — optionally with a [`NoopRecorder`] installed, for the
+/// telemetry-overhead guard.
 fn steady_block_seconds(noop_recorder: bool, reps: usize, rounds: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
-        let mut sim = build_with_dirty(1_000, 3, 1, true, false, 0.05);
+        let mut sim = build_mode(1_000, 3, 1, 0.05, ExecutionMode::Sequential);
         let mut converged = false;
         for _ in 0..40 {
             if sim.step().report.converged {
@@ -620,84 +597,33 @@ fn smoke() {
         );
         failed |= serial > limit;
     }
-    for cache in [true, false] {
-        let (dt, allocs) = steady_round(1_000, 3, cache);
-        let verdict = if allocs <= STEADY_ALLOC_CEILING {
-            "ok"
-        } else {
-            "ALLOC REGRESSION"
-        };
-        eprintln!(
-            "smoke steady N=1000 k=3 cache={cache}: {dt:.4}s, {allocs} allocations \
-             (ceiling {STEADY_ALLOC_CEILING}) {verdict}"
-        );
-        failed |= allocs > STEADY_ALLOC_CEILING;
-    }
-    // PR-4: a quiescent round under the dirty-node index performs zero
-    // ring searches and must beat the PR-3 cached steady round.
-    let ((dirty_s, dirty_allocs), searches) = steady_round_with(1_000, 3, true, true);
-    let verdict = if searches == 0 && dirty_allocs <= STEADY_ALLOC_CEILING {
+    // PR-3: a Gauss–Seidel steady round runs every node's ring search
+    // and serves its geometry from the view cache without touching the
+    // heap per node.
+    let ((dt, allocs), searches) = steady_round(1_000, 3, ExecutionMode::Sequential);
+    let verdict = if allocs <= STEADY_ALLOC_CEILING {
         "ok"
     } else {
-        "DIRTY-SKIP REGRESSION"
+        "ALLOC REGRESSION"
     };
     eprintln!(
-        "smoke steady N=1000 k=3 dirty-skip: {dirty_s:.5}s, {searches} ring searches, \
-         {dirty_allocs} allocations {verdict}"
+        "smoke steady N=1000 k=3 full search: {dt:.4}s, {searches} ring searches, {allocs} \
+         allocations (ceiling {STEADY_ALLOC_CEILING}) {verdict}"
     );
-    failed |= searches != 0 || dirty_allocs > STEADY_ALLOC_CEILING;
-    // PR-5: quiescent rounds must leave the spatial/adjacency index
-    // completely untouched — no rebuild, no incremental update.
-    {
-        let mut sim = build(1_000, 3, 1, true, 0.05);
-        let mut converged = false;
-        for _ in 0..40 {
-            if sim.step().report.converged {
-                converged = true;
-                break;
-            }
-        }
-        assert!(converged, "smoke zero-rebuild warm-up did not converge");
-        sim.step();
-        let before = sim.counters();
-        for _ in 0..5 {
-            sim.step();
-        }
-        let after = sim.counters();
-        let untouched = after.adjacency_rebuilds == before.adjacency_rebuilds
-            && after.adjacency_incremental_updates == before.adjacency_incremental_updates
-            && after.ring_searches == before.ring_searches;
-        let verdict = if untouched { "ok" } else { "INDEX REGRESSION" };
-        eprintln!(
-            "smoke quiescent index N=1000 k=3: rebuilds {}→{}, incremental {}→{} {verdict}",
-            before.adjacency_rebuilds,
-            after.adjacency_rebuilds,
-            before.adjacency_incremental_updates,
-            after.adjacency_incremental_updates,
-        );
-        failed |= !untouched;
-    }
-    // PR-5: a round with 10% localized movers must re-activate only the
-    // perturbed neighborhood — ring searches stay proportional to the
-    // perturbed set, not N.
-    {
-        let n = 4_000;
-        let (dt, searches, movers) = partial_round(n, 3, 0.10, 1);
-        let fraction = searches as f64 / n as f64;
-        let ok = fraction < SMOKE_PARTIAL_SEARCH_FRACTION;
-        let verdict = if ok {
-            "ok"
-        } else {
-            "PARTIAL-ACTIVITY REGRESSION"
-        };
-        eprintln!(
-            "smoke partial N={n} k=3 movers={movers}: {dt:.4}s, {searches} ring searches \
-             ({:.1}% of N, limit {:.0}%) {verdict}",
-            fraction * 100.0,
-            SMOKE_PARTIAL_SEARCH_FRACTION * 100.0,
-        );
-        failed |= !ok;
-    }
+    failed |= allocs > STEADY_ALLOC_CEILING;
+    // PR-4: a quiescent synchronous round replays the stored views with
+    // O(1) allocations.
+    let ((dirty_s, dirty_allocs), searches) = steady_round(1_000, 3, ExecutionMode::Synchronous);
+    let verdict = if dirty_allocs <= STEADY_ALLOC_CEILING {
+        "ok"
+    } else {
+        "ALLOC REGRESSION"
+    };
+    eprintln!(
+        "smoke steady N=1000 k=3 quiescent: {dirty_s:.5}s, {searches} ring searches, \
+         {dirty_allocs} allocations (ceiling {STEADY_ALLOC_CEILING}) {verdict}"
+    );
+    failed |= dirty_allocs > STEADY_ALLOC_CEILING;
     // PR-6: an installed noop recorder must be free on the hot path —
     // 10 full-work steady rounds with and without it, best of 3.
     {
@@ -718,12 +644,11 @@ fn smoke() {
     }
     // PR-8: the memory-layout guard. One steady quiescent round at
     // N = 10⁵ (or the `--n` cap, if smaller) must stay an O(N) replay —
-    // generous wall-clock bound, O(1) allocations, zero ring searches.
+    // generous wall-clock bound, O(1) allocations.
     {
         let n = bench_n_cap().map_or(SMOKE_LARGE_N, |c| c.min(SMOKE_LARGE_N));
-        let ((dt, allocs), searches) = steady_round_with(n, 1, true, true);
-        let ok =
-            searches == 0 && allocs <= STEADY_ALLOC_CEILING && dt <= SMOKE_LARGE_N_STEADY_SECONDS;
+        let ((dt, allocs), searches) = steady_round(n, 1, ExecutionMode::Synchronous);
+        let ok = allocs <= STEADY_ALLOC_CEILING && dt <= SMOKE_LARGE_N_STEADY_SECONDS;
         let verdict = if ok { "ok" } else { "LAYOUT REGRESSION" };
         eprintln!(
             "smoke layout N={n} k=1 steady: {dt:.4}s (limit {SMOKE_LARGE_N_STEADY_SECONDS}s), \
@@ -750,7 +675,6 @@ fn main() {
     let cap = bench_n_cap();
     let skip = |n: usize| cap.is_some_and(|c| n > c);
     let mut rows = Vec::new();
-    let mut serial_by_cell: Vec<(usize, usize, f64)> = Vec::new();
     for &(n, k, pre_pr) in PRE_PR_SERIAL_SECONDS {
         if skip(n) {
             continue;
@@ -759,7 +683,6 @@ fn main() {
         let serial = time_round(n, k, 1, reps);
         let parallel = time_round(n, k, 0, reps);
         let pr2 = pr2_reference(n, k);
-        serial_by_cell.push((n, k, serial));
         eprintln!(
             "round_engine N={n} k={k}: serial {serial:.3}s, parallel({workers}) {parallel:.3}s, \
              PR-2 reference {pr2:.3}s, pre-PR reference {pre_pr:.3}s"
@@ -785,55 +708,6 @@ fn main() {
             pr2 / serial,
         ));
     }
-    // PR-3 section: steady-state rounds, cached vs uncached, with
-    // allocation counts from the counting global allocator.
-    let mut pr3_rows = Vec::new();
-    for &n in &[1_000usize, 4_000, 10_000] {
-        if skip(n) {
-            continue;
-        }
-        let k = 3;
-        let round1 = serial_by_cell
-            .iter()
-            .find(|&&(rn, rk, _)| rn == n && rk == k)
-            .map(|&(_, _, s)| s)
-            .expect("measured above");
-        let (cached_s, cached_allocs) = steady_round(n, k, true);
-        let (uncached_s, uncached_allocs) = steady_round(n, k, false);
-        let pr2 = pr2_reference(n, k);
-        eprintln!(
-            "round_engine pr3 N={n} k={k}: round1 {round1:.3}s, steady cached {cached_s:.4}s \
-             ({cached_allocs} allocs), steady uncached {uncached_s:.4}s ({uncached_allocs} allocs)"
-        );
-        if n == 1_000 {
-            assert!(
-                cached_allocs <= STEADY_ALLOC_CEILING && uncached_allocs <= STEADY_ALLOC_CEILING,
-                "steady-state round allocated (cached {cached_allocs}, uncached \
-                 {uncached_allocs}) above the O(1) ceiling {STEADY_ALLOC_CEILING}: \
-                 the geometry hot path is no longer allocation-free"
-            );
-        }
-        pr3_rows.push(format!(
-            concat!(
-                "      {{\"n\": {}, \"k\": {}, \"round1_serial_seconds\": {:.6}, ",
-                "\"speedup_round1_vs_pr2\": {:.2}, ",
-                "\"steady_cached_seconds\": {:.6}, ",
-                "\"steady_uncached_seconds\": {:.6}, ",
-                "\"steady_allocs_cached\": {}, ",
-                "\"steady_allocs_uncached\": {}, ",
-                "\"speedup_steady_cached_vs_pr2\": {:.2}}}"
-            ),
-            n,
-            k,
-            round1,
-            pr2 / round1,
-            cached_s,
-            uncached_s,
-            cached_allocs,
-            uncached_allocs,
-            pr2 / cached_s,
-        ));
-    }
     // PR-4 section: quiescent steady-state rounds under the dirty-node
     // index — zero ring searches, O(N) replay of the stored views.
     let mut pr4_rows = Vec::new();
@@ -842,7 +716,7 @@ fn main() {
             continue;
         }
         let k = 3;
-        let ((dirty_s, dirty_allocs), searches) = steady_round_with(n, k, true, true);
+        let ((dirty_s, dirty_allocs), searches) = steady_round(n, k, ExecutionMode::Synchronous);
         assert_eq!(
             searches, 0,
             "N={n}: a quiescent round under the dirty index still ran ring searches"
@@ -908,12 +782,12 @@ fn main() {
     if !skip(10_000) {
         let n = 10_000;
         let k = 3;
-        let mut sim = build(n, k, 1, true, 2e-3);
+        let mut sim = build(n, k, 1, 2e-3);
         sim.set_recorder(Box::new(TelemetryRegistry::new()));
         sim.step();
         let cold = take_registry(&mut sim);
 
-        let mut sim = build_with_dirty(n, k, 1, true, true, 0.05);
+        let mut sim = build(n, k, 1, 0.05);
         let mut converged = false;
         for _ in 0..40 {
             if sim.step().report.converged {
@@ -947,8 +821,7 @@ fn main() {
         }
     }
     // PR-8 section: the memory-layout sweep. N ∈ {10⁵, 10⁶} at k = 1 —
-    // cold round under the flat vs the hash grid (serial, plus parallel
-    // under the flat layout), one steady quiescent round, and the
+    // cold round (serial and parallel), one steady quiescent round, and the
     // flagship cell: the single round reacting to a localized 1%
     // displacement, recorded through the telemetry registry so the JSON
     // carries its per-stage breakdown.
@@ -959,10 +832,10 @@ fn main() {
             continue;
         }
         let k = 1;
-        let cold_flat = time_cold_layout(n, k, 1, true, 1);
-        let cold_hash = time_cold_layout(n, k, 1, false, 1);
-        let cold_parallel = time_cold_layout(n, k, 0, true, 1);
-        let ((steady_s, steady_allocs), steady_searches) = steady_round_with(n, k, true, true);
+        let cold_serial = time_cold(n, k, 1, 1);
+        let cold_parallel = time_cold(n, k, 0, 1);
+        let ((steady_s, steady_allocs), steady_searches) =
+            steady_round(n, k, ExecutionMode::Synchronous);
         assert_eq!(
             steady_searches, 0,
             "N={n}: a quiescent round under the dirty index still ran ring searches"
@@ -977,7 +850,7 @@ fn main() {
             );
         }
         eprintln!(
-            "round_engine pr8 N={n} k={k}: cold flat {cold_flat:.3}s / hash {cold_hash:.3}s \
+            "round_engine pr8 N={n} k={k}: cold serial {cold_serial:.3}s \
              / parallel({workers}) {cold_parallel:.3}s, steady {steady_s:.4}s \
              ({steady_allocs} allocs), partial 1% ({movers} movers) {partial_s:.4}s \
              ({partial_searches} ring searches)"
@@ -986,7 +859,6 @@ fn main() {
             concat!(
                 "      {{\"n\": {}, \"k\": {}, ",
                 "\"cold_serial_seconds\": {:.6}, ",
-                "\"cold_serial_hash_grid_seconds\": {:.6}, ",
                 "\"cold_parallel_seconds\": {:.6}, ",
                 "\"steady_seconds\": {:.6}, ",
                 "\"steady_allocs\": {}, ",
@@ -996,8 +868,7 @@ fn main() {
             ),
             n,
             k,
-            cold_flat,
-            cold_hash,
+            cold_serial,
             cold_parallel,
             steady_s,
             steady_allocs,
@@ -1120,10 +991,6 @@ fn main() {
             "  \"parallel_workers\": {},\n",
             "  \"pre_pr_reference_host\": \"{}\",\n",
             "  \"rounds\": [\n{}\n  ],\n",
-            "  \"pr3\": {{\n",
-            "    \"description\": \"allocation-free geometry kernel + cross-round local-view cache: first round (cold cache) and steady-state rounds (converged deployment) vs the PR-2 engine; allocation counts are per serial round under a counting global allocator\",\n",
-            "    \"rows\": [\n{}\n    ]\n",
-            "  }},\n",
             "  \"pr4\": {{\n",
             "    \"description\": \"dirty-node index (session engine): fully quiescent steady-state rounds skip every ring search and replay stored views in O(N) — vs the PR-3 cached steady round, which still searched per node per round\",\n",
             "    \"rows\": [\n{}\n    ]\n",
@@ -1137,12 +1004,12 @@ fn main() {
             "    \"rows\": [\n{}\n    ]\n",
             "  }},\n",
             "  \"pr8\": {{\n",
-            "    \"description\": \"memory-layout sweep (struct-of-arrays network, flat dense CSR grid, per-worker arenas) at N in {{10^5, 10^6}}, k = 1: cold first round under the flat vs the hash grid (serial; parallel under flat), one steady quiescent round (O(N) stored-view replay, O(1) allocations), and the single serial round reacting to a localized 1% corner displacement. stage_rows carries the partial round's per-stage telemetry split (classification + replay dominate; ring search and geometry stay proportional to the perturbed set), recorded the same way as the pr6 rows\",\n",
+            "    \"description\": \"memory-layout sweep (struct-of-arrays network, flat dense CSR grid, per-worker arenas) at N in {{10^5, 10^6}}, k = 1: cold first round (serial and parallel), one steady quiescent round (O(N) stored-view replay, O(1) allocations), and the single serial round reacting to a localized 1% corner displacement. stage_rows carries the partial round's per-stage telemetry split (classification + replay dominate; ring search and geometry stay proportional to the perturbed set), recorded the same way as the pr6 rows\",\n",
             "    \"rows\": [\n{}\n    ],\n",
             "    \"stage_rows\": [\n{}\n    ]\n",
             "  }},\n",
             "  \"pr9\": {{\n",
-            "    \"description\": \"coverage-as-a-service serve layer: laacad-snapshot/1 serialize/restore wall-clock and buffer size after one cold round at N in {{10^4, 10^5, 10^6}}, k = 1 (restored sessions are bit-identical going forward — pinned by tests, not timed here), and SessionHost scheduler throughput: 64 and 512 independent 64-node sessions stepped 50 rounds each through preloaded bounded queues (tick budget 1, reject policy), reported as executed session-rounds per second over the tick fan-out\",\n",
+            "    \"description\": \"coverage-as-a-service serve layer: laacad-snapshot/2 serialize/restore wall-clock and buffer size after one cold round at N in {{10^4, 10^5, 10^6}}, k = 1 (restored sessions are bit-identical going forward — pinned by tests, not timed here), and SessionHost scheduler throughput: 64 and 512 independent 64-node sessions stepped 50 rounds each through preloaded bounded queues (tick budget 1, reject policy), reported as executed session-rounds per second over the tick fan-out\",\n",
             "    \"snapshot_rows\": [\n{}\n    ],\n",
             "    \"host_rows\": [\n{}\n    ]\n",
             "  }},\n",
@@ -1156,7 +1023,6 @@ fn main() {
         workers,
         PRE_PR_REFERENCE_HOST,
         rows.join(",\n"),
-        pr3_rows.join(",\n"),
         pr4_rows.join(",\n"),
         pr5_rows.join(",\n"),
         pr6_rows.join(",\n"),

@@ -88,73 +88,6 @@ pub struct LaacadConfig {
     /// bit-identical for every thread count; sequential (Gauss–Seidel)
     /// execution is inherently serial and ignores this knob.
     pub threads: usize,
-    /// Cross-round local-view cache (default on). LAACAD moves nodes by
-    /// at most `αγ` per round, and near convergence most nodes — and
-    /// their ring neighborhoods — stop moving entirely; when a node's
-    /// position, ring radius and competitor `(id, position)` set are
-    /// *exactly* unchanged since the node's previous computation, the
-    /// engine reuses the cached Chebyshev disk and farthest distance
-    /// instead of re-subdividing. The key is exact
-    /// equality of every geometric input, so cached and uncached runs
-    /// are bit-identical; only oracle-coordinate runs cache (ranging
-    /// noise is re-drawn per round by design).
-    pub cache: bool,
-    /// Dirty-node index (default on). The session engine records which
-    /// nodes moved each round; a node whose entire previous search
-    /// neighborhood (its final ρ plus the multi-hop slack margin) saw no
-    /// movement skips the expanding-ring search *and* the domination
-    /// sweep entirely, replaying its stored view. The skip criterion
-    /// covers every node the previous search could have contacted, so
-    /// results are bit-identical with the index on or off, at any
-    /// worker count; fully quiescent rounds run zero ring searches.
-    /// Active only for synchronous oracle-coordinate runs (Gauss–Seidel
-    /// nodes see fresh predecessor positions; ranging noise is re-drawn
-    /// per round).
-    pub dirty_skip: bool,
-    /// Exact reach radii for the dirty-node classifier (default on;
-    /// sync+oracle only, meaningful only with `dirty_skip`). Each ring
-    /// search records the true maximal contact distance its BFS ever
-    /// explored; the classifier then re-activates a node only when a
-    /// mover falls within `max(contact_radius, ρ) + γ` of it, instead of
-    /// the blanket hop-path worst case `ρ + (slack+1)γ`. Every node the
-    /// search could have heard from lies within the recorded radius, so
-    /// results are bit-identical on or off — partially-active rounds
-    /// just re-activate fewer untouched nodes.
-    pub exact_reach: bool,
-    /// ρ warm start for re-activated nodes (default on; sync+oracle
-    /// only, meaningful only with `dirty_skip`). A re-activated node
-    /// whose stored search is invalidated by movers at distance `d`
-    /// skips the domination checks of every expansion stage whose entire
-    /// sphere of influence provably lies inside `d` — those checks
-    /// failed last time on identical inputs — and effectively resumes
-    /// the ring search near its previous ρ. Members, ρ and message
-    /// accounting stay byte-identical to the from-scratch search.
-    pub warm_start: bool,
-    /// Incremental spatial index maintenance (default on; synchronous
-    /// rounds only — Gauss–Seidel sweeps never share a snapshot).
-    /// Partially-active rounds patch the shared CSR adjacency snapshot
-    /// from the round's movement delta — only the movers' grid cells and
-    /// the adjacency rows they touch are rewritten — instead of
-    /// rebuilding the whole snapshot. Rows are bit-identical to a full
-    /// rebuild.
-    pub incremental_index: bool,
-    /// Flat dense spatial grid (default on). Stores the network's
-    /// spatial index — and the classifier's movement-endpoint index — as
-    /// one row-major cell array (CSR `starts`/`entries`, counting-sort
-    /// build, O(movers) move patching) instead of hash buckets, so
-    /// radius queries walk contiguous memory. Falls back to the hash
-    /// grid per index when the point cloud's bounding box is too sparse
-    /// for a dense array. Purely a memory-layout knob: query results —
-    /// and therefore rounds — are bit-identical on or off.
-    pub flat_grid: bool,
-    /// Per-session arenas for round-transient buffers (default on). The
-    /// dirty-node classifier's endpoint/mask/warm-skip buffers are
-    /// pooled on the session and reset per round instead of freshly
-    /// allocated, and the per-worker scratches are pre-sized from `N` at
-    /// first fan-out rather than grown on demand. Purely an allocation
-    /// knob: every buffer is fully reset before reuse, so results are
-    /// bit-identical on or off.
-    pub arena: bool,
 }
 
 impl LaacadConfig {
@@ -194,13 +127,6 @@ impl LaacadConfig {
                 snapshot_every: None,
                 seed: 0x1AACAD,
                 threads: 1,
-                cache: true,
-                dirty_skip: true,
-                exact_reach: true,
-                warm_start: true,
-                incremental_index: true,
-                flat_grid: true,
-                arena: true,
             },
         }
     }
@@ -304,69 +230,12 @@ impl LaacadConfigBuilder {
         self
     }
 
-    /// Enables or disables the cross-round local-view cache. Results are
-    /// identical either way (the cache key is exact equality of every
-    /// geometric input); `false` forces a full recomputation per node
-    /// per round.
-    pub fn cache(&mut self, cache: bool) -> &mut Self {
-        self.config.cache = cache;
-        self
-    }
-
-    /// Enables or disables the dirty-node index. Results are identical
-    /// either way (the skip criterion is conservative and exact);
-    /// `false` forces a ring search per node per round.
-    pub fn dirty_skip(&mut self, dirty_skip: bool) -> &mut Self {
-        self.config.dirty_skip = dirty_skip;
-        self
-    }
-
-    /// Enables or disables exact reach radii in the dirty-node
-    /// classifier. Results are identical either way; `false` falls back
-    /// to the blanket `ρ + (slack+1)γ` safe radius.
-    pub fn exact_reach(&mut self, exact_reach: bool) -> &mut Self {
-        self.config.exact_reach = exact_reach;
-        self
-    }
-
-    /// Enables or disables the ρ warm start for re-activated nodes.
-    /// Results are identical either way; `false` restarts every ring
-    /// search from the first expansion's domination check.
-    pub fn warm_start(&mut self, warm_start: bool) -> &mut Self {
-        self.config.warm_start = warm_start;
-        self
-    }
-
-    /// Enables or disables incremental maintenance of the shared
-    /// adjacency snapshot. Results are identical either way; `false`
-    /// rebuilds the snapshot from scratch whenever positions changed.
-    pub fn incremental_index(&mut self, incremental_index: bool) -> &mut Self {
-        self.config.incremental_index = incremental_index;
-        self
-    }
-
-    /// Enables or disables the flat dense spatial-grid layout. Results
-    /// are identical either way; `false` uses hash-bucket grids
-    /// unconditionally.
-    pub fn flat_grid(&mut self, flat_grid: bool) -> &mut Self {
-        self.config.flat_grid = flat_grid;
-        self
-    }
-
-    /// Enables or disables the per-session arenas for round-transient
-    /// buffers. Results are identical either way; `false` allocates the
-    /// classifier's buffers fresh each round.
-    pub fn arena(&mut self, arena: bool) -> &mut Self {
-        self.config.arena = arena;
-        self
-    }
-
     /// Finalizes the configuration.
     ///
     /// # Errors
     ///
     /// Returns the first violated parameter constraint (the `k ≤ N` check
-    /// is deferred to [`crate::Laacad::new`], which knows `N`).
+    /// is deferred to [`crate::SessionBuilder::build`], which knows `N`).
     pub fn build(&self) -> Result<LaacadConfig, LaacadError> {
         let c = self.config.clone();
         // Validate everything except k ≤ N (unknown here); use n = usize::MAX.

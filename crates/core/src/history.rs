@@ -65,7 +65,7 @@ impl History {
     }
 }
 
-/// Outcome of a full [`crate::Laacad::run`].
+/// Outcome of a full [`crate::Session::run`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Rounds executed.

@@ -1,4 +1,4 @@
-//! Runtime hooks and dynamic network events.
+//! Dynamic network events and the observer verdict type.
 //!
 //! The paper's Algorithm 1 runs on a fixed node population; real
 //! deployments lose nodes (hardware failure, battery depletion), gain
@@ -10,15 +10,9 @@
 //! the convergence latch, and [`Session::run_with_observers`] dispatches
 //! the [`crate::Observer`] callbacks so events fire at the right time.
 //!
-//! The legacy [`RoundHook`] trait lives here too, deprecated in favor of
-//! [`crate::Observer`] (run legacy hooks through
-//! [`crate::HookObserver`]).
-//!
 //! [`Session::apply_event`]: crate::Session::apply_event
 //! [`Session::run_with_observers`]: crate::Session::run_with_observers
 
-use crate::session::Session;
-use crate::RoundReport;
 use laacad_geom::Point;
 use laacad_wsn::NodeId;
 
@@ -55,25 +49,4 @@ pub enum HookAction {
     KeepRunning,
     /// Stop the run now.
     Stop,
-}
-
-/// Legacy observer/mutator invoked after every round.
-///
-/// Superseded by [`crate::Observer`], whose `on_round_end` callback
-/// receives the full [`crate::RoundDelta`]. Existing hook *logic* runs
-/// unchanged through the [`crate::HookObserver`] adapter (the
-/// deprecated `Laacad::run_with_hooks` shim wraps them automatically),
-/// but implementations must retarget `after_round`'s receiver from the
-/// old `&mut Laacad` to `&mut Session` — the one source edit this
-/// migration requires.
-#[deprecated(
-    since = "0.4.0",
-    note = "implement laacad::Observer instead (see laacad::HookObserver for an adapter)"
-)]
-pub trait RoundHook {
-    /// Called after each executed round with the fresh report. The hook
-    /// may mutate the simulation through [`Session::apply_event`].
-    ///
-    /// [`Session::apply_event`]: crate::Session::apply_event
-    fn after_round(&mut self, sim: &mut Session, report: &RoundReport) -> HookAction;
 }

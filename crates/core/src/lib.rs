@@ -55,7 +55,6 @@ pub mod localview;
 pub mod minnode;
 pub mod observer;
 pub mod ring;
-pub mod runner;
 pub mod scratch;
 pub mod session;
 pub mod snapshot;
@@ -63,20 +62,16 @@ pub mod snapshot;
 pub use config::{CoordinateMode, ExecutionMode, LaacadConfig, LaacadConfigBuilder, RingCapPolicy};
 pub use error::LaacadError;
 pub use history::{History, RoundReport, RunSummary};
-#[allow(deprecated)]
-pub use hooks::RoundHook;
 pub use hooks::{EventOutcome, HookAction, NetworkEvent};
 pub use localview::{
     compute_local_view, compute_node_view, compute_node_view_warm, LocalView, NodeView,
 };
 pub use minnode::{min_node_deployment, MinNodeResult};
-pub use observer::{HookObserver, Observer, TelemetryObserver};
+pub use observer::{Observer, TelemetryObserver};
 pub use ring::{
     expanding_ring_search, expanding_ring_search_scratched, expanding_ring_search_status,
     expanding_ring_search_status_warm, DominationScratch, RingOutcome, RingStatus,
 };
-#[allow(deprecated)]
-pub use runner::Laacad;
 pub use scratch::{LocalViewCache, RoundScratch};
 pub use session::{MovedNode, ObservedRound, RoundDelta, Session, SessionBuilder, SessionCounters};
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC};

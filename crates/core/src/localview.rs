@@ -162,10 +162,10 @@ pub fn compute_local_view_scratched(
 
 /// The round engine's hot path: like [`compute_local_view_scratched`]
 /// but without materializing the region, with the Chebyshev disk and
-/// farthest distance computed in one vertex pass, and — in oracle mode,
-/// when `config.cache` is on — with the whole geometry stage skipped
-/// whenever the node's exact inputs are unchanged since its previous
-/// computation in this worker's [`crate::scratch::LocalViewCache`].
+/// farthest distance computed in one vertex pass, and — in oracle mode —
+/// with the whole geometry stage skipped whenever the node's exact inputs
+/// are unchanged since its previous computation in this worker's
+/// [`crate::scratch::LocalViewCache`].
 pub fn compute_node_view(
     net: &Network,
     adjacency: Option<&Adjacency>,
@@ -245,30 +245,14 @@ fn geometry_stage(
     scratch: &mut RoundScratch,
 ) -> NodeView {
     if let CoordinateMode::Oracle = config.coordinates {
-        if config.cache {
-            return cached_node_view(id, area, config, status, true_self, scratch);
-        }
+        return cached_node_view(id, area, config, status, true_self, scratch);
     }
-    // Uncached (ranging mode, or cache disabled): compute into the
-    // scratch's own piece buffer. In oracle mode the member positions
-    // are already in `competitors`; ranging re-derives them from the
-    // member ids (allocating — noise is re-drawn per round by design).
-    {
-        let s = &mut *scratch;
-        s.sites.clear();
-        match config.coordinates {
-            CoordinateMode::Oracle => {
-                s.sites.push(true_self);
-                s.sites.extend_from_slice(&s.competitors);
-            }
-            CoordinateMode::Ranging(_) => {
-                let candidates: Vec<NodeId> =
-                    s.ring.last_members().iter().map(|&m| NodeId(m)).collect();
-                build_sites(net, id, &candidates, config, round, s);
-            }
-        }
-    }
+    // Ranging mode is uncached: it re-derives the member positions from
+    // the member ids (allocating — noise is re-drawn per round by
+    // design) and computes into the scratch's own piece buffer.
     let s = &mut *scratch;
+    let candidates: Vec<NodeId> = s.ring.last_members().iter().map(|&m| NodeId(m)).collect();
+    build_sites(net, id, &candidates, config, round, s);
     let (chebyshev, reach) = carve_and_measure(
         area,
         config,
@@ -308,7 +292,7 @@ fn cached_node_view(
     debug_assert_eq!(config.coordinates, CoordinateMode::Oracle);
     let s = &mut *scratch;
     let members = s.ring.last_members();
-    let entry = s.cache.slot(id.index());
+    let entry = s.view_cache.slot(id.index());
     if entry.matches(
         config.k,
         true_self,
@@ -434,9 +418,9 @@ fn build_sites(
 /// region for the already-assembled site list (`sites[0]` = the node's
 /// own estimate) into `out` (cleared first) and measures the Chebyshev
 /// disk plus the farthest distance from `measure_from` in one vertex
-/// pass. One body serves the cached-miss, uncached and materializing
-/// paths, so the bit-identical cached-vs-uncached invariant cannot
-/// drift between copies.
+/// pass. One body serves the cached-miss, ranging and materializing
+/// paths, so the cached and materialized geometry cannot drift between
+/// copies.
 #[allow(clippy::too_many_arguments)]
 fn carve_and_measure(
     area: &Region,
@@ -712,19 +696,5 @@ mod tests {
             assert_eq!(lean.chebyshev, hit.chebyshev, "node {i}");
             assert_eq!(lean.reach.to_bits(), hit.reach.to_bits(), "node {i}");
         }
-    }
-
-    #[test]
-    fn cache_disabled_never_hits_but_matches() {
-        let area = Region::square(1.0).unwrap();
-        let net = grid_net(7, 0.15, 0.2);
-        let mut config = cfg(2);
-        config.cache = false;
-        let mut scratch = RoundScratch::new();
-        let a = compute_node_view(&net, None, NodeId(24), &area, &config, 0, &mut scratch);
-        let b = compute_node_view(&net, None, NodeId(24), &area, &config, 1, &mut scratch);
-        assert!(!a.cache_hit && !b.cache_hit);
-        assert_eq!(a.chebyshev, b.chebyshev);
-        assert_eq!(a.reach.to_bits(), b.reach.to_bits());
     }
 }

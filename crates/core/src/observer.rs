@@ -1,17 +1,11 @@
 //! The typed observer API of [`Session::run_with_observers`].
 //!
-//! Supersedes the legacy [`RoundHook`] trait: instead of one monolithic
-//! `after_round` callback, an [`Observer`] receives distinct,
-//! individually optional notifications — round start, per-node movement,
-//! round end (the only mutating hook), and applied dynamic events. The
-//! [`HookObserver`] adapter lets existing [`RoundHook`] implementations
-//! run unchanged on the session engine.
+//! An [`Observer`] receives distinct, individually optional
+//! notifications — round start, per-node movement, round end (the only
+//! mutating hook), and applied dynamic events.
 //!
 //! [`Session::run_with_observers`]: crate::Session::run_with_observers
-//! [`RoundHook`]: crate::RoundHook
 
-#[allow(deprecated)]
-use crate::hooks::RoundHook;
 use crate::hooks::{EventOutcome, HookAction, NetworkEvent};
 use crate::session::{MovedNode, RoundDelta, Session};
 
@@ -84,35 +78,6 @@ pub trait Observer {
         _event: &NetworkEvent,
         _outcome: &EventOutcome,
     ) {
-    }
-}
-
-/// Adapter running a legacy [`RoundHook`] as an [`Observer`]: the hook's
-/// `after_round` fires on `on_round_end` with the delta's
-/// [`crate::RoundReport`], exactly as the old round loop called it.
-#[allow(deprecated)]
-pub struct HookObserver<'a> {
-    hook: &'a mut dyn RoundHook,
-}
-
-#[allow(deprecated)]
-impl<'a> HookObserver<'a> {
-    /// Wraps a legacy hook.
-    pub fn new(hook: &'a mut dyn RoundHook) -> Self {
-        HookObserver { hook }
-    }
-}
-
-#[allow(deprecated)]
-impl Observer for HookObserver<'_> {
-    fn on_round_end(&mut self, session: &mut Session, delta: &RoundDelta) -> HookAction {
-        self.hook.after_round(session, &delta.report)
-    }
-}
-
-impl std::fmt::Debug for HookObserver<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HookObserver").finish_non_exhaustive()
     }
 }
 

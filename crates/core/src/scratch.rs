@@ -13,7 +13,7 @@
 //! entries keyed by the *exact* geometric inputs of the node's previous
 //! computation (position, ring radius, competitor `(id, position)` set,
 //! `k`). A hit skips the subdivision and Welzl entirely; because the key
-//! is exact equality, cached and uncached runs are bit-identical.
+//! is exact equality, a hit returns exactly what a recomputation would.
 
 use crate::ring::DominationScratch;
 use laacad_geom::{Circle, Point, PolygonBuf};
@@ -32,7 +32,7 @@ pub struct RoundScratch {
     pub(crate) competitors: Vec<Point>,
     /// Site list (self estimate + candidates) fed to the subdivision.
     pub(crate) sites: Vec<Point>,
-    /// Bisector-subdivision worklist, competitor arena and polygon pool.
+    /// Bisector-subdivision worklist, competitor bisectors and polygon pool.
     pub(crate) subdivision: SubdivisionScratch,
     /// Region pieces of the current uncached computation.
     pub(crate) pieces: PieceSet,
@@ -45,7 +45,7 @@ pub struct RoundScratch {
     /// Ping-pong partner of `domain`.
     pub(crate) domain_tmp: PolygonBuf,
     /// Cross-round per-node view cache (see [`LocalViewCache`]).
-    pub(crate) cache: LocalViewCache,
+    pub(crate) view_cache: LocalViewCache,
     /// Per-worker kernel timing buffer. Armed by the session only when
     /// an enabled recorder is installed (its `enabled` flag is the
     /// single branch the kernels pay with telemetry off); drained in
@@ -61,9 +61,8 @@ impl RoundScratch {
 
     /// Pre-sizes the `N`-proportional buffers (the ring BFS arrays) so
     /// the first fan-out of a round never grows them mid-computation —
-    /// the session's arena sizing, applied once per worker when the
-    /// `arena` knob is on. Purely an allocation hint; contents are
-    /// untouched.
+    /// the session applies it to every worker before each fan-out.
+    /// Purely an allocation hint; contents are untouched.
     pub fn reserve(&mut self, n: usize) {
         self.ring.reserve(n);
     }

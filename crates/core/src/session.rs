@@ -1,13 +1,12 @@
 //! The typed session API — Algorithm 1 as an inspectable engine.
 //!
 //! A [`Session`] is one LAACAD deployment run. It is built through
-//! [`SessionBuilder`] (replacing the positional `Laacad::new` arguments)
-//! and driven round by round: every [`Session::step`] returns a
-//! [`RoundDelta`] describing *what changed* — which nodes moved (with
-//! their old and new positions), how many ring radii changed, whether
-//! the run crossed into convergence, and how much work the engine
-//! actually performed (ring searches run, nodes skipped as quiescent,
-//! cache hits/misses).
+//! [`SessionBuilder`] and driven round by round: every
+//! [`Session::step`] returns a [`RoundDelta`] describing *what changed*
+//! — which nodes moved (with their old and new positions), how many
+//! ring radii changed, whether the run crossed into convergence, and
+//! how much work the engine actually performed (ring searches run,
+//! nodes skipped as quiescent, cache hits/misses).
 //!
 //! The delta is not just reporting: the engine feeds it back into a
 //! **dirty-node index**. LAACAD moves nodes by at most `αγ` per round
@@ -17,10 +16,10 @@
 //! same local view, so the engine skips its expanding-ring search and
 //! domination sweep entirely and replays the stored view. The skip
 //! criterion is conservative and exact — it covers every node the
-//! previous search could possibly have contacted — so results are
-//! bit-identical with the feature on or off, at any worker count
-//! (pinned by `tests/dirty_equivalence.rs`). A fully quiescent network
-//! steps in `O(N)` time with **zero** ring searches.
+//! previous search could possibly have contacted — so every round equals
+//! a from-scratch recomputation of every node's view, at any worker
+//! count (pinned by `tests/reference_engine.rs`). A fully quiescent
+//! network steps in `O(N)` time with **zero** ring searches.
 //!
 //! Rounds are synchronous by default: every node computes its dominating
 //! region and Chebyshev center from the same position snapshot, then all
@@ -202,8 +201,7 @@ impl SessionBuilder {
                 return Err(LaacadError::NodeOutsideRegion { index: i });
             }
         }
-        let mut net = Network::from_positions(config.gamma, positions.iter().copied());
-        net.set_flat_grid(config.flat_grid);
+        let net = Network::from_positions(config.gamma, positions.iter().copied());
         let mut session = Session {
             config,
             region,
@@ -254,8 +252,8 @@ pub struct Session {
     /// Every node's view from the most recent Phase 1 (the dirty-node
     /// index replays these for quiescent nodes).
     pub(crate) views: Vec<NodeView>,
-    /// Whether `views` may be replayed (synchronous + oracle +
-    /// `dirty_skip`, and no event since they were computed).
+    /// Whether `views` may be replayed (synchronous + oracle, and no
+    /// event since they were computed).
     pub(crate) views_valid: bool,
     /// The previous round's movement set — the changed-positions input
     /// of the dirty classification.
@@ -271,20 +269,18 @@ pub struct Session {
     /// recorder whose `enabled()` is `false` — reduces the
     /// instrumentation to one branch per stage.
     pub(crate) recorder: Option<Box<dyn Recorder>>,
-    /// Arena for the classifier's round-transient buffers (active with
-    /// `config.arena`; see [`ClassifyPool`]).
+    /// Arena for the classifier's round-transient buffers (see
+    /// [`ClassifyPool`]).
     pub(crate) pool: ClassifyPool,
 }
 
 /// Session-owned arena recycling the dirty-node classifier's per-round
 /// buffers — the movement-endpoint cloud, the dirty mask and the
-/// warm-skip table. With the `arena` knob on they are taken at
-/// classification, fully reset to their fresh-allocation state, and
-/// returned at the end of the round, so a steady stream of
-/// partially-active rounds re-uses one high-water allocation instead of
-/// allocating (and zeroing the heap for) three `O(N)` vectors per
-/// round. With the knob off the classifier allocates fresh vectors —
-/// bit-identical results either way.
+/// warm-skip table. They are taken at classification, fully reset to
+/// their fresh-allocation state, and returned at the end of the round,
+/// so a steady stream of partially-active rounds re-uses one high-water
+/// allocation instead of allocating (and zeroing the heap for) three
+/// `O(N)` vectors per round.
 #[derive(Debug, Default)]
 pub(crate) struct ClassifyPool {
     endpoints: Vec<Point>,
@@ -400,12 +396,11 @@ impl Session {
     }
 
     /// Whether the dirty-node index may skip work in this configuration:
-    /// synchronous execution with oracle coordinates and the
-    /// `dirty_skip` knob on (ranging noise is re-drawn per round by
-    /// design, and Gauss–Seidel nodes see fresh predecessor positions).
+    /// synchronous execution with oracle coordinates (ranging noise is
+    /// re-drawn per round by design, and Gauss–Seidel nodes see fresh
+    /// predecessor positions).
     fn dirty_skip_active(&self) -> bool {
-        self.config.dirty_skip
-            && self.config.execution == ExecutionMode::Synchronous
+        self.config.execution == ExecutionMode::Synchronous
             && self.config.coordinates == CoordinateMode::Oracle
     }
 
@@ -419,19 +414,17 @@ impl Session {
         }
     }
 
-    /// Sizes the per-worker scratch pool. With the `arena` knob on, each
-    /// worker's `N`-proportional buffers are also pre-sized once so the
-    /// first fan-out never grows them mid-computation.
+    /// Sizes the per-worker scratch pool and pre-sizes each worker's
+    /// `N`-proportional buffers, so the first fan-out never grows them
+    /// mid-computation.
     fn ensure_scratches(&mut self, workers: usize) {
         if self.scratches.len() < workers {
             self.scratches.resize_with(workers, RoundScratch::new);
         }
         self.scratches.truncate(workers.max(1));
-        if self.config.arena {
-            let n = self.net.len();
-            for scratch in &mut self.scratches {
-                scratch.reserve(n);
-            }
+        let n = self.net.len();
+        for scratch in &mut self.scratches {
+            scratch.reserve(n);
         }
     }
 
@@ -439,20 +432,13 @@ impl Session {
     /// this ball of the node cannot have influenced — and cannot now
     /// influence — the node's search or geometry.
     ///
-    /// With `exact_reach` the bound is what the search *actually*
-    /// touched: every contacted node (members, relays, broadcast
-    /// accounting) lies within the recorded `contact_radius`, every
-    /// Euclidean-filter candidate within `ρ`, and an arriving node can
-    /// only join the flood by coming within one `γ` of a contacted node
-    /// — hence `max(contact_radius, ρ) + γ`. Without it, the blanket
-    /// hop-path worst case `ρ + (slack + 1)·γ` applies (the search's
-    /// `⌈ρ/γ⌉ + slack` hops of at most `γ` each).
+    /// The bound is what the search *actually* touched: every contacted
+    /// node (members, relays, broadcast accounting) lies within the
+    /// recorded `contact_radius`, every Euclidean-filter candidate within
+    /// `ρ`, and an arriving node can only join the flood by coming within
+    /// one `γ` of a contacted node — hence `max(contact_radius, ρ) + γ`.
     fn safe_radius(&self, view: &NodeView) -> f64 {
-        if self.config.exact_reach {
-            view.contact_radius.max(view.rho) + self.config.gamma + 1e-9
-        } else {
-            view.rho + (DEFAULT_HOP_SLACK + 1) as f64 * self.config.gamma + 1e-9
-        }
+        view.contact_radius.max(view.rho) + self.config.gamma + 1e-9
     }
 
     /// How many leading ring-search expansions of a re-activated node
@@ -505,16 +491,9 @@ impl Session {
         if self.last_movers.len() * 4 >= n {
             return DirtyClass::AllDirty;
         }
-        let warm_on = self.config.warm_start;
-        // With the arena knob on, the round-transient buffers come out
-        // of the session pool; every one is reset to exactly its
-        // fresh-allocation state before use, so the knob is invisible to
-        // the results.
-        let mut endpoints = if self.config.arena {
-            std::mem::take(&mut self.pool.endpoints)
-        } else {
-            Vec::new()
-        };
+        // The round-transient buffers come out of the session pool; every
+        // one is reset to exactly its fresh-allocation state before use.
+        let mut endpoints = std::mem::take(&mut self.pool.endpoints);
         endpoints.clear();
         endpoints.extend(self.last_movers.iter().flat_map(|m| [m.from, m.to]));
         // One grid over the movement endpoints, celled at the largest
@@ -523,19 +502,11 @@ impl Session {
         for view in &self.views {
             max_safe = max_safe.max(self.safe_radius(view));
         }
-        let grid = GridIndex::build(&endpoints, max_safe, self.config.flat_grid);
-        let mut mask = if self.config.arena {
-            std::mem::take(&mut self.pool.mask)
-        } else {
-            Vec::new()
-        };
+        let grid = GridIndex::build(&endpoints, max_safe);
+        let mut mask = std::mem::take(&mut self.pool.mask);
         mask.clear();
         mask.resize(n, false);
-        let mut warm = if self.config.arena {
-            std::mem::take(&mut self.pool.warm)
-        } else {
-            Vec::new()
-        };
+        let mut warm = std::mem::take(&mut self.pool.warm);
         warm.clear();
         warm.resize(n, 0u32);
         for m in &self.last_movers {
@@ -543,9 +514,8 @@ impl Session {
         }
         // A clearance at or below the first expansion's sphere of
         // influence can never earn a warm skip, so the nearest-mover
-        // probe may stop refining there (or anywhere, with the warm
-        // start off) — the verdicts are identical to an exact scan of
-        // every mover.
+        // probe may stop refining there — the verdicts are identical to
+        // an exact scan of every mover.
         let gamma = self.config.gamma;
         let stage1_ball = (hop_budget(gamma, gamma, DEFAULT_HOP_SLACK) as f64 + 1.0) * gamma + 1e-9;
         // Bounding box of the endpoint cloud: a node farther from the box
@@ -566,18 +536,13 @@ impl Session {
             if dx * dx + dy * dy > safe * safe {
                 continue;
             }
-            let stop_below = if warm_on { stage1_ball.min(safe) } else { safe };
-            let clearance = grid.min_distance_within(&endpoints, p, safe, stop_below);
+            let clearance = grid.min_distance_within(&endpoints, p, safe, stage1_ball.min(safe));
             if clearance <= safe {
                 mask[i] = true;
-                if warm_on {
-                    warm[i] = self.warm_skip_for(&self.views[i], clearance);
-                }
+                warm[i] = self.warm_skip_for(&self.views[i], clearance);
             }
         }
-        if self.config.arena {
-            self.pool.endpoints = endpoints;
-        }
+        self.pool.endpoints = endpoints;
         DirtyClass::Partial(PartialDirty { mask, warm })
     }
 
@@ -590,9 +555,7 @@ impl Session {
         match self.adjacency_state {
             AdjacencyState::Fresh => return,
             AdjacencyState::StaleMoves
-                if self.config.incremental_index
-                    && self.adjacency.len() == n
-                    && self.last_movers.len() * 4 < n =>
+                if self.adjacency.len() == n && self.last_movers.len() * 4 < n =>
             {
                 self.adjacency.apply_moves(
                     &self.net,
@@ -802,11 +765,9 @@ impl Session {
         }
         // Recycle the classifier's O(N) buffers into the session pool so
         // the next partially-active round reuses their allocations.
-        if self.config.arena {
-            if let DirtyClass::Partial(PartialDirty { mask, warm }) = dirty {
-                self.pool.mask = mask;
-                self.pool.warm = warm;
-            }
+        if let DirtyClass::Partial(PartialDirty { mask, warm }) = dirty {
+            self.pool.mask = mask;
+            self.pool.warm = warm;
         }
         self.counters.warm_started += warm_started;
         self.views = views;
@@ -1277,8 +1238,8 @@ impl RoundAggregate {
 /// The dirty-node index's verdict for one round.
 #[derive(Debug, Clone)]
 enum DirtyClass {
-    /// No stored views (first round, post-event, feature off): every
-    /// node recomputes.
+    /// No stored views (first round, post-event, Gauss–Seidel or
+    /// ranging): every node recomputes.
     AllDirty,
     /// No movement since the stored views were computed: every node
     /// replays its view.
@@ -1293,7 +1254,7 @@ struct PartialDirty {
     /// `true` = recompute, `false` = replay the stored view.
     mask: Vec<bool>,
     /// Warm-start stage skips for re-activated nodes (0 = cold search;
-    /// always 0 for movers and with `warm_start` off).
+    /// always 0 for movers).
     warm: Vec<u32>,
 }
 
@@ -1593,20 +1554,6 @@ mod tests {
             assert!(delta.moved.is_empty());
         }
         assert!(sim.counters().skipped_quiescent >= 5 * 18);
-    }
-
-    #[test]
-    fn dirty_skip_disabled_always_searches() {
-        let region = Region::square(1.0).unwrap();
-        let initial = sample_uniform(&region, 14, 9);
-        let mut config = quick_config(1, 400);
-        config.gamma = LaacadConfig::recommended_gamma(1.0, 14, 1);
-        config.dirty_skip = false;
-        let mut sim = session(config, region, initial);
-        while !sim.step().report.converged {}
-        let delta = sim.step();
-        assert_eq!(delta.ring_searches, 14);
-        assert_eq!(delta.skipped_quiescent, 0);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! per-worker cross-round local-view caches — so that
 //! [`SessionBuilder::restore`] reconstructs a session whose subsequent
 //! rounds are **bit-identical** to the uninterrupted run, at any thread
-//! count and any knob combination (pinned by `tests/snapshot_roundtrip.rs`).
+//! count and either execution mode (pinned by `tests/snapshot_roundtrip.rs`).
 //!
-//! # Format (`laacad-snapshot/1`)
+//! # Format (`laacad-snapshot/2`)
 //!
 //! Hand-rolled little-endian binary, in the spirit of the byte-stable
 //! telemetry JSONL schema: a magic/version line followed by fixed-order
@@ -34,13 +34,17 @@
 //! The version lives in the magic line. Readers accept exactly the
 //! versions they know; any layout change bumps the version. There is no
 //! in-place migration — a checkpoint is only as durable as the binary
-//! that wrote it plus any binary that still carries its reader.
+//! that wrote it plus any binary that still carries its reader. Version 2
+//! dropped version 1's engine-knob byte (config section) and spatial-grid
+//! preference byte (network section); a version 1 buffer is refused with
+//! [`SnapshotError::UnsupportedVersion`].
 
 use crate::config::{CoordinateMode, ExecutionMode, LaacadConfig, RingCapPolicy};
 use crate::history::{History, RoundReport};
 use crate::localview::NodeView;
 use crate::scratch::{CacheEntry, LocalViewCache, RoundScratch};
 use crate::session::{AdjacencyState, MovedNode, Session, SessionBuilder, SessionCounters};
+use laacad_geom::polygon::signed_area;
 use laacad_geom::{Circle, Point, Polygon};
 use laacad_region::Region;
 use laacad_wsn::radio::MessageStats;
@@ -48,13 +52,19 @@ use laacad_wsn::ranging::RangingNoise;
 use laacad_wsn::{Adjacency, Network, NodeId};
 
 /// Magic/version line opening every snapshot.
-pub const SNAPSHOT_MAGIC: &[u8] = b"laacad-snapshot/1\n";
+pub const SNAPSHOT_MAGIC: &[u8] = b"laacad-snapshot/2\n";
+
+/// Magic/version line of the retired version 1 format.
+const SNAPSHOT_MAGIC_V1: &[u8] = b"laacad-snapshot/1\n";
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The buffer does not start with a known magic/version line.
     BadMagic,
+    /// The buffer is a snapshot of a retired format version (carried
+    /// here); this reader only accepts [`SNAPSHOT_MAGIC`].
+    UnsupportedVersion(u32),
     /// The buffer ended before the encoded state did.
     Truncated,
     /// Trailing bytes after the encoded state.
@@ -66,7 +76,11 @@ pub enum SnapshotError {
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SnapshotError::BadMagic => write!(f, "not a laacad-snapshot/1 buffer"),
+            SnapshotError::BadMagic => write!(f, "not a laacad-snapshot/2 buffer"),
+            SnapshotError::UnsupportedVersion(v) => write!(
+                f,
+                "laacad-snapshot/{v} is no longer readable (this build reads laacad-snapshot/2)"
+            ),
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::TrailingBytes => write!(f, "trailing bytes after snapshot"),
             SnapshotError::Corrupt(why) => write!(f, "corrupt snapshot: {why}"),
@@ -175,6 +189,9 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Result<Self, SnapshotError> {
+        if buf.starts_with(SNAPSHOT_MAGIC_V1) {
+            return Err(SnapshotError::UnsupportedVersion(1));
+        }
         if !buf.starts_with(SNAPSHOT_MAGIC) {
             return Err(SnapshotError::BadMagic);
         }
@@ -320,14 +337,6 @@ fn write_config(w: &mut Writer, c: &LaacadConfig) {
     w.opt_usize(c.snapshot_every);
     w.u64(c.seed);
     w.usize(c.threads);
-    let knobs = (c.cache as u8)
-        | (c.dirty_skip as u8) << 1
-        | (c.exact_reach as u8) << 2
-        | (c.warm_start as u8) << 3
-        | (c.incremental_index as u8) << 4
-        | (c.flat_grid as u8) << 5
-        | (c.arena as u8) << 6;
-    w.u8(knobs);
 }
 
 fn read_config(r: &mut Reader) -> Result<LaacadConfig, SnapshotError> {
@@ -359,10 +368,6 @@ fn read_config(r: &mut Reader) -> Result<LaacadConfig, SnapshotError> {
     let snapshot_every = r.opt_usize()?;
     let seed = r.u64()?;
     let threads = r.usize()?;
-    let knobs = r.u8()?;
-    if knobs >= 0x80 {
-        return Err(corrupt(format!("bad knob bitmask {knobs:#x}")));
-    }
     Ok(LaacadConfig {
         k,
         alpha,
@@ -377,13 +382,6 @@ fn read_config(r: &mut Reader) -> Result<LaacadConfig, SnapshotError> {
         snapshot_every,
         seed,
         threads,
-        cache: knobs & 1 != 0,
-        dirty_skip: knobs & 2 != 0,
-        exact_reach: knobs & 4 != 0,
-        warm_start: knobs & 8 != 0,
-        incremental_index: knobs & 16 != 0,
-        flat_grid: knobs & 32 != 0,
-        arena: knobs & 64 != 0,
     })
 }
 
@@ -401,6 +399,12 @@ fn read_region(r: &mut Reader) -> Result<Region, SnapshotError> {
         if vs.len() < 3 {
             return Err(corrupt("polygon loop with fewer than 3 vertices"));
         }
+        // The normalized-loop invariants `Polygon::from_normalized`
+        // relies on: finite vertices, counter-clockwise, positive area.
+        let normalized = vs.iter().all(|p| p.is_finite()) && signed_area(&vs) > laacad_geom::EPS;
+        if !normalized {
+            return Err(corrupt("polygon loop is not a normalized CCW loop"));
+        }
         Ok(Polygon::from_normalized(vs))
     };
     let outer = read_loop(r)?;
@@ -416,7 +420,6 @@ fn read_region(r: &mut Reader) -> Result<Region, SnapshotError> {
 
 fn write_network(w: &mut Writer, net: &Network) {
     w.f64(net.gamma());
-    w.bool(net.prefers_flat_grid());
     w.f64(net.retired_distance());
     w.points(net.positions());
     for &s in net.sensing_radii() {
@@ -432,19 +435,13 @@ fn read_network(r: &mut Reader) -> Result<Network, SnapshotError> {
     if !(gamma.is_finite() && gamma > 0.0) {
         return Err(corrupt(format!("invalid gamma {gamma}")));
     }
-    let prefer_flat = r.bool()?;
     let retired = r.f64()?;
     let positions = r.points()?;
     let n = positions.len();
     let sensing: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
     let moved: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
     Ok(Network::from_parts(
-        gamma,
-        positions,
-        sensing,
-        moved,
-        retired,
-        prefer_flat,
+        gamma, positions, sensing, moved, retired,
     ))
 }
 
@@ -543,7 +540,7 @@ fn read_cache_entry(r: &mut Reader) -> Result<CacheEntry, SnapshotError> {
 // ---------------------------------------------------------------------
 
 impl Session {
-    /// Serializes the full engine state into a `laacad-snapshot/1`
+    /// Serializes the full engine state into a `laacad-snapshot/2`
     /// buffer (see the [module docs](self)).
     ///
     /// The installed telemetry [`Recorder`](laacad_telemetry::Recorder)
@@ -609,7 +606,7 @@ impl Session {
         // run has — a cold entry only ever costs a recompute.
         w.usize(self.scratches.len());
         for scratch in &self.scratches {
-            let entries = scratch.cache.entries();
+            let entries = scratch.view_cache.entries();
             w.usize(entries.len());
             for e in entries {
                 write_cache_entry(&mut w, e);
@@ -710,7 +707,7 @@ impl SessionBuilder {
                     .map(|_| read_cache_entry(&mut r))
                     .collect::<Result<_, _>>()?;
                 Ok(RoundScratch {
-                    cache: LocalViewCache::from_entries(entries),
+                    view_cache: LocalViewCache::from_entries(entries),
                     ..RoundScratch::default()
                 })
             })

@@ -1,0 +1,214 @@
+//! Work-counter guards for the synchronous engine's active set.
+//!
+//! `tests/reference_engine.rs` proves the shortcuts never change a
+//! result; these tests prove they still save the work they exist for.
+//! The counters are deterministic, so the guards are exact or
+//! proportional bounds, never wall-clock ones:
+//!
+//! * a quiescent synchronous round runs zero ring searches, at one and
+//!   at four worker threads;
+//! * quiescent rounds neither rebuild nor patch the adjacency snapshot;
+//! * a round reacting to 10 % localized movers re-activates under 30 %
+//!   of the deployment, and the recovery from a localized failure
+//!   reaches rounds that skip far nodes while the failure site
+//!   searches;
+//! * Gauss–Seidel rounds search every node every round (the dirty-node
+//!   index never applies there).
+
+use laacad::{ExecutionMode, LaacadConfig, NetworkEvent, Session};
+use laacad_geom::Point;
+use laacad_region::sampling::sample_uniform;
+use laacad_region::Region;
+use laacad_wsn::NodeId;
+
+fn session(n: usize, k: usize, threads: usize, execution: ExecutionMode) -> Session {
+    let region = Region::square(1.0).unwrap();
+    let config = LaacadConfig::builder(k)
+        .transmission_range(LaacadConfig::recommended_gamma(1.0, n, k))
+        .alpha(0.6)
+        .epsilon(0.05)
+        .max_rounds(1_000)
+        .threads(threads)
+        .execution(execution)
+        .build()
+        .unwrap();
+    Session::builder(config)
+        .positions(sample_uniform(&region, n, 42))
+        .region(region)
+        .build()
+        .unwrap()
+}
+
+/// Steps to convergence, then one more round so the stored views
+/// describe the final positions.
+fn settle(sim: &mut Session) {
+    for _ in 0..60 {
+        if sim.step().report.converged {
+            sim.step();
+            return;
+        }
+    }
+    panic!("warm-up did not converge");
+}
+
+#[test]
+fn quiescent_rounds_perform_zero_ring_searches_at_any_thread_count() {
+    for threads in [1usize, 4] {
+        let mut sim = session(30, 2, threads, ExecutionMode::Synchronous);
+        settle(&mut sim);
+        let before = sim.counters();
+        for _ in 0..10 {
+            let delta = sim.step();
+            assert_eq!(
+                delta.ring_searches, 0,
+                "threads={threads}: quiescent round ran a ring search"
+            );
+            assert_eq!(delta.skipped_quiescent, sim.network().len());
+            assert!(delta.moved.is_empty());
+        }
+        let after = sim.counters();
+        assert_eq!(
+            after.ring_searches, before.ring_searches,
+            "threads={threads}: cumulative searches grew during quiescence"
+        );
+        assert_eq!(
+            after.skipped_quiescent - before.skipped_quiescent,
+            10 * sim.network().len() as u64,
+            "threads={threads}"
+        );
+    }
+}
+
+#[test]
+fn quiescent_rounds_leave_the_adjacency_snapshot_untouched() {
+    let mut sim = session(1_000, 3, 1, ExecutionMode::Synchronous);
+    settle(&mut sim);
+    let before = sim.counters();
+    for _ in 0..5 {
+        sim.step();
+    }
+    let after = sim.counters();
+    assert_eq!(after.adjacency_rebuilds, before.adjacency_rebuilds);
+    assert_eq!(
+        after.adjacency_incremental_updates,
+        before.adjacency_incremental_updates
+    );
+    assert_eq!(after.ring_searches, before.ring_searches);
+}
+
+#[test]
+fn localized_movers_reactivate_a_small_share_of_the_deployment() {
+    let n = 4_000;
+    let mut sim = session(n, 3, 1, ExecutionMode::Synchronous);
+    settle(&mut sim);
+    // The 10 % of nodes nearest the (0, 0) corner each step a quarter of
+    // the radio range toward the centre: a localized disturbance.
+    let gamma = sim.config().gamma;
+    let (corner, center) = (Point::new(0.0, 0.0), Point::new(0.5, 0.5));
+    let positions = sim.network().positions().to_vec();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| {
+        positions[a]
+            .distance_sq(corner)
+            .total_cmp(&positions[b].distance_sq(corner))
+            .then(a.cmp(&b))
+    });
+    let movers = n / 10;
+    let moves: Vec<(NodeId, Point)> = order[..movers]
+        .iter()
+        .map(|&i| {
+            let p = positions[i];
+            let d = p.distance(center);
+            (
+                NodeId(i),
+                p.lerp(center, (0.25 * gamma).min(d) / d.max(1e-12)),
+            )
+        })
+        .collect();
+    assert_eq!(sim.displace_nodes(&moves).unwrap(), movers);
+    let delta = sim.step();
+    assert!(delta.ring_searches >= movers, "every mover searches");
+    assert!(
+        (delta.ring_searches as f64) < 0.30 * n as f64,
+        "{movers} localized movers re-activated {} of {n} nodes",
+        delta.ring_searches
+    );
+}
+
+#[test]
+fn partial_quiescence_skips_far_nodes_only() {
+    // A dense deployment with a small explicit γ keeps the dirty safety
+    // radius well below the region diameter. After a localized corner
+    // failure, the first round recomputes everyone (events invalidate
+    // the index wholesale); once the response localizes, nodes far from
+    // every mover must be skipped while the corner keeps searching.
+    let region = Region::square(1.0).unwrap();
+    let config = LaacadConfig::builder(1)
+        .transmission_range(0.12)
+        .alpha(0.6)
+        .epsilon(1e-3)
+        .max_rounds(600)
+        .build()
+        .unwrap();
+    let mut sim = Session::builder(config)
+        .positions(sample_uniform(&region, 200, 77))
+        .region(region)
+        .build()
+        .unwrap();
+    for _ in 0..600 {
+        if sim.step().report.converged {
+            break;
+        }
+    }
+    assert!(sim.is_converged(), "dense 200-node run converges");
+    sim.step();
+    // Kill everything in the bottom-left corner disk.
+    let corner = Point::new(0.1, 0.1);
+    let doomed: Vec<NodeId> = sim
+        .network()
+        .positions()
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.distance(corner) <= 0.15)
+        .map(|(i, _)| NodeId(i))
+        .collect();
+    assert!(!doomed.is_empty(), "the corner holds victims");
+    sim.apply_event(NetworkEvent::FailNodes(doomed)).unwrap();
+    let post_event = sim.step();
+    assert_eq!(
+        post_event.ring_searches,
+        sim.network().len(),
+        "the round after an event recomputes everyone"
+    );
+    let mut partial = false;
+    for _ in 0..200 {
+        let delta = sim.step();
+        assert_eq!(
+            delta.skipped_quiescent + delta.ring_searches,
+            sim.network().len()
+        );
+        if delta.skipped_quiescent > 0 && delta.ring_searches > 0 {
+            partial = true;
+            break;
+        }
+        if delta.report.converged && delta.ring_searches == 0 {
+            break;
+        }
+    }
+    assert!(
+        partial,
+        "recovery never reached a partially-quiescent round (skips alongside searches)"
+    );
+}
+
+#[test]
+fn gauss_seidel_rounds_search_every_node() {
+    let n = 14;
+    let mut sim = session(n, 1, 1, ExecutionMode::Sequential);
+    settle(&mut sim);
+    for _ in 0..3 {
+        let delta = sim.step();
+        assert_eq!(delta.ring_searches, n);
+        assert_eq!(delta.skipped_quiescent, 0);
+    }
+}

@@ -1,74 +1,37 @@
-//! Property test: `laacad-snapshot/1` round-trips are invisible.
+//! Property test: `laacad-snapshot/2` round-trips are invisible.
 //!
-//! For random knob combinations (engine caches/indexes on or off,
-//! synchronous vs sequential schedule, 1 or 4 worker threads), random
-//! populations and a random checkpoint offset, a session snapshotted
-//! mid-run and restored must (a) re-serialize to the identical bytes and
-//! (b) step forward bit-identically to the uninterrupted original —
-//! positions, per-round reports, convergence state.
+//! For both execution schedules (synchronous vs sequential) at 1 or 4
+//! worker threads, random populations and a random checkpoint offset, a
+//! session snapshotted mid-run and restored must (a) re-serialize to the
+//! identical bytes and (b) step forward bit-identically to the
+//! uninterrupted original — positions, per-round reports, convergence
+//! state.
 //!
 //! At `threads = 4` the cross-round cache *statistics* depend on atomic
 //! work claiming and are excluded (the positions and reports stay exact;
 //! that is the engine's documented determinism discipline).
+//!
+//! The decoder is also an input boundary: every single-byte flip and
+//! every truncation of a small session's snapshot must come back as
+//! `Ok` or a typed `SnapshotError`, never a panic.
 
-use laacad::{ExecutionMode, LaacadConfig, Session, SessionBuilder};
+use laacad::{ExecutionMode, LaacadConfig, Session, SessionBuilder, SnapshotError, SNAPSHOT_MAGIC};
 use laacad_region::sampling::sample_uniform;
 use laacad_region::Region;
 use proptest::prelude::*;
 
-struct Knobs {
-    cache: bool,
-    dirty_skip: bool,
-    exact_reach: bool,
-    warm_start: bool,
-    incremental_index: bool,
-    flat_grid: bool,
-    arena: bool,
-    execution: ExecutionMode,
-    threads: usize,
-}
-
-impl Knobs {
-    /// Unpacks a 10-bit mask into a knob combination, so one integer
-    /// strategy explores the full cube.
-    fn from_mask(mask: u16) -> Knobs {
-        Knobs {
-            cache: mask & 1 != 0,
-            dirty_skip: mask & 2 != 0,
-            exact_reach: mask & 4 != 0,
-            warm_start: mask & 8 != 0,
-            incremental_index: mask & 16 != 0,
-            flat_grid: mask & 32 != 0,
-            arena: mask & 64 != 0,
-            execution: if mask & 128 != 0 {
-                ExecutionMode::Sequential
-            } else {
-                ExecutionMode::Synchronous
-            },
-            threads: if mask & 256 != 0 { 4 } else { 1 },
-        }
-    }
-}
-
-fn session(n: usize, k: usize, seed: u64, knobs: &Knobs) -> Session {
+fn session(n: usize, k: usize, seed: u64, execution: ExecutionMode, threads: usize) -> Session {
     let region = Region::square(1.0).unwrap();
-    let mut builder = LaacadConfig::builder(k);
-    builder
+    let config = LaacadConfig::builder(k)
         .transmission_range(LaacadConfig::recommended_gamma(1.0, n, k))
         .alpha(0.6)
         .epsilon(1e-3)
         .max_rounds(60)
-        .execution(knobs.execution)
-        .threads(knobs.threads)
-        .cache(knobs.cache)
-        .dirty_skip(knobs.dirty_skip)
-        .exact_reach(knobs.exact_reach)
-        .warm_start(knobs.warm_start)
-        .incremental_index(knobs.incremental_index)
-        .flat_grid(knobs.flat_grid)
-        .arena(knobs.arena)
-        .seed(seed);
-    let config = builder.build().unwrap();
+        .execution(execution)
+        .threads(threads)
+        .seed(seed)
+        .build()
+        .unwrap();
     let initial = sample_uniform(&region, n, seed);
     Session::builder(config)
         .region(region)
@@ -90,15 +53,20 @@ proptest! {
 
     #[test]
     fn restored_sessions_step_bit_identically(
-        mask in 0u16..512,
+        mode in 0u8..4,
         n in 10usize..28,
         k in 1usize..4,
         seed in 0u64..1_000_000,
         offset in 0usize..12,
         extra in 1usize..10,
     ) {
-        let knobs = Knobs::from_mask(mask);
-        let mut original = session(n, k, seed, &knobs);
+        let execution = if mode & 1 != 0 {
+            ExecutionMode::Sequential
+        } else {
+            ExecutionMode::Synchronous
+        };
+        let threads = if mode & 2 != 0 { 4 } else { 1 };
+        let mut original = session(n, k, seed, execution, threads);
         for _ in 0..offset {
             if original.is_converged() {
                 break;
@@ -127,10 +95,48 @@ proptest! {
         prop_assert_eq!(original.rounds_executed(), restored.rounds_executed());
         prop_assert_eq!(original.is_converged(), restored.is_converged());
         prop_assert_eq!(original.history().rounds(), restored.history().rounds());
-        if knobs.threads == 1 {
+        if threads == 1 {
             // With one worker even the cache statistics and per-worker
             // cache contents are deterministic: full byte-identity.
             prop_assert_eq!(original.snapshot(), restored.snapshot());
         }
     }
+}
+
+#[test]
+fn corrupt_and_truncated_snapshots_never_panic() {
+    let mut sim = session(6, 2, 11, ExecutionMode::Synchronous, 1);
+    sim.step();
+    sim.step();
+    let snap = sim.snapshot();
+    for at in 0..snap.len() {
+        for flip in [0x01u8, 0x80, 0xFF] {
+            let mut bytes = snap.clone();
+            bytes[at] ^= flip;
+            // Either outcome is fine; reaching the next iteration proves
+            // the decoder did not panic.
+            let _ = SessionBuilder::restore(&bytes);
+        }
+    }
+    for len in 0..snap.len() {
+        assert!(
+            SessionBuilder::restore(&snap[..len]).is_err(),
+            "a {len}-byte prefix of a {}-byte snapshot restored",
+            snap.len()
+        );
+    }
+}
+
+#[test]
+fn version_1_snapshots_are_refused() {
+    let mut sim = session(6, 1, 3, ExecutionMode::Synchronous, 1);
+    sim.step();
+    let snap = sim.snapshot();
+    assert!(snap.starts_with(SNAPSHOT_MAGIC));
+    let mut v1 = b"laacad-snapshot/1\n".to_vec();
+    v1.extend_from_slice(&snap[SNAPSHOT_MAGIC.len()..]);
+    assert_eq!(
+        SessionBuilder::restore(&v1).unwrap_err(),
+        SnapshotError::UnsupportedVersion(1)
+    );
 }

@@ -478,12 +478,6 @@ impl AsyncExecutor {
     /// parallelizes over [`LaacadConfig::threads`] workers (0 = all
     /// cores); the result is bit-identical for every thread count.
     ///
-    /// The kernel-level local-view cache is disabled internally: node
-    /// rounds interleave arbitrarily under faults, outside the cadence
-    /// the cache's invalidation reasoning assumes — and cache on/off is
-    /// bit-identical anyway, so nothing is lost. The spatial grid layout
-    /// follows [`LaacadConfig::flat_grid`], as in [`laacad::Session`].
-    ///
     /// # Errors
     ///
     /// Propagates [`LaacadConfig::validate`] failures,
@@ -516,10 +510,7 @@ impl AsyncExecutor {
                 }
             }
         }
-        let mut config = config;
-        config.cache = false;
-        let mut net = Network::from_positions(config.gamma, positions);
-        net.set_flat_grid(config.flat_grid);
+        let net = Network::from_positions(config.gamma, positions);
         let adjacency = Adjacency::build(&net);
         let seed = config.seed;
         let link_rngs = (0..n as u64)

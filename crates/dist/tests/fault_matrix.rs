@@ -22,28 +22,20 @@ fn config(seed: u64) -> LaacadConfig {
         .unwrap()
 }
 
-/// Runs one cell at `threads` workers over the flat (`true`) or hash
-/// (`false`) grid layout; returns the report plus every node's position
-/// and sensing-radius bits.
+/// Runs one cell at `threads` workers; returns the report plus every
+/// node's position and sensing-radius bits.
 fn run_threads(
     seed: u64,
     n: usize,
     plan: FaultPlan,
     threads: usize,
-    flat_grid: bool,
 ) -> (AsyncRunReport, Vec<(u64, u64, u64)>) {
     let region = Region::square(1.0).unwrap();
     let positions = sample_uniform(&region, n, seed);
     let mut cfg = config(seed);
     cfg.threads = threads;
-    cfg.flat_grid = flat_grid;
     let mut exec =
         AsyncExecutor::new(cfg, region, positions, plan, AsyncConfig::default()).unwrap();
-    assert_eq!(
-        exec.network().uses_flat_grid(),
-        flat_grid,
-        "layout not honoured"
-    );
     let report = exec.run();
     let net = exec.network();
     let bits = net
@@ -328,18 +320,19 @@ fn adversarial_plans() -> Vec<(&'static str, FaultPlan)> {
 }
 
 /// The headline reproducibility guarantee: for every adversarial plan,
-/// the sharded queue at 4 worker threads — and the hash-grid layout —
-/// replay the single-threaded flat-grid run byte for byte: positions,
-/// sensing radii, protocol counters, round records, ρ.
+/// the sharded queue at 4 worker threads replays the single-threaded
+/// run byte for byte: positions, sensing radii, protocol counters, round
+/// records, ρ.
 #[test]
 fn sharded_queue_is_thread_count_invariant() {
     for (name, plan) in adversarial_plans() {
-        let (report_1, bits_1) = run_threads(2024, 18, plan.clone(), 1, true);
-        for (label, threads, flat_grid) in [("threads 4", 4, true), ("hash grid", 1, false)] {
-            let (report, bits) = run_threads(2024, 18, plan.clone(), threads, flat_grid);
-            assert_eq!(bits_1, bits, "{name}: positions/radii diverged ({label})");
-            assert_eq!(report_1, report, "{name}: report diverged ({label})");
-        }
+        let (report_1, bits_1) = run_threads(2024, 18, plan.clone(), 1);
+        let (report_4, bits_4) = run_threads(2024, 18, plan.clone(), 4);
+        assert_eq!(
+            bits_1, bits_4,
+            "{name}: positions/radii diverged (threads 4)"
+        );
+        assert_eq!(report_1, report_4, "{name}: report diverged (threads 4)");
     }
 }
 

@@ -3,8 +3,7 @@
 //! final deployment of the synchronous `Session` engine — same final
 //! positions (by `f64::to_bits`), same sensing radii, same ρ per node,
 //! same round count and per-round records, same `MessageStats` — at any
-//! thread count of the sync engine. This is the same discipline PR 3–6
-//! used to pin their on/off knobs.
+//! thread count of the sync engine.
 
 use laacad::{compute_node_view, LaacadConfig, RoundScratch, Session};
 use laacad_dist::{AsyncConfig, AsyncExecutor, FaultPlan};
@@ -39,13 +38,11 @@ fn radii_bits(net: &Network) -> Vec<u64> {
 
 /// ρ per node at the final positions, computed exactly the way the
 /// async finalizer computes it (fresh kernel run, no adjacency
-/// snapshot, cache off).
+/// snapshot; every node's cache slot is cold, so each view is computed).
 fn final_rhos(net: &Network, region: &Region, config: &LaacadConfig, round: usize) -> Vec<f64> {
-    let mut config = config.clone();
-    config.cache = false;
     let mut scratch = RoundScratch::new();
     (0..net.len())
-        .map(|i| compute_node_view(net, None, NodeId(i), region, &config, round, &mut scratch).rho)
+        .map(|i| compute_node_view(net, None, NodeId(i), region, config, round, &mut scratch).rho)
         .collect()
 }
 

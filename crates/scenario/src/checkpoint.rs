@@ -1,7 +1,7 @@
 //! Mid-run checkpointing of synchronous scenario runs.
 //!
 //! A [`ScenarioCheckpoint`] captures **everything** a running scenario
-//! needs to continue: the engine state as a `laacad-snapshot/1` buffer
+//! needs to continue: the engine state as a `laacad-snapshot/2` buffer
 //! ([`laacad::Session::snapshot`]), the timeline hook's resumable state
 //! (next event index, victim/placement RNG state, applied-event log),
 //! the per-round coverage-probe series, and the loop verdict of the
@@ -37,7 +37,7 @@ pub const CHECKPOINT_MAGIC: &[u8] = b"laacad-checkpoint/1\n";
 pub struct ScenarioCheckpoint {
     /// Round the checkpoint was taken after (1-based).
     round: usize,
-    /// `laacad-snapshot/1` bytes of the session.
+    /// `laacad-snapshot/2` bytes of the session.
     session: Vec<u8>,
     /// Loop verdict of the checkpointed round: an observer demanded a
     /// stop. Needed so resume does not step past a round the

@@ -13,8 +13,8 @@
 //! * a timeline of **dynamic events** — node failures (random fraction,
 //!   explicit ids, or disk-shaped destruction), battery depletion via the
 //!   [`laacad_wsn::energy`] model, node insertion, and mid-run `k`/`α`
-//!   changes — compiled onto the runner through the
-//!   [`laacad::RoundHook`] API,
+//!   changes — compiled onto the session through the
+//!   [`laacad::Observer`] API,
 //! * an optional **fault model** (`[faults]`: message loss, duplication,
 //!   per-link delay distributions, crash/recover) that routes the run
 //!   through the asynchronous message-driven executor in `laacad-dist`

@@ -384,32 +384,6 @@ pub struct AlgorithmSpec {
     /// one cell per core, so per-cell parallelism would oversubscribe.
     /// Results are bit-identical for every value.
     pub threads: Option<usize>,
-    /// Cross-round local-view cache (default on). Results are
-    /// bit-identical with the cache off; the knob exists so ablations
-    /// and tests can diff cached vs. uncached histories.
-    pub cache: bool,
-    /// Dirty-node index (default on): skip the expanding-ring search
-    /// for nodes whose ρ-neighborhood saw no movement. Results are
-    /// bit-identical with the index off.
-    pub dirty_skip: bool,
-    /// Exact reach radii for the dirty classifier (default on). Results
-    /// are bit-identical with the knob off.
-    pub exact_reach: bool,
-    /// ρ warm start for re-activated ring searches (default on).
-    /// Results are bit-identical with the knob off.
-    pub warm_start: bool,
-    /// Incremental adjacency-snapshot maintenance (default on). Results
-    /// are bit-identical with the knob off.
-    pub incremental_index: bool,
-    /// Flat dense spatial grid for the network and classifier indexes
-    /// (default on; falls back to the hash grid per-build when the point
-    /// cloud is too sparse). Results are bit-identical with the knob
-    /// off.
-    pub flat_grid: bool,
-    /// Per-worker arena reuse of the round engine's `O(N)` transient
-    /// buffers (default on). Results are bit-identical with the knob
-    /// off.
-    pub arena: bool,
     /// Per-cell telemetry recording (default off). Honored by the
     /// campaign runner — not by [`LaacadConfig`], which telemetry never
     /// touches: when set, [`crate::campaign::run_campaign_observed`]
@@ -439,13 +413,6 @@ impl Default for AlgorithmSpec {
             ring_cap: RingCapPolicy::Exact,
             snapshot_every: None,
             threads: None,
-            cache: true,
-            dirty_skip: true,
-            exact_reach: true,
-            warm_start: true,
-            incremental_index: true,
-            flat_grid: true,
-            arena: true,
             telemetry: false,
             faults: None,
         }
@@ -480,18 +447,42 @@ impl AlgorithmSpec {
         if let Some(threads) = self.threads {
             builder.threads(threads);
         }
-        builder.cache(self.cache);
-        builder.dirty_skip(self.dirty_skip);
-        builder.exact_reach(self.exact_reach);
-        builder.warm_start(self.warm_start);
-        builder.incremental_index(self.incremental_index);
-        builder.flat_grid(self.flat_grid);
-        builder.arena(self.arena);
         builder.build().map_err(|e| SpecError::Build(e.to_string()))
     }
 
+    /// Every key the `[laacad]` table accepts.
+    const KEYS: [&'static str; 13] = [
+        "k",
+        "alpha",
+        "epsilon",
+        "gamma",
+        "max_rounds",
+        "execution",
+        "coordinates",
+        "ranging_rel",
+        "ranging_abs",
+        "ring_cap",
+        "snapshot_every",
+        "threads",
+        "telemetry",
+    ];
+
     fn from_value(v: &Value, path: &str) -> Result<Self, SpecError> {
         let d = AlgorithmSpec::default();
+        // An unknown key is refused rather than ignored, so a misspelt
+        // or retired setting cannot silently run with the default.
+        if let Some(table) = v.as_table() {
+            if let Some(key) = table.keys().find(|k| !Self::KEYS.contains(&k.as_str())) {
+                return Err(DecodeError::new(
+                    format!("{path}.{key}"),
+                    format!(
+                        "unknown key `{key}`; accepted keys: {}",
+                        Self::KEYS.join(", ")
+                    ),
+                )
+                .into());
+            }
+        }
         let execution = match decode::opt_str(v, "execution", path)? {
             None => d.execution,
             Some(s) => match s.as_str() {
@@ -556,14 +547,6 @@ impl AlgorithmSpec {
             ring_cap,
             snapshot_every: decode::opt_usize(v, "snapshot_every", path)?,
             threads: decode::opt_usize(v, "threads", path)?,
-            cache: decode::opt_bool(v, "cache", path)?.unwrap_or(d.cache),
-            dirty_skip: decode::opt_bool(v, "dirty_skip", path)?.unwrap_or(d.dirty_skip),
-            exact_reach: decode::opt_bool(v, "exact_reach", path)?.unwrap_or(d.exact_reach),
-            warm_start: decode::opt_bool(v, "warm_start", path)?.unwrap_or(d.warm_start),
-            incremental_index: decode::opt_bool(v, "incremental_index", path)?
-                .unwrap_or(d.incremental_index),
-            flat_grid: decode::opt_bool(v, "flat_grid", path)?.unwrap_or(d.flat_grid),
-            arena: decode::opt_bool(v, "arena", path)?.unwrap_or(d.arena),
             telemetry: decode::opt_bool(v, "telemetry", path)?.unwrap_or(d.telemetry),
             // Decoded from the document's top-level `faults` table by
             // `ScenarioSpec::from_value`, not from the laacad table.
@@ -621,27 +604,6 @@ impl AlgorithmSpec {
         }
         if let Some(threads) = self.threads {
             t.insert("threads", encode::int(threads));
-        }
-        if self.cache != d.cache {
-            t.insert("cache", Value::Bool(self.cache));
-        }
-        if self.dirty_skip != d.dirty_skip {
-            t.insert("dirty_skip", Value::Bool(self.dirty_skip));
-        }
-        if self.exact_reach != d.exact_reach {
-            t.insert("exact_reach", Value::Bool(self.exact_reach));
-        }
-        if self.warm_start != d.warm_start {
-            t.insert("warm_start", Value::Bool(self.warm_start));
-        }
-        if self.incremental_index != d.incremental_index {
-            t.insert("incremental_index", Value::Bool(self.incremental_index));
-        }
-        if self.flat_grid != d.flat_grid {
-            t.insert("flat_grid", Value::Bool(self.flat_grid));
-        }
-        if self.arena != d.arena {
-            t.insert("arena", Value::Bool(self.arena));
         }
         if self.telemetry != d.telemetry {
             t.insert("telemetry", Value::Bool(self.telemetry));
@@ -1778,6 +1740,44 @@ mod tests {
         let doc = "name = \"x\"\n[region]\nkind = \"sphere\"\n";
         let msg = ScenarioSpec::from_toml(doc).unwrap_err().to_string();
         assert!(msg.contains("region.kind"), "{msg}");
+    }
+
+    #[test]
+    fn retired_engine_knobs_are_refused_in_toml_and_json() {
+        for key in [
+            "cache",
+            "dirty_skip",
+            "exact_reach",
+            "warm_start",
+            "incremental_index",
+            "flat_grid",
+            "arena",
+        ] {
+            let toml = format!(
+                "name = \"x\"\n[region]\nkind = \"named\"\nname = \"unit_square\"\n\
+                 [placement]\nkind = \"uniform\"\nn = 10\n[laacad]\nk = 1\n{key} = false\n"
+            );
+            let json = format!(
+                "{{\"name\": \"x\", \"region\": {{\"kind\": \"named\", \"name\": \"unit_square\"}}, \
+                 \"placement\": {{\"kind\": \"uniform\", \"n\": 10}}, \
+                 \"laacad\": {{\"k\": 1, \"{key}\": false}}}}"
+            );
+            for (format, result) in [
+                ("toml", ScenarioSpec::from_toml(&toml)),
+                ("json", ScenarioSpec::from_json(&json)),
+            ] {
+                let Err(SpecError::Decode(e)) = result else {
+                    panic!("{format}: `{key}` was not refused: {result:?}");
+                };
+                assert!(e.path.ends_with(&format!("laacad.{key}")), "{format}: {e}");
+                for accepted in AlgorithmSpec::KEYS {
+                    assert!(e.message.contains(accepted), "{format}: {e}");
+                }
+            }
+        }
+        // The accepted keys still decode.
+        let doc = sample_spec().to_toml();
+        assert_eq!(ScenarioSpec::from_toml(&doc).unwrap(), sample_spec());
     }
 
     #[test]

@@ -293,7 +293,7 @@ fn classify_tol(bb: &Aabb) -> f64 {
 /// The subdivision used to be a recursive function that allocated a
 /// fresh `rest`-competitor vector at every tree node; the explicit
 /// worklist below stores all pending faces in one stack and all
-/// competitor sublists in one arena. Faces live in pooled
+/// competitor sublists in one bisector list. Faces live in pooled
 /// [`PolygonBuf`]s ([`PolygonPool`]) and are clipped in place, so after
 /// warm-up a full subdivision performs **zero** heap allocations — the
 /// form the round engine's hot path relies on.
@@ -305,7 +305,7 @@ pub struct SubdivisionScratch {
     /// competitor and the center, so recomputing it at every tree node —
     /// a normalization (square root) per classification — would repeat
     /// identical work thousands of times per node view.
-    arena: Vec<HalfPlane>,
+    bisectors: Vec<HalfPlane>,
     /// Signed distances of a face's vertices, shared by both sides of a
     /// split.
     dist: Vec<f64>,
@@ -325,7 +325,7 @@ impl SubdivisionScratch {
 struct WorkItem {
     face: PolygonBuf,
     budget: usize,
-    /// Competitor sublist, as a range into the call's arena.
+    /// Competitor sublist, as a range into the call's bisector list.
     lo: usize,
     hi: usize,
 }
@@ -336,17 +336,17 @@ fn subdivide(
     scratch: &mut SubdivisionScratch,
     out: &mut PieceSet,
 ) {
-    // `scratch.arena[..n]` holds the top-level competitor list (placed
+    // `scratch.bisectors[..n]` holds the top-level competitor list (placed
     // there by the caller); deeper sublists are appended behind it.
     let stack = &mut scratch.stack;
-    let arena = &mut scratch.arena;
+    let bisectors = &mut scratch.bisectors;
     let pool = &mut scratch.pool;
     let dist = &mut scratch.dist;
     stack.push(WorkItem {
         face: domain,
         budget,
         lo: 0,
-        hi: arena.len(),
+        hi: bisectors.len(),
     });
     while let Some(item) = stack.pop() {
         let WorkItem {
@@ -364,12 +364,12 @@ fn subdivide(
         }
         // Resolve competitors against this face; the cutting ones become
         // the sublist for this face's children.
-        let cut_lo = arena.len();
+        let cut_lo = bisectors.len();
         let mut discard = false;
         let bb = Aabb::from_points(face.vertices().iter().copied()).expect("faces are non-empty");
         let tol = classify_tol(&bb);
         for j in lo..hi {
-            let c = arena[j];
+            let c = bisectors[j];
             match classify(face.vertices(), tol, &c) {
                 Classification::CenterSide => {}
                 Classification::CompetitorSide => {
@@ -379,19 +379,19 @@ fn subdivide(
                     }
                     budget -= 1;
                 }
-                Classification::Cuts => arena.push(c),
+                Classification::Cuts => bisectors.push(c),
             }
         }
-        let cut_hi = arena.len();
+        let cut_hi = bisectors.len();
         if discard {
-            arena.truncate(cut_lo);
+            bisectors.truncate(cut_lo);
             pool.release(face);
             continue;
         }
         if cut_hi - cut_lo <= budget {
             // Even if every cutting competitor were closer everywhere,
             // the budget holds: accept the whole face.
-            arena.truncate(cut_lo);
+            bisectors.truncate(cut_lo);
             out.push_piece(face.vertices());
             pool.release(face);
             continue;
@@ -402,7 +402,7 @@ fn subdivide(
         // first, matching the original recursion's piece order.) `h`
         // contains the points closer to the competitor; the center side
         // is its complement.
-        let h = arena[cut_lo];
+        let h = bisectors[cut_lo];
         let mut center_side = pool.acquire();
         let mut comp_side = (budget > 0).then(|| pool.acquire());
         let (center_ok, comp_ok) =
@@ -431,7 +431,7 @@ fn subdivide(
         }
         pool.release(face);
     }
-    arena.clear();
+    bisectors.clear();
 }
 
 /// Computes the dominating region `V^k_i ∩ domain` of `sites[center]`.
@@ -510,7 +510,7 @@ pub fn dominating_region_pooled(
     subdivide(root, k - 1, scratch, out);
 }
 
-/// Loads `scratch.arena` with every competitor's bisector
+/// Loads `scratch.bisectors` with every competitor's bisector
 /// (`closer_to(competitor, center)`), in split order.
 ///
 /// Each bisector is computed once. Co-located sites have no bisector
@@ -530,8 +530,8 @@ pub fn dominating_region_pooled(
 /// keys would live in every session's scratch for no measurable gain.
 fn load_competitors(center: usize, sites: &[Point], scratch: &mut SubdivisionScratch) {
     let u = sites[center];
-    scratch.arena.clear();
-    scratch.arena.extend(
+    scratch.bisectors.clear();
+    scratch.bisectors.extend(
         sites
             .iter()
             .enumerate()
@@ -539,7 +539,7 @@ fn load_competitors(center: usize, sites: &[Point], scratch: &mut SubdivisionScr
             .filter_map(|(_, &s)| HalfPlane::closer_to(s, u)),
     );
     scratch
-        .arena
+        .bisectors
         .sort_unstable_by(|a, b| a.signed_distance(u).total_cmp(&b.signed_distance(u)));
 }
 
@@ -741,12 +741,16 @@ mod tests {
         let mut scratch = SubdivisionScratch::new();
         load_competitors(1, &sites, &mut scratch);
         assert_eq!(
-            scratch.arena[0],
+            scratch.bisectors[0],
             HalfPlane::closer_to(sites[3], u).unwrap(),
-            "the arena's first half-plane belongs to the nearest competitor"
+            "the first bisector belongs to the nearest competitor"
         );
-        let keys: Vec<f64> = scratch.arena.iter().map(|h| h.signed_distance(u)).collect();
-        for (h, &key) in scratch.arena.iter().zip(&keys) {
+        let keys: Vec<f64> = scratch
+            .bisectors
+            .iter()
+            .map(|h| h.signed_distance(u))
+            .collect();
+        for (h, &key) in scratch.bisectors.iter().zip(&keys) {
             let s = sites
                 .iter()
                 .find(|&&s| HalfPlane::closer_to(s, u) == Some(*h))
@@ -803,28 +807,28 @@ mod reference {
 
     fn reference_pooled(center: usize, sites: &[Point], k: usize, domain: &[Point]) -> PieceSet {
         let u = sites[center];
-        let mut arena: Vec<HalfPlane> = sites
+        let mut bisectors: Vec<HalfPlane> = sites
             .iter()
             .enumerate()
             .filter(|&(j, _)| j != center)
             .filter_map(|(_, &s)| HalfPlane::closer_to(s, u))
             .collect();
-        arena.sort_unstable_by(|a, b| a.signed_distance(u).total_cmp(&b.signed_distance(u)));
+        bisectors.sort_unstable_by(|a, b| a.signed_distance(u).total_cmp(&b.signed_distance(u)));
         let mut root = PolygonBuf::new();
         root.copy_from(domain);
         let mut out = PieceSet::new();
-        let mut stack = vec![(root, k - 1, 0, arena.len())];
+        let mut stack = vec![(root, k - 1, 0, bisectors.len())];
         while let Some((face, mut budget, lo, hi)) = stack.pop() {
             if hi == lo {
                 out.push_piece(face.vertices());
                 continue;
             }
-            let cut_lo = arena.len();
+            let cut_lo = bisectors.len();
             let mut discard = false;
             let bb = Aabb::from_points(face.vertices().iter().copied()).unwrap();
             let tol = classify_tol(&bb);
             for j in lo..hi {
-                let c = arena[j];
+                let c = bisectors[j];
                 match classify_walk(face.vertices(), &bb, tol, &c) {
                     Classification::CenterSide => {}
                     Classification::CompetitorSide => {
@@ -834,20 +838,20 @@ mod reference {
                         }
                         budget -= 1;
                     }
-                    Classification::Cuts => arena.push(c),
+                    Classification::Cuts => bisectors.push(c),
                 }
             }
-            let cut_hi = arena.len();
+            let cut_hi = bisectors.len();
             if discard {
-                arena.truncate(cut_lo);
+                bisectors.truncate(cut_lo);
                 continue;
             }
             if cut_hi - cut_lo <= budget {
-                arena.truncate(cut_lo);
+                bisectors.truncate(cut_lo);
                 out.push_piece(face.vertices());
                 continue;
             }
-            let h = arena[cut_lo];
+            let h = bisectors[cut_lo];
             let mut center_side = PolygonBuf::new();
             if face.clip_halfplane_into(&h.complement(), &mut center_side) {
                 stack.push((center_side, budget, cut_lo + 1, cut_hi));

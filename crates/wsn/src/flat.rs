@@ -355,8 +355,8 @@ fn range_cells(
 /// The spatial index behind [`crate::Network`]: one of the two
 /// bit-identical layouts.
 ///
-/// [`GridIndex::build`] prefers the flat layout when asked and the point
-/// cloud is dense enough, falling back to the hash grid otherwise. The
+/// [`GridIndex::build`] takes the flat layout whenever the point cloud
+/// is dense enough, falling back to the hash grid otherwise. The
 /// fallible mutations ([`GridIndex::insert`] /
 /// [`GridIndex::apply_moves`] / [`GridIndex::relocate`]) report `false`
 /// when the flat layout needs a rebuild; the hash layout never does.
@@ -369,15 +369,13 @@ pub enum GridIndex {
 }
 
 impl GridIndex {
-    /// Builds an index over `points`, choosing the flat layout when
-    /// `prefer_flat` and the bounding box is dense enough.
-    pub fn build(points: &[Point], cell: f64, prefer_flat: bool) -> Self {
-        if prefer_flat {
-            if let Some(flat) = FlatGrid::try_build(points, cell) {
-                return GridIndex::Flat(flat);
-            }
+    /// Builds an index over `points`: the flat layout when the bounding
+    /// box is dense enough, the hash grid otherwise.
+    pub fn build(points: &[Point], cell: f64) -> Self {
+        match FlatGrid::try_build(points, cell) {
+            Some(flat) => GridIndex::Flat(flat),
+            None => GridIndex::Hash(SpatialGrid::build(points, cell)),
         }
-        GridIndex::Hash(SpatialGrid::build(points, cell))
     }
 
     /// Whether the flat layout is active.
@@ -572,7 +570,7 @@ mod tests {
         let pts = vec![Point::new(0.0, 0.0), Point::new(1000.0, 1000.0)];
         assert!(FlatGrid::try_build(&pts, 0.1).is_none());
         // And the unified index falls back to the hash layout.
-        let index = GridIndex::build(&pts, 0.1, true);
+        let index = GridIndex::build(&pts, 0.1);
         assert!(!index.is_flat());
         let mut out = Vec::new();
         index.within_into(&pts, Point::new(0.0, 0.0), 1.0, &mut out);

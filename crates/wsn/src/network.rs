@@ -22,8 +22,8 @@ use laacad_geom::Point;
 /// through `&Network`. That is what lets the synchronous round engine
 /// compute every node's local view from one shared snapshot across
 /// worker threads. The index layout is a [`GridIndex`]: the dense flat
-/// grid when enabled and the cloud is dense enough, the hash grid
-/// otherwise — query results are bit-identical either way.
+/// grid when the cloud is dense enough, the hash grid otherwise — query
+/// results are bit-identical either way.
 ///
 /// # Example
 ///
@@ -42,8 +42,6 @@ pub struct Network {
     distance_moved: Vec<f64>,
     gamma: f64,
     grid: GridIndex,
-    /// Whether rebuilds should attempt the flat dense layout.
-    prefer_flat: bool,
     /// Odometry of nodes that have since been removed (kept so that
     /// movement-energy totals survive node failures).
     retired_distance: f64,
@@ -65,8 +63,7 @@ impl Network {
             sensing_radius: Vec::new(),
             distance_moved: Vec::new(),
             gamma,
-            grid: GridIndex::build(&[], gamma.max(1e-9), false),
-            prefer_flat: false,
+            grid: GridIndex::build(&[], gamma.max(1e-9)),
             retired_distance: 0.0,
         }
     }
@@ -81,19 +78,8 @@ impl Network {
         net
     }
 
-    /// Selects the spatial-index layout: with `true`, rebuilds prefer
-    /// the flat dense grid (falling back to the hash grid when the point
-    /// cloud is too sparse for it); with `false`, the hash grid is used
-    /// unconditionally. Queries are bit-identical either way — this is a
-    /// memory-layout knob, not a semantic one.
-    pub fn set_flat_grid(&mut self, prefer_flat: bool) {
-        if self.prefer_flat != prefer_flat {
-            self.prefer_flat = prefer_flat;
-            self.rebuild_grid();
-        }
-    }
-
-    /// Whether the flat dense grid layout is currently active.
+    /// Whether the flat dense grid layout is currently active (the hash
+    /// grid serves point clouds too sparse for a dense cell array).
     pub fn uses_flat_grid(&self) -> bool {
         self.grid.is_flat()
     }
@@ -102,7 +88,7 @@ impl Network {
     /// recovery path the flat layout falls back on when a mutation
     /// escapes its bounding box or overflows a cell.
     fn rebuild_grid(&mut self) {
-        self.grid = GridIndex::build(&self.positions, self.gamma.max(1e-9), self.prefer_flat);
+        self.grid = GridIndex::build(&self.positions, self.gamma.max(1e-9));
     }
 
     /// Adds a node, returning its id. The spatial index is extended in
@@ -357,14 +343,6 @@ impl Network {
         self.retired_distance
     }
 
-    /// Whether rebuilds prefer the flat dense grid layout — the knob as
-    /// *configured* (contrast [`Network::uses_flat_grid`], which reports
-    /// the layout actually in use after the sparsity fallback).
-    #[inline]
-    pub fn prefers_flat_grid(&self) -> bool {
-        self.prefer_flat
-    }
-
     /// Reconstructs a network from serialized struct-of-arrays state.
     /// The spatial index is rebuilt deterministically from the positions
     /// (query results are layout-independent, so a rebuilt index yields
@@ -380,7 +358,6 @@ impl Network {
         sensing_radius: Vec<f64>,
         distance_moved: Vec<f64>,
         retired_distance: f64,
-        prefer_flat: bool,
     ) -> Self {
         assert!(
             gamma.is_finite() && gamma > 0.0,
@@ -388,14 +365,13 @@ impl Network {
         );
         assert_eq!(positions.len(), sensing_radius.len());
         assert_eq!(positions.len(), distance_moved.len());
-        let grid = GridIndex::build(&positions, gamma.max(1e-9), prefer_flat);
+        let grid = GridIndex::build(&positions, gamma.max(1e-9));
         Network {
             positions,
             sensing_radius,
             distance_moved,
             gamma,
             grid,
-            prefer_flat,
             retired_distance,
         }
     }
@@ -524,16 +500,18 @@ mod tests {
             .map(|i| Point::new((i % 10) as f64 * 0.1, (i / 10) as f64 * 0.1))
             .collect();
         let mut flat = Network::from_positions(0.15, positions.iter().copied());
-        flat.set_flat_grid(true);
         assert!(flat.uses_flat_grid());
-        let hash = Network::from_positions(0.15, positions.iter().copied());
-        assert!(!hash.uses_flat_grid());
         for i in 0..flat.len() {
-            assert_eq!(
-                flat.one_hop_neighbors(NodeId(i)),
-                hash.one_hop_neighbors(NodeId(i))
-            );
+            let brute: Vec<NodeId> = (0..positions.len())
+                .filter(|&j| j != i && positions[j].distance(positions[i]) <= 0.15)
+                .map(NodeId)
+                .collect();
+            assert_eq!(flat.one_hop_neighbors(NodeId(i)), brute);
         }
+        // A cloud too sparse for a dense cell array falls back to the
+        // hash layout.
+        let sparse = Network::from_positions(0.1, [Point::new(0.0, 0.0), Point::new(1e3, 1e3)]);
+        assert!(!sparse.uses_flat_grid());
         // A move that escapes the flat bounding box transparently
         // rebuilds; queries stay correct.
         flat.move_node(NodeId(0), Point::new(4.0, 4.0));

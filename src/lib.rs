@@ -60,8 +60,6 @@ pub mod prelude {
         min_node_deployment, CoordinateMode, HookAction, LaacadConfig, LaacadError, MovedNode,
         NetworkEvent, Observer, RingCapPolicy, RoundDelta, RunSummary, Session, SessionBuilder,
     };
-    #[allow(deprecated)]
-    pub use laacad::{Laacad, RoundHook};
     pub use laacad_coverage::{evaluate_coverage, CoverageReport};
     pub use laacad_geom::{Circle, Point, Polygon, Vector};
     pub use laacad_region::sampling::{sample_clustered, sample_uniform};
