@@ -316,7 +316,7 @@ fn host_throughput(sessions: usize, rounds: usize) -> f64 {
     (sessions * rounds) as f64 / dt
 }
 
-/// PR-10: one full asynchronous run under the sharded event queue —
+/// PR-10: one full asynchronous run under the batched event queue —
 /// 10% loss plus exponential link delay so the retry machinery and the
 /// queue both work for a living — at a fixed worker count. Returns
 /// `(events per second, events processed, final position bits)`; the
@@ -922,7 +922,7 @@ fn main() {
             sessions, rounds, throughput,
         ));
     }
-    // PR-10 section: the adversarial async engine. Sharded event-queue
+    // PR-10 section: the adversarial async engine. Batched event-queue
     // throughput across thread counts (with a live thread-invariance
     // assert), and the fixed-vs-adaptive backoff message cost at 10%
     // loss.
@@ -938,7 +938,7 @@ fn main() {
                 None => serial_bits = Some(bits),
                 Some(reference) => assert_eq!(
                     reference, &bits,
-                    "sharded queue diverged between 1 and {threads} threads at N={n}"
+                    "async run diverged between 1 and {threads} threads at N={n}"
                 ),
             }
             eprintln!(

@@ -306,6 +306,45 @@ fn corrupt(why: impl Into<String>) -> SnapshotError {
     SnapshotError::Corrupt(why.into())
 }
 
+/// Validates a decoded adjacency CSR: well-formed offsets, and rows
+/// that are strictly ascending, free of their own node, and symmetric
+/// (`j` in row `i` iff `i` in row `j`). The move patch
+/// ([`Adjacency::apply_moves`]) trusts every one of these.
+fn check_adjacency_csr(offsets: &[u32], neighbors: &[u32]) -> Result<(), SnapshotError> {
+    if offsets.is_empty() {
+        return if neighbors.is_empty() {
+            Ok(())
+        } else {
+            Err(corrupt("adjacency neighbors without offsets"))
+        };
+    }
+    let rows = offsets.len() - 1;
+    let well_formed = offsets[0] == 0
+        && offsets.windows(2).all(|w| w[0] <= w[1])
+        && *offsets.last().unwrap() as usize == neighbors.len()
+        && neighbors.iter().all(|&x| (x as usize) < rows);
+    if !well_formed {
+        return Err(corrupt("malformed adjacency CSR"));
+    }
+    let row = |i: usize| &neighbors[offsets[i] as usize..offsets[i + 1] as usize];
+    for i in 0..rows {
+        let r = row(i);
+        if !r.windows(2).all(|w| w[0] < w[1]) {
+            return Err(corrupt(format!("adjacency row {i} not strictly ascending")));
+        }
+        if r.binary_search(&(i as u32)).is_ok() {
+            return Err(corrupt(format!("adjacency row {i} lists its own node")));
+        }
+        if let Some(&j) = r
+            .iter()
+            .find(|&&j| row(j as usize).binary_search(&(i as u32)).is_err())
+        {
+            return Err(corrupt(format!("asymmetric adjacency edge {i} -> {j}")));
+        }
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------
 // Section encoders/decoders
 // ---------------------------------------------------------------------
@@ -571,11 +610,11 @@ impl Session {
         });
         let (offsets, neighbors) = self.adjacency.csr();
         w.usize(offsets.len());
-        for &o in offsets {
+        for o in offsets {
             w.u32(o);
         }
         w.usize(neighbors.len());
-        for &x in neighbors {
+        for x in neighbors {
             w.u32(x);
         }
         let c = self.counters;
@@ -671,17 +710,7 @@ impl SessionBuilder {
         let neighbors: Vec<u32> = (0..r.count(4)?)
             .map(|_| r.u32())
             .collect::<Result<_, _>>()?;
-        if !offsets.is_empty() {
-            let ok = offsets[0] == 0
-                && offsets.windows(2).all(|w| w[0] <= w[1])
-                && *offsets.last().unwrap() as usize == neighbors.len()
-                && neighbors.iter().all(|&x| (x as usize) < offsets.len() - 1);
-            if !ok {
-                return Err(corrupt("malformed adjacency CSR"));
-            }
-        } else if !neighbors.is_empty() {
-            return Err(corrupt("adjacency neighbors without offsets"));
-        }
+        check_adjacency_csr(&offsets, &neighbors)?;
         let adjacency = Adjacency::from_csr(offsets, neighbors);
         let counters = SessionCounters {
             ring_searches: r.u64()?,

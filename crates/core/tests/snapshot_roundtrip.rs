@@ -13,9 +13,12 @@
 //!
 //! The decoder is also an input boundary: every single-byte flip and
 //! every truncation of a small session's snapshot must come back as
-//! `Ok` or a typed `SnapshotError`, never a panic.
+//! `Ok` or a typed `SnapshotError`, never a panic, and adjacency rows
+//! the move patch could not trust (asymmetric, self-listing, unsorted)
+//! are refused as corrupt.
 
 use laacad::{ExecutionMode, LaacadConfig, Session, SessionBuilder, SnapshotError, SNAPSHOT_MAGIC};
+use laacad_geom::Point;
 use laacad_region::sampling::sample_uniform;
 use laacad_region::Region;
 use proptest::prelude::*;
@@ -124,6 +127,70 @@ fn corrupt_and_truncated_snapshots_never_panic() {
             "a {len}-byte prefix of a {}-byte snapshot restored",
             snap.len()
         );
+    }
+}
+
+/// A 6-node path `0 – 1 – … – 5` (spacing 0.15, γ = 0.2) stepped
+/// once: the stored adjacency is the path at the initial positions.
+fn path_session() -> Session {
+    let config = LaacadConfig::builder(1)
+        .transmission_range(0.2)
+        .alpha(0.6)
+        .epsilon(1e-3)
+        .seed(5)
+        .build()
+        .unwrap();
+    let mut sim = Session::builder(config)
+        .region(Region::square(1.0).unwrap())
+        .positions(
+            (0..6)
+                .map(|i| Point::new(0.1 + 0.15 * i as f64, 0.5))
+                .collect::<Vec<_>>(),
+        )
+        .build()
+        .unwrap();
+    sim.step();
+    sim
+}
+
+/// The CSR section of a snapshot: offsets and neighbors, each preceded
+/// by its `u64` count.
+fn csr_bytes(offsets: &[u32], neighbors: &[u32]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for part in [offsets, neighbors] {
+        out.extend_from_slice(&(part.len() as u64).to_le_bytes());
+        for &x in part {
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+    }
+    out
+}
+
+/// The move patch trusts the stored rows, so restore refuses adjacency
+/// that breaks its invariants: an asymmetric edge, a row listing its
+/// own node, or a row that is not strictly ascending.
+#[test]
+fn adjacency_breaking_patch_invariants_is_refused() {
+    let snap = path_session().snapshot();
+    let offsets = [0, 1, 3, 5, 7, 9, 10];
+    let path = [1, 0, 2, 1, 3, 2, 4, 3, 5, 4];
+    let stored = csr_bytes(&offsets, &path);
+    let at = snap
+        .windows(stored.len())
+        .position(|w| w == stored.as_slice())
+        .expect("snapshot stores the path adjacency");
+    assert!(SessionBuilder::restore(&snap).is_ok());
+    for (rows, why) in [
+        ([2, 0, 2, 1, 3, 2, 4, 3, 5, 4], "asymmetric"),
+        ([0, 0, 2, 1, 3, 2, 4, 3, 5, 4], "own node"),
+        ([1, 2, 0, 1, 3, 2, 4, 3, 5, 4], "ascending"),
+    ] {
+        let mut bytes = snap.clone();
+        bytes[at..at + stored.len()].copy_from_slice(&csr_bytes(&offsets, &rows));
+        match SessionBuilder::restore(&bytes).err() {
+            Some(SnapshotError::Corrupt(msg)) => assert!(msg.contains(why), "{why}: {msg}"),
+            other => panic!("{why}: decoded with {other:?}"),
+        }
     }
 }
 

@@ -34,17 +34,16 @@
 //! number. There is no wall-clock or OS randomness anywhere, so
 //! `(seed, FaultPlan, threads)` replays byte-identically.
 //!
-//! **Parallelism.** Events live in a [sharded queue](crate::queue) whose
-//! merge barrier hands back whole same-tick batches in `(tick, seq)`
-//! order. Within a batch the executor splits at position mutations and
-//! speculatively precomputes eligible local views over `laacad-exec`
-//! worker threads; *every* state mutation, random draw, and scheduling
-//! decision happens in a single serial pass over the same `(tick, seq)`
-//! order — the local view is a pure function of the positions, which no
-//! event inside a split segment mutates — so the thread count is
-//! unobservable in the result, by construction.
+//! **Parallelism.** Events live in a tick-bucketed queue (the private
+//! `queue` module) that hands back whole same-tick batches in
+//! `(tick, seq)` order. Within a batch the executor splits at position
+//! mutations and speculatively precomputes eligible local views over
+//! `laacad-exec` worker threads; *every* state mutation, random draw,
+//! and scheduling decision happens in a single serial pass over the
+//! same `(tick, seq)` order — the local view is a pure function of the
+//! positions, which no event inside a split segment mutates — so the
+//! thread count is unobservable in the result, by construction.
 
-use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use laacad::NodeView;
@@ -61,7 +60,7 @@ use laacad_wsn::{Adjacency, Network, NodeId};
 use crate::backoff::{Backoff, RttEstimator};
 use crate::fault::FaultPlan;
 use crate::partition::ActivePartition;
-use crate::queue::ShardedQueue;
+use crate::queue::EventQueue;
 
 /// Ticks from a round's hello broadcast to its first compute check: one
 /// tick hello flight, one tick ack flight, one tick of slack so acks
@@ -284,34 +283,14 @@ pub(crate) enum EventKind {
     Probe,
 }
 
-/// Queue entry ordered by `(tick, seq)` — `seq` is assigned at push
-/// time, so same-tick events process in scheduling order and the order
-/// is total (no two events share a `seq`).
+/// A queued event. `seq` is assigned by the queue at push time, so
+/// same-tick events process in scheduling order and the `(tick, seq)`
+/// order is total (no two events share a `seq`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Event {
     pub(crate) tick: u64,
     pub(crate) seq: u64,
     pub(crate) kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        (self.tick, self.seq) == (other.tick, other.seq)
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.tick, self.seq).cmp(&(other.tick, other.seq))
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -427,14 +406,15 @@ pub struct AsyncExecutor {
     /// applied move — the ring searches and hello fan-outs read it
     /// instead of querying the spatial grid.
     adjacency: Adjacency,
+    /// Applied moves patched into `adjacency`.
+    adjacency_patches: u64,
     plan: FaultPlan,
     proto: AsyncConfig,
     /// Per-node fault streams: node `i`'s draws depend only on the seed,
     /// `i`, and how many draws `i` has made — never on the interleaving
     /// of other nodes' traffic.
     link_rngs: Vec<SplitMix64>,
-    queue: ShardedQueue,
-    seq: u64,
+    queue: EventQueue,
     now: u64,
     nodes: Vec<NodeMachine>,
     scratch: RoundScratch,
@@ -549,13 +529,13 @@ impl AsyncExecutor {
             region,
             net,
             adjacency,
+            adjacency_patches: 0,
             proto: AsyncConfig {
                 ack_timeout: proto.ack_timeout.max(1),
                 ..proto
             },
             link_rngs,
-            queue: ShardedQueue::new(workers),
-            seq: 0,
+            queue: EventQueue::default(),
             now: 0,
             nodes: (0..n).map(|_| NodeMachine::new()).collect(),
             scratch: RoundScratch::new(),
@@ -623,9 +603,7 @@ impl AsyncExecutor {
     }
 
     fn schedule(&mut self, tick: u64, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Event { tick, seq, kind });
+        self.queue.push(tick, kind);
     }
 
     fn ensure_round(&mut self, round: usize) {
@@ -1296,6 +1274,7 @@ impl AsyncExecutor {
         );
         let to = self.net.position(NodeId(i));
         self.adjacency.apply_moves(&self.net, [(i, from, to)]);
+        self.adjacency_patches += 1;
         self.last_move_tick = self.now;
         // Advance the movement epoch: every previously counted node's
         // compute is now stale (completed_tick ≤ the new watermark), so
@@ -1512,6 +1491,12 @@ impl AsyncExecutor {
                 );
                 rec.counter("async_rtt_samples", round, self.stats.rtt_samples);
                 rec.counter("async_ticks", round, self.now);
+                rec.counter("adjacency_patches", round, self.adjacency_patches);
+                rec.counter(
+                    "adjacency_overflow_rebuilds",
+                    round,
+                    self.adjacency.overflow_rebuilds(),
+                );
             }
             rec.round_end(round);
         }
@@ -1580,6 +1565,42 @@ mod tests {
             ("corruption_validated", corruption(true)),
             ("corruption_believed", corruption(false)),
         ]
+    }
+
+    /// The run's telemetry reports how often the adjacency was patched
+    /// and how many of those patches fell back to a rebuild.
+    #[test]
+    fn telemetry_reports_adjacency_patches() {
+        let region = Region::square(1.0).unwrap();
+        let config = LaacadConfig::builder(1)
+            .alpha(0.6)
+            .epsilon(1e-3)
+            .transmission_range(0.45)
+            .seed(7)
+            .build()
+            .unwrap();
+        let plan = plans().swap_remove(0).1;
+        let positions = sample_uniform(&region, 18, 7);
+        let mut exec =
+            AsyncExecutor::new(config, region, positions, plan, AsyncConfig::default()).unwrap();
+        exec.set_recorder(Box::new(laacad::TelemetryRegistry::new()));
+        let report = exec.run();
+        let recorder = exec.take_recorder().unwrap();
+        let reg = recorder
+            .as_any()
+            .downcast_ref::<laacad::TelemetryRegistry>()
+            .unwrap();
+        let decided: usize = report.rounds.iter().map(|r| r.nodes_moved).sum();
+        let patches = reg.counter_total("adjacency_patches");
+        assert!(
+            patches > 0 && patches <= decided as u64,
+            "{patches} of {decided}"
+        );
+        assert_eq!(patches, exec.adjacency_patches);
+        assert!(reg
+            .counters()
+            .any(|(name, total)| name == "adjacency_overflow_rebuilds"
+                && total == exec.adjacency.overflow_rebuilds()));
     }
 
     /// The move-patched adjacency never drifts from the ground truth:

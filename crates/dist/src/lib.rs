@@ -24,8 +24,10 @@
 //!   [`SplitMix64`](laacad_region::sampling::SplitMix64) streams
 //!   consumed in each node's transmission order; `(seed, FaultPlan,
 //!   threads)` replays byte-identically, with no wall-clock anywhere.
-//!   Events live in a sharded queue whose `(tick, seq)` merge barrier
-//!   makes the worker thread count unobservable in the result.
+//!   Events live in a tick-bucketed queue that hands the executor whole
+//!   same-tick batches in `(tick, seq)` order; only the serial pass
+//!   over a batch mutates state, so the worker thread count is
+//!   unobservable in the result.
 //!
 //! ```
 //! use laacad::LaacadConfig;

@@ -1,78 +1,81 @@
-//! The sharded event queue: per-shard binary heaps behind a
-//! deterministic `(tick, seq)` merge barrier.
+//! The tick-bucketed event queue.
 //!
-//! Events are striped over shards by sequence number; [`ShardedQueue::pop_batch`]
-//! pops *every* event carrying the minimum tick across all shards and
-//! sorts the batch by `seq` — exactly the global order a single heap
-//! would produce, but handing the executor a whole same-tick batch at
-//! once. The batch is what the executor parallelizes: speculative
-//! local-view precomputes fan out over `laacad-exec` while every state
-//! mutation, random draw, and scheduling decision stays in a serial
+//! Events live in a slab; an ordered map from tick to a bucket of
+//! 4-byte slot indices holds them. The queue assigns each event's `seq`
+//! inside [`EventQueue::push`], so within a bucket push order *is*
+//! `seq` order, and [`EventQueue::pop_batch`] hands over the minimum
+//! tick's whole bucket already in `(tick, seq)` order — no heap sift
+//! and no batch sort.
+//!
+//! The batch is what the executor parallelizes: speculative local-view
+//! precomputes fan out over `laacad-exec` while every state mutation,
+//! random draw, and scheduling decision stays in a serial
 //! `(tick, seq)`-ordered pass — so the result is byte-identical for any
-//! shard/thread count by construction.
+//! thread count by construction.
 //!
-//! With one shard this degrades to the PR 7 single `BinaryHeap`.
+//! An event pushed for the tick currently being processed opens a fresh
+//! bucket for that tick and lands in the next batch.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
-use crate::executor::Event;
+use crate::executor::{Event, EventKind};
 
-/// Per-shard min-heaps with a deterministic merge barrier.
-#[derive(Debug)]
-pub(crate) struct ShardedQueue {
-    shards: Vec<BinaryHeap<Reverse<Event>>>,
-    len: usize,
+/// Slab-backed events bucketed by tick.
+#[derive(Debug, Default)]
+pub(crate) struct EventQueue {
+    slab: Vec<Event>,
+    /// Vacant slab slots, reused before the slab grows.
+    free: Vec<u32>,
+    buckets: BTreeMap<u64, Vec<u32>>,
+    /// Drained bucket vectors, recycled so steady state allocates none.
+    spare: Vec<Vec<u32>>,
+    seq: u64,
 }
 
-impl ShardedQueue {
-    /// A queue striped over `shards` heaps (clamped to ≥ 1).
-    pub(crate) fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        ShardedQueue {
-            shards: (0..shards).map(|_| BinaryHeap::new()).collect(),
-            len: 0,
-        }
-    }
-
-    /// Pushes one event; the shard is chosen by `seq`, so the striping
-    /// (and therefore every heap's contents) is independent of push
-    /// order.
-    pub(crate) fn push(&mut self, ev: Event) {
-        let shard = (ev.seq % self.shards.len() as u64) as usize;
-        self.shards[shard].push(Reverse(ev));
-        self.len += 1;
+impl EventQueue {
+    /// Queues `kind` at `tick` under the next sequence number.
+    pub(crate) fn push(&mut self, tick: u64, kind: EventKind) {
+        let ev = Event {
+            tick,
+            seq: self.seq,
+            kind,
+        };
+        self.seq += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = ev;
+                slot
+            }
+            None => {
+                self.slab.push(ev);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        let spare = &mut self.spare;
+        self.buckets
+            .entry(tick)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(slot);
     }
 
     /// Total queued events.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.slab.len() - self.free.len()
     }
 
-    /// The merge barrier: drains every event carrying the minimum tick
-    /// across all shards into `batch`, sorted by `seq`. Returns `false`
-    /// (and leaves `batch` empty) when the queue is drained.
+    /// Moves every event of the minimum queued tick into `batch`, in
+    /// `seq` order. Returns `false` (and leaves `batch` empty) when the
+    /// queue is drained.
     pub(crate) fn pop_batch(&mut self, batch: &mut Vec<Event>) -> bool {
         batch.clear();
-        let Some(tick) = self
-            .shards
-            .iter()
-            .filter_map(|h| h.peek().map(|Reverse(e)| e.tick))
-            .min()
-        else {
+        let Some((_, mut slots)) = self.buckets.pop_first() else {
             return false;
         };
-        for heap in &mut self.shards {
-            while let Some(Reverse(e)) = heap.peek() {
-                if e.tick != tick {
-                    break;
-                }
-                batch.push(heap.pop().expect("peeked event pops").0);
-            }
-        }
-        self.len -= batch.len();
-        batch.sort_unstable_by_key(|e| e.seq);
+        batch.extend(slots.iter().map(|&slot| self.slab[slot as usize]));
+        self.free.extend_from_slice(&slots);
+        slots.clear();
+        self.spare.push(slots);
         true
     }
 }
@@ -80,47 +83,70 @@ impl ShardedQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::EventKind;
+    use laacad_region::sampling::SplitMix64;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
-    fn ev(tick: u64, seq: u64) -> Event {
-        Event {
-            tick,
-            seq,
-            kind: EventKind::Crash { node: 0 },
-        }
+    fn kind() -> EventKind {
+        EventKind::Crash { node: 0 }
     }
 
-    /// The merged order out of any shard count equals the `(tick, seq)`
-    /// order a single heap produces.
+    /// Randomized comparison against a `BinaryHeap<Reverse<(tick, seq)>>`
+    /// reference: pushes and pops interleaved, same-tick re-pushes
+    /// between batches, far-future ticks (≥ 10⁶, as partition, crash and
+    /// probe schedules produce) and pops on an empty queue. Every batch
+    /// must equal the reference's run of minimum-tick entries.
     #[test]
-    fn merge_barrier_is_shard_count_invariant() {
-        let events: Vec<Event> = (0..97u64)
-            .map(|i| ev((i * 7919) % 13, (i * 104729) % 1000))
-            .collect();
-        let mut reference: Vec<(u64, u64)> = Vec::new();
-        for shards in [1usize, 2, 4, 7] {
-            let mut q = ShardedQueue::new(shards);
-            for &e in &events {
-                q.push(e);
-            }
-            let mut order = Vec::new();
+    fn batches_match_a_reference_heap() {
+        let mut rng = SplitMix64::new(0x51ED_0F0E);
+        for _ in 0..64 {
+            let mut q = EventQueue::default();
+            let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let mut next_seq = 0u64;
+            let mut now = 0u64;
             let mut batch = Vec::new();
-            while q.pop_batch(&mut batch) {
-                let tick = batch[0].tick;
-                for pair in batch.windows(2) {
-                    assert_eq!(pair[0].tick, tick, "batch spans ticks");
-                    assert!(pair[0].seq < pair[1].seq, "batch not seq-sorted");
+            for _ in 0..400 {
+                for _ in 0..rng.next_u64() % 6 {
+                    let tick = match rng.next_u64() % 8 {
+                        // The tick being processed: lands in the next batch.
+                        0 | 1 => now,
+                        2 => now + 1_000_000 + rng.next_u64() % 1_000_000,
+                        _ => now + 1 + rng.next_u64() % 8,
+                    };
+                    q.push(tick, kind());
+                    reference.push(Reverse((tick, next_seq)));
+                    next_seq += 1;
                 }
-                order.extend(batch.iter().map(|e| (e.tick, e.seq)));
+                assert_eq!(q.len(), reference.len());
+                if rng.next_u64().is_multiple_of(3) {
+                    continue;
+                }
+                let mut expected = Vec::new();
+                if let Some(&Reverse((tick, _))) = reference.peek() {
+                    while reference.peek().is_some_and(|Reverse((t, _))| *t == tick) {
+                        expected.push(reference.pop().unwrap().0);
+                    }
+                }
+                assert_eq!(q.pop_batch(&mut batch), !expected.is_empty());
+                let got: Vec<(u64, u64)> = batch.iter().map(|e| (e.tick, e.seq)).collect();
+                assert_eq!(got, expected);
+                if let Some(&(tick, _)) = expected.first() {
+                    now = tick;
+                }
             }
+            while q.pop_batch(&mut batch) {
+                let mut expected = Vec::new();
+                let tick = batch[0].tick;
+                while reference.peek().is_some_and(|Reverse((t, _))| *t == tick) {
+                    expected.push(reference.pop().unwrap().0);
+                }
+                let got: Vec<(u64, u64)> = batch.iter().map(|e| (e.tick, e.seq)).collect();
+                assert_eq!(got, expected);
+            }
+            assert!(reference.is_empty());
             assert_eq!(q.len(), 0);
-            if shards == 1 {
-                reference = order.clone();
-                let mut sorted = reference.clone();
-                sorted.sort_unstable();
-                assert_eq!(reference, sorted);
-            }
-            assert_eq!(order, reference, "shards={shards} diverged");
+            assert!(!q.pop_batch(&mut batch), "empty queue pops nothing");
+            assert!(batch.is_empty());
         }
     }
 
@@ -128,14 +154,14 @@ mod tests {
     /// picked up by the next batch, never lost.
     #[test]
     fn same_tick_repush_lands_in_next_batch() {
-        let mut q = ShardedQueue::new(3);
-        q.push(ev(5, 0));
-        q.push(ev(5, 1));
+        let mut q = EventQueue::default();
+        q.push(5, kind());
+        q.push(5, kind());
         let mut batch = Vec::new();
         assert!(q.pop_batch(&mut batch));
         assert_eq!(batch.len(), 2);
-        q.push(ev(5, 2));
-        q.push(ev(6, 3));
+        q.push(5, kind());
+        q.push(6, kind());
         assert!(q.pop_batch(&mut batch));
         assert_eq!(batch.len(), 1);
         assert_eq!((batch[0].tick, batch[0].seq), (5, 2));

@@ -320,11 +320,11 @@ fn adversarial_plans() -> Vec<(&'static str, FaultPlan)> {
 }
 
 /// The headline reproducibility guarantee: for every adversarial plan,
-/// the sharded queue at 4 worker threads replays the single-threaded
-/// run byte for byte: positions, sensing radii, protocol counters, round
-/// records, ρ.
+/// the batched event loop at 4 worker threads replays the
+/// single-threaded run byte for byte: positions, sensing radii, protocol
+/// counters, round records, ρ.
 #[test]
-fn sharded_queue_is_thread_count_invariant() {
+fn batched_event_loop_is_thread_count_invariant() {
     for (name, plan) in adversarial_plans() {
         let (report_1, bits_1) = run_threads(2024, 18, plan.clone(), 1);
         let (report_4, bits_4) = run_threads(2024, 18, plan.clone(), 4);

@@ -12,26 +12,55 @@
 //! itself excluded), so a BFS over the snapshot is bit-identical to one
 //! over live grid queries.
 //!
-//! Partially-active rounds need not rebuild: [`Adjacency::apply_moves`]
-//! patches the snapshot from the round's movement delta, re-querying
-//! only the rows a mover could have touched and copying every other row
-//! verbatim — bit-identical to a full [`Adjacency::rebuild`].
+//! Rows live in one contiguous buffer, each followed by `ROW_SLACK`
+//! spare slots (the way the flat grid keeps per-cell slack), so a move
+//! can be patched in place: [`Adjacency::apply_moves`] re-queries each
+//! mover's row, merge-diffs it against the stored one, and removes the
+//! mover's id from — or inserts it in sorted position into — only the
+//! rows of the non-movers that lost or gained it. That is O(degree) per
+//! mover and exact because the one-hop predicate
+//! `distance_sq ≤ γ² + 1e-12` is symmetric. A row that outgrows its
+//! slack relocates to the buffer's tail; once relocations would grow
+//! the buffer past twice its rebuilt length, the patch falls back to a
+//! full [`Adjacency::rebuild`] instead and counts it
+//! ([`Adjacency::overflow_rebuilds`]).
 
 use crate::network::Network;
 use crate::node::NodeId;
 use laacad_geom::Point;
 
+/// Spare slots kept after every row at (re)build and relocation time.
+const ROW_SLACK: u32 = 4;
+
+/// Where one row lives in the shared buffer.
+#[derive(Debug, Clone, Copy, Default)]
+struct Row {
+    start: u32,
+    len: u32,
+}
+
 /// Compressed sparse rows of the one-hop communication graph.
 #[derive(Debug, Clone, Default)]
 pub struct Adjacency {
-    offsets: Vec<u32>,
-    neighbors: Vec<u32>,
-    /// Per-node query scratch reused across rebuilds.
+    rows: Vec<Row>,
+    /// Slots reserved per row (`len` plus spare).
+    caps: Vec<u32>,
+    slots: Vec<u32>,
+    /// Whether the snapshot was ever built (an empty network's snapshot
+    /// is built; a default one is not).
+    built: bool,
+    /// Buffer length past which a row relocation falls back to a
+    /// rebuild: twice the length right after the last rebuild.
+    limit: usize,
+    /// Rebuilds forced by row-slack overflow during a patch.
+    overflow_rebuilds: u64,
+    /// Per-node query scratch reused across rebuilds and patches.
     row: Vec<usize>,
-    /// Double-buffer spares for [`Adjacency::apply_moves`].
-    spare_offsets: Vec<u32>,
-    spare_neighbors: Vec<u32>,
-    /// Epoch-stamped affected-row marks (no `O(N)` clear per update).
+    /// A mover's stored row, copied out before it is diffed.
+    old: Vec<u32>,
+    /// The distinct movers of the batch being patched.
+    movers: Vec<usize>,
+    /// Epoch-stamped mover marks (no `O(N)` clear per update).
     stamp: Vec<u64>,
     epoch: u64,
 }
@@ -47,29 +76,52 @@ impl Adjacency {
     /// Rebuilds in place, reusing the row storage (the round engine
     /// refreshes one instance every round).
     pub fn rebuild(&mut self, net: &Network) {
-        self.offsets.clear();
-        self.neighbors.clear();
-        self.offsets.push(0);
+        self.rows.clear();
+        self.caps.clear();
+        self.slots.clear();
         let mut row = std::mem::take(&mut self.row);
         for i in 0..net.len() {
             net.one_hop_neighbors_into(NodeId(i), &mut row);
-            self.neighbors.extend(row.iter().map(|&j| j as u32));
-            self.offsets.push(self.neighbors.len() as u32);
+            self.push_row(row.iter().map(|&j| j as u32));
         }
         self.row = row;
+        self.seal();
+    }
+
+    /// Appends a row followed by its slack.
+    fn push_row(&mut self, ids: impl Iterator<Item = u32>) {
+        let start = self.slots.len();
+        self.slots.extend(ids);
+        let len = (self.slots.len() - start) as u32;
+        self.slots
+            .resize(self.slots.len() + ROW_SLACK as usize, u32::MAX);
+        self.rows.push(Row {
+            start: start as u32,
+            len,
+        });
+        self.caps.push(len + ROW_SLACK);
+    }
+
+    /// Marks a freshly laid-out snapshot built and re-arms the
+    /// relocation budget.
+    fn seal(&mut self) {
+        self.built = true;
+        self.limit = 2 * self.slots.len();
     }
 
     /// Patches the snapshot for a batch of moves `(index, old, new)` —
-    /// the move-delta update path of partially-active rounds. `net` must
-    /// hold the post-move positions and the same population the snapshot
-    /// was built for.
+    /// the move-delta update path of partially-active rounds and of the
+    /// asynchronous executor. `net` must hold the post-move positions
+    /// and the same population the snapshot was built for; a node may
+    /// appear more than once.
     ///
-    /// A row can only change when its node moved or when a mover's old
-    /// or new position lies within one hop of it, so exactly those rows
-    /// are re-queried; every other row is copied verbatim from the
-    /// previous snapshot. The result is bit-identical to a full
+    /// Each distinct mover's row is re-queried at its new position and
+    /// merge-diffed against its stored row; the mover's id is then
+    /// removed from, or inserted into, only the rows of non-movers that
+    /// lost or gained it. The result is bit-identical to a full
     /// [`Adjacency::rebuild`] at the same positions. Returns the number
-    /// of rows re-queried.
+    /// of rows re-queried (`N` when a row-slack overflow forced a
+    /// rebuild).
     ///
     /// # Panics
     ///
@@ -86,52 +138,143 @@ impl Adjacency {
             n,
             "incremental adjacency update across a population change"
         );
-        let gamma = net.gamma();
         self.epoch += 1;
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
         }
+        let mut movers = std::mem::take(&mut self.movers);
+        movers.clear();
+        for (i, _, _) in moves {
+            if self.stamp[i] != self.epoch {
+                self.stamp[i] = self.epoch;
+                movers.push(i);
+            }
+        }
         let mut row = std::mem::take(&mut self.row);
-        for (i, from, to) in moves {
-            self.stamp[i] = self.epoch;
-            // The affected-row queries use the same spatial predicate as
-            // the one-hop rows themselves, so they find exactly the
-            // nodes whose row could have listed the mover (old position)
-            // or must list it now (new position).
-            for q in [from, to] {
-                net.nodes_within_into(q, gamma, &mut row);
-                for &j in &row {
-                    self.stamp[j] = self.epoch;
-                }
+        let mut old = std::mem::take(&mut self.old);
+        let mut patched = true;
+        for &i in &movers {
+            net.one_hop_neighbors_into(NodeId(i), &mut row);
+            old.clear();
+            old.extend_from_slice(self.neighbors(i));
+            if !self.patch_row(i, &old, &row) {
+                patched = false;
+                break;
             }
         }
-        let mut offsets = std::mem::take(&mut self.spare_offsets);
-        let mut neighbors = std::mem::take(&mut self.spare_neighbors);
-        offsets.clear();
-        neighbors.clear();
-        offsets.push(0);
-        let mut requeried = 0;
-        for i in 0..n {
-            if self.stamp[i] == self.epoch {
-                requeried += 1;
-                net.one_hop_neighbors_into(NodeId(i), &mut row);
-                neighbors.extend(row.iter().map(|&j| j as u32));
-            } else {
-                neighbors.extend_from_slice(
-                    &self.neighbors[self.offsets[i] as usize..self.offsets[i + 1] as usize],
-                );
-            }
-            offsets.push(neighbors.len() as u32);
-        }
-        self.spare_offsets = std::mem::replace(&mut self.offsets, offsets);
-        self.spare_neighbors = std::mem::replace(&mut self.neighbors, neighbors);
+        let requeried = movers.len();
+        self.movers = movers;
         self.row = row;
-        requeried
+        self.old = old;
+        if patched {
+            requeried
+        } else {
+            self.overflow_rebuilds += 1;
+            self.rebuild(net);
+            n
+        }
+    }
+
+    /// Replaces mover `i`'s row `old` by `new` and mirrors the
+    /// difference into the rows of non-movers. Returns `false` when a
+    /// row outgrew its slack and the relocation budget is spent.
+    fn patch_row(&mut self, i: usize, old: &[u32], new: &[usize]) -> bool {
+        let id = i as u32;
+        let (mut a, mut b) = (0, 0);
+        loop {
+            let lost = match (old.get(a), new.get(b)) {
+                (None, None) => break,
+                (Some(&x), Some(&y)) if x as usize == y => {
+                    a += 1;
+                    b += 1;
+                    continue;
+                }
+                (Some(&x), Some(&y)) => (x as usize) < y,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+            };
+            if lost {
+                let x = old[a] as usize;
+                if self.stamp[x] != self.epoch {
+                    self.remove(x, id);
+                }
+                a += 1;
+            } else {
+                let y = new[b];
+                if self.stamp[y] != self.epoch && !self.insert(y, id) {
+                    return false;
+                }
+                b += 1;
+            }
+        }
+        if new.len() as u32 > self.caps[i] && !self.relocate(i, new.len()) {
+            return false;
+        }
+        let start = self.rows[i].start as usize;
+        for (slot, &j) in self.slots[start..start + new.len()].iter_mut().zip(new) {
+            *slot = j as u32;
+        }
+        self.rows[i].len = new.len() as u32;
+        true
+    }
+
+    /// Removes `id` from row `j`.
+    fn remove(&mut self, j: usize, id: u32) {
+        let Row { start, len } = self.rows[j];
+        let row = &mut self.slots[start as usize..(start + len) as usize];
+        let pos = row.partition_point(|&x| x < id);
+        debug_assert_eq!(row.get(pos), Some(&id), "asymmetric adjacency");
+        row.copy_within(pos + 1.., pos);
+        self.rows[j].len -= 1;
+    }
+
+    /// Inserts `id` into row `j` in sorted position. Returns `false`
+    /// when the row is full and the relocation budget is spent.
+    fn insert(&mut self, j: usize, id: u32) -> bool {
+        let len = self.rows[j].len;
+        if len == self.caps[j] && !self.relocate(j, len as usize + 1) {
+            return false;
+        }
+        let start = self.rows[j].start as usize;
+        let row = &mut self.slots[start..start + len as usize + 1];
+        let pos = row[..len as usize].partition_point(|&x| x < id);
+        debug_assert!(
+            pos == len as usize || row[pos] != id,
+            "asymmetric adjacency"
+        );
+        row.copy_within(pos..len as usize, pos + 1);
+        row[pos] = id;
+        self.rows[j].len += 1;
+        true
+    }
+
+    /// Moves row `j` to the buffer's tail with room for `need` ids plus
+    /// slack. Returns `false` when that would push the buffer past its
+    /// relocation budget.
+    fn relocate(&mut self, j: usize, need: usize) -> bool {
+        let cap = need + ROW_SLACK as usize;
+        let tail = self.slots.len();
+        if tail + cap > self.limit {
+            return false;
+        }
+        let Row { start, len } = self.rows[j];
+        self.slots
+            .extend_from_within(start as usize..(start + len) as usize);
+        self.slots.resize(tail + cap, u32::MAX);
+        self.rows[j].start = tail as u32;
+        self.caps[j] = cap as u32;
+        true
+    }
+
+    /// Full rebuilds [`Adjacency::apply_moves`] fell back to because a
+    /// row outgrew its slack and the relocation budget was spent.
+    pub fn overflow_rebuilds(&self) -> u64 {
+        self.overflow_rebuilds
     }
 
     /// Number of nodes the snapshot covers.
     pub fn len(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+        self.rows.len()
     }
 
     /// Whether the snapshot covers no nodes.
@@ -142,19 +285,31 @@ impl Adjacency {
     /// One-hop neighbors of node `i`, ascending, `i` excluded.
     #[inline]
     pub fn neighbors(&self, i: usize) -> &[u32] {
-        &self.neighbors[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        let Row { start, len } = self.rows[i];
+        &self.slots[start as usize..(start + len) as usize]
     }
 
-    /// The raw CSR arrays `(offsets, neighbors)` — snapshot serialization.
-    /// Empty offsets means an empty (never-built) snapshot.
-    pub fn csr(&self) -> (&[u32], &[u32]) {
-        (&self.offsets, &self.neighbors)
+    /// The compact CSR arrays `(offsets, neighbors)` — snapshot
+    /// serialization. Empty offsets means an empty (never-built)
+    /// snapshot; the row slack is not part of it.
+    pub fn csr(&self) -> (Vec<u32>, Vec<u32>) {
+        if !self.built {
+            return (Vec::new(), Vec::new());
+        }
+        let mut offsets = Vec::with_capacity(self.len() + 1);
+        let mut neighbors = Vec::new();
+        offsets.push(0);
+        for i in 0..self.len() {
+            neighbors.extend_from_slice(self.neighbors(i));
+            offsets.push(neighbors.len() as u32);
+        }
+        (offsets, neighbors)
     }
 
-    /// Reconstructs a snapshot from serialized CSR arrays. The rebuild
-    /// scratch, double-buffer spares, and epoch stamps are transient
-    /// (resized on demand, never read before being written), so only the
-    /// CSR itself round-trips.
+    /// Reconstructs a snapshot from serialized CSR arrays, re-laying the
+    /// rows out with fresh slack. The query scratch and epoch stamps are
+    /// transient (resized on demand, never read before being written),
+    /// so only the CSR itself round-trips.
     ///
     /// # Panics
     ///
@@ -162,25 +317,27 @@ impl Adjacency {
     /// monotone, or not ending at `neighbors.len()`), unless both vectors
     /// are empty (the never-built state).
     pub fn from_csr(offsets: Vec<u32>, neighbors: Vec<u32>) -> Self {
-        if !offsets.is_empty() {
-            assert_eq!(offsets[0], 0, "CSR offsets must start at 0");
-            assert!(
-                offsets.windows(2).all(|w| w[0] <= w[1]),
-                "CSR offsets must be monotone"
-            );
-            assert_eq!(
-                *offsets.last().unwrap() as usize,
-                neighbors.len(),
-                "CSR offsets must end at neighbors.len()"
-            );
-        } else {
+        let mut adj = Adjacency::default();
+        if offsets.is_empty() {
             assert!(neighbors.is_empty(), "neighbors without offsets");
+            return adj;
         }
-        Adjacency {
-            offsets,
-            neighbors,
-            ..Adjacency::default()
+        assert_eq!(offsets[0], 0, "CSR offsets must start at 0");
+        assert!(
+            offsets.windows(2).all(|w| w[0] <= w[1]),
+            "CSR offsets must be monotone"
+        );
+        assert_eq!(
+            *offsets.last().unwrap() as usize,
+            neighbors.len(),
+            "CSR offsets must end at neighbors.len()"
+        );
+        for w in offsets.windows(2) {
+            let row = &neighbors[w[0] as usize..w[1] as usize];
+            adj.push_row(row.iter().copied());
         }
+        adj.seal();
+        adj
     }
 }
 
@@ -246,11 +403,7 @@ mod tests {
             deltas.push((i, from, target));
         }
         let requeried = adj.apply_moves(&net, deltas.iter().copied());
-        assert!(requeried >= moves.len(), "movers themselves re-query");
-        assert!(
-            requeried < net.len(),
-            "far rows must be copied, not re-queried"
-        );
+        assert_eq!(requeried, moves.len(), "only the movers re-query");
         let fresh = Adjacency::build(&net);
         for i in 0..net.len() {
             assert_eq!(adj.neighbors(i), fresh.neighbors(i), "row {i}");

@@ -5,7 +5,7 @@ use laacad_geom::Point;
 use laacad_wsn::mds::classical_mds;
 use laacad_wsn::multihop::ring_neighborhood;
 use laacad_wsn::spatial::SpatialGrid;
-use laacad_wsn::{FlatGrid, Network, NodeId};
+use laacad_wsn::{Adjacency, FlatGrid, Network, NodeId};
 use proptest::prelude::*;
 
 fn points(min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
@@ -15,8 +15,102 @@ fn points(min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
     )
 }
 
+/// Every row and the serialized CSR of a patched adjacency equal a
+/// fresh build at the same positions, bit for bit.
+fn assert_matches_build(adj: &Adjacency, net: &Network) -> Result<(), TestCaseError> {
+    let fresh = Adjacency::build(net);
+    prop_assert_eq!(adj.len(), fresh.len());
+    for i in 0..net.len() {
+        prop_assert_eq!(adj.neighbors(i), fresh.neighbors(i), "row {}", i);
+    }
+    prop_assert_eq!(adj.csr(), fresh.csr());
+    Ok(())
+}
+
+/// Moves `i` to `to` and records the `(index, old, new)` delta.
+fn displace(net: &mut Network, batch: &mut Vec<(usize, Point, Point)>, i: usize, to: Point) {
+    let from = net.position(NodeId(i));
+    net.move_node(NodeId(i), to);
+    batch.push((i, from, to));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Adjacency::apply_moves` against a fresh build after every batch:
+    /// clouds with co-located points and points exactly γ apart,
+    /// single-mover batches (the async executor), multi-mover batches
+    /// (sync partial rounds), a node appearing twice in one batch
+    /// (`displace_nodes` then a round move), nudges and long jumps.
+    #[test]
+    fn adjacency_patch_matches_fresh_build(
+        pts in points(2, 60),
+        twins in prop::collection::vec((0usize..60, 0u8..3), 0..10),
+        gamma in 0.08f64..0.35,
+        moves in prop::collection::vec((0usize..80, 0.0f64..1.0, 0.0f64..1.0, 0u8..6), 1..40),
+    ) {
+        let mut pts = pts;
+        for &(i, kind) in &twins {
+            let p = pts[i % pts.len()];
+            pts.push(match kind {
+                0 => p,
+                1 => Point::new(p.x + gamma, p.y),
+                _ => Point::new(p.x, p.y - gamma),
+            });
+        }
+        let mut net = Network::from_positions(gamma, pts.iter().copied());
+        let mut adj = Adjacency::build(&net);
+        let n = net.len();
+        let mut batch = Vec::new();
+        for &(i, x, y, mode) in &moves {
+            let i = i % n;
+            let here = net.position(NodeId(i));
+            let other = net.position(NodeId((x * n as f64) as usize % n));
+            let to = match mode {
+                // A nudge, then the same node again in the same batch.
+                0 => Point::new(here.x + (x - 0.5) * 0.05, here.y + (y - 0.5) * 0.05),
+                // Exactly γ from another node.
+                1 => Point::new(other.x + gamma, other.y),
+                // Onto another node.
+                2 => other,
+                // A long jump anywhere in the square.
+                _ => Point::new(x, y),
+            };
+            displace(&mut net, &mut batch, i, to);
+            if mode == 0 {
+                displace(&mut net, &mut batch, i, Point::new(to.x + 0.01, to.y));
+            }
+            // Modes 3 and 4 close a batch of one or more movers.
+            if (3..=4).contains(&mode) || batch.len() > 6 {
+                adj.apply_moves(&net, batch.drain(..));
+                assert_matches_build(&adj, &net)?;
+            }
+        }
+        adj.apply_moves(&net, batch.drain(..));
+        assert_matches_build(&adj, &net)?;
+    }
+
+    /// Herding every node, one single-mover patch at a time, into a disc
+    /// smaller than γ: rows grow past their slack, relocate, and finally
+    /// exhaust the relocation budget, forcing counted fallback rebuilds
+    /// — and every intermediate snapshot still equals a fresh build.
+    #[test]
+    fn adjacency_patch_survives_slack_overflow(
+        pts in points(12, 40),
+        cx in 0.2f64..0.8,
+        cy in 0.2f64..0.8,
+        offsets in prop::collection::vec((-0.04f64..0.04, -0.04f64..0.04), 40),
+    ) {
+        let mut net = Network::from_positions(0.1, pts.iter().copied());
+        let mut adj = Adjacency::build(&net);
+        let mut batch = Vec::new();
+        for (i, &(dx, dy)) in offsets.iter().enumerate().take(net.len()) {
+            displace(&mut net, &mut batch, i, Point::new(cx + dx, cy + dy));
+            adj.apply_moves(&net, batch.drain(..));
+            assert_matches_build(&adj, &net)?;
+        }
+        prop_assert!(adj.overflow_rebuilds() > 0, "no row outgrew its slack");
+    }
 
     #[test]
     fn spatial_grid_matches_brute_force(
