@@ -797,7 +797,7 @@ impl AsyncExecutor {
                     .position(|e| matches!(e.kind, EventKind::ApplyMove { .. }))
                     .map(|p| cursor + p + 1)
                     .unwrap_or(batch.len());
-                let mut views = self.precompute(&batch[cursor..end], cursor);
+                let mut views = self.precompute(&batch[cursor..end]);
                 for ev in &batch[cursor..end] {
                     if self.events_processed >= self.proto.max_events {
                         return Termination::EventBudget;
@@ -834,7 +834,7 @@ impl AsyncExecutor {
     /// discarded — eligibility here is an optimization, never a
     /// correctness input. Skipped entirely when beliefs may perturb a
     /// compute (corruption with validation off).
-    fn precompute(&mut self, segment: &[Event], _offset: usize) -> HashMap<u64, NodeView> {
+    fn precompute(&mut self, segment: &[Event]) -> HashMap<u64, NodeView> {
         let mut out = HashMap::new();
         if self.workers <= 1 || segment.len() < 2 {
             return out;

@@ -352,8 +352,7 @@ fn retry_exhaustion_terminates_with_partial_neighborhoods() {
 
 /// Fixed vs adaptive backoff at 10% loss: both policies converge; the
 /// adaptive one actually feeds its estimators and the message overhead
-/// difference is observable in `ProtocolStats` (the bench pins the
-/// magnitude).
+/// difference is observable in `ProtocolStats`.
 #[test]
 fn adaptive_backoff_converges_and_measures_overhead() {
     let plan = FaultPlan {

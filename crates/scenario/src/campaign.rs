@@ -270,7 +270,7 @@ pub struct CampaignSpec {
     pub grid: ParamGrid,
     /// Checkpoint cadence in rounds (`0` = off, the default). When set,
     /// [`run_campaign_observed`] writes a `<name>.cell<index>.checkpoint`
-    /// file (the `laacad-checkpoint/1` format of [`crate::checkpoint`])
+    /// file (the `laacad-checkpoint/2` format of [`crate::checkpoint`])
     /// beside the result store every `checkpoint_every` rounds of each
     /// synchronous cell, removes it when the cell completes, and
     /// **resumes from it** when a killed campaign is rerun — with
@@ -884,7 +884,7 @@ fn run_cell_recorded(cell: CampaignCell, record: bool) -> (CellResult, Option<Se
 }
 
 /// [`run_cell_recorded`] with campaign-level checkpointing: writes the
-/// cell's `laacad-checkpoint/1` file beside the result store every
+/// cell's `laacad-checkpoint/2` file beside the result store every
 /// `every` rounds, **resumes** from an existing file (a killed campaign
 /// rerun), and removes the file once the cell completes — so a resumed
 /// campaign produces results bit-identical to an uninterrupted one.

@@ -10,10 +10,17 @@
 //! to the uninterrupted run — pinned by this module's tests and the
 //! `checkpoint_resume` integration test.
 //!
-//! The wire format is `laacad-checkpoint/1`: the magic line, then the
+//! The wire format is `laacad-checkpoint/2`: the magic line, then the
 //! length-prefixed session snapshot, then the hook and probe sections,
 //! all integers little-endian u64 and floats as IEEE-754 bit patterns
-//! (the same conventions as the session snapshot it embeds).
+//! (the same conventions as the session snapshot it embeds), then an
+//! FNV-1a 64 checksum of everything before it. The loop verdict, the
+//! hook's RNG state and the probe series have no other consistency
+//! check: without the checksum a flipped bit there decodes cleanly and
+//! resumes to a different answer. Resume also cross-checks the header
+//! round and the hook's event cursor against the restored session, so
+//! a well-formed but inconsistent file is refused rather than
+//! re-firing applied events.
 //!
 //! Campaigns opt in with `checkpoint_every = <rounds>` at the top level
 //! of the campaign document; the runner then writes
@@ -29,7 +36,7 @@ use laacad::{ObservedRound, Recorder, Session, SessionBuilder};
 
 /// First bytes of every serialized checkpoint; the trailing newline
 /// makes `head -1` on a checkpoint file print the version.
-pub const CHECKPOINT_MAGIC: &[u8] = b"laacad-checkpoint/1\n";
+pub const CHECKPOINT_MAGIC: &[u8] = b"laacad-checkpoint/2\n";
 
 /// The resumable state of a synchronous scenario run, captured after a
 /// completed round (events fired, probe sampled).
@@ -80,9 +87,9 @@ impl ScenarioCheckpoint {
         }
     }
 
-    /// Serializes as a `laacad-checkpoint/1` buffer.
+    /// Serializes as a `laacad-checkpoint/2` buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(CHECKPOINT_MAGIC.len() + 64 + self.session.len());
+        let mut out = Vec::with_capacity(CHECKPOINT_MAGIC.len() + 72 + self.session.len());
         out.extend_from_slice(CHECKPOINT_MAGIC);
         put_u64(&mut out, self.round as u64);
         put_u64(&mut out, self.session.len() as u64);
@@ -110,23 +117,29 @@ impl ScenarioCheckpoint {
             put_u64(&mut out, round as u64);
             put_u64(&mut out, fraction.to_bits());
         }
+        let checksum = fnv1a64(&out);
+        put_u64(&mut out, checksum);
         out
     }
 
-    /// Deserializes a `laacad-checkpoint/1` buffer.
+    /// Deserializes a `laacad-checkpoint/2` buffer.
     ///
     /// # Errors
     ///
-    /// [`SpecError::Build`] on a wrong magic line, truncation, trailing
-    /// bytes, or malformed sections. The embedded session snapshot is
-    /// *not* validated here — [`resume_scenario`] does that when it
-    /// restores the session.
+    /// [`SpecError::Build`] on a wrong magic line, a checksum mismatch,
+    /// truncation, trailing bytes, or malformed sections. The embedded
+    /// session snapshot is *not* decoded here — [`resume_scenario`] does
+    /// that when it restores the session.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SpecError> {
         let corrupt = |m: &str| SpecError::Build(format!("checkpoint: {m}"));
-        if bytes.len() < CHECKPOINT_MAGIC.len()
+        if bytes.len() < CHECKPOINT_MAGIC.len() + 8
             || &bytes[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC
         {
-            return Err(corrupt("not a laacad-checkpoint/1 buffer"));
+            return Err(corrupt("not a laacad-checkpoint/2 buffer"));
+        }
+        let (bytes, checksum) = bytes.split_at(bytes.len() - 8);
+        if fnv1a64(bytes).to_le_bytes() != checksum {
+            return Err(corrupt("checksum mismatch"));
         }
         let mut r = Cursor {
             bytes,
@@ -180,6 +193,14 @@ impl ScenarioCheckpoint {
             probe,
         })
     }
+}
+
+/// 64-bit FNV-1a: detects the flipped bits and torn writes a checkpoint
+/// file can suffer on disk (not an adversarial MAC).
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -280,7 +301,9 @@ pub fn run_scenario_checkpointed(
 ///
 /// As [`run_scenario_checkpointed`], plus [`SpecError::Build`] when the
 /// embedded session snapshot fails validation (corrupt or
-/// version-mismatched checkpoint files).
+/// version-mismatched checkpoint files), when the header round differs
+/// from the restored session's, or when the hook's event cursor and log
+/// do not match the timeline entries due by that round.
 pub fn resume_scenario(
     spec: &ScenarioSpec,
     seed: u64,
@@ -320,12 +343,21 @@ pub(crate) fn run_checkpointed_impl(
             let sim = SessionBuilder::restore(&ckpt.session).map_err(|e| {
                 SpecError::Build(format!("cannot restore the checkpointed session: {e}"))
             })?;
+            if ckpt.round != sim.rounds_executed() {
+                return Err(SpecError::Build(format!(
+                    "checkpoint: header says round {} but the session executed {}",
+                    ckpt.round,
+                    sim.rounds_executed()
+                )));
+            }
             let hook = TimelineHook::restore(
                 &spec.events,
+                ckpt.round,
                 ckpt.hook_next,
                 ckpt.hook_rng,
                 ckpt.hook_log.clone(),
-            );
+            )
+            .map_err(|e| SpecError::Build(format!("checkpoint: {e}")))?;
             let probe = CoverageProbe {
                 samples: spec.evaluation.round_coverage_samples,
                 series: ckpt.probe.clone(),
@@ -453,6 +485,56 @@ mod tests {
         let a = resume_scenario(&spec, 9, &ckpt, 0, &mut |_| Ok(())).unwrap();
         let b = resume_scenario(&spec, 9, &decoded, 0, &mut |_| Ok(())).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn resume_refuses_a_header_or_event_cursor_that_disagrees_with_the_session() {
+        let spec = churn_spec();
+        let mut round5 = None;
+        run_scenario_checkpointed(&spec, 41, 5, &mut |c| {
+            round5.get_or_insert_with(|| c.clone());
+            Ok(())
+        })
+        .unwrap();
+        // The round-3 event has fired; the round-12 one has not.
+        let ckpt = round5.expect("a checkpoint fired");
+        assert_eq!((ckpt.round, ckpt.hook_next), (5, 1));
+        let resume = |c: &ScenarioCheckpoint| resume_scenario(&spec, 41, c, 0, &mut |_| Ok(()));
+        assert!(resume(&ckpt).is_ok());
+        for (what, bad) in [
+            (
+                "round ahead",
+                ScenarioCheckpoint {
+                    round: 6,
+                    ..ckpt.clone()
+                },
+            ),
+            (
+                "re-fires",
+                ScenarioCheckpoint {
+                    hook_next: 0,
+                    hook_log: Vec::new(),
+                    ..ckpt.clone()
+                },
+            ),
+            (
+                "skips ahead",
+                ScenarioCheckpoint {
+                    hook_next: 2,
+                    ..ckpt.clone()
+                },
+            ),
+            (
+                "short log",
+                ScenarioCheckpoint {
+                    hook_log: Vec::new(),
+                    ..ckpt.clone()
+                },
+            ),
+        ] {
+            let err = resume(&bad).expect_err(what).to_string();
+            assert!(err.contains("checkpoint"), "{what}: {err}");
+        }
     }
 
     #[test]

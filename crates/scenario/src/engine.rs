@@ -398,7 +398,7 @@ impl ScenarioOutcome {
 }
 
 /// Builds the session and timeline observer for `spec` at `seed`
-/// without running it (the bench fixtures use this to construct
+/// without running it (the benchmark of record uses this to construct
 /// workloads).
 pub fn build_scenario(
     spec: &ScenarioSpec,

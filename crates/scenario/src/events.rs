@@ -69,21 +69,42 @@ impl TimelineHook {
         (self.next, self.rng.state(), &self.log)
     }
 
-    /// Rebuilds a hook mid-run from [`TimelineHook::checkpoint`] state.
-    /// `events` must be the same spec timeline the original hook was
-    /// built from; `rng_state` resumes the victim/placement stream
-    /// exactly where the checkpoint left it.
+    /// Rebuilds a hook mid-run from [`TimelineHook::checkpoint`] state
+    /// taken after `round`. `events` must be the same spec timeline the
+    /// original hook was built from; `rng_state` resumes the
+    /// victim/placement stream exactly where the checkpoint left it.
+    ///
+    /// # Errors
+    ///
+    /// A description of the mismatch when the state cannot be that of a
+    /// hook after `round`: `next` must count exactly the timeline
+    /// entries due by `round`, and `log` must hold one entry per fired
+    /// event. A cursor that lost counts would otherwise re-fire applied
+    /// events.
     pub fn restore(
         events: &[EventSpec],
+        round: usize,
         next: usize,
         rng_state: u64,
         log: Vec<AppliedEvent>,
-    ) -> Self {
+    ) -> Result<Self, String> {
         let mut hook = TimelineHook::new(events, 0);
-        hook.next = next.min(hook.events.len());
+        let due = hook.events.partition_point(|e| e.round <= round);
+        if next != due {
+            return Err(format!(
+                "event cursor {next} does not match the {due} timeline entries due by round {round}"
+            ));
+        }
+        if log.len() != next {
+            return Err(format!(
+                "event log holds {} entries for {next} fired events",
+                log.len()
+            ));
+        }
+        hook.next = next;
         hook.rng = SplitMix64::new(rng_state);
         hook.log = log;
-        hook
+        Ok(hook)
     }
 
     /// Consumes the hook, returning its event log.

@@ -6,7 +6,7 @@
 use laacad_scenario::{
     resume_scenario, run_scenario, run_scenario_checkpointed, to_csv, to_jsonl, CampaignSpec,
     CellResult, EventAction, EventSpec, PlacementSpec, ScenarioCheckpoint, ScenarioOutcome,
-    ScenarioSpec,
+    ScenarioSpec, CHECKPOINT_MAGIC,
 };
 
 /// 40 nodes, k = 2, a 300-round budget, and a failure+churn timeline
@@ -91,4 +91,51 @@ fn checkpoint_at_round_50_resumes_to_identical_jsonl() {
     assert_eq!(plain_jsonl, ckpt_jsonl, "checkpointing changed the run");
     assert_eq!(plain_jsonl, resumed_jsonl, "resume diverged from the run");
     assert_eq!(plain_csv, resumed_csv);
+}
+
+/// The checkpoint decoder and the resume path are an input boundary:
+/// every single-byte flip of the header, hook and probe sections (the
+/// embedded session snapshot has its own test in `laacad`) and every
+/// truncation must be refused or resume to exactly the uninterrupted
+/// outcome — never panic, never resume to a different answer.
+#[test]
+fn corrupt_and_truncated_checkpoints_never_panic() {
+    let spec = churn_300_spec();
+    let seed = 1_234;
+    let plain = run_scenario(&spec, seed).unwrap();
+    let mut round50 = None;
+    run_scenario_checkpointed(&spec, seed, 50, &mut |ckpt| {
+        if ckpt.round() == 50 {
+            round50 = Some(ckpt.to_bytes());
+        }
+        Ok(())
+    })
+    .unwrap();
+    let bytes = round50.expect("round 50 checkpoint was offered");
+
+    // Magic line, round and snapshot length form the header; the loop
+    // verdict, hook and probe sections follow the embedded snapshot.
+    let header = CHECKPOINT_MAGIC.len() + 16;
+    let session_len = u64::from_le_bytes(bytes[header - 8..header].try_into().unwrap()) as usize;
+    for at in (0..header).chain(header + session_len..bytes.len()) {
+        for flip in [0x01u8, 0x80, 0xFF] {
+            let mut corrupt = bytes.clone();
+            corrupt[at] ^= flip;
+            let Ok(ckpt) = ScenarioCheckpoint::from_bytes(&corrupt) else {
+                continue;
+            };
+            if let Ok(resumed) = resume_scenario(&spec, seed, &ckpt, 0, &mut |_| Ok(())) {
+                assert_eq!(
+                    resumed, plain,
+                    "byte {at} ^ {flip:#04x} resumed differently"
+                );
+            }
+        }
+    }
+    for len in 0..bytes.len() {
+        assert!(
+            ScenarioCheckpoint::from_bytes(&bytes[..len]).is_err(),
+            "a {len}-byte prefix decoded"
+        );
+    }
 }

@@ -2,8 +2,8 @@
 //!
 //! "As the sensing range is modeled as a disk centered at `u_i` with
 //! radius `r_i`, we naturally define the energy consumption function as
-//! `E(r_i) = π r_i²`." The exponent is configurable so the ablation
-//! benches can explore super-quadratic sensing costs.
+//! `E(r_i) = π r_i²`." The exponent is configurable so ablation
+//! experiments can explore super-quadratic sensing costs.
 
 use crate::network::Network;
 
