@@ -55,8 +55,8 @@ mod tests {
 
     #[test]
     fn table1_numbers_reproduce() {
-        // Table I: |A| = 10⁴ m² (see DESIGN.md §3 on units), R* from the
-        // paper's runs → N*. Spot-check the published rows.
+        // Table I: |A| = 10⁴ m² (the paper says "1 km²", but only 10⁴
+        // reproduces its own N* column), R* from the paper's runs → N*. Spot-check the published rows.
         for (r_star, n_star) in [
             (3.035f64, 836.0f64),
             (2.712, 1047.0),

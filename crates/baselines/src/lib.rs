@@ -11,9 +11,7 @@
 //!   needing `6k|A|/((4π−3√3)r²)` nodes for k-coverage (Table II);
 //! * [`lloyd`] — a centroid-target (Lloyd) ablation of LAACAD's
 //!   Chebyshev-center motion rule, the strategy of the paper's refs
-//!   \[9\]/\[10\] generalized to order-k regions;
-//! * [`random`] — uniform random deployments with the coverage
-//!   probability they achieve.
+//!   \[9\]/\[10\] generalized to order-k regions.
 //!
 //! # Example
 //!
@@ -31,7 +29,6 @@ pub mod ammari;
 pub mod bai;
 pub mod lattice;
 pub mod lloyd;
-pub mod random;
 
 pub use ammari::{ammari_min_nodes, ammari_pattern};
 pub use bai::{bai_min_nodes, bai_pattern};

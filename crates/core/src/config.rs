@@ -31,8 +31,7 @@ pub enum ExecutionMode {
     Sequential,
 }
 
-/// How the searching ring bounds a dominating region (paper Fig. 3 and
-/// DESIGN.md §3).
+/// How the searching ring bounds a dominating region (paper Fig. 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RingCapPolicy {
     /// Cap by the `ρ/2` disk exactly when the ring check succeeded (the
@@ -70,7 +69,8 @@ pub struct LaacadConfig {
     /// Ring-cap policy for dominating regions.
     pub ring_cap: RingCapPolicy,
     /// Number of vertices of the circumscribed polygon that stands in for
-    /// disk caps (documented approximation, DESIGN.md §3).
+    /// disk caps (it contains the disk, so a cap never truncates the true
+    /// dominating region).
     pub cap_vertices: usize,
     /// Coordinate acquisition mode.
     pub coordinates: CoordinateMode,

@@ -41,8 +41,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! See `DESIGN.md` (repository root) for the implementation inventory and
-//! `EXPERIMENTS.md` for the paper-versus-measured record.
+//! The repository README lists the crates and the command that
+//! reproduces the paper's figures and tables from the specs under
+//! `scenarios/` (`cargo run --release -- scenarios/<spec>.toml`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

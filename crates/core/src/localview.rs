@@ -471,7 +471,7 @@ fn carve_region(
 ) {
     // Ring-cap policy. The cap polygon is circumscribed (not inscribed)
     // so it never truncates the true dominating region — the
-    // approximation can only *over*-estimate (DESIGN.md §3).
+    // approximation can only *over*-estimate.
     let apply_cap = match config.ring_cap {
         RingCapPolicy::AlwaysCap => true,
         RingCapPolicy::Exact => dominated,

@@ -14,8 +14,7 @@
 //! * [`arc::ArcCover`]: exact minimum coverage depth of a circle by arcs
 //!   (the Algorithm 2 ring check, lines 5–8),
 //! * [`transform::Isometry`] rigid motions and [`transform::procrustes`]
-//!   alignment (used to map MDS-local coordinates back to motion commands),
-//! * [`reuleaux`] helpers for the Ammari–Das baseline.
+//!   alignment (used to map MDS-local coordinates back to motion commands).
 //!
 //! # Example
 //!
@@ -41,7 +40,6 @@ pub mod line;
 pub mod point;
 pub mod polygon;
 pub mod predicates;
-pub mod reuleaux;
 pub mod segment;
 pub mod transform;
 pub mod welzl;

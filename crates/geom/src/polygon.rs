@@ -108,8 +108,8 @@ impl Polygon {
     /// Regular `n`-gon inscribed in the circle of radius `r` around
     /// `center`, starting at angle `phase`.
     ///
-    /// Used to approximate disk-shaped search-ring caps (documented
-    /// approximation, see DESIGN.md §3).
+    /// Used to approximate disk-shaped search-ring caps; scaling `r` by
+    /// `1 / cos(π / n)` circumscribes the circle instead.
     ///
     /// # Errors
     ///

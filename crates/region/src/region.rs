@@ -193,8 +193,7 @@ impl Region {
     ///
     /// Needed when a motion target (a Chebyshev center of a non-convex
     /// dominating region) lands inside an obstacle or outside the outer
-    /// boundary — the paper does not specify this case; we project
-    /// (DESIGN.md §3).
+    /// boundary — the paper does not specify this case; we project.
     pub fn project(&self, p: Point) -> Point {
         if self.contains(p) {
             return p;

@@ -12,21 +12,18 @@
 //! [`expand`] unrolls the grid into an ordered list of
 //! [`CampaignCell`]s — the order is a pure function of the spec, which
 //! is what makes campaign reruns byte-identical — and [`run_campaign`]
-//! executes the cells across all cores via [`crate::exec::parallel_map`].
-//! [`run_campaign_observed`] adds streaming persistence, per-cell
-//! telemetry files, and a live progress callback.
+//! executes the cells across all cores, with optional streaming
+//! persistence, per-cell telemetry files and a live progress callback.
 //!
 //! [`expand`]: CampaignSpec::expand
 
-use crate::checkpoint::{run_checkpointed_impl, ScenarioCheckpoint};
-use crate::engine::{run_scenario, run_scenario_recorded, ScenarioOutcome};
-use crate::exec::parallel_map;
+use crate::checkpoint::ScenarioCheckpoint;
+use crate::engine::{run_scenario, CheckpointPolicy, RunOptions, ScenarioOutcome};
 use crate::results::ResultStore;
 use crate::spec::{DelaySpec, ScenarioSpec, SpecError};
 use crate::value::{decode, encode, DecodeError, Value};
 use laacad::{Recorder, SessionTelemetry};
 use laacad_exec::parallel_map_visit;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// The sweep axes. Empty vectors mean "use the scenario's own value".
@@ -82,15 +79,6 @@ pub enum ZipSpec {
 }
 
 impl ParamGrid {
-    /// A grid running the scenario as-is over `count` seeds starting at
-    /// `start`.
-    pub fn seed_range(start: u64, count: usize) -> Self {
-        ParamGrid {
-            seeds: (0..count as u64).map(|i| start + i).collect(),
-            ..ParamGrid::default()
-        }
-    }
-
     fn from_value(v: &Value, path: &str) -> Result<Self, SpecError> {
         let list_u64 = |key: &str| -> Result<Vec<u64>, SpecError> {
             match v.get(key) {
@@ -269,7 +257,7 @@ pub struct CampaignSpec {
     /// The sweep.
     pub grid: ParamGrid,
     /// Checkpoint cadence in rounds (`0` = off, the default). When set,
-    /// [`run_campaign_observed`] writes a `<name>.cell<index>.checkpoint`
+    /// [`run_campaign`] writes a `<name>.cell<index>.checkpoint`
     /// file (the `laacad-checkpoint/2` format of [`crate::checkpoint`])
     /// beside the result store every `checkpoint_every` rounds of each
     /// synchronous cell, removes it when the cell completes, and
@@ -277,7 +265,8 @@ pub struct CampaignSpec {
     /// results bit-identical to an uninterrupted run. Scenarios carrying
     /// a `[faults]` section run on the asynchronous executor, which has
     /// no snapshot support: [`CampaignSpec::expand`] rejects them when
-    /// this is set.
+    /// this is set, and [`run_campaign`] refuses a cadence without a
+    /// result directory to write the files to.
     pub checkpoint_every: usize,
 }
 
@@ -814,174 +803,7 @@ impl CampaignSpec {
     }
 }
 
-/// Expands and executes a campaign across all cores.
-///
-/// Results come back in expansion order (not completion order), so two
-/// runs of the same campaign produce identical result sequences.
-///
-/// # Errors
-///
-/// Fails only when the grid itself cannot be expanded; individual cell
-/// failures are embedded in the returned [`CellResult`]s.
-pub fn run_campaign(campaign: &CampaignSpec) -> Result<Vec<CellResult>, SpecError> {
-    let cells = campaign.expand()?;
-    Ok(parallel_map(cells, run_cell))
-}
-
-fn cell_info(cell: &CampaignCell) -> CellInfo {
-    CellInfo {
-        index: cell.index,
-        scenario: cell.scenario.name.clone(),
-        seed: cell.seed,
-        n: cell.n,
-        k: cell.k,
-        alpha: cell.alpha,
-        gamma: cell.gamma,
-        loss: cell.loss,
-        delay: cell.delay,
-        corruption: cell.corruption,
-    }
-}
-
-fn run_cell(cell: CampaignCell) -> CellResult {
-    let info = cell_info(&cell);
-    CellResult {
-        cell: info,
-        outcome: run_scenario(&cell.scenario, cell.seed),
-    }
-}
-
-/// [`run_cell`] with an optional [`SessionTelemetry`] recorder riding
-/// along. Telemetry is observational only, so the [`CellResult`] is
-/// identical either way.
-fn run_cell_recorded(cell: CampaignCell, record: bool) -> (CellResult, Option<SessionTelemetry>) {
-    if !record {
-        return (run_cell(cell), None);
-    }
-    let info = cell_info(&cell);
-    match run_scenario_recorded(&cell.scenario, cell.seed, Box::new(SessionTelemetry::new())) {
-        Ok((outcome, recorder)) => {
-            let telemetry = recorder
-                .as_any()
-                .downcast_ref::<SessionTelemetry>()
-                .cloned();
-            (
-                CellResult {
-                    cell: info,
-                    outcome: Ok(outcome),
-                },
-                telemetry,
-            )
-        }
-        Err(e) => (
-            CellResult {
-                cell: info,
-                outcome: Err(e),
-            },
-            None,
-        ),
-    }
-}
-
-/// [`run_cell_recorded`] with campaign-level checkpointing: writes the
-/// cell's `laacad-checkpoint/2` file beside the result store every
-/// `every` rounds, **resumes** from an existing file (a killed campaign
-/// rerun), and removes the file once the cell completes — so a resumed
-/// campaign produces results bit-identical to an uninterrupted one.
-/// `[faults]` cells never get here with `every > 0`:
-/// [`CampaignSpec::expand`] refuses that combination up front.
-fn run_cell_checkpointed(
-    cell: CampaignCell,
-    record: bool,
-    every: usize,
-    dir: &Path,
-    name: &str,
-) -> (CellResult, Option<SessionTelemetry>) {
-    if every == 0 {
-        return run_cell_recorded(cell, record);
-    }
-    let info = cell_info(&cell);
-    let path = dir.join(format!("{name}.cell{}.checkpoint", cell.index));
-    // An unreadable or corrupt checkpoint file must not wedge the
-    // campaign — start the cell over instead of failing it.
-    let resume = std::fs::read(&path)
-        .ok()
-        .and_then(|bytes| ScenarioCheckpoint::from_bytes(&bytes).ok());
-    let mut sink = |ckpt: &ScenarioCheckpoint| {
-        std::fs::write(&path, ckpt.to_bytes()).map_err(|e| SpecError::Io(e.to_string()))
-    };
-    let recorder: Option<Box<dyn Recorder>> =
-        record.then(|| Box::new(SessionTelemetry::new()) as Box<dyn Recorder>);
-    match run_checkpointed_impl(
-        &cell.scenario,
-        cell.seed,
-        every,
-        resume.as_ref(),
-        &mut sink,
-        recorder,
-    ) {
-        Ok((outcome, recorder)) => {
-            let _ = std::fs::remove_file(&path);
-            let telemetry =
-                recorder.and_then(|r| r.as_any().downcast_ref::<SessionTelemetry>().cloned());
-            (
-                CellResult {
-                    cell: info,
-                    outcome: Ok(outcome),
-                },
-                telemetry,
-            )
-        }
-        Err(e) => (
-            CellResult {
-                cell: info,
-                outcome: Err(e),
-            },
-            None,
-        ),
-    }
-}
-
-/// Writes one cell's telemetry pair beside the campaign result files.
-fn write_cell_telemetry(
-    dir: &Path,
-    name: &str,
-    index: usize,
-    telemetry: &SessionTelemetry,
-) -> std::io::Result<()> {
-    std::fs::write(
-        dir.join(format!("{name}.cell{index}.telemetry.jsonl")),
-        telemetry.jsonl.finish(),
-    )?;
-    std::fs::write(
-        dir.join(format!("{name}.cell{index}.trace.json")),
-        telemetry.trace.finish(),
-    )
-}
-
-/// [`run_campaign`] with **streaming result persistence**: every cell's
-/// JSONL line and CSV row are appended to `store`'s files — and flushed —
-/// the moment the cell (and every cell before it, to keep expansion
-/// order) completes, instead of buffering the whole grid in memory until
-/// the end. A campaign killed halfway leaves every finished row on disk;
-/// a completed one produces files **byte-identical** to
-/// [`ResultStore::write`] on the same results (pinned by the
-/// `streaming` integration test). Returns the two file paths and the
-/// full in-memory results for downstream rendering.
-///
-/// # Errors
-///
-/// Fails when the grid cannot be expanded ([`SpecError::Build`]) or a
-/// file operation fails ([`SpecError::Io`]); per-cell *run* failures are
-/// embedded in the returned [`CellResult`]s as with [`run_campaign`].
-pub fn run_campaign_streamed(
-    campaign: &CampaignSpec,
-    store: &ResultStore,
-) -> Result<(PathBuf, PathBuf, Vec<CellResult>), SpecError> {
-    run_campaign_observed(campaign, store, CampaignRunOptions::default())
-}
-
-/// Live progress of an observed campaign run, handed to the
+/// Live progress of a campaign run, handed to the
 /// [`CampaignRunOptions::progress`] callback after every completed cell
 /// (cells complete in expansion order).
 #[derive(Debug, Clone, PartialEq)]
@@ -999,23 +821,36 @@ pub struct CampaignProgress {
     pub eta_secs: Option<f64>,
 }
 
-/// Options for [`run_campaign_observed`].
+/// What [`run_campaign`] does besides running the cells. Every option
+/// only observes: the results are bit-identical whatever the options.
 #[derive(Default)]
 pub struct CampaignRunOptions<'a> {
-    /// Record telemetry for **every** cell. Cells whose scenario sets
-    /// `laacad.telemetry = true` are recorded regardless.
+    /// Result directory. Every cell's JSONL line and CSV row are
+    /// appended to `<name>.jsonl` / `<name>.csv` there — and flushed —
+    /// the moment the cell (and every cell before it, to keep expansion
+    /// order) completes, so a campaign killed halfway leaves every
+    /// finished row on disk. Checkpoint and telemetry files land here
+    /// too.
+    pub store: Option<&'a ResultStore>,
+    /// Record telemetry for **every** cell (needs a store). Cells whose
+    /// scenario sets `laacad.telemetry = true` are recorded whenever
+    /// there is a store.
     pub telemetry: bool,
     /// Called after each completed cell with the live progress.
     pub progress: Option<&'a mut dyn FnMut(&CampaignProgress)>,
 }
 
-/// [`run_campaign_streamed`] with **observability**: per-cell telemetry
-/// files and a live progress callback.
+/// Expands and executes a campaign across all cores, one
+/// [`run_scenario`] per cell.
 ///
-/// Every cell whose scenario enables `laacad.telemetry` — or every
-/// cell, with [`CampaignRunOptions::telemetry`] — runs with a
-/// [`SessionTelemetry`] recorder installed and leaves two files beside
-/// the streamed results in `store`:
+/// Results come back in expansion order (not completion order), so two
+/// runs of the same campaign produce identical result sequences — and,
+/// with a [`CampaignRunOptions::store`], byte-identical files
+/// ([`crate::to_jsonl`] / [`crate::to_csv`] of the returned results).
+///
+/// With a store, every recorded cell (see
+/// [`CampaignRunOptions::telemetry`]) runs with a [`SessionTelemetry`]
+/// recorder and leaves two files beside the results:
 ///
 /// * `<name>.cell<index>.telemetry.jsonl` — the deterministic work
 ///   metrics (counter deltas per round, no timestamps), byte-stable
@@ -1023,29 +858,41 @@ pub struct CampaignRunOptions<'a> {
 /// * `<name>.cell<index>.trace.json` — a Chrome trace-event file of
 ///   wall-clock stage spans (open in Perfetto or `chrome://tracing`).
 ///
-/// Telemetry never feeds back into the algorithm, so the JSONL/CSV
-/// result files stay byte-identical to a telemetry-free run (pinned by
-/// the `telemetry_campaign` integration test).
+/// With [`CampaignSpec::checkpoint_every`] set, each synchronous cell
+/// writes `<name>.cell<index>.checkpoint` to the store on that cadence,
+/// resumes from an existing file (a killed campaign rerun; an
+/// unreadable or corrupt file restarts the cell) and removes it when
+/// the cell completes.
 ///
 /// # Errors
 ///
-/// As [`run_campaign_streamed`]: grid expansion
-/// ([`SpecError::Build`]) or file I/O ([`SpecError::Io`]); per-cell
-/// run failures ride in the returned [`CellResult`]s.
-pub fn run_campaign_observed(
+/// [`SpecError::Build`] when the grid cannot be expanded, or when
+/// `checkpoint_every` or [`CampaignRunOptions::telemetry`] is set
+/// without a store to write to; [`SpecError::Io`] when a file operation
+/// fails. Individual cell failures are embedded in the returned
+/// [`CellResult`]s.
+pub fn run_campaign(
     campaign: &CampaignSpec,
-    store: &ResultStore,
     options: CampaignRunOptions<'_>,
-) -> Result<(PathBuf, PathBuf, Vec<CellResult>), SpecError> {
+) -> Result<Vec<CellResult>, SpecError> {
     let cells = campaign.expand()?;
-    let total = cells.len();
-    let record_all = options.telemetry;
-    let every = campaign.checkpoint_every;
-    let dir = store.dir();
-    let mut progress = options.progress;
+    let CampaignRunOptions {
+        store,
+        telemetry,
+        mut progress,
+    } = options;
+    if store.is_none() && (campaign.checkpoint_every > 0 || telemetry) {
+        return Err(SpecError::Build(
+            "`checkpoint_every` and telemetry write files beside the results: \
+             run the campaign with a result directory"
+                .into(),
+        ));
+    }
     let mut files = store
-        .open_stream(&campaign.name)
+        .map(|s| s.open_stream(&campaign.name).map(|f| (s, f)))
+        .transpose()
         .map_err(|e| SpecError::Io(e.to_string()))?;
+    let total = cells.len();
     let started = Instant::now();
     let mut completed = 0usize;
     let mut write_err: Option<std::io::Error> = None;
@@ -1053,20 +900,16 @@ pub fn run_campaign_observed(
         0,
         cells,
         |cell| {
-            let record = record_all || cell.scenario.laacad.telemetry;
-            run_cell_checkpointed(cell, record, every, dir, &campaign.name)
+            let record = store.is_some() && (telemetry || cell.scenario.laacad.telemetry);
+            run_cell(cell, record, campaign, store)
         },
-        |_, (result, telemetry)| {
-            if write_err.is_none() {
-                if let Err(e) = files.append(result) {
-                    write_err = Some(e);
-                } else if let Some(t) = telemetry {
-                    if let Err(e) =
-                        write_cell_telemetry(store.dir(), &campaign.name, result.cell.index, t)
-                    {
-                        write_err = Some(e);
-                    }
-                }
+        |_, (result, recorded)| {
+            if let (Some((store, files)), None) = (files.as_mut(), &write_err) {
+                let written = files.append(result).and_then(|()| match recorded {
+                    Some(t) => write_cell_telemetry(store, &campaign.name, result.cell.index, t),
+                    None => Ok(()),
+                });
+                write_err = written.err();
             }
             completed += 1;
             if let Some(cb) = progress.as_deref_mut() {
@@ -1091,8 +934,103 @@ pub fn run_campaign_observed(
     if let Some(e) = write_err {
         return Err(SpecError::Io(e.to_string()));
     }
-    let (jsonl, csv) = files.into_paths();
-    Ok((jsonl, csv, outputs.into_iter().map(|(r, _)| r).collect()))
+    Ok(outputs.into_iter().map(|(r, _)| r).collect())
+}
+
+fn cell_info(cell: &CampaignCell) -> CellInfo {
+    CellInfo {
+        index: cell.index,
+        scenario: cell.scenario.name.clone(),
+        seed: cell.seed,
+        n: cell.n,
+        k: cell.k,
+        alpha: cell.alpha,
+        gamma: cell.gamma,
+        loss: cell.loss,
+        delay: cell.delay,
+        corruption: cell.corruption,
+    }
+}
+
+/// Runs one campaign cell, with a [`SessionTelemetry`] recorder when
+/// `record` is set (handed back for a cell that ran) and the campaign's
+/// checkpoint cadence when it has one and a store. `[faults]` cells never get here with a cadence:
+/// [`CampaignSpec::expand`] refuses that combination up front.
+fn run_cell(
+    cell: CampaignCell,
+    record: bool,
+    campaign: &CampaignSpec,
+    store: Option<&ResultStore>,
+) -> (CellResult, Option<SessionTelemetry>) {
+    let mut recorder: Option<Box<dyn Recorder>> =
+        record.then(|| Box::new(SessionTelemetry::new()) as Box<dyn Recorder>);
+    let checkpoint_path = store.filter(|_| campaign.checkpoint_every > 0).map(|s| {
+        s.dir()
+            .join(format!("{}.cell{}.checkpoint", campaign.name, cell.index))
+    });
+    let outcome = match &checkpoint_path {
+        None => run_scenario(
+            &cell.scenario,
+            cell.seed,
+            RunOptions {
+                recorder: recorder.as_mut(),
+                checkpoint: None,
+            },
+        ),
+        Some(path) => {
+            // An unreadable or corrupt checkpoint file must not wedge the
+            // campaign — start the cell over instead of failing it.
+            let resume = std::fs::read(path)
+                .ok()
+                .and_then(|bytes| ScenarioCheckpoint::from_bytes(&bytes).ok());
+            let mut sink = |ckpt: &ScenarioCheckpoint| {
+                std::fs::write(path, ckpt.to_bytes()).map_err(|e| SpecError::Io(e.to_string()))
+            };
+            let checkpoint = Some(CheckpointPolicy {
+                every: campaign.checkpoint_every,
+                resume: resume.as_ref(),
+                sink: &mut sink,
+            });
+            let options = RunOptions {
+                recorder: recorder.as_mut(),
+                checkpoint,
+            };
+            let outcome = run_scenario(&cell.scenario, cell.seed, options);
+            if outcome.is_ok() {
+                let _ = std::fs::remove_file(path);
+            }
+            outcome
+        }
+    };
+    let telemetry = recorder
+        .filter(|_| outcome.is_ok())
+        .and_then(|r| r.as_any().downcast_ref::<SessionTelemetry>().cloned());
+    (
+        CellResult {
+            cell: cell_info(&cell),
+            outcome,
+        },
+        telemetry,
+    )
+}
+
+/// Writes one cell's telemetry pair beside the campaign result files.
+fn write_cell_telemetry(
+    store: &ResultStore,
+    name: &str,
+    index: usize,
+    telemetry: &SessionTelemetry,
+) -> std::io::Result<()> {
+    std::fs::write(
+        store
+            .dir()
+            .join(format!("{name}.cell{index}.telemetry.jsonl")),
+        telemetry.jsonl.finish(),
+    )?;
+    std::fs::write(
+        store.dir().join(format!("{name}.cell{index}.trace.json")),
+        telemetry.trace.finish(),
+    )
 }
 
 #[cfg(test)]
@@ -1132,7 +1070,7 @@ mod tests {
         let mut spec = ScenarioSpec::uniform("par", 12, 1);
         spec.laacad.max_rounds = 40;
         let campaign = CampaignSpec::over_seeds(spec, [5, 6, 7, 8]);
-        let results = run_campaign(&campaign).unwrap();
+        let results = run_campaign(&campaign, CampaignRunOptions::default()).unwrap();
         assert_eq!(results.len(), 4);
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.cell.index, i);
@@ -1355,6 +1293,27 @@ mod tests {
         // The decoded form is refused the same way.
         let back = CampaignSpec::from_toml(&campaign.to_toml()).unwrap();
         assert!(back.expand().is_err());
+    }
+
+    #[test]
+    fn checkpoint_every_without_a_store_is_rejected() {
+        let mut spec = ScenarioSpec::uniform("ckpt-nowhere", 10, 1);
+        spec.laacad.max_rounds = 20;
+        let mut campaign = CampaignSpec::over_seeds(spec, [3]);
+        campaign.checkpoint_every = 5;
+        let err = run_campaign(&campaign, CampaignRunOptions::default()).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, SpecError::Build(_)), "{err:?}");
+        assert!(msg.contains("checkpoint_every"), "{msg}");
+
+        // Asking for telemetry files without a store is refused too.
+        campaign.checkpoint_every = 0;
+        let options = CampaignRunOptions {
+            telemetry: true,
+            ..CampaignRunOptions::default()
+        };
+        let err = run_campaign(&campaign, options).unwrap_err();
+        assert!(matches!(err, SpecError::Build(_)), "{err:?}");
     }
 
     #[test]

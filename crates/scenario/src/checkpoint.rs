@@ -8,7 +8,7 @@
 //! checkpointed round. Resuming from a checkpoint and running to
 //! completion produces a [`crate::ScenarioOutcome`] **bit-identical**
 //! to the uninterrupted run — pinned by this module's tests and the
-//! `checkpoint_resume` integration test.
+//! `checkpoint_roundtrip` integration test.
 //!
 //! The wire format is `laacad-checkpoint/2`: the magic line, then the
 //! length-prefixed session snapshot, then the hook and probe sections,
@@ -25,14 +25,14 @@
 //! Campaigns opt in with `checkpoint_every = <rounds>` at the top level
 //! of the campaign document; the runner then writes
 //! `<name>.cell<index>.checkpoint` beside the result files and resumes
-//! from it when a killed campaign is rerun (see
-//! [`crate::run_campaign_observed`]).
+//! from it when a killed campaign is rerun (see [`crate::run_campaign`]).
+//! A single run checkpoints and resumes through
+//! [`crate::CheckpointPolicy`].
 
-use crate::engine::{assemble_sync_outcome, build_scenario, drive_rounds, CoverageProbe};
+use crate::engine::CoverageProbe;
 use crate::events::{AppliedEvent, TimelineHook};
 use crate::spec::{ScenarioSpec, SpecError};
-use crate::ScenarioOutcome;
-use laacad::{ObservedRound, Recorder, Session, SessionBuilder};
+use laacad::{ObservedRound, Session, SessionBuilder};
 
 /// First bytes of every serialized checkpoint; the trailing newline
 /// makes `head -1` on a checkpoint file print the version.
@@ -68,7 +68,7 @@ impl ScenarioCheckpoint {
         self.round
     }
 
-    fn capture(
+    pub(crate) fn capture(
         sim: &Session,
         probe: &CoverageProbe,
         hook: &TimelineHook,
@@ -85,6 +85,49 @@ impl ScenarioCheckpoint {
             hook_log: log.to_vec(),
             probe: probe.series.clone(),
         }
+    }
+
+    /// Rebuilds the run state this checkpoint captured: the session,
+    /// the timeline hook and the probe series, plus whether the
+    /// interrupted run had already ended on the checkpointed round.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::Build`] when the embedded session snapshot fails
+    /// validation, when the header round differs from the restored
+    /// session's, or when the hook's event cursor and log do not match
+    /// the timeline entries due by that round.
+    pub(crate) fn restore(
+        &self,
+        spec: &ScenarioSpec,
+    ) -> Result<(Session, TimelineHook, CoverageProbe, bool), SpecError> {
+        let sim = SessionBuilder::restore(&self.session).map_err(|e| {
+            SpecError::Build(format!("cannot restore the checkpointed session: {e}"))
+        })?;
+        if self.round != sim.rounds_executed() {
+            return Err(SpecError::Build(format!(
+                "checkpoint: header says round {} but the session executed {}",
+                self.round,
+                sim.rounds_executed()
+            )));
+        }
+        let hook = TimelineHook::restore(
+            &spec.events,
+            self.round,
+            self.hook_next,
+            self.hook_rng,
+            self.hook_log.clone(),
+        )
+        .map_err(|e| SpecError::Build(format!("checkpoint: {e}")))?;
+        let probe = CoverageProbe {
+            samples: spec.evaluation.round_coverage_samples,
+            series: self.probe.clone(),
+        };
+        // The interrupted run may have ended on the checkpointed round;
+        // re-applying its loop verdict keeps resume from stepping one
+        // round further than the uninterrupted run.
+        let done = self.stop || (sim.is_converged() && !self.keep_running);
+        Ok((sim, hook, probe, done))
     }
 
     /// Serializes as a `laacad-checkpoint/2` buffer.
@@ -128,8 +171,8 @@ impl ScenarioCheckpoint {
     ///
     /// [`SpecError::Build`] on a wrong magic line, a checksum mismatch,
     /// truncation, trailing bytes, or malformed sections. The embedded
-    /// session snapshot is *not* decoded here — [`resume_scenario`] does
-    /// that when it restores the session.
+    /// session snapshot is *not* decoded here — [`crate::run_scenario`]
+    /// does that when it resumes from the checkpoint.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SpecError> {
         let corrupt = |m: &str| SpecError::Build(format!("checkpoint: {m}"));
         if bytes.len() < CHECKPOINT_MAGIC.len() + 8
@@ -262,140 +305,33 @@ impl Cursor<'_> {
     }
 }
 
-fn reject_faults(spec: &ScenarioSpec) -> Result<(), SpecError> {
-    if spec.laacad.faults.is_some() {
-        return Err(SpecError::Build(
-            "scenarios with a [faults] section run on the asynchronous \
-             executor, which does not support checkpointing"
-                .into(),
-        ));
-    }
-    Ok(())
-}
-
-/// Runs `spec` at `seed` exactly like [`crate::run_scenario`], handing a
-/// [`ScenarioCheckpoint`] to `sink` after every `every`-th round
-/// (`every = 0` never checkpoints). The outcome is bit-identical to the
-/// plain runner — checkpoint capture only reads state.
-///
-/// # Errors
-///
-/// As [`crate::run_scenario`], plus [`SpecError::Build`] for
-/// `[faults]`-bearing specs (the asynchronous executor has no
-/// snapshot support) and whatever `sink` returns.
-pub fn run_scenario_checkpointed(
-    spec: &ScenarioSpec,
-    seed: u64,
-    every: usize,
-    sink: &mut dyn FnMut(&ScenarioCheckpoint) -> Result<(), SpecError>,
-) -> Result<ScenarioOutcome, SpecError> {
-    run_checkpointed_impl(spec, seed, every, None, sink, None).map(|(outcome, _)| outcome)
-}
-
-/// Continues a run from `checkpoint` to completion, checkpointing
-/// onwards with the same cadence. The outcome — rounds, events,
-/// summary, warnings, everything — is **bit-identical** to the run that
-/// produced the checkpoint had it never been interrupted.
-///
-/// # Errors
-///
-/// As [`run_scenario_checkpointed`], plus [`SpecError::Build`] when the
-/// embedded session snapshot fails validation (corrupt or
-/// version-mismatched checkpoint files), when the header round differs
-/// from the restored session's, or when the hook's event cursor and log
-/// do not match the timeline entries due by that round.
-pub fn resume_scenario(
-    spec: &ScenarioSpec,
-    seed: u64,
-    checkpoint: &ScenarioCheckpoint,
-    every: usize,
-    sink: &mut dyn FnMut(&ScenarioCheckpoint) -> Result<(), SpecError>,
-) -> Result<ScenarioOutcome, SpecError> {
-    run_checkpointed_impl(spec, seed, every, Some(checkpoint), sink, None)
-        .map(|(outcome, _)| outcome)
-}
-
-/// The shared checkpointed runner: fresh start or resume, with an
-/// optional telemetry recorder riding along (the campaign runner uses
-/// it so `checkpoint_every` composes with `laacad.telemetry`).
-pub(crate) fn run_checkpointed_impl(
-    spec: &ScenarioSpec,
-    seed: u64,
-    every: usize,
-    resume: Option<&ScenarioCheckpoint>,
-    sink: &mut dyn FnMut(&ScenarioCheckpoint) -> Result<(), SpecError>,
-    recorder: Option<Box<dyn Recorder>>,
-) -> Result<(ScenarioOutcome, Option<Box<dyn Recorder>>), SpecError> {
-    reject_faults(spec)?;
-    let (mut sim, mut hook, mut probe, resumed_done) = match resume {
-        None => {
-            let (mut sim, mut hook) = build_scenario(spec, seed)?;
-            // Round-0 events act on the initial deployment, before any
-            // movement.
-            hook.fire_due(&mut sim, 0);
-            let probe = CoverageProbe {
-                samples: spec.evaluation.round_coverage_samples,
-                series: Vec::new(),
-            };
-            (sim, hook, probe, false)
-        }
-        Some(ckpt) => {
-            let sim = SessionBuilder::restore(&ckpt.session).map_err(|e| {
-                SpecError::Build(format!("cannot restore the checkpointed session: {e}"))
-            })?;
-            if ckpt.round != sim.rounds_executed() {
-                return Err(SpecError::Build(format!(
-                    "checkpoint: header says round {} but the session executed {}",
-                    ckpt.round,
-                    sim.rounds_executed()
-                )));
-            }
-            let hook = TimelineHook::restore(
-                &spec.events,
-                ckpt.round,
-                ckpt.hook_next,
-                ckpt.hook_rng,
-                ckpt.hook_log.clone(),
-            )
-            .map_err(|e| SpecError::Build(format!("checkpoint: {e}")))?;
-            let probe = CoverageProbe {
-                samples: spec.evaluation.round_coverage_samples,
-                series: ckpt.probe.clone(),
-            };
-            // The interrupted run may have ended on the checkpointed
-            // round; re-applying its loop verdict here keeps resume from
-            // stepping one round further than the uninterrupted run.
-            let done = ckpt.stop || (sim.is_converged() && !ckpt.keep_running);
-            (sim, hook, probe, done)
-        }
-    };
-    if let Some(r) = recorder {
-        sim.set_recorder(r);
-    }
-    let summary = if resumed_done {
-        sim.finalize();
-        sim.summarize()
-    } else {
-        drive_rounds(
-            &mut sim,
-            &mut probe,
-            &mut hook,
-            |sim, probe, hook, verdict| {
-                if every > 0 && verdict.delta.report.round % every == 0 {
-                    sink(&ScenarioCheckpoint::capture(sim, probe, hook, verdict))?;
-                }
-                Ok(())
-            },
-        )?
-    };
-    Ok(assemble_sync_outcome(sim, hook, probe, spec, seed, summary))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_scenario;
     use crate::spec::{EventAction, EventSpec, PlacementSpec, ScenarioSpec};
+    use crate::{run_scenario, CheckpointPolicy, RunOptions, ScenarioOutcome};
+
+    fn run_checkpointed(
+        spec: &ScenarioSpec,
+        seed: u64,
+        every: usize,
+        resume: Option<&ScenarioCheckpoint>,
+        sink: &mut dyn FnMut(&ScenarioCheckpoint) -> Result<(), SpecError>,
+    ) -> Result<ScenarioOutcome, SpecError> {
+        let checkpoint = Some(CheckpointPolicy {
+            every,
+            resume,
+            sink,
+        });
+        run_scenario(
+            spec,
+            seed,
+            RunOptions {
+                checkpoint,
+                ..RunOptions::default()
+            },
+        )
+    }
 
     /// A failure+churn scenario exercising every checkpointed component:
     /// RNG-consuming events on both sides of the checkpoint and a
@@ -431,9 +367,9 @@ mod tests {
     #[test]
     fn checkpointed_run_matches_plain_run() {
         let spec = churn_spec();
-        let plain = run_scenario(&spec, 41).unwrap();
+        let plain = run_scenario(&spec, 41, RunOptions::default()).unwrap();
         let mut seen = 0usize;
-        let checkpointed = run_scenario_checkpointed(&spec, 41, 5, &mut |_| {
+        let checkpointed = run_checkpointed(&spec, 41, 5, None, &mut |_| {
             seen += 1;
             Ok(())
         })
@@ -445,16 +381,16 @@ mod tests {
     #[test]
     fn resume_from_every_checkpoint_is_bit_identical() {
         let spec = churn_spec();
-        let plain = run_scenario(&spec, 41).unwrap();
+        let plain = run_scenario(&spec, 41, RunOptions::default()).unwrap();
         let mut checkpoints = Vec::new();
-        run_scenario_checkpointed(&spec, 41, 7, &mut |c| {
+        run_checkpointed(&spec, 41, 7, None, &mut |c| {
             checkpoints.push(c.clone());
             Ok(())
         })
         .unwrap();
         assert!(checkpoints.len() > 1);
         for ckpt in &checkpoints {
-            let resumed = resume_scenario(&spec, 41, ckpt, 0, &mut |_| Ok(())).unwrap();
+            let resumed = run_checkpointed(&spec, 41, 0, Some(ckpt), &mut |_| Ok(())).unwrap();
             assert_eq!(plain, resumed, "resume from round {}", ckpt.round());
         }
     }
@@ -463,7 +399,7 @@ mod tests {
     fn bytes_round_trip_and_reject_corruption() {
         let spec = churn_spec();
         let mut first = None;
-        run_scenario_checkpointed(&spec, 9, 10, &mut |c| {
+        run_checkpointed(&spec, 9, 10, None, &mut |c| {
             if first.is_none() {
                 first = Some(c.clone());
             }
@@ -482,8 +418,8 @@ mod tests {
         assert!(ScenarioCheckpoint::from_bytes(&trailing).is_err());
         // A resumed copy that went through bytes behaves identically.
         let decoded = ScenarioCheckpoint::from_bytes(&bytes).unwrap();
-        let a = resume_scenario(&spec, 9, &ckpt, 0, &mut |_| Ok(())).unwrap();
-        let b = resume_scenario(&spec, 9, &decoded, 0, &mut |_| Ok(())).unwrap();
+        let a = run_checkpointed(&spec, 9, 0, Some(&ckpt), &mut |_| Ok(())).unwrap();
+        let b = run_checkpointed(&spec, 9, 0, Some(&decoded), &mut |_| Ok(())).unwrap();
         assert_eq!(a, b);
     }
 
@@ -491,7 +427,7 @@ mod tests {
     fn resume_refuses_a_header_or_event_cursor_that_disagrees_with_the_session() {
         let spec = churn_spec();
         let mut round5 = None;
-        run_scenario_checkpointed(&spec, 41, 5, &mut |c| {
+        run_checkpointed(&spec, 41, 5, None, &mut |c| {
             round5.get_or_insert_with(|| c.clone());
             Ok(())
         })
@@ -499,7 +435,8 @@ mod tests {
         // The round-3 event has fired; the round-12 one has not.
         let ckpt = round5.expect("a checkpoint fired");
         assert_eq!((ckpt.round, ckpt.hook_next), (5, 1));
-        let resume = |c: &ScenarioCheckpoint| resume_scenario(&spec, 41, c, 0, &mut |_| Ok(()));
+        let resume =
+            |c: &ScenarioCheckpoint| run_checkpointed(&spec, 41, 0, Some(c), &mut |_| Ok(()));
         assert!(resume(&ckpt).is_ok());
         for (what, bad) in [
             (
@@ -541,7 +478,7 @@ mod tests {
     fn faults_specs_are_rejected() {
         let mut spec = ScenarioSpec::uniform("f", 10, 1);
         spec.laacad.faults = Some(crate::spec::FaultSpec::default());
-        let err = run_scenario_checkpointed(&spec, 1, 5, &mut |_| Ok(())).unwrap_err();
+        let err = run_checkpointed(&spec, 1, 5, None, &mut |_| Ok(())).unwrap_err();
         assert!(err.to_string().contains("checkpointing"), "{err}");
     }
 }

@@ -1,9 +1,12 @@
 //! Executing one scenario: spec + seed → simulation → outcome.
 
+use crate::checkpoint::ScenarioCheckpoint;
 use crate::events::{AppliedEvent, TimelineHook};
 use crate::spec::{ScenarioSpec, SpecError};
 use crate::value::{encode, Value};
-use laacad::{HookAction, ObservedRound, Observer, Recorder, RoundDelta, RunSummary, Session};
+use laacad::{
+    HookAction, NoopRecorder, ObservedRound, Observer, Recorder, RoundDelta, RunSummary, Session,
+};
 use laacad_coverage::{evaluate_coverage, CoverageReport};
 use laacad_dist::{AsyncExecutor, ProtocolStats, Termination};
 use laacad_wsn::energy::EnergyModel;
@@ -202,9 +205,7 @@ impl ScenarioOutcome {
         }
         net
     }
-}
 
-impl ScenarioOutcome {
     /// Serializes the outcome as a deterministic JSON [`Value`]
     /// (sorted keys, shortest-round-trip floats) for the JSONL store.
     pub fn to_value(&self) -> Value {
@@ -415,39 +416,125 @@ pub fn build_scenario(
     Ok((sim, TimelineHook::new(&spec.events, seed)))
 }
 
-/// Runs `spec` at `seed` to completion and evaluates the outcome.
-pub fn run_scenario(spec: &ScenarioSpec, seed: u64) -> Result<ScenarioOutcome, SpecError> {
-    run_scenario_impl(spec, seed, None).map(|(outcome, _)| outcome)
+/// How [`run_scenario`] checkpoints: every `every`-th round (`0`
+/// never) it hands a [`ScenarioCheckpoint`] to `sink`, and with
+/// `resume` set it continues from that checkpoint instead of starting
+/// fresh. Refused for `[faults]`-bearing specs: the asynchronous
+/// executor has no snapshot support.
+pub struct CheckpointPolicy<'a> {
+    /// Checkpoint cadence in rounds (`0` never checkpoints).
+    pub every: usize,
+    /// A checkpoint to resume from instead of starting fresh.
+    pub resume: Option<&'a ScenarioCheckpoint>,
+    /// Receives every checkpoint; an error aborts the run.
+    pub sink: &'a mut dyn FnMut(&ScenarioCheckpoint) -> Result<(), SpecError>,
 }
 
-/// [`run_scenario`] with a telemetry [`Recorder`] installed on the
-/// session for the whole run; returns the outcome together with the
-/// recorder (carrying whatever it accumulated). Telemetry is purely
-/// observational — the outcome is bit-identical to [`run_scenario`] on
-/// the same spec and seed.
+/// What [`run_scenario`] does besides running. Every option only
+/// observes: the outcome is bit-identical whatever the options.
+#[derive(Default)]
+pub struct RunOptions<'a> {
+    /// A telemetry recorder installed on the engine for the whole run.
+    /// The run swaps it out of the slot and puts it back, carrying what
+    /// it accumulated, when the run returns (on a failed build the slot
+    /// is left untouched).
+    pub recorder: Option<&'a mut Box<dyn Recorder>>,
+    /// Mid-run checkpointing and resume.
+    pub checkpoint: Option<CheckpointPolicy<'a>>,
+}
+
+/// Runs `spec` at `seed` to completion and evaluates the outcome.
+///
+/// Scenarios with a `[faults]` section run on the asynchronous executor
+/// next to a fault-free synchronous baseline; all others run on the
+/// synchronous round engine. Resuming from a checkpoint produces the
+/// outcome the uninterrupted run would have produced, bit for bit.
 ///
 /// # Errors
 ///
-/// Exactly as [`run_scenario`]; the recorder is dropped with the
-/// session when the scenario cannot be built.
-pub fn run_scenario_recorded(
+/// [`SpecError::Build`] when the region, placement or configuration
+/// cannot be built, when a checkpoint policy meets a `[faults]` spec,
+/// when the resume checkpoint's session snapshot fails validation or
+/// disagrees with its header or the timeline; plus whatever the
+/// checkpoint sink returns.
+pub fn run_scenario(
     spec: &ScenarioSpec,
     seed: u64,
-    recorder: Box<dyn Recorder>,
-) -> Result<(ScenarioOutcome, Box<dyn Recorder>), SpecError> {
-    let (outcome, recorder) = run_scenario_impl(spec, seed, Some(recorder))?;
-    Ok((
-        outcome,
-        recorder.expect("session hands back the installed recorder"),
-    ))
+    options: RunOptions<'_>,
+) -> Result<ScenarioOutcome, SpecError> {
+    let RunOptions {
+        recorder: mut slot,
+        mut checkpoint,
+    } = options;
+    if spec.laacad.faults.is_some() {
+        if checkpoint.is_some() {
+            return Err(SpecError::Build(
+                "scenarios with a [faults] section run on the asynchronous \
+                 executor, which does not support checkpointing"
+                    .into(),
+            ));
+        }
+        return run_async_impl(spec, seed, slot);
+    }
+    let (mut sim, mut hook, mut probe, resumed_done) =
+        match checkpoint.as_ref().and_then(|c| c.resume) {
+            Some(ckpt) => ckpt.restore(spec)?,
+            None => {
+                let (mut sim, mut hook) = build_scenario(spec, seed)?;
+                // Round-0 events act on the initial deployment, before
+                // any movement.
+                hook.fire_due(&mut sim, 0);
+                let probe = CoverageProbe {
+                    samples: spec.evaluation.round_coverage_samples,
+                    series: Vec::new(),
+                };
+                (sim, hook, probe, false)
+            }
+        };
+    if let Some(r) = take_recorder(&mut slot) {
+        sim.set_recorder(r);
+    }
+    let summary = if resumed_done {
+        sim.finalize();
+        Ok(sim.summarize())
+    } else {
+        drive_rounds(
+            &mut sim,
+            &mut probe,
+            &mut hook,
+            |sim, probe, hook, verdict| match checkpoint.as_mut() {
+                Some(c) if c.every > 0 && verdict.delta.report.round % c.every == 0 => {
+                    (c.sink)(&ScenarioCheckpoint::capture(sim, probe, hook, verdict))
+                }
+                _ => Ok(()),
+            },
+        )
+    };
+    let (outcome, recorder) = match summary {
+        Ok(summary) => {
+            let (outcome, recorder) = assemble_sync_outcome(sim, hook, probe, spec, seed, summary);
+            (Ok(outcome), recorder)
+        }
+        Err(e) => (Err(e), sim.take_recorder()),
+    };
+    if let (Some(slot), Some(r)) = (slot, recorder) {
+        *slot = r;
+    }
+    outcome
+}
+
+/// Moves the caller's recorder out of its [`RunOptions::recorder`]
+/// slot for installation, leaving a no-op recorder in its place.
+fn take_recorder(slot: &mut Option<&mut Box<dyn Recorder>>) -> Option<Box<dyn Recorder>> {
+    slot.as_deref_mut()
+        .map(|r| std::mem::replace(r, Box::new(NoopRecorder)))
 }
 
 /// Drives the synchronous engine loop round by round — identical
 /// semantics to [`Session::run_with_observers`] with the probe/hook
-/// observer pair — invoking `after_round` after each observed round.
-/// The checkpoint runners hook their serialization in there; the plain
-/// runner passes a no-op.
-pub(crate) fn drive_rounds(
+/// observer pair — invoking `after_round` after each observed round
+/// (where [`run_scenario`] hooks its checkpoint capture).
+fn drive_rounds(
     sim: &mut Session,
     probe: &mut CoverageProbe,
     hook: &mut TimelineHook,
@@ -478,10 +565,9 @@ pub(crate) fn drive_rounds(
     Ok(sim.summarize())
 }
 
-/// Evaluates a finished synchronous run into its [`ScenarioOutcome`] —
-/// shared by the plain, recorded and checkpoint-resumed runners so all
-/// three produce bit-identical outcomes from the same end state.
-pub(crate) fn assemble_sync_outcome(
+/// Evaluates a finished synchronous run into its [`ScenarioOutcome`],
+/// handing back the session's recorder.
+fn assemble_sync_outcome(
     mut sim: Session,
     mut hook: TimelineHook,
     probe: CoverageProbe,
@@ -558,35 +644,13 @@ pub(crate) fn assemble_sync_outcome(
     (outcome, recorder)
 }
 
-fn run_scenario_impl(
-    spec: &ScenarioSpec,
-    seed: u64,
-    recorder: Option<Box<dyn Recorder>>,
-) -> Result<(ScenarioOutcome, Option<Box<dyn Recorder>>), SpecError> {
-    if spec.laacad.faults.is_some() {
-        return run_async_impl(spec, seed, recorder);
-    }
-    let (mut sim, mut hook) = build_scenario(spec, seed)?;
-    if let Some(r) = recorder {
-        sim.set_recorder(r);
-    }
-    // Round-0 events act on the initial deployment, before any movement.
-    hook.fire_due(&mut sim, 0);
-    let mut probe = CoverageProbe {
-        samples: spec.evaluation.round_coverage_samples,
-        series: Vec::new(),
-    };
-    let summary = drive_rounds(&mut sim, &mut probe, &mut hook, |_, _, _, _| Ok(()))?;
-    Ok(assemble_sync_outcome(sim, hook, probe, spec, seed, summary))
-}
-
 /// Runs a `[faults]`-bearing scenario on the asynchronous executor and
 /// pairs it with a fault-free synchronous baseline of the same cell.
 fn run_async_impl(
     spec: &ScenarioSpec,
     seed: u64,
-    recorder: Option<Box<dyn Recorder>>,
-) -> Result<(ScenarioOutcome, Option<Box<dyn Recorder>>), SpecError> {
+    mut slot: Option<&mut Box<dyn Recorder>>,
+) -> Result<ScenarioOutcome, SpecError> {
     let fault_spec = spec
         .laacad
         .faults
@@ -624,7 +688,7 @@ fn run_async_impl(
     let (plan, proto) = fault_spec.to_plan();
     let mut exec = AsyncExecutor::new(config, region.clone(), initial, plan, proto)
         .map_err(|e| SpecError::Build(e.to_string()))?;
-    if let Some(r) = recorder {
+    if let Some(r) = take_recorder(&mut slot) {
         exec.set_recorder(r);
     }
     // Coverage probes over the partition windows: the executor calls
@@ -646,7 +710,9 @@ fn run_async_impl(
         );
     }
     let report = exec.run();
-    let recorder = exec.take_recorder();
+    if let (Some(slot), Some(r)) = (slot, exec.take_recorder()) {
+        *slot = r;
+    }
     // The executor still holds the probe closure (and its Arc clone), so
     // snapshot the series rather than unwrapping it.
     let probe_series: Vec<(u64, f64)> = probe_series.lock().unwrap().clone();
@@ -762,7 +828,7 @@ fn run_async_impl(
         warnings,
         faults: Some(faults),
     };
-    Ok((outcome, recorder))
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -774,7 +840,7 @@ mod tests {
     fn plain_scenario_runs_and_covers() {
         let mut spec = ScenarioSpec::uniform("smoke", 16, 1);
         spec.laacad.max_rounds = 100;
-        let out = run_scenario(&spec, 42).unwrap();
+        let out = run_scenario(&spec, 42, RunOptions::default()).unwrap();
         assert_eq!(out.scenario, "smoke");
         assert_eq!(out.final_n, 16);
         assert!(out.coverage.covered_fraction > 0.99, "{}", out.coverage);
@@ -790,10 +856,10 @@ mod tests {
             round: 10,
             action: EventAction::FailFraction { fraction: 0.15 },
         });
-        let a = run_scenario(&spec, 7).unwrap();
-        let b = run_scenario(&spec, 7).unwrap();
+        let a = run_scenario(&spec, 7, RunOptions::default()).unwrap();
+        let b = run_scenario(&spec, 7, RunOptions::default()).unwrap();
         assert_eq!(a, b);
-        let c = run_scenario(&spec, 8).unwrap();
+        let c = run_scenario(&spec, 8, RunOptions::default()).unwrap();
         assert_ne!(a.summary.max_sensing_radius, c.summary.max_sensing_radius);
     }
 
@@ -805,7 +871,7 @@ mod tests {
             round: 0,
             action: EventAction::FailFraction { fraction: 0.25 },
         });
-        let out = run_scenario(&spec, 5).unwrap();
+        let out = run_scenario(&spec, 5, RunOptions::default()).unwrap();
         assert_eq!(out.final_n, 15, "25% dead on arrival");
         assert_eq!(out.events.len(), 1);
         assert_eq!(out.events[0].round, 0);
@@ -817,7 +883,7 @@ mod tests {
     fn outcome_serializes_to_json() {
         let mut spec = ScenarioSpec::uniform("json", 10, 1);
         spec.laacad.max_rounds = 30;
-        let out = run_scenario(&spec, 3).unwrap();
+        let out = run_scenario(&spec, 3, RunOptions::default()).unwrap();
         let line = crate::json::to_string(&out.to_value());
         let back = crate::json::parse(&line).unwrap();
         assert_eq!(back.get("scenario").unwrap().as_str(), Some("json"));

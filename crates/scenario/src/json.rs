@@ -6,7 +6,7 @@
 //! floats use Rust's shortest round-trip formatting, which is what makes
 //! byte-identical campaign reruns possible.
 
-use crate::value::Value;
+use crate::value::{Value, MAX_NESTING};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -35,7 +35,7 @@ impl std::error::Error for JsonError {}
 pub fn parse(text: &str) -> Result<Value, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing characters after document"));
@@ -56,12 +56,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
+/// Parses one value inside `depth` open arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_NESTING => Err(err(
+            *pos,
+            format!("arrays and objects nest deeper than {MAX_NESTING} levels"),
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
@@ -168,7 +173,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
     *pos += 1; // consume `[`
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -177,7 +182,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => {
@@ -192,7 +197,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
     *pos += 1; // consume `{`
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -208,7 +213,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
             return Err(err(*pos, "expected `:`"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {

@@ -22,16 +22,24 @@
 //!   baseline,
 //! * and **evaluation** settings (coverage sampling, energy exponent).
 //!
-//! A [`CampaignSpec`] sweeps a scenario over a seed × parameter grid and
-//! [`run_campaign`] executes the cells across all cores
-//! ([`exec::parallel_map`]), streaming per-round metrics and final
-//! [`laacad_coverage::CoverageReport`]s into a deterministic JSONL/CSV
-//! [`ResultStore`]: same campaign, same bytes, every time.
+//! Two functions run specs. [`run_scenario`] runs one cell (spec +
+//! seed); its [`RunOptions`] add a telemetry recorder and a
+//! [`CheckpointPolicy`]. A [`CampaignSpec`] sweeps a scenario over a
+//! seed × parameter grid and [`run_campaign`] runs its cells across all
+//! cores through [`run_scenario`]; its [`CampaignRunOptions`] stream
+//! per-round metrics and final [`laacad_coverage::CoverageReport`]s into
+//! a deterministic JSONL/CSV [`ResultStore`] (same campaign, same bytes,
+//! every time), add per-cell telemetry files and report progress. The
+//! options only observe: outcomes are bit-identical whatever they are.
+//! The repository's command line (`cargo run --release -- <spec>...`)
+//! is a thin layer over [`run_campaign`].
 //!
 //! # Example
 //!
 //! ```
-//! use laacad_scenario::{run_campaign, CampaignSpec, ScenarioSpec};
+//! use laacad_scenario::{
+//!     run_campaign, to_jsonl, CampaignRunOptions, CampaignSpec, ResultStore, ScenarioSpec,
+//! };
 //!
 //! let toml = r#"
 //! name = "quick"
@@ -51,13 +59,23 @@
 //! "#;
 //! let spec = ScenarioSpec::from_toml(toml)?;
 //! let campaign = CampaignSpec::over_seeds(spec, [1, 2]);
-//! let results = run_campaign(&campaign)?;
+//! let dir = std::env::temp_dir().join("laacad-scenario-doc");
+//! let store = ResultStore::new(&dir);
+//! let options = CampaignRunOptions {
+//!     store: Some(&store),
+//!     ..CampaignRunOptions::default()
+//! };
+//! let results = run_campaign(&campaign, options)?;
 //! assert_eq!(results.len(), 2);
 //! for cell in &results {
 //!     let outcome = cell.outcome.as_ref().expect("cell ran");
 //!     assert!(outcome.coverage.covered_fraction > 0.9);
 //!     assert_eq!(outcome.events.len(), 1); // the failure fired
 //! }
+//! // The store holds the results streamed cell by cell.
+//! let jsonl = std::fs::read_to_string(dir.join("quick.jsonl"))?;
+//! assert_eq!(jsonl, to_jsonl(&results));
+//! # std::fs::remove_dir_all(&dir)?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -68,7 +86,6 @@ pub mod campaign;
 pub mod checkpoint;
 pub mod engine;
 pub mod events;
-pub mod exec;
 pub mod json;
 pub mod results;
 pub mod spec;
@@ -76,18 +93,16 @@ pub mod toml;
 pub mod value;
 
 pub use campaign::{
-    run_campaign, run_campaign_observed, run_campaign_streamed, CampaignCell, CampaignProgress,
-    CampaignRunOptions, CampaignSpec, CellInfo, CellResult, ParamGrid, ZipSpec,
+    run_campaign, CampaignCell, CampaignProgress, CampaignRunOptions, CampaignSpec, CellInfo,
+    CellResult, ParamGrid, ZipSpec,
 };
-pub use checkpoint::{
-    resume_scenario, run_scenario_checkpointed, ScenarioCheckpoint, CHECKPOINT_MAGIC,
-};
+pub use checkpoint::{ScenarioCheckpoint, CHECKPOINT_MAGIC};
 pub use engine::{
-    build_scenario, recovery_metrics, run_scenario, run_scenario_recorded, FaultOutcome,
-    RecoverySummary, RoundMetric, ScenarioOutcome,
+    build_scenario, recovery_metrics, run_scenario, CheckpointPolicy, FaultOutcome,
+    RecoverySummary, RoundMetric, RunOptions, ScenarioOutcome,
 };
 pub use events::{AppliedEvent, TimelineHook};
-pub use results::{to_csv, to_jsonl, ResultStore, StreamingResultFiles};
+pub use results::{to_csv, to_jsonl, ResultStore};
 pub use spec::{
     AlgorithmSpec, BackoffSpec, CrashSpec, DelaySpec, EvaluationSpec, EventAction, EventSpec,
     FaultSpec, PartitionKindSpec, PartitionSpec, PlacementSpec, RegionSpec, ScenarioSpec,

@@ -148,44 +148,21 @@ impl ResultStore {
         &self.dir
     }
 
-    /// Writes both result files, returning `(jsonl_path, csv_path)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write(&self, name: &str, results: &[CellResult]) -> std::io::Result<(PathBuf, PathBuf)> {
-        std::fs::create_dir_all(&self.dir)?;
-        let jsonl = self.dir.join(format!("{name}.jsonl"));
-        std::fs::write(&jsonl, to_jsonl(results))?;
-        let csv = self.dir.join(format!("{name}.csv"));
-        std::fs::write(&csv, to_csv(results))?;
-        Ok((jsonl, csv))
-    }
-
-    /// Opens both result files for **streaming**: rows are appended (and
-    /// flushed) one cell at a time as the campaign completes them, so a
-    /// long grid's results reach disk while later cells are still
-    /// running — and a killed campaign leaves every finished row behind.
-    /// The finished files are byte-identical to [`ResultStore::write`]
-    /// on the same results.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn open_stream(&self, name: &str) -> std::io::Result<StreamingResultFiles> {
+    /// Opens `<name>.jsonl` and `<name>.csv` for **streaming**: rows are
+    /// appended (and flushed) one cell at a time as the campaign
+    /// completes them, so a long grid's results reach disk while later
+    /// cells are still running — and a killed campaign leaves every
+    /// finished row behind. The finished files hold exactly
+    /// [`to_jsonl`] / [`to_csv`] of the results.
+    pub(crate) fn open_stream(&self, name: &str) -> std::io::Result<StreamingResultFiles> {
         std::fs::create_dir_all(&self.dir)?;
         let jsonl_path = self.dir.join(format!("{name}.jsonl"));
         let csv_path = self.dir.join(format!("{name}.csv"));
-        let jsonl = std::fs::File::create(&jsonl_path)?;
-        let mut csv = std::fs::File::create(&csv_path)?;
+        let jsonl = std::fs::File::create(jsonl_path)?;
+        let mut csv = std::fs::File::create(csv_path)?;
         std::io::Write::write_all(&mut csv, CSV_HEADER.as_bytes())?;
         std::io::Write::flush(&mut csv)?;
-        Ok(StreamingResultFiles {
-            jsonl,
-            csv,
-            jsonl_path,
-            csv_path,
-        })
+        Ok(StreamingResultFiles { jsonl, csv })
     }
 }
 
@@ -193,43 +170,36 @@ impl ResultStore {
 /// one [`StreamingResultFiles::append`] per completed cell, flushed so
 /// the rows are durable immediately.
 #[derive(Debug)]
-pub struct StreamingResultFiles {
+pub(crate) struct StreamingResultFiles {
     jsonl: std::fs::File,
     csv: std::fs::File,
-    jsonl_path: PathBuf,
-    csv_path: PathBuf,
 }
 
 impl StreamingResultFiles {
     /// Appends (and flushes) one cell's JSONL line and CSV row.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn append(&mut self, result: &CellResult) -> std::io::Result<()> {
+    pub(crate) fn append(&mut self, result: &CellResult) -> std::io::Result<()> {
         use std::io::Write;
         self.jsonl.write_all(jsonl_line(result).as_bytes())?;
         self.jsonl.flush()?;
         self.csv.write_all(csv_row(result).as_bytes())?;
         self.csv.flush()
     }
-
-    /// Closes the stream, returning `(jsonl_path, csv_path)`.
-    pub fn into_paths(self) -> (PathBuf, PathBuf) {
-        (self.jsonl_path, self.csv_path)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_campaign, CampaignSpec};
+    use crate::campaign::{run_campaign, CampaignRunOptions, CampaignSpec};
     use crate::spec::ScenarioSpec;
 
     fn tiny_results() -> Vec<CellResult> {
         let mut spec = ScenarioSpec::uniform("store", 8, 1);
         spec.laacad.max_rounds = 25;
-        run_campaign(&CampaignSpec::over_seeds(spec, [1, 2])).unwrap()
+        run_campaign(
+            &CampaignSpec::over_seeds(spec, [1, 2]),
+            CampaignRunOptions::default(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -260,10 +230,20 @@ mod tests {
         let dir = std::env::temp_dir().join("laacad-scenario-store-test");
         let _ = std::fs::remove_dir_all(&dir);
         let store = ResultStore::new(&dir);
-        let results = tiny_results();
-        let (jsonl, csv) = store.write("probe", &results).unwrap();
-        assert!(jsonl.exists() && csv.exists());
-        assert_eq!(std::fs::read_to_string(&jsonl).unwrap(), to_jsonl(&results));
+        let mut spec = ScenarioSpec::uniform("store", 8, 1);
+        spec.laacad.max_rounds = 25;
+        let campaign = CampaignSpec::over_seeds(spec, [1, 2]);
+        let results = run_campaign(
+            &campaign,
+            CampaignRunOptions {
+                store: Some(&store),
+                ..CampaignRunOptions::default()
+            },
+        )
+        .unwrap();
+        let read = |ext: &str| std::fs::read_to_string(dir.join(format!("store.{ext}"))).unwrap();
+        assert_eq!(read("jsonl"), to_jsonl(&results));
+        assert_eq!(read("csv"), to_csv(&results));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

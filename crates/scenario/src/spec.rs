@@ -386,9 +386,10 @@ pub struct AlgorithmSpec {
     pub threads: Option<usize>,
     /// Per-cell telemetry recording (default off). Honored by the
     /// campaign runner — not by [`LaacadConfig`], which telemetry never
-    /// touches: when set, [`crate::campaign::run_campaign_observed`]
-    /// installs a [`laacad::SessionTelemetry`] recorder on the cell's
-    /// session and writes a JSONL metric stream plus a Chrome trace
+    /// touches: when set and the campaign has a result store,
+    /// [`crate::campaign::run_campaign`] installs a
+    /// [`laacad::SessionTelemetry`] recorder on the cell's session and
+    /// writes a JSONL metric stream plus a Chrome trace
     /// file beside the result store. Purely observational — results are
     /// byte-identical either way.
     pub telemetry: bool,

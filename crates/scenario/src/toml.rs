@@ -7,7 +7,7 @@
 //! comments. Not supported (and not needed here): dotted keys, dates,
 //! multi-line strings, and preserving key order (tables sort their keys).
 
-use crate::value::Value;
+use crate::value::{Value, MAX_NESTING};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -50,6 +50,8 @@ struct Parser<'a> {
     chars: Vec<char>,
     pos: usize,
     line: usize,
+    /// Arrays and inline tables currently open.
+    depth: usize,
     _text: &'a str,
 }
 
@@ -59,12 +61,25 @@ impl<'a> Parser<'a> {
             chars: text.chars().collect(),
             pos: 0,
             line: 1,
+            depth: 0,
             _text: text,
         }
     }
 
     fn err(&self, message: impl Into<String>) -> TomlError {
         TomlError::new(self.line, message)
+    }
+
+    /// Opens one more array or inline table, refusing input nested
+    /// deeper than [`MAX_NESTING`].
+    fn descend(&mut self) -> Result<(), TomlError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.err(format!(
+                "arrays and inline tables nest deeper than {MAX_NESTING} levels"
+            )));
+        }
+        Ok(())
     }
 
     fn peek(&self) -> Option<char> {
@@ -178,6 +193,11 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_inline_ws();
             path.push(self.key()?);
+            if path.len() > MAX_NESTING {
+                return Err(self.err(format!(
+                    "table header nests deeper than {MAX_NESTING} levels"
+                )));
+            }
             self.skip_inline_ws();
             match self.peek() {
                 Some('.') => {
@@ -298,6 +318,7 @@ impl<'a> Parser<'a> {
         if self.bump() != Some('[') {
             return Err(self.err("expected `[`"));
         }
+        self.descend()?;
         let mut items = Vec::new();
         loop {
             self.skip_ws();
@@ -315,6 +336,7 @@ impl<'a> Parser<'a> {
                 other => return Err(self.err(format!("expected `,` or `]`, found {other:?}"))),
             }
         }
+        self.depth -= 1;
         Ok(Value::Array(items))
     }
 
@@ -322,6 +344,7 @@ impl<'a> Parser<'a> {
         if self.bump() != Some('{') {
             return Err(self.err("expected `{`"));
         }
+        self.descend()?;
         let mut map = BTreeMap::new();
         loop {
             self.skip_inline_ws();
@@ -348,6 +371,7 @@ impl<'a> Parser<'a> {
                 other => return Err(self.err(format!("expected `,` or `}}`, found {other:?}"))),
             }
         }
+        self.depth -= 1;
         Ok(Value::Table(map))
     }
 }

@@ -9,6 +9,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// The deepest nesting of arrays and tables the TOML and JSON parsers
+/// accept. Both parsers recurse once per level, so deeper input is
+/// refused with a typed error instead of exhausting the stack. (TOML
+/// table headers count their dotted path against the same limit.)
+pub const MAX_NESTING: usize = 128;
+
 /// A dynamically typed configuration value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {

@@ -4,7 +4,7 @@
 
 use laacad_scenario::{
     run_scenario, BackoffSpec, CampaignSpec, CrashSpec, DelaySpec, EventAction, EventSpec,
-    FaultSpec, PartitionKindSpec, PartitionSpec, ScenarioSpec,
+    FaultSpec, PartitionKindSpec, PartitionSpec, RunOptions, ScenarioSpec,
 };
 
 fn faulty_spec(name: &str, loss: f64) -> ScenarioSpec {
@@ -47,8 +47,8 @@ fn faults_toml_round_trips() {
 #[test]
 fn faulty_scenario_runs_deterministically_with_metrics() {
     let spec = faulty_spec("async-det", 0.1);
-    let a = run_scenario(&spec, 11).unwrap();
-    let b = run_scenario(&spec, 11).unwrap();
+    let a = run_scenario(&spec, 11, RunOptions::default()).unwrap();
+    let b = run_scenario(&spec, 11, RunOptions::default()).unwrap();
     assert_eq!(a, b, "same spec + seed must replay byte for byte");
 
     let f = a.faults.as_ref().expect("fault metrics present");
@@ -62,14 +62,14 @@ fn faulty_scenario_runs_deterministically_with_metrics() {
     assert!(!a.rounds.is_empty());
     assert_eq!(a.final_n, 16);
 
-    let c = run_scenario(&spec, 12).unwrap();
+    let c = run_scenario(&spec, 12, RunOptions::default()).unwrap();
     assert_ne!(a.summary.max_sensing_radius, c.summary.max_sensing_radius);
 }
 
 #[test]
 fn fault_free_faults_section_still_uses_async_executor() {
     let spec = faulty_spec("async-clean", 0.0);
-    let out = run_scenario(&spec, 3).unwrap();
+    let out = run_scenario(&spec, 3, RunOptions::default()).unwrap();
     let f = out.faults.as_ref().unwrap();
     assert_eq!(f.termination, "converged");
     assert_eq!(f.protocol.lost, 0);
@@ -86,14 +86,14 @@ fn events_and_faults_are_mutually_exclusive() {
         round: 5,
         action: EventAction::FailFraction { fraction: 0.1 },
     });
-    let err = run_scenario(&spec, 1).unwrap_err();
+    let err = run_scenario(&spec, 1, RunOptions::default()).unwrap_err();
     assert!(err.to_string().contains("[faults]"), "{err}");
 }
 
 #[test]
 fn outcome_serializes_fault_metrics() {
     let spec = faulty_spec("json", 0.1);
-    let out = run_scenario(&spec, 2).unwrap();
+    let out = run_scenario(&spec, 2, RunOptions::default()).unwrap();
     let line = out.to_value();
     let f = line.get("faults").expect("faults table serialized");
     assert!(f.get("termination").is_some());
@@ -156,7 +156,7 @@ fn partition_heal_recovers_coverage_to_baseline() {
         }];
         f.probe_every = 8;
     }
-    let out = run_scenario(&spec, 5).unwrap();
+    let out = run_scenario(&spec, 5, RunOptions::default()).unwrap();
     let f = out.faults.as_ref().expect("fault metrics present");
 
     // The probes observed the open window and measured its floor…
@@ -180,7 +180,7 @@ fn partition_heal_recovers_coverage_to_baseline() {
     assert!(f.protocol.partition_dropped > 0, "the partition must bite");
 
     // Determinism holds with partitions + probes in play.
-    let again = run_scenario(&spec, 5).unwrap();
+    let again = run_scenario(&spec, 5, RunOptions::default()).unwrap();
     assert_eq!(out, again);
 }
 
@@ -191,7 +191,7 @@ fn validated_corruption_quarantines_and_reports() {
         let f = spec.laacad.faults.as_mut().unwrap();
         f.corruption_rate = 0.15;
     }
-    let out = run_scenario(&spec, 9).unwrap();
+    let out = run_scenario(&spec, 9, RunOptions::default()).unwrap();
     let f = out.faults.as_ref().unwrap();
     assert!(
         f.protocol.corrupted > 0,
@@ -220,7 +220,7 @@ fn unvalidated_corruption_surfaces_divergence_warning() {
         f.corruption_rate = 0.2;
         f.corruption_validate = false;
     }
-    let out = run_scenario(&spec, 9).unwrap();
+    let out = run_scenario(&spec, 9, RunOptions::default()).unwrap();
     let f = out.faults.as_ref().unwrap();
     assert!(f.corrupted_accepted > 0, "validation off must absorb lies");
     assert_eq!(f.quarantined, 0);
@@ -245,8 +245,8 @@ fn adaptive_backoff_and_drift_run_through_the_scenario_layer() {
         f.drift_rate = 0.05;
         f.drift_skew = 2;
     }
-    let a = run_scenario(&spec, 4).unwrap();
-    let b = run_scenario(&spec, 4).unwrap();
+    let a = run_scenario(&spec, 4, RunOptions::default()).unwrap();
+    let b = run_scenario(&spec, 4, RunOptions::default()).unwrap();
     assert_eq!(a, b, "adaptive backoff + drift must stay deterministic");
     let f = a.faults.as_ref().unwrap();
     assert!(

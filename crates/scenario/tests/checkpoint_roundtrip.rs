@@ -4,9 +4,9 @@
 //! CSV), and the checkpoint must survive a disk round-trip.
 
 use laacad_scenario::{
-    resume_scenario, run_scenario, run_scenario_checkpointed, to_csv, to_jsonl, CampaignSpec,
-    CellResult, EventAction, EventSpec, PlacementSpec, ScenarioCheckpoint, ScenarioOutcome,
-    ScenarioSpec, CHECKPOINT_MAGIC,
+    run_scenario, to_csv, to_jsonl, CampaignSpec, CellResult, CheckpointPolicy, EventAction,
+    EventSpec, PlacementSpec, RunOptions, ScenarioCheckpoint, ScenarioOutcome, ScenarioSpec,
+    SpecError, CHECKPOINT_MAGIC,
 };
 
 /// 40 nodes, k = 2, a 300-round budget, and a failure+churn timeline
@@ -33,6 +33,27 @@ fn churn_300_spec() -> ScenarioSpec {
         },
     ];
     spec
+}
+
+/// Runs `spec` at `seed`, checkpointing every `every` rounds into
+/// `sink`, or resuming from `resume`.
+fn run_checkpointed(
+    spec: &ScenarioSpec,
+    seed: u64,
+    every: usize,
+    resume: Option<&ScenarioCheckpoint>,
+    sink: &mut dyn FnMut(&ScenarioCheckpoint) -> Result<(), SpecError>,
+) -> Result<ScenarioOutcome, SpecError> {
+    let checkpoint = Some(CheckpointPolicy {
+        every,
+        resume,
+        sink,
+    });
+    let options = RunOptions {
+        checkpoint,
+        ..RunOptions::default()
+    };
+    run_scenario(spec, seed, options)
 }
 
 /// Serializes one outcome the way the campaign result store would, so
@@ -63,7 +84,7 @@ fn checkpoint_at_round_50_resumes_to_identical_jsonl() {
     let spec = churn_300_spec();
     let seed = 1_234;
 
-    let plain = run_scenario(&spec, seed).unwrap();
+    let plain = run_scenario(&spec, seed, RunOptions::default()).unwrap();
     assert!(
         plain.summary.rounds > 100,
         "the smoke needs a long run; got {} rounds",
@@ -73,7 +94,7 @@ fn checkpoint_at_round_50_resumes_to_identical_jsonl() {
     // Checkpoint every 50 rounds, keep the round-50 state, and push it
     // through bytes — the shape a killed process would leave on disk.
     let mut round50: Option<Vec<u8>> = None;
-    let checkpointed = run_scenario_checkpointed(&spec, seed, 50, &mut |ckpt| {
+    let checkpointed = run_checkpointed(&spec, seed, 50, None, &mut |ckpt| {
         if ckpt.round() == 50 {
             round50 = Some(ckpt.to_bytes());
         }
@@ -83,7 +104,7 @@ fn checkpoint_at_round_50_resumes_to_identical_jsonl() {
     let bytes = round50.expect("round 50 checkpoint was offered");
     let ckpt = ScenarioCheckpoint::from_bytes(&bytes).unwrap();
     assert_eq!(ckpt.round(), 50);
-    let resumed = resume_scenario(&spec, seed, &ckpt, 0, &mut |_| Ok(())).unwrap();
+    let resumed = run_checkpointed(&spec, seed, 0, Some(&ckpt), &mut |_| Ok(())).unwrap();
 
     let (plain_jsonl, plain_csv) = result_bytes(&spec, seed, plain);
     let (ckpt_jsonl, _) = result_bytes(&spec, seed, checkpointed);
@@ -102,9 +123,9 @@ fn checkpoint_at_round_50_resumes_to_identical_jsonl() {
 fn corrupt_and_truncated_checkpoints_never_panic() {
     let spec = churn_300_spec();
     let seed = 1_234;
-    let plain = run_scenario(&spec, seed).unwrap();
+    let plain = run_scenario(&spec, seed, RunOptions::default()).unwrap();
     let mut round50 = None;
-    run_scenario_checkpointed(&spec, seed, 50, &mut |ckpt| {
+    run_checkpointed(&spec, seed, 50, None, &mut |ckpt| {
         if ckpt.round() == 50 {
             round50 = Some(ckpt.to_bytes());
         }
@@ -124,7 +145,7 @@ fn corrupt_and_truncated_checkpoints_never_panic() {
             let Ok(ckpt) = ScenarioCheckpoint::from_bytes(&corrupt) else {
                 continue;
             };
-            if let Ok(resumed) = resume_scenario(&spec, seed, &ckpt, 0, &mut |_| Ok(())) {
+            if let Ok(resumed) = run_checkpointed(&spec, seed, 0, Some(&ckpt), &mut |_| Ok(())) {
                 assert_eq!(
                     resumed, plain,
                     "byte {at} ^ {flip:#04x} resumed differently"

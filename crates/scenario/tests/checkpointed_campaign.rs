@@ -6,10 +6,24 @@
 //! rather than wedging the campaign.
 
 use laacad_scenario::{
-    run_campaign_streamed, run_scenario_checkpointed, CampaignSpec, EventAction, EventSpec,
-    PlacementSpec, ResultStore, ScenarioSpec,
+    run_campaign, run_scenario, CampaignRunOptions, CampaignSpec, CellResult, CheckpointPolicy,
+    EventAction, EventSpec, PlacementSpec, ResultStore, RunOptions, ScenarioCheckpoint,
+    ScenarioSpec,
 };
 use std::path::PathBuf;
+
+/// Runs `campaign` into a store at `dir`; returns the JSONL and CSV
+/// paths and the results.
+fn run_into(campaign: &CampaignSpec, dir: &PathBuf) -> (PathBuf, PathBuf, Vec<CellResult>) {
+    let store = ResultStore::new(dir);
+    let options = CampaignRunOptions {
+        store: Some(&store),
+        ..CampaignRunOptions::default()
+    };
+    let results = run_campaign(campaign, options).unwrap();
+    let path = |ext: &str| dir.join(format!("{}.{ext}", campaign.name));
+    (path("jsonl"), path("csv"), results)
+}
 
 /// A churny scenario so the resume path has to restore the timeline
 /// hook (fired-event log + RNG stream), not just engine state.
@@ -64,9 +78,8 @@ fn checkpointed_campaign_matches_plain_run_and_cleans_up() {
     let plain_dir = fresh_dir("plain");
     let ckpt_dir = fresh_dir("every7");
 
-    let (pj, pc, plain) =
-        run_campaign_streamed(&campaign(0), &ResultStore::new(&plain_dir)).unwrap();
-    let (cj, cc, ckpt) = run_campaign_streamed(&campaign(7), &ResultStore::new(&ckpt_dir)).unwrap();
+    let (pj, pc, plain) = run_into(&campaign(0), &plain_dir);
+    let (cj, cc, ckpt) = run_into(&campaign(7), &ckpt_dir);
 
     assert_eq!(plain, ckpt, "checkpointing changed the results");
     assert_eq!(std::fs::read(&pj).unwrap(), std::fs::read(&cj).unwrap());
@@ -85,20 +98,32 @@ fn campaign_resumes_from_existing_checkpoint_file() {
     let plain_dir = fresh_dir("resume-plain");
     let resume_dir = fresh_dir("resume");
 
-    let (pj, pc, plain) =
-        run_campaign_streamed(&campaign(0), &ResultStore::new(&plain_dir)).unwrap();
+    let (pj, pc, plain) = run_into(&campaign(0), &plain_dir);
 
     // Simulate a killed earlier run: capture cell 0's mid-run state
     // (seed 1, the checkpoint from round 14 — after the failure and the
     // insert fired) and plant it where the campaign looks for it.
     let spec = churn_spec();
     let mut planted: Option<Vec<u8>> = None;
-    run_scenario_checkpointed(&spec, 1, 7, &mut |ckpt| {
+    let mut sink = |ckpt: &ScenarioCheckpoint| {
         if ckpt.round() == 14 {
             planted = Some(ckpt.to_bytes());
         }
         Ok(())
-    })
+    };
+    let checkpoint = Some(CheckpointPolicy {
+        every: 7,
+        resume: None,
+        sink: &mut sink,
+    });
+    run_scenario(
+        &spec,
+        1,
+        RunOptions {
+            checkpoint,
+            ..RunOptions::default()
+        },
+    )
     .unwrap();
     let planted = planted.expect("round-14 checkpoint was offered");
     std::fs::create_dir_all(&resume_dir).unwrap();
@@ -106,8 +131,7 @@ fn campaign_resumes_from_existing_checkpoint_file() {
     let cell0 = resume_dir.join(format!("{}.cell0.checkpoint", campaign7.name));
     std::fs::write(&cell0, &planted).unwrap();
 
-    let (rj, rc, resumed) =
-        run_campaign_streamed(&campaign7, &ResultStore::new(&resume_dir)).unwrap();
+    let (rj, rc, resumed) = run_into(&campaign7, &resume_dir);
 
     assert_eq!(plain, resumed, "resumed cell diverged from a fresh run");
     assert_eq!(std::fs::read(&pj).unwrap(), std::fs::read(&rj).unwrap());
@@ -123,15 +147,14 @@ fn corrupt_checkpoint_file_is_ignored_not_fatal() {
     let plain_dir = fresh_dir("corrupt-plain");
     let corrupt_dir = fresh_dir("corrupt");
 
-    let (_, _, plain) = run_campaign_streamed(&campaign(0), &ResultStore::new(&plain_dir)).unwrap();
+    let (_, _, plain) = run_into(&campaign(0), &plain_dir);
 
     std::fs::create_dir_all(&corrupt_dir).unwrap();
     let campaign7 = campaign(7);
     let cell0 = corrupt_dir.join(format!("{}.cell0.checkpoint", campaign7.name));
     std::fs::write(&cell0, b"laacad-checkpoint/1\ngarbage").unwrap();
 
-    let (_, _, results) =
-        run_campaign_streamed(&campaign7, &ResultStore::new(&corrupt_dir)).unwrap();
+    let (_, _, results) = run_into(&campaign7, &corrupt_dir);
     assert_eq!(
         plain, results,
         "corrupt checkpoint must fall back to a fresh run"

@@ -2,7 +2,9 @@
 //! byte-identical JSONL/CSV results, run after run, regardless of how
 //! the parallel executor schedules cells.
 
-use laacad_scenario::{run_campaign, to_csv, to_jsonl, CampaignSpec, ScenarioSpec};
+use laacad_scenario::{
+    run_campaign, to_csv, to_jsonl, CampaignRunOptions, CampaignSpec, ScenarioSpec,
+};
 
 const SPEC: &str = r#"
 name = "determinism-probe"
@@ -50,8 +52,8 @@ k = [1, 2]
 #[test]
 fn same_campaign_same_bytes() {
     let campaign = CampaignSpec::from_toml(SPEC).expect("spec parses");
-    let first = run_campaign(&campaign).expect("first run");
-    let second = run_campaign(&campaign).expect("second run");
+    let first = run_campaign(&campaign, CampaignRunOptions::default()).expect("first run");
+    let second = run_campaign(&campaign, CampaignRunOptions::default()).expect("second run");
 
     let jsonl_a = to_jsonl(&first);
     let jsonl_b = to_jsonl(&second);
@@ -74,11 +76,14 @@ fn engine_thread_count_never_changes_results() {
     // The per-cell `threads` knob parallelizes the synchronous round
     // engine itself; JSONL stores must stay byte-identical across it.
     let campaign = CampaignSpec::from_toml(SPEC).expect("spec parses");
-    let serial = to_jsonl(&run_campaign(&campaign).expect("serial run"));
+    let serial =
+        to_jsonl(&run_campaign(&campaign, CampaignRunOptions::default()).expect("serial run"));
     for threads in [0usize, 4] {
         let mut parallel_campaign = campaign.clone();
         parallel_campaign.scenario.laacad.threads = Some(threads);
-        let parallel = to_jsonl(&run_campaign(&parallel_campaign).expect("parallel run"));
+        let parallel = to_jsonl(
+            &run_campaign(&parallel_campaign, CampaignRunOptions::default()).expect("parallel run"),
+        );
         assert!(
             serial == parallel,
             "threads={threads} changed campaign results"
@@ -89,7 +94,7 @@ fn engine_thread_count_never_changes_results() {
 #[test]
 fn different_seeds_different_results() {
     let campaign = CampaignSpec::from_toml(SPEC).expect("spec parses");
-    let results = run_campaign(&campaign).expect("run");
+    let results = run_campaign(&campaign, CampaignRunOptions::default()).expect("run");
     let a = results[0].outcome.as_ref().unwrap();
     let b = results[1].outcome.as_ref().unwrap();
     assert_ne!(
@@ -116,7 +121,7 @@ fn programmatic_and_parsed_specs_agree() {
         spec
     };
     assert_eq!(direct, campaign.scenario);
-    let a = run_campaign(&campaign).unwrap();
-    let b = run_campaign(&reparsed).unwrap();
+    let a = run_campaign(&campaign, CampaignRunOptions::default()).unwrap();
+    let b = run_campaign(&reparsed, CampaignRunOptions::default()).unwrap();
     assert_eq!(to_jsonl(&a), to_jsonl(&b));
 }

@@ -6,10 +6,26 @@
 
 use laacad::telemetry::validate::validate_metrics_jsonl;
 use laacad_scenario::{
-    run_campaign_observed, run_campaign_streamed, CampaignProgress, CampaignRunOptions,
-    CampaignSpec, ResultStore, ScenarioSpec,
+    run_campaign, CampaignProgress, CampaignRunOptions, CampaignSpec, CellResult, ResultStore,
+    ScenarioSpec,
 };
 use std::path::{Path, PathBuf};
+
+/// Runs `campaign` into `store`; returns the JSONL and CSV paths and
+/// the results.
+fn run_into<'a>(
+    campaign: &CampaignSpec,
+    store: &'a ResultStore,
+    options: CampaignRunOptions<'a>,
+) -> (PathBuf, PathBuf, Vec<CellResult>) {
+    let options = CampaignRunOptions {
+        store: Some(store),
+        ..options
+    };
+    let results = run_campaign(campaign, options).unwrap();
+    let path = |ext: &str| store.dir().join(format!("{}.{ext}", campaign.name));
+    (path("jsonl"), path("csv"), results)
+}
 
 fn campaign() -> CampaignSpec {
     let mut spec = ScenarioSpec::uniform("obs", 12, 1);
@@ -38,19 +54,23 @@ fn observed_campaign_emits_valid_per_cell_telemetry() {
     let plain_dir = fresh_dir("plain");
     let observed_dir = fresh_dir("observed");
 
-    let (pj, pc, plain) = run_campaign_streamed(&campaign, &ResultStore::new(&plain_dir)).unwrap();
+    let (pj, pc, plain) = run_into(
+        &campaign,
+        &ResultStore::new(&plain_dir),
+        CampaignRunOptions::default(),
+    );
 
     let mut progress: Vec<CampaignProgress> = Vec::new();
     let mut on_progress = |p: &CampaignProgress| progress.push(p.clone());
-    let (oj, oc, observed) = run_campaign_observed(
+    let (oj, oc, observed) = run_into(
         &campaign,
         &ResultStore::new(&observed_dir),
         CampaignRunOptions {
             telemetry: true,
             progress: Some(&mut on_progress),
+            ..CampaignRunOptions::default()
         },
-    )
-    .unwrap();
+    );
 
     // Telemetry is observational: in-memory results and the result
     // files stay byte-identical to the telemetry-free run.
@@ -99,15 +119,14 @@ fn metric_streams_are_byte_stable_across_reruns() {
     let dir_a = fresh_dir("rerun-a");
     let dir_b = fresh_dir("rerun-b");
     for dir in [&dir_a, &dir_b] {
-        run_campaign_observed(
+        run_into(
             &campaign,
             &ResultStore::new(dir),
             CampaignRunOptions {
                 telemetry: true,
-                progress: None,
+                ..CampaignRunOptions::default()
             },
-        )
-        .unwrap();
+        );
     }
     for index in 0..4 {
         let (a, _) = telemetry_paths(&dir_a, &campaign.name, index);
@@ -124,12 +143,16 @@ fn metric_streams_are_byte_stable_across_reruns() {
 
 #[test]
 fn spec_level_telemetry_knob_records_without_options() {
-    // `laacad.telemetry = true` in the scenario is enough: the default
-    // streamed entry point records those cells.
+    // `laacad.telemetry = true` in the scenario is enough: a run with a
+    // store and default options records those cells.
     let mut campaign = campaign();
     campaign.scenario.laacad.telemetry = true;
     let dir = fresh_dir("spec-knob");
-    let (_, _, results) = run_campaign_streamed(&campaign, &ResultStore::new(&dir)).unwrap();
+    let (_, _, results) = run_into(
+        &campaign,
+        &ResultStore::new(&dir),
+        CampaignRunOptions::default(),
+    );
     for r in &results {
         let (metrics, trace) = telemetry_paths(&dir, &campaign.name, r.cell.index);
         assert!(metrics.exists(), "cell {} metrics missing", r.cell.index);

@@ -15,8 +15,6 @@
 //! * [`ranging`] + [`mds`] + [`localize`] — noisy pairwise ranging and the
 //!   classical-MDS local coordinate construction of Algorithm 2 line 4
 //!   (paper ref \[28\], Shang & Ruml), mapped back with Procrustes;
-//! * [`boundary`] — boundary-node detection (substitute for the paper's
-//!   UNFOLD service, ref \[29\]): angle-gap and local-hull detectors;
 //! * [`energy`] — the sensing-energy model `E(r) = π r²` (generalizable
 //!   exponent) behind Fig. 7;
 //! * [`mobility`] — motion execution with step-size `α` and odometry.
@@ -39,7 +37,6 @@
 #![forbid(unsafe_code)]
 
 pub mod adjacency;
-pub mod boundary;
 pub mod energy;
 pub mod flat;
 pub mod localize;

@@ -3,7 +3,8 @@
 //! Algorithm 1 line 5: `u_i ← u_i + α(c_i − u_i)` with step size
 //! `α ∈ (0, 1]` "to avoid oscillation". When the target area has
 //! obstacles, a raw step may land inside one; the executor projects the
-//! landing point back into free space (see DESIGN.md §3).
+//! landing point back into free space (the paper leaves this case open;
+//! projecting is this implementation's choice).
 
 use crate::network::Network;
 use crate::node::NodeId;

@@ -2,7 +2,8 @@
 //!
 //! Re-exports the whole workspace behind one dependency so the examples
 //! and integration tests (and downstream users who want everything) can
-//! write `use laacad_suite::prelude::*`.
+//! write `use laacad_suite::prelude::*`. The package's binary (`cargo run --release -- <spec>...`) is the
+//! command line that runs any scenario spec under `scenarios/`.
 //!
 //! The implementation lives in the member crates:
 //!
@@ -65,8 +66,8 @@ pub mod prelude {
     pub use laacad_region::sampling::{sample_clustered, sample_uniform};
     pub use laacad_region::{gallery, Region};
     pub use laacad_scenario::{
-        resume_scenario, run_campaign, run_scenario, run_scenario_checkpointed, CampaignSpec,
-        ParamGrid, ResultStore, ScenarioCheckpoint, ScenarioOutcome, ScenarioSpec,
+        run_campaign, run_scenario, CampaignRunOptions, CampaignSpec, CheckpointPolicy, ParamGrid,
+        ResultStore, RunOptions, ScenarioCheckpoint, ScenarioOutcome, ScenarioSpec,
     };
     pub use laacad_serve::{Command, HostConfig, QueuePolicy, Response, SessionHost, SessionId};
     pub use laacad_viz::{DeploymentPlot, LineChart};

@@ -9,7 +9,7 @@ fn max_circumradius_monotone_for_alpha_one() {
     // increases. The proposition assumes *exact* dominating regions, so
     // the radio range is set large enough that every ring search sees all
     // relevant competitors (with sparse radios, transient disconnection
-    // lets the localized estimate overshoot — see DESIGN.md §3).
+    // lets the localized estimate overshoot).
     let region = Region::square(1.0).unwrap();
     for (k, seed) in [(1usize, 4u64), (2, 5), (3, 6)] {
         let n = 18;

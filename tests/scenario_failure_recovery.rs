@@ -16,7 +16,8 @@ fn load_failure_recovery() -> CampaignSpec {
 }
 
 fn results() -> Vec<CellResult> {
-    run_campaign(&load_failure_recovery()).expect("campaign expands and runs")
+    run_campaign(&load_failure_recovery(), CampaignRunOptions::default())
+        .expect("campaign expands and runs")
 }
 
 #[test]
@@ -86,11 +87,16 @@ fn failure_recovery_metrics_are_summarized() {
 
 #[test]
 fn failure_recovery_jsonl_is_stored_and_parseable() {
-    let results = results();
     let dir = std::env::temp_dir().join("laacad-failure-recovery-test");
     let _ = std::fs::remove_dir_all(&dir);
     let store = laacad_scenario::ResultStore::new(&dir);
-    let (jsonl_path, csv_path) = store.write("failure-recovery", &results).unwrap();
+    let options = CampaignRunOptions {
+        store: Some(&store),
+        ..CampaignRunOptions::default()
+    };
+    let results = run_campaign(&load_failure_recovery(), options).expect("campaign runs");
+    let jsonl_path = dir.join("failure-recovery.jsonl");
+    let csv_path = dir.join("failure-recovery.csv");
     let text = std::fs::read_to_string(&jsonl_path).unwrap();
     assert_eq!(text, to_jsonl(&results));
     assert_eq!(text.lines().count(), 3);
