@@ -142,7 +142,7 @@ impl LaacadConfig {
         if self.epsilon.is_nan() || self.epsilon <= 0.0 {
             return Err(LaacadError::InvalidEpsilon(self.epsilon));
         }
-        if self.gamma.is_nan() || self.gamma <= 0.0 {
+        if !(self.gamma.is_finite() && self.gamma > 0.0) {
             return Err(LaacadError::InvalidGamma(self.gamma));
         }
         Ok(())

@@ -14,7 +14,7 @@ pub enum LaacadError {
     InvalidAlpha(f64),
     /// Stopping tolerance `ε` must be strictly positive.
     InvalidEpsilon(f64),
-    /// Transmission range `γ` must be strictly positive.
+    /// Transmission range `γ` must be strictly positive and finite.
     InvalidGamma(f64),
     /// The initial deployment is empty.
     EmptyDeployment,
@@ -28,6 +28,15 @@ pub enum LaacadError {
     IncompleteSession {
         /// The missing component (e.g. `"region"`).
         missing: &'static str,
+    },
+    /// A quantity that must be finite and non-negative is not — a
+    /// sensing radius, distance moved or retired distance (only restored
+    /// snapshot state can carry one).
+    InvalidState {
+        /// The offending quantity, e.g. `"sensing radius of node 4"`.
+        what: String,
+        /// Its value.
+        value: f64,
     },
     /// An operation referenced a node id outside the live population.
     UnknownNode {
@@ -51,7 +60,7 @@ impl std::fmt::Display for LaacadError {
                 write!(f, "stopping tolerance ε={e} must be positive")
             }
             LaacadError::InvalidGamma(g) => {
-                write!(f, "transmission range γ={g} must be positive")
+                write!(f, "transmission range γ={g} must be positive and finite")
             }
             LaacadError::EmptyDeployment => write!(f, "initial deployment has no nodes"),
             LaacadError::NodeOutsideRegion { index } => {
@@ -63,6 +72,7 @@ impl std::fmt::Display for LaacadError {
             LaacadError::IncompleteSession { missing } => {
                 write!(f, "session builder is missing its {missing}")
             }
+            LaacadError::InvalidState { what, value } => write!(f, "invalid {what}: {value}"),
             LaacadError::UnknownNode { id, n } => {
                 write!(f, "node id {id} is outside the live population 0..{n}")
             }

@@ -75,7 +75,7 @@ pub use ring::{
 };
 pub use scratch::{LocalViewCache, RoundScratch};
 pub use session::{MovedNode, ObservedRound, RoundDelta, Session, SessionBuilder, SessionCounters};
-pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC};
+pub use snapshot::{fnv1a64, SnapshotError, SNAPSHOT_MAGIC};
 
 /// The telemetry layer (re-exported `laacad-telemetry`): [`Recorder`]
 /// implementations plug into [`Session::set_recorder`], sinks export

@@ -89,16 +89,6 @@ impl LocalViewCache {
         }
         &mut self.entries[i]
     }
-
-    /// All entries, indexed by node id — snapshot serialization.
-    pub(crate) fn entries(&self) -> &[CacheEntry] {
-        &self.entries
-    }
-
-    /// Reconstructs a cache from serialized entries.
-    pub(crate) fn from_entries(entries: Vec<CacheEntry>) -> Self {
-        LocalViewCache { entries }
-    }
 }
 
 /// One node's cached view, together with the exact-equality key that

@@ -114,6 +114,11 @@ pub struct ObservedRound {
 /// want per-round numbers for metrics the delta does not carry can call
 /// [`Session::take_counters`] each round and treat the returned struct
 /// as the diff since the previous take.
+///
+/// Counters are work, not state: a snapshot does not store them. A
+/// session restored by [`SessionBuilder::restore`] starts them at zero,
+/// and its first round is cold (`ring_searches = N`,
+/// `skipped_quiescent = 0`), whatever the original would have skipped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionCounters {
     /// Total expanding-ring searches executed.
@@ -182,9 +187,10 @@ impl SessionBuilder {
     /// # Errors
     ///
     /// [`LaacadError::IncompleteSession`] when the region was never set;
-    /// otherwise the same validation as the legacy constructor — invalid
-    /// parameters, empty deployments, and initial positions outside the
-    /// target area are rejected.
+    /// otherwise the validation it shares with
+    /// [`SessionBuilder::restore`] — invalid parameters, empty
+    /// deployments, and initial positions outside the target area are
+    /// rejected.
     pub fn build(self) -> Result<Session, LaacadError> {
         let SessionBuilder {
             config,
@@ -192,86 +198,82 @@ impl SessionBuilder {
             positions,
         } = self;
         let region = region.ok_or(LaacadError::IncompleteSession { missing: "region" })?;
-        if positions.is_empty() {
-            return Err(LaacadError::EmptyDeployment);
+        let n = positions.len();
+        let mut history = History::default();
+        if config.snapshot_every.is_some() {
+            history.push_snapshot(0, positions.clone());
         }
-        config.validate(positions.len())?;
-        for (i, p) in positions.iter().enumerate() {
-            if !region.contains(*p) {
-                return Err(LaacadError::NodeOutsideRegion { index: i });
-            }
-        }
-        let net = Network::from_positions(config.gamma, positions.iter().copied());
-        let mut session = Session {
+        Session::from_state(SessionState {
             config,
             region,
-            net,
-            history: History::default(),
+            positions,
+            sensing_radii: vec![0.0; n],
+            distances_moved: vec![0.0; n],
+            retired_distance: 0.0,
             round: 0,
             converged: false,
-            scratches: Vec::new(),
-            adjacency: Adjacency::default(),
-            adjacency_state: AdjacencyState::StaleFull,
-            views: Vec::new(),
-            views_valid: false,
-            last_movers: Vec::new(),
-            counters: SessionCounters::default(),
-            event_log: Vec::new(),
-            recorder: None,
-            pool: ClassifyPool::default(),
-        };
-        if session.config.snapshot_every.is_some() {
-            session
-                .history
-                .push_snapshot(0, session.net.positions().to_vec());
-        }
-        Ok(session)
+            history,
+        })
     }
 }
 
-/// A LAACAD deployment session (see the [module docs](self)).
-///
-/// Fields are `pub(crate)` so [`crate::snapshot`] can serialize and
-/// reconstruct the full engine state without a parallel accessor
-/// surface.
+/// A session's primary state — everything [`Session::snapshot`] stores.
+/// The engine's caches (stored views, pending movers, the adjacency
+/// snapshot, the per-worker local-view caches) and its work counters
+/// are derived from it and start cold in [`Session::from_state`].
 #[derive(Debug)]
-pub struct Session {
+pub(crate) struct SessionState {
     pub(crate) config: LaacadConfig,
     pub(crate) region: Region,
-    pub(crate) net: Network,
-    pub(crate) history: History,
+    pub(crate) positions: Vec<Point>,
+    pub(crate) sensing_radii: Vec<f64>,
+    pub(crate) distances_moved: Vec<f64>,
+    /// Odometry of nodes removed by failure events.
+    pub(crate) retired_distance: f64,
     pub(crate) round: usize,
     pub(crate) converged: bool,
+    pub(crate) history: History,
+}
+
+/// A LAACAD deployment session (see the [module docs](self)).
+#[derive(Debug)]
+pub struct Session {
+    config: LaacadConfig,
+    region: Region,
+    net: Network,
+    history: History,
+    round: usize,
+    converged: bool,
     /// One [`RoundScratch`] per worker, reused across rounds.
-    pub(crate) scratches: Vec<RoundScratch>,
+    scratches: Vec<RoundScratch>,
     /// Per-round one-hop snapshot shared by every worker (synchronous
     /// mode), refreshed in place when positions changed.
-    pub(crate) adjacency: Adjacency,
+    adjacency: Adjacency,
     /// How `adjacency` relates to the current positions.
-    pub(crate) adjacency_state: AdjacencyState,
+    adjacency_state: AdjacencyState,
     /// Every node's view from the most recent Phase 1 (the dirty-node
     /// index replays these for quiescent nodes).
-    pub(crate) views: Vec<NodeView>,
+    views: Vec<NodeView>,
     /// Whether `views` may be replayed (synchronous + oracle, and no
     /// event since they were computed).
-    pub(crate) views_valid: bool,
+    views_valid: bool,
     /// The previous round's movement set — the changed-positions input
     /// of the dirty classification.
-    pub(crate) last_movers: Vec<MovedNode>,
-    pub(crate) counters: SessionCounters,
+    last_movers: Vec<MovedNode>,
+    counters: SessionCounters,
     /// Events applied since the last observer dispatch (drained by
     /// [`Session::run_with_observers`]).
-    pub(crate) event_log: Vec<(NetworkEvent, EventOutcome)>,
+    event_log: Vec<(NetworkEvent, EventOutcome)>,
     /// Installed telemetry recorder, if any. Purely observational: the
     /// engine reports spans/counters/kernel timings into it but never
     /// reads back, so results are bit-identical with or without one
     /// (pinned by `tests/telemetry_equivalence.rs`). `None` — or a
     /// recorder whose `enabled()` is `false` — reduces the
     /// instrumentation to one branch per stage.
-    pub(crate) recorder: Option<Box<dyn Recorder>>,
+    recorder: Option<Box<dyn Recorder>>,
     /// Arena for the classifier's round-transient buffers (see
     /// [`ClassifyPool`]).
-    pub(crate) pool: ClassifyPool,
+    pool: ClassifyPool,
 }
 
 /// Session-owned arena recycling the dirty-node classifier's per-round
@@ -282,7 +284,7 @@ pub struct Session {
 /// allocation instead of allocating (and zeroing the heap for) three
 /// `O(N)` vectors per round.
 #[derive(Debug, Default)]
-pub(crate) struct ClassifyPool {
+struct ClassifyPool {
     endpoints: Vec<Point>,
     mask: Vec<bool>,
     warm: Vec<u32>,
@@ -296,6 +298,85 @@ impl Session {
             region: None,
             positions: Vec::new(),
         }
+    }
+
+    /// The one constructor behind [`SessionBuilder::build`] and
+    /// [`SessionBuilder::restore`]: validates the primary state, then
+    /// starts every derived structure cold — adjacency stale, no stored
+    /// views, empty caches, zero counters.
+    ///
+    /// # Errors
+    ///
+    /// * [`LaacadError::EmptyDeployment`] — no nodes;
+    /// * the [`LaacadConfig::validate`] errors, including `k > N`;
+    /// * [`LaacadError::NodeOutsideRegion`] — a non-finite position or
+    ///   one outside the target area;
+    /// * [`LaacadError::InvalidState`] — a sensing radius, distance
+    ///   moved or retired distance that is negative or not finite.
+    pub(crate) fn from_state(state: SessionState) -> Result<Session, LaacadError> {
+        let SessionState {
+            config,
+            region,
+            positions,
+            sensing_radii,
+            distances_moved,
+            retired_distance,
+            round,
+            converged,
+            history,
+        } = state;
+        if positions.is_empty() {
+            return Err(LaacadError::EmptyDeployment);
+        }
+        config.validate(positions.len())?;
+        for (index, p) in positions.iter().enumerate() {
+            if !(p.is_finite() && region.contains(*p)) {
+                return Err(LaacadError::NodeOutsideRegion { index });
+            }
+        }
+        let invalid = |v: f64| !(v.is_finite() && v >= 0.0);
+        for (field, values) in [
+            ("sensing radius", &sensing_radii),
+            ("distance moved", &distances_moved),
+        ] {
+            if let Some(i) = values.iter().position(|&v| invalid(v)) {
+                return Err(LaacadError::InvalidState {
+                    what: format!("{field} of node {i}"),
+                    value: values[i],
+                });
+            }
+        }
+        if invalid(retired_distance) {
+            return Err(LaacadError::InvalidState {
+                what: "retired distance".into(),
+                value: retired_distance,
+            });
+        }
+        let net = Network::from_parts(
+            config.gamma,
+            positions,
+            sensing_radii,
+            distances_moved,
+            retired_distance,
+        );
+        Ok(Session {
+            config,
+            region,
+            net,
+            history,
+            round,
+            converged,
+            scratches: Vec::new(),
+            adjacency: Adjacency::default(),
+            adjacency_state: AdjacencyState::StaleFull,
+            views: Vec::new(),
+            views_valid: false,
+            last_movers: Vec::new(),
+            counters: SessionCounters::default(),
+            event_log: Vec::new(),
+            recorder: None,
+            pool: ClassifyPool::default(),
+        })
     }
 
     /// The live network (positions, sensing ranges, odometry).
@@ -1260,7 +1341,7 @@ struct PartialDirty {
 
 /// How the shared adjacency snapshot relates to the current positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AdjacencyState {
+enum AdjacencyState {
     /// Describes the current positions.
     Fresh,
     /// Stale, but `Session::last_movers` is the exact movement set since

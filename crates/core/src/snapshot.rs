@@ -1,85 +1,104 @@
-//! Versioned binary serialization of the full engine state.
+//! Versioned binary serialization of a session's primary state.
 //!
-//! [`Session::snapshot`] captures *everything* the round engine's future
-//! behavior depends on — configuration, target area, the network's
-//! struct-of-arrays vectors, the adjacency snapshot and its staleness
-//! state, the dirty-node index inputs (stored views, validity flag, the
-//! pending movement set), cumulative counters, the run history, and the
-//! per-worker cross-round local-view caches — so that
-//! [`SessionBuilder::restore`] reconstructs a session whose subsequent
-//! rounds are **bit-identical** to the uninterrupted run, at any thread
-//! count and either execution mode (pinned by `tests/snapshot_roundtrip.rs`).
+//! [`Session::snapshot`] captures the state a LAACAD session actually
+//! has: its configuration, the target area, the deployment (positions,
+//! sensing radii, odometry), the round count, the convergence flag and
+//! the run history. Each round of Algorithm 1 rebuilds every node's
+//! k-order dominating region and Chebyshev centre from its neighbours'
+//! current positions, so everything else the engine keeps is derived
+//! from that state. [`SessionBuilder::restore`] decodes it and builds
+//! the session through the same constructor as
+//! [`SessionBuilder::build`], which validates it.
 //!
-//! # Format (`laacad-snapshot/2`)
+//! # Format (`laacad-snapshot/3`)
 //!
 //! Hand-rolled little-endian binary, in the spirit of the byte-stable
-//! telemetry JSONL schema: a magic/version line followed by fixed-order
-//! sections. Integers are `u64` LE (`u32` LE inside CSR arrays), floats
-//! are `f64::to_bits` LE — so round-trips are exact down to NaN
-//! payloads and signed zeros — booleans one byte, `Option<T>` a one-byte
-//! tag followed by `T` when present. Sections, in order: config, region
-//! (outer + hole vertex loops), network SoA, round/flags, stored views,
-//! pending movers, adjacency (state tag + CSR), counters, history
-//! (round reports + position snapshots), and per-worker cache entries.
+//! telemetry JSONL schema: a magic/version line, fixed-order sections,
+//! then an FNV-1a 64 checksum ([`fnv1a64`]) of everything before it.
+//! Integers are `u64` LE, floats are `f64::to_bits` LE — so round-trips
+//! are exact down to NaN payloads and signed zeros — booleans one byte,
+//! `Option<T>` a one-byte tag followed by `T` when present. Sections, in
+//! order: config, region (outer + hole vertex loops), network (retired
+//! distance, positions, sensing radii, distances moved), round,
+//! converged flag, and history (round reports + position snapshots).
+//! The network's transmission range is the config's γ, so it is stored
+//! once: a second copy could only disagree with the first.
+//! Snapshot bytes depend only on that state: two sessions in the same
+//! state snapshot to the same bytes, at any thread count.
 //!
-//! What is deliberately *not* serialized: spatial-grid internals (the
-//! index is rebuilt deterministically from positions; query results are
-//! layout-independent), every per-round scratch buffer (epoch-stamped
-//! or fully reset before use), the pending observer event log (drained
-//! at each `step`), and the telemetry recorder (an installed recorder
-//! never feeds back into results; callers re-install one after restore).
+//! # What is deliberately not stored
+//!
+//! Everything the engine derives from the state and only keeps to skip
+//! work: the stored per-node views and the pending movement set of the
+//! dirty-node index, the adjacency snapshot, the per-worker local-view
+//! caches, the spatial grid, the per-round scratch buffers and the work
+//! counters ([`SessionCounters`](crate::SessionCounters)). Also left out:
+//! the pending observer event log (drained at each `step`) and the
+//! telemetry recorder (it never feeds back into results; callers
+//! re-install one after restore). Storing the caches made a snapshot
+//! 6–50× larger than the state (64 to 10⁵ nodes), and restore had to
+//! trust them: a stored view that disagreed with its positions replayed
+//! into wrong rounds.
+//!
+//! # Restore contract
+//!
+//! A restored session's positions, sensing radii, round reports,
+//! history and convergence are **bit-identical** to the uninterrupted
+//! run's, at every thread count and in both execution modes (pinned by
+//! `tests/snapshot_roundtrip.rs`). Its first round is cold: it runs
+//! `ring_searches = N`, `skipped_quiescent = 0` and `rho_changed = N`,
+//! where the uninterrupted run may have skipped quiescent nodes. Its
+//! work counters start at zero, as its recorder does.
 //!
 //! # Compatibility policy
 //!
 //! The version lives in the magic line. Readers accept exactly the
-//! versions they know; any layout change bumps the version. There is no
+//! version they know; any layout change bumps the version. There is no
 //! in-place migration — a checkpoint is only as durable as the binary
-//! that wrote it plus any binary that still carries its reader. Version 2
-//! dropped version 1's engine-knob byte (config section) and spatial-grid
-//! preference byte (network section); a version 1 buffer is refused with
+//! that wrote it. Buffers of the retired versions 1 and 2 (which also
+//! stored the caches above) are refused with
 //! [`SnapshotError::UnsupportedVersion`].
 
 use crate::config::{CoordinateMode, ExecutionMode, LaacadConfig, RingCapPolicy};
 use crate::history::{History, RoundReport};
-use crate::localview::NodeView;
-use crate::scratch::{CacheEntry, LocalViewCache, RoundScratch};
-use crate::session::{AdjacencyState, MovedNode, Session, SessionBuilder, SessionCounters};
+use crate::session::{Session, SessionBuilder, SessionState};
 use laacad_geom::polygon::signed_area;
-use laacad_geom::{Circle, Point, Polygon};
+use laacad_geom::{Point, Polygon};
 use laacad_region::Region;
 use laacad_wsn::radio::MessageStats;
 use laacad_wsn::ranging::RangingNoise;
-use laacad_wsn::{Adjacency, Network, NodeId};
+use laacad_wsn::Network;
 
 /// Magic/version line opening every snapshot.
-pub const SNAPSHOT_MAGIC: &[u8] = b"laacad-snapshot/2\n";
+pub const SNAPSHOT_MAGIC: &[u8] = b"laacad-snapshot/3\n";
 
-/// Magic/version line of the retired version 1 format.
-const SNAPSHOT_MAGIC_V1: &[u8] = b"laacad-snapshot/1\n";
+/// The version-independent start of every snapshot's magic line.
+const MAGIC_PREFIX: &[u8] = b"laacad-snapshot/";
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The buffer does not start with a known magic/version line.
     BadMagic,
-    /// The buffer is a snapshot of a retired format version (carried
+    /// The buffer is a snapshot of another format version (carried
     /// here); this reader only accepts [`SNAPSHOT_MAGIC`].
     UnsupportedVersion(u32),
     /// The buffer ended before the encoded state did.
     Truncated,
     /// Trailing bytes after the encoded state.
     TrailingBytes,
-    /// The bytes parsed but describe an impossible state.
+    /// The checksum does not match, or the bytes parsed but describe an
+    /// impossible state.
     Corrupt(String),
 }
 
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SnapshotError::BadMagic => write!(f, "not a laacad-snapshot/2 buffer"),
+            SnapshotError::BadMagic => write!(f, "not a laacad-snapshot/3 buffer"),
             SnapshotError::UnsupportedVersion(v) => write!(
                 f,
-                "laacad-snapshot/{v} is no longer readable (this build reads laacad-snapshot/2)"
+                "laacad-snapshot/{v} is not readable (this build reads laacad-snapshot/3)"
             ),
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::TrailingBytes => write!(f, "trailing bytes after snapshot"),
@@ -89,6 +108,15 @@ impl std::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+/// 64-bit FNV-1a: detects the flipped bits and torn writes a stored
+/// snapshot or checkpoint can suffer (not an adversarial MAC). A
+/// single changed byte always changes the hash.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 // ---------------------------------------------------------------------
 // Writer
@@ -107,10 +135,6 @@ impl Writer {
 
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     fn u64(&mut self, v: u64) {
@@ -161,20 +185,16 @@ impl Writer {
         }
     }
 
-    fn opt_circle(&mut self, c: Option<Circle>) {
-        match c {
-            Some(c) => {
-                self.u8(1);
-                self.point(c.center);
-                self.f64(c.radius);
-            }
-            None => self.u8(0),
-        }
-    }
-
     fn messages(&mut self, m: MessageStats) {
         self.u64(m.unicast);
         self.u64(m.broadcast);
+    }
+
+    /// Seals the buffer with its checksum.
+    fn finish(mut self) -> Vec<u8> {
+        let checksum = fnv1a64(&self.buf);
+        self.u64(checksum);
+        self.buf
     }
 }
 
@@ -188,12 +208,21 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    /// Checks the magic line and the checksum; the reader then covers
+    /// the sections between them.
     fn new(buf: &'a [u8]) -> Result<Self, SnapshotError> {
-        if buf.starts_with(SNAPSHOT_MAGIC_V1) {
-            return Err(SnapshotError::UnsupportedVersion(1));
-        }
         if !buf.starts_with(SNAPSHOT_MAGIC) {
-            return Err(SnapshotError::BadMagic);
+            return Err(match version(buf) {
+                Some(v) => SnapshotError::UnsupportedVersion(v),
+                None => SnapshotError::BadMagic,
+            });
+        }
+        if buf.len() < SNAPSHOT_MAGIC.len() + 8 {
+            return Err(SnapshotError::Truncated);
+        }
+        let (buf, checksum) = buf.split_at(buf.len() - 8);
+        if fnv1a64(buf).to_le_bytes() != checksum {
+            return Err(corrupt("checksum mismatch"));
         }
         Ok(Reader {
             buf,
@@ -212,10 +241,6 @@ impl<'a> Reader<'a> {
 
     fn u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     fn u64(&mut self) -> Result<u64, SnapshotError> {
@@ -275,18 +300,6 @@ impl<'a> Reader<'a> {
         (0..n).map(|_| self.point()).collect()
     }
 
-    fn opt_circle(&mut self) -> Result<Option<Circle>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => {
-                let center = self.point()?;
-                let radius = self.f64()?;
-                Ok(Some(Circle { center, radius }))
-            }
-            b => Err(corrupt(format!("bad option tag {b}"))),
-        }
-    }
-
     fn messages(&mut self) -> Result<MessageStats, SnapshotError> {
         Ok(MessageStats {
             unicast: self.u64()?,
@@ -306,43 +319,12 @@ fn corrupt(why: impl Into<String>) -> SnapshotError {
     SnapshotError::Corrupt(why.into())
 }
 
-/// Validates a decoded adjacency CSR: well-formed offsets, and rows
-/// that are strictly ascending, free of their own node, and symmetric
-/// (`j` in row `i` iff `i` in row `j`). The move patch
-/// ([`Adjacency::apply_moves`]) trusts every one of these.
-fn check_adjacency_csr(offsets: &[u32], neighbors: &[u32]) -> Result<(), SnapshotError> {
-    if offsets.is_empty() {
-        return if neighbors.is_empty() {
-            Ok(())
-        } else {
-            Err(corrupt("adjacency neighbors without offsets"))
-        };
-    }
-    let rows = offsets.len() - 1;
-    let well_formed = offsets[0] == 0
-        && offsets.windows(2).all(|w| w[0] <= w[1])
-        && *offsets.last().unwrap() as usize == neighbors.len()
-        && neighbors.iter().all(|&x| (x as usize) < rows);
-    if !well_formed {
-        return Err(corrupt("malformed adjacency CSR"));
-    }
-    let row = |i: usize| &neighbors[offsets[i] as usize..offsets[i + 1] as usize];
-    for i in 0..rows {
-        let r = row(i);
-        if !r.windows(2).all(|w| w[0] < w[1]) {
-            return Err(corrupt(format!("adjacency row {i} not strictly ascending")));
-        }
-        if r.binary_search(&(i as u32)).is_ok() {
-            return Err(corrupt(format!("adjacency row {i} lists its own node")));
-        }
-        if let Some(&j) = r
-            .iter()
-            .find(|&&j| row(j as usize).binary_search(&(i as u32)).is_err())
-        {
-            return Err(corrupt(format!("asymmetric adjacency edge {i} -> {j}")));
-        }
-    }
-    Ok(())
+/// The version of a `laacad-snapshot/<v>` magic line, if `buf` starts
+/// with one.
+fn version(buf: &[u8]) -> Option<u32> {
+    let rest = buf.strip_prefix(MAGIC_PREFIX)?;
+    let line = &rest[..rest.iter().position(|&b| b == b'\n')?];
+    std::str::from_utf8(line).ok()?.parse().ok()
 }
 
 // ---------------------------------------------------------------------
@@ -458,7 +440,6 @@ fn read_region(r: &mut Reader) -> Result<Region, SnapshotError> {
 }
 
 fn write_network(w: &mut Writer, net: &Network) {
-    w.f64(net.gamma());
     w.f64(net.retired_distance());
     w.points(net.positions());
     for &s in net.sensing_radii() {
@@ -467,47 +448,6 @@ fn write_network(w: &mut Writer, net: &Network) {
     for &d in net.distances_moved() {
         w.f64(d);
     }
-}
-
-fn read_network(r: &mut Reader) -> Result<Network, SnapshotError> {
-    let gamma = r.f64()?;
-    if !(gamma.is_finite() && gamma > 0.0) {
-        return Err(corrupt(format!("invalid gamma {gamma}")));
-    }
-    let retired = r.f64()?;
-    let positions = r.points()?;
-    let n = positions.len();
-    let sensing: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
-    let moved: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
-    Ok(Network::from_parts(
-        gamma, positions, sensing, moved, retired,
-    ))
-}
-
-fn write_view(w: &mut Writer, v: &NodeView) {
-    w.f64(v.rho);
-    w.usize(v.rho_stages);
-    w.bool(v.dominated);
-    w.bool(v.saturated);
-    w.messages(v.messages);
-    w.opt_circle(v.chebyshev);
-    w.f64(v.reach);
-    w.f64(v.contact_radius);
-    w.bool(v.cache_hit);
-}
-
-fn read_view(r: &mut Reader) -> Result<NodeView, SnapshotError> {
-    Ok(NodeView {
-        rho: r.f64()?,
-        rho_stages: r.usize()?,
-        dominated: r.bool()?,
-        saturated: r.bool()?,
-        messages: r.messages()?,
-        chebyshev: r.opt_circle()?,
-        reach: r.f64()?,
-        contact_radius: r.f64()?,
-        cache_hit: r.bool()?,
-    })
 }
 
 fn write_report(w: &mut Writer, rep: &RoundReport) {
@@ -534,193 +474,66 @@ fn read_report(r: &mut Reader) -> Result<RoundReport, SnapshotError> {
     })
 }
 
-fn write_cache_entry(w: &mut Writer, e: &CacheEntry) {
-    w.bool(e.valid);
-    w.usize(e.k);
-    w.point(e.self_pos);
-    w.f64(e.rho);
-    w.bool(e.dominated);
-    w.usize(e.member_ids.len());
-    for &id in &e.member_ids {
-        w.usize(id);
-    }
-    w.points(&e.member_pos);
-    w.opt_circle(e.chebyshev);
-    w.f64(e.reach);
-}
-
-fn read_cache_entry(r: &mut Reader) -> Result<CacheEntry, SnapshotError> {
-    let valid = r.bool()?;
-    let k = r.usize()?;
-    let self_pos = r.point()?;
-    let rho = r.f64()?;
-    let dominated = r.bool()?;
-    let member_ids: Vec<usize> = (0..r.count(8)?)
-        .map(|_| r.usize())
-        .collect::<Result<_, _>>()?;
-    let member_pos = r.points()?;
-    let chebyshev = r.opt_circle()?;
-    let reach = r.f64()?;
-    Ok(CacheEntry {
-        valid,
-        k,
-        self_pos,
-        rho,
-        dominated,
-        member_ids,
-        member_pos,
-        chebyshev,
-        reach,
-    })
-}
-
 // ---------------------------------------------------------------------
 // Session entry points
 // ---------------------------------------------------------------------
 
 impl Session {
-    /// Serializes the full engine state into a `laacad-snapshot/2`
-    /// buffer (see the [module docs](self)).
+    /// Serializes the session's primary state into a
+    /// `laacad-snapshot/3` buffer (see the [module docs](self)).
     ///
-    /// The installed telemetry [`Recorder`](laacad_telemetry::Recorder)
-    /// and any event notifications pending for observers are *not* part
-    /// of the snapshot; everything that determines future results is.
+    /// The engine's caches and work counters, the installed telemetry
+    /// [`Recorder`](laacad_telemetry::Recorder) and any event
+    /// notifications pending for observers are *not* part of the
+    /// snapshot; everything that determines future results is.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        write_config(&mut w, &self.config);
-        write_region(&mut w, &self.region);
-        write_network(&mut w, &self.net);
-        w.usize(self.round);
-        w.bool(self.converged);
-        w.bool(self.views_valid);
-        w.usize(self.views.len());
-        for v in &self.views {
-            write_view(&mut w, v);
-        }
-        w.usize(self.last_movers.len());
-        for m in &self.last_movers {
-            w.usize(m.id.index());
-            w.point(m.from);
-            w.point(m.to);
-        }
-        w.u8(match self.adjacency_state {
-            AdjacencyState::Fresh => 0,
-            AdjacencyState::StaleMoves => 1,
-            AdjacencyState::StaleFull => 2,
-        });
-        let (offsets, neighbors) = self.adjacency.csr();
-        w.usize(offsets.len());
-        for o in offsets {
-            w.u32(o);
-        }
-        w.usize(neighbors.len());
-        for x in neighbors {
-            w.u32(x);
-        }
-        let c = self.counters;
-        for v in [
-            c.ring_searches,
-            c.skipped_quiescent,
-            c.cache_hits,
-            c.cache_misses,
-            c.adjacency_rebuilds,
-            c.adjacency_incremental_updates,
-            c.warm_started,
-        ] {
-            w.u64(v);
-        }
-        w.usize(self.history.rounds().len());
-        for rep in self.history.rounds() {
+        write_config(&mut w, self.config());
+        write_region(&mut w, self.region());
+        write_network(&mut w, self.network());
+        w.usize(self.rounds_executed());
+        w.bool(self.is_converged());
+        let history = self.history();
+        w.usize(history.rounds().len());
+        for rep in history.rounds() {
             write_report(&mut w, rep);
         }
-        w.usize(self.history.snapshots().len());
-        for (round, positions) in self.history.snapshots() {
+        w.usize(history.snapshots().len());
+        for (round, positions) in history.snapshots() {
             w.usize(*round);
             w.points(positions);
         }
-        // Per-worker cross-round caches, in scratch order. At one worker
-        // this is the exact cache; at many the contents already depend
-        // on scheduling (nodes migrate between workers), so restoring
-        // them verbatim keeps exactly the guarantees an uninterrupted
-        // run has — a cold entry only ever costs a recompute.
-        w.usize(self.scratches.len());
-        for scratch in &self.scratches {
-            let entries = scratch.view_cache.entries();
-            w.usize(entries.len());
-            for e in entries {
-                write_cache_entry(&mut w, e);
-            }
-        }
-        w.buf
+        w.finish()
     }
 }
 
 impl SessionBuilder {
     /// Reconstructs a session from a [`Session::snapshot`] buffer.
     ///
-    /// The restored session's subsequent rounds are bit-identical to
-    /// the uninterrupted original's. No recorder is installed — callers
-    /// re-attach telemetry with
-    /// [`Session::set_recorder`] if they want it.
+    /// The state is validated and the session built exactly as
+    /// [`SessionBuilder::build`] builds one, with cold caches and zero
+    /// counters; its subsequent rounds are bit-identical to the
+    /// uninterrupted original's. No recorder is installed — callers
+    /// re-attach telemetry with [`Session::set_recorder`] if they want
+    /// it.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] on unknown versions, truncation, trailing
-    /// bytes, or any decoded state that fails validation.
+    /// [`SnapshotError`] on unknown versions, a checksum mismatch,
+    /// truncation, trailing bytes, or any decoded state that fails
+    /// validation: non-finite or outside-region positions, negative or
+    /// non-finite sensing radii or odometry, `k > N`.
     pub fn restore(bytes: &[u8]) -> Result<Session, SnapshotError> {
         let mut r = Reader::new(bytes)?;
         let config = read_config(&mut r)?;
         let region = read_region(&mut r)?;
-        let net = read_network(&mut r)?;
-        let n = net.len();
+        let retired_distance = r.f64()?;
+        let positions = r.points()?;
+        let n = positions.len();
+        let sensing_radii: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
+        let distances_moved: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
         let round = r.usize()?;
         let converged = r.bool()?;
-        let views_valid = r.bool()?;
-        let views: Vec<NodeView> = (0..r.count(16)?)
-            .map(|_| read_view(&mut r))
-            .collect::<Result<_, _>>()?;
-        if !views.is_empty() && views.len() != n {
-            return Err(corrupt(format!(
-                "{} stored views for {n} nodes",
-                views.len()
-            )));
-        }
-        let last_movers: Vec<MovedNode> = (0..r.count(40)?)
-            .map(|_| -> Result<MovedNode, SnapshotError> {
-                let id = r.usize()?;
-                if id >= n {
-                    return Err(corrupt(format!("mover id {id} out of range {n}")));
-                }
-                Ok(MovedNode {
-                    id: NodeId(id),
-                    from: r.point()?,
-                    to: r.point()?,
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let adjacency_state = match r.u8()? {
-            0 => AdjacencyState::Fresh,
-            1 => AdjacencyState::StaleMoves,
-            2 => AdjacencyState::StaleFull,
-            b => return Err(corrupt(format!("bad adjacency state tag {b}"))),
-        };
-        let offsets: Vec<u32> = (0..r.count(4)?)
-            .map(|_| r.u32())
-            .collect::<Result<_, _>>()?;
-        let neighbors: Vec<u32> = (0..r.count(4)?)
-            .map(|_| r.u32())
-            .collect::<Result<_, _>>()?;
-        check_adjacency_csr(&offsets, &neighbors)?;
-        let adjacency = Adjacency::from_csr(offsets, neighbors);
-        let counters = SessionCounters {
-            ring_searches: r.u64()?,
-            skipped_quiescent: r.u64()?,
-            cache_hits: r.u64()?,
-            cache_misses: r.u64()?,
-            adjacency_rebuilds: r.u64()?,
-            adjacency_incremental_updates: r.u64()?,
-            warm_started: r.u64()?,
-        };
         let mut history = History::default();
         for _ in 0..r.count(8)? {
             history.push_round(read_report(&mut r)?);
@@ -730,48 +543,26 @@ impl SessionBuilder {
             let positions = r.points()?;
             history.push_snapshot(round, positions);
         }
-        let scratches: Vec<RoundScratch> = (0..r.count(8)?)
-            .map(|_| -> Result<RoundScratch, SnapshotError> {
-                let entries: Vec<CacheEntry> = (0..r.count(8)?)
-                    .map(|_| read_cache_entry(&mut r))
-                    .collect::<Result<_, _>>()?;
-                Ok(RoundScratch {
-                    view_cache: LocalViewCache::from_entries(entries),
-                    ..RoundScratch::default()
-                })
-            })
-            .collect::<Result<_, _>>()?;
         r.finish()?;
-        config
-            .validate(n)
-            .map_err(|e| corrupt(format!("config rejected: {e}")))?;
-        if n == 0 {
-            return Err(corrupt("snapshot holds an empty deployment"));
-        }
-        Ok(Session {
+        Session::from_state(SessionState {
             config,
             region,
-            net,
-            history,
+            positions,
+            sensing_radii,
+            distances_moved,
+            retired_distance,
             round,
             converged,
-            scratches,
-            adjacency,
-            adjacency_state,
-            views,
-            views_valid,
-            last_movers,
-            counters,
-            event_log: Vec::new(),
-            recorder: None,
-            pool: Default::default(),
+            history,
         })
+        .map_err(|e| corrupt(format!("state rejected: {e}")))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SessionCounters;
     use laacad_region::sampling::sample_uniform;
 
     fn session(n: usize, k: usize, seed: u64) -> Session {
@@ -791,6 +582,15 @@ mod tests {
             .unwrap()
     }
 
+    /// Replaces the trailing checksum of an edited buffer, so restore
+    /// gets past it to the check under test.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        bytes.truncate(bytes.len() - 8);
+        let checksum = fnv1a64(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn snapshot_is_stable_and_restores() {
         let mut s = session(25, 2, 7);
@@ -804,7 +604,8 @@ mod tests {
         let restored = SessionBuilder::restore(&snap).unwrap();
         assert_eq!(restored.rounds_executed(), s.rounds_executed());
         assert_eq!(restored.network().positions(), s.network().positions());
-        assert_eq!(restored.counters(), s.counters());
+        // Work counters are not state: a restored session starts at zero.
+        assert_eq!(restored.counters(), SessionCounters::default());
         assert_eq!(restored.history().rounds(), s.history().rounds());
         // And a restored session re-snapshots to the same bytes.
         assert_eq!(restored.snapshot(), snap);
@@ -818,8 +619,19 @@ mod tests {
         }
         let snap = a.snapshot();
         let mut b = SessionBuilder::restore(&snap).unwrap();
-        for _ in 0..6 {
-            assert_eq!(a.step(), b.step());
+        for round in 0..6 {
+            let (da, db) = (a.step(), b.step());
+            assert_eq!(da.report, db.report);
+            assert_eq!(da.moved, db.moved);
+            assert_eq!(da.newly_converged, db.newly_converged);
+            if round == 0 {
+                // The restored session's first round is cold.
+                let n = b.network().len();
+                assert_eq!(
+                    (db.ring_searches, db.skipped_quiescent, db.rho_changed),
+                    (n, 0, n)
+                );
+            }
         }
         assert_eq!(a.snapshot(), b.snapshot());
     }
@@ -833,14 +645,23 @@ mod tests {
             SessionBuilder::restore(b"not a snapshot").unwrap_err(),
             SnapshotError::BadMagic
         );
-        assert_eq!(
+        // An unsealed edit fails the checksum ...
+        assert!(matches!(
             SessionBuilder::restore(&snap[..snap.len() - 3]).unwrap_err(),
+            SnapshotError::Corrupt(_)
+        ));
+        // ... a resealed one reaches the structural checks.
+        let mut short = snap[..snap.len() - 8].to_vec();
+        short.truncate(short.len() - 3);
+        short.extend_from_slice(&[0; 8]);
+        assert_eq!(
+            SessionBuilder::restore(&reseal(short)).unwrap_err(),
             SnapshotError::Truncated
         );
-        let mut long = snap.clone();
-        long.push(0);
+        let mut long = snap[..snap.len() - 8].to_vec();
+        long.extend_from_slice(&[0; 9]);
         assert_eq!(
-            SessionBuilder::restore(&long).unwrap_err(),
+            SessionBuilder::restore(&reseal(long)).unwrap_err(),
             SnapshotError::TrailingBytes
         );
     }
@@ -850,13 +671,13 @@ mod tests {
         let mut s = session(10, 1, 3);
         s.step();
         let mut snap = s.snapshot();
-        // Flip the k field (first u64 after the magic) to zero — an
+        // Set the k field (first u64 after the magic) to zero — an
         // invalid coverage degree.
         let at = SNAPSHOT_MAGIC.len();
         snap[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
-        assert!(matches!(
-            SessionBuilder::restore(&snap).unwrap_err(),
-            SnapshotError::Corrupt(_)
-        ));
+        match SessionBuilder::restore(&reseal(snap)).unwrap_err() {
+            SnapshotError::Corrupt(why) => assert!(why.contains("k=0"), "{why}"),
+            other => panic!("decoded with {other:?}"),
+        }
     }
 }

@@ -1,24 +1,24 @@
-//! Property test: `laacad-snapshot/2` round-trips are invisible.
+//! Property test: `laacad-snapshot/3` round-trips are invisible.
 //!
 //! For both execution schedules (synchronous vs sequential) at 1 or 4
 //! worker threads, random populations and a random checkpoint offset, a
 //! session snapshotted mid-run and restored must (a) re-serialize to the
 //! identical bytes and (b) step forward bit-identically to the
 //! uninterrupted original — positions, per-round reports, convergence
-//! state.
-//!
-//! At `threads = 4` the cross-round cache *statistics* depend on atomic
-//! work claiming and are excluded (the positions and reports stay exact;
-//! that is the engine's documented determinism discipline).
+//! state — and (c) snapshot to the same bytes as the original at the
+//! end: snapshot bytes depend only on state, never on caches or
+//! counters.
 //!
 //! The decoder is also an input boundary: every single-byte flip and
-//! every truncation of a small session's snapshot must come back as
-//! `Ok` or a typed `SnapshotError`, never a panic, and adjacency rows
-//! the move patch could not trust (asymmetric, self-listing, unsorted)
-//! are refused as corrupt.
+//! every truncation of a small session's snapshot is refused with a
+//! typed `SnapshotError`, never a panic, and a buffer with a valid
+//! checksum but impossible state (non-finite or outside-region
+//! positions, negative or non-finite radii or odometry) is refused as
+//! corrupt rather than restored into wrong or panicking rounds.
 
-use laacad::{ExecutionMode, LaacadConfig, Session, SessionBuilder, SnapshotError, SNAPSHOT_MAGIC};
-use laacad_geom::Point;
+use laacad::{
+    fnv1a64, ExecutionMode, LaacadConfig, Session, SessionBuilder, SnapshotError, SNAPSHOT_MAGIC,
+};
 use laacad_region::sampling::sample_uniform;
 use laacad_region::Region;
 use proptest::prelude::*;
@@ -98,11 +98,7 @@ proptest! {
         prop_assert_eq!(original.rounds_executed(), restored.rounds_executed());
         prop_assert_eq!(original.is_converged(), restored.is_converged());
         prop_assert_eq!(original.history().rounds(), restored.history().rounds());
-        if threads == 1 {
-            // With one worker even the cache statistics and per-worker
-            // cache contents are deterministic: full byte-identity.
-            prop_assert_eq!(original.snapshot(), restored.snapshot());
-        }
+        prop_assert_eq!(original.snapshot(), restored.snapshot());
     }
 }
 
@@ -116,9 +112,10 @@ fn corrupt_and_truncated_snapshots_never_panic() {
         for flip in [0x01u8, 0x80, 0xFF] {
             let mut bytes = snap.clone();
             bytes[at] ^= flip;
-            // Either outcome is fine; reaching the next iteration proves
-            // the decoder did not panic.
-            let _ = SessionBuilder::restore(&bytes);
+            assert!(
+                SessionBuilder::restore(&bytes).is_err(),
+                "byte {at} ^ {flip:#04x} restored"
+            );
         }
     }
     for len in 0..snap.len() {
@@ -130,80 +127,105 @@ fn corrupt_and_truncated_snapshots_never_panic() {
     }
 }
 
-/// A 6-node path `0 – 1 – … – 5` (spacing 0.15, γ = 0.2) stepped
-/// once: the stored adjacency is the path at the initial positions.
-fn path_session() -> Session {
-    let config = LaacadConfig::builder(1)
-        .transmission_range(0.2)
-        .alpha(0.6)
-        .epsilon(1e-3)
-        .seed(5)
-        .build()
-        .unwrap();
-    let mut sim = Session::builder(config)
-        .region(Region::square(1.0).unwrap())
-        .positions(
-            (0..6)
-                .map(|i| Point::new(0.1 + 0.15 * i as f64, 0.5))
-                .collect::<Vec<_>>(),
-        )
-        .build()
-        .unwrap();
-    sim.step();
-    sim
-}
-
-/// The CSR section of a snapshot: offsets and neighbors, each preceded
-/// by its `u64` count.
-fn csr_bytes(offsets: &[u32], neighbors: &[u32]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for part in [offsets, neighbors] {
-        out.extend_from_slice(&(part.len() as u64).to_le_bytes());
-        for &x in part {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-    out
-}
-
-/// The move patch trusts the stored rows, so restore refuses adjacency
-/// that breaks its invariants: an asymmetric edge, a row listing its
-/// own node, or a row that is not strictly ascending.
-#[test]
-fn adjacency_breaking_patch_invariants_is_refused() {
-    let snap = path_session().snapshot();
-    let offsets = [0, 1, 3, 5, 7, 9, 10];
-    let path = [1, 0, 2, 1, 3, 2, 4, 3, 5, 4];
-    let stored = csr_bytes(&offsets, &path);
-    let at = snap
-        .windows(stored.len())
-        .position(|w| w == stored.as_slice())
-        .expect("snapshot stores the path adjacency");
-    assert!(SessionBuilder::restore(&snap).is_ok());
-    for (rows, why) in [
-        ([2, 0, 2, 1, 3, 2, 4, 3, 5, 4], "asymmetric"),
-        ([0, 0, 2, 1, 3, 2, 4, 3, 5, 4], "own node"),
-        ([1, 2, 0, 1, 3, 2, 4, 3, 5, 4], "ascending"),
-    ] {
-        let mut bytes = snap.clone();
-        bytes[at..at + stored.len()].copy_from_slice(&csr_bytes(&offsets, &rows));
-        match SessionBuilder::restore(&bytes).err() {
-            Some(SnapshotError::Corrupt(msg)) => assert!(msg.contains(why), "{why}: {msg}"),
-            other => panic!("{why}: decoded with {other:?}"),
-        }
-    }
-}
-
 #[test]
 fn version_1_snapshots_are_refused() {
     let mut sim = session(6, 1, 3, ExecutionMode::Synchronous, 1);
     sim.step();
     let snap = sim.snapshot();
     assert!(snap.starts_with(SNAPSHOT_MAGIC));
-    let mut v1 = b"laacad-snapshot/1\n".to_vec();
-    v1.extend_from_slice(&snap[SNAPSHOT_MAGIC.len()..]);
+    for v in [1, 2] {
+        let mut old = format!("laacad-snapshot/{v}\n").into_bytes();
+        old.extend_from_slice(&snap[SNAPSHOT_MAGIC.len()..]);
+        assert_eq!(
+            SessionBuilder::restore(&reseal(old)).unwrap_err(),
+            SnapshotError::UnsupportedVersion(v)
+        );
+    }
+}
+
+/// Replaces the trailing checksum of an edited snapshot, so restore
+/// gets past it to the state checks.
+fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+    bytes.truncate(bytes.len() - 8);
+    let checksum = fnv1a64(&bytes);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    bytes
+}
+
+/// Byte offsets, in `sim`'s snapshot, of the retired distance and of
+/// node `i`'s x coordinate, sensing radius and distance moved: the
+/// network section stores the retired distance, the position count,
+/// then all positions, all radii and all distances.
+fn network_fields(snap: &[u8], sim: &Session, i: usize) -> [usize; 4] {
+    let p = sim.network().positions()[0];
+    let mut first = p.x.to_bits().to_le_bytes().to_vec();
+    first.extend_from_slice(&p.y.to_bits().to_le_bytes());
+    let at = snap
+        .windows(16)
+        .position(|w| w == first.as_slice())
+        .expect("snapshot stores node 0's position");
+    let n = sim.network().len();
+    [
+        at - 16,
+        at + 16 * i,
+        at + 16 * n + 8 * i,
+        at + 24 * n + 8 * i,
+    ]
+}
+
+/// State a valid checksum cannot vouch for: each edit restored `Ok`
+/// in the format that trusted it, and then panicked (`∞`), spent every
+/// round unconverged (NaN, outside the region), finalized wrong radii
+/// or summarized a NaN distance moved.
+#[test]
+fn impossible_state_is_refused() {
+    let mut sim = session(12, 2, 5, ExecutionMode::Synchronous, 1);
+    for _ in 0..3 {
+        sim.step();
+    }
+    let snap = sim.snapshot();
+    assert!(SessionBuilder::restore(&snap).is_ok());
+    let [retired, pos, radius, moved] = network_fields(&snap, &sim, 4);
     assert_eq!(
-        SessionBuilder::restore(&v1).unwrap_err(),
-        SnapshotError::UnsupportedVersion(1)
+        &snap[radius..radius + 8],
+        &sim.network().sensing_radii()[4].to_bits().to_le_bytes()
+    );
+    assert_eq!(
+        &snap[retired..retired + 8],
+        &sim.network().retired_distance().to_bits().to_le_bytes()
+    );
+    for (at, value, why) in [
+        (pos, f64::INFINITY, "node 4 lies outside the target area"),
+        (pos, f64::NAN, "node 4 lies outside the target area"),
+        (pos, 50.0, "node 4 lies outside the target area"),
+        (radius, -0.1, "sensing radius of node 4"),
+        (radius, f64::NAN, "sensing radius of node 4"),
+        (moved, -1.0, "distance moved of node 4"),
+        (retired, f64::NAN, "retired distance"),
+    ] {
+        let mut bytes = snap.clone();
+        bytes[at..at + 8].copy_from_slice(&value.to_bits().to_le_bytes());
+        match SessionBuilder::restore(&reseal(bytes)).err() {
+            Some(SnapshotError::Corrupt(msg)) => assert!(msg.contains(why), "{value}: {msg}"),
+            other => panic!("{value} ({why}): decoded with {other:?}"),
+        }
+    }
+}
+
+/// A snapshot is state only: 32 bytes per node (position, sensing
+/// radius, distance moved) and 65 per recorded round, plus a few
+/// hundred bytes of config, region and framing — no per-node view,
+/// adjacency or cache bytes.
+#[test]
+fn snapshot_holds_only_primary_state() {
+    let mut sim = session(64, 1, 7, ExecutionMode::Synchronous, 1);
+    while !sim.is_converged() && sim.rounds_executed() < 60 {
+        sim.step();
+    }
+    let len = sim.snapshot().len();
+    let state = 32 * sim.network().len() + 65 * sim.history().rounds().len();
+    assert!(
+        (state..state + 300).contains(&len),
+        "{len} bytes for {state} bytes of node and round state"
     );
 }

@@ -198,11 +198,6 @@ impl Polygon {
     /// Point-in-polygon test for simple polygons (crossing number), with
     /// boundary points counted as inside.
     pub fn contains(&self, p: Point) -> bool {
-        // Boundary check first for robustness near edges.
-        let tol = EPS * (1.0 + self.bounding_box().diagonal());
-        if self.edges().any(|e| e.contains(p, tol)) {
-            return true;
-        }
         let mut inside = false;
         let n = self.vertices.len();
         let mut j = n - 1;
@@ -217,7 +212,12 @@ impl Polygon {
             }
             j = i;
         }
-        inside
+        // Points the crossing test misses may still lie on the boundary
+        // within tolerance; only they pay for the per-edge distances.
+        inside || {
+            let tol = EPS * (1.0 + self.bounding_box().diagonal());
+            self.edges().any(|e| e.contains(p, tol))
+        }
     }
 
     /// Clips the polygon by a closed half-plane (Sutherland–Hodgman).

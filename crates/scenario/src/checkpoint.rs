@@ -1,7 +1,7 @@
 //! Mid-run checkpointing of synchronous scenario runs.
 //!
 //! A [`ScenarioCheckpoint`] captures **everything** a running scenario
-//! needs to continue: the engine state as a `laacad-snapshot/2` buffer
+//! needs to continue: the engine state as a `laacad-snapshot/3` buffer
 //! ([`laacad::Session::snapshot`]), the timeline hook's resumable state
 //! (next event index, victim/placement RNG state, applied-event log),
 //! the per-round coverage-probe series, and the loop verdict of the
@@ -14,10 +14,12 @@
 //! length-prefixed session snapshot, then the hook and probe sections,
 //! all integers little-endian u64 and floats as IEEE-754 bit patterns
 //! (the same conventions as the session snapshot it embeds), then an
-//! FNV-1a 64 checksum of everything before it. The loop verdict, the
-//! hook's RNG state and the probe series have no other consistency
-//! check: without the checksum a flipped bit there decodes cleanly and
-//! resumes to a different answer. Resume also cross-checks the header
+//! FNV-1a 64 checksum ([`laacad::fnv1a64`]) of everything before it.
+//! The embedded snapshot carries its own checksum, but the loop
+//! verdict, the hook's RNG state and the probe series lie outside it
+//! and have no other consistency check: without this checksum a
+//! flipped bit there decodes cleanly and resumes to a different
+//! answer. Resume also cross-checks the header
 //! round and the hook's event cursor against the restored session, so
 //! a well-formed but inconsistent file is refused rather than
 //! re-firing applied events.
@@ -32,7 +34,7 @@
 use crate::engine::CoverageProbe;
 use crate::events::{AppliedEvent, TimelineHook};
 use crate::spec::{ScenarioSpec, SpecError};
-use laacad::{ObservedRound, Session, SessionBuilder};
+use laacad::{fnv1a64, ObservedRound, Session, SessionBuilder};
 
 /// First bytes of every serialized checkpoint; the trailing newline
 /// makes `head -1` on a checkpoint file print the version.
@@ -44,7 +46,7 @@ pub const CHECKPOINT_MAGIC: &[u8] = b"laacad-checkpoint/2\n";
 pub struct ScenarioCheckpoint {
     /// Round the checkpoint was taken after (1-based).
     round: usize,
-    /// `laacad-snapshot/2` bytes of the session.
+    /// `laacad-snapshot/3` bytes of the session.
     session: Vec<u8>,
     /// Loop verdict of the checkpointed round: an observer demanded a
     /// stop. Needed so resume does not step past a round the
@@ -236,14 +238,6 @@ impl ScenarioCheckpoint {
             probe,
         })
     }
-}
-
-/// 64-bit FNV-1a: detects the flipped bits and torn writes a checkpoint
-/// file can suffer on disk (not an adversarial MAC).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {

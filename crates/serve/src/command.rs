@@ -53,7 +53,7 @@ pub enum Response {
     EventApplied(EventOutcome),
     /// [`Command::QueryCoverage`] — the coverage verdict.
     Coverage(CoverageAnswer),
-    /// [`Command::Snapshot`] — a `laacad-snapshot/2` buffer.
+    /// [`Command::Snapshot`] — a `laacad-snapshot/3` buffer.
     Snapshot(Vec<u8>),
     /// The session rejected the command (validation failure); the
     /// session itself is untouched, per the engine's atomic-rejection
@@ -88,7 +88,7 @@ pub struct CoverageAnswer {
 pub enum LogEntry {
     /// A session was admitted with this snapshot as its initial state.
     Admit {
-        /// `laacad-snapshot/2` bytes of the session at admission.
+        /// `laacad-snapshot/3` bytes of the session at admission.
         snapshot: Vec<u8>,
     },
     /// A command was accepted into a session's queue.

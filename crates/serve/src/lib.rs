@@ -8,7 +8,7 @@
 //!
 //! Three layers:
 //!
-//! * **Snapshots** — the `laacad-snapshot/2` format lives in
+//! * **Snapshots** — the `laacad-snapshot/3` format lives in
 //!   [`laacad::snapshot`]; this crate consumes it for admission records
 //!   and the [`Command::Snapshot`] request.
 //! * **Scheduling** — [`SessionHost`] owns N sessions with per-session

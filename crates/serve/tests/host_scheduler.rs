@@ -8,7 +8,8 @@ use laacad_geom::Point;
 use laacad_region::sampling::sample_uniform;
 use laacad_region::Region;
 use laacad_serve::{
-    Command, HostConfig, QueuePolicy, Response, SessionHost, SessionId, SubmitError,
+    Command, HostConfig, LogEntry, QueuePolicy, ReplayError, Response, SessionHost, SessionId,
+    SubmitError,
 };
 use laacad_wsn::NodeId;
 
@@ -151,4 +152,90 @@ fn reject_policy_surfaces_backpressure_and_still_replays() {
         replayed.session(id).unwrap().snapshot()
     );
     assert_eq!(replayed.stats().rejected, 0);
+}
+
+/// A replay log is an input boundary: a damaged admission snapshot, a
+/// dropped, duplicated or reordered entry, and a submission or
+/// retirement naming a session that does not exist (out of range, or
+/// already retired) each replay to `Ok` or a typed `ReplayError` —
+/// never a panic.
+#[test]
+fn mutated_logs_replay_or_fail_typed() {
+    let config = HostConfig {
+        queue_capacity: 3,
+        policy: QueuePolicy::ShedOldest,
+        tick_budget: 2,
+        threads: 1,
+    };
+    let mut host = SessionHost::new(config);
+    let ids: Vec<SessionId> = (0..4)
+        .map(|i| host.admit(session(8 + i, 1 + i % 2, 500 + i as u64)))
+        .collect();
+    let mut mix = Mix(7);
+    for round in 0..5 {
+        for &id in &ids {
+            if host.session(id).is_some() {
+                for _ in 0..1 + mix.next() % 3 {
+                    host.submit(id, command(&mut mix)).unwrap();
+                }
+            }
+        }
+        host.tick();
+        if round == 2 {
+            host.retire(ids[1]).unwrap();
+        }
+    }
+    let log = host.log().clone();
+    assert!(SessionHost::replay(&log).is_ok());
+    let entries = log.entries.len();
+    let with = |edit: &dyn Fn(&mut Vec<LogEntry>)| {
+        let mut mutated = log.clone();
+        edit(&mut mutated.entries);
+        SessionHost::replay(&mutated).map(|_| ())
+    };
+
+    // Every damaged admission snapshot fails its checksum.
+    for (i, entry) in log.entries.iter().enumerate() {
+        let LogEntry::Admit { snapshot } = entry else {
+            continue;
+        };
+        for at in (0..snapshot.len()).step_by(5) {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let result = with(&|e| {
+                    if let LogEntry::Admit { snapshot } = &mut e[i] {
+                        snapshot[at] ^= flip;
+                    }
+                });
+                assert!(
+                    matches!(result, Err(ReplayError::Snapshot(_))),
+                    "entry {i} byte {at} ^ {flip:#04x}: {result:?}"
+                );
+            }
+        }
+    }
+    // Dropped, duplicated and swapped entries: either outcome is fine;
+    // reaching the next iteration proves replay did not panic.
+    for i in 0..entries {
+        let _ = with(&|e| {
+            e.remove(i);
+        });
+        let _ = with(&|e| e.insert(i, e[i].clone()));
+        if i + 1 < entries {
+            let _ = with(&|e| e.swap(i, i + 1));
+        }
+    }
+    // Entries naming sessions the replaying host does not have.
+    let missing = |result: Result<(), ReplayError>| {
+        matches!(
+            result,
+            Err(ReplayError::Submit(SubmitError::UnknownSession) | ReplayError::UnknownSession(_))
+        )
+    };
+    for id in [SessionId(ids.len()), SessionId(usize::MAX), ids[1]] {
+        assert!(missing(with(&|e| e.push(LogEntry::Submit {
+            session: id,
+            command: Command::Step,
+        }))));
+        assert!(missing(with(&|e| e.push(LogEntry::Retire { session: id }))));
+    }
 }

@@ -289,9 +289,10 @@ impl Adjacency {
         &self.slots[start as usize..(start + len) as usize]
     }
 
-    /// The compact CSR arrays `(offsets, neighbors)` — snapshot
-    /// serialization. Empty offsets means an empty (never-built)
-    /// snapshot; the row slack is not part of it.
+    /// The compact CSR arrays `(offsets, neighbors)` — the rows without
+    /// their slack, so two snapshots of the same graph compare equal
+    /// whatever their layout. Empty offsets means an empty (never-built)
+    /// snapshot.
     pub fn csr(&self) -> (Vec<u32>, Vec<u32>) {
         if !self.built {
             return (Vec::new(), Vec::new());
@@ -304,40 +305,6 @@ impl Adjacency {
             offsets.push(neighbors.len() as u32);
         }
         (offsets, neighbors)
-    }
-
-    /// Reconstructs a snapshot from serialized CSR arrays, re-laying the
-    /// rows out with fresh slack. The query scratch and epoch stamps are
-    /// transient (resized on demand, never read before being written),
-    /// so only the CSR itself round-trips.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the CSR is malformed (offsets not starting at 0, not
-    /// monotone, or not ending at `neighbors.len()`), unless both vectors
-    /// are empty (the never-built state).
-    pub fn from_csr(offsets: Vec<u32>, neighbors: Vec<u32>) -> Self {
-        let mut adj = Adjacency::default();
-        if offsets.is_empty() {
-            assert!(neighbors.is_empty(), "neighbors without offsets");
-            return adj;
-        }
-        assert_eq!(offsets[0], 0, "CSR offsets must start at 0");
-        assert!(
-            offsets.windows(2).all(|w| w[0] <= w[1]),
-            "CSR offsets must be monotone"
-        );
-        assert_eq!(
-            *offsets.last().unwrap() as usize,
-            neighbors.len(),
-            "CSR offsets must end at neighbors.len()"
-        );
-        for w in offsets.windows(2) {
-            let row = &neighbors[w[0] as usize..w[1] as usize];
-            adj.push_row(row.iter().copied());
-        }
-        adj.seal();
-        adj
     }
 }
 
