@@ -55,6 +55,7 @@ pub mod hooks;
 pub mod localview;
 pub mod minnode;
 pub mod observer;
+pub mod protocol;
 pub mod ring;
 pub mod scratch;
 pub mod session;
@@ -69,6 +70,7 @@ pub use localview::{
 };
 pub use minnode::{min_node_deployment, MinNodeResult};
 pub use observer::{Observer, TelemetryObserver};
+pub use protocol::{finalize_views, RoundAggregate};
 pub use ring::{
     expanding_ring_search, expanding_ring_search_scratched, expanding_ring_search_status,
     expanding_ring_search_status_warm, DominationScratch, RingOutcome, RingStatus,

@@ -37,6 +37,7 @@ use crate::history::{History, RoundReport, RunSummary};
 use crate::hooks::{EventOutcome, HookAction, NetworkEvent};
 use crate::localview::{compute_node_view, compute_node_view_warm, NodeView};
 use crate::observer::Observer;
+use crate::protocol::{finalize_views, RoundAggregate};
 use crate::scratch::RoundScratch;
 use laacad_exec::{merge_worker_telemetry, parallel_map_scratched, resolve_workers};
 use laacad_geom::Point;
@@ -44,7 +45,6 @@ use laacad_region::Region;
 use laacad_telemetry::{Recorder, Stage};
 use laacad_wsn::mobility::step_toward;
 use laacad_wsn::multihop::{hop_budget, DEFAULT_HOP_SLACK};
-use laacad_wsn::radio::MessageStats;
 use laacad_wsn::{Adjacency, GridIndex, Network, NodeId};
 
 /// One node's movement during a round: id plus the exact positions
@@ -108,12 +108,12 @@ pub struct ObservedRound {
 }
 
 /// **Cumulative** work counters over a session's lifetime: every field
-/// is a running total that [`Session::finish_round`] adds to after each
-/// round and that nothing resets implicitly — they are *not* per-round
-/// values (per-round deltas live on [`RoundDelta`]). Observers that
-/// want per-round numbers for metrics the delta does not carry can call
-/// [`Session::take_counters`] each round and treat the returned struct
-/// as the diff since the previous take.
+/// is a running total that each round adds to and that nothing resets
+/// implicitly — they are *not* per-round values (per-round deltas live
+/// on [`RoundDelta`]). Observers that want per-round numbers for
+/// metrics the delta does not carry can call [`Session::take_counters`]
+/// each round and treat the returned struct as the diff since the
+/// previous take.
 ///
 /// Counters are work, not state: a snapshot does not store them. A
 /// session restored by [`SessionBuilder::restore`] starts them at zero,
@@ -312,7 +312,8 @@ impl Session {
     /// * [`LaacadError::NodeOutsideRegion`] — a non-finite position or
     ///   one outside the target area;
     /// * [`LaacadError::InvalidState`] — a sensing radius, distance
-    ///   moved or retired distance that is negative or not finite.
+    ///   moved or retired distance that is negative or not finite, or a
+    ///   round count that differs from the number of round records.
     pub(crate) fn from_state(state: SessionState) -> Result<Session, LaacadError> {
         let SessionState {
             config,
@@ -350,6 +351,13 @@ impl Session {
             return Err(LaacadError::InvalidState {
                 what: "retired distance".into(),
                 value: retired_distance,
+            });
+        }
+        // A summary counts one executed round per history record.
+        if history.rounds().len() != round {
+            return Err(LaacadError::InvalidState {
+                what: format!("round count ({} round records)", history.rounds().len()),
+                value: round as f64,
             });
         }
         let net = Network::from_parts(
@@ -729,7 +737,6 @@ impl Session {
         let dirty = self.classify_dirty();
         self.record_span(Stage::Classify, stage_started);
         let views: Vec<NodeView>;
-        let rho_changed;
         let mut ring_searches = 0usize;
         let mut cache_hits = 0usize;
         let mut warm_started = 0u64;
@@ -738,7 +745,6 @@ impl Session {
             // stored views were computed — replay them wholesale. No
             // adjacency refresh, no searches, no geometry.
             views = std::mem::take(&mut self.views);
-            rho_changed = 0;
         } else {
             self.ensure_scratches(self.workers());
             let stage_started = telemetry.then(std::time::Instant::now);
@@ -774,15 +780,6 @@ impl Session {
                 )
             });
             self.drain_kernel_telemetry();
-            rho_changed = if self.views.len() == n {
-                views
-                    .iter()
-                    .zip(&self.views)
-                    .filter(|(new, old)| new.rho != old.rho)
-                    .count()
-            } else {
-                n
-            };
             // Work accounting: skipped nodes replayed a stored view; the
             // rest ran a ring search and either hit or missed the cache.
             for (i, view) in views.iter().enumerate() {
@@ -801,40 +798,13 @@ impl Session {
                 }
             }
         }
-        let skipped_quiescent = n - ring_searches;
-        let cache_misses = ring_searches - cache_hits;
-        // Reduce stats and apply sensing ranges in id order, then
-        // Phase 2: all nodes move together.
+        // Phase 2 in id order: every view was computed from the round's
+        // snapshot, and a node's step moves only that node.
         let stage_started = telemetry.then(std::time::Instant::now);
         let mut agg = RoundAggregate::default();
-        for (i, view) in views.iter().enumerate() {
-            agg.messages.absorb(view.messages);
-            if let Some(disk) = view.chebyshev {
-                let d = self.net.position(NodeId(i)).distance(disk.center);
-                agg.absorb_disk(disk.radius, view.reach, d);
-                self.net.set_sensing_radius(NodeId(i), view.reach);
-            }
-        }
         let mut moved = Vec::new();
         for (i, view) in views.iter().enumerate() {
-            if let Some(disk) = view.chebyshev {
-                let id = NodeId(i);
-                let from = self.net.position(id);
-                if from.distance(disk.center) > self.config.epsilon {
-                    step_toward(
-                        &mut self.net,
-                        id,
-                        disk.center,
-                        self.config.alpha,
-                        Some(&self.region),
-                    );
-                    moved.push(MovedNode {
-                        id,
-                        from,
-                        to: self.net.position(id),
-                    });
-                }
-            }
+            self.apply_view(&mut agg, NodeId(i), view, &mut moved);
         }
         self.record_span(Stage::MoveApply, stage_started);
         if !moved.is_empty() {
@@ -851,21 +821,7 @@ impl Session {
             self.pool.warm = warm;
         }
         self.counters.warm_started += warm_started;
-        self.views = views;
-        self.views_valid = self.dirty_skip_active();
-        self.last_movers.clear();
-        self.last_movers.extend_from_slice(&moved);
-        self.finish_round(
-            agg,
-            moved,
-            rho_changed,
-            RoundWork {
-                ring_searches,
-                skipped_quiescent,
-                cache_hits,
-                cache_misses,
-            },
-        )
+        self.finish_round(agg, views, moved, ring_searches, cache_hits)
     }
 
     /// Sequential (Gauss–Seidel) round: each node computes against the
@@ -895,92 +851,83 @@ impl Session {
                 self.round,
                 &mut self.scratches[0],
             );
-            agg.messages.absorb(view.messages);
-            let u = self.net.position(id);
-            if let Some(disk) = view.chebyshev {
-                let d = u.distance(disk.center);
-                agg.absorb_disk(disk.radius, view.reach, d);
-                if d > self.config.epsilon {
-                    step_toward(
-                        &mut self.net,
-                        id,
-                        disk.center,
-                        self.config.alpha,
-                        Some(&self.region),
-                    );
-                    moved.push(MovedNode {
-                        id,
-                        from: u,
-                        to: self.net.position(id),
-                    });
-                }
-                // Keep the node's sensing range able to cover its
-                // current responsibility.
-                self.net.set_sensing_radius(id, view.reach);
-            }
+            self.apply_view(&mut agg, id, &view, &mut moved);
             views.push(view);
         }
         self.drain_kernel_telemetry();
         let cache_hits = views.iter().filter(|v| v.cache_hit).count();
-        let rho_changed = if self.views.len() == n {
+        if !moved.is_empty() || self.adjacency_state != AdjacencyState::Fresh {
+            // Gauss–Seidel rounds never refresh the snapshot, so no
+            // recorded delta relates a stale one (moved by this sweep or
+            // by an earlier displacement) to the final positions.
+            self.adjacency_state = AdjacencyState::StaleFull;
+        }
+        self.finish_round(agg, views, moved, n, cache_hits)
+    }
+
+    /// Algorithm 1 lines 3–6 for one node of this round: absorbs its view
+    /// into the round aggregate (sensing radius included) and, when the
+    /// view sends it toward a target, takes one `α` step and records the
+    /// move.
+    fn apply_view(
+        &mut self,
+        agg: &mut RoundAggregate,
+        id: NodeId,
+        view: &NodeView,
+        moved: &mut Vec<MovedNode>,
+    ) {
+        if let Some(target) = agg.absorb(&mut self.net, id, view, self.config.epsilon) {
+            let from = self.net.position(id);
+            step_toward(
+                &mut self.net,
+                id,
+                target,
+                self.config.alpha,
+                Some(&self.region),
+            );
+            moved.push(MovedNode {
+                id,
+                from,
+                to: self.net.position(id),
+            });
+        }
+    }
+
+    /// Shared round epilogue. `ring_searches` of the round's `views` were
+    /// computed, `cache_hits` of them from the cache; the rest replayed
+    /// stored views. The views and the movement set become the dirty-node
+    /// index's inputs; then the convergence latch, history, snapshots,
+    /// counters, and the assembled [`RoundDelta`].
+    fn finish_round(
+        &mut self,
+        agg: RoundAggregate,
+        views: Vec<NodeView>,
+        moved: Vec<MovedNode>,
+        ring_searches: usize,
+        cache_hits: usize,
+    ) -> RoundDelta {
+        let n = views.len();
+        let rho_changed = if ring_searches == 0 {
+            0 // every view was replayed
+        } else if self.views.len() != n {
+            n
+        } else {
             views
                 .iter()
                 .zip(&self.views)
                 .filter(|(new, old)| new.rho != old.rho)
                 .count()
-        } else {
-            n
         };
-        if !moved.is_empty() {
-            // Gauss–Seidel rounds never refresh the snapshot mid-sweep,
-            // so no recorded delta relates it to the final positions.
-            self.adjacency_state = AdjacencyState::StaleFull;
-        }
         self.views = views;
-        self.views_valid = false;
+        self.views_valid = self.dirty_skip_active();
         self.last_movers.clear();
-        self.finish_round(
-            agg,
-            moved,
-            rho_changed,
-            RoundWork {
-                ring_searches: n,
-                skipped_quiescent: 0,
-                cache_hits,
-                cache_misses: n - cache_hits,
-            },
-        )
-    }
-
-    /// Shared round epilogue: convergence latch, history, snapshots,
-    /// counters, and the assembled [`RoundDelta`].
-    fn finish_round(
-        &mut self,
-        agg: RoundAggregate,
-        moved: Vec<MovedNode>,
-        rho_changed: usize,
-        work: RoundWork,
-    ) -> RoundDelta {
-        let converged = moved.is_empty();
+        self.last_movers.extend_from_slice(&moved);
+        let report = agg.report(self.round);
         // An observer may keep a converged run alive for pending events;
         // only the transition into convergence earns an off-cadence
         // snapshot, or idle rounds would each push a full position copy.
-        let newly_converged = converged && !self.converged;
-        self.converged = converged;
-        let report = RoundReport {
-            round: self.round,
-            max_circumradius: agg.max_circumradius,
-            min_circumradius: if agg.min_circumradius == f64::INFINITY {
-                0.0
-            } else {
-                agg.min_circumradius
-            },
-            max_reach: agg.max_reach,
-            max_displacement_to_target: agg.max_disp,
-            nodes_moved: moved.len(),
-            messages: agg.messages,
-            converged,
-        };
+        let newly_converged = report.converged && !self.converged;
+        self.converged = report.converged;
         self.history.push_round(report.clone());
         if let Some(every) = self.config.snapshot_every {
             if self.round.is_multiple_of(every) || newly_converged {
@@ -988,20 +935,21 @@ impl Session {
                     .push_snapshot(self.round, self.net.positions().to_vec());
             }
         }
-        self.counters.ring_searches += work.ring_searches as u64;
-        self.counters.skipped_quiescent += work.skipped_quiescent as u64;
-        self.counters.cache_hits += work.cache_hits as u64;
-        self.counters.cache_misses += work.cache_misses as u64;
-        RoundDelta {
+        let delta = RoundDelta {
             report,
             moved,
             rho_changed,
             newly_converged,
-            ring_searches: work.ring_searches,
-            skipped_quiescent: work.skipped_quiescent,
-            cache_hits: work.cache_hits,
-            cache_misses: work.cache_misses,
-        }
+            ring_searches,
+            skipped_quiescent: n - ring_searches,
+            cache_hits,
+            cache_misses: ring_searches - cache_hits,
+        };
+        self.counters.ring_searches += delta.ring_searches as u64;
+        self.counters.skipped_quiescent += delta.skipped_quiescent as u64;
+        self.counters.cache_hits += delta.cache_hits as u64;
+        self.counters.cache_misses += delta.cache_misses as u64;
+        delta
     }
 
     /// Runs until the ε-termination condition or the round limit, then
@@ -1090,21 +1038,7 @@ impl Session {
     /// the full round history, so a session restored from a snapshot
     /// summarizes the *whole* run, not just the rounds since restore.
     pub fn summarize(&self) -> RunSummary {
-        RunSummary {
-            rounds: self.round,
-            converged: self.converged,
-            max_sensing_radius: self.net.max_sensing_radius(),
-            min_sensing_radius: self.net.min_sensing_radius(),
-            messages: self
-                .history
-                .rounds()
-                .iter()
-                .fold(MessageStats::default(), |mut acc, r| {
-                    acc.absorb(r.messages);
-                    acc
-                }),
-            total_distance_moved: self.net.total_distance_moved(),
-        }
+        RunSummary::new(self.history.rounds(), &self.net, self.converged)
     }
 
     /// Applies a dynamic [`NetworkEvent`] between rounds.
@@ -1266,53 +1200,21 @@ impl Session {
             for scratch in &mut self.scratches {
                 scratch.telemetry.arm(telemetry);
             }
-            let (net, region, config) = (&self.net, &self.region, &self.config);
-            let (round, adjacency) = (self.round, &self.adjacency);
-            let radii = parallel_map_scratched(&mut self.scratches, n, |scratch, i| {
-                let id = NodeId(i);
-                compute_node_view(net, Some(adjacency), id, region, config, round, scratch).reach
-            });
+            finalize_views(
+                &mut self.net,
+                &self.adjacency,
+                &self.region,
+                &self.config,
+                self.round,
+                &mut self.scratches,
+            );
             self.drain_kernel_telemetry();
-            for (i, r) in radii.into_iter().enumerate() {
-                self.net.set_sensing_radius(NodeId(i), r);
-            }
         }
         self.record_span(Stage::Finalize, stage_started);
         if self.config.snapshot_every.is_some() {
             self.history
                 .push_snapshot(self.round, self.net.positions().to_vec());
         }
-    }
-}
-
-/// Per-round stat accumulator shared by both execution modes.
-#[derive(Debug)]
-struct RoundAggregate {
-    max_circumradius: f64,
-    min_circumradius: f64,
-    max_reach: f64,
-    max_disp: f64,
-    messages: MessageStats,
-}
-
-impl Default for RoundAggregate {
-    fn default() -> Self {
-        RoundAggregate {
-            max_circumradius: 0.0,
-            min_circumradius: f64::INFINITY,
-            max_reach: 0.0,
-            max_disp: 0.0,
-            messages: MessageStats::default(),
-        }
-    }
-}
-
-impl RoundAggregate {
-    fn absorb_disk(&mut self, radius: f64, reach: f64, displacement: f64) {
-        self.max_circumradius = self.max_circumradius.max(radius);
-        self.min_circumradius = self.min_circumradius.min(radius);
-        self.max_reach = self.max_reach.max(reach);
-        self.max_disp = self.max_disp.max(displacement);
     }
 }
 
@@ -1350,15 +1252,6 @@ enum AdjacencyState {
     /// Stale beyond patching (construction, events, Gauss–Seidel
     /// sweeps): only a full rebuild helps.
     StaleFull,
-}
-
-/// Per-round work accounting handed to [`Session::finish_round`].
-#[derive(Debug, Clone, Copy)]
-struct RoundWork {
-    ring_searches: usize,
-    skipped_quiescent: usize,
-    cache_hits: usize,
-    cache_misses: usize,
 }
 
 #[cfg(test)]

@@ -522,7 +522,8 @@ impl SessionBuilder {
     /// [`SnapshotError`] on unknown versions, a checksum mismatch,
     /// truncation, trailing bytes, or any decoded state that fails
     /// validation: non-finite or outside-region positions, negative or
-    /// non-finite sensing radii or odometry, `k > N`.
+    /// non-finite sensing radii or odometry, `k > N`, a round count that
+    /// differs from the number of recorded rounds.
     pub fn restore(bytes: &[u8]) -> Result<Session, SnapshotError> {
         let mut r = Reader::new(bytes)?;
         let config = read_config(&mut r)?;

@@ -15,7 +15,7 @@
 //! bits and message totals must match the session after every round and
 //! after `finalize`, at one and at four worker threads.
 
-use laacad::{compute_node_view, LaacadConfig, NetworkEvent, RoundScratch, Session};
+use laacad::{compute_node_view, ExecutionMode, LaacadConfig, NetworkEvent, RoundScratch, Session};
 use laacad_geom::Point;
 use laacad_region::sampling::sample_uniform;
 use laacad_region::Region;
@@ -203,4 +203,123 @@ fn serial_engine_matches_the_from_scratch_reference() {
 #[test]
 fn parallel_engine_matches_the_from_scratch_reference() {
     run_in_lock_step(4);
+}
+
+/// Node 0's view at the positions of `net`, from scratch.
+fn view_of_node_0(sim: &Session, net: &Network) -> laacad::NodeView {
+    let round = sim.rounds_executed() + 1;
+    let mut scratch = RoundScratch::new();
+    compute_node_view(
+        net,
+        None,
+        NodeId(0),
+        sim.region(),
+        sim.config(),
+        round,
+        &mut scratch,
+    )
+}
+
+/// The `+ γ` of the dirty classifier's safe radius at work. Node 0's
+/// first ring (ρ = γ) is dominated and its flood exhausts its five-node
+/// cluster, so `max(contact_radius, ρ)` is γ, while its relays sit 0.06
+/// away. A node from a second,
+/// far cluster arrives just outside that radius but within γ of a relay:
+/// it joins node 0's next flood and changes its message count. Its old
+/// position is far from node 0, so only the margin re-activates node 0;
+/// without it node 0 would replay its stored view and miss the new
+/// messages.
+#[test]
+fn an_arrival_within_gamma_of_a_relay_reactivates_the_node() {
+    let gamma = 0.1;
+    let region = Region::square(1.0).unwrap();
+    // ε beyond the region's diameter: Algorithm 1 never moves a node, so
+    // the scripted arrival is the only movement.
+    let config = LaacadConfig::builder(1)
+        .transmission_range(gamma)
+        .epsilon(2.0)
+        .build()
+        .unwrap();
+    let x = Point::new(0.3, 0.5);
+    let mut positions = vec![x];
+    positions.extend(
+        [(0.06, 0.0), (-0.06, 0.0), (0.0, 0.06), (0.0, -0.06)]
+            .map(|(dx, dy)| Point::new(x.x + dx, x.y + dy)),
+    );
+    // Two more clusters, out of radio range of the first and of each
+    // other: the arrival comes from the first, the second stays idle.
+    positions.extend([
+        Point::new(0.85, 0.85),
+        Point::new(0.9, 0.9),
+        Point::new(0.85, 0.9),
+        Point::new(0.1, 0.1),
+        Point::new(0.15, 0.1),
+        Point::new(0.1, 0.15),
+    ]);
+    let mut sim = Session::builder(config)
+        .positions(positions)
+        .region(region)
+        .build()
+        .unwrap();
+    let (expected, messages) = reference_round(&sim);
+    let delta = sim.step();
+    assert_same_state(&expected, &sim, "first round");
+    assert_eq!(delta.report.messages, messages);
+    assert!(delta.report.converged, "nothing moves");
+
+    let (mover, arrival) = (NodeId(6), Point::new(0.42, 0.5));
+    let before = view_of_node_0(&sim, sim.network());
+    let reach = before.contact_radius.max(before.rho);
+    let d = arrival.distance(x);
+    assert!(
+        reach < d && d <= reach + gamma,
+        "the arrival lands in the margin: {reach} < {d} <= {reach} + γ"
+    );
+    assert!(sim.network().position(mover).distance(x) > reach + gamma);
+    let mut after = sim.network().clone();
+    after.apply_displacements(&[(mover, arrival)]);
+    assert_ne!(
+        view_of_node_0(&sim, &after).messages,
+        before.messages,
+        "the arrival joins node 0's flood"
+    );
+
+    sim.displace_nodes(&[(mover, arrival)]).unwrap();
+    let (expected, messages) = reference_round(&sim);
+    let delta = sim.step();
+    assert!(delta.skipped_quiescent > 0, "a partially-active round");
+    assert_same_state(&expected, &sim, "round after the arrival");
+    assert_eq!(
+        delta.report.messages, messages,
+        "message totals after the arrival"
+    );
+}
+
+/// A Gauss–Seidel round never refreshes the adjacency snapshot. After a
+/// displacement and a sweep in which no node moves, `finalize` must
+/// rebuild the snapshot rather than patch it with the sweep's (empty)
+/// movement set.
+#[test]
+fn gauss_seidel_finalize_after_a_displacement_matches_the_reference() {
+    let region = Region::square(1.0).unwrap();
+    // ε beyond the region's diameter: Algorithm 1 never moves a node.
+    let config = LaacadConfig::builder(1)
+        .transmission_range(0.12)
+        .epsilon(2.0)
+        .execution(ExecutionMode::Sequential)
+        .build()
+        .unwrap();
+    let mut sim = Session::builder(config)
+        .positions(sample_uniform(&region, 200, 5))
+        .region(region)
+        .build()
+        .unwrap();
+    sim.run();
+    let p = sim.network().position(NodeId(3));
+    sim.displace_nodes(&[(NodeId(3), Point::new(1.0 - p.x, 1.0 - p.y))])
+        .unwrap();
+    assert!(sim.step().moved.is_empty(), "the sweep moves nothing");
+    let expected = reference_finalize(&sim);
+    sim.finalize();
+    assert_same_state(&expected, &sim, "finalize after a displacement");
 }

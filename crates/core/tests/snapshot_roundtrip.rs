@@ -210,6 +210,16 @@ fn impossible_state_is_refused() {
             other => panic!("{value} ({why}): decoded with {other:?}"),
         }
     }
+    // The round count follows the distances moved; a summary counts one
+    // executed round per recorded round, so the two must agree.
+    let round = network_fields(&snap, &sim, 0)[1] + 32 * sim.network().len();
+    assert_eq!(&snap[round..round + 8], &3u64.to_le_bytes());
+    let mut bytes = snap.clone();
+    bytes[round..round + 8].copy_from_slice(&4u64.to_le_bytes());
+    match SessionBuilder::restore(&reseal(bytes)).err() {
+        Some(SnapshotError::Corrupt(msg)) => assert!(msg.contains("round count"), "{msg}"),
+        other => panic!("4 rounds over 3 records: decoded with {other:?}"),
+    }
 }
 
 /// A snapshot is state only: 32 bytes per node (position, sensing

@@ -14,25 +14,32 @@
 //!    the LAACAD local view: expanding-ring search, order-k subdivision,
 //!    Chebyshev center — the same kernel the synchronous engine calls,
 //!    searching the same one-hop CSR ([`Adjacency`]), patched on every
-//!    applied move.
-//! 4. **Move** — if the target is further than `ε`, step toward it
-//!    (`α`-lerp, projected into the region) one tick later, then start
-//!    the next round.
+//!    applied move. The view then goes through the shared protocol core,
+//!    [`laacad::RoundAggregate::absorb`]: it joins its round's record,
+//!    sets the node's sensing range, and yields a target when the node is
+//!    more than `ε` from its Chebyshev center.
+//! 4. **Move** — with a target, step toward it (`α`-lerp, projected into
+//!    the region) one tick later, then start the next round.
 //!
-//! In the zero-delay/zero-loss limit the slots above put every node's
-//! compute for round `r` on the same tick, reading the same position
-//! snapshot the synchronous engine would — the final deployment is
-//! bit-identical to [`laacad::Session::run`] at any thread count (see
+//! Round reports, the run summary and the final sensing ranges come from
+//! the same core ([`laacad::RoundAggregate::report`],
+//! [`laacad::RunSummary::new`], [`laacad::finalize_views`]) that
+//! [`laacad::Session`] calls, so the executor owns only the timing: who
+//! computes when, and which messages it took. In the zero-delay/zero-loss
+//! limit the slots above put every node's compute for round `r` on the
+//! same tick, reading the same position snapshot the synchronous engine
+//! would — the final deployment is bit-identical to
+//! [`laacad::Session::run`] at any thread count (see
 //! `tests/sync_equivalence.rs`). Under faults, lost probes cost retry
 //! latency, not correctness: a node eventually computes with whatever
 //! neighborhood information the ground-truth network gives it.
 //!
 //! **Determinism.** Every fault draw comes from a per-node
-//! [`SplitMix64`](laacad_region::sampling::SplitMix64) stream derived
-//! from the seed and the node index, consumed in that node's
-//! transmission order; ties in the event queue break by send sequence
-//! number. There is no wall-clock or OS randomness anywhere, so
-//! `(seed, FaultPlan, threads)` replays byte-identically.
+//! [`SplitMix64`] stream derived from the seed and the node index,
+//! consumed in that node's transmission order; ties in the event queue
+//! break by send sequence number. There is no wall-clock or OS
+//! randomness anywhere, so `(seed, FaultPlan, threads)` replays
+//! byte-identically.
 //!
 //! **Parallelism.** Events live in a tick-bucketed queue (the private
 //! `queue` module) that hands back whole same-tick batches in
@@ -46,15 +53,16 @@
 
 use std::collections::HashMap;
 
-use laacad::NodeView;
-use laacad::{compute_node_view, LaacadConfig, LaacadError, RoundReport, RoundScratch, RunSummary};
+use laacad::{
+    compute_node_view, finalize_views, LaacadConfig, LaacadError, NodeView, RoundAggregate,
+    RoundReport, RoundScratch, RunSummary,
+};
 use laacad_exec::{parallel_map_scratched, resolve_workers};
 use laacad_geom::Point;
 use laacad_region::sampling::SplitMix64;
 use laacad_region::Region;
 use laacad_telemetry::Recorder;
 use laacad_wsn::mobility::step_toward;
-use laacad_wsn::radio::MessageStats;
 use laacad_wsn::{Adjacency, Network, NodeId};
 
 use crate::backoff::{Backoff, RttEstimator};
@@ -151,7 +159,8 @@ impl std::fmt::Display for Termination {
 }
 
 /// Coordination-plane message accounting, kept strictly separate from
-/// the algorithm's ring-search [`MessageStats`] (which must match the
+/// the algorithm's ring-search
+/// [`MessageStats`](laacad_wsn::radio::MessageStats) (which must match the
 /// synchronous engine exactly in the zero-fault limit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProtocolStats {
@@ -369,33 +378,6 @@ impl NodeMachine {
     }
 }
 
-/// Per-round aggregation mirroring the synchronous engine's
-/// `RoundAggregate`, plus completion accounting.
-#[derive(Debug, Clone)]
-struct RoundAccum {
-    max_circumradius: f64,
-    min_circumradius: f64,
-    max_reach: f64,
-    max_disp: f64,
-    messages: MessageStats,
-    completed: usize,
-    moved: usize,
-}
-
-impl Default for RoundAccum {
-    fn default() -> Self {
-        RoundAccum {
-            max_circumradius: 0.0,
-            min_circumradius: f64::INFINITY,
-            max_reach: 0.0,
-            max_disp: 0.0,
-            messages: MessageStats::default(),
-            completed: 0,
-            moved: 0,
-        }
-    }
-}
-
 /// The message-driven executor. Construct with [`AsyncExecutor::new`],
 /// then [`AsyncExecutor::run`] once.
 pub struct AsyncExecutor {
@@ -417,11 +399,13 @@ pub struct AsyncExecutor {
     queue: EventQueue,
     now: u64,
     nodes: Vec<NodeMachine>,
-    scratch: RoundScratch,
-    /// Per-worker scratches for speculative batch precomputes.
+    /// One scratch per worker (at least one): serial computes use the
+    /// first; speculative batch precomputes and the final views fan out
+    /// over all of them.
     scratches: Vec<RoundScratch>,
-    workers: usize,
-    rounds: Vec<RoundAccum>,
+    /// Per-round records, indexed by round − 1; node computes land in
+    /// the round they belong to, whenever they happen.
+    rounds: Vec<RoundAggregate>,
     stats: ProtocolStats,
     recorder: Option<Box<dyn Recorder>>,
     /// Tick of the most recent applied movement anywhere (the
@@ -435,7 +419,6 @@ pub struct AsyncExecutor {
     live: usize,
     events_processed: u64,
     stopped: Option<Termination>,
-    final_rhos: Vec<f64>,
     /// Compiled state of each partition schedule (`Some` while open).
     partitions_active: Vec<Option<ActivePartition>>,
     last_heal_tick: Option<u64>,
@@ -538,13 +521,7 @@ impl AsyncExecutor {
             queue: EventQueue::default(),
             now: 0,
             nodes: (0..n).map(|_| NodeMachine::new()).collect(),
-            scratch: RoundScratch::new(),
-            scratches: if workers > 1 {
-                (0..workers).map(|_| RoundScratch::new()).collect()
-            } else {
-                Vec::new()
-            },
-            workers,
+            scratches: (0..workers).map(|_| RoundScratch::new()).collect(),
             rounds: Vec::new(),
             stats: ProtocolStats::default(),
             recorder: None,
@@ -554,7 +531,6 @@ impl AsyncExecutor {
             live: n,
             events_processed: 0,
             stopped: None,
-            final_rhos: Vec::new(),
             partitions_active,
             last_heal_tick: None,
             quarantine: if corruption_on {
@@ -608,7 +584,7 @@ impl AsyncExecutor {
 
     fn ensure_round(&mut self, round: usize) {
         while self.rounds.len() < round {
-            self.rounds.push(RoundAccum::default());
+            self.rounds.push(RoundAggregate::default());
         }
     }
 
@@ -739,9 +715,7 @@ impl AsyncExecutor {
             self.schedule(at, EventKind::RoundStart { node: i, epoch: 0 });
         }
         let termination = self.event_loop();
-        let rounds_executed = self.rounds_executed();
-        self.finalize(rounds_executed);
-        self.assemble(termination, rounds_executed)
+        self.finish(termination)
     }
 
     /// Statically schedules coverage probes over the known partition
@@ -836,7 +810,7 @@ impl AsyncExecutor {
     /// compute (corruption with validation off).
     fn precompute(&mut self, segment: &[Event]) -> HashMap<u64, NodeView> {
         let mut out = HashMap::new();
-        if self.workers <= 1 || segment.len() < 2 {
+        if self.scratches.len() <= 1 || segment.len() < 2 {
             return out;
         }
         if self.plan.corruption.is_some_and(|c| !c.validate) {
@@ -1161,7 +1135,7 @@ impl AsyncExecutor {
             &self.region,
             &self.config,
             round,
-            &mut self.scratch,
+            &mut self.scratches[0],
         );
         for &(subject, truth) in saved.iter().rev() {
             self.net.override_position(NodeId(subject), truth);
@@ -1186,31 +1160,11 @@ impl AsyncExecutor {
                 &self.region,
                 &self.config,
                 round,
-                &mut self.scratch,
+                &mut self.scratches[0],
             ),
         };
         self.stats.computes += 1;
-        let position = self.net.position(id);
-        let mut target = None;
-        {
-            let acc = &mut self.rounds[round - 1];
-            acc.messages.absorb(view.messages);
-            acc.completed += 1;
-            if let Some(disk) = view.chebyshev {
-                let d = position.distance(disk.center);
-                acc.max_circumradius = acc.max_circumradius.max(disk.radius);
-                acc.min_circumradius = acc.min_circumradius.min(disk.radius);
-                acc.max_reach = acc.max_reach.max(view.reach);
-                acc.max_disp = acc.max_disp.max(d);
-                if d > self.config.epsilon {
-                    target = Some(disk.center);
-                    acc.moved += 1;
-                }
-            }
-        }
-        if view.chebyshev.is_some() {
-            self.net.set_sensing_radius(id, view.reach);
-        }
+        let target = self.rounds[round - 1].absorb(&mut self.net, id, &view, self.config.epsilon);
         let epoch = {
             let m = &mut self.nodes[i];
             m.prev_rho = m.rho;
@@ -1343,92 +1297,34 @@ impl AsyncExecutor {
         }
     }
 
-    /// Highest round any node completed a compute for (0 when the run
-    /// was cut before the first compute).
-    fn rounds_executed(&self) -> usize {
-        self.rounds
+    /// Finalizes sensing ranges at the final positions, keeping each
+    /// node's final ρ, and assembles the run's report: one record per
+    /// round up to the highest round any node completed a compute for
+    /// (none when the run was cut before the first compute).
+    fn finish(&mut self, termination: Termination) -> AsyncRunReport {
+        let rounds_executed = self
+            .rounds
             .iter()
-            .rposition(|acc| acc.completed > 0)
-            .map_or(0, |idx| idx + 1)
-    }
-
-    /// Mirrors [`laacad::Session::finalize`]: recompute every node's
-    /// view at the final positions, in id order, and set sensing ranges
-    /// to the minimum covering value. Also captures the final ρ per
-    /// node. Views fan out over the worker pool (positions are frozen,
-    /// the kernel never reads sensing radii, and the radii are applied
-    /// serially in id order — bit-identical to the serial pass).
-    fn finalize(&mut self, rounds_executed: usize) {
-        let n = self.net.len();
-        let views: Vec<NodeView> = if self.workers > 1 && n > 1 {
-            let net = &self.net;
-            let adjacency = &self.adjacency;
-            let region = &self.region;
-            let config = &self.config;
-            parallel_map_scratched(&mut self.scratches, n, |scratch, i| {
-                compute_node_view(
-                    net,
-                    Some(adjacency),
-                    NodeId(i),
-                    region,
-                    config,
-                    rounds_executed,
-                    scratch,
-                )
-            })
-        } else {
-            (0..n)
-                .map(|i| {
-                    compute_node_view(
-                        &self.net,
-                        Some(&self.adjacency),
-                        NodeId(i),
-                        &self.region,
-                        &self.config,
-                        rounds_executed,
-                        &mut self.scratch,
-                    )
-                })
-                .collect()
-        };
-        self.final_rhos = Vec::with_capacity(n);
-        for (i, view) in views.into_iter().enumerate() {
-            self.net.set_sensing_radius(NodeId(i), view.reach);
-            self.final_rhos.push(view.rho);
-        }
-    }
-
-    fn assemble(&mut self, termination: Termination, rounds_executed: usize) -> AsyncRunReport {
+            .rposition(|agg| agg.absorbed() > 0)
+            .map_or(0, |idx| idx + 1);
+        let final_rhos = finalize_views(
+            &mut self.net,
+            &self.adjacency,
+            &self.region,
+            &self.config,
+            rounds_executed,
+            &mut self.scratches,
+        )
+        .iter()
+        .map(|view| view.rho)
+        .collect();
         let reports: Vec<RoundReport> = self.rounds[..rounds_executed]
             .iter()
             .enumerate()
-            .map(|(idx, acc)| RoundReport {
-                round: idx + 1,
-                max_circumradius: acc.max_circumradius,
-                min_circumradius: if acc.min_circumradius == f64::INFINITY {
-                    0.0
-                } else {
-                    acc.min_circumradius
-                },
-                max_reach: acc.max_reach,
-                max_displacement_to_target: acc.max_disp,
-                nodes_moved: acc.moved,
-                messages: acc.messages,
-                converged: acc.moved == 0,
-            })
+            .map(|(idx, agg)| agg.report(idx + 1))
             .collect();
-        let summary = RunSummary {
-            rounds: rounds_executed,
-            converged: termination == Termination::Converged,
-            max_sensing_radius: self.net.max_sensing_radius(),
-            min_sensing_radius: self.net.min_sensing_radius(),
-            messages: reports.iter().fold(MessageStats::default(), |mut acc, r| {
-                acc.absorb(r.messages);
-                acc
-            }),
-            total_distance_moved: self.net.total_distance_moved(),
-        };
-        self.emit_telemetry(&reports, rounds_executed);
+        let summary = RunSummary::new(&reports, &self.net, termination == Termination::Converged);
+        self.emit_telemetry(&reports);
         AsyncRunReport {
             termination,
             summary,
@@ -1436,7 +1332,7 @@ impl AsyncExecutor {
             protocol: self.stats,
             ticks: self.now,
             events_processed: self.events_processed,
-            final_rhos: std::mem::take(&mut self.final_rhos),
+            final_rhos,
             last_heal_tick: self.last_heal_tick,
             last_move_tick: self.last_move_tick,
         }
@@ -1445,22 +1341,18 @@ impl AsyncExecutor {
     /// Emits per-round work counters and (in the final round) the
     /// protocol totals through the installed [`Recorder`]. All values
     /// are deterministic work counts, never wall clock.
-    fn emit_telemetry(&mut self, reports: &[RoundReport], rounds_executed: usize) {
+    fn emit_telemetry(&mut self, reports: &[RoundReport]) {
         let Some(rec) = self.recorder.as_mut() else {
             return;
         };
         if !rec.enabled() {
             return;
         }
-        for (idx, (acc, report)) in self.rounds[..rounds_executed]
-            .iter()
-            .zip(reports)
-            .enumerate()
-        {
-            let round = idx + 1;
-            rec.counter("async_computes", round, acc.completed as u64);
+        for (agg, report) in self.rounds.iter().zip(reports) {
+            let round = report.round;
+            rec.counter("async_computes", round, agg.absorbed() as u64);
             rec.counter("async_nodes_moved", round, report.nodes_moved as u64);
-            if round == rounds_executed {
+            if round == reports.len() {
                 rec.counter("async_hellos", round, self.stats.hellos);
                 rec.counter("async_acks", round, self.stats.acks);
                 rec.counter("async_retransmissions", round, self.stats.retransmissions);

@@ -4,9 +4,8 @@
 //! per-node clock drift.
 //!
 //! A [`FaultPlan`] plus the executor seed fully determines a run — every
-//! random draw comes from per-node
-//! [`SplitMix64`](laacad_region::sampling::SplitMix64) streams derived
-//! from the seed and consumed in deterministic event-processing order,
+//! random draw comes from per-node [`SplitMix64`] streams derived from
+//! the seed and consumed in deterministic event-processing order,
 //! so the same `(seed, plan)` pair replays byte-identically at any
 //! thread count.
 

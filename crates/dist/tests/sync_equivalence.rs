@@ -36,9 +36,11 @@ fn radii_bits(net: &Network) -> Vec<u64> {
         .collect()
 }
 
-/// ρ per node at the final positions, computed exactly the way the
-/// async finalizer computes it (fresh kernel run, no adjacency
-/// snapshot; every node's cache slot is cold, so each view is computed).
+/// ρ per node at the final positions, recomputed independently of both
+/// engines: a fresh kernel run over the live grid (the async finalizer
+/// searches its move-patched adjacency snapshot instead) with every
+/// node's cache slot cold, so each view is computed from the positions
+/// alone.
 fn final_rhos(net: &Network, region: &Region, config: &LaacadConfig, round: usize) -> Vec<f64> {
     let mut scratch = RoundScratch::new();
     (0..net.len())

@@ -5,11 +5,13 @@ use crate::events::{AppliedEvent, TimelineHook};
 use crate::spec::{ScenarioSpec, SpecError};
 use crate::value::{encode, Value};
 use laacad::{
-    HookAction, NoopRecorder, ObservedRound, Observer, Recorder, RoundDelta, RunSummary, Session,
+    HookAction, NoopRecorder, ObservedRound, Observer, Recorder, RoundDelta, RoundReport,
+    RunSummary, Session,
 };
 use laacad_coverage::{evaluate_coverage, CoverageReport};
 use laacad_dist::{AsyncExecutor, ProtocolStats, Termination};
 use laacad_wsn::energy::EnergyModel;
+use laacad_wsn::Network;
 
 /// Compact per-round metric row streamed into result files.
 #[derive(Debug, Clone, PartialEq)]
@@ -586,62 +588,80 @@ fn assemble_sync_outcome(
             summary.rounds, spec.laacad.max_rounds
         ));
     }
-    let region = sim.region().clone();
-    let k = sim.config().k;
-    let coverage = evaluate_coverage(sim.network(), &region, k, spec.evaluation.coverage_samples);
+    let coverage = evaluate_coverage(
+        sim.network(),
+        sim.region(),
+        sim.config().k,
+        spec.evaluation.coverage_samples,
+    );
+    let mut outcome = deployment_outcome(
+        spec,
+        seed,
+        sim.network(),
+        coverage,
+        summary,
+        sim.history().rounds(),
+        &probe.series,
+    );
+    // Without per-round probes every summary field would be None — keep
+    // the documented "empty unless probing is enabled" contract instead
+    // of emitting data-free rows.
+    if spec.evaluation.round_coverage_samples > 0 {
+        outcome.recovery =
+            recovery_metrics(&outcome.rounds, hook.log(), spec.evaluation.recovery_target);
+    }
+    outcome.events = hook.into_log();
+    outcome.warnings = warnings;
+    (outcome, sim.take_recorder())
+}
+
+/// The deployment half of a [`ScenarioOutcome`], the same for both
+/// engines: the final population, positions and radii, the sensing loads
+/// and balance under the spec's energy model, and one [`RoundMetric`] per
+/// round record, carrying the covered fraction of each round in `probed`
+/// (`(round, fraction)`, ascending). Events, recovery, warnings and fault
+/// metrics start empty.
+fn deployment_outcome(
+    spec: &ScenarioSpec,
+    seed: u64,
+    net: &Network,
+    coverage: CoverageReport,
+    summary: RunSummary,
+    reports: &[RoundReport],
+    probed: &[(usize, f64)],
+) -> ScenarioOutcome {
     let model = EnergyModel::new(std::f64::consts::PI, spec.evaluation.energy_exponent);
-    let mut probed = probe.series.iter().copied().peekable();
-    let rounds: Vec<RoundMetric> = sim
-        .history()
-        .rounds()
+    let mut probed = probed.iter().copied().peekable();
+    let rounds = reports
         .iter()
         .map(|r| RoundMetric {
             round: r.round,
             max_circumradius: r.max_circumradius,
             min_circumradius: r.min_circumradius,
             nodes_moved: r.nodes_moved,
-            covered_fraction: match probed.peek() {
-                Some(&(round, c)) if round == r.round => {
-                    probed.next();
-                    Some(c)
-                }
-                _ => None,
-            },
+            covered_fraction: probed
+                .next_if(|&(round, _)| round == r.round)
+                .map(|(_, c)| c),
         })
         .collect();
-    // Without per-round probes every summary field would be None — keep
-    // the documented "empty unless probing is enabled" contract instead
-    // of emitting data-free rows.
-    let recovery = if spec.evaluation.round_coverage_samples > 0 {
-        recovery_metrics(&rounds, hook.log(), spec.evaluation.recovery_target)
-    } else {
-        Vec::new()
-    };
-    let recorder = sim.take_recorder();
-    let outcome = ScenarioOutcome {
+    ScenarioOutcome {
         scenario: spec.name.clone(),
         seed,
-        final_n: sim.network().len(),
-        max_load: model.max_load(sim.network()),
-        total_load: model.total_load(sim.network()),
-        balance_ratio: model.balance_ratio(sim.network()),
-        final_positions: sim
-            .network()
-            .positions()
-            .iter()
-            .map(|p| (p.x, p.y))
-            .collect(),
-        final_radii: sim.network().sensing_radii().to_vec(),
-        gamma: sim.config().gamma,
+        final_n: net.len(),
         summary,
         coverage,
-        events: hook.into_log(),
-        recovery,
+        max_load: model.max_load(net),
+        total_load: model.total_load(net),
+        balance_ratio: model.balance_ratio(net),
+        events: Vec::new(),
+        recovery: Vec::new(),
         rounds,
-        warnings,
+        final_positions: net.positions().iter().map(|p| (p.x, p.y)).collect(),
+        final_radii: net.sensing_radii().to_vec(),
+        gamma: net.gamma(),
+        warnings: Vec::new(),
         faults: None,
-    };
-    (outcome, recorder)
+    }
 }
 
 /// Runs a `[faults]`-bearing scenario on the asynchronous executor and
@@ -666,7 +686,6 @@ fn run_async_impl(
     let region = spec.region.build()?;
     let initial = spec.placement.build(&region, seed)?;
     let config = spec.laacad.build(&region, initial.len(), seed)?;
-    let gamma = config.gamma;
     let k = config.k;
 
     // Fault-free synchronous baseline: same region, placement and
@@ -718,18 +737,6 @@ fn run_async_impl(
     let probe_series: Vec<(u64, f64)> = probe_series.lock().unwrap().clone();
 
     let coverage = evaluate_coverage(exec.network(), &region, k, spec.evaluation.coverage_samples);
-    let model = EnergyModel::new(std::f64::consts::PI, spec.evaluation.energy_exponent);
-    let rounds: Vec<RoundMetric> = report
-        .rounds
-        .iter()
-        .map(|r| RoundMetric {
-            round: r.round,
-            max_circumradius: r.max_circumradius,
-            min_circumradius: r.min_circumradius,
-            nodes_moved: r.nodes_moved,
-            covered_fraction: None,
-        })
-        .collect();
     let mut warnings = Vec::new();
     if report.termination != Termination::Converged {
         // Name the budget that tripped (and its configured value), not
@@ -805,29 +812,17 @@ fn run_async_impl(
         heal_recovery_ticks,
         protocol: report.protocol,
     };
-    let outcome = ScenarioOutcome {
-        scenario: spec.name.clone(),
+    let mut outcome = deployment_outcome(
+        spec,
         seed,
-        final_n: exec.network().len(),
-        max_load: model.max_load(exec.network()),
-        total_load: model.total_load(exec.network()),
-        balance_ratio: model.balance_ratio(exec.network()),
-        final_positions: exec
-            .network()
-            .positions()
-            .iter()
-            .map(|p| (p.x, p.y))
-            .collect(),
-        final_radii: exec.network().sensing_radii().to_vec(),
-        gamma,
-        summary: report.summary,
+        exec.network(),
         coverage,
-        events: Vec::new(),
-        recovery: Vec::new(),
-        rounds,
-        warnings,
-        faults: Some(faults),
-    };
+        report.summary,
+        &report.rounds,
+        &[],
+    );
+    outcome.warnings = warnings;
+    outcome.faults = Some(faults);
     Ok(outcome)
 }
 
