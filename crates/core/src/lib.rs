@@ -69,7 +69,7 @@ pub use localview::{
     compute_local_view, compute_node_view, compute_node_view_warm, LocalView, NodeView,
 };
 pub use minnode::{min_node_deployment, MinNodeResult};
-pub use observer::{Observer, TelemetryObserver};
+pub use observer::Observer;
 pub use protocol::{finalize_views, RoundAggregate};
 pub use ring::{
     expanding_ring_search, expanding_ring_search_scratched, expanding_ring_search_status,

@@ -81,63 +81,6 @@ pub trait Observer {
     }
 }
 
-/// Observer-level telemetry wiring: forwards each round's deterministic
-/// work metrics from the [`RoundDelta`] to a
-/// [`Recorder`](laacad_telemetry::Recorder), for drivers that go
-/// through [`Session::run_with_observers`] and cannot (or prefer not
-/// to) install an engine-level recorder via
-/// [`Session::set_recorder`](crate::Session::set_recorder).
-///
-/// The engine-level recorder additionally sees per-stage wall-clock
-/// spans and per-node kernel histograms; this observer only sees the
-/// delta, so it feeds counters and round boundaries. Both report the
-/// same counter names.
-#[derive(Debug)]
-pub struct TelemetryObserver<R: laacad_telemetry::Recorder> {
-    recorder: R,
-}
-
-impl<R: laacad_telemetry::Recorder> TelemetryObserver<R> {
-    /// Wraps a recorder.
-    pub fn new(recorder: R) -> Self {
-        TelemetryObserver { recorder }
-    }
-
-    /// The wrapped recorder.
-    pub fn recorder(&self) -> &R {
-        &self.recorder
-    }
-
-    /// Unwraps the recorder (e.g. to read registry totals after a run).
-    pub fn into_inner(self) -> R {
-        self.recorder
-    }
-}
-
-impl<R: laacad_telemetry::Recorder> Observer for TelemetryObserver<R> {
-    fn on_round_end(&mut self, _session: &mut Session, delta: &RoundDelta) -> HookAction {
-        let round = delta.report.round;
-        self.recorder
-            .counter("ring_searches", round, delta.ring_searches as u64);
-        self.recorder
-            .counter("skipped_quiescent", round, delta.skipped_quiescent as u64);
-        self.recorder
-            .counter("cache_hits", round, delta.cache_hits as u64);
-        self.recorder
-            .counter("cache_misses", round, delta.cache_misses as u64);
-        self.recorder
-            .counter("nodes_moved", round, delta.moved.len() as u64);
-        self.recorder
-            .counter("rho_changed", round, delta.rho_changed as u64);
-        self.recorder
-            .counter("messages_unicast", round, delta.report.messages.unicast);
-        self.recorder
-            .counter("messages_broadcast", round, delta.report.messages.broadcast);
-        self.recorder.round_end(round);
-        HookAction::Default
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,30 +143,6 @@ mod tests {
         ) {
             self.events += 1;
         }
-    }
-
-    #[test]
-    fn telemetry_observer_forwards_round_deltas() {
-        let (mut sim, _region) = session(config(1, 60), 14, 8);
-        let mut telemetry = TelemetryObserver::new(laacad_telemetry::TelemetryRegistry::new());
-        let summary = sim.run_with_observers(&mut [&mut telemetry]);
-        let registry = telemetry.into_inner();
-        assert_eq!(registry.rounds(), summary.rounds as u64);
-        // The observer's counter totals are the session's cumulative
-        // counters — the RoundDelta stream carries the same numbers.
-        assert_eq!(
-            registry.counter_total("ring_searches"),
-            sim.counters().ring_searches
-        );
-        assert_eq!(
-            registry.counter_total("cache_misses"),
-            sim.counters().cache_misses
-        );
-        assert!(registry.counter_total("nodes_moved") > 0);
-        assert_eq!(
-            registry.counter_total("messages_broadcast"),
-            summary.messages.broadcast
-        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ use laacad_region::Region;
 use laacad_telemetry::{Recorder, Stage};
 use laacad_wsn::mobility::step_toward;
 use laacad_wsn::multihop::{hop_budget, DEFAULT_HOP_SLACK};
-use laacad_wsn::{Adjacency, GridIndex, Network, NodeId};
+use laacad_wsn::{Adjacency, FlatGrid, Network, NodeId};
 
 /// One node's movement during a round: id plus the exact positions
 /// before and after the vertex step.
@@ -591,7 +591,7 @@ impl Session {
         for view in &self.views {
             max_safe = max_safe.max(self.safe_radius(view));
         }
-        let grid = GridIndex::build(&endpoints, max_safe);
+        let grid = FlatGrid::build(&endpoints, max_safe);
         let mut mask = std::mem::take(&mut self.pool.mask);
         mask.clear();
         mask.resize(n, false);

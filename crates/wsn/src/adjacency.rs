@@ -2,8 +2,8 @@
 //!
 //! A synchronous LAACAD round runs `N` multi-hop BFS searches against
 //! the *same* position snapshot; each search visits every ring node and
-//! asks for its one-hop neighbors. Answering those from the hash-grid
-//! costs bucket lookups, distance checks and a sort per visit — building
+//! asks for its one-hop neighbors. Answering those from the spatial grid
+//! costs cell scans, distance checks and a sort per visit — building
 //! the whole adjacency once per round (one grid query per node) and
 //! reading slices afterwards is strictly cheaper and trivially
 //! shareable across worker threads.

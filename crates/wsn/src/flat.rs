@@ -1,52 +1,40 @@
-//! Flat dense spatial grid — the million-node layout of the index.
+//! Flat dense spatial grid — the spatial index of every point cloud.
 //!
-//! [`crate::spatial::SpatialGrid`] hashes every cell probe and scatters
-//! its buckets across the heap; at N = 10⁵–10⁶ the per-query hashing and
-//! pointer chasing dominate the radius queries every round performs.
-//! [`FlatGrid`] stores the same index as one row-major cell array over
-//! the point cloud's bounding box: CSR-style `starts`/`entries` arrays
-//! built by a counting sort, a per-cell occupancy prefix so point
-//! relocation is an O(1) swap-remove + append, and per-point back
-//! pointers (`cell_of`/`slot_of`) so `apply_moves` touches only the
-//! movers' source and destination cells. A radius query walks contiguous
-//! row runs of the cell array — no hashing, no per-bucket allocation.
+//! Each LAACAD round issues `N` radius queries (one expanding-ring
+//! search per node). [`FlatGrid`] answers them from one row-major cell
+//! array over the point cloud's bounding box: CSR-style
+//! `starts`/`entries` arrays built by a counting sort, a per-cell
+//! occupancy prefix so point relocation is an O(1) swap-remove +
+//! append, and per-point back pointers (`cell_of`/`slot_of`) so
+//! `apply_moves` touches only the movers' source and destination cells.
+//! A radius query walks contiguous row runs of the cell array — no
+//! hashing, no per-bucket allocation.
 //!
-//! Both index layouts implement the identical query contracts
-//! ([`FlatGrid::within_into`] sorts its output; the
-//! [`FlatGrid::min_distance_within`] early-exit contract matches
-//! [`crate::spatial::SpatialGrid::min_distance_within`] exactly), so
-//! swapping one for the other is invisible to callers — results are
-//! bit-identical, which is what lets [`GridIndex`] pick the layout per
-//! deployment without perturbing any round.
-//!
-//! The flat layout only pays off while the bounding box is dense in
-//! points: a handful of far-flung outliers would inflate the cell array
-//! without bound. [`FlatGrid::try_build`] therefore refuses (returns
-//! `None`) when the box would need more than a small multiple of N
-//! cells, and [`GridIndex::build`] falls back to the hash grid — the
-//! sparse/paged fallback of the flat design. Mutations that escape the
-//! current box or overflow a cell's slack report failure instead of
-//! degrading, and the owner (who holds the positions) rebuilds in O(N).
+//! A dense array only stays small while the bounding box is dense in
+//! points: a handful of far-flung outliers would inflate it without
+//! bound. [`FlatGrid::build`] therefore doubles the requested cell size
+//! until the box needs at most `2N + 64` cells. Queries stay exact at
+//! any cell size; a coarser cell only makes each query scan more
+//! points. Mutations that escape the current box or overflow a cell's
+//! slack report failure instead of degrading, and the owner (who holds
+//! the positions) rebuilds in O(N).
 
-use crate::spatial::SpatialGrid;
 use laacad_geom::Point;
 
 /// Spare slots reserved per cell at build time, so points can migrate
 /// into a cell a few times before the grid asks for a rebuild.
 const CELL_SLACK: u32 = 4;
 
-/// A build is refused when the bounding box needs more than
-/// `DENSITY_LIMIT · N + DENSITY_SLACK` cells — the point cloud is too
-/// sparse for a dense array to pay off.
+/// A build coarsens its cell until the bounding box needs at most
+/// `DENSITY_LIMIT · N + DENSITY_SLACK` cells — the cap on the cell
+/// array's memory.
 const DENSITY_LIMIT: u128 = 2;
 const DENSITY_SLACK: u128 = 64;
 
-/// A dense row-major grid over points with a fixed cell size.
+/// A dense row-major grid over points.
 ///
-/// Indexes points by their position in an external slice, exactly like
-/// [`SpatialGrid`]; the cell decomposition (`floor(p / cell)` per axis)
-/// is also identical, so the two layouts index the same point into the
-/// same cell.
+/// Indexes points by their position in an external slice; point `p`
+/// lives in cell `floor(p / cell)` per axis.
 #[derive(Debug, Clone)]
 pub struct FlatGrid {
     cell: f64,
@@ -68,19 +56,26 @@ pub struct FlatGrid {
 }
 
 impl FlatGrid {
-    /// Builds a dense grid with the given cell size over `points`
-    /// (indexed by position in the slice), or `None` when the point
-    /// cloud's bounding box is too sparse for a dense cell array (or the
-    /// index would overflow `u32`).
+    /// Builds a grid over `points` (indexed by position in the slice)
+    /// with cell size `cell`, doubled as often as needed to keep the
+    /// bounding box within `2N + 64` cells.
     ///
     /// # Panics
     ///
-    /// Panics when `cell` is not strictly positive.
-    pub fn try_build(points: &[Point], cell: f64) -> Option<Self> {
+    /// Panics when `cell` is not strictly positive and finite, or when
+    /// `points` holds more than `u32::MAX / 16` points (the entry
+    /// array's `u32` offsets would overflow).
+    pub fn build(points: &[Point], cell: f64) -> Self {
         assert!(cell.is_finite() && cell > 0.0, "cell size must be positive");
         let n = points.len();
+        // Entry count is at most `n + CELL_SLACK · ncells ≤ 9n + 256`;
+        // keep it comfortably inside `u32`.
+        assert!(
+            n <= u32::MAX as usize / 16,
+            "{n} points exceed the grid's u32 offsets"
+        );
         if n == 0 {
-            return Some(FlatGrid {
+            return FlatGrid {
                 cell,
                 gx0: 0,
                 gy0: 0,
@@ -91,32 +86,38 @@ impl FlatGrid {
                 entries: Vec::new(),
                 cell_of: Vec::new(),
                 slot_of: Vec::new(),
-            });
+            };
         }
-        // Entry count is at most `n + CELL_SLACK · ncells ≤ 9n + 256`;
-        // keep it comfortably inside `u32`.
-        if n > u32::MAX as usize / 16 {
-            return None;
+        // Coordinate bounding box, once. `key` is monotone per axis, so
+        // the key range at any cell size comes from the box corners and
+        // each doubling below is O(1). `key` sends NaN to 0, the key of
+        // 0.0, so a NaN coordinate counts as 0.0 here.
+        let nan_as_zero = |v: f64| if v.is_nan() { 0.0 } else { v };
+        let (mut lo, mut hi) = (
+            Point::new(f64::INFINITY, f64::INFINITY),
+            Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+        );
+        for p in points {
+            let (x, y) = (nan_as_zero(p.x), nan_as_zero(p.y));
+            lo = Point::new(lo.x.min(x), lo.y.min(y));
+            hi = Point::new(hi.x.max(x), hi.y.max(y));
         }
-        let (mut gx0, mut gy0) = (i64::MAX, i64::MAX);
-        let (mut gx1, mut gy1) = (i64::MIN, i64::MIN);
-        for &p in points {
-            let (gx, gy) = key(p, cell);
-            gx0 = gx0.min(gx);
-            gy0 = gy0.min(gy);
-            gx1 = gx1.max(gx);
-            gy1 = gy1.max(gy);
-        }
-        // Span arithmetic in wide integers: a degenerate cell size next
-        // to spread-out points could overflow i64 spans.
-        let cols = (gx1 as i128 - gx0 as i128 + 1) as u128;
-        let rows = (gy1 as i128 - gy0 as i128 + 1) as u128;
-        let ncells = cols.checked_mul(rows)?;
-        if ncells > DENSITY_LIMIT * n as u128 + DENSITY_SLACK {
-            return None;
-        }
-        let (cols, rows) = (cols as usize, rows as usize);
-        let ncells = ncells as usize;
+        let limit = DENSITY_LIMIT * n as u128 + DENSITY_SLACK;
+        let mut cell = cell;
+        let ((gx0, gy0), cols, rows) = loop {
+            let (g0, g1) = (key(lo, cell), key(hi, cell));
+            // Span arithmetic in wide integers: a small cell next to
+            // spread-out points could overflow i64 spans.
+            let cols = (g1.0 as i128 - g0.0 as i128 + 1) as u128;
+            let rows = (g1.1 as i128 - g0.1 as i128 + 1) as u128;
+            if cols.checked_mul(rows).is_some_and(|c| c <= limit) {
+                break (g0, cols as usize, rows as usize);
+            }
+            // Terminates: once `cell` overflows to infinity every key
+            // is 0 and the box is one cell.
+            cell *= 2.0;
+        };
+        let ncells = cols * rows;
         let mut grid = FlatGrid {
             cell,
             gx0,
@@ -151,7 +152,7 @@ impl FlatGrid {
             grid.slot_of[i] = slot;
             grid.lens[c] += 1;
         }
-        Some(grid)
+        grid
     }
 
     /// Linear cell index of a grid key, or `None` when the key falls
@@ -168,9 +169,9 @@ impl FlatGrid {
         Some(cy * self.cols + cx)
     }
 
-    /// Like [`SpatialGrid::within_into`]: indices of all points within
-    /// Euclidean distance `radius` of `q` (inclusive), ascending,
-    /// appended into a caller-owned buffer (cleared first).
+    /// Indices of all points within Euclidean distance `radius` of `q`
+    /// (inclusive), ascending, appended into a caller-owned buffer
+    /// (cleared first).
     pub fn within_into(&self, points: &[Point], q: Point, radius: f64, out: &mut Vec<usize>) {
         out.clear();
         let r = radius.max(0.0);
@@ -194,21 +195,12 @@ impl FlatGrid {
         out.sort_unstable();
     }
 
-    /// **Test-only convenience** mirroring [`SpatialGrid::within`]:
-    /// allocates a fresh `Vec` per call, so no hot path uses it —
-    /// per-round queries go through [`FlatGrid::within_into`] with a
-    /// reused buffer.
-    pub fn within(&self, points: &[Point], q: Point, radius: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.within_into(points, q, radius, &mut out);
-        out
-    }
-
     /// Distance from `q` to the nearest indexed point within `radius`
-    /// (`f64::INFINITY` when none), with the same early-exit contract as
-    /// [`SpatialGrid::min_distance_within`]: a return value
-    /// `> stop_below` is the exact minimum; a value `≤ stop_below`
-    /// witnesses some point at that distance.
+    /// (`f64::INFINITY` when none), with an early-exit threshold: a
+    /// return value `> stop_below` is the exact minimum; a value
+    /// `≤ stop_below` witnesses some point at that distance (not
+    /// necessarily the closest). Nothing is materialized or sorted —
+    /// the form a tight classification loop probes per node.
     pub fn min_distance_within(
         &self,
         points: &[Point],
@@ -248,10 +240,11 @@ impl FlatGrid {
     fn clamped_range(&self, q: Point, r: f64) -> ((i64, i64), (i64, i64)) {
         let lo = key(q - laacad_geom::Vector::new(r, r), self.cell);
         let hi = key(q + laacad_geom::Vector::new(r, r), self.cell);
-        let x0 = (lo.0.max(self.gx0) - self.gx0).max(0);
-        let y0 = (lo.1.max(self.gy0) - self.gy0).max(0);
-        let x1 = (hi.0 - self.gx0).min(self.cols as i64 - 1);
-        let y1 = (hi.1 - self.gy0).min(self.rows as i64 - 1);
+        // Saturating: a far query's key may sit near the `i64` limits.
+        let x0 = lo.0.max(self.gx0).saturating_sub(self.gx0);
+        let y0 = lo.1.max(self.gy0).saturating_sub(self.gy0);
+        let x1 = hi.0.saturating_sub(self.gx0).min(self.cols as i64 - 1);
+        let y1 = hi.1.saturating_sub(self.gy0).min(self.rows as i64 - 1);
         ((x0, x1), (y0, y1))
     }
 
@@ -325,14 +318,15 @@ impl FlatGrid {
         ok
     }
 
-    /// The configured cell size.
+    /// The cell size in use: the requested one, doubled as often as the
+    /// build needed.
     pub fn cell_size(&self) -> f64 {
         self.cell
     }
 }
 
-/// Grid key of a point — must stay identical to
-/// [`SpatialGrid`]'s cell decomposition.
+/// Grid key of a point: `floor(p / cell)` per axis, saturating at the
+/// `i64` limits (NaN maps to 0).
 #[inline]
 fn key(p: Point, cell: f64) -> (i64, i64) {
     ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
@@ -350,105 +344,6 @@ fn range_cells(
         return None;
     }
     Some(((x0 as usize, x1 as usize), (y0 as usize, y1 as usize)))
-}
-
-/// The spatial index behind [`crate::Network`]: one of the two
-/// bit-identical layouts.
-///
-/// [`GridIndex::build`] takes the flat layout whenever the point cloud
-/// is dense enough, falling back to the hash grid otherwise. The
-/// fallible mutations ([`GridIndex::insert`] /
-/// [`GridIndex::apply_moves`] / [`GridIndex::relocate`]) report `false`
-/// when the flat layout needs a rebuild; the hash layout never does.
-#[derive(Debug, Clone)]
-pub enum GridIndex {
-    /// Hash-bucket layout ([`SpatialGrid`]) — handles any point cloud.
-    Hash(SpatialGrid),
-    /// Dense row-major layout ([`FlatGrid`]) — the large-N fast path.
-    Flat(FlatGrid),
-}
-
-impl GridIndex {
-    /// Builds an index over `points`: the flat layout when the bounding
-    /// box is dense enough, the hash grid otherwise.
-    pub fn build(points: &[Point], cell: f64) -> Self {
-        match FlatGrid::try_build(points, cell) {
-            Some(flat) => GridIndex::Flat(flat),
-            None => GridIndex::Hash(SpatialGrid::build(points, cell)),
-        }
-    }
-
-    /// Whether the flat layout is active.
-    pub fn is_flat(&self) -> bool {
-        matches!(self, GridIndex::Flat(_))
-    }
-
-    /// See [`SpatialGrid::within_into`].
-    pub fn within_into(&self, points: &[Point], q: Point, radius: f64, out: &mut Vec<usize>) {
-        match self {
-            GridIndex::Hash(g) => g.within_into(points, q, radius, out),
-            GridIndex::Flat(g) => g.within_into(points, q, radius, out),
-        }
-    }
-
-    /// See [`SpatialGrid::min_distance_within`].
-    pub fn min_distance_within(
-        &self,
-        points: &[Point],
-        q: Point,
-        radius: f64,
-        stop_below: f64,
-    ) -> f64 {
-        match self {
-            GridIndex::Hash(g) => g.min_distance_within(points, q, radius, stop_below),
-            GridIndex::Flat(g) => g.min_distance_within(points, q, radius, stop_below),
-        }
-    }
-
-    /// Adds point `i` at `p`; `false` means the index must be rebuilt.
-    #[must_use]
-    pub fn insert(&mut self, i: usize, p: Point) -> bool {
-        match self {
-            GridIndex::Hash(g) => {
-                g.insert(i, p);
-                true
-            }
-            GridIndex::Flat(g) => g.insert(i, p),
-        }
-    }
-
-    /// Moves point `i`; `false` means the index must be rebuilt.
-    #[must_use]
-    pub fn relocate(&mut self, i: usize, old: Point, new: Point) -> bool {
-        match self {
-            GridIndex::Hash(g) => {
-                g.relocate(i, old, new);
-                true
-            }
-            GridIndex::Flat(g) => g.relocate(i, old, new),
-        }
-    }
-
-    /// Applies a move batch, always draining the iterator (side effects
-    /// included); `false` means the index must be rebuilt.
-    #[must_use]
-    pub fn apply_moves(&mut self, moves: impl IntoIterator<Item = (usize, Point, Point)>) -> bool {
-        match self {
-            GridIndex::Hash(g) => {
-                g.apply_moves(moves);
-                true
-            }
-            GridIndex::Flat(g) => g.apply_moves(moves),
-        }
-    }
-
-    /// The configured cell size.
-    pub fn cell_size(&self) -> f64 {
-        match self {
-            GridIndex::Hash(g) => g.cell_size(),
-            GridIndex::Flat(g) => g.cell_size(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -471,11 +366,18 @@ mod tests {
         out
     }
 
+    /// The grid's own inclusion predicate, applied to every point.
+    fn brute(pts: &[Point], q: Point, r: f64) -> Vec<usize> {
+        let r = r.max(0.0);
+        (0..pts.len())
+            .filter(|&i| pts[i].distance_sq(q) <= r * r + 1e-12)
+            .collect()
+    }
+
     #[test]
-    fn within_matches_hash_grid() {
+    fn within_matches_brute_force() {
         let pts = cloud();
-        let flat = FlatGrid::try_build(&pts, 0.25).expect("dense cloud");
-        let hash = SpatialGrid::build(&pts, 0.25);
+        let grid = FlatGrid::build(&pts, 0.25);
         for &(qx, qy, r) in &[
             (0.5, 0.5, 0.2),
             (0.0, 0.0, 0.15),
@@ -486,8 +388,8 @@ mod tests {
         ] {
             let q = Point::new(qx, qy);
             assert_eq!(
-                within(&flat, &pts, q, r),
-                hash.within(&pts, q, r),
+                within(&grid, &pts, q, r),
+                brute(&pts, q, r),
                 "query ({qx},{qy}) r={r}"
             );
         }
@@ -500,14 +402,14 @@ mod tests {
             Point::new(2.0, 2.0),
             Point::new(1.0, 1.0),
         ];
-        let grid = FlatGrid::try_build(&pts, 0.5).expect("dense");
+        let grid = FlatGrid::build(&pts, 0.5);
         assert_eq!(within(&grid, &pts, Point::new(1.0, 1.0), 0.0), vec![0, 2]);
     }
 
     #[test]
     fn relocate_keeps_queries_correct() {
         let mut pts = cloud();
-        let mut grid = FlatGrid::try_build(&pts, 0.25).expect("dense cloud");
+        let mut grid = FlatGrid::build(&pts, 0.25);
         // In-box move.
         let old = pts[7];
         pts[7] = Point::new(0.51, 0.52);
@@ -528,7 +430,7 @@ mod tests {
     #[test]
     fn insert_extends_queries_and_reports_overflow() {
         let mut pts = cloud();
-        let mut grid = FlatGrid::try_build(&pts, 0.25).expect("dense cloud");
+        let mut grid = FlatGrid::build(&pts, 0.25);
         pts.push(Point::new(0.55, 0.55));
         assert!(grid.insert(pts.len() - 1, pts[pts.len() - 1]));
         assert!(within(&grid, &pts, Point::new(0.55, 0.55), 0.01).contains(&(pts.len() - 1)));
@@ -536,7 +438,7 @@ mod tests {
         assert!(!grid.insert(pts.len(), Point::new(5.0, 5.0)));
         // A cell accepts at most `CELL_SLACK` net arrivals before
         // demanding a rebuild.
-        let mut grid = FlatGrid::try_build(&pts, 0.25).expect("dense cloud");
+        let mut grid = FlatGrid::build(&pts, 0.25);
         let mut accepted = 0;
         for extra in 0..=CELL_SLACK as usize {
             if grid.insert(pts.len() + extra, Point::new(0.3, 0.3)) {
@@ -547,49 +449,99 @@ mod tests {
     }
 
     #[test]
-    fn min_distance_matches_hash_grid() {
+    fn min_distance_matches_brute_force() {
         let pts = cloud();
-        let flat = FlatGrid::try_build(&pts, 0.25).expect("dense cloud");
-        let hash = SpatialGrid::build(&pts, 0.25);
+        let grid = FlatGrid::build(&pts, 0.25);
         for &(qx, qy, r) in &[(0.52, 0.47, 0.2), (1.4, 1.4, 0.3), (1.45, 0.5, 0.6)] {
             let q = Point::new(qx, qy);
-            let got = flat.min_distance_within(&pts, q, r, 0.0);
-            let expect = hash.min_distance_within(&pts, q, r, 0.0);
-            if expect.is_infinite() {
-                assert!(got.is_infinite(), "({qx},{qy}) r={r}: got {got}");
-            } else {
-                assert!((got - expect).abs() < 1e-15, "({qx},{qy}) r={r}");
-            }
+            let got = grid.min_distance_within(&pts, q, r, 0.0);
+            let expect = brute(&pts, q, r)
+                .into_iter()
+                .map(|i| pts[i].distance(q))
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(got, expect, "({qx},{qy}) r={r}");
         }
-        let witnessed = flat.min_distance_within(&pts, Point::new(0.5, 0.5), 0.5, 0.2);
+        let witnessed = grid.min_distance_within(&pts, Point::new(0.5, 0.5), 0.5, 0.2);
         assert!(witnessed <= 0.2);
     }
 
     #[test]
-    fn sparse_cloud_refuses_flat_build() {
-        let pts = vec![Point::new(0.0, 0.0), Point::new(1000.0, 1000.0)];
-        assert!(FlatGrid::try_build(&pts, 0.1).is_none());
-        // And the unified index falls back to the hash layout.
-        let index = GridIndex::build(&pts, 0.1);
-        assert!(!index.is_flat());
-        let mut out = Vec::new();
-        index.within_into(&pts, Point::new(0.0, 0.0), 1.0, &mut out);
-        assert_eq!(out, vec![0]);
+    fn sparse_clouds_coarsen_the_cell_and_stay_exact() {
+        let mut cluster_and_outlier: Vec<Point> = (0..200)
+            .map(|i| Point::new((i % 20) as f64 * 0.01, (i / 20) as f64 * 0.01))
+            .collect();
+        cluster_and_outlier.push(Point::new(1e6, 1e6));
+        // One row of 10⁶ cells at cell 0.1: a one-shot `sqrt(ncells /
+        // limit)` rescale would leave it ~20× over the cap.
+        let strip: Vec<Point> = (0..1000)
+            .map(|i| Point::new(i as f64 * 100.0, 0.0))
+            .collect();
+        let clouds: [(&str, Vec<Point>); 6] = [
+            (
+                "two points 10³ apart",
+                vec![Point::ORIGIN, Point::new(1e3, 0.0)],
+            ),
+            ("cluster plus outlier", cluster_and_outlier),
+            ("one-row strip", strip),
+            (
+                "infinite coordinate",
+                vec![
+                    Point::new(0.5, 0.5),
+                    Point::new(0.6, 0.5),
+                    Point::new(f64::INFINITY, 0.5),
+                ],
+            ),
+            (
+                "NaN coordinates",
+                vec![
+                    Point::new(0.5, 0.5),
+                    Point::new(f64::NAN, 0.5),
+                    Point::new(0.3, f64::NAN),
+                ],
+            ),
+            ("empty", Vec::new()),
+        ];
+        for (name, pts) in &clouds {
+            let grid = FlatGrid::build(pts, 0.1);
+            assert!(
+                grid.lens.len() <= 2 * pts.len() + 64,
+                "{name}: {} cells",
+                grid.lens.len()
+            );
+            let mut queries: Vec<(Point, f64)> = pts
+                .iter()
+                .filter(|p| p.x.is_finite() && p.y.is_finite())
+                .flat_map(|&p| [(p, 0.0), (p, 0.15), (p, 250.0)])
+                .collect();
+            queries.push((Point::new(-3.0, 7.0), 1e4));
+            for (q, r) in queries {
+                assert_eq!(
+                    within(&grid, pts, q, r),
+                    brute(pts, q, r),
+                    "{name}: query {q} r={r}"
+                );
+            }
+        }
     }
 
     #[test]
     fn negative_coordinates_work() {
         let pts = vec![Point::new(-1.0, -1.0), Point::new(-0.9, -1.0)];
-        let grid = FlatGrid::try_build(&pts, 0.3).expect("dense");
+        let grid = FlatGrid::build(&pts, 0.3);
         assert_eq!(
             within(&grid, &pts, Point::new(-1.0, -1.0), 0.15),
             vec![0, 1]
         );
+        // Query keys saturate at the i64 limits, far from the grid's
+        // negative origin.
+        for q in [Point::new(1e300, 1e300), Point::new(-1e300, -1e300)] {
+            assert!(within(&grid, &pts, q, 1.0).is_empty());
+        }
     }
 
     #[test]
     fn empty_grid_answers_and_grows_via_rebuild_path() {
-        let grid = FlatGrid::try_build(&[], 0.5).expect("empty is dense");
+        let grid = FlatGrid::build(&[], 0.5);
         let mut out = vec![1usize];
         grid.within_into(&[], Point::ORIGIN, 10.0, &mut out);
         assert!(out.is_empty());
@@ -600,6 +552,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "cell size")]
     fn zero_cell_size_panics() {
-        let _ = FlatGrid::try_build(&[], 0.0);
+        let _ = FlatGrid::build(&[], 0.0);
     }
 }

@@ -5,9 +5,8 @@
 //!
 //! * [`node::SensorNode`] / [`Network`] — mobile nodes with tunable
 //!   sensing ranges and an identical transmission range `γ`, stored
-//!   struct-of-arrays and indexed by a uniform grid ([`flat::GridIndex`]:
-//!   the dense [`flat::FlatGrid`] or the hash
-//!   [`spatial::SpatialGrid`]) for O(1)-ish range queries;
+//!   struct-of-arrays and indexed by a dense uniform grid
+//!   ([`FlatGrid`]) for O(1)-ish range queries;
 //! * [`radio`] — the unit-disk communication graph, hop distances,
 //!   connected components, and message accounting;
 //! * [`multihop`] — the `N(n_i, ρ)` neighborhoods of Algorithm 2 (nodes
@@ -47,9 +46,8 @@ pub mod network;
 pub mod node;
 pub mod radio;
 pub mod ranging;
-pub mod spatial;
 
 pub use adjacency::Adjacency;
-pub use flat::{FlatGrid, GridIndex};
+pub use flat::FlatGrid;
 pub use network::Network;
 pub use node::{NodeId, SensorNode};

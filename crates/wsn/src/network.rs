@@ -1,6 +1,6 @@
 //! The sensor network container.
 
-use crate::flat::GridIndex;
+use crate::flat::FlatGrid;
 use crate::node::{NodeId, SensorNode};
 use laacad_geom::Point;
 
@@ -21,9 +21,9 @@ use laacad_geom::Point;
 /// [`Network::one_hop_neighbors`], the multihop ring machinery) works
 /// through `&Network`. That is what lets the synchronous round engine
 /// compute every node's local view from one shared snapshot across
-/// worker threads. The index layout is a [`GridIndex`]: the dense flat
-/// grid when the cloud is dense enough, the hash grid otherwise — query
-/// results are bit-identical either way.
+/// worker threads. The index is a [`FlatGrid`] celled at `γ`; a cloud
+/// too sparse for that cell (say, one far outlier) gets a coarser cell
+/// with the same exact query results.
 ///
 /// # Example
 ///
@@ -41,7 +41,7 @@ pub struct Network {
     sensing_radius: Vec<f64>,
     distance_moved: Vec<f64>,
     gamma: f64,
-    grid: GridIndex,
+    grid: FlatGrid,
     /// Odometry of nodes that have since been removed (kept so that
     /// movement-energy totals survive node failures).
     retired_distance: f64,
@@ -63,7 +63,7 @@ impl Network {
             sensing_radius: Vec::new(),
             distance_moved: Vec::new(),
             gamma,
-            grid: GridIndex::build(&[], gamma.max(1e-9)),
+            grid: FlatGrid::build(&[], gamma),
             retired_distance: 0.0,
         }
     }
@@ -78,17 +78,11 @@ impl Network {
         net
     }
 
-    /// Whether the flat dense grid layout is currently active (the hash
-    /// grid serves point clouds too sparse for a dense cell array).
-    pub fn uses_flat_grid(&self) -> bool {
-        self.grid.is_flat()
-    }
-
     /// Rebuilds the spatial index from the current positions — the O(N)
-    /// recovery path the flat layout falls back on when a mutation
-    /// escapes its bounding box or overflows a cell.
+    /// recovery path when a mutation escapes the grid's bounding box or
+    /// overflows a cell.
     fn rebuild_grid(&mut self) {
-        self.grid = GridIndex::build(&self.positions, self.gamma.max(1e-9));
+        self.grid = FlatGrid::build(&self.positions, self.gamma);
     }
 
     /// Adds a node, returning its id. The spatial index is extended in
@@ -172,7 +166,7 @@ impl Network {
     }
 
     /// Moves a batch of nodes at once, maintaining odometry and feeding
-    /// the spatial index one move-delta batch ([`GridIndex::apply_moves`])
+    /// the spatial index one move-delta batch ([`FlatGrid::apply_moves`])
     /// instead of per-node calls. Results are identical to calling
     /// [`Network::move_node`] per entry.
     pub fn apply_displacements(&mut self, moves: &[(NodeId, Point)]) {
@@ -345,8 +339,8 @@ impl Network {
 
     /// Reconstructs a network from serialized struct-of-arrays state.
     /// The spatial index is rebuilt deterministically from the positions
-    /// (query results are layout-independent, so a rebuilt index yields
-    /// bit-identical behavior to the original).
+    /// (query results do not depend on the index's cell layout, so a
+    /// rebuilt index yields bit-identical behavior to the original).
     ///
     /// # Panics
     ///
@@ -365,7 +359,7 @@ impl Network {
         );
         assert_eq!(positions.len(), sensing_radius.len());
         assert_eq!(positions.len(), distance_moved.len());
-        let grid = GridIndex::build(&positions, gamma.max(1e-9));
+        let grid = FlatGrid::build(&positions, gamma);
         Network {
             positions,
             sensing_radius,
@@ -495,29 +489,28 @@ mod tests {
     }
 
     #[test]
-    fn flat_grid_layout_is_equivalent() {
+    fn grid_queries_match_brute_force() {
         let positions: Vec<Point> = (0..50)
             .map(|i| Point::new((i % 10) as f64 * 0.1, (i / 10) as f64 * 0.1))
             .collect();
-        let mut flat = Network::from_positions(0.15, positions.iter().copied());
-        assert!(flat.uses_flat_grid());
-        for i in 0..flat.len() {
+        let mut net = Network::from_positions(0.15, positions.iter().copied());
+        for i in 0..net.len() {
             let brute: Vec<NodeId> = (0..positions.len())
                 .filter(|&j| j != i && positions[j].distance(positions[i]) <= 0.15)
                 .map(NodeId)
                 .collect();
-            assert_eq!(flat.one_hop_neighbors(NodeId(i)), brute);
+            assert_eq!(net.one_hop_neighbors(NodeId(i)), brute);
         }
-        // A cloud too sparse for a dense cell array falls back to the
-        // hash layout.
+        // Too sparse for γ-sized cells: the grid coarsens its cell and
+        // still answers exactly.
         let sparse = Network::from_positions(0.1, [Point::new(0.0, 0.0), Point::new(1e3, 1e3)]);
-        assert!(!sparse.uses_flat_grid());
-        // A move that escapes the flat bounding box transparently
-        // rebuilds; queries stay correct.
-        flat.move_node(NodeId(0), Point::new(4.0, 4.0));
         assert_eq!(
-            flat.nodes_within(Point::new(4.0, 4.0), 0.1),
+            sparse.nodes_within(Point::new(0.05, 0.0), 0.1),
             vec![NodeId(0)]
         );
+        // A move that escapes the grid's bounding box transparently
+        // rebuilds; queries stay correct.
+        net.move_node(NodeId(0), Point::new(4.0, 4.0));
+        assert_eq!(net.nodes_within(Point::new(4.0, 4.0), 0.1), vec![NodeId(0)]);
     }
 }

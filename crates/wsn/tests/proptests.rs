@@ -4,7 +4,6 @@ use laacad_geom::transform::procrustes;
 use laacad_geom::Point;
 use laacad_wsn::mds::classical_mds;
 use laacad_wsn::multihop::ring_neighborhood;
-use laacad_wsn::spatial::SpatialGrid;
 use laacad_wsn::{Adjacency, FlatGrid, Network, NodeId};
 use proptest::prelude::*;
 
@@ -112,46 +111,31 @@ proptest! {
         prop_assert!(adj.overflow_rebuilds() > 0, "no row outgrew its slack");
     }
 
+    /// `FlatGrid` against brute force under any interleaving of batched
+    /// moves and queries. Cells down to 0.001 and far outliers force the
+    /// build to coarsen; moves reach outside the unit square, and a batch
+    /// the grid refuses is answered by a rebuild, as `Network` does.
+    /// `within_into` must return exactly the points within the radius;
+    /// `min_distance_within` the exact minimum when it reports more than
+    /// `stop_below`, otherwise the distance of a real point within reach.
     #[test]
-    fn spatial_grid_matches_brute_force(
-        pts in points(1, 80),
-        qx in -0.2f64..1.2, qy in -0.2f64..1.2,
-        r in 0.0f64..0.8,
-        cell in 0.05f64..0.5,
-    ) {
-        let grid = SpatialGrid::build(&pts, cell);
-        let q = Point::new(qx, qy);
-        let got = grid.within(&pts, q, r);
-        let expect: Vec<usize> = (0..pts.len())
-            .filter(|&i| pts[i].distance(q) <= r + 1e-9)
-            .collect();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn flat_grid_matches_hash_grid(
-        pts in points(1, 80),
-        moves in prop::collection::vec(
-            (0usize..80, 0.0f64..1.0, 0.0f64..1.0),
-            0..12,
-        ),
+    fn flat_grid_matches_brute_force(
+        pts in points(0, 80),
+        outliers in prop::collection::vec((-1e4f64..1e4, -1e4f64..1e4), 0..3),
+        moves in prop::collection::vec((0usize..90, -0.5f64..1.5, -0.5f64..1.5), 0..12),
         queries in prop::collection::vec(
-            (-0.2f64..1.2, -0.2f64..1.2, 0.0f64..0.8),
+            (-0.2f64..1.2, -0.2f64..1.2, 0.0f64..0.8, 0.0f64..0.3),
             1..8,
         ),
-        cell in 0.05f64..0.5,
+        cell in 0.001f64..0.5,
     ) {
-        // The flat layout must be observationally identical to the hash
-        // layout under any interleaving of batched moves and queries:
-        // `within` returns byte-identical sorted index lists throughout.
-        let mut pts_flat = pts.clone();
-        let mut pts_hash = pts;
-        let flat = FlatGrid::try_build(&pts_flat, cell);
-        prop_assume!(flat.is_some()); // sparse clouds fall back to hash
-        let mut flat = flat.unwrap();
-        let mut hash = SpatialGrid::build(&pts_hash, cell);
-        for (chunk, &(qx, qy, r)) in queries.iter().enumerate() {
-            // Interleave: apply a slice of the move batch before each query.
+        let mut pts = pts;
+        pts.extend(outliers.iter().map(|&(x, y)| Point::new(x, y)));
+        let mut grid = FlatGrid::build(&pts, cell);
+        prop_assert!(grid.cell_size() >= cell);
+        let mut out = Vec::new();
+        for (chunk, &(qx, qy, r, stop_below)) in queries.iter().enumerate() {
+            // Apply a slice of the move batch before each query.
             let lo = chunk * moves.len() / queries.len();
             let hi = (chunk + 1) * moves.len() / queries.len();
             // Dedup per batch: `from` positions are captured eagerly, so a
@@ -160,21 +144,35 @@ proptest! {
             let mut seen = std::collections::HashSet::new();
             let batch: Vec<(usize, Point, Point)> = moves[lo..hi]
                 .iter()
-                .filter(|(i, _, _)| *i < pts_flat.len() && seen.insert(*i))
-                .map(|&(i, x, y)| (i, pts_flat[i], Point::new(x, y)))
+                .filter(|(i, _, _)| *i < pts.len() && seen.insert(*i))
+                .map(|&(i, x, y)| (i, pts[i], Point::new(x, y)))
                 .collect();
-            let ok = flat.apply_moves(batch.iter().copied().inspect(|&(i, _, new)| {
-                pts_flat[i] = new;
+            let ok = grid.apply_moves(batch.iter().copied().inspect(|&(i, _, new)| {
+                pts[i] = new;
             }));
-            hash.apply_moves(batch.iter().copied().inspect(|&(i, _, new)| {
-                pts_hash[i] = new;
-            }));
-            prop_assume!(ok); // a move out of the flat bbox forces a rebuild
-            prop_assert_eq!(&pts_flat, &pts_hash);
+            if !ok {
+                grid = FlatGrid::build(&pts, cell);
+            }
             let q = Point::new(qx, qy);
-            let got = flat.within(&pts_flat, q, r);
-            let expect = hash.within(&pts_hash, q, r);
-            prop_assert_eq!(got, expect);
+            let r_sq = r * r + 1e-12;
+            let expect: Vec<usize> = (0..pts.len())
+                .filter(|&i| pts[i].distance_sq(q) <= r_sq)
+                .collect();
+            grid.within_into(&pts, q, r, &mut out);
+            prop_assert_eq!(&out, &expect);
+            let exact = expect
+                .iter()
+                .map(|&i| pts[i].distance_sq(q).sqrt())
+                .fold(f64::INFINITY, f64::min);
+            let got = grid.min_distance_within(&pts, q, r, stop_below);
+            if got > stop_below {
+                prop_assert_eq!(got, exact);
+            } else {
+                prop_assert!(
+                    expect.iter().any(|&i| pts[i].distance_sq(q).sqrt() == got),
+                    "{} witnesses no point within {}", got, r
+                );
+            }
         }
     }
 
