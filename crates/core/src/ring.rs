@@ -40,12 +40,14 @@ pub struct RingOutcome {
 
 /// Reusable buffers for the [`circle_dominated_scratched`] check: the
 /// in-area query arcs, the boundary-crossing angle scratch, the
-/// dominance-arc cover and the depth-sweep buffers. One instance per
-/// worker makes every ring-domination check allocation-free.
+/// competitor indices in nearest-first selection order, the
+/// dominance-arc cover and the depth-sweep buffers. One instance per worker makes
+/// every ring-domination check allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct DominationScratch {
     query: Vec<Arc>,
     cuts: Vec<f64>,
+    nearest: Vec<usize>,
     cover: ArcCover,
     depth: DepthScratch,
 }
@@ -89,14 +91,95 @@ pub fn circle_dominated_scratched(
     k: usize,
     scratch: &mut DominationScratch,
 ) -> bool {
+    settle_domination(center, competitors, circle, region, k, scratch).holds()
+}
+
+/// Which step of [`circle_dominated_scratched`] settled a check.
+#[derive(Debug, Clone, Copy)]
+enum Settled {
+    /// No part of the circle lies inside the area: `true`.
+    Vacuous,
+    /// Fewer than `k` competitors: `false`.
+    TooFew,
+    /// A probe point had fewer than `k` competitors closer: `false`.
+    Probe,
+    /// The nearest-subset sweep certified depth `≥ k`: `true`.
+    Subset,
+    /// The full sweep, after a subset sweep that read depth `< k`.
+    Fallback { holds: bool },
+    /// The full sweep, after a subset sweep that leaned on a tolerance.
+    Uncertified { holds: bool },
+    /// The full sweep, with too few competitors for a subset.
+    Full { holds: bool },
+}
+
+impl Settled {
+    fn holds(self) -> bool {
+        match self {
+            Settled::Vacuous | Settled::Subset => true,
+            Settled::TooFew | Settled::Probe => false,
+            Settled::Fallback { holds }
+            | Settled::Uncertified { holds }
+            | Settled::Full { holds } => holds,
+        }
+    }
+}
+
+/// Number of nearest competitors swept before the full cover, when there
+/// are more than this many: `2k + 6`.
+///
+/// A node's `k` nearest competitors alone can leave a gap, so the subset
+/// carries margin beyond `k`; on the Fig. 5 corner runs this size settles
+/// about two thirds of the exact sweeps. Any subset gives the same
+/// verdict, so the size moves only the work.
+fn subset_len(k: usize) -> usize {
+    2 * k + 6
+}
+
+fn add_dominance_arcs(
+    cover: &mut ArcCover,
+    center: Point,
+    circle: &Circle,
+    competitors: impl IntoIterator<Item = Point>,
+) {
+    for c in competitors {
+        let Some(h) = HalfPlane::closer_to(c, center) else {
+            continue; // co-located: never strictly closer
+        };
+        // Shrink the dominance region to its open interior: points of the
+        // circle exactly equidistant do not count as dominated.
+        cover.add_span(Arc::from_halfplane_on_circle(circle, &h));
+    }
+}
+
+/// The body of [`circle_dominated_scratched`], reporting which step
+/// settled the verdict.
+///
+/// After the cheap disproofs, the exact arc-depth sweep first runs on the
+/// [`subset_len`] nearest competitors. Adding arcs never lowers a depth,
+/// so a subset depth `≥ k` proves the full one — provided the subset
+/// sweep leaned on neither of its tolerances, which could hide an
+/// interval the full sweep evaluates
+/// ([`ArcCover::min_depth_on_certified`]). Otherwise the remaining arcs
+/// join the cover and the full sweep decides, exactly as without the
+/// subset (the sweep's result does not depend on the order arcs were
+/// added in).
+fn settle_domination(
+    center: Point,
+    competitors: &[Point],
+    circle: &Circle,
+    region: &Region,
+    k: usize,
+    scratch: &mut DominationScratch,
+) -> Settled {
     arcs_inside_region_into(circle, region, &mut scratch.cuts, &mut scratch.query);
     if scratch.query.is_empty() {
-        return true;
+        return Settled::Vacuous;
     }
     // Depth is bounded by the competitor count, so fewer than `k`
     // competitors can never dominate a non-vacuous circle.
     if competitors.len() < k {
-        return false;
+        return Settled::TooFew;
     }
     // Cheap disproof before the exact sweep: probe a few points inside
     // the in-area arcs; a probe with fewer than `k` competitors closer —
@@ -126,25 +209,58 @@ pub fn circle_dominated_scratched(
                 }
             }
             if closer < k {
-                return false;
+                return Settled::Probe;
             }
         }
     }
     scratch.cover.clear();
-    for &c in competitors {
-        let Some(h) = HalfPlane::closer_to(c, center) else {
-            continue; // co-located: never strictly closer
-        };
-        // Shrink the dominance region to its open interior: points of the
-        // circle exactly equidistant do not count as dominated.
-        scratch
+    let m = subset_len(k);
+    let certified = if competitors.len() > m {
+        let nearest = &mut scratch.nearest;
+        nearest.clear();
+        nearest.extend(0..competitors.len());
+        nearest.select_nth_unstable_by(m, |&a, &b| {
+            let d = |i: usize| center.distance_sq(competitors[i]);
+            d(a).total_cmp(&d(b))
+        });
+        let (near, far) = nearest.split_at(m);
+        add_dominance_arcs(
+            &mut scratch.cover,
+            center,
+            circle,
+            near.iter().map(|&i| competitors[i]),
+        );
+        let subset = scratch
             .cover
-            .add_span(Arc::from_halfplane_on_circle(circle, &h));
-    }
-    scratch
+            .min_depth_on_certified(&scratch.query, &mut scratch.depth);
+        if subset.is_some_and(|d| d >= k) {
+            return Settled::Subset;
+        }
+        add_dominance_arcs(
+            &mut scratch.cover,
+            center,
+            circle,
+            far.iter().map(|&i| competitors[i]),
+        );
+        Some(subset.is_some())
+    } else {
+        add_dominance_arcs(
+            &mut scratch.cover,
+            center,
+            circle,
+            competitors.iter().copied(),
+        );
+        None
+    };
+    let holds = scratch
         .cover
         .min_depth_on_scratched(&scratch.query, &mut scratch.depth)
-        >= k
+        >= k;
+    match certified {
+        Some(true) => Settled::Fallback { holds },
+        Some(false) => Settled::Uncertified { holds },
+        None => Settled::Full { holds },
+    }
 }
 
 /// Runs the expanding-ring search (Algorithm 2) for `id` with one-shot
@@ -482,6 +598,122 @@ mod tests {
                 assert_eq!(exact, brute, "k={k} ρ/2={rho_half}");
             }
         }
+    }
+
+    /// The verdict without the nearest-subset sweep: every competitor's
+    /// arc in one cover, one exact sweep (no probes either — they are
+    /// exact disproofs, so the verdict must not depend on them).
+    fn full_sweep_verdict(
+        center: Point,
+        competitors: &[Point],
+        circle: &Circle,
+        region: &Region,
+        k: usize,
+    ) -> bool {
+        let mut query = Vec::new();
+        arcs_inside_region_into(circle, region, &mut Vec::new(), &mut query);
+        if query.is_empty() {
+            return true;
+        }
+        if competitors.len() < k {
+            return false;
+        }
+        let mut cover = ArcCover::new();
+        add_dominance_arcs(&mut cover, center, circle, competitors.iter().copied());
+        cover.min_depth_on(&query) >= k
+    }
+
+    /// `p` rotated about `c` by `angle` radians.
+    fn rotate(p: Point, c: Point, angle: f64) -> Point {
+        let (s, co) = angle.sin_cos();
+        let (dx, dy) = (p.x - c.x, p.y - c.y);
+        Point::new(c.x + co * dx - s * dy, c.y + s * dx + co * dy)
+    }
+
+    #[test]
+    fn subset_first_verdict_matches_the_full_sweep() {
+        use laacad_region::sampling::SplitMix64;
+        use std::f64::consts::TAU;
+        let region = Region::square(1.0).unwrap();
+        let mut rng = SplitMix64::new(0xD0_0D1E);
+        let mut scratch = DominationScratch::new();
+        let (mut subset, mut fallback, mut uncertified) = (0, 0, 0);
+        for trial in 0..4000 {
+            let k = 1 + trial % 4;
+            let shape = (trial / 4) % 4;
+            let spread = 0.08 + 0.3 * rng.next_f64();
+            // Centers near an edge or a corner clip the circle by the
+            // region boundary.
+            let center = match (shape, trial % 3) {
+                (0, _) => Point::new(0.5, 0.5),
+                (_, 0) => Point::new(0.2 + 0.6 * rng.next_f64(), 0.2 + 0.6 * rng.next_f64()),
+                (_, 1) => Point::new(0.02 + 0.1 * rng.next_f64(), 0.2 + 0.6 * rng.next_f64()),
+                _ => Point::new(0.05 * rng.next_f64(), 0.05 * rng.next_f64()),
+            };
+            let mut competitors: Vec<Point> = if shape == 0 {
+                // A lattice around a lattice-point center: rings of
+                // equidistant competitors whose arcs tie.
+                let h = spread / 3.0;
+                (-3i32..=3)
+                    .flat_map(|i| (-3i32..=3).map(move |j| (i, j)))
+                    .filter(|&ij| ij != (0, 0))
+                    .map(|(i, j)| {
+                        Point::new(center.x + f64::from(i) * h, center.y + f64::from(j) * h)
+                    })
+                    .collect()
+            } else {
+                let n = subset_len(k) + 1 + (rng.next_u64() % 30) as usize;
+                (0..n)
+                    .map(|_| {
+                        let r = spread * rng.next_f64().sqrt();
+                        let a = TAU * rng.next_f64();
+                        Point::new(center.x + r * a.cos(), center.y + r * a.sin())
+                    })
+                    .collect()
+            };
+            competitors.sort_by(|a, b| center.distance_sq(*a).total_cmp(&center.distance_sq(*b)));
+            match shape {
+                // Co-located twins of the nearest, and a competitor on the
+                // center itself.
+                2 => {
+                    competitors.extend_from_within(..4);
+                    competitors.push(center);
+                }
+                // Near twins of the nearest, rotated 1e-15–1e-14 rad about
+                // the center: their arc endpoints fall within the sweep's
+                // tolerances of the originals'.
+                3 => {
+                    for i in 0..4 {
+                        let angle = 1e-15 * (1.0 + 9.0 * rng.next_f64());
+                        competitors.push(rotate(competitors[i], center, angle));
+                    }
+                }
+                _ => {}
+            }
+            let circle = Circle::new(center, spread * (0.1 + 0.9 * rng.next_f64()));
+            let settled =
+                settle_domination(center, &competitors, &circle, &region, k, &mut scratch);
+            let expect = full_sweep_verdict(center, &competitors, &circle, &region, k);
+            assert_eq!(settled.holds(), expect, "trial {trial} k={k}: {settled:?}");
+            match settled {
+                Settled::Subset => subset += 1,
+                Settled::Fallback { .. } => fallback += 1,
+                Settled::Uncertified { .. } => {
+                    fallback += 1;
+                    uncertified += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(subset > 200, "the subset settled only {subset} checks");
+        assert!(
+            fallback > 200,
+            "only {fallback} checks fell back to the full sweep"
+        );
+        assert!(
+            uncertified > 5,
+            "only {uncertified} subset sweeps leaned on a tolerance"
+        );
     }
 
     #[test]

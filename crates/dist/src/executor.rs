@@ -778,7 +778,13 @@ impl AsyncExecutor {
                     }
                     self.events_processed += 1;
                     self.now = ev.tick;
-                    let pre = views.remove(&ev.seq);
+                    // `precompute` leaves the map empty at one thread:
+                    // skip hashing every event into it.
+                    let pre = if views.is_empty() {
+                        None
+                    } else {
+                        views.remove(&ev.seq)
+                    };
                     self.process(ev.kind, pre);
                     if let Some(t) = self.stopped {
                         return t;

@@ -189,11 +189,13 @@ impl ArcCover {
     /// Exact minimum coverage depth over the whole circle.
     pub fn min_depth(&self) -> usize {
         self.extreme_depth_on(&[Arc::full()], true, &mut DepthScratch::default())
+            .0
     }
 
     /// Exact maximum coverage depth over the whole circle.
     pub fn max_depth(&self) -> usize {
         self.extreme_depth_on(&[Arc::full()], false, &mut DepthScratch::default())
+            .0
     }
 
     /// Exact minimum coverage depth over the union of `query` arcs.
@@ -203,22 +205,54 @@ impl ArcCover {
     /// correctly terminates the expansion.
     pub fn min_depth_on(&self, query: &[Arc]) -> usize {
         self.extreme_depth_on(query, true, &mut DepthScratch::default())
+            .0
     }
 
     /// [`ArcCover::min_depth_on`] over reusable sweep buffers — the
     /// allocation-free form the ring-domination hot path uses.
     pub fn min_depth_on_scratched(&self, query: &[Arc], scratch: &mut DepthScratch) -> usize {
-        self.extreme_depth_on(query, true, scratch)
+        self.extreme_depth_on(query, true, scratch).0
+    }
+
+    /// [`ArcCover::min_depth_on_scratched`] for a sweep that must not lean
+    /// on its tolerances: `Some(depth)` when the sweep neither merged two
+    /// distinct breakpoints (the `1e-15` dedup) nor skipped an interval
+    /// (the `1e-14` floor), `None` otherwise.
+    ///
+    /// A tolerance-free sweep of a sub-cover bounds the sweep of any
+    /// super-cover from below: every arc adds 0 or 1 to the running depth
+    /// at every breakpoint, so adding arcs never lowers a depth; and with
+    /// distinct breakpoints more than `1e-14` apart, every interval the
+    /// super-cover's sweep evaluates lies inside one the sub-cover's sweep
+    /// evaluated, at least `4e-15` from its ends, where the query
+    /// membership test (whose switch points sit within two ulps of the
+    /// query endpoints, themselves breakpoints) gives the same answer.
+    /// So a certified depth `≥ k` of a subset of arcs proves the full
+    /// cover's depth `≥ k`.
+    pub fn min_depth_on_certified(
+        &self,
+        query: &[Arc],
+        scratch: &mut DepthScratch,
+    ) -> Option<usize> {
+        let (depth, exact) = self.extreme_depth_on(query, true, scratch);
+        exact.then_some(depth)
     }
 
     /// Sweep-line extreme depth: depth is piecewise constant between arc
     /// endpoints, so one pass over the sorted endpoint events suffices —
     /// `O(M log M)` where the per-interval `depth_at` scan this replaced
-    /// was `O(M²)` (it dominated every ring-domination check).
-    fn extreme_depth_on(&self, query: &[Arc], take_min: bool, scratch: &mut DepthScratch) -> usize {
+    /// was `O(M²)` (it dominated every ring-domination check). The flag
+    /// is `false` when a tolerance merged two distinct breakpoints or
+    /// skipped an interval (see [`ArcCover::min_depth_on_certified`]).
+    fn extreme_depth_on(
+        &self,
+        query: &[Arc],
+        take_min: bool,
+        scratch: &mut DepthScratch,
+    ) -> (usize, bool) {
         let live = |a: &&Arc| a.span() > 0.0;
         if !query.iter().any(|a| a.span() > 0.0) {
-            return if take_min { usize::MAX } else { 0 };
+            return (if take_min { usize::MAX } else { 0 }, true);
         }
         // Events: +1 where an arc begins, −1 just past its end; arcs that
         // wrap past 2π already cover angle 0 and seed the running depth.
@@ -265,7 +299,12 @@ impl ArcCover {
         }
         bs.extend(events[i..].iter().map(|&(t, _)| t));
         bs.extend_from_slice(&extra[j..]);
-        bs.dedup_by(|a, b| (*a - *b).abs() < 1e-15);
+        let mut exact = true;
+        bs.dedup_by(|a, b| {
+            let merge = (*a - *b).abs() < 1e-15;
+            exact &= !merge || *a == *b;
+            merge
+        });
         let mut best: Option<usize> = None;
         let m = bs.len();
         let mut next_event = 0;
@@ -279,6 +318,7 @@ impl ArcCover {
             }
             let b = if i + 1 < m { bs[i + 1] } else { bs[0] + TAU };
             if b - a <= 1e-14 {
+                exact = false;
                 continue;
             }
             let mid = normalize_angle(0.5 * (a + b));
@@ -297,7 +337,7 @@ impl ArcCover {
                 }
             });
         }
-        best.unwrap_or(if take_min { usize::MAX } else { 0 })
+        (best.unwrap_or(if take_min { usize::MAX } else { 0 }), exact)
     }
 
     /// Number of proper arcs added (full-circle arcs excluded).
@@ -474,7 +514,7 @@ mod tests {
                 .collect();
             for (query, take_min) in [(&q[..], true), (&q[..], false), (&[Arc::full()][..], true)] {
                 assert_eq!(
-                    cover.extreme_depth_on(query, take_min, &mut scratch),
+                    cover.extreme_depth_on(query, take_min, &mut scratch).0,
                     two_sort_sweep(&cover, query, take_min),
                     "arcs {:?} query {query:?} take_min {take_min}",
                     cover.arcs
@@ -557,6 +597,32 @@ mod tests {
             2 | 3 => Arc::new(start, normalize_angle(pool[pick(rng, pool.len())] - start)),
             _ => Arc::new(start, (pick(rng, 1000) as f64 + 0.5) / 1000.0 * TAU),
         }
+    }
+
+    #[test]
+    fn certified_depth_refuses_tolerance_merges_and_skips() {
+        let query = [Arc::full()];
+        let mut scratch = DepthScratch::default();
+        let certified = |arcs: &[Arc], scratch: &mut DepthScratch| {
+            let mut cover = ArcCover::new();
+            arcs.iter().for_each(|&a| cover.add(a));
+            let depth = cover.min_depth_on_certified(&query, scratch);
+            if let Some(d) = depth {
+                assert_eq!(d, cover.min_depth());
+            }
+            depth
+        };
+        let base = [Arc::new(1.0, 2.0), Arc::new(2.5, 5.0)];
+        assert_eq!(certified(&base, &mut scratch), Some(1));
+        // A bit-equal endpoint merges without losing an interval.
+        let twin = [base[0], base[1], Arc::new(1.0, 0.5)];
+        assert!(certified(&twin, &mut scratch).is_some());
+        // Two ulps apart: the dedup merges distinct breakpoints.
+        let merged = [base[0], base[1], Arc::new(1.0 + 5e-16, 0.5)];
+        assert_eq!(certified(&merged, &mut scratch), None);
+        // 5e-15 apart: both kept, the interval between them skipped.
+        let skipped = [base[0], base[1], Arc::new(1.0 + 5e-15, 0.5)];
+        assert_eq!(certified(&skipped, &mut scratch), None);
     }
 
     #[test]

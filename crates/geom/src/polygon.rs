@@ -462,10 +462,12 @@ impl PolygonBuf {
     /// Splits the held polygon along `h` in one pass: `outside` receives
     /// [`PolygonBuf::clip_halfplane_into`] by `h.complement()` and
     /// `inside`, when given, the clip by `h` — each vertex for vertex
-    /// what that call would write, but with the bounding box and the
-    /// signed distances computed once for both sides. `dist` is a
-    /// reusable scratch vector. Returns the two clips' validity flags
-    /// (`inside`'s is `false` when it is `None`).
+    /// what that call would write, but with the signed distances
+    /// computed once for both sides. `bb` must be the held loop's
+    /// bounding box (it sets the clip tolerance; callers that classify
+    /// faces already hold it). `dist` is a reusable scratch vector.
+    /// Returns the two clips' validity flags (`inside`'s is `false` when
+    /// it is `None`).
     ///
     /// # Panics
     ///
@@ -473,13 +475,14 @@ impl PolygonBuf {
     pub fn split_halfplane_into(
         &self,
         h: &HalfPlane,
+        bb: &Aabb,
         dist: &mut Vec<f64>,
         outside: &mut PolygonBuf,
         inside: Option<&mut PolygonBuf>,
     ) -> (bool, bool) {
         assert!(!self.is_empty(), "split subject buffer is empty");
         let subject = &self.vertices;
-        let tol = clip_tol(subject);
+        let tol = clip_tol_of(bb);
         dist.clear();
         dist.extend(subject.iter().map(|&p| h.signed_distance(p)));
         // The complement's distances are the negated ones, exactly up to
@@ -557,6 +560,11 @@ fn clip_halfplane_core(subject: &[Point], h: &HalfPlane, out: &mut Vec<Point>) -
 /// bounding-box diagonal.
 fn clip_tol(subject: &[Point]) -> f64 {
     let bb = Aabb::from_points(subject.iter().copied()).expect("clip subject is non-empty");
+    clip_tol_of(&bb)
+}
+
+/// [`clip_tol`] from the subject's bounding box.
+fn clip_tol_of(bb: &Aabb) -> f64 {
     EPS * (1.0 + bb.diagonal())
 }
 

@@ -174,12 +174,12 @@ proptest! {
         let in_ok_ref = subject.clip_halfplane_into(&h, &mut in_ref);
         let mut dist = Vec::new();
         let (mut out, mut inside) = (PolygonBuf::new(), PolygonBuf::new());
-        let flags = subject.split_halfplane_into(&h, &mut dist, &mut out, Some(&mut inside));
+        let flags = subject.split_halfplane_into(&h, &bb, &mut dist, &mut out, Some(&mut inside));
         prop_assert_eq!(flags, (out_ok_ref, in_ok_ref));
         prop_assert_eq!(bits(&out), bits(&out_ref));
         prop_assert_eq!(bits(&inside), bits(&in_ref));
         // Without the inside child: the same outside, a `false` flag.
-        let flags = subject.split_halfplane_into(&h, &mut dist, &mut out, None);
+        let flags = subject.split_halfplane_into(&h, &bb, &mut dist, &mut out, None);
         prop_assert_eq!(flags, (out_ok_ref, false));
         prop_assert_eq!(bits(&out), bits(&out_ref));
     }

@@ -260,24 +260,39 @@ enum Classification {
     Cuts,
 }
 
-/// Classifies `face` against bisector `h` from the extremes of the
-/// signed distance over its vertices, taken in one branch-free pass: a
-/// vertex beyond `-tol` is strictly closer to the competitor, one beyond
-/// `tol` strictly closer to the center. (`f64::min`/`max` skip a NaN
-/// distance, which counts for neither side.)
-fn classify(face: &[Point], tol: f64, h: &HalfPlane) -> Classification {
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
+/// Bisectors classified per pass over a face's vertices.
+const LANES: usize = 4;
+
+/// Classifies `face` against the bisectors `hs` (one per lane) from the
+/// extremes of each signed distance over its vertices, taken in one
+/// branch-free pass: a vertex beyond `-tol` is strictly closer to the
+/// competitor, one beyond `tol` strictly closer to the center.
+///
+/// Each lane runs its own min/max chain over the vertices in order, with
+/// [`HalfPlane::signed_distance`]'s expression, so a lane's verdict is
+/// the one a single-bisector pass gives; the lanes share the vertex
+/// loads and overlap their latencies. The accumulators start at `±∞` and
+/// only ever take a non-NaN distance, so `if d < lo { d } else { lo }` is
+/// `lo.min(d)`: a NaN distance is skipped and counts for neither side —
+/// without the NaN blend `f64::min` compiles to.
+fn classify_batch(face: &[Point], tol: f64, hs: &[HalfPlane; LANES]) -> [Classification; LANES] {
+    let nx = hs.map(|h| h.normal().x);
+    let ny = hs.map(|h| h.normal().y);
+    let off = hs.map(|h| h.offset());
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
     for &v in face {
-        let d = h.signed_distance(v);
-        lo = lo.min(d);
-        hi = hi.max(d);
+        for l in 0..LANES {
+            let d = nx[l] * v.x + ny[l] * v.y - off[l];
+            lo[l] = if d < lo[l] { d } else { lo[l] };
+            hi[l] = if d > hi[l] { d } else { hi[l] };
+        }
     }
-    match (lo < -tol, hi > tol) {
+    std::array::from_fn(|l| match (lo[l] < -tol, hi[l] > tol) {
         (true, true) => Classification::Cuts,
         (true, false) => Classification::CompetitorSide,
         (false, _) => Classification::CenterSide,
-    }
+    })
 }
 
 /// The face-classification tolerance: a fixed fraction of the face's
@@ -362,25 +377,36 @@ fn subdivide(
             pool.release(face);
             continue;
         }
-        // Resolve competitors against this face; the cutting ones become
-        // the sublist for this face's children.
+        // Resolve competitors against this face, `LANES` at a time; the
+        // cutting ones become the sublist for this face's children, in
+        // competitor order. Verdicts are acted on in order, so a discard
+        // comes at the same competitor-side verdict as one at a time
+        // would give (a batch's later lanes are computed and ignored; a
+        // short last batch pads with its first bisector, also ignored).
         let cut_lo = bisectors.len();
         let mut discard = false;
         let bb = Aabb::from_points(face.vertices().iter().copied()).expect("faces are non-empty");
         let tol = classify_tol(&bb);
-        for j in lo..hi {
-            let c = bisectors[j];
-            match classify(face.vertices(), tol, &c) {
-                Classification::CenterSide => {}
-                Classification::CompetitorSide => {
-                    if budget == 0 {
-                        discard = true; // too many strictly-closer competitors
-                        break;
+        let mut j = lo;
+        'classify: while j < hi {
+            let n = (hi - j).min(LANES);
+            let mut hs = [bisectors[j]; LANES];
+            hs[..n].copy_from_slice(&bisectors[j..j + n]);
+            let verdicts = classify_batch(face.vertices(), tol, &hs);
+            for (&h, verdict) in hs[..n].iter().zip(verdicts) {
+                match verdict {
+                    Classification::CenterSide => {}
+                    Classification::CompetitorSide => {
+                        if budget == 0 {
+                            discard = true; // too many strictly-closer competitors
+                            break 'classify;
+                        }
+                        budget -= 1;
                     }
-                    budget -= 1;
+                    Classification::Cuts => bisectors.push(h),
                 }
-                Classification::Cuts => bisectors.push(c),
             }
+            j += n;
         }
         let cut_hi = bisectors.len();
         if discard {
@@ -406,7 +432,7 @@ fn subdivide(
         let mut center_side = pool.acquire();
         let mut comp_side = (budget > 0).then(|| pool.acquire());
         let (center_ok, comp_ok) =
-            face.split_halfplane_into(&h, dist, &mut center_side, comp_side.as_mut());
+            face.split_halfplane_into(&h, &bb, dist, &mut center_side, comp_side.as_mut());
         if center_ok {
             stack.push(WorkItem {
                 face: center_side,
@@ -805,7 +831,22 @@ mod reference {
         }
     }
 
-    fn reference_pooled(center: usize, sites: &[Point], k: usize, domain: &[Point]) -> PieceSet {
+    /// How often the subdivision met the cases the four-lane batches
+    /// must get right: competitor lists that leave a partial last batch,
+    /// and discards at a lane with further lanes of its batch behind it.
+    #[derive(Default)]
+    struct BatchCases {
+        partial_batches: usize,
+        mid_batch_discards: usize,
+    }
+
+    fn reference_pooled(
+        center: usize,
+        sites: &[Point],
+        k: usize,
+        domain: &[Point],
+        cases: &mut BatchCases,
+    ) -> PieceSet {
         let u = sites[center];
         let mut bisectors: Vec<HalfPlane> = sites
             .iter()
@@ -827,12 +868,15 @@ mod reference {
             let mut discard = false;
             let bb = Aabb::from_points(face.vertices().iter().copied()).unwrap();
             let tol = classify_tol(&bb);
+            cases.partial_batches += usize::from((hi - lo) % LANES != 0);
             for j in lo..hi {
                 let c = bisectors[j];
                 match classify_walk(face.vertices(), &bb, tol, &c) {
                     Classification::CenterSide => {}
                     Classification::CompetitorSide => {
                         if budget == 0 {
+                            let lane = (j - lo) % LANES;
+                            cases.mid_batch_discards += usize::from(lane + 1 < LANES && j + 1 < hi);
                             discard = true;
                             break;
                         }
@@ -890,6 +934,7 @@ mod reference {
         let mut pieces = PieceSet::new();
         let square = Polygon::rectangle(Point::new(0.0, 0.0), Point::new(1.0, 1.0)).unwrap();
         let mut checked = 0;
+        let mut cases = BatchCases::default();
         for trial in 0..120 {
             let n = 3 + (rng.next_u64() % 30) as usize;
             let mut sites: Vec<Point> = match trial % 3 {
@@ -909,15 +954,25 @@ mod reference {
             let center = (rng.next_u64() % sites.len() as u64) as usize;
             let r = 0.1 + 0.5 * rng.next_f64();
             for domain in [square.vertices().to_vec(), cap(sites[center], r)] {
-                for k in 1..=4 {
+                for k in 1..=6 {
                     pieces.clear();
                     dominating_region_pooled(center, &sites, k, &domain, &mut scratch, &mut pieces);
-                    let expect = reference_pooled(center, &sites, k, &domain);
+                    let expect = reference_pooled(center, &sites, k, &domain, &mut cases);
                     assert_eq!(bits(&pieces), bits(&expect), "trial {trial} k {k}");
                     checked += pieces.len();
                 }
             }
         }
         assert!(checked > 1000, "only {checked} pieces compared");
+        assert!(
+            cases.partial_batches > 1000,
+            "only {} faces left a partial batch",
+            cases.partial_batches
+        );
+        assert!(
+            cases.mid_batch_discards > 100,
+            "only {} discards fell inside a batch",
+            cases.mid_batch_discards
+        );
     }
 }

@@ -140,11 +140,15 @@ pub struct RingScratch {
     epoch: u64,
     stamp: Vec<u64>,
     dist: Vec<u32>,
+    /// Nodes stamped in the current search, the center included.
+    stamped: usize,
     frontier: VecDeque<usize>,
     neighbors: Vec<usize>,
     level_counts: Vec<u64>,
     members: Vec<usize>,
-    pending: Vec<usize>,
+    /// Stamped non-members, each with its squared distance to the center
+    /// (taken once, when it was stamped).
+    pending: Vec<(usize, f64)>,
 }
 
 impl RingScratch {
@@ -178,6 +182,7 @@ impl RingScratch {
             self.stamp.resize(n, 0);
             self.dist.resize(n, 0);
         }
+        self.stamped = 0;
         self.frontier.clear();
         self.level_counts.clear();
         self.members.clear();
@@ -193,6 +198,7 @@ impl RingScratch {
     fn visit(&mut self, i: usize, d: u32) {
         self.stamp[i] = self.epoch;
         self.dist[i] = d;
+        self.stamped += 1;
         if self.level_counts.len() <= d as usize {
             self.level_counts.resize(d as usize + 1, 0);
         }
@@ -227,10 +233,24 @@ pub struct RingQuery<'net, 'scr> {
     /// one (synchronous rounds); `None` falls back to live grid queries.
     adjacency: Option<&'net Adjacency>,
     scratch: &'scr mut RingScratch,
-    center: usize,
     origin: Point,
     member_reply_sum: u64,
     farthest: f64,
+    /// The largest squared distance among the members.
+    farthest_sq: f64,
+}
+
+/// Whether a point at squared distance `d_sq` from the center is
+/// provably no farther (by [`Point::distance`]) than one at `far_sq`.
+///
+/// Both squares come from the same coordinate differences as the
+/// distances, each within a few ulps of the true square when it is at
+/// least `1e-200` and finite (no underflow or overflow), and `hypot` is
+/// within one ulp of the true length. A `1e-6` relative gap between the
+/// squares therefore outweighs every rounding, so skipping the `hypot`
+/// of such a member leaves the running maximum bit for bit unchanged.
+fn surely_nearer(d_sq: f64, far_sq: f64) -> bool {
+    far_sq.is_finite() && far_sq > 1e-200 && d_sq < 0.999_999 * far_sq
 }
 
 impl<'net, 'scr> RingQuery<'net, 'scr> {
@@ -266,9 +286,9 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
             net,
             adjacency,
             scratch,
-            center: center.index(),
             member_reply_sum: 0,
             farthest: 0.0,
+            farthest_sq: 0.0,
         }
     }
 
@@ -278,8 +298,14 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
     /// Returns the accounting a fresh query at `(rho, hops)` would
     /// produce; the member set is monotone across calls.
     pub fn collect(&mut self, rho: f64, hops: usize) -> RingStep {
-        // Resume the BFS: explore every node with dist < hops.
-        while let Some(&u) = self.scratch.frontier.front() {
+        // Resume the BFS: explore every node with dist < hops. Once every
+        // node is stamped no row can stamp another, so the scan stops
+        // (the frontier's nodes were counted when they were stamped).
+        let n = self.net.len();
+        while self.scratch.stamped < n {
+            let Some(&u) = self.scratch.frontier.front() else {
+                break;
+            };
             let du = self.scratch.dist[u];
             if du as usize >= hops {
                 break; // frontier is sorted by distance; revisit later
@@ -288,13 +314,8 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
             match self.adjacency {
                 Some(adj) => {
                     for &v in adj.neighbors(u) {
-                        let v = v as usize;
-                        if !self.scratch.visited(v) {
-                            self.scratch.visit(v, du + 1);
-                            self.scratch.frontier.push_back(v);
-                            if v != self.center {
-                                self.scratch.pending.push(v);
-                            }
+                        if !self.scratch.visited(v as usize) {
+                            self.stamp(v as usize, du + 1);
                         }
                     }
                 }
@@ -303,11 +324,7 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
                     self.net.one_hop_neighbors_into(NodeId(u), &mut neighbors);
                     for &v in &neighbors {
                         if !self.scratch.visited(v) {
-                            self.scratch.visit(v, du + 1);
-                            self.scratch.frontier.push_back(v);
-                            if v != self.center {
-                                self.scratch.pending.push(v);
-                            }
+                            self.stamp(v, du + 1);
                         }
                     }
                     self.scratch.neighbors = neighbors;
@@ -320,24 +337,36 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
         // uses, so both report identical member sets.
         let limit = rho + 1e-12;
         let limit_sq = limit * limit;
-        let mut new_members = 0;
+        // Promoted entries swap to the tail of `pending` (the kept ones
+        // end in `swap_remove` order) until they are folded in below.
+        let pending = &mut self.scratch.pending;
+        let mut end = pending.len();
         let mut i = 0;
-        while i < self.scratch.pending.len() {
-            let v = self.scratch.pending[i];
+        while i < end {
+            let (v, d_sq) = pending[i];
             let dv = self.scratch.dist[v];
-            let in_ring = self.net.position(NodeId(v)).distance_sq(self.origin) <= limit_sq;
-            if dv as usize <= hops && in_ring {
-                self.scratch.pending.swap_remove(i);
+            if dv as usize <= hops && d_sq <= limit_sq {
+                end -= 1;
+                pending.swap(i, end);
                 self.scratch.members.push(v);
                 self.member_reply_sum += dv as u64;
-                self.farthest = self
-                    .farthest
-                    .max(self.net.position(NodeId(v)).distance(self.origin));
-                new_members += 1;
+                self.farthest_sq = self.farthest_sq.max(d_sq);
             } else {
                 i += 1;
             }
         }
+        // Fold the new members into `farthest`, skipping the `hypot` of
+        // those provably nearer than the farthest member by squared
+        // distance — that member's own `hypot` is always folded in.
+        let new_members = pending.len() - end;
+        for &(v, d_sq) in &pending[end..] {
+            if !surely_nearer(d_sq, self.farthest_sq) {
+                self.farthest = self
+                    .farthest
+                    .max(self.net.position(NodeId(v)).distance(self.origin));
+            }
+        }
+        pending.truncate(end);
         if new_members > 0 {
             // Keep members in ascending index order — the order a fresh
             // query reports and the one downstream geometry consumes.
@@ -353,6 +382,17 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
                 broadcast: contacted,
             },
         }
+    }
+
+    /// Stamps the unvisited node `v` at hop distance `d`, queueing it for
+    /// exploration and for membership with its squared distance to the
+    /// center (the center itself is stamped by `begin`, so it never gets
+    /// here).
+    fn stamp(&mut self, v: usize, d: u32) {
+        self.scratch.visit(v, d);
+        self.scratch.frontier.push_back(v);
+        let d_sq = self.net.position(NodeId(v)).distance_sq(self.origin);
+        self.scratch.pending.push((v, d_sq));
     }
 
     /// Current members (ascending ids, center excluded).
@@ -387,8 +427,8 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
         // as it was promoted) or still pending. The square root commutes
         // with the max (both monotone), so one suffices.
         let mut far_sq: f64 = 0.0;
-        for &v in &self.scratch.pending {
-            far_sq = far_sq.max(self.net.position(NodeId(v)).distance_sq(self.origin));
+        for &(_, d_sq) in &self.scratch.pending {
+            far_sq = far_sq.max(d_sq);
         }
         self.farthest.max(far_sq.sqrt())
     }
@@ -480,38 +520,62 @@ mod tests {
 
     #[test]
     fn incremental_query_matches_fresh_queries_step_by_step() {
-        // A 9×9 grid: expand a query γ by γ and compare every step with a
-        // from-scratch BFS at the same (ρ, hops).
-        let gamma = 0.15;
-        let net = Network::from_positions(
-            gamma,
+        // Expand a query γ by γ and compare every step with a
+        // from-scratch BFS at the same (ρ, hops), on a 9×9 grid, a dense
+        // pile (a complete graph: the first expansion stamps every node),
+        // a chain and a disconnected pair.
+        let grid = Network::from_positions(
+            0.15,
             (0..9).flat_map(|i| (0..9).map(move |j| Point::new(i as f64 * 0.1, j as f64 * 0.1))),
         );
-        for center in [0usize, 40, 80] {
-            let mut scratch = RingScratch::new();
-            let mut query = RingQuery::begin(&net, NodeId(center), &mut scratch);
-            let mut rho = 0.0;
-            for _ in 0..10 {
-                rho += gamma;
-                let hops = hop_budget(rho, gamma, DEFAULT_HOP_SLACK);
-                let step = query.collect(rho, hops);
-                let fresh =
-                    ring_neighborhood_with_slack(&net, NodeId(center), rho, DEFAULT_HOP_SLACK);
-                assert_eq!(
-                    query.members_to_vec(),
-                    fresh.members,
-                    "center {center} ρ {rho}"
-                );
-                assert_eq!(step.messages, fresh.messages, "center {center} ρ {rho}");
-                let expect_far = fresh
-                    .members
-                    .iter()
-                    .map(|&m| net.position(m).distance(net.position(NodeId(center))))
-                    .fold(0.0, f64::max);
-                assert!(
-                    (query.farthest_member_distance() - expect_far).abs() < 1e-12,
-                    "center {center} ρ {rho}"
-                );
+        let pile = Network::from_positions(
+            0.15,
+            (0..40).map(|i| Point::new(0.002 * (i % 7) as f64, 0.003 * (i / 7) as f64)),
+        );
+        let chain = Network::from_positions(0.12, (0..12).map(|i| Point::new(i as f64 * 0.1, 0.0)));
+        let pair = Network::from_positions(0.1, [Point::new(0.0, 0.0), Point::new(0.5, 0.0)]);
+        let cases = [
+            (grid, vec![0usize, 40, 80]),
+            (pile, vec![0, 17, 39]),
+            (chain, vec![0, 5, 11]),
+            (pair, vec![0, 1]),
+        ];
+        for (net, centers) in &cases {
+            let gamma = net.gamma();
+            for &center in centers {
+                let mut scratch = RingScratch::new();
+                let mut query = RingQuery::begin(net, NodeId(center), &mut scratch);
+                let mut rho = 0.0;
+                for _ in 0..10 {
+                    rho += gamma;
+                    let hops = hop_budget(rho, gamma, DEFAULT_HOP_SLACK);
+                    let step = query.collect(rho, hops);
+                    let fresh =
+                        ring_neighborhood_with_slack(net, NodeId(center), rho, DEFAULT_HOP_SLACK);
+                    let at = format!("n {} center {center} ρ {rho}", net.len());
+                    assert_eq!(query.members_to_vec(), fresh.members, "{at}");
+                    assert_eq!(step.messages, fresh.messages, "{at}");
+                    let expect_far = fresh
+                        .members
+                        .iter()
+                        .map(|&m| net.position(m).distance(net.position(NodeId(center))))
+                        .fold(0.0, f64::max);
+                    assert_eq!(
+                        query.farthest_member_distance().to_bits(),
+                        expect_far.to_bits(),
+                        "{at}"
+                    );
+                }
+                if net.len() == 40 {
+                    // The center's row stamped every node, so no other
+                    // row was scanned.
+                    assert_eq!(scratch.stamped, net.len());
+                    assert_eq!(
+                        scratch.frontier.len(),
+                        net.len() - 1,
+                        "rows scanned after all were stamped"
+                    );
+                }
             }
         }
     }
