@@ -21,11 +21,11 @@ use crate::config::{CoordinateMode, LaacadConfig, RingCapPolicy};
 use crate::ring::{
     expanding_ring_search_scratched, expanding_ring_search_status_warm, RingOutcome, RingStatus,
 };
-use crate::scratch::RoundScratch;
-use laacad_geom::{Circle, Point, PolygonBuf};
+use crate::scratch::{CarveScratch, RoundScratch};
+use laacad_geom::{Circle, Point};
 use laacad_region::Region;
 use laacad_voronoi::dominating::{
-    dominating_region_pooled, DominatingRegion, PieceSet, SubdivisionScratch,
+    dominating_region_loaded, load_bisectors, load_site_bisectors, DominatingRegion,
 };
 use laacad_wsn::localize::LocalFrame;
 use laacad_wsn::radio::MessageStats;
@@ -136,21 +136,17 @@ pub fn compute_local_view_scratched(
     let rmse = build_sites(net, id, &ring.candidates, config, round, scratch);
     let s = &mut *scratch;
     let self_est = s.sites[0];
+    load_site_bisectors(0, &s.sites, &mut s.carve.subdivision);
     let (chebyshev, _) = carve_and_measure(
         area,
         config,
         ring.rho,
         ring.dominated,
         self_est,
-        &s.sites,
-        &mut s.subdivision,
-        &mut s.cap,
-        &mut s.domain,
-        &mut s.domain_tmp,
-        &mut s.welzl,
-        &mut s.pieces,
+        self_est,
+        &mut s.carve,
     );
-    let region = s.pieces.to_region();
+    let region = s.carve.pieces.to_region();
     LocalView {
         ring,
         region,
@@ -253,19 +249,15 @@ fn geometry_stage(
     let s = &mut *scratch;
     let candidates: Vec<NodeId> = s.ring.last_members().iter().map(|&m| NodeId(m)).collect();
     build_sites(net, id, &candidates, config, round, s);
+    load_site_bisectors(0, &s.sites, &mut s.carve.subdivision);
     let (chebyshev, reach) = carve_and_measure(
         area,
         config,
         status.rho,
         status.dominated,
+        s.sites[0],
         true_self,
-        &s.sites,
-        &mut s.subdivision,
-        &mut s.cap,
-        &mut s.domain,
-        &mut s.domain_tmp,
-        &mut s.welzl,
-        &mut s.pieces,
+        &mut s.carve,
     );
     NodeView {
         rho: status.rho,
@@ -298,7 +290,6 @@ fn cached_node_view(
         true_self,
         status.rho,
         status.dominated,
-        members,
         &s.competitors,
     ) {
         return NodeView {
@@ -321,25 +312,26 @@ fn cached_node_view(
         true_self,
         status.rho,
         status.dominated,
-        members,
         &s.competitors,
     );
-    s.sites.clear();
-    s.sites.push(true_self);
-    s.sites.extend_from_slice(&s.competitors);
+    // The competitor bisectors against `true_self` (the ring's center)
+    // are the ones the ring checks computed; the rest are computed here.
+    let bisectors = &mut s.domination.bisectors;
+    bisectors.sync(members);
+    let competitors = &s.competitors;
+    load_bisectors(
+        true_self,
+        (0..competitors.len()).filter_map(|i| bisectors.get(i, true_self, competitors[i])),
+        &mut s.carve.subdivision,
+    );
     let (chebyshev, reach) = carve_and_measure(
         area,
         config,
         status.rho,
         status.dominated,
         true_self,
-        &s.sites,
-        &mut s.subdivision,
-        &mut s.cap,
-        &mut s.domain,
-        &mut s.domain_tmp,
-        &mut s.welzl,
-        &mut s.pieces,
+        true_self,
+        &mut s.carve,
     );
     entry.chebyshev = chebyshev;
     entry.reach = reach;
@@ -415,60 +407,48 @@ fn build_sites(
 }
 
 /// The shared geometry tail of every view computation: carves the
-/// region for the already-assembled site list (`sites[0]` = the node's
-/// own estimate) into `out` (cleared first) and measures the Chebyshev
-/// disk plus the farthest distance from `measure_from` in one vertex
-/// pass. One body serves the cached-miss, ranging and materializing
-/// paths, so the cached and materialized geometry cannot drift between
-/// copies.
-#[allow(clippy::too_many_arguments)]
+/// region of the node at `self_est` against the loaded competitor
+/// bisectors into `carve.pieces` (cleared first) and measures the
+/// Chebyshev disk plus the farthest distance from `measure_from` in one
+/// vertex pass. One body serves the cached-miss, ranging and
+/// materializing paths, so the cached and materialized geometry cannot
+/// drift between copies.
 fn carve_and_measure(
     area: &Region,
     config: &LaacadConfig,
     rho: f64,
     dominated: bool,
+    self_est: Point,
     measure_from: Point,
-    sites: &[Point],
-    subdivision: &mut SubdivisionScratch,
-    cap: &mut PolygonBuf,
-    domain: &mut PolygonBuf,
-    domain_tmp: &mut PolygonBuf,
-    welzl: &mut Vec<Point>,
-    out: &mut PieceSet,
+    carve: &mut CarveScratch,
 ) -> (Option<Circle>, f64) {
-    out.clear();
-    carve_region(
-        area,
-        config,
-        sites[0],
-        rho,
-        dominated,
-        sites,
-        subdivision,
-        cap,
-        domain,
-        domain_tmp,
-        out,
-    );
-    out.disk_and_farthest(measure_from, welzl)
+    carve.pieces.clear();
+    carve_region(area, config, self_est, rho, dominated, carve);
+    carve
+        .pieces
+        .disk_and_farthest(measure_from, &mut carve.welzl)
 }
 
-/// Carves `V^k_i ∩ A` (∩ the ρ/2 ring cap, per policy) into `out`
-/// through pooled buffers. `sites[0]` must be the node's own estimate.
-#[allow(clippy::too_many_arguments)]
+/// Carves `V^k_i ∩ A` (∩ the ρ/2 ring cap, per policy) into
+/// `carve.pieces` through pooled buffers, against the competitor
+/// bisectors already loaded into `carve.subdivision`.
 fn carve_region(
     area: &Region,
     config: &LaacadConfig,
     self_est: Point,
     rho: f64,
     dominated: bool,
-    sites: &[Point],
-    subdivision: &mut SubdivisionScratch,
-    cap: &mut PolygonBuf,
-    domain: &mut PolygonBuf,
-    domain_tmp: &mut PolygonBuf,
-    out: &mut PieceSet,
+    carve: &mut CarveScratch,
 ) {
+    let CarveScratch {
+        subdivision,
+        pieces: out,
+        cap,
+        cap_shapes,
+        domain,
+        domain_tmp,
+        ..
+    } = carve;
     // Ring-cap policy. The cap polygon is circumscribed (not inscribed)
     // so it never truncates the true dominating region — the
     // approximation can only *over*-estimate.
@@ -490,12 +470,15 @@ fn carve_region(
     } else {
         config.cap_vertices
     };
-    let cap_radius = (rho / 2.0) / (std::f64::consts::PI / cap_vertices as f64).cos();
+    let mut cap_radius = 0.0;
     let have_cap = apply_cap && {
-        let ok = cap.assign_regular(self_est, cap_radius, cap_vertices, 0.0);
+        let shape = cap_shapes.get(cap_vertices);
+        cap_radius = (rho / 2.0) / shape.cos_half_step;
+        let ok = cap.assign_regular_from(self_est, cap_radius, &shape.dirs);
         debug_assert!(ok, "cap polygon is valid");
         ok
     };
+    let k = config.k;
     for piece in area.convex_pieces() {
         if have_cap {
             // Interior fast path: when the cap's circumscribed disk lies
@@ -507,15 +490,15 @@ fn carve_region(
             if piece.contains(self_est)
                 && piece.closest_boundary_point(self_est).distance(self_est) >= cap_radius + 1e-12
             {
-                dominating_region_pooled(0, sites, config.k, cap.vertices(), subdivision, out);
+                dominating_region_loaded(k, cap.vertices(), subdivision, out);
                 continue;
             }
             if !piece.clip_convex_buf_into(cap, domain, domain_tmp) {
                 continue;
             }
-            dominating_region_pooled(0, sites, config.k, domain.vertices(), subdivision, out);
+            dominating_region_loaded(k, domain.vertices(), subdivision, out);
         } else {
-            dominating_region_pooled(0, sites, config.k, piece.vertices(), subdivision, out);
+            dominating_region_loaded(k, piece.vertices(), subdivision, out);
         }
     }
 }

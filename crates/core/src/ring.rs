@@ -14,12 +14,14 @@
 //! bounded by the target area itself, and — during the expansion phase —
 //! optionally by the searching ring (see [`crate::RingCapPolicy`]).
 
-use laacad_geom::{Arc, ArcCover, Circle, DepthScratch, HalfPlane, Point};
+use laacad_geom::{Arc, ArcCover, Circle, DepthScratch, HalfPlane, Point, PseudoArcCover, Vector};
 use laacad_region::arcs::arcs_inside_region_into;
 use laacad_region::Region;
 use laacad_wsn::multihop::{hop_budget, RingQuery, RingScratch, DEFAULT_HOP_SLACK};
 use laacad_wsn::radio::MessageStats;
 use laacad_wsn::{Adjacency, Network, NodeId};
+use std::f64::consts::TAU;
+use std::sync::OnceLock;
 
 /// Result of the expanding-ring search for one node.
 #[derive(Debug, Clone)]
@@ -40,14 +42,16 @@ pub struct RingOutcome {
 
 /// Reusable buffers for the [`circle_dominated_scratched`] check: the
 /// in-area query arcs, the boundary-crossing angle scratch, the
-/// competitor indices in nearest-first selection order, the
-/// dominance-arc cover and the depth-sweep buffers. One instance per worker makes
-/// every ring-domination check allocation-free.
+/// competitor indices in nearest-first selection order, the competitor
+/// bisectors, the dominance-arc cover and the depth-sweep buffers (which
+/// also hold the pseudo-angle cover's endpoints). One instance per worker makes every
+/// ring-domination check allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct DominationScratch {
     query: Vec<Arc>,
     cuts: Vec<f64>,
     nearest: Vec<usize>,
+    pub(crate) bisectors: MemberBisectors,
     cover: ArcCover,
     depth: DepthScratch,
 }
@@ -56,6 +60,87 @@ impl DominationScratch {
     /// Creates an empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// The bisectors `closer_to(competitor, center)` of one view, each
+/// computed at most once and only when a check or the geometry needs it.
+///
+/// During the ring search the slots are aligned with the ring's member
+/// list (ascending ids), which only ever grows: [`MemberBisectors::sync`]
+/// re-aligns them to a longer list, keeping every slot already computed.
+/// The dominance arcs of every stage read them, and in oracle mode the
+/// geometry loads them instead of recomputing one bisector per site.
+/// Only the member list is held (no per-node array).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MemberBisectors {
+    /// The member ids the slots are aligned with.
+    ids: Vec<usize>,
+    slots: Vec<Slot>,
+}
+
+/// One competitor's bisector: not computed yet, or `closer_to`'s result
+/// (`None` for a co-located competitor).
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Unknown,
+    Known(Option<HalfPlane>),
+}
+
+impl MemberBisectors {
+    /// Forgets every slot (a new view begins).
+    pub(crate) fn reset(&mut self) {
+        self.ids.clear();
+        self.slots.clear();
+    }
+
+    /// `len` unknown slots aligned with a competitor list that is not a
+    /// member list (the standalone [`circle_dominated_scratched`]).
+    fn unaligned(&mut self, len: usize) {
+        self.reset();
+        self.slots.resize(len, Slot::Unknown);
+    }
+
+    /// Re-aligns the slots with `members`, a superset of the previous
+    /// member list (both ascending): a merge from the back moves each
+    /// known slot to its member's new index, new members get unknown
+    /// slots. Should the lists not nest, every slot is forgotten.
+    pub(crate) fn sync(&mut self, members: &[usize]) {
+        if self.ids == members {
+            return;
+        }
+        let old = self.ids.len();
+        self.slots.resize(members.len().max(old), Slot::Unknown);
+        let mut j = old;
+        for i in (0..members.len()).rev() {
+            // A kept slot moves to an index ≥ its old one, so the merge
+            // never overwrites a slot it has yet to read.
+            if j > 0 && j - 1 <= i && self.ids[j - 1] == members[i] {
+                j -= 1;
+                self.slots[i] = self.slots[j];
+            } else {
+                self.slots[i] = Slot::Unknown;
+            }
+        }
+        self.slots.truncate(members.len());
+        if j != 0 {
+            debug_assert!(false, "ring members only ever join");
+            self.slots.fill(Slot::Unknown);
+        }
+        self.ids.clear();
+        self.ids.extend_from_slice(members);
+    }
+
+    /// The bisector of competitor `i` (at `position`) against `center`.
+    pub(crate) fn get(&mut self, i: usize, center: Point, position: Point) -> Option<HalfPlane> {
+        match self.slots[i] {
+            Slot::Known(h) => h,
+            Slot::Unknown => {
+                let h = HalfPlane::closer_to(position, center);
+                self.slots[i] = Slot::Known(h);
+                h
+            }
+        }
     }
 }
 
@@ -82,7 +167,7 @@ pub fn circle_dominated(
 }
 
 /// [`circle_dominated`] over reusable buffers — the allocation-free form
-/// the expanding-ring search uses.
+/// of the check.
 pub fn circle_dominated_scratched(
     center: Point,
     competitors: &[Point],
@@ -91,11 +176,15 @@ pub fn circle_dominated_scratched(
     k: usize,
     scratch: &mut DominationScratch,
 ) -> bool {
+    scratch.bisectors.unaligned(competitors.len());
     settle_domination(center, competitors, circle, region, k, scratch).holds()
 }
 
-/// Which step of [`circle_dominated_scratched`] settled a check.
+/// Which step of [`circle_dominated_scratched`] settled a check, and —
+/// for the sweeps — whether the pseudo-angle sweep did
+/// ([`PseudoArcCover`]) or the angle sweep ([`ArcCover`]).
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(not(test), allow(dead_code))] // `pseudo` is read by the tests
 enum Settled {
     /// No part of the circle lies inside the area: `true`.
     Vacuous,
@@ -104,23 +193,24 @@ enum Settled {
     /// A probe point had fewer than `k` competitors closer: `false`.
     Probe,
     /// The nearest-subset sweep certified depth `≥ k`: `true`.
-    Subset,
+    Subset { pseudo: bool },
     /// The full sweep, after a subset sweep that read depth `< k`.
-    Fallback { holds: bool },
-    /// The full sweep, after a subset sweep that leaned on a tolerance.
+    Fallback { holds: bool, pseudo: bool },
+    /// The full angle sweep, after an angle subset sweep that leaned on a
+    /// tolerance.
     Uncertified { holds: bool },
     /// The full sweep, with too few competitors for a subset.
-    Full { holds: bool },
+    Full { holds: bool, pseudo: bool },
 }
 
 impl Settled {
     fn holds(self) -> bool {
         match self {
-            Settled::Vacuous | Settled::Subset => true,
+            Settled::Vacuous | Settled::Subset { .. } => true,
             Settled::TooFew | Settled::Probe => false,
-            Settled::Fallback { holds }
+            Settled::Fallback { holds, .. }
             | Settled::Uncertified { holds }
-            | Settled::Full { holds } => holds,
+            | Settled::Full { holds, .. } => holds,
         }
     }
 }
@@ -136,24 +226,61 @@ fn subset_len(k: usize) -> usize {
     2 * k + 6
 }
 
+/// The unit directions of the probe points on a full-circle query arc:
+/// angles `0 + 2π·{½, ⅛, ⅞}`, computed once with the calls
+/// [`Circle::point_at`] makes.
+fn full_circle_probe_dirs() -> &'static [Vector; 3] {
+    static DIRS: OnceLock<[Vector; 3]> = OnceLock::new();
+    DIRS.get_or_init(|| PROBE_FRACS.map(|frac| Vector::from_angle(0.0 + TAU * frac)))
+}
+
+/// Where along each query arc the probes sit.
+const PROBE_FRACS: [f64; 3] = [0.5, 0.125, 0.875];
+
+/// Whether `query` is exactly the full circle ([`Arc::full`]), which is
+/// what the in-area arcs of an interior node's circle are.
+fn is_full_circle(query: &[Arc]) -> bool {
+    matches!(query, [q] if *q == Arc::full())
+}
+
+/// Adds the dominance arcs of `competitors[i]` for each `i` in `which`.
+/// Points of the circle exactly equidistant do not count as dominated:
+/// the sweeps read depth on open intervals.
 fn add_dominance_arcs(
     cover: &mut ArcCover,
+    bisectors: &mut MemberBisectors,
     center: Point,
+    competitors: &[Point],
     circle: &Circle,
-    competitors: impl IntoIterator<Item = Point>,
+    which: impl IntoIterator<Item = usize>,
 ) {
-    for c in competitors {
-        let Some(h) = HalfPlane::closer_to(c, center) else {
-            continue; // co-located: never strictly closer
-        };
-        // Shrink the dominance region to its open interior: points of the
-        // circle exactly equidistant do not count as dominated.
-        cover.add_span(Arc::from_halfplane_on_circle(circle, &h));
+    for i in which {
+        // Co-located competitors are never strictly closer.
+        if let Some(h) = bisectors.get(i, center, competitors[i]) {
+            cover.add_span(Arc::from_halfplane_on_circle(circle, &h));
+        }
+    }
+}
+
+/// [`add_dominance_arcs`] with pseudo-angle endpoints.
+fn add_pseudo_arcs(
+    cover: &mut PseudoArcCover<'_>,
+    bisectors: &mut MemberBisectors,
+    center: Point,
+    competitors: &[Point],
+    circle: &Circle,
+    which: impl IntoIterator<Item = usize>,
+) {
+    for i in which {
+        if let Some(h) = bisectors.get(i, center, competitors[i]) {
+            cover.add_halfplane(circle, &h);
+        }
     }
 }
 
 /// The body of [`circle_dominated_scratched`], reporting which step
-/// settled the verdict.
+/// settled the verdict. `scratch.bisectors` must hold one slot per
+/// competitor.
 ///
 /// After the cheap disproofs, the exact arc-depth sweep first runs on the
 /// [`subset_len`] nearest competitors. Adding arcs never lowers a depth,
@@ -164,6 +291,13 @@ fn add_dominance_arcs(
 /// join the cover and the full sweep decides, exactly as without the
 /// subset (the sweep's result does not depend on the order arcs were
 /// added in).
+///
+/// When the query is the full circle, that subset-first logic runs
+/// first on pseudo-angle arcs ([`PseudoArcCover`]): a certified
+/// pseudo-angle sweep returns what the certified angle sweep of the same
+/// arcs returns, so its subset acceptance and full verdict are the angle
+/// sweep's. Any sweep it cannot certify hands the whole check to the
+/// angle sweeps.
 fn settle_domination(
     center: Point,
     competitors: &[Point],
@@ -186,17 +320,22 @@ fn settle_domination(
     // counted *generously*, so no competitor the sweep would credit is
     // missed — is an exact witness that the check fails. Early
     // expansions almost always fail this way, skipping their arc sweeps.
+    let full = is_full_circle(&scratch.query);
     let mut probes = 0;
     for arc in scratch.query.iter() {
         if arc.span() <= 0.0 {
             continue;
         }
-        for frac in [0.5, 0.125, 0.875] {
+        for (p, frac) in PROBE_FRACS.into_iter().enumerate() {
             if probes >= 6 {
                 break;
             }
             probes += 1;
-            let v = circle.point_at(arc.start() + arc.span() * frac);
+            let v = if full {
+                circle.center + full_circle_probe_dirs()[p] * circle.radius
+            } else {
+                circle.point_at(arc.start() + arc.span() * frac)
+            };
             let d_sq = center.distance_sq(v);
             let guard = 1e-9 * (1.0 + d_sq);
             let mut closer = 0usize;
@@ -213,9 +352,9 @@ fn settle_domination(
             }
         }
     }
-    scratch.cover.clear();
     let m = subset_len(k);
-    let certified = if competitors.len() > m {
+    let split = competitors.len() > m;
+    if split {
         let nearest = &mut scratch.nearest;
         nearest.clear();
         nearest.extend(0..competitors.len());
@@ -223,44 +362,92 @@ fn settle_domination(
             let d = |i: usize| center.distance_sq(competitors[i]);
             d(a).total_cmp(&d(b))
         });
-        let (near, far) = nearest.split_at(m);
-        add_dominance_arcs(
-            &mut scratch.cover,
-            center,
-            circle,
-            near.iter().map(|&i| competitors[i]),
-        );
-        let subset = scratch
-            .cover
-            .min_depth_on_certified(&scratch.query, &mut scratch.depth);
-        if subset.is_some_and(|d| d >= k) {
-            return Settled::Subset;
+    }
+    if full {
+        if let Some(settled) = settle_pseudo(center, competitors, circle, k, split, scratch) {
+            return settled;
         }
-        add_dominance_arcs(
-            &mut scratch.cover,
-            center,
-            circle,
-            far.iter().map(|&i| competitors[i]),
-        );
+    }
+    let DominationScratch {
+        query,
+        nearest,
+        bisectors,
+        cover,
+        depth,
+        ..
+    } = scratch;
+    cover.clear();
+    let certified = if split {
+        let (near, far) = nearest.split_at(m);
+        let near = near.iter().copied();
+        add_dominance_arcs(cover, bisectors, center, competitors, circle, near);
+        let subset = cover.min_depth_on_certified(query, depth);
+        if subset.is_some_and(|d| d >= k) {
+            return Settled::Subset { pseudo: false };
+        }
+        let far = far.iter().copied();
+        add_dominance_arcs(cover, bisectors, center, competitors, circle, far);
         Some(subset.is_some())
     } else {
-        add_dominance_arcs(
-            &mut scratch.cover,
-            center,
-            circle,
-            competitors.iter().copied(),
-        );
+        let all = 0..competitors.len();
+        add_dominance_arcs(cover, bisectors, center, competitors, circle, all);
         None
     };
-    let holds = scratch
-        .cover
-        .min_depth_on_scratched(&scratch.query, &mut scratch.depth)
-        >= k;
+    let holds = cover.min_depth_on_scratched(query, depth) >= k;
     match certified {
-        Some(true) => Settled::Fallback { holds },
+        Some(true) => Settled::Fallback {
+            holds,
+            pseudo: false,
+        },
         Some(false) => Settled::Uncertified { holds },
-        None => Settled::Full { holds },
+        None => Settled::Full {
+            holds,
+            pseudo: false,
+        },
     }
+}
+
+/// The subset-first sweep of [`settle_domination`] on pseudo-angle arcs,
+/// for a full-circle query; `None` when a sweep it needed could not be
+/// certified. `split` says whether `scratch.nearest` holds the
+/// nearest-first selection.
+fn settle_pseudo(
+    center: Point,
+    competitors: &[Point],
+    circle: &Circle,
+    k: usize,
+    split: bool,
+    scratch: &mut DominationScratch,
+) -> Option<Settled> {
+    let DominationScratch {
+        nearest,
+        bisectors,
+        depth,
+        ..
+    } = scratch;
+    let pseudo = &mut depth.pseudo_cover();
+    if !split {
+        let all = 0..competitors.len();
+        add_pseudo_arcs(pseudo, bisectors, center, competitors, circle, all);
+        let holds = pseudo.min_depth_certified()? >= k;
+        return Some(Settled::Full {
+            holds,
+            pseudo: true,
+        });
+    }
+    let (near, far) = nearest.split_at(subset_len(k));
+    let near = near.iter().copied();
+    add_pseudo_arcs(pseudo, bisectors, center, competitors, circle, near);
+    if pseudo.min_depth_certified()? >= k {
+        return Some(Settled::Subset { pseudo: true });
+    }
+    let far = far.iter().copied();
+    add_pseudo_arcs(pseudo, bisectors, center, competitors, circle, far);
+    let holds = pseudo.min_depth_certified()? >= k;
+    Some(Settled::Fallback {
+        holds,
+        pseudo: true,
+    })
 }
 
 /// Runs the expanding-ring search (Algorithm 2) for `id` with one-shot
@@ -426,6 +613,7 @@ pub fn expanding_ring_search_status_warm(
         Some(adj) => RingQuery::begin_indexed(net, adj, id, scratch),
         None => RingQuery::begin(net, id, scratch),
     };
+    domination.bisectors.reset();
     loop {
         stages += 1;
         rho += gamma;
@@ -435,7 +623,8 @@ pub fn expanding_ring_search_status_warm(
             let circle = Circle::new(center, rho / 2.0);
             competitors.clear();
             competitors.extend(query.members().iter().map(|&m| net.position(NodeId(m))));
-            if circle_dominated_scratched(center, competitors, &circle, region, k, domination) {
+            domination.bisectors.sync(query.members());
+            if settle_domination(center, competitors, &circle, region, k, domination).holds() {
                 let contact_radius = query.contact_radius();
                 return RingStatus {
                     rho,
@@ -601,8 +790,9 @@ mod tests {
     }
 
     /// The verdict without the nearest-subset sweep: every competitor's
-    /// arc in one cover, one exact sweep (no probes either — they are
-    /// exact disproofs, so the verdict must not depend on them).
+    /// angle arc in one cover, one exact sweep (no probes either — they
+    /// are exact disproofs, so the verdict must not depend on them; no
+    /// pseudo-angles and no stored bisectors).
     fn full_sweep_verdict(
         center: Point,
         competitors: &[Point],
@@ -619,8 +809,25 @@ mod tests {
             return false;
         }
         let mut cover = ArcCover::new();
-        add_dominance_arcs(&mut cover, center, circle, competitors.iter().copied());
+        for &c in competitors {
+            if let Some(h) = HalfPlane::closer_to(c, center) {
+                cover.add_span(Arc::from_halfplane_on_circle(circle, &h));
+            }
+        }
         cover.min_depth_on(&query) >= k
+    }
+
+    /// [`settle_domination`] as [`circle_dominated_scratched`] runs it.
+    fn settle(
+        center: Point,
+        competitors: &[Point],
+        circle: &Circle,
+        region: &Region,
+        k: usize,
+        scratch: &mut DominationScratch,
+    ) -> Settled {
+        scratch.bisectors.unaligned(competitors.len());
+        settle_domination(center, competitors, circle, region, k, scratch)
     }
 
     /// `p` rotated about `c` by `angle` radians.
@@ -691,12 +898,11 @@ mod tests {
                 _ => {}
             }
             let circle = Circle::new(center, spread * (0.1 + 0.9 * rng.next_f64()));
-            let settled =
-                settle_domination(center, &competitors, &circle, &region, k, &mut scratch);
+            let settled = settle(center, &competitors, &circle, &region, k, &mut scratch);
             let expect = full_sweep_verdict(center, &competitors, &circle, &region, k);
             assert_eq!(settled.holds(), expect, "trial {trial} k={k}: {settled:?}");
             match settled {
-                Settled::Subset => subset += 1,
+                Settled::Subset { .. } => subset += 1,
                 Settled::Fallback { .. } => fallback += 1,
                 Settled::Uncertified { .. } => {
                     fallback += 1;
@@ -714,6 +920,189 @@ mod tests {
             uncertified > 5,
             "only {uncertified} subset sweeps leaned on a tolerance"
         );
+    }
+
+    #[test]
+    fn pseudo_angle_sweep_agrees_with_the_angle_sweep() {
+        use laacad_region::sampling::SplitMix64;
+        let region = Region::square(1.0).unwrap();
+        let query = [Arc::full()];
+        let mut rng = SplitMix64::new(0x5EED_A2C5);
+        let mut depth = DepthScratch::new();
+        let mut scratch = DominationScratch::new();
+        let (mut certified, mut refused, mut pseudo_verdicts) = (0, 0, 0);
+        for trial in 0..4000 {
+            let k = 1 + trial % 4;
+            let shape = (trial / 4) % 5;
+            let center = Point::new(0.4 + 0.2 * rng.next_f64(), 0.4 + 0.2 * rng.next_f64());
+            let spread = 0.05 + 0.2 * rng.next_f64();
+            // Small enough that the circle stays inside the square: the
+            // query is the full circle.
+            let circle = Circle::new(center, spread * (0.2 + 0.8 * rng.next_f64()));
+            let random = |rng: &mut SplitMix64, n: usize| -> Vec<Point> {
+                (0..n)
+                    .map(|_| {
+                        let r = spread * rng.next_f64().sqrt();
+                        let a = TAU * rng.next_f64();
+                        Point::new(center.x + r * a.cos(), center.y + r * a.sin())
+                    })
+                    .collect()
+            };
+            let n = k + 3 + (rng.next_u64() % 24) as usize;
+            let competitors: Vec<Point> = match shape {
+                // Random sets.
+                0 => random(&mut rng, n),
+                // Co-located twins.
+                1 => {
+                    let mut c = random(&mut rng, n);
+                    c.extend_from_within(..2);
+                    c
+                }
+                // A lattice around a lattice-point center: equidistant
+                // competitors whose arcs tie.
+                2 => {
+                    let h = spread / 3.0;
+                    (-3i32..=3)
+                        .flat_map(|i| (-3i32..=3).map(move |j| (i, j)))
+                        .filter(|&ij| ij != (0, 0))
+                        .map(|(i, j)| {
+                            Point::new(center.x + f64::from(i) * h, center.y + f64::from(j) * h)
+                        })
+                        .collect()
+                }
+                // Near twins rotated 1e-9 … 1e-15 rad about the center:
+                // endpoints that far apart.
+                3 => {
+                    let mut c = random(&mut rng, n);
+                    for i in 0..3 {
+                        let angle = 10f64.powf(-9.0 - 6.0 * rng.next_f64());
+                        c.push(rotate(c[i], center, angle));
+                    }
+                    c
+                }
+                // Arcs ending at angle 0: the competitor at distance `d`
+                // and angle `acos(d / 2r)` dominates up to angle 0.
+                _ => {
+                    let mut c = random(&mut rng, n);
+                    for _ in 0..2 {
+                        let d = circle.radius * (0.2 + 1.6 * rng.next_f64());
+                        let a = (d / (2.0 * circle.radius)).acos();
+                        let a = if rng.next_u64().is_multiple_of(2) {
+                            a
+                        } else {
+                            -a
+                        };
+                        c.push(Point::new(center.x + d * a.cos(), center.y + d * a.sin()));
+                    }
+                    c
+                }
+            };
+            // The pseudo-angle sweep against the angle sweep, arc for arc.
+            let mut pseudo = depth.pseudo_cover();
+            let mut cover = ArcCover::new();
+            for &c in &competitors {
+                if let Some(h) = HalfPlane::closer_to(c, center) {
+                    pseudo.add_halfplane(&circle, &h);
+                    cover.add_span(Arc::from_halfplane_on_circle(&circle, &h));
+                }
+            }
+            match pseudo.min_depth_certified() {
+                Some(d) => {
+                    certified += 1;
+                    let mut angle = DepthScratch::new();
+                    assert_eq!(
+                        cover.min_depth_on_certified(&query, &mut angle),
+                        Some(d),
+                        "trial {trial}: a certified pseudo-angle depth the angle sweep does not certify"
+                    );
+                }
+                None => refused += 1,
+            }
+            // And the check as a whole against the full angle sweep.
+            let settled = settle(center, &competitors, &circle, &region, k, &mut scratch);
+            let expect = full_sweep_verdict(center, &competitors, &circle, &region, k);
+            assert_eq!(settled.holds(), expect, "trial {trial} k={k}: {settled:?}");
+            if let Settled::Subset { pseudo: true }
+            | Settled::Fallback { pseudo: true, .. }
+            | Settled::Full { pseudo: true, .. } = settled
+            {
+                pseudo_verdicts += 1;
+            }
+        }
+        assert!(
+            certified > 200,
+            "only {certified} certified pseudo-angle sweeps"
+        );
+        assert!(refused > 200, "only {refused} sweeps fell back to angles");
+        assert!(
+            pseudo_verdicts > 200,
+            "only {pseudo_verdicts} checks settled by pseudo-angles"
+        );
+    }
+
+    #[test]
+    fn full_circle_probes_sit_where_point_at_puts_them() {
+        let dirs = full_circle_probe_dirs();
+        let full = Arc::full();
+        for circle in [
+            Circle::new(Point::new(0.5, 0.5), 0.1),
+            Circle::new(Point::new(-3.0, 1e-7), 12.5),
+        ] {
+            for (p, frac) in PROBE_FRACS.into_iter().enumerate() {
+                let expect = circle.point_at(full.start() + full.span() * frac);
+                let got = circle.center + dirs[p] * circle.radius;
+                assert_eq!(
+                    (got.x.to_bits(), got.y.to_bits()),
+                    (expect.x.to_bits(), expect.y.to_bits())
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn member_bisectors_follow_a_growing_member_list() {
+        use laacad_region::sampling::SplitMix64;
+        let mut rng = SplitMix64::new(17);
+        let center = Point::new(0.5, 0.5);
+        let positions: Vec<Point> = (0..60)
+            .map(|i| {
+                if i % 11 == 0 {
+                    center // co-located: no bisector
+                } else {
+                    Point::new(rng.next_f64(), rng.next_f64())
+                }
+            })
+            .collect();
+        let mut bisectors = MemberBisectors::default();
+        for _ in 0..50 {
+            bisectors.reset();
+            let mut members: Vec<usize> = Vec::new();
+            let mut computed = 0;
+            while members.len() < positions.len() {
+                // A few new ids join at arbitrary sorted positions.
+                for _ in 0..1 + rng.next_u64() % 6 {
+                    let id = (rng.next_u64() % positions.len() as u64) as usize;
+                    if let Err(at) = members.binary_search(&id) {
+                        members.insert(at, id);
+                    }
+                }
+                bisectors.sync(&members);
+                // Touch a random subset; every slot must hold its own
+                // member's bisector, computed at most once.
+                for (i, &id) in members.iter().enumerate() {
+                    if rng.next_u64().is_multiple_of(3) {
+                        let was_known = matches!(bisectors.slots[i], Slot::Known(_));
+                        let h = bisectors.get(i, center, positions[id]);
+                        computed += usize::from(!was_known);
+                        assert_eq!(h, HalfPlane::closer_to(positions[id], center), "id {id}");
+                    }
+                }
+            }
+            assert!(
+                computed <= positions.len(),
+                "{computed} computations for 60 members"
+            );
+        }
     }
 
     #[test]

@@ -11,12 +11,13 @@
 //!
 //! The scratch also owns the worker's [`LocalViewCache`]: per-node
 //! entries keyed by the *exact* geometric inputs of the node's previous
-//! computation (position, ring radius, competitor `(id, position)` set,
-//! `k`). A hit skips the subdivision and Welzl entirely; because the key
+//! computation (position, ring radius, ring verdict, competitor
+//! positions in member order, `k`). A hit skips the subdivision and Welzl entirely; because the key
 //! is exact equality, a hit returns exactly what a recomputation would.
 
 use crate::ring::DominationScratch;
-use laacad_geom::{Circle, Point, PolygonBuf};
+use laacad_geom::polygon::regular_directions;
+use laacad_geom::{Circle, Point, PolygonBuf, Vector};
 use laacad_voronoi::dominating::{PieceSet, SubdivisionScratch};
 use laacad_wsn::multihop::RingScratch;
 
@@ -30,20 +31,11 @@ pub struct RoundScratch {
     /// Competitor positions for the ρ/2-circle domination check (and, in
     /// oracle mode, the candidate site positions).
     pub(crate) competitors: Vec<Point>,
-    /// Site list (self estimate + candidates) fed to the subdivision.
+    /// Site list (self estimate + candidates) of the ranging and
+    /// materializing paths.
     pub(crate) sites: Vec<Point>,
-    /// Bisector-subdivision worklist, competitor bisectors and polygon pool.
-    pub(crate) subdivision: SubdivisionScratch,
-    /// Region pieces of the current uncached computation.
-    pub(crate) pieces: PieceSet,
-    /// Welzl input scratch (refilled per disk computation).
-    pub(crate) welzl: Vec<Point>,
-    /// The ρ/2 ring-cap polygon of the current node.
-    pub(crate) cap: PolygonBuf,
-    /// Clip output buffer for `piece ∩ cap` domains.
-    pub(crate) domain: PolygonBuf,
-    /// Ping-pong partner of `domain`.
-    pub(crate) domain_tmp: PolygonBuf,
+    /// Buffers of the region carving and its measurement.
+    pub(crate) carve: CarveScratch,
     /// Cross-round per-node view cache (see [`LocalViewCache`]).
     pub(crate) view_cache: LocalViewCache,
     /// Per-worker kernel timing buffer. Armed by the session only when
@@ -65,6 +57,66 @@ impl RoundScratch {
     /// Purely an allocation hint; contents are untouched.
     pub fn reserve(&mut self, n: usize) {
         self.ring.reserve(n);
+    }
+}
+
+/// The buffers of one region carving: the subdivision, the ring cap and
+/// the clipped domains it works on, the resulting pieces and Welzl's
+/// input.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CarveScratch {
+    /// Bisector-subdivision worklist, competitor bisectors and polygon pool.
+    pub(crate) subdivision: SubdivisionScratch,
+    /// Region pieces of the current uncached computation.
+    pub(crate) pieces: PieceSet,
+    /// Welzl input scratch (refilled per disk computation).
+    pub(crate) welzl: Vec<Point>,
+    /// The ρ/2 ring-cap polygon of the current node.
+    pub(crate) cap: PolygonBuf,
+    /// Unit vertex directions and `cos(π/n)` of the cap polygons drawn
+    /// so far, per vertex count.
+    pub(crate) cap_shapes: CapShapes,
+    /// Clip output buffer for `piece ∩ cap` domains.
+    pub(crate) domain: PolygonBuf,
+    /// Ping-pong partner of `domain`.
+    pub(crate) domain_tmp: PolygonBuf,
+}
+
+/// The constant part of the ring-cap polygons: for each vertex count
+/// `n` in use, the unit directions of
+/// [`PolygonBuf::assign_regular`]`(.., n, 0.0)` and the circumscription
+/// factor `cos(π/n)`, computed once with the same calls and reused for
+/// every cap — a worker meets one or two counts per run.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CapShapes {
+    shapes: Vec<CapShape>,
+}
+
+#[derive(Debug, Clone)]
+pub(crate) struct CapShape {
+    /// Unit vertex directions (phase 0).
+    pub(crate) dirs: Vec<Vector>,
+    /// `cos(π/n)`: a polygon of circumradius `r / cos(π/n)`
+    /// circumscribes the circle of radius `r`.
+    pub(crate) cos_half_step: f64,
+}
+
+impl CapShapes {
+    /// The shape of the `n`-vertex cap, computed on first use.
+    pub(crate) fn get(&mut self, n: usize) -> &CapShape {
+        let at = match self.shapes.iter().position(|s| s.dirs.len() == n) {
+            Some(at) => at,
+            None => {
+                let mut dirs = Vec::new();
+                regular_directions(n, 0.0, &mut dirs);
+                self.shapes.push(CapShape {
+                    dirs,
+                    cos_half_step: (std::f64::consts::PI / n as f64).cos(),
+                });
+                self.shapes.len() - 1
+            }
+        };
+        &self.shapes[at]
     }
 }
 
@@ -108,9 +160,9 @@ pub(crate) struct CacheEntry {
     /// Ring-check outcome (determines whether the cap applies under
     /// [`crate::RingCapPolicy::Exact`]).
     pub(crate) dominated: bool,
-    /// Competitor ids, ascending (the ring search's member order).
-    pub(crate) member_ids: Vec<usize>,
-    /// Competitor positions, aligned with `member_ids`.
+    /// Competitor positions, in the ring search's member order
+    /// (ascending ids). The ids themselves are not part of the key: the
+    /// geometry reads only the positions, in this order.
     pub(crate) member_pos: Vec<Point>,
     // --- cached view -------------------------------------------------
     // (The region pieces themselves are not retained: hits only ever
@@ -130,7 +182,6 @@ impl Default for CacheEntry {
             self_pos: Point::ORIGIN,
             rho: 0.0,
             dominated: false,
-            member_ids: Vec::new(),
             member_pos: Vec::new(),
             chebyshev: None,
             reach: 0.0,
@@ -146,7 +197,6 @@ impl CacheEntry {
         self_pos: Point,
         rho: f64,
         dominated: bool,
-        member_ids: &[usize],
         member_pos: &[Point],
     ) -> bool {
         self.valid
@@ -154,7 +204,6 @@ impl CacheEntry {
             && self.self_pos == self_pos
             && self.rho == rho
             && self.dominated == dominated
-            && self.member_ids == member_ids
             && self.member_pos == member_pos
     }
 
@@ -166,15 +215,12 @@ impl CacheEntry {
         self_pos: Point,
         rho: f64,
         dominated: bool,
-        member_ids: &[usize],
         member_pos: &[Point],
     ) {
         self.k = k;
         self.self_pos = self_pos;
         self.rho = rho;
         self.dominated = dominated;
-        self.member_ids.clear();
-        self.member_ids.extend_from_slice(member_ids);
         self.member_pos.clear();
         self.member_pos.extend_from_slice(member_pos);
     }

@@ -22,16 +22,32 @@
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock};
 
 /// Resolves a `threads` knob (`0` = auto) against the machine and an
 /// upper bound from the workload size.
+///
+/// Only `threads == 0` asks the machine, and only once per process:
+/// `available_parallelism` reads cgroup files on Linux, and the round
+/// engine resolves its workers on every step.
 pub fn resolve_workers(threads: usize, len: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|w| w.get())
-        .unwrap_or(4);
-    let chosen = if threads == 0 { hw } else { threads };
+    let chosen = if threads == 0 {
+        machine_workers()
+    } else {
+        threads
+    };
     chosen.min(len).max(1)
+}
+
+/// The machine's available parallelism (4 when it cannot be queried),
+/// queried on first use.
+fn machine_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|w| w.get())
+            .unwrap_or(4)
+    })
 }
 
 /// Maps `f` over `inputs` in parallel, preserving input order.
@@ -374,5 +390,22 @@ mod tests {
         assert_eq!(resolve_workers(8, 2), 2);
         assert_eq!(resolve_workers(5, 0), 1);
         assert!(resolve_workers(0, 1000) >= 1);
+        // Explicit counts never consult the machine: the result is
+        // `threads` capped by the length, and at least one.
+        for threads in 1..=4 {
+            for len in 0..=3 {
+                assert_eq!(
+                    resolve_workers(threads, len),
+                    threads.min(len).max(1),
+                    "threads {threads} len {len}"
+                );
+            }
+        }
+        // Auto is the cached machine answer, capped the same way.
+        let hw = machine_workers();
+        assert_eq!(machine_workers(), hw, "queried once, then stable");
+        for len in 0..=3 {
+            assert_eq!(resolve_workers(0, len), hw.min(len).max(1), "len {len}");
+        }
     }
 }

@@ -351,6 +351,134 @@ impl ArcCover {
     }
 }
 
+/// The dominance arcs of one circle with their endpoints kept as
+/// pseudo-angles instead of angles: the trig-free form of an
+/// [`ArcCover`] swept over the full circle.
+///
+/// [`PseudoArcCover::add_halfplane`] takes the `q` of
+/// [`Arc::from_halfplane_on_circle`] (the same expression, so the same
+/// `Full` / `Empty` decisions) and, for a proper arc, rotates the
+/// half-plane's normal by `±acos(q)` with `cos = q` and
+/// `sin = √((1 − q)(1 + q))` — not `√(1 − q²)`, which loses accuracy near
+/// `|q| = 1`. Each endpoint is then mapped to the "diamond" pseudo-angle
+/// in `[0, 4)`, monotone in the angle with slope between ½ and 1, so
+/// pseudo-angle gaps never exceed angle gaps.
+///
+/// [`PseudoArcCover::min_depth_certified`] sweeps the sorted endpoints
+/// and certifies the result when every gap between consecutive
+/// endpoints, and from the first and last endpoint to angle 0, exceeds
+/// `1e-9`. Both this form and [`ArcCover`]'s `atan2`/`acos` form place an
+/// endpoint within a few `1e-15` of the same exact angle (the rotation
+/// of the same normal by `acos` of the same `q`), so with gaps that wide
+/// the angle sweep sees the same endpoint order and the same wrapping
+/// arcs, merges no breakpoints (its `1e-15` dedup) and skips no interval
+/// (its `1e-14` floor): [`ArcCover::min_depth_on_certified`] over the
+/// full circle returns the same `Some(depth)`. Anything narrower, and
+/// any non-finite value, is refused (`None`) and the caller runs the
+/// angle sweep instead.
+///
+/// The cover keeps its endpoints in the event buffer of a
+/// [`DepthScratch`] ([`DepthScratch::pseudo_cover`]), so a worker that
+/// runs both sweeps holds one buffer for them.
+#[derive(Debug)]
+pub struct PseudoArcCover<'a> {
+    /// `(pseudo-angle, +1 start / −1 end)`.
+    events: &'a mut Vec<(f64, i32)>,
+    /// Arcs that cover the whole circle.
+    full_count: usize,
+    /// Proper arcs whose end precedes their start (they cover angle 0).
+    wrapping: usize,
+    /// Whether an arc could not be represented (NaN `q`).
+    refused: bool,
+}
+
+/// Endpoint gaps (in pseudo-angle units) below which
+/// [`PseudoArcCover::min_depth_certified`] refuses to certify.
+const CERTIFIED_GAP: f64 = 1e-9;
+
+impl PseudoArcCover<'_> {
+    /// Adds the arc [`Arc::from_halfplane_on_circle`] gives for `circle`
+    /// and `h`, with pseudo-angle endpoints.
+    pub fn add_halfplane(&mut self, circle: &Circle, h: &HalfPlane) {
+        if circle.radius <= 0.0 {
+            if h.contains(circle.center) {
+                self.full_count += 1;
+            }
+            return;
+        }
+        let n = h.normal();
+        let q = (h.offset() - n.dot(circle.center.to_vector())) / circle.radius;
+        if q >= 1.0 {
+            self.full_count += 1;
+        } else if q > -1.0 {
+            // cos(θ−φ) ≤ q ⇔ θ−φ ∈ [acos q, 2π − acos q]: the arc runs
+            // from n rotated by +acos q to n rotated by −acos q.
+            let sin = ((1.0 - q) * (1.0 + q)).sqrt();
+            let start = pseudo_angle(n.x * q - n.y * sin, n.y * q + n.x * sin);
+            let end = pseudo_angle(n.x * q + n.y * sin, n.y * q - n.x * sin);
+            self.events.push((start, 1));
+            self.events.push((end, -1));
+            if end <= start {
+                self.wrapping += 1;
+            }
+        } else if q.is_nan() {
+            self.refused = true;
+        }
+        // q ≤ −1: the circle lies outside the half-plane.
+    }
+
+    /// The minimum coverage depth over the full circle, when the
+    /// endpoints are far enough apart to certify it (see the type docs);
+    /// `None` otherwise. Sorts the endpoints in place.
+    pub fn min_depth_certified(&mut self) -> Option<usize> {
+        if self.refused {
+            return None;
+        }
+        self.events.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
+        let mut prev = 0.0;
+        for &(t, _) in self.events.iter() {
+            if !wide_gap(t - prev) {
+                return None;
+            }
+            prev = t;
+        }
+        if !wide_gap(4.0 - prev) {
+            return None;
+        }
+        let mut depth = (self.full_count + self.wrapping) as i64;
+        let mut min = depth;
+        for &(_, delta) in self.events.iter() {
+            depth += i64::from(delta);
+            min = min.min(depth);
+        }
+        Some(min.max(0) as usize)
+    }
+}
+
+/// Whether a gap between endpoints is wide enough to certify (`false`
+/// for NaN).
+#[inline]
+fn wide_gap(gap: f64) -> bool {
+    gap > CERTIFIED_GAP
+}
+
+/// The "diamond" pseudo-angle of a non-zero vector: `[0, 4)`, increasing
+/// counter-clockwise from the positive x axis, one unit per quadrant.
+#[inline]
+fn pseudo_angle(x: f64, y: f64) -> f64 {
+    if y >= 0.0 {
+        if x >= 0.0 {
+            y / (x + y)
+        } else {
+            1.0 - x / (y - x)
+        }
+    } else if x < 0.0 {
+        2.0 - y / (-x - y)
+    } else {
+        3.0 + x / (x - y)
+    }
+}
+
 /// Reusable buffers for the [`ArcCover`] depth sweep (endpoint events,
 /// query endpoints and breakpoint angles). One instance per worker makes
 /// every ring-domination check allocation-free after warm-up.
@@ -365,6 +493,17 @@ impl DepthScratch {
     /// Creates an empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty [`PseudoArcCover`] over this scratch's event buffer.
+    pub fn pseudo_cover(&mut self) -> PseudoArcCover<'_> {
+        self.events.clear();
+        PseudoArcCover {
+            events: &mut self.events,
+            full_count: 0,
+            wrapping: 0,
+            refused: false,
+        }
     }
 }
 

@@ -44,9 +44,9 @@ pub mod segment;
 pub mod transform;
 pub mod welzl;
 
-pub use aabb::Aabb;
+pub use aabb::{Aabb, DiagonalTol};
 pub use angle::{normalize_angle, Angle};
-pub use arc::{Arc, ArcCover, ArcSpan, DepthScratch};
+pub use arc::{Arc, ArcCover, ArcSpan, DepthScratch, PseudoArcCover};
 pub use circle::Circle;
 pub use halfplane::HalfPlane;
 pub use hull::convex_hull;

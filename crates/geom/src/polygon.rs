@@ -5,7 +5,7 @@
 //! polygons appear as target-area outlines and are decomposed into convex
 //! pieces by `laacad-region` before any clipping happens.
 
-use crate::aabb::Aabb;
+use crate::aabb::{Aabb, DiagonalTol};
 use crate::halfplane::HalfPlane;
 use crate::point::{Point, Vector};
 use crate::predicates::{cross3, orient2d, Orientation};
@@ -118,11 +118,7 @@ impl Polygon {
         if n < 3 || r.is_nan() || r <= 0.0 {
             return Err(PolygonError::TooFewVertices);
         }
-        let pts = (0..n).map(|i| {
-            let th = phase + i as f64 / n as f64 * std::f64::consts::TAU;
-            center + Vector::from_angle(th) * r
-        });
-        Polygon::new(pts)
+        Polygon::new((0..n).map(|i| center + regular_direction(i, n, phase) * r))
     }
 
     /// The counter-clockwise vertex loop.
@@ -215,8 +211,8 @@ impl Polygon {
         // Points the crossing test misses may still lie on the boundary
         // within tolerance; only they pay for the per-edge distances.
         inside || {
-            let tol = EPS * (1.0 + self.bounding_box().diagonal());
-            self.edges().any(|e| e.contains(p, tol))
+            let tol = self.bounding_box().diagonal_tol(EPS);
+            self.edges().any(|e| tol.le(e.distance_to_point(p)))
         }
     }
 
@@ -443,10 +439,20 @@ impl PolygonBuf {
             self.vertices.clear();
             return false;
         }
-        self.assign((0..n).map(|i| {
-            let th = phase + i as f64 / n as f64 * std::f64::consts::TAU;
-            center + Vector::from_angle(th) * r
-        }))
+        self.assign((0..n).map(|i| center + regular_direction(i, n, phase) * r))
+    }
+
+    /// [`PolygonBuf::assign_regular`] from the polygon's unit vertex
+    /// directions, precomputed by [`regular_directions`] (`n` is
+    /// `dirs.len()`): the same vertices, bit for bit, without the `2n`
+    /// trigonometric calls — callers that draw many polygons of one `n`
+    /// compute the directions once.
+    pub fn assign_regular_from(&mut self, center: Point, r: f64, dirs: &[Vector]) -> bool {
+        if dirs.len() < 3 || r.is_nan() || r <= 0.0 {
+            self.vertices.clear();
+            return false;
+        }
+        self.assign(dirs.iter().map(|&d| center + d * r))
     }
 
     /// [`Polygon::clip_halfplane_into`] with a buffer as the subject.
@@ -482,9 +488,12 @@ impl PolygonBuf {
     ) -> (bool, bool) {
         assert!(!self.is_empty(), "split subject buffer is empty");
         let subject = &self.vertices;
-        let tol = clip_tol_of(bb);
         dist.clear();
         dist.extend(subject.iter().map(|&p| h.signed_distance(p)));
+        // Both walks only ask `±d <= tol`, so a stand-in decided from the
+        // filled distances replaces the measured tolerance (see
+        // [`DiagonalTol::stand_in`]).
+        let tol = clip_tol_of(bb).stand_in(dist.iter().copied());
         // The complement's distances are the negated ones, exactly up to
         // the sign of a zero — and a zero distance only ever feeds a
         // crossing point that merges into the vertex it sits on.
@@ -499,6 +508,21 @@ impl PolygonBuf {
     pub fn to_polygon(&self) -> Option<Polygon> {
         (!self.is_empty()).then(|| Polygon::from_normalized(self.vertices.clone()))
     }
+}
+
+/// The unit direction of vertex `i` of the regular `n`-gon starting at
+/// angle `phase`.
+#[inline]
+fn regular_direction(i: usize, n: usize, phase: f64) -> Vector {
+    Vector::from_angle(phase + i as f64 / n as f64 * std::f64::consts::TAU)
+}
+
+/// Fills `out` (cleared first) with the `n` unit vertex directions of
+/// the regular polygon starting at angle `phase`, for
+/// [`PolygonBuf::assign_regular_from`].
+pub fn regular_directions(n: usize, phase: f64, out: &mut Vec<Vector>) {
+    out.clear();
+    out.extend((0..n).map(|i| regular_direction(i, n, phase)));
 }
 
 /// A free list of [`PolygonBuf`]s.
@@ -548,24 +572,17 @@ fn clip_halfplane_core(subject: &[Point], h: &HalfPlane, out: &mut Vec<Point>) -
     if subject.is_empty() {
         return false;
     }
-    clip_walk(
-        subject,
-        clip_tol(subject),
-        |i| h.signed_distance(subject[i]),
-        out,
-    )
+    // The walk only asks `d <= tol`: decide the stand-in from the
+    // distances first (recomputed by the walk, to the same bits).
+    let bb = Aabb::from_points(subject.iter().copied()).expect("clip subject is non-empty");
+    let tol = clip_tol_of(&bb).stand_in(subject.iter().map(|&p| h.signed_distance(p)));
+    clip_walk(subject, tol, |i| h.signed_distance(subject[i]), out)
 }
 
 /// The boundary tolerance of a clip: [`EPS`] scaled by the subject's
-/// bounding-box diagonal.
-fn clip_tol(subject: &[Point]) -> f64 {
-    let bb = Aabb::from_points(subject.iter().copied()).expect("clip subject is non-empty");
-    clip_tol_of(&bb)
-}
-
-/// [`clip_tol`] from the subject's bounding box.
-fn clip_tol_of(bb: &Aabb) -> f64 {
-    EPS * (1.0 + bb.diagonal())
+/// bounding-box diagonal, measured only when a distance needs it.
+fn clip_tol_of(bb: &Aabb) -> DiagonalTol {
+    bb.diagonal_tol(EPS)
 }
 
 /// The clip walk over a non-empty `subject`, with the signed distance of
@@ -844,6 +861,138 @@ mod tests {
         let s = sq.scaled_about(Point::new(0.5, 0.5), 2.0);
         assert!((s.area() - 4.0).abs() < 1e-12);
         assert!(s.centroid().approx_eq(Point::new(0.5, 0.5), 1e-12));
+    }
+
+    /// The clip with its tolerance measured up front, as before the
+    /// lazily exact tolerance: the reference for both clip kernels.
+    fn eager_clip(subject: &[Point], tol: f64, dist: impl Fn(usize) -> f64) -> Vec<Point> {
+        let mut out = Vec::new();
+        if !clip_walk(subject, tol, dist, &mut out) {
+            out.clear();
+        }
+        out
+    }
+
+    fn bits(vs: &[Point]) -> Vec<(u64, u64)> {
+        vs.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+    }
+
+    /// Clips `subject` by `h` through the lazy kernels — the single clip
+    /// and both sides of the split — and compares each with the eager
+    /// clip. Returns whether some distance fell in the tolerance band.
+    fn assert_clips_match_eager(subject: &[Point], h: &HalfPlane) -> bool {
+        let bb = Aabb::from_points(subject.iter().copied()).unwrap();
+        let tol = EPS * (1.0 + bb.diagonal());
+        let d = |i: usize| h.signed_distance(subject[i]);
+        let expect_in = eager_clip(subject, tol, d);
+        let expect_out = eager_clip(subject, tol, |i| -d(i));
+        let mut got = Vec::new();
+        clip_halfplane_core(subject, h, &mut got);
+        assert_eq!(bits(&got), bits(&expect_in), "clip of {subject:?} by {h}");
+        let mut held = PolygonBuf::new();
+        held.copy_from(subject);
+        let (mut outside, mut inside) = (PolygonBuf::new(), PolygonBuf::new());
+        let mut dist = Vec::new();
+        held.split_halfplane_into(h, &bb, &mut dist, &mut outside, Some(&mut inside));
+        assert_eq!(
+            bits(inside.vertices()),
+            bits(&expect_in),
+            "split of {subject:?}"
+        );
+        assert_eq!(
+            bits(outside.vertices()),
+            bits(&expect_out),
+            "split of {subject:?}"
+        );
+        let t = bb.diagonal_tol(EPS);
+        (0..subject.len()).any(|i| t.ambiguous(d(i).abs()))
+    }
+
+    #[test]
+    fn lazy_clip_tolerance_matches_the_measured_one() {
+        let ulp = |x: f64, up: bool| {
+            let b = x.to_bits();
+            f64::from_bits(if (x > 0.0) == up { b + 1 } else { b - 1 })
+        };
+        // Vertices planted at ±lo, ±hi, ±tol and one ulp either side of
+        // each, on the boundary of `{x ≤ 0}` of a loop whose box is
+        // [-1, 1]² whatever the planted values.
+        let h = HalfPlane::new(Vector::new(1.0, 0.0), 0.0).unwrap();
+        let bb = Aabb::new(Point::new(-1.0, -1.0), Point::new(1.0, 1.0));
+        let t = bb.diagonal_tol(EPS);
+        let mut planted = Vec::new();
+        for v in [t.lo(), t.hi(), t.exact()] {
+            for w in [v, -v] {
+                planted.extend([w, ulp(w, true), ulp(w, false)]);
+            }
+        }
+        let mut banded = 0;
+        for (i, &v) in planted.iter().enumerate() {
+            for &w in &planted[i..] {
+                let subject = [
+                    Point::new(-1.0, -1.0),
+                    Point::new(1.0, -1.0),
+                    Point::new(1.0, 1.0),
+                    Point::new(-1.0, 1.0),
+                    Point::new(v, 0.5),
+                    Point::new(w, -0.5),
+                ];
+                for h in [h, h.complement()] {
+                    banded += usize::from(assert_clips_match_eager(&subject, &h));
+                }
+            }
+        }
+        assert!(
+            banded > 100,
+            "only {banded} clips had a distance in the band"
+        );
+        // General position: regular polygons at many scales against
+        // random half-planes, some through a vertex.
+        let mut state = 0x5DEE_CE66_D1CE_4E5Bu64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for trial in 0..2000 {
+            let scale = 10f64.powi(trial % 7 - 2);
+            let n = 3 + trial as usize % 9;
+            let c = Point::new(next() * scale, next() * scale);
+            let poly = Polygon::regular(c, scale * (0.1 + next()), n, next() * 6.3).unwrap();
+            let v = poly.vertices()[trial as usize % n];
+            let h = if trial % 3 == 0 {
+                HalfPlane::new(Vector::from_angle(next() * 6.3), 0.0)
+                    .map(|h| HalfPlane::new(h.normal(), h.normal().dot(v.to_vector())).unwrap())
+            } else {
+                HalfPlane::closer_to(c, Point::new(next() * scale, next() * scale))
+            };
+            if let Some(h) = h {
+                assert_clips_match_eager(poly.vertices(), &h);
+            }
+        }
+    }
+
+    #[test]
+    fn cached_regular_directions_draw_the_same_polygon() {
+        let mut dirs = Vec::new();
+        let (mut a, mut b) = (PolygonBuf::new(), PolygonBuf::new());
+        for n in 3..=64 {
+            for (center, r, phase) in [
+                (Point::new(0.3, 0.7), 0.05, 0.0),
+                (Point::new(-2.0, 1e3), 7.5, 0.0),
+                (Point::new(0.5, 0.5), 1e-6, 0.25),
+            ] {
+                regular_directions(n, phase, &mut dirs);
+                assert_eq!(dirs.len(), n);
+                let ok_a = a.assign_regular(center, r, n, phase);
+                let ok_b = b.assign_regular_from(center, r, &dirs);
+                assert_eq!(ok_a, ok_b, "n={n}");
+                assert_eq!(bits(a.vertices()), bits(b.vertices()), "n={n} r={r}");
+            }
+        }
+        assert!(!b.assign_regular_from(Point::ORIGIN, 0.0, &dirs));
+        assert!(!b.assign_regular_from(Point::ORIGIN, 1.0, &dirs[..2]));
     }
 
     #[test]

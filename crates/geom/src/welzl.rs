@@ -66,54 +66,184 @@ fn inside(c: &Circle, p: Point, scale: f64) -> bool {
     c.center.distance_sq(p) <= c.radius * c.radius + EPS * (1.0 + scale)
 }
 
-/// Iterative Welzl with move-to-front heuristic.
+/// The squared distances whose relative rounding the candidate bounds
+/// cover: inside this range no square underflows or overflows.
+const SAFE_SQ: std::ops::RangeInclusive<f64> = 1e-280..=1e280;
+
+/// A candidate circle of the Welzl loop whose radius is measured only
+/// when a containment test needs it.
+///
+/// The centre is computed exactly as [`Circle::from_diameter`] /
+/// [`Circle::circumscribing`] compute it, and the radius is
+/// `factor · ‖from − to‖` with the same `hypot`. Containment
+/// `d² <= r·r + slack` is decided from bounds on `r·r`: with `s` the
+/// squared distance `‖from − to‖²` (rounded from the same coordinate
+/// differences the `hypot` takes), a faithful `hypot` puts the rounded
+/// `r·r` within `factor²·s·(1 ± 8u)` (`u = 2⁻⁵³`), so
+/// `factor²·s·(1 ± 16ε)` brackets it with room to spare, and
+/// `x + slack` rounds monotonically in `x`. Outside the band the bounds
+/// decide the test as the measured radius would; inside it the radius is
+/// measured. Squared distances outside [`SAFE_SQ`] (zero, tiny, huge or
+/// non-finite) measure the radius up front.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    center: Point,
+    from: Point,
+    to: Point,
+    /// `0.5` for a diameter circle, `1.0` for a circumcircle.
+    factor: f64,
+    slack: f64,
+    /// `r·r + slack` from the lower / upper bound of `r·r`.
+    in_lo: f64,
+    in_hi: f64,
+    radius: Option<f64>,
+}
+
+impl Candidate {
+    fn new(center: Point, from: Point, to: Point, factor: f64, slack: f64) -> Self {
+        const LO: f64 = 1.0 - 16.0 * f64::EPSILON;
+        const HI: f64 = 1.0 + 16.0 * f64::EPSILON;
+        let sq = factor * factor * from.distance_sq(to);
+        let mut c = Candidate {
+            center,
+            from,
+            to,
+            factor,
+            slack,
+            in_lo: sq * LO + slack,
+            in_hi: sq * HI + slack,
+            radius: None,
+        };
+        if !SAFE_SQ.contains(&sq) {
+            c.measure();
+        }
+        c
+    }
+
+    /// [`Circle::from_diameter`]`(a, b)`.
+    fn diameter(a: Point, b: Point, slack: f64) -> Self {
+        Candidate::new(a.midpoint(b), a, b, 0.5, slack)
+    }
+
+    /// The exact radius; afterwards both bounds are the exact threshold.
+    fn measure(&mut self) -> f64 {
+        let r = self.factor * self.from.distance(self.to);
+        self.radius = Some(r);
+        self.in_lo = r * r + self.slack;
+        self.in_hi = self.in_lo;
+        r
+    }
+
+    /// `center.distance_sq(p) <= r * r + slack`.
+    fn inside(&mut self, p: Point) -> bool {
+        let d_sq = self.center.distance_sq(p);
+        if d_sq <= self.in_lo {
+            true
+        } else if d_sq > self.in_hi {
+            false
+        } else {
+            #[cfg(test)]
+            tests::BAND_TESTS.with(|n| n.set(n.get() + 1));
+            self.measure();
+            d_sq <= self.in_lo
+        }
+    }
+
+    fn into_circle(mut self) -> Circle {
+        let radius = match self.radius {
+            Some(r) => r,
+            None => self.measure(),
+        };
+        Circle {
+            center: self.center,
+            radius,
+        }
+    }
+}
+
+/// Iterative Welzl with move-to-front heuristic, over [`Candidate`]s:
+/// the same tests in the same order as the eagerly measured loop (kept
+/// as the test reference `welzl_mtf_eager`), so the same circle.
 fn welzl_mtf(pts: &mut [Point]) -> Circle {
     let scale = pts
         .iter()
         .map(|p| p.x.abs().max(p.y.abs()))
         .fold(0.0, f64::max);
-    let mut circle = Circle::from_diameter(pts[0], pts[1]);
+    let slack = EPS * (1.0 + scale);
+    let mut circle = Candidate::diameter(pts[0], pts[1], slack);
     for i in 2..pts.len() {
-        if inside(&circle, pts[i], scale) {
+        if circle.inside(pts[i]) {
             continue;
         }
         // pts[i] is on the boundary of the new circle.
-        circle = Circle::from_diameter(pts[0], pts[i]);
+        circle = Candidate::diameter(pts[0], pts[i], slack);
         for j in 1..i {
-            if inside(&circle, pts[j], scale) {
+            if circle.inside(pts[j]) {
                 continue;
             }
             // pts[i] and pts[j] are on the boundary.
-            circle = Circle::from_diameter(pts[i], pts[j]);
+            circle = Candidate::diameter(pts[i], pts[j], slack);
             for l in 0..j {
-                if inside(&circle, pts[l], scale) {
+                if circle.inside(pts[l]) {
                     continue;
                 }
                 // Three boundary points determine the circle.
-                circle = circumcircle_or_diameter(pts[i], pts[j], pts[l]);
+                circle = circumcircle_or_diameter(pts[i], pts[j], pts[l], slack);
             }
             pts[..=j].rotate_right(1); // move-to-front
         }
         pts[..=i].rotate_right(1); // move-to-front
     }
-    circle
+    circle.into_circle()
 }
 
 /// Circumcircle of three points, falling back to the largest diameter
 /// circle when they are (numerically) collinear.
-fn circumcircle_or_diameter(a: Point, b: Point, c: Point) -> Circle {
-    if let Some(circ) = Circle::circumscribing(a, b, c) {
-        return circ;
+fn circumcircle_or_diameter(a: Point, b: Point, c: Point, slack: f64) -> Candidate {
+    if let Some(center) = circumcenter(a, b, c) {
+        return Candidate::new(center, center, a, 1.0, slack);
     }
     // Collinear: the two farthest-apart points define the disk.
     let (dab, dac, dbc) = (a.distance_sq(b), a.distance_sq(c), b.distance_sq(c));
     if dab >= dac && dab >= dbc {
-        Circle::from_diameter(a, b)
+        Candidate::diameter(a, b, slack)
     } else if dac >= dbc {
-        Circle::from_diameter(a, c)
+        Candidate::diameter(a, c, slack)
     } else {
-        Circle::from_diameter(b, c)
+        Candidate::diameter(b, c, slack)
     }
+}
+
+/// The centre of [`Circle::circumscribing`]`(a, b, c)`, with its
+/// collinearity test `|d| <= EPS·(1 + ‖b−a‖·‖c−a‖)` decided from bounds
+/// on the product of norms: `0` below, and above the product of the L1
+/// norms (which bound the Euclidean ones) widened by `8ε` for the
+/// rounding of both products and a faithful `hypot`. Only a `|d|`
+/// between the two thresholds measures the norms.
+fn circumcenter(a: Point, b: Point, c: Point) -> Option<Point> {
+    let (ab, ac) = (b - a, c - a);
+    let d = 2.0 * ab.cross(ac);
+    let ad = d.abs();
+    let collinear = if ad <= EPS {
+        true
+    } else {
+        let l1 = |v: crate::Vector| v.x.abs() + v.y.abs();
+        let hi = EPS * (1.0 + l1(ab) * l1(ac) * (1.0 + 8.0 * f64::EPSILON));
+        if ad > hi {
+            false
+        } else {
+            ad <= EPS * (1.0 + ab.norm() * ac.norm())
+        }
+    };
+    if collinear {
+        return None;
+    }
+    let asq = a.to_vector().norm_sq();
+    let bsq = b.to_vector().norm_sq();
+    let csq = c.to_vector().norm_sq();
+    let ux = (asq * (b.y - c.y) + bsq * (c.y - a.y) + csq * (a.y - b.y)) / d;
+    let uy = (asq * (c.x - b.x) + bsq * (a.x - c.x) + csq * (b.x - a.x)) / d;
+    Some(Point::new(ux, uy))
 }
 
 /// Exhaustive `O(n⁴)` minimum enclosing circle used as a test oracle.
@@ -152,9 +282,212 @@ pub fn min_enclosing_circle_brute(points: &[Point]) -> Circle {
     best.expect("at least one enclosing circle exists")
 }
 
+/// The Welzl loop with every candidate radius measured when the circle
+/// is built — the form [`welzl_mtf`] replaced, kept as the reference it
+/// is checked against bit for bit.
+#[cfg(test)]
+fn welzl_mtf_eager(pts: &mut [Point]) -> Circle {
+    fn eager_circumcircle_or_diameter(a: Point, b: Point, c: Point) -> Circle {
+        if let Some(circ) = Circle::circumscribing(a, b, c) {
+            return circ;
+        }
+        let (dab, dac, dbc) = (a.distance_sq(b), a.distance_sq(c), b.distance_sq(c));
+        if dab >= dac && dab >= dbc {
+            Circle::from_diameter(a, b)
+        } else if dac >= dbc {
+            Circle::from_diameter(a, c)
+        } else {
+            Circle::from_diameter(b, c)
+        }
+    }
+    let scale = pts
+        .iter()
+        .map(|p| p.x.abs().max(p.y.abs()))
+        .fold(0.0, f64::max);
+    let mut circle = Circle::from_diameter(pts[0], pts[1]);
+    for i in 2..pts.len() {
+        if inside(&circle, pts[i], scale) {
+            continue;
+        }
+        circle = Circle::from_diameter(pts[0], pts[i]);
+        for j in 1..i {
+            if inside(&circle, pts[j], scale) {
+                continue;
+            }
+            circle = Circle::from_diameter(pts[i], pts[j]);
+            for l in 0..j {
+                if inside(&circle, pts[l], scale) {
+                    continue;
+                }
+                circle = eager_circumcircle_or_diameter(pts[i], pts[j], pts[l]);
+            }
+            pts[..=j].rotate_right(1);
+        }
+        pts[..=i].rotate_right(1);
+    }
+    circle
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{HalfPlane, Polygon, Vector};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Containment tests the bounds could not decide.
+        pub(super) static BAND_TESTS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// xorshift64 in `[0, 1)`.
+    fn unit(state: &mut u64) -> f64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        (*state >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Runs the lazy and the eager loop on the same cloud and asserts
+    /// the same circle and the same move-to-front order, bit for bit.
+    fn assert_matches_eager(cloud: &[Point]) {
+        if cloud.len() < 2 {
+            return;
+        }
+        let (mut lazy, mut eager) = (cloud.to_vec(), cloud.to_vec());
+        let (a, b) = (welzl_mtf(&mut lazy), welzl_mtf_eager(&mut eager));
+        let bits = |c: Circle| {
+            (
+                c.center.x.to_bits(),
+                c.center.y.to_bits(),
+                c.radius.to_bits(),
+            )
+        };
+        assert_eq!(bits(a), bits(b), "cloud {cloud:?}");
+        assert_eq!(lazy, eager, "move-to-front order of {cloud:?}");
+    }
+
+    /// The convex pieces of an order-`k` bisector subdivision of the unit
+    /// square around `sites[0]` — the carving the region kernel does —
+    /// flattened to their vertices, shared vertices repeated.
+    fn subdivision_cloud(sites: &[Point], k: usize) -> Vec<Point> {
+        let u = sites[0];
+        let hs: Vec<HalfPlane> = sites[1..]
+            .iter()
+            .filter_map(|&s| HalfPlane::closer_to(s, u))
+            .collect();
+        let square = Polygon::rectangle(Point::new(0.0, 0.0), Point::new(1.0, 1.0)).unwrap();
+        let mut out = Vec::new();
+        let mut stack = vec![(square, k - 1, 0)];
+        while let Some((face, budget, next)) = stack.pop() {
+            if next == hs.len() {
+                out.extend_from_slice(face.vertices());
+                continue;
+            }
+            if let Some(near) = face.clip_halfplane(&hs[next].complement()) {
+                stack.push((near, budget, next + 1));
+            }
+            if budget > 0 {
+                if let Some(far) = face.clip_halfplane(&hs[next]) {
+                    stack.push((far, budget - 1, next + 1));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn lazy_radii_match_the_eager_loop_bit_for_bit() {
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut clouds: Vec<Vec<Point>> = Vec::new();
+        // Random clouds with exact duplicates, over many scales.
+        for trial in 0..300 {
+            let scale = 10f64.powi(trial % 13 - 6);
+            let n = 2 + (unit(&mut rng) * 40.0) as usize;
+            let mut cloud: Vec<Point> = (0..n)
+                .map(|_| Point::new(unit(&mut rng) * scale, unit(&mut rng) * scale))
+                .collect();
+            for _ in 0..n / 3 {
+                let i = (unit(&mut rng) * cloud.len() as f64) as usize;
+                cloud.push(cloud[i]);
+            }
+            clouds.push(cloud);
+        }
+        // Collinear and cocircular lattices.
+        for n in 3..20 {
+            let f = n as f64;
+            clouds.push(
+                (0..n)
+                    .map(|i| Point::new(i as f64, 2.0 * i as f64))
+                    .collect(),
+            );
+            clouds.push(
+                (0..n)
+                    .map(|i| Point::new(0.1 * (i % 3) as f64, 0.5))
+                    .collect(),
+            );
+            clouds.push(
+                (0..n)
+                    .map(|i| Point::new(0.5, 0.5) + Vector::from_angle(i as f64 / f * 6.3) * 0.25)
+                    .collect(),
+            );
+            clouds.push(
+                (0..n * n)
+                    .map(|i| Point::new((i % n) as f64 / f, (i / n) as f64 / f))
+                    .collect(),
+            );
+        }
+        // Points planted within ulps of a running circle: at the
+        // distance where the containment test flips for the circle of
+        // the first two points (`d² = r² + slack`), nudged a few ulps in
+        // and out, and on the circle itself.
+        for trial in 0..300 {
+            let a = Point::new(unit(&mut rng), unit(&mut rng));
+            let b = Point::new(unit(&mut rng), unit(&mut rng));
+            let c = Circle::from_diameter(a, b);
+            let dirs: Vec<Vector> = (0..6)
+                .map(|_| Vector::from_angle(unit(&mut rng) * 6.3))
+                .collect();
+            let plant = |scale: f64| {
+                let flip = (c.radius * c.radius + EPS * (1.0 + scale)).sqrt();
+                let mut cloud = vec![a, b];
+                for (j, &dir) in dirs.iter().enumerate() {
+                    let ulps = (trial % 7) as i64 - 3 + j as i64;
+                    let r = if j == 5 { c.radius } else { flip };
+                    let r = f64::from_bits((r.to_bits() as i64 + ulps) as u64);
+                    cloud.push(c.center + dir * r);
+                }
+                cloud
+            };
+            let scale_of = |cloud: &[Point]| {
+                cloud
+                    .iter()
+                    .map(|p| p.x.abs().max(p.y.abs()))
+                    .fold(0.0, f64::max)
+            };
+            let first = plant(scale_of(&[a, b]));
+            clouds.push(plant(scale_of(&first)));
+        }
+        // Clouds the region kernel produces: bisector-subdivision pieces.
+        for trial in 0..120 {
+            let n = 3 + (unit(&mut rng) * 14.0) as usize;
+            let sites: Vec<Point> = (0..n)
+                .map(|_| Point::new(unit(&mut rng), unit(&mut rng)))
+                .collect();
+            let cloud = subdivision_cloud(&sites, 1 + trial % 4);
+            clouds.push(cloud);
+        }
+        let total = clouds.len();
+        BAND_TESTS.with(|n| n.set(0));
+        for cloud in &clouds {
+            assert_matches_eager(cloud);
+        }
+        let band = BAND_TESTS.with(Cell::get);
+        assert!(total > 700, "only {total} clouds");
+        assert!(
+            band > 100,
+            "only {band} tests measured a radius in the band"
+        );
+    }
 
     #[test]
     fn trivial_inputs() {

@@ -8,7 +8,7 @@
 
 use crate::Region;
 use laacad_geom::angle::normalize_angle;
-use laacad_geom::{Arc, Circle};
+use laacad_geom::{Arc, Circle, Point, Vector};
 use std::f64::consts::TAU;
 
 /// Returns the arcs of `circle` whose points lie inside `region`.
@@ -70,7 +70,7 @@ pub fn arcs_inside_region_into(
 
     if cuts.is_empty() {
         // No boundary crossing: all-in or all-out, decided by any point.
-        if region.contains(circle.point_at(0.0)) {
+        if region.contains(angle_zero_point(circle)) {
             out.push(Arc::full());
         }
         return;
@@ -96,6 +96,13 @@ pub fn arcs_inside_region_into(
         }
     }
     merge_adjacent_in_place(out);
+}
+
+/// `circle.point_at(0.0)` without the trig calls: the direction
+/// `(cos 0, sin 0)` is exactly `(1, 0)`.
+#[inline]
+fn angle_zero_point(circle: &Circle) -> Point {
+    circle.center + Vector::new(1.0, 0.0) * circle.radius
 }
 
 /// Total angular measure (radians) of a set of disjoint arcs.
@@ -142,8 +149,24 @@ fn merge_adjacent_in_place(arcs: &mut Vec<Arc>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laacad_geom::{Point, Polygon};
+    use laacad_geom::Polygon;
     use std::f64::consts::PI;
+
+    #[test]
+    fn the_angle_zero_direction_is_exact() {
+        for c in [
+            Circle::new(Point::new(0.3, -0.0), 0.7),
+            Circle::new(Point::new(-2.5, 1e-300), 1e-9),
+            Circle::new(Point::new(1e6, -7.25), 0.0),
+        ] {
+            let p = c.point_at(0.0);
+            let q = angle_zero_point(&c);
+            assert_eq!(
+                (p.x.to_bits(), p.y.to_bits()),
+                (q.x.to_bits(), q.y.to_bits())
+            );
+        }
+    }
 
     #[test]
     fn interior_circle_is_full() {

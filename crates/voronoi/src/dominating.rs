@@ -18,8 +18,8 @@
 
 use laacad_geom::polygon::signed_area;
 use laacad_geom::{
-    min_enclosing_circle, min_enclosing_circle_in_place, Aabb, Circle, HalfPlane, Point, Polygon,
-    PolygonBuf, PolygonPool,
+    min_enclosing_circle, min_enclosing_circle_in_place, Aabb, Circle, DiagonalTol, HalfPlane,
+    Point, Polygon, PolygonBuf, PolygonPool,
 };
 use laacad_region::Region;
 
@@ -275,7 +275,17 @@ const LANES: usize = 4;
 /// only ever take a non-NaN distance, so `if d < lo { d } else { lo }` is
 /// `lo.min(d)`: a NaN distance is skipped and counts for neither side —
 /// without the NaN blend `f64::min` compiles to.
-fn classify_batch(face: &[Point], tol: f64, hs: &[HalfPlane; LANES]) -> [Classification; LANES] {
+///
+/// The verdicts are first taken against both bounds of the tolerance
+/// ([`DiagonalTol`]): `lo < -hi` implies `lo < -tol`, which implies
+/// `lo < -lo`, and likewise on the other side, so where the two bounds
+/// agree they give the measured tolerance's verdict. Only a batch where
+/// they disagree measures it.
+fn classify_batch(
+    face: &[Point],
+    tol: &DiagonalTol,
+    hs: &[HalfPlane; LANES],
+) -> [Classification; LANES] {
     let nx = hs.map(|h| h.normal().x);
     let ny = hs.map(|h| h.normal().y);
     let off = hs.map(|h| h.offset());
@@ -288,19 +298,24 @@ fn classify_batch(face: &[Point], tol: f64, hs: &[HalfPlane; LANES]) -> [Classif
             hi[l] = if d > hi[l] { d } else { hi[l] };
         }
     }
-    std::array::from_fn(|l| match (lo[l] < -tol, hi[l] > tol) {
-        (true, true) => Classification::Cuts,
-        (true, false) => Classification::CompetitorSide,
-        (false, _) => Classification::CenterSide,
-    })
+    let verdicts = |t: f64| {
+        std::array::from_fn(|l| match (lo[l] < -t, hi[l] > t) {
+            (true, true) => Classification::Cuts,
+            (true, false) => Classification::CompetitorSide,
+            (false, _) => Classification::CenterSide,
+        })
+    };
+    let (sure, maybe) = (tol.hi(), tol.lo());
+    let agree = (0..LANES)
+        .all(|l| (lo[l] < -sure) == (lo[l] < -maybe) && (hi[l] > sure) == (hi[l] > maybe));
+    verdicts(if agree { sure } else { tol.exact() })
 }
 
 /// The face-classification tolerance: a fixed fraction of the face's
-/// bounding-box diagonal, computed once per face (every competitor of a
-/// face sees the same value, so hoisting it out of [`classify`] changes
-/// nothing but the work).
-fn classify_tol(bb: &Aabb) -> f64 {
-    1e-12 * (1.0 + bb.diagonal())
+/// bounding-box diagonal, shared by every competitor of the face and
+/// measured only when a verdict needs it.
+fn classify_tol(bb: &Aabb) -> DiagonalTol {
+    bb.diagonal_tol(1e-12)
 }
 
 /// Reusable buffers for the bisector subdivision.
@@ -315,12 +330,16 @@ fn classify_tol(bb: &Aabb) -> f64 {
 #[derive(Debug, Clone, Default)]
 pub struct SubdivisionScratch {
     stack: Vec<WorkItem>,
-    /// Competitor bisectors (`closer_to(competitor, center)`), computed
+    /// Competitor bisectors (`closer_to(competitor, center)`), loaded
     /// **once** per region computation: the bisector depends only on the
     /// competitor and the center, so recomputing it at every tree node —
     /// a normalization (square root) per classification — would repeat
-    /// identical work thousands of times per node view.
+    /// identical work thousands of times per node view. The first
+    /// `loaded` entries are the sorted top-level list (kept across the
+    /// subdivisions of one region's domain pieces); each subdivision
+    /// appends its sublists behind them and truncates back.
     bisectors: Vec<HalfPlane>,
+    loaded: usize,
     /// Signed distances of a face's vertices, shared by both sides of a
     /// split.
     dist: Vec<f64>,
@@ -351,17 +370,19 @@ fn subdivide(
     scratch: &mut SubdivisionScratch,
     out: &mut PieceSet,
 ) {
-    // `scratch.bisectors[..n]` holds the top-level competitor list (placed
-    // there by the caller); deeper sublists are appended behind it.
+    // `scratch.bisectors[..loaded]` holds the top-level competitor list
+    // (placed there by a load); deeper sublists are appended behind it.
     let stack = &mut scratch.stack;
     let bisectors = &mut scratch.bisectors;
     let pool = &mut scratch.pool;
     let dist = &mut scratch.dist;
+    let loaded = scratch.loaded;
+    debug_assert_eq!(bisectors.len(), loaded, "bisectors are loaded");
     stack.push(WorkItem {
         face: domain,
         budget,
         lo: 0,
-        hi: bisectors.len(),
+        hi: loaded,
     });
     while let Some(item) = stack.pop() {
         let WorkItem {
@@ -392,7 +413,7 @@ fn subdivide(
             let n = (hi - j).min(LANES);
             let mut hs = [bisectors[j]; LANES];
             hs[..n].copy_from_slice(&bisectors[j..j + n]);
-            let verdicts = classify_batch(face.vertices(), tol, &hs);
+            let verdicts = classify_batch(face.vertices(), &tol, &hs);
             for (&h, verdict) in hs[..n].iter().zip(verdicts) {
                 match verdict {
                     Classification::CenterSide => {}
@@ -457,7 +478,7 @@ fn subdivide(
         }
         pool.release(face);
     }
-    bisectors.clear();
+    bisectors.truncate(loaded);
 }
 
 /// Computes the dominating region `V^k_i ∩ domain` of `sites[center]`.
@@ -529,20 +550,58 @@ pub fn dominating_region_pooled(
     scratch: &mut SubdivisionScratch,
     out: &mut PieceSet,
 ) {
+    load_site_bisectors(center, sites, scratch);
+    dominating_region_loaded(k, domain, scratch, out);
+}
+
+/// [`dominating_region_pooled`] against the bisectors of the last load
+/// ([`load_site_bisectors`] or [`load_bisectors`]): callers carving one
+/// region over several domain pieces load once, and callers that already
+/// hold the bisectors skip computing them.
+///
+/// # Panics
+///
+/// Panics if `k == 0`.
+pub fn dominating_region_loaded(
+    k: usize,
+    domain: &[Point],
+    scratch: &mut SubdivisionScratch,
+    out: &mut PieceSet,
+) {
     assert!(k >= 1, "coverage degree k must be at least 1");
-    load_competitors(center, sites, scratch);
     let mut root = scratch.pool.acquire();
     root.copy_from(domain);
     subdivide(root, k - 1, scratch, out);
 }
 
-/// Loads `scratch.bisectors` with every competitor's bisector
-/// (`closer_to(competitor, center)`), in split order.
+/// Loads every competitor's bisector (`closer_to(competitor, center)`)
+/// for the subdivisions that follow, in split order.
 ///
 /// Each bisector is computed once. Co-located sites have no bisector
 /// (`closer_to` returns `None`) and are never strictly closer anywhere —
 /// exactly the `CenterSide` verdict a per-face classification would give
 /// them — so they are dropped up front.
+///
+/// # Panics
+///
+/// Panics if `center` is out of bounds.
+pub fn load_site_bisectors(center: usize, sites: &[Point], scratch: &mut SubdivisionScratch) {
+    let u = sites[center];
+    load_bisectors(
+        u,
+        sites
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != center)
+            .filter_map(|(_, &s)| HalfPlane::closer_to(s, u)),
+        scratch,
+    );
+}
+
+/// Loads precomputed competitor bisectors, each `closer_to(competitor,
+/// u)` and given in competitor order, for the subdivisions that follow.
+/// The list is sorted exactly as [`load_site_bisectors`] sorts it, so
+/// the same competitors in the same order give the same pieces.
 ///
 /// Near-first split order: the signed distance of a bisector at the
 /// center is `+d/2` (the center lies outside the competitor's
@@ -554,19 +613,17 @@ pub fn dominating_region_pooled(
 /// and the piece decomposition, never the region itself. The comparator
 /// recomputes its keys (a dot product each): a buffer of precomputed
 /// keys would live in every session's scratch for no measurable gain.
-fn load_competitors(center: usize, sites: &[Point], scratch: &mut SubdivisionScratch) {
-    let u = sites[center];
+pub fn load_bisectors(
+    u: Point,
+    bisectors: impl IntoIterator<Item = HalfPlane>,
+    scratch: &mut SubdivisionScratch,
+) {
     scratch.bisectors.clear();
-    scratch.bisectors.extend(
-        sites
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != center)
-            .filter_map(|(_, &s)| HalfPlane::closer_to(s, u)),
-    );
+    scratch.bisectors.extend(bisectors);
     scratch
         .bisectors
         .sort_unstable_by(|a, b| a.signed_distance(u).total_cmp(&b.signed_distance(u)));
+    scratch.loaded = scratch.bisectors.len();
 }
 
 /// Computes `V^k_i ∩ A` for a (possibly non-convex, holed) target area by
@@ -765,7 +822,7 @@ mod tests {
             Point::new(0.2, 0.6),
         ];
         let mut scratch = SubdivisionScratch::new();
-        load_competitors(1, &sites, &mut scratch);
+        load_site_bisectors(1, &sites, &mut scratch);
         assert_eq!(
             scratch.bisectors[0],
             HalfPlane::closer_to(sites[3], u).unwrap(),
@@ -784,6 +841,65 @@ mod tests {
             assert!((key - 0.5 * s.distance(u)).abs() < 1e-12, "key {key} ≠ d/2");
         }
         assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys {keys:?}");
+    }
+
+    #[test]
+    fn bracketed_classification_matches_the_measured_tolerance() {
+        let code = |c: Classification| match c {
+            Classification::CenterSide => 0u8,
+            Classification::CompetitorSide => 1,
+            Classification::Cuts => 2,
+        };
+        let ulp = |x: f64, up: bool| {
+            let b = x.to_bits();
+            f64::from_bits(if (x > 0.0) == up { b + 1 } else { b - 1 })
+        };
+        // Faces spanning x ∈ [0, 1] whose y extremes are planted around
+        // ±lo, ±hi and ±tol of their own box, against `{y ≤ 0}` and its
+        // complement (signed distance ±y).
+        let up = HalfPlane::new(laacad_geom::Vector::new(0.0, 1.0), 0.0).unwrap();
+        let hs = [up, up.complement(), up, up.complement()];
+        let probe = Aabb::new(Point::new(0.0, -2e-12), Point::new(1.0, 2e-12));
+        let t = classify_tol(&probe);
+        let mut planted = vec![0.0];
+        for v in [t.lo(), t.hi(), t.exact()] {
+            for w in [v, -v] {
+                planted.extend([w, ulp(w, true), ulp(w, false)]);
+            }
+        }
+        let (mut checked, mut measured) = (0, 0);
+        for &a in &planted {
+            for &b in &planted {
+                let (y0, y1) = (a.min(b), a.max(b));
+                let face = [
+                    Point::new(0.0, y0),
+                    Point::new(1.0, y1),
+                    Point::new(0.5, y1),
+                ];
+                let bb = Aabb::from_points(face).unwrap();
+                let tol = classify_tol(&bb);
+                let exact = 1e-12 * (1.0 + bb.diagonal());
+                let got = classify_batch(&face, &tol, &hs).map(code);
+                let expect = hs.map(|h| {
+                    let (lo, hi) = (h.signed_distance(face[0]), h.signed_distance(face[1]));
+                    let (lo, hi) = (lo.min(hi), lo.max(hi));
+                    code(match (lo < -exact, hi > exact) {
+                        (true, true) => Classification::Cuts,
+                        (true, false) => Classification::CompetitorSide,
+                        (false, _) => Classification::CenterSide,
+                    })
+                });
+                assert_eq!(got, expect, "y ∈ [{y0:e}, {y1:e}]");
+                checked += 1;
+                let side = |d: f64| tol.ambiguous(d.abs());
+                measured += usize::from(side(y0) || side(y1));
+            }
+        }
+        assert!(checked > 300, "only {checked} faces");
+        assert!(
+            measured > 50,
+            "only {measured} faces needed the measured tolerance"
+        );
     }
 
     #[test]
@@ -867,7 +983,7 @@ mod reference {
             let cut_lo = bisectors.len();
             let mut discard = false;
             let bb = Aabb::from_points(face.vertices().iter().copied()).unwrap();
-            let tol = classify_tol(&bb);
+            let tol = 1e-12 * (1.0 + bb.diagonal());
             cases.partial_batches += usize::from((hi - lo) % LANES != 0);
             for j in lo..hi {
                 let c = bisectors[j];
