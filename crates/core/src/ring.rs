@@ -292,12 +292,13 @@ fn add_pseudo_arcs(
 /// subset (the sweep's result does not depend on the order arcs were
 /// added in).
 ///
-/// When the query is the full circle, that subset-first logic runs
-/// first on pseudo-angle arcs ([`PseudoArcCover`]): a certified
+/// That subset-first logic runs first on pseudo-angle arcs
+/// ([`PseudoArcCover`]), restricted to the in-area query arcs when they
+/// are not the full circle (a boundary node's check): a certified
 /// pseudo-angle sweep returns what the certified angle sweep of the same
-/// arcs returns, so its subset acceptance and full verdict are the angle
-/// sweep's. Any sweep it cannot certify hands the whole check to the
-/// angle sweeps.
+/// arcs over the same query returns, so its subset acceptance and full
+/// verdict are the angle sweep's. Any sweep it cannot certify hands the
+/// whole check to the angle sweeps.
 fn settle_domination(
     center: Point,
     competitors: &[Point],
@@ -363,10 +364,8 @@ fn settle_domination(
             d(a).total_cmp(&d(b))
         });
     }
-    if full {
-        if let Some(settled) = settle_pseudo(center, competitors, circle, k, split, scratch) {
-            return settled;
-        }
+    if let Some(settled) = settle_pseudo(center, competitors, circle, k, split, scratch) {
+        return settled;
     }
     let DominationScratch {
         query,
@@ -408,9 +407,9 @@ fn settle_domination(
 }
 
 /// The subset-first sweep of [`settle_domination`] on pseudo-angle arcs,
-/// for a full-circle query; `None` when a sweep it needed could not be
-/// certified. `split` says whether `scratch.nearest` holds the
-/// nearest-first selection.
+/// restricted to `scratch.query` unless that is the full circle; `None`
+/// when a sweep it needed could not be certified. `split` says whether
+/// `scratch.nearest` holds the nearest-first selection.
 fn settle_pseudo(
     center: Point,
     competitors: &[Point],
@@ -420,12 +419,16 @@ fn settle_pseudo(
     scratch: &mut DominationScratch,
 ) -> Option<Settled> {
     let DominationScratch {
+        query,
         nearest,
         bisectors,
         depth,
         ..
     } = scratch;
     let pseudo = &mut depth.pseudo_cover();
+    if !is_full_circle(query) {
+        pseudo.restrict_to(query);
+    }
     if !split {
         let all = 0..competitors.len();
         add_pseudo_arcs(pseudo, bisectors, center, competitors, circle, all);
@@ -1034,6 +1037,160 @@ mod tests {
             "only {certified} certified pseudo-angle sweeps"
         );
         assert!(refused > 200, "only {refused} sweeps fell back to angles");
+        assert!(
+            pseudo_verdicts > 200,
+            "only {pseudo_verdicts} checks settled by pseudo-angles"
+        );
+    }
+
+    #[test]
+    fn restricted_pseudo_angle_sweep_agrees_with_the_angle_sweep() {
+        // Boundary nodes' checks: circles crossing the unit square's
+        // edges and corners, or a lake of a holed region, so the in-area
+        // query is a proper (sometimes wrapping) set of arcs. Some trials
+        // plant dominance-arc endpoints 1e-9 … 1e-15 rad from a query
+        // endpoint or from angle 0, or put a query endpoint that close to
+        // angle 0.
+        use laacad_region::gallery::square_with_lakes;
+        use laacad_region::sampling::SplitMix64;
+        let square = Region::square(1.0).unwrap();
+        let lakes = square_with_lakes();
+        let mut rng = SplitMix64::new(0xB0_DA27);
+        let mut depth = DepthScratch::new();
+        let mut scratch = DominationScratch::new();
+        let mut query = Vec::new();
+        let (mut certified, mut refused, mut wrapping) = (0, 0, 0);
+        let mut pseudo_verdicts = 0;
+        for trial in 0..6000 {
+            let k = 1 + trial % 4;
+            let tiny = |rng: &mut SplitMix64| {
+                let t = 10f64.powf(-9.0 - 6.0 * rng.next_f64());
+                if rng.next_u64().is_multiple_of(2) {
+                    t
+                } else {
+                    -t
+                }
+            };
+            let spread = 0.05 + 0.2 * rng.next_f64();
+            let radius = spread * (0.3 + 0.7 * rng.next_f64());
+            let (region, center) = match (trial / 4) % 5 {
+                // Near an edge (the left one gives wrapping queries).
+                0 => {
+                    let (u, v) = (0.2 + 0.6 * rng.next_f64(), radius * rng.next_f64());
+                    let at = match rng.next_u64() % 4 {
+                        0 => Point::new(u, v),
+                        1 => Point::new(v, u),
+                        2 => Point::new(u, 1.0 - v),
+                        _ => Point::new(1.0 - v, u),
+                    };
+                    (&square, at)
+                }
+                // Near a corner.
+                1 => {
+                    let (u, v) = (radius * rng.next_f64(), radius * rng.next_f64());
+                    let x = if rng.next_u64().is_multiple_of(2) {
+                        u
+                    } else {
+                        1.0 - u
+                    };
+                    let y = if rng.next_u64().is_multiple_of(2) {
+                        v
+                    } else {
+                        1.0 - v
+                    };
+                    (&square, Point::new(x, y))
+                }
+                // By the octagon lake of the holed region.
+                2 => {
+                    let a = TAU * rng.next_f64();
+                    let d = 0.13 + radius * (0.2 + 0.9 * rng.next_f64());
+                    (&lakes, Point::new(0.30 + d * a.cos(), 0.62 + d * a.sin()))
+                }
+                // The bottom edge within 1e-9 … 1e-15 of the circle's
+                // angle-0 point: a query endpoint next to angle 0.
+                3 => {
+                    let y = tiny(&mut rng) * radius;
+                    (&square, Point::new(0.2 + 0.6 * rng.next_f64(), y.abs()))
+                }
+                _ => (&lakes, Point::new(rng.next_f64(), rng.next_f64())),
+            };
+            let circle = Circle::new(center, radius);
+            arcs_inside_region_into(&circle, region, &mut Vec::new(), &mut query);
+            if query.is_empty() || is_full_circle(&query) {
+                continue;
+            }
+            wrapping += usize::from(query.iter().any(|q| q.end() > TAU));
+            let n = k + 3 + (rng.next_u64() % 24) as usize;
+            let mut competitors: Vec<Point> = (0..n)
+                .map(|_| {
+                    let r = spread * rng.next_f64().sqrt();
+                    let a = TAU * rng.next_f64();
+                    Point::new(center.x + r * a.cos(), center.y + r * a.sin())
+                })
+                .collect();
+            // A competitor at distance `radius` from the circle point at
+            // `theta` has it on its bisector: its arc ends there.
+            let mut plant = |rng: &mut SplitMix64, theta: f64| {
+                let p = circle.point_at(theta);
+                let a = TAU * rng.next_f64();
+                competitors.push(Point::new(p.x + radius * a.cos(), p.y + radius * a.sin()));
+            };
+            match trial % 3 {
+                0 => {
+                    for q in query.clone() {
+                        let end = if rng.next_u64().is_multiple_of(2) {
+                            q.start()
+                        } else {
+                            q.end()
+                        };
+                        let delta = tiny(&mut rng);
+                        plant(&mut rng, end + delta);
+                    }
+                }
+                1 => {
+                    let delta = tiny(&mut rng);
+                    plant(&mut rng, delta);
+                }
+                _ => {}
+            }
+            // The restricted pseudo-angle sweep against the angle sweep.
+            let mut pseudo = depth.pseudo_cover();
+            pseudo.restrict_to(&query);
+            let mut cover = ArcCover::new();
+            for &c in &competitors {
+                if let Some(h) = HalfPlane::closer_to(c, center) {
+                    pseudo.add_halfplane(&circle, &h);
+                    cover.add_span(Arc::from_halfplane_on_circle(&circle, &h));
+                }
+            }
+            match pseudo.min_depth_certified() {
+                Some(d) => {
+                    certified += 1;
+                    assert_eq!(
+                        cover.min_depth_on_certified(&query, &mut DepthScratch::new()),
+                        Some(d),
+                        "trial {trial}: a certified pseudo-angle depth the angle sweep does not certify"
+                    );
+                }
+                None => refused += 1,
+            }
+            // And the check as a whole against the full angle sweep.
+            let settled = settle(center, &competitors, &circle, region, k, &mut scratch);
+            let expect = full_sweep_verdict(center, &competitors, &circle, region, k);
+            assert_eq!(settled.holds(), expect, "trial {trial} k={k}: {settled:?}");
+            if let Settled::Subset { pseudo: true }
+            | Settled::Fallback { pseudo: true, .. }
+            | Settled::Full { pseudo: true, .. } = settled
+            {
+                pseudo_verdicts += 1;
+            }
+        }
+        assert!(
+            certified > 200,
+            "only {certified} certified pseudo-angle sweeps"
+        );
+        assert!(refused > 200, "only {refused} sweeps fell back to angles");
+        assert!(wrapping > 200, "only {wrapping} wrapping queries");
         assert!(
             pseudo_verdicts > 200,
             "only {pseudo_verdicts} checks settled by pseudo-angles"

@@ -2,12 +2,13 @@
 //!
 //! One LAACAD round issues `N` local-view computations, each of which
 //! runs an expanding-ring BFS and a bisector subdivision. All of the
-//! buffers those need — the epoch-stamped BFS arrays, competitor and
-//! site vectors, the pooled subdivision worklist, the cap / domain clip
-//! buffers, the Welzl scratch — live here, so a worker allocates once
-//! and then computes views allocation-free for the rest of the run. The
-//! synchronous engine keeps one [`RoundScratch`] per worker thread; the
-//! sequential engine keeps a single one.
+//! buffers those need — the ring BFS's visited bits and frontier,
+//! competitor and site vectors, the pooled subdivision worklist, the
+//! cap / domain clip buffers, the Welzl scratch — live here, so a
+//! worker allocates once and then computes views allocation-free for
+//! the rest of the run. The synchronous engine keeps one
+//! [`RoundScratch`] per worker thread; the sequential engine keeps a
+//! single one.
 //!
 //! The scratch also owns the worker's [`LocalViewCache`]: per-node
 //! entries keyed by the *exact* geometric inputs of the node's previous
@@ -51,8 +52,9 @@ impl RoundScratch {
         Self::default()
     }
 
-    /// Pre-sizes the `N`-proportional buffers (the ring BFS arrays) so
-    /// the first fan-out of a round never grows them mid-computation —
+    /// Pre-sizes the `N`-proportional buffers (the ring BFS's visited
+    /// bits, `N/64` words) so the first fan-out of a round never grows
+    /// them mid-computation —
     /// the session applies it to every worker before each fan-out.
     /// Purely an allocation hint; contents are untouched.
     pub fn reserve(&mut self, n: usize) {

@@ -13,7 +13,7 @@
 //!    timeouts under the configured [`Backoff`] policy) the node runs
 //!    the LAACAD local view: expanding-ring search, order-k subdivision,
 //!    Chebyshev center — the same kernel the synchronous engine calls,
-//!    searching the same one-hop CSR ([`Adjacency`]), patched on every
+//!    searching the same one-hop block rows ([`Adjacency`]), patched on every
 //!    applied move. The view then goes through the shared protocol core,
 //!    [`laacad::RoundAggregate::absorb`]: it joins its round's record,
 //!    sets the node's sensing range, and yields a target when the node is
@@ -921,16 +921,15 @@ impl AsyncExecutor {
             return;
         }
         self.ensure_round(next_round);
-        let row = self.adjacency.neighbors(i);
         {
             let m = &mut self.nodes[i];
             m.round = next_round;
             m.phase = Phase::Waiting;
-            m.missing = row.len();
             m.expected.clear();
-            m.expected.extend(row.iter().map(|&j| j as usize));
+            m.expected.extend(self.adjacency.neighbors(i));
+            m.missing = m.expected.len();
             m.got.clear();
-            m.got.resize(row.len(), false);
+            m.got.resize(m.expected.len(), false);
             m.hello_tick = self.now;
             m.retransmitted = false;
         }
@@ -1546,8 +1545,8 @@ mod tests {
                 assert_eq!(exec.adjacency.len(), fresh.len(), "{name}");
                 for i in 0..fresh.len() {
                     assert_eq!(
-                        exec.adjacency.neighbors(i),
-                        fresh.neighbors(i),
+                        exec.adjacency.row(i),
+                        fresh.row(i),
                         "{name}, threads {threads}: row {i}"
                     );
                 }

@@ -7,18 +7,21 @@
 //! virtual time, against constants recorded before the tick-bucketed
 //! event queue and the O(degree) adjacency patch. Any change to the
 //! event order or to the one-hop rows the nodes read moves one of them.
+//!
+//! One more cell runs 150 nodes, so node ids span three 64-id blocks
+//! of the adjacency rows; its constants were recorded on the id-row
+//! adjacency, before the rows became `(block, mask)` entries.
 
 use laacad::LaacadConfig;
 use laacad_dist::{AsyncConfig, AsyncExecutor, DelayModel, FaultPlan, ProtocolStats};
 use laacad_region::sampling::sample_uniform;
 use laacad_region::Region;
 
-const N: usize = 64;
-
-/// `(loss, seed, trajectory hash, protocol-stats hash, events, ticks)`
-/// per cell.
-const GOLDEN: [(f64, u64, u64, u64, u64, u64); 3] = [
+/// `(nodes, loss, seed, trajectory hash, protocol-stats hash, events,
+/// ticks)` per cell.
+const GOLDEN: [(usize, f64, u64, u64, u64, u64, u64); 4] = [
     (
+        64,
         0.05,
         101,
         0xecff_fee9_962f_a127,
@@ -27,6 +30,7 @@ const GOLDEN: [(f64, u64, u64, u64, u64, u64); 3] = [
         758,
     ),
     (
+        64,
         0.10,
         202,
         0x07a4_8b5b_d899_9e9c,
@@ -35,12 +39,22 @@ const GOLDEN: [(f64, u64, u64, u64, u64, u64); 3] = [
         1_312,
     ),
     (
+        64,
         0.20,
         303,
         0x6089_9e60_fc3c_89b4,
         0x7769_f1fb_005d_c054,
         180_846,
         1_508,
+    ),
+    (
+        150,
+        0.10,
+        404,
+        0x74c2_752c_8e7e_2da1,
+        0x8c66_17b7_ce23_b628,
+        725_578,
+        1_744,
     ),
 ];
 
@@ -87,11 +101,11 @@ fn stats_hash(p: &ProtocolStats) -> u64 {
 }
 
 /// Runs one cell; returns `(trajectory hash, stats hash, events, ticks)`.
-fn run_cell(loss: f64, seed: u64, threads: usize) -> (u64, u64, u64, u64) {
+fn run_cell(n: usize, loss: f64, seed: u64, threads: usize) -> (u64, u64, u64, u64) {
     let region = Region::square(1.0).unwrap();
-    let positions = sample_uniform(&region, N, seed);
+    let positions = sample_uniform(&region, n, seed);
     let mut config = LaacadConfig::builder(1)
-        .transmission_range(LaacadConfig::recommended_gamma(region.area(), N, 1))
+        .transmission_range(LaacadConfig::recommended_gamma(region.area(), n, 1))
         .alpha(0.5)
         .epsilon(1e-3)
         .max_rounds(400)
@@ -127,9 +141,9 @@ fn async_lossy_trajectories_are_bit_identical() {
     for threads in [1, 2] {
         let got: Vec<_> = GOLDEN
             .iter()
-            .map(|&(loss, seed, ..)| {
-                let (hash, stats, events, ticks) = run_cell(loss, seed, threads);
-                (loss, seed, hash, stats, events, ticks)
+            .map(|&(n, loss, seed, ..)| {
+                let (hash, stats, events, ticks) = run_cell(n, loss, seed, threads);
+                (n, loss, seed, hash, stats, events, ticks)
             })
             .collect();
         assert_eq!(got, GOLDEN, "async output moved at threads {threads}");

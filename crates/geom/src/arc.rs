@@ -377,6 +377,17 @@ impl ArcCover {
 /// any non-finite value, is refused (`None`) and the caller runs the
 /// angle sweep instead.
 ///
+/// [`PseudoArcCover::restrict_to`] narrows the sweep to a union of query
+/// arcs, as the angle sweep's `query` does: each query endpoint joins
+/// the breakpoints, at the pseudo-angle of `sin_cos` of the very angle
+/// the angle sweep uses as its breakpoint (within a few `1e-16` of it),
+/// and the sweep reads depth only on intervals inside the query,
+/// tracking membership by toggling at those endpoints. The same gap
+/// test covers them, so a certified sweep puts every query endpoint in
+/// the angle sweep's order among the arc endpoints, each interval's
+/// midpoint at least `5e-10` from the query's ends — where the angle
+/// sweep's membership test answers as the toggles do.
+///
 /// The cover keeps its endpoints in the event buffer of a
 /// [`DepthScratch`] ([`DepthScratch::pseudo_cover`]), so a worker that
 /// runs both sweeps holds one buffer for them.
@@ -390,11 +401,20 @@ pub struct PseudoArcCover<'a> {
     wrapping: usize,
     /// Whether an arc could not be represented (NaN `q`).
     refused: bool,
+    /// Whether [`PseudoArcCover::restrict_to`] narrowed the sweep.
+    restricted: bool,
+    /// Query arcs whose end precedes their start (they cover angle 0).
+    query_wrapping: usize,
 }
 
 /// Endpoint gaps (in pseudo-angle units) below which
 /// [`PseudoArcCover::min_depth_certified`] refuses to certify.
 const CERTIFIED_GAP: f64 = 1e-9;
+
+/// The event kinds of a query arc's start and end in a restricted
+/// [`PseudoArcCover`] (dominance arcs use `+1` and `−1`).
+const QUERY_START: i32 = 2;
+const QUERY_END: i32 = -2;
 
 impl PseudoArcCover<'_> {
     /// Adds the arc [`Arc::from_halfplane_on_circle`] gives for `circle`
@@ -427,9 +447,36 @@ impl PseudoArcCover<'_> {
         // q ≤ −1: the circle lies outside the half-plane.
     }
 
-    /// The minimum coverage depth over the full circle, when the
-    /// endpoints are far enough apart to certify it (see the type docs);
-    /// `None` otherwise. Sorts the endpoints in place.
+    /// Restricts the sweep to the union of the `query` arcs, which must
+    /// not be the full circle (see the type docs). Arcs with no span are
+    /// skipped, as the angle sweep skips them; a query arc spanning the
+    /// whole circle refuses the sweep.
+    pub fn restrict_to(&mut self, query: &[Arc]) {
+        self.restricted = true;
+        for q in query.iter().filter(|q| q.span() > 0.0) {
+            if q.span() >= TAU {
+                self.refused = true;
+                return;
+            }
+            let at = |theta: f64| {
+                let (sin, cos) = theta.sin_cos();
+                pseudo_angle(cos, sin)
+            };
+            let start = at(q.start());
+            let end = at(normalize_angle(q.end()));
+            self.events.push((start, QUERY_START));
+            self.events.push((end, QUERY_END));
+            if end <= start {
+                self.query_wrapping += 1;
+            }
+        }
+    }
+
+    /// The minimum coverage depth over the full circle, or over the
+    /// query of [`PseudoArcCover::restrict_to`] (`usize::MAX` when no
+    /// interval lies inside it), when the endpoints are far enough apart
+    /// to certify it (see the type docs); `None` otherwise. Sorts the
+    /// endpoints in place.
     pub fn min_depth_certified(&mut self) -> Option<usize> {
         if self.refused {
             return None;
@@ -446,12 +493,27 @@ impl PseudoArcCover<'_> {
             return None;
         }
         let mut depth = (self.full_count + self.wrapping) as i64;
-        let mut min = depth;
+        let mut inside = if self.restricted {
+            self.query_wrapping
+        } else {
+            1
+        };
+        let mut min = if inside > 0 { depth } else { i64::MAX };
         for &(_, delta) in self.events.iter() {
-            depth += i64::from(delta);
-            min = min.min(depth);
+            match delta {
+                QUERY_START => inside += 1,
+                QUERY_END => inside -= 1,
+                _ => depth += i64::from(delta),
+            }
+            if inside > 0 {
+                min = min.min(depth);
+            }
         }
-        Some(min.max(0) as usize)
+        Some(if min == i64::MAX {
+            usize::MAX
+        } else {
+            min.max(0) as usize
+        })
     }
 }
 
@@ -503,6 +565,8 @@ impl DepthScratch {
             full_count: 0,
             wrapping: 0,
             refused: false,
+            restricted: false,
+            query_wrapping: 0,
         }
     }
 }

@@ -174,6 +174,19 @@ impl FlatGrid {
     /// (cleared first).
     pub fn within_into(&self, points: &[Point], q: Point, radius: f64, out: &mut Vec<usize>) {
         out.clear();
+        self.for_each_within(points, q, radius, |i| out.push(i));
+        out.sort_unstable();
+    }
+
+    /// Calls `f` with the index of every point within Euclidean distance
+    /// `radius` of `q` (inclusive), in cell order rather than ascending.
+    pub(crate) fn for_each_within(
+        &self,
+        points: &[Point],
+        q: Point,
+        radius: f64,
+        mut f: impl FnMut(usize),
+    ) {
         let r = radius.max(0.0);
         let r_sq = r * r + 1e-12;
         let (lo, hi) = self.clamped_range(q, r);
@@ -187,12 +200,11 @@ impl FlatGrid {
                 for &e in &self.entries[start..start + self.lens[c] as usize] {
                     let i = e as usize;
                     if points[i].distance_sq(q) <= r_sq {
-                        out.push(i);
+                        f(i);
                     }
                 }
             }
         }
-        out.sort_unstable();
     }
 
     /// Distance from `q` to the nearest indexed point within `radius`

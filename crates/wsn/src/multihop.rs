@@ -16,8 +16,16 @@
 //!   the BFS frontier where the previous one stopped instead of
 //!   restarting from the center, while reporting byte-identical members
 //!   and [`MessageStats`] to a fresh query at the same `(ρ, hops)`.
+//!
+//! The incremental query works on 64-node blocks: it keeps one visited
+//! bit per node and expands a frontier node with one AND-NOT per
+//! `(block, mask)` entry of its [`Adjacency`] row (or of its live
+//! query's ids, grouped the same way), counting each hop level by
+//! popcount. The new bits are stamped in ascending id order, the order a
+//! per-id scan of the ascending row would stamp them in, so members,
+//! message totals and every reported distance are the fresh query's.
 
-use crate::adjacency::Adjacency;
+use crate::adjacency::{append_row, block_bit, Adjacency};
 use crate::network::Network;
 use crate::node::NodeId;
 use crate::radio::MessageStats;
@@ -128,27 +136,48 @@ pub fn ring_neighborhood_with_slack(
     }
 }
 
-/// Reusable buffers for [`RingQuery`]: an epoch-stamped BFS
-/// visited/distance array (no `O(N)` clear between searches), the
-/// frontier queue, a neighbor scratch and the member bookkeeping.
+/// A node stamped by the BFS but not (yet) a member: its id, hop count
+/// and squared distance to the center (taken once, when it was
+/// stamped).
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    node: u32,
+    hops: u32,
+    d_sq: f64,
+}
+
+/// Reusable buffers for [`RingQuery`]: the BFS visited bits (one per
+/// node, 64 to a word, cleared through the list of words a search
+/// touched — no `O(N)` clear between searches), the frontier, a
+/// live-query row and the member bookkeeping. Every frontier and
+/// pending record carries its node's hop count, so no per-node array is
+/// kept.
 ///
 /// One scratch serves any number of consecutive searches over networks
 /// of any size; the worker threads of the synchronous round engine each
 /// own one.
 #[derive(Debug, Clone, Default)]
 pub struct RingScratch {
-    epoch: u64,
-    stamp: Vec<u64>,
-    dist: Vec<u32>,
+    /// Visited bits: bit `b` of word `w` is node `64·w + b`.
+    seen: Vec<u64>,
+    /// Words of `seen` set in the current search.
+    touched: Vec<u32>,
     /// Nodes stamped in the current search, the center included.
     stamped: usize,
-    frontier: VecDeque<usize>,
-    neighbors: Vec<usize>,
+    /// Every stamped node with its hop count, in stamping order (which
+    /// is hop order); `frontier[head..]` have not been expanded yet.
+    frontier: Vec<(u32, u32)>,
+    head: usize,
+    /// A live query's row (blocks, masks).
+    live: (Vec<u32>, Vec<u64>),
+    /// Nodes stamped at each hop count.
     level_counts: Vec<u64>,
     members: Vec<usize>,
-    /// Stamped non-members, each with its squared distance to the center
-    /// (taken once, when it was stamped).
-    pending: Vec<(usize, f64)>,
+    /// Stamped non-members.
+    pending: Vec<Pending>,
+    /// The largest squared distance of any stamped node (center
+    /// excluded).
+    reach_sq: f64,
 }
 
 impl RingScratch {
@@ -165,44 +194,49 @@ impl RingScratch {
         &self.members
     }
 
-    /// Pre-sizes the BFS arrays for searches over `n` nodes, so the
+    /// Pre-sizes the visited bits for searches over `n` nodes, so the
     /// first search of a round does not grow them mid-flight (the round
     /// engine's arena pre-sizing calls this once per worker from `N`).
     pub fn reserve(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.dist.resize(n, 0);
+        let words = n.div_ceil(64);
+        if self.seen.len() < words {
+            self.seen.resize(words, 0);
         }
     }
 
-    /// Starts a new search: bumps the epoch and sizes the arrays to `n`.
+    /// Starts a new search over `n` nodes: clears the words the last
+    /// search touched and empties the bookkeeping.
     fn reset(&mut self, n: usize) {
-        self.epoch += 1;
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.dist.resize(n, 0);
+        for &w in &self.touched {
+            self.seen[w as usize] = 0;
         }
+        self.touched.clear();
+        self.reserve(n);
         self.stamped = 0;
         self.frontier.clear();
+        self.head = 0;
         self.level_counts.clear();
         self.members.clear();
         self.pending.clear();
+        self.reach_sq = 0.0;
     }
 
+    /// Marks the nodes of `fresh` in word `w` visited and counts them at
+    /// hop `hops`.
     #[inline]
-    fn visited(&self, i: usize) -> bool {
-        self.stamp[i] == self.epoch
-    }
-
-    #[inline]
-    fn visit(&mut self, i: usize, d: u32) {
-        self.stamp[i] = self.epoch;
-        self.dist[i] = d;
-        self.stamped += 1;
-        if self.level_counts.len() <= d as usize {
-            self.level_counts.resize(d as usize + 1, 0);
+    fn mark(&mut self, w: u32, fresh: u64, hops: u32) {
+        let word = &mut self.seen[w as usize];
+        if *word == 0 {
+            self.touched.push(w);
         }
-        self.level_counts[d as usize] += 1;
+        *word |= fresh;
+        let count = fresh.count_ones() as usize;
+        self.stamped += count;
+        let level = hops as usize;
+        if self.level_counts.len() <= level {
+            self.level_counts.resize(level + 1, 0);
+        }
+        self.level_counts[level] += count as u64;
     }
 }
 
@@ -225,7 +259,7 @@ pub struct RingStep {
 /// member set, farthest-member distance and message totals it reports
 /// are **identical** to running a fresh BFS per expansion — only the
 /// work is incremental: the BFS frontier resumes where it stopped, and
-/// the visited array is epoch-stamped instead of reallocated.
+/// the visited bits are cleared word by word instead of reallocated.
 #[derive(Debug)]
 pub struct RingQuery<'net, 'scr> {
     net: &'net Network,
@@ -279,8 +313,9 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
         scratch: &'scr mut RingScratch,
     ) -> Self {
         scratch.reset(net.len());
-        scratch.visit(center.index(), 0);
-        scratch.frontier.push_back(center.index());
+        let (w, bit) = block_bit(center.index());
+        scratch.mark(w, bit, 0);
+        scratch.frontier.push((center.index() as u32, 0));
         RingQuery {
             origin: net.position(center),
             net,
@@ -303,31 +338,30 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
         // (the frontier's nodes were counted when they were stamped).
         let n = self.net.len();
         while self.scratch.stamped < n {
-            let Some(&u) = self.scratch.frontier.front() else {
+            let Some(&(u, du)) = self.scratch.frontier.get(self.scratch.head) else {
                 break;
             };
-            let du = self.scratch.dist[u];
             if du as usize >= hops {
                 break; // frontier is sorted by distance; revisit later
             }
-            self.scratch.frontier.pop_front();
+            self.scratch.head += 1;
             match self.adjacency {
                 Some(adj) => {
-                    for &v in adj.neighbors(u) {
-                        if !self.scratch.visited(v as usize) {
-                            self.stamp(v as usize, du + 1);
-                        }
+                    let (blocks, masks) = adj.row(u as usize);
+                    for (&w, &mask) in blocks.iter().zip(masks) {
+                        self.visit_block(w, mask, du + 1);
                     }
                 }
                 None => {
-                    let mut neighbors = std::mem::take(&mut self.scratch.neighbors);
-                    self.net.one_hop_neighbors_into(NodeId(u), &mut neighbors);
-                    for &v in &neighbors {
-                        if !self.scratch.visited(v) {
-                            self.stamp(v, du + 1);
-                        }
+                    // The live query, as the row a snapshot would hold.
+                    let (mut blocks, mut masks) = std::mem::take(&mut self.scratch.live);
+                    blocks.clear();
+                    masks.clear();
+                    append_row(self.net, u as usize, &mut blocks, &mut masks);
+                    for (&w, &mask) in blocks.iter().zip(&masks) {
+                        self.visit_block(w, mask, du + 1);
                     }
-                    self.scratch.neighbors = neighbors;
+                    self.scratch.live = (blocks, masks);
                 }
             }
         }
@@ -343,14 +377,13 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
         let mut end = pending.len();
         let mut i = 0;
         while i < end {
-            let (v, d_sq) = pending[i];
-            let dv = self.scratch.dist[v];
-            if dv as usize <= hops && d_sq <= limit_sq {
+            let p = pending[i];
+            if p.hops as usize <= hops && p.d_sq <= limit_sq {
                 end -= 1;
                 pending.swap(i, end);
-                self.scratch.members.push(v);
-                self.member_reply_sum += dv as u64;
-                self.farthest_sq = self.farthest_sq.max(d_sq);
+                self.scratch.members.push(p.node as usize);
+                self.member_reply_sum += u64::from(p.hops);
+                self.farthest_sq = self.farthest_sq.max(p.d_sq);
             } else {
                 i += 1;
             }
@@ -359,11 +392,13 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
         // those provably nearer than the farthest member by squared
         // distance — that member's own `hypot` is always folded in.
         let new_members = pending.len() - end;
-        for &(v, d_sq) in &pending[end..] {
-            if !surely_nearer(d_sq, self.farthest_sq) {
-                self.farthest = self
-                    .farthest
-                    .max(self.net.position(NodeId(v)).distance(self.origin));
+        for p in &pending[end..] {
+            if !surely_nearer(p.d_sq, self.farthest_sq) {
+                self.farthest = self.farthest.max(
+                    self.net
+                        .position(NodeId(p.node as usize))
+                        .distance(self.origin),
+                );
             }
         }
         pending.truncate(end);
@@ -384,15 +419,32 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
         }
     }
 
-    /// Stamps the unvisited node `v` at hop distance `d`, queueing it for
-    /// exploration and for membership with its squared distance to the
-    /// center (the center itself is stamped by `begin`, so it never gets
-    /// here).
-    fn stamp(&mut self, v: usize, d: u32) {
-        self.scratch.visit(v, d);
-        self.scratch.frontier.push_back(v);
-        let d_sq = self.net.position(NodeId(v)).distance_sq(self.origin);
-        self.scratch.pending.push((v, d_sq));
+    /// Stamps the unvisited nodes among `mask`'s bits of word `w` at hop
+    /// distance `hops` — one AND-NOT against the visited bits — queueing
+    /// each, in ascending id order, for exploration and for membership
+    /// with its squared distance to the center (the center itself is
+    /// stamped by `begin`, so it never gets here).
+    #[inline]
+    fn visit_block(&mut self, w: u32, mask: u64, hops: u32) {
+        let mut fresh = mask & !self.scratch.seen[w as usize];
+        if fresh == 0 {
+            return;
+        }
+        self.scratch.mark(w, fresh, hops);
+        let base = w as usize * 64;
+        while fresh != 0 {
+            let v = base + fresh.trailing_zeros() as usize;
+            fresh &= fresh - 1;
+            let d_sq = self.net.position(NodeId(v)).distance_sq(self.origin);
+            let scratch = &mut *self.scratch;
+            scratch.frontier.push((v as u32, hops));
+            scratch.pending.push(Pending {
+                node: v as u32,
+                hops,
+                d_sq,
+            });
+            scratch.reach_sq = scratch.reach_sq.max(d_sq);
+        }
     }
 
     /// Current members (ascending ids, center excluded).
@@ -424,12 +476,23 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
     /// re-activate only the genuinely reachable neighborhood.
     pub fn contact_radius(&self) -> f64 {
         // Every explored node is either a member (folded into `farthest`
-        // as it was promoted) or still pending. The square root commutes
-        // with the max (both monotone), so one suffices.
-        let mut far_sq: f64 = 0.0;
-        for &(_, d_sq) in &self.scratch.pending {
-            far_sq = far_sq.max(d_sq);
+        // as it was promoted) or still pending, so the radius is
+        // `farthest` against the root of the largest pending square (the
+        // square root commutes with the max, both monotone). When the
+        // running maximum over all stamped nodes exceeds every member's
+        // square, a pending node holds it; when its root cannot exceed
+        // `farthest`, neither can any pending node's. Only otherwise is
+        // the pending list scanned.
+        let reach_sq = self.scratch.reach_sq;
+        let reach = reach_sq.sqrt();
+        if reach_sq > self.farthest_sq || reach <= self.farthest {
+            return self.farthest.max(reach);
         }
+        let far_sq = self
+            .scratch
+            .pending
+            .iter()
+            .fold(0.0f64, |far, p| far.max(p.d_sq));
         self.farthest.max(far_sq.sqrt())
     }
 }
@@ -570,14 +633,116 @@ mod tests {
                     // The center's row stamped every node, so no other
                     // row was scanned.
                     assert_eq!(scratch.stamped, net.len());
-                    assert_eq!(
-                        scratch.frontier.len(),
-                        net.len() - 1,
-                        "rows scanned after all were stamped"
-                    );
+                    assert_eq!(scratch.frontier.len(), net.len());
+                    assert_eq!(scratch.head, 1, "rows scanned after all were stamped");
                 }
             }
         }
+    }
+
+    /// A fresh BFS to `hops` around `center` with the quantities a
+    /// [`RingQuery`] reports, computed the direct way: members, messages,
+    /// the farthest member's distance, and the contact radius as the
+    /// farthest member against the root of the largest square among the
+    /// stamped non-members.
+    fn reference_step(
+        net: &Network,
+        center: usize,
+        rho: f64,
+        hops: usize,
+    ) -> (Vec<NodeId>, MessageStats, f64, f64) {
+        let fresh = ring_neighborhood_with_slack(net, NodeId(center), rho, DEFAULT_HOP_SLACK);
+        assert_eq!(fresh.hops, hops);
+        let origin = net.position(NodeId(center));
+        let mut dist = vec![usize::MAX; net.len()];
+        dist[center] = 0;
+        let mut queue = VecDeque::from([center]);
+        while let Some(u) = queue.pop_front() {
+            if dist[u] >= hops {
+                continue;
+            }
+            for v in net.one_hop_neighbors(NodeId(u)) {
+                if dist[v.index()] == usize::MAX {
+                    dist[v.index()] = dist[u] + 1;
+                    queue.push_back(v.index());
+                }
+            }
+        }
+        let far = fresh
+            .members
+            .iter()
+            .map(|&m| net.position(m).distance(origin))
+            .fold(0.0, f64::max);
+        let pending_sq = (0..net.len())
+            .filter(|&i| i != center && dist[i] != usize::MAX)
+            .filter(|&i| fresh.members.binary_search(&NodeId(i)).is_err())
+            .map(|i| net.position(NodeId(i)).distance_sq(origin))
+            .fold(0.0, f64::max);
+        (
+            fresh.members,
+            fresh.messages,
+            far,
+            far.max(pending_sq.sqrt()),
+        )
+    }
+
+    #[test]
+    fn block_bfs_matches_the_fresh_reference_on_random_clouds() {
+        // Clouds whose ids fill one block, end one short of or one past
+        // a block boundary, or span five blocks; two disconnected parts,
+        // co-located twins, and ids in random order. Both the adjacency
+        // path and the live-grid path expand γ by γ and must match a
+        // fresh BFS at every step, to the bit.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut steps = 0;
+        // One pair of scratches serves every search, across sizes.
+        let (mut s1, mut s2) = (RingScratch::new(), RingScratch::new());
+        for n in [1usize, 63, 64, 65, 127, 128, 129, 300] {
+            let gamma = 1.3 / (n as f64).sqrt();
+            let mut pts: Vec<Point> = Vec::with_capacity(n);
+            while pts.len() < n {
+                let p = match pts.len() % 7 {
+                    // A co-located twin of an earlier node.
+                    6 => pts[(next() * pts.len() as f64) as usize],
+                    // The far part, out of reach of the near one.
+                    0 | 1 => Point::new(3.0 + 0.4 * next(), 3.0 + 0.4 * next()),
+                    _ => Point::new(0.6 * next(), 0.6 * next()),
+                };
+                pts.push(p);
+            }
+            let net = Network::from_positions(gamma, pts);
+            let adj = Adjacency::build(&net);
+            for center in [0, n / 3, n / 2, n - 1] {
+                let mut live = RingQuery::begin(&net, NodeId(center), &mut s1);
+                let mut rows = RingQuery::begin_indexed(&net, &adj, NodeId(center), &mut s2);
+                let mut rho = 0.0;
+                for _ in 0..12 {
+                    rho += gamma;
+                    let hops = hop_budget(rho, gamma, DEFAULT_HOP_SLACK);
+                    let (members, messages, far, contact) = reference_step(&net, center, rho, hops);
+                    for (path, query) in [("live", &mut live), ("rows", &mut rows)] {
+                        let at = format!("{path}: n {n} center {center} ρ {rho}");
+                        let step = query.collect(rho, hops);
+                        assert_eq!(query.members_to_vec(), members, "{at}");
+                        assert_eq!(step.messages, messages, "{at}");
+                        assert_eq!(
+                            query.farthest_member_distance().to_bits(),
+                            far.to_bits(),
+                            "{at}"
+                        );
+                        assert_eq!(query.contact_radius().to_bits(), contact.to_bits(), "{at}");
+                    }
+                    steps += 1;
+                }
+            }
+        }
+        assert_eq!(steps, 8 * 4 * 12);
     }
 
     #[test]

@@ -297,12 +297,16 @@ impl Network {
             .collect()
     }
 
-    /// [`Network::one_hop_neighbors`] into a caller-owned buffer (cleared
-    /// first; indices ascending, `id` excluded).
-    pub fn one_hop_neighbors_into(&self, id: NodeId, out: &mut Vec<usize>) {
+    /// Calls `f` with each one-hop neighbor of `id` (`id` excluded), in
+    /// the spatial index's cell order rather than ascending — the form
+    /// the adjacency rows are built from.
+    pub(crate) fn for_each_one_hop(&self, id: NodeId, mut f: impl FnMut(usize)) {
         self.grid
-            .within_into(&self.positions, self.positions[id.0], self.gamma, out);
-        out.retain(|&i| i != id.0);
+            .for_each_within(&self.positions, self.positions[id.0], self.gamma, |i| {
+                if i != id.0 {
+                    f(i);
+                }
+            });
     }
 
     /// Maximum sensing range over the network — the paper's objective `R`.

@@ -14,13 +14,24 @@ fn points(min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
     )
 }
 
-/// Every row and the serialized CSR of a patched adjacency equal a
-/// fresh build at the same positions, bit for bit.
+/// Every row of a patched adjacency is well formed — blocks strictly
+/// ascending, no zero mask, the node's own bit clear, its ids exactly
+/// the live one-hop query — and the rows and the serialized arrays equal
+/// a fresh build at the same positions, bit for bit.
 fn assert_matches_build(adj: &Adjacency, net: &Network) -> Result<(), TestCaseError> {
     let fresh = Adjacency::build(net);
     prop_assert_eq!(adj.len(), fresh.len());
     for i in 0..net.len() {
-        prop_assert_eq!(adj.neighbors(i), fresh.neighbors(i), "row {}", i);
+        let (blocks, masks) = adj.row(i);
+        prop_assert!(blocks.windows(2).all(|w| w[0] < w[1]), "row {} unsorted", i);
+        prop_assert!(masks.iter().all(|&m| m != 0), "row {} has a zero mask", i);
+        let live: Vec<usize> = net
+            .one_hop_neighbors(NodeId(i))
+            .iter()
+            .map(|n| n.index())
+            .collect();
+        prop_assert_eq!(adj.neighbors(i).collect::<Vec<_>>(), live, "row {}", i);
+        prop_assert_eq!(adj.row(i), fresh.row(i), "row {}", i);
     }
     prop_assert_eq!(adj.csr(), fresh.csr());
     Ok(())
@@ -37,16 +48,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `Adjacency::apply_moves` against a fresh build after every batch:
-    /// clouds with co-located points and points exactly γ apart,
-    /// single-mover batches (the async executor), multi-mover batches
-    /// (sync partial rounds), a node appearing twice in one batch
-    /// (`displace_nodes` then a round move), nudges and long jumps.
+    /// clouds of 60–200 nodes (ids spanning one to four 64-id blocks)
+    /// with co-located points and points exactly γ apart, single-mover
+    /// batches (the async executor), multi-mover batches (sync partial
+    /// rounds), a node appearing twice in one batch (`displace_nodes`
+    /// then a round move), nudges and long jumps, moves next to a node
+    /// of another block (opening that block in its row) and moves out
+    /// of everyone's reach (emptying the mover's block from the rows of
+    /// nodes it was the only neighbour of in that block).
     #[test]
     fn adjacency_patch_matches_fresh_build(
-        pts in points(2, 60),
-        twins in prop::collection::vec((0usize..60, 0u8..3), 0..10),
-        gamma in 0.08f64..0.35,
-        moves in prop::collection::vec((0usize..80, 0.0f64..1.0, 0.0f64..1.0, 0u8..6), 1..40),
+        pts in points(60, 200),
+        twins in prop::collection::vec((0usize..200, 0u8..3), 0..10),
+        gamma in 0.05f64..0.3,
+        moves in prop::collection::vec((0usize..250, 0.0f64..1.0, 0.0f64..1.0, 0u8..8), 1..40),
     ) {
         let mut pts = pts;
         for &(i, kind) in &twins {
@@ -60,6 +75,7 @@ proptest! {
         let mut net = Network::from_positions(gamma, pts.iter().copied());
         let mut adj = Adjacency::build(&net);
         let n = net.len();
+        let blocks = n.div_ceil(64);
         let mut batch = Vec::new();
         for &(i, x, y, mode) in &moves {
             let i = i % n;
@@ -72,6 +88,16 @@ proptest! {
                 1 => Point::new(other.x + gamma, other.y),
                 // Onto another node.
                 2 => other,
+                // Next to a node of another block.
+                5 if blocks > 1 => {
+                    let hop = 1 + (y * (blocks - 1) as f64) as usize % (blocks - 1);
+                    let block = (i / 64 + hop) % blocks;
+                    let j = block * 64 + (x * 64.0) as usize % (n - block * 64).min(64);
+                    let p = net.position(NodeId(j));
+                    Point::new(p.x + 0.3 * gamma, p.y)
+                }
+                // Out of everyone's reach.
+                6 => Point::new(3.0 + x, 3.0 + y),
                 // A long jump anywhere in the square.
                 _ => Point::new(x, y),
             };
@@ -79,36 +105,14 @@ proptest! {
             if mode == 0 {
                 displace(&mut net, &mut batch, i, Point::new(to.x + 0.01, to.y));
             }
-            // Modes 3 and 4 close a batch of one or more movers.
-            if (3..=4).contains(&mode) || batch.len() > 6 {
+            // Modes 3–6 close a batch of one or more movers.
+            if (3..=6).contains(&mode) || batch.len() > 6 {
                 adj.apply_moves(&net, batch.drain(..));
                 assert_matches_build(&adj, &net)?;
             }
         }
         adj.apply_moves(&net, batch.drain(..));
         assert_matches_build(&adj, &net)?;
-    }
-
-    /// Herding every node, one single-mover patch at a time, into a disc
-    /// smaller than γ: rows grow past their slack, relocate, and finally
-    /// exhaust the relocation budget, forcing counted fallback rebuilds
-    /// — and every intermediate snapshot still equals a fresh build.
-    #[test]
-    fn adjacency_patch_survives_slack_overflow(
-        pts in points(12, 40),
-        cx in 0.2f64..0.8,
-        cy in 0.2f64..0.8,
-        offsets in prop::collection::vec((-0.04f64..0.04, -0.04f64..0.04), 40),
-    ) {
-        let mut net = Network::from_positions(0.1, pts.iter().copied());
-        let mut adj = Adjacency::build(&net);
-        let mut batch = Vec::new();
-        for (i, &(dx, dy)) in offsets.iter().enumerate().take(net.len()) {
-            displace(&mut net, &mut batch, i, Point::new(cx + dx, cy + dy));
-            adj.apply_moves(&net, batch.drain(..));
-            assert_matches_build(&adj, &net)?;
-        }
-        prop_assert!(adj.overflow_rebuilds() > 0, "no row outgrew its slack");
     }
 
     /// `FlatGrid` against brute force under any interleaving of batched
@@ -238,5 +242,37 @@ proptest! {
         }
         prop_assert!((net.node(NodeId(0)).distance_moved() - expect).abs() < 1e-9);
         prop_assert!((net.total_distance_moved() - expect).abs() < 1e-9);
+    }
+}
+
+proptest! {
+    // Each case patches and checks 240 snapshots of 330–480 nodes.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Herding nodes whose ids span five to eight blocks, one
+    /// single-mover patch at a time, into a disc smaller than γ: the
+    /// herded rows gain an entry per block, grow past their slack,
+    /// relocate, and finally exhaust the relocation budget, forcing
+    /// counted fallback rebuilds — and every intermediate snapshot still
+    /// equals a fresh build.
+    #[test]
+    fn adjacency_patch_survives_slack_overflow(
+        pts in points(330, 480),
+        cx in 0.2f64..0.8,
+        cy in 0.2f64..0.8,
+        offsets in prop::collection::vec((-0.004f64..0.004, -0.004f64..0.004), 240),
+    ) {
+        let mut net = Network::from_positions(0.02, pts.iter().copied());
+        let mut adj = Adjacency::build(&net);
+        let n = net.len();
+        let mut batch = Vec::new();
+        for (k, &(dx, dy)) in offsets.iter().enumerate() {
+            // Spread the herd over every block.
+            let i = k * 7919 % n;
+            displace(&mut net, &mut batch, i, Point::new(cx + dx, cy + dy));
+            adj.apply_moves(&net, batch.drain(..));
+            assert_matches_build(&adj, &net)?;
+        }
+        prop_assert!(adj.overflow_rebuilds() > 0, "no row outgrew its slack");
     }
 }
