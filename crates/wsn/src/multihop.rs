@@ -175,9 +175,6 @@ pub struct RingScratch {
     members: Vec<usize>,
     /// Stamped non-members.
     pending: Vec<Pending>,
-    /// The largest squared distance of any stamped node (center
-    /// excluded).
-    reach_sq: f64,
 }
 
 impl RingScratch {
@@ -218,7 +215,6 @@ impl RingScratch {
         self.level_counts.clear();
         self.members.clear();
         self.pending.clear();
-        self.reach_sq = 0.0;
     }
 
     /// Marks the nodes of `fresh` in word `w` visited and counts them at
@@ -443,7 +439,6 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
                 hops,
                 d_sq,
             });
-            scratch.reach_sq = scratch.reach_sq.max(d_sq);
         }
     }
 
@@ -476,23 +471,12 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
     /// re-activate only the genuinely reachable neighborhood.
     pub fn contact_radius(&self) -> f64 {
         // Every explored node is either a member (folded into `farthest`
-        // as it was promoted) or still pending, so the radius is
-        // `farthest` against the root of the largest pending square (the
-        // square root commutes with the max, both monotone). When the
-        // running maximum over all stamped nodes exceeds every member's
-        // square, a pending node holds it; when its root cannot exceed
-        // `farthest`, neither can any pending node's. Only otherwise is
-        // the pending list scanned.
-        let reach_sq = self.scratch.reach_sq;
-        let reach = reach_sq.sqrt();
-        if reach_sq > self.farthest_sq || reach <= self.farthest {
-            return self.farthest.max(reach);
+        // as it was promoted) or still pending. The square root commutes
+        // with the max (both monotone), so one suffices.
+        let mut far_sq: f64 = 0.0;
+        for p in &self.scratch.pending {
+            far_sq = far_sq.max(p.d_sq);
         }
-        let far_sq = self
-            .scratch
-            .pending
-            .iter()
-            .fold(0.0f64, |far, p| far.max(p.d_sq));
         self.farthest.max(far_sq.sqrt())
     }
 }

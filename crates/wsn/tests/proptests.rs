@@ -48,8 +48,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `Adjacency::apply_moves` against a fresh build after every batch:
-    /// clouds of 60–200 nodes (ids spanning one to four 64-id blocks)
-    /// with co-located points and points exactly γ apart, single-mover
+    /// clouds of 2–200 nodes (ids spanning one to four 64-id blocks, the
+    /// smallest with single-entry rows) from sparse to dense, with
+    /// co-located points and points exactly γ apart, single-mover
     /// batches (the async executor), multi-mover batches (sync partial
     /// rounds), a node appearing twice in one batch (`displace_nodes`
     /// then a round move), nudges and long jumps, moves next to a node
@@ -58,9 +59,9 @@ proptest! {
     /// nodes it was the only neighbour of in that block).
     #[test]
     fn adjacency_patch_matches_fresh_build(
-        pts in points(60, 200),
+        pts in points(2, 200),
         twins in prop::collection::vec((0usize..200, 0u8..3), 0..10),
-        gamma in 0.05f64..0.3,
+        gamma in 0.05f64..0.35,
         moves in prop::collection::vec((0usize..250, 0.0f64..1.0, 0.0f64..1.0, 0u8..8), 1..40),
     ) {
         let mut pts = pts;
