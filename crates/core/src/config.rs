@@ -85,8 +85,9 @@ pub struct LaacadConfig {
     /// Worker threads for the synchronous round engine (`0` = all cores,
     /// `1` = serial — the default). Every node's local view is a pure
     /// function of the round's shared position snapshot, so results are
-    /// bit-identical for every thread count; sequential (Gauss–Seidel)
-    /// execution is inherently serial and ignores this knob.
+    /// bit-identical for every thread count. Sequential (Gauss–Seidel)
+    /// execution and the asynchronous executor (`laacad-dist`) run on
+    /// the calling thread and do not read this field.
     pub threads: usize,
 }
 

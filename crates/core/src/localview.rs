@@ -48,14 +48,6 @@ pub struct LocalView {
     pub localization_rmse: f64,
 }
 
-impl LocalView {
-    /// Farthest distance from `p` to the dominating region — the sensing
-    /// range needed from `p`.
-    pub fn required_range_from(&self, p: Point) -> f64 {
-        self.region.farthest_distance(p)
-    }
-}
-
 /// The round engine's per-node result: the ring status plus the two
 /// numbers Algorithm 1 consumes — the Chebyshev disk (motion target and
 /// circumradius `R_i`) and the farthest distance `r_i` from the node's

@@ -29,35 +29,24 @@
 //! limit the slots above put every node's compute for round `r` on the
 //! same tick, reading the same position snapshot the synchronous engine
 //! would — the final deployment is bit-identical to
-//! [`laacad::Session::run`] at any thread count (see
-//! `tests/sync_equivalence.rs`). Under faults, lost probes cost retry
-//! latency, not correctness: a node eventually computes with whatever
-//! neighborhood information the ground-truth network gives it.
+//! [`laacad::Session::run`] (see `tests/sync_equivalence.rs`). Under
+//! faults, lost probes cost retry latency, not correctness: a node
+//! eventually computes with whatever neighborhood information the
+//! ground-truth network gives it.
 //!
 //! **Determinism.** Every fault draw comes from a per-node
 //! [`SplitMix64`] stream derived from the seed and the node index,
-//! consumed in that node's transmission order; ties in the event queue
-//! break by send sequence number. There is no wall-clock or OS
-//! randomness anywhere, so `(seed, FaultPlan, threads)` replays
-//! byte-identically.
-//!
-//! **Parallelism.** Events live in a tick-bucketed queue (the private
-//! `queue` module) that hands back whole same-tick batches in
-//! `(tick, seq)` order. Within a batch the executor splits at position
-//! mutations and speculatively precomputes eligible local views over
-//! `laacad-exec` worker threads; *every* state mutation, random draw,
-//! and scheduling decision happens in a single serial pass over the
-//! same `(tick, seq)` order — the local view is a pure function of the
-//! positions, which no event inside a split segment mutates — so the
-//! thread count is unobservable in the result, by construction.
-
-use std::collections::HashMap;
+//! consumed in that node's transmission order. Events live in a
+//! tick-bucketed queue (the private `queue` module) that hands back
+//! whole same-tick batches in push order, and the executor processes
+//! them one by one on the calling thread. There is no wall-clock or OS
+//! randomness anywhere, so `(seed, FaultPlan)` replays byte-identically;
+//! [`LaacadConfig::threads`] is not read.
 
 use laacad::{
     compute_node_view, finalize_views, LaacadConfig, LaacadError, NodeView, RoundAggregate,
     RoundReport, RoundScratch, RunSummary,
 };
-use laacad_exec::{parallel_map_scratched, resolve_workers};
 use laacad_geom::Point;
 use laacad_region::sampling::SplitMix64;
 use laacad_region::Region;
@@ -292,13 +281,11 @@ pub(crate) enum EventKind {
     Probe,
 }
 
-/// A queued event. `seq` is assigned by the queue at push time, so
-/// same-tick events process in scheduling order and the `(tick, seq)`
-/// order is total (no two events share a `seq`).
+/// A queued event. Same-tick events process in the order they were
+/// scheduled.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Event {
     pub(crate) tick: u64,
-    pub(crate) seq: u64,
     pub(crate) kind: EventKind,
 }
 
@@ -399,10 +386,8 @@ pub struct AsyncExecutor {
     queue: EventQueue,
     now: u64,
     nodes: Vec<NodeMachine>,
-    /// One scratch per worker (at least one): serial computes use the
-    /// first; speculative batch precomputes and the final views fan out
-    /// over all of them.
-    scratches: Vec<RoundScratch>,
+    /// Buffers of the local-view kernel, reused across computes.
+    scratch: RoundScratch,
     /// Per-round records, indexed by round − 1; node computes land in
     /// the round they belong to, whenever they happen.
     rounds: Vec<RoundAggregate>,
@@ -437,9 +422,8 @@ pub struct AsyncExecutor {
 
 impl AsyncExecutor {
     /// Builds an executor over `positions` (validated against `region`)
-    /// with the given fault plan and protocol knobs. The executor
-    /// parallelizes over [`LaacadConfig::threads`] workers (0 = all
-    /// cores); the result is bit-identical for every thread count.
+    /// with the given fault plan and protocol knobs. The executor runs
+    /// on the calling thread and does not read [`LaacadConfig::threads`].
     ///
     /// # Errors
     ///
@@ -505,7 +489,6 @@ impl AsyncExecutor {
             _ => (Vec::new(), Vec::new()),
         };
         let corruption_on = plan.corruption.is_some_and(|c| !c.is_zero());
-        let workers = resolve_workers(config.threads, n.max(1));
         let bbox_center = region.bounding_box().center();
         let partitions_active = vec![None; plan.partitions.len()];
         Ok(AsyncExecutor {
@@ -521,7 +504,7 @@ impl AsyncExecutor {
             queue: EventQueue::default(),
             now: 0,
             nodes: (0..n).map(|_| NodeMachine::new()).collect(),
-            scratches: (0..workers).map(|_| RoundScratch::new()).collect(),
+            scratch: RoundScratch::new(),
             rounds: Vec::new(),
             stats: ProtocolStats::default(),
             recorder: None,
@@ -690,7 +673,7 @@ impl AsyncExecutor {
     /// partial deployment is finalized and summarized the same way a
     /// converged one is.
     pub fn run(&mut self) -> AsyncRunReport {
-        // Fault-plan timeline first (lower seq than the tick-0 round
+        // Fault-plan timeline first (queued ahead of the tick-0 round
         // starts, so a tick-0 partition or crash beats the first hello),
         // then every node's first round, in id order.
         for (index, schedule) in self.plan.partitions.clone().iter().enumerate() {
@@ -760,37 +743,16 @@ impl AsyncExecutor {
             if tick > self.proto.max_ticks {
                 return Termination::TickBudget;
             }
-            // Split the batch at position mutations: inside a segment the
-            // positions are frozen, so eligible local views precompute in
-            // parallel; the serial pass below is the only place state
-            // mutates, random streams advance, or events schedule.
-            let mut cursor = 0;
-            while cursor < batch.len() {
-                let end = batch[cursor..]
-                    .iter()
-                    .position(|e| matches!(e.kind, EventKind::ApplyMove { .. }))
-                    .map(|p| cursor + p + 1)
-                    .unwrap_or(batch.len());
-                let mut views = self.precompute(&batch[cursor..end]);
-                for ev in &batch[cursor..end] {
-                    if self.events_processed >= self.proto.max_events {
-                        return Termination::EventBudget;
-                    }
-                    self.events_processed += 1;
-                    self.now = ev.tick;
-                    // `precompute` leaves the map empty at one thread:
-                    // skip hashing every event into it.
-                    let pre = if views.is_empty() {
-                        None
-                    } else {
-                        views.remove(&ev.seq)
-                    };
-                    self.process(ev.kind, pre);
-                    if let Some(t) = self.stopped {
-                        return t;
-                    }
+            for ev in &batch {
+                if self.events_processed >= self.proto.max_events {
+                    return Termination::EventBudget;
                 }
-                cursor = end;
+                self.events_processed += 1;
+                self.now = ev.tick;
+                self.process(ev.kind);
+                if let Some(t) = self.stopped {
+                    return t;
+                }
             }
         }
         // Queue drained without global quiescence: either an orderly
@@ -807,67 +769,7 @@ impl AsyncExecutor {
         }
     }
 
-    /// Speculatively computes the local views of the segment's
-    /// compute-checks that are certain (from pre-segment state) to fall
-    /// through to a compute, fanned out over the worker pool. Keyed by
-    /// event `seq`; a view the serial pass ends up not needing is
-    /// discarded — eligibility here is an optimization, never a
-    /// correctness input. Skipped entirely when beliefs may perturb a
-    /// compute (corruption with validation off).
-    fn precompute(&mut self, segment: &[Event]) -> HashMap<u64, NodeView> {
-        let mut out = HashMap::new();
-        if self.scratches.len() <= 1 || segment.len() < 2 {
-            return out;
-        }
-        if self.plan.corruption.is_some_and(|c| !c.validate) {
-            return out;
-        }
-        let mut cands: Vec<(u64, usize, usize)> = Vec::new();
-        for ev in segment {
-            if let EventKind::ComputeCheck {
-                node,
-                round,
-                attempt,
-                epoch,
-            } = ev.kind
-            {
-                let m = &self.nodes[node];
-                if !m.crashed
-                    && m.epoch == epoch
-                    && m.phase == Phase::Waiting
-                    && m.round == round
-                    && (m.missing == 0 || attempt >= self.proto.max_retries)
-                {
-                    cands.push((ev.seq, node, round));
-                }
-            }
-        }
-        if cands.len() < 2 {
-            return out;
-        }
-        let net = &self.net;
-        let adjacency = &self.adjacency;
-        let region = &self.region;
-        let config = &self.config;
-        let views = parallel_map_scratched(&mut self.scratches, cands.len(), |scratch, idx| {
-            let (_, node, round) = cands[idx];
-            compute_node_view(
-                net,
-                Some(adjacency),
-                NodeId(node),
-                region,
-                config,
-                round,
-                scratch,
-            )
-        });
-        for ((seq, _, _), view) in cands.into_iter().zip(views) {
-            out.insert(seq, view);
-        }
-        out
-    }
-
-    fn process(&mut self, kind: EventKind, pre: Option<NodeView>) {
+    fn process(&mut self, kind: EventKind) {
         match kind {
             EventKind::RoundStart { node, epoch } => self.on_round_start(node, epoch),
             EventKind::Deliver { to, from, msg } => self.on_deliver(to, from, msg),
@@ -876,7 +778,7 @@ impl AsyncExecutor {
                 round,
                 attempt,
                 epoch,
-            } => self.on_compute_check(node, round, attempt, epoch, pre),
+            } => self.on_compute_check(node, round, attempt, epoch),
             EventKind::ApplyMove {
                 node,
                 target,
@@ -1065,14 +967,7 @@ impl AsyncExecutor {
         }
     }
 
-    fn on_compute_check(
-        &mut self,
-        i: usize,
-        round: usize,
-        attempt: u32,
-        epoch: u32,
-        pre: Option<NodeView>,
-    ) {
+    fn on_compute_check(&mut self, i: usize, round: usize, attempt: u32, epoch: u32) {
         {
             let m = &self.nodes[i];
             if m.crashed || m.epoch != epoch || m.phase != Phase::Waiting || m.round != round {
@@ -1113,7 +1008,7 @@ impl AsyncExecutor {
         if self.nodes[i].missing > 0 {
             self.stats.timeouts += 1;
         }
-        self.compute(i, round, pre);
+        self.compute(i, round);
     }
 
     /// Evaluates `i`'s local view under its absorbed belief overrides:
@@ -1140,7 +1035,7 @@ impl AsyncExecutor {
             &self.region,
             &self.config,
             round,
-            &mut self.scratches[0],
+            &mut self.scratch,
         );
         for &(subject, truth) in saved.iter().rev() {
             self.net.override_position(NodeId(subject), truth);
@@ -1148,25 +1043,25 @@ impl AsyncExecutor {
         view
     }
 
-    fn compute(&mut self, i: usize, round: usize, pre: Option<NodeView>) {
+    fn compute(&mut self, i: usize, round: usize) {
         let id = NodeId(i);
         let believes_lies = self
             .plan
             .corruption
             .is_some_and(|c| !c.validate && !c.is_zero())
             && !self.beliefs[i].is_empty();
-        let view = match pre {
-            Some(view) if !believes_lies => view,
-            _ if believes_lies => self.compute_view_with_beliefs(i, round),
-            _ => compute_node_view(
+        let view = if believes_lies {
+            self.compute_view_with_beliefs(i, round)
+        } else {
+            compute_node_view(
                 &self.net,
                 Some(&self.adjacency),
                 id,
                 &self.region,
                 &self.config,
                 round,
-                &mut self.scratches[0],
-            ),
+                &mut self.scratch,
+            )
         };
         self.stats.computes += 1;
         let target = self.rounds[round - 1].absorb(&mut self.net, id, &view, self.config.epsilon);
@@ -1318,7 +1213,7 @@ impl AsyncExecutor {
             &self.region,
             &self.config,
             rounds_executed,
-            &mut self.scratches,
+            std::slice::from_mut(&mut self.scratch),
         )
         .iter()
         .map(|view| view.rho)
@@ -1502,7 +1397,8 @@ mod tests {
 
     /// The move-patched adjacency never drifts from the ground truth:
     /// after a run, every row equals a from-scratch build over the final
-    /// positions, whatever the fault plan or thread count.
+    /// positions, whatever the fault plan (and whatever `threads` says,
+    /// which the executor does not read).
     #[test]
     fn patched_adjacency_matches_fresh_build() {
         let region = Region::square(1.0).unwrap();

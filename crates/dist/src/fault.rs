@@ -6,8 +6,7 @@
 //! A [`FaultPlan`] plus the executor seed fully determines a run — every
 //! random draw comes from per-node [`SplitMix64`] streams derived from
 //! the seed and consumed in deterministic event-processing order,
-//! so the same `(seed, plan)` pair replays byte-identically at any
-//! thread count.
+//! so the same `(seed, plan)` pair replays byte-identically.
 
 use laacad_region::sampling::SplitMix64;
 
@@ -201,43 +200,11 @@ impl FaultPlan {
     pub fn none() -> Self {
         FaultPlan::default()
     }
-
-    /// Whether this plan can never perturb a message, a link, a clock,
-    /// or a node — the regime the sync-equivalence guarantee covers.
-    pub fn is_fault_free(&self) -> bool {
-        self.loss <= 0.0
-            && self.duplicate <= 0.0
-            && self.jitter <= 0.0
-            && self.delay.is_zero()
-            && self.crashes.is_empty()
-            && self.corruption.is_none_or(|c| c.is_zero())
-            && self.partitions.is_empty()
-            && self.drift.is_none_or(|d| d.is_zero())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_plan_is_fault_free() {
-        assert!(FaultPlan::none().is_fault_free());
-        assert!(FaultPlan::default().is_fault_free());
-    }
-
-    #[test]
-    fn crash_schedule_disqualifies_fault_free() {
-        let plan = FaultPlan {
-            crashes: vec![CrashEvent {
-                node: 0,
-                at: 10,
-                recover_at: None,
-            }],
-            ..FaultPlan::default()
-        };
-        assert!(!plan.is_fault_free());
-    }
 
     #[test]
     fn delay_models_sample_deterministically() {

@@ -18,16 +18,14 @@
 //!   compute for round `r` lands on the same virtual tick and reads the
 //!   same position snapshot the synchronous engine would — the final
 //!   deployment (positions, sensing radii, ρ, message counts, round
-//!   records) is *bit-identical* to [`laacad::Session::run`] at any
-//!   thread count.
+//!   records) is *bit-identical* to [`laacad::Session::run`].
 //! * **Reproducibility.** All randomness flows from seeded per-node
 //!   [`SplitMix64`](laacad_region::sampling::SplitMix64) streams
-//!   consumed in each node's transmission order; `(seed, FaultPlan,
-//!   threads)` replays byte-identically, with no wall-clock anywhere.
-//!   Events live in a tick-bucketed queue that hands the executor whole
-//!   same-tick batches in `(tick, seq)` order; only the serial pass
-//!   over a batch mutates state, so the worker thread count is
-//!   unobservable in the result.
+//!   consumed in each node's transmission order; `(seed, FaultPlan)`
+//!   replays byte-identically, with no wall-clock anywhere. Events live
+//!   in a tick-bucketed queue that hands the executor whole same-tick
+//!   batches in push order, and the executor processes them one by one
+//!   on the calling thread.
 //!
 //! ```
 //! use laacad::LaacadConfig;

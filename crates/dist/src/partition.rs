@@ -10,7 +10,7 @@
 //!
 //! Bipartitions are *geometric*: the side assignment is frozen from the
 //! node positions at activation time (deterministic — activation is an
-//! ordinary event in the `(tick, seq)` order), so nodes that later move
+//! ordinary event in the serial event order), so nodes that later move
 //! across the cut line stay on their original side until the heal, the
 //! way a severed backhaul would behave.
 

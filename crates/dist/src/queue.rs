@@ -1,17 +1,10 @@
 //! The tick-bucketed event queue.
 //!
 //! Events live in a slab; an ordered map from tick to a bucket of
-//! 4-byte slot indices holds them. The queue assigns each event's `seq`
-//! inside [`EventQueue::push`], so within a bucket push order *is*
-//! `seq` order, and [`EventQueue::pop_batch`] hands over the minimum
-//! tick's whole bucket already in `(tick, seq)` order — no heap sift
-//! and no batch sort.
-//!
-//! The batch is what the executor parallelizes: speculative local-view
-//! precomputes fan out over `laacad-exec` while every state mutation,
-//! random draw, and scheduling decision stays in a serial
-//! `(tick, seq)`-ordered pass — so the result is byte-identical for any
-//! thread count by construction.
+//! 4-byte slot indices holds them. A bucket keeps its events in push
+//! order, so [`EventQueue::pop_batch`] hands over the minimum tick's
+//! whole bucket already in processing order — no heap sift, no batch
+//! sort and no sequence numbers. The executor walks each batch serially.
 //!
 //! An event pushed for the tick currently being processed opens a fresh
 //! bucket for that tick and lands in the next batch.
@@ -29,18 +22,12 @@ pub(crate) struct EventQueue {
     buckets: BTreeMap<u64, Vec<u32>>,
     /// Drained bucket vectors, recycled so steady state allocates none.
     spare: Vec<Vec<u32>>,
-    seq: u64,
 }
 
 impl EventQueue {
-    /// Queues `kind` at `tick` under the next sequence number.
+    /// Queues `kind` at `tick`, behind every event already queued there.
     pub(crate) fn push(&mut self, tick: u64, kind: EventKind) {
-        let ev = Event {
-            tick,
-            seq: self.seq,
-            kind,
-        };
-        self.seq += 1;
+        let ev = Event { tick, kind };
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = ev;
@@ -65,7 +52,7 @@ impl EventQueue {
     }
 
     /// Moves every event of the minimum queued tick into `batch`, in
-    /// `seq` order. Returns `false` (and leaves `batch` empty) when the
+    /// push order. Returns `false` (and leaves `batch` empty) when the
     /// queue is drained.
     pub(crate) fn pop_batch(&mut self, batch: &mut Vec<Event>) -> bool {
         batch.clear();
@@ -87,22 +74,36 @@ mod tests {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    fn kind() -> EventKind {
-        EventKind::Crash { node: 0 }
+    /// An event tagged with its push index, so a batch can be checked
+    /// for both membership and order.
+    fn tagged(push_index: usize) -> EventKind {
+        EventKind::Crash { node: push_index }
     }
 
-    /// Randomized comparison against a `BinaryHeap<Reverse<(tick, seq)>>`
-    /// reference: pushes and pops interleaved, same-tick re-pushes
-    /// between batches, far-future ticks (≥ 10⁶, as partition, crash and
-    /// probe schedules produce) and pops on an empty queue. Every batch
-    /// must equal the reference's run of minimum-tick entries.
+    /// `(tick, push index)` of every event in `batch`.
+    fn tags(batch: &[Event]) -> Vec<(u64, usize)> {
+        batch
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::Crash { node } => (e.tick, node),
+                other => panic!("untagged event {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Randomized comparison against a
+    /// `BinaryHeap<Reverse<(tick, push index)>>` reference: pushes and
+    /// pops interleaved, same-tick re-pushes between batches, far-future
+    /// ticks (≥ 10⁶, as partition, crash and probe schedules produce) and
+    /// pops on an empty queue. Every batch must equal the reference's run
+    /// of minimum-tick entries.
     #[test]
     fn batches_match_a_reference_heap() {
         let mut rng = SplitMix64::new(0x51ED_0F0E);
         for _ in 0..64 {
             let mut q = EventQueue::default();
-            let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-            let mut next_seq = 0u64;
+            let mut reference: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+            let mut pushed = 0usize;
             let mut now = 0u64;
             let mut batch = Vec::new();
             for _ in 0..400 {
@@ -113,9 +114,9 @@ mod tests {
                         2 => now + 1_000_000 + rng.next_u64() % 1_000_000,
                         _ => now + 1 + rng.next_u64() % 8,
                     };
-                    q.push(tick, kind());
-                    reference.push(Reverse((tick, next_seq)));
-                    next_seq += 1;
+                    q.push(tick, tagged(pushed));
+                    reference.push(Reverse((tick, pushed)));
+                    pushed += 1;
                 }
                 assert_eq!(q.len(), reference.len());
                 if rng.next_u64().is_multiple_of(3) {
@@ -128,8 +129,7 @@ mod tests {
                     }
                 }
                 assert_eq!(q.pop_batch(&mut batch), !expected.is_empty());
-                let got: Vec<(u64, u64)> = batch.iter().map(|e| (e.tick, e.seq)).collect();
-                assert_eq!(got, expected);
+                assert_eq!(tags(&batch), expected);
                 if let Some(&(tick, _)) = expected.first() {
                     now = tick;
                 }
@@ -140,8 +140,7 @@ mod tests {
                 while reference.peek().is_some_and(|Reverse((t, _))| *t == tick) {
                     expected.push(reference.pop().unwrap().0);
                 }
-                let got: Vec<(u64, u64)> = batch.iter().map(|e| (e.tick, e.seq)).collect();
-                assert_eq!(got, expected);
+                assert_eq!(tags(&batch), expected);
             }
             assert!(reference.is_empty());
             assert_eq!(q.len(), 0);
@@ -155,18 +154,17 @@ mod tests {
     #[test]
     fn same_tick_repush_lands_in_next_batch() {
         let mut q = EventQueue::default();
-        q.push(5, kind());
-        q.push(5, kind());
+        q.push(5, tagged(0));
+        q.push(5, tagged(1));
         let mut batch = Vec::new();
         assert!(q.pop_batch(&mut batch));
-        assert_eq!(batch.len(), 2);
-        q.push(5, kind());
-        q.push(6, kind());
+        assert_eq!(tags(&batch), [(5, 0), (5, 1)]);
+        q.push(5, tagged(2));
+        q.push(6, tagged(3));
         assert!(q.pop_batch(&mut batch));
-        assert_eq!(batch.len(), 1);
-        assert_eq!((batch[0].tick, batch[0].seq), (5, 2));
+        assert_eq!(tags(&batch), [(5, 2)]);
         assert!(q.pop_batch(&mut batch));
-        assert_eq!((batch[0].tick, batch[0].seq), (6, 3));
+        assert_eq!(tags(&batch), [(6, 3)]);
         assert!(!q.pop_batch(&mut batch));
     }
 }

@@ -1,7 +1,9 @@
 //! Golden trajectory for the asynchronous executor: the benchmark's
 //! `async_lossy` cell shape (64 uniform nodes in the unit square,
 //! k = 1, loss 5 %, 10 % and 20 %, Exp(1) link delay, fixed seeds) run
-//! to termination at one and at two worker threads. The final position
+//! to termination with `threads` set to one and to two. The executor
+//! runs on the calling thread and does not read `threads`, so the two
+//! passes pin that the knob never reaches async output. The final position
 //! and sensing-radius bits are folded into an FNV-1a hash and compared,
 //! with every protocol counter, the processed-event count and the
 //! virtual time, against constants recorded before the tick-bucketed

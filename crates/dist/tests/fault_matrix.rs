@@ -22,7 +22,8 @@ fn config(seed: u64) -> LaacadConfig {
         .unwrap()
 }
 
-/// Runs one cell at `threads` workers; returns the report plus every
+/// Runs one cell with `LaacadConfig::threads` set to `threads` (which
+/// the executor does not read); returns the report plus every
 /// node's position and sensing-radius bits.
 fn run_threads(
     seed: u64,
@@ -238,7 +239,7 @@ fn duplication_and_jitter_are_idempotent() {
     assert_eq!(report.termination, Termination::Converged);
 }
 
-/// The adversarial fault plans exercised by the thread-invariance sweep:
+/// The adversarial fault plans exercised by the `threads` sweep:
 /// every class of fault the engine models, alone and combined.
 fn adversarial_plans() -> Vec<(&'static str, FaultPlan)> {
     vec![
@@ -320,9 +321,10 @@ fn adversarial_plans() -> Vec<(&'static str, FaultPlan)> {
 }
 
 /// The headline reproducibility guarantee: for every adversarial plan,
-/// the batched event loop at 4 worker threads replays the
-/// single-threaded run byte for byte: positions, sensing radii, protocol
-/// counters, round records, ρ.
+/// a run with `threads = 4` replays the `threads = 1` run byte for
+/// byte: positions, sensing radii, protocol counters, round records, ρ.
+/// The executor runs on one thread and does not read the knob; this
+/// pins that `threads` never reaches async output.
 #[test]
 fn batched_event_loop_is_thread_count_invariant() {
     for (name, plan) in adversarial_plans() {
@@ -336,9 +338,9 @@ fn batched_event_loop_is_thread_count_invariant() {
     }
 }
 
-/// Adaptive backoff keeps the same guarantee: `(seed, plan, threads)`
-/// determinism holds when retry timeouts come from per-node RTT
-/// estimates with jittered exponential backoff.
+/// Adaptive backoff keeps the same guarantee: `(seed, plan)` determinism,
+/// with `threads` never reaching the output, holds when retry timeouts
+/// come from per-node RTT estimates with jittered exponential backoff.
 #[test]
 fn adaptive_backoff_is_thread_count_invariant() {
     let plan = FaultPlan {

@@ -7,12 +7,13 @@
 //! synchronous LAACAD round engine (`laacad`), scenario campaigns
 //! (`laacad-scenario`) and experiment sweeps all route here.
 //!
-//! Three entry points, from most to least common:
+//! Three entry points:
 //!
-//! * [`parallel_map`] — map over owned inputs with one worker per core;
-//! * [`parallel_map_with`] — the same with an explicit worker count
-//!   (`0` = all cores), for callers that already parallelize at an outer
-//!   level and must bound nesting;
+//! * [`parallel_map_with`] — map over owned inputs with an explicit
+//!   worker count (`0` = all cores), so callers that already parallelize
+//!   at an outer level can bound nesting;
+//! * [`parallel_map_visit`] — the same, visiting each result in input
+//!   order as soon as its ordered prefix completes;
 //! * [`parallel_map_scratched`] — map over the index range `0..len` with
 //!   one caller-owned scratch value per worker, for hot loops whose
 //!   per-item work reuses large buffers (the round engine's
@@ -50,28 +51,18 @@ fn machine_workers() -> usize {
     })
 }
 
-/// Maps `f` over `inputs` in parallel, preserving input order.
+/// Maps `f` over `inputs` on up to `threads` scoped workers (`0` = all
+/// cores, never more than there are inputs), preserving input order.
 ///
-/// Spawns up to `available_parallelism()` scoped threads (never more
-/// than there are inputs); with one input or one core it degrades to a
-/// plain sequential map. A panic in `f` propagates to the caller.
+/// With one input or one worker it degrades to a plain sequential map.
+/// A panic in `f` propagates to the caller.
 ///
 /// # Example
 ///
 /// ```
-/// let squares = laacad_exec::parallel_map(vec![1, 2, 3], |x| x * x);
+/// let squares = laacad_exec::parallel_map_with(0, vec![1, 2, 3], |x| x * x);
 /// assert_eq!(squares, vec![1, 4, 9]);
 /// ```
-pub fn parallel_map<T, R, F>(inputs: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map_with(0, inputs, f)
-}
-
-/// [`parallel_map`] with an explicit worker count (`0` = all cores).
 pub fn parallel_map_with<T, R, F>(threads: usize, inputs: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -267,15 +258,15 @@ mod tests {
 
     #[test]
     fn preserves_order() {
-        let out = parallel_map((0..200).collect(), |x: i32| x * 2);
+        let out = parallel_map_with(0, (0..200).collect(), |x: i32| x * 2);
         assert_eq!(out, (0..200).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_singleton() {
-        let empty: Vec<i32> = parallel_map(Vec::new(), |x| x);
+        let empty: Vec<i32> = parallel_map_with(0, Vec::new(), |x| x);
         assert!(empty.is_empty());
-        assert_eq!(parallel_map(vec![7], |x: u32| x + 1), vec![8]);
+        assert_eq!(parallel_map_with(0, vec![7], |x: u32| x + 1), vec![8]);
     }
 
     #[test]
@@ -301,7 +292,8 @@ mod tests {
 
     #[test]
     fn non_copy_payloads() {
-        let out = parallel_map(
+        let out = parallel_map_with(
+            0,
             vec!["a".to_string(), "bb".to_string(), "ccc".to_string()],
             |s| s.len(),
         );
@@ -311,7 +303,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn worker_panics_propagate() {
-        let _ = parallel_map(vec![1, 2, 3], |x: i32| {
+        let _ = parallel_map_with(0, vec![1, 2, 3], |x: i32| {
             if x == 2 {
                 panic!("boom");
             }

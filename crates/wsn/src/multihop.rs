@@ -481,12 +481,6 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
     }
 }
 
-/// Whether node `other` is inside the ring of `center` — convenience for
-/// tests.
-pub fn in_ring(net: &Network, center: NodeId, other: NodeId, rho: f64) -> bool {
-    net.position(center).distance(net.position(other)) <= rho + 1e-12
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

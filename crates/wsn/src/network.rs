@@ -263,29 +263,12 @@ impl Network {
         self.doomed_bitmap(ids).1
     }
 
-    /// Keeps only the nodes for which `keep` returns `true`; same id
-    /// reassignment and odometry semantics as [`Network::remove_nodes`].
-    /// Returns the number of nodes removed.
-    pub fn retain_nodes(&mut self, mut keep: impl FnMut(&SensorNode) -> bool) -> usize {
-        let doomed: Vec<NodeId> = (0..self.len())
-            .map(NodeId)
-            .filter(|&id| !keep(&self.node(id)))
-            .collect();
-        self.remove_nodes(&doomed)
-    }
-
     /// Ids of nodes within Euclidean distance `radius` of `q` (inclusive),
     /// including any node located exactly at `q`.
     pub fn nodes_within(&self, q: Point, radius: f64) -> Vec<NodeId> {
         let mut out = Vec::new();
         self.grid.within_into(&self.positions, q, radius, &mut out);
         out.into_iter().map(NodeId).collect()
-    }
-
-    /// [`Network::nodes_within`] into a caller-owned buffer (cleared
-    /// first) — the allocation-free form the round engine uses.
-    pub fn nodes_within_into(&self, q: Point, radius: f64, out: &mut Vec<usize>) {
-        self.grid.within_into(&self.positions, q, radius, out);
     }
 
     /// One-hop neighbors of `id`: nodes within the transmission range `γ`
@@ -474,22 +457,6 @@ mod tests {
             net.nodes_within(Point::new(1.0, 1.0), 0.1),
             Vec::<NodeId>::new()
         );
-    }
-
-    #[test]
-    fn retain_nodes_by_predicate() {
-        let mut net = Network::from_positions(
-            0.5,
-            [
-                Point::new(0.0, 0.0),
-                Point::new(1.0, 0.0),
-                Point::new(2.0, 0.0),
-            ],
-        );
-        let removed = net.retain_nodes(|n| n.position().x < 1.5);
-        assert_eq!(removed, 1);
-        assert_eq!(net.len(), 2);
-        assert!(net.positions().iter().all(|p| p.x < 1.5));
     }
 
     #[test]
