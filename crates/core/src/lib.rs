@@ -65,15 +65,13 @@ pub use config::{CoordinateMode, ExecutionMode, LaacadConfig, LaacadConfigBuilde
 pub use error::LaacadError;
 pub use history::{History, RoundReport, RunSummary};
 pub use hooks::{EventOutcome, HookAction, NetworkEvent};
-pub use localview::{
-    compute_local_view, compute_node_view, compute_node_view_warm, LocalView, NodeView,
-};
+pub use localview::{compute_local_view, compute_node_view, LocalView, NodeView};
 pub use minnode::{min_node_deployment, MinNodeResult};
 pub use observer::Observer;
 pub use protocol::{finalize_views, RoundAggregate};
 pub use ring::{
     expanding_ring_search, expanding_ring_search_scratched, expanding_ring_search_status,
-    expanding_ring_search_status_warm, DominationScratch, RingOutcome, RingStatus,
+    DominationScratch, RingOutcome, RingStatus,
 };
 pub use scratch::{LocalViewCache, RoundScratch};
 pub use session::{MovedNode, ObservedRound, RoundDelta, Session, SessionBuilder, SessionCounters};

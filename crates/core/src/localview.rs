@@ -19,7 +19,7 @@
 
 use crate::config::{CoordinateMode, LaacadConfig, RingCapPolicy};
 use crate::ring::{
-    expanding_ring_search_scratched, expanding_ring_search_status_warm, RingOutcome, RingStatus,
+    expanding_ring_search_scratched, expanding_ring_search_status, RingOutcome, RingStatus,
 };
 use crate::scratch::{CarveScratch, RoundScratch};
 use laacad_geom::{Circle, Point};
@@ -57,8 +57,6 @@ pub struct LocalView {
 pub struct NodeView {
     /// Final ring radius `ρ`.
     pub rho: f64,
-    /// Number of `ρ += γ` expansions the ring search ran.
-    pub rho_stages: usize,
     /// Whether the ring check succeeded.
     pub dominated: bool,
     /// Whether the search saturated (boundary node).
@@ -163,39 +161,19 @@ pub fn compute_node_view(
     round: usize,
     scratch: &mut RoundScratch,
 ) -> NodeView {
-    compute_node_view_warm(net, adjacency, id, area, config, round, 0, scratch)
-}
-
-/// [`compute_node_view`] with a ρ-warm-started ring search: the first
-/// `warm_skip` expansions skip their (known-to-fail) domination checks —
-/// see [`crate::ring::expanding_ring_search_status_warm`] for the
-/// contract. `warm_skip = 0` is the plain hot path; for any valid value
-/// the view is byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_node_view_warm(
-    net: &Network,
-    adjacency: Option<&Adjacency>,
-    id: NodeId,
-    area: &Region,
-    config: &LaacadConfig,
-    round: usize,
-    warm_skip: usize,
-    scratch: &mut RoundScratch,
-) -> NodeView {
     let max_rho = config.max_rho.unwrap_or(2.0 * area.diameter_bound());
     // Kernel timing is armed per fan-out by the session; off, each
     // stage costs one branch. The buffer only observes — the view is
     // bit-identical either way.
     let timing = scratch.telemetry.enabled;
     let started = timing.then(std::time::Instant::now);
-    let status = expanding_ring_search_status_warm(
+    let status = expanding_ring_search_status(
         net,
         adjacency,
         id,
         area,
         config.k,
         max_rho,
-        warm_skip,
         &mut scratch.ring,
         &mut scratch.competitors,
         &mut scratch.domination,
@@ -218,7 +196,7 @@ pub fn compute_node_view_warm(
     view
 }
 
-/// The geometry stage of [`compute_node_view_warm`] — everything after
+/// The geometry stage of [`compute_node_view`] — everything after
 /// the ring search: the cached oracle-mode lookup, or site assembly
 /// plus the subdivision/clip/Chebyshev kernel.
 #[allow(clippy::too_many_arguments)]
@@ -253,7 +231,6 @@ fn geometry_stage(
     );
     NodeView {
         rho: status.rho,
-        rho_stages: status.stages,
         dominated: status.dominated,
         saturated: status.saturated,
         messages: status.messages,
@@ -286,7 +263,6 @@ fn cached_node_view(
     ) {
         return NodeView {
             rho: status.rho,
-            rho_stages: status.stages,
             dominated: status.dominated,
             saturated: status.saturated,
             messages: status.messages,
@@ -330,7 +306,6 @@ fn cached_node_view(
     entry.valid = true;
     NodeView {
         rho: status.rho,
-        rho_stages: status.stages,
         dominated: status.dominated,
         saturated: status.saturated,
         messages: status.messages,

@@ -530,9 +530,6 @@ pub fn expanding_ring_search_scratched(
 pub struct RingStatus {
     /// Final ring radius `ρ`.
     pub rho: f64,
-    /// Number of `ρ += γ` expansions the search ran (`rho` is the
-    /// `stages`-fold accumulation of `γ`).
-    pub stages: usize,
     /// Whether the ring check succeeded (Algorithm 2 `out = true`).
     pub dominated: bool,
     /// Whether the search saturated the connected component / `max_rho`.
@@ -566,51 +563,9 @@ pub fn expanding_ring_search_status(
     competitors: &mut Vec<Point>,
     domination: &mut DominationScratch,
 ) -> RingStatus {
-    expanding_ring_search_status_warm(
-        net,
-        adjacency,
-        id,
-        region,
-        k,
-        max_rho,
-        0,
-        scratch,
-        competitors,
-        domination,
-    )
-}
-
-/// [`expanding_ring_search_status`] with a **ρ warm start**: the caller
-/// asserts — from its own change tracking — that the domination checks
-/// of the first `skip_checks` expansions are already known to fail (they
-/// failed in a previous search whose per-stage inputs are provably
-/// unchanged), so those expansions run their BFS collection and message
-/// accounting but skip the member-copy and the exact arc-depth check.
-///
-/// With `skip_checks = 0` this *is* the from-scratch search. For any
-/// valid `skip_checks` the returned [`RingStatus`], the member set, the
-/// `competitors` buffer and the per-expansion [`MessageStats`] are
-/// byte-identical to the from-scratch search — the skipped work is
-/// exactly the work whose outcome is already known. Callers must ensure
-/// `skip_checks` is strictly smaller than the stage count at which the
-/// previous search terminated (a terminating stage is never skippable).
-#[allow(clippy::too_many_arguments)]
-pub fn expanding_ring_search_status_warm(
-    net: &Network,
-    adjacency: Option<&Adjacency>,
-    id: NodeId,
-    region: &Region,
-    k: usize,
-    max_rho: f64,
-    skip_checks: usize,
-    scratch: &mut RingScratch,
-    competitors: &mut Vec<Point>,
-    domination: &mut DominationScratch,
-) -> RingStatus {
     let gamma = net.gamma();
     let center = net.position(id);
     let mut rho = 0.0;
-    let mut stages = 0usize;
     let mut messages = MessageStats::default();
     let mut query = match adjacency {
         Some(adj) => RingQuery::begin_indexed(net, adj, id, scratch),
@@ -618,26 +573,22 @@ pub fn expanding_ring_search_status_warm(
     };
     domination.bisectors.reset();
     loop {
-        stages += 1;
         rho += gamma;
         let step = query.collect(rho, hop_budget(rho, gamma, DEFAULT_HOP_SLACK));
         messages.absorb(step.messages);
-        if stages > skip_checks {
-            let circle = Circle::new(center, rho / 2.0);
-            competitors.clear();
-            competitors.extend(query.members().iter().map(|&m| net.position(NodeId(m))));
-            domination.bisectors.sync(query.members());
-            if settle_domination(center, competitors, &circle, region, k, domination).holds() {
-                let contact_radius = query.contact_radius();
-                return RingStatus {
-                    rho,
-                    stages,
-                    dominated: true,
-                    saturated: false,
-                    messages,
-                    contact_radius,
-                };
-            }
+        let circle = Circle::new(center, rho / 2.0);
+        competitors.clear();
+        competitors.extend(query.members().iter().map(|&m| net.position(NodeId(m))));
+        domination.bisectors.sync(query.members());
+        if settle_domination(center, competitors, &circle, region, k, domination).holds() {
+            let contact_radius = query.contact_radius();
+            return RingStatus {
+                rho,
+                dominated: true,
+                saturated: false,
+                messages,
+                contact_radius,
+            };
         }
         // Saturation: the ring already contains the node's whole connected
         // component *and* widening the Euclidean filter cannot add members
@@ -648,22 +599,9 @@ pub fn expanding_ring_search_status_warm(
         let same_as_before = step.new_members == 0;
         let euclidean_slack = rho - query.farthest_member_distance() > gamma;
         if (same_as_before && euclidean_slack) || rho >= max_rho {
-            if stages <= skip_checks {
-                // A valid warm start never terminates inside the skipped
-                // prefix; fill the competitor buffer anyway so a caller
-                // bug degrades to stale-but-consistent geometry inputs
-                // instead of reading the previous node's buffer.
-                debug_assert!(
-                    false,
-                    "warm-started search terminated in its skipped prefix"
-                );
-                competitors.clear();
-                competitors.extend(query.members().iter().map(|&m| net.position(NodeId(m))));
-            }
             let contact_radius = query.contact_radius();
             return RingStatus {
                 rho,
-                stages,
                 dominated: false,
                 saturated: true,
                 messages,
@@ -1259,69 +1197,6 @@ mod tests {
                 computed <= positions.len(),
                 "{computed} computations for 60 members"
             );
-        }
-    }
-
-    #[test]
-    fn warm_started_search_is_byte_identical_for_every_valid_skip() {
-        // The warm start's mechanical contract, pinned the same way the
-        // incremental frontier was in PR 2: for any skip strictly below
-        // the cold search's stage count, the outcome — ρ, verdicts,
-        // messages, contact radius, members, competitor buffer — is
-        // byte-identical to the cold search.
-        let region = Region::square(1.0).unwrap();
-        let net = dense_grid_network(0.1, 11, 0.15);
-        for id in [0usize, 27, 60] {
-            for k in 1..=4usize {
-                let mut scratch = RingScratch::new();
-                let mut competitors = Vec::new();
-                let mut dom = DominationScratch::new();
-                let cold = expanding_ring_search_status(
-                    &net,
-                    None,
-                    NodeId(id),
-                    &region,
-                    k,
-                    3.0,
-                    &mut scratch,
-                    &mut competitors,
-                    &mut dom,
-                );
-                let cold_members = scratch.last_members().to_vec();
-                let cold_competitors = competitors.clone();
-                for skip in 0..cold.stages {
-                    let mut scratch2 = RingScratch::new();
-                    let mut competitors2 = Vec::new();
-                    let warm = expanding_ring_search_status_warm(
-                        &net,
-                        None,
-                        NodeId(id),
-                        &region,
-                        k,
-                        3.0,
-                        skip,
-                        &mut scratch2,
-                        &mut competitors2,
-                        &mut dom,
-                    );
-                    assert_eq!(
-                        warm.rho.to_bits(),
-                        cold.rho.to_bits(),
-                        "id={id} k={k} skip={skip}"
-                    );
-                    assert_eq!(warm.stages, cold.stages, "id={id} k={k} skip={skip}");
-                    assert_eq!(warm.dominated, cold.dominated, "id={id} k={k} skip={skip}");
-                    assert_eq!(warm.saturated, cold.saturated, "id={id} k={k} skip={skip}");
-                    assert_eq!(warm.messages, cold.messages, "id={id} k={k} skip={skip}");
-                    assert_eq!(
-                        warm.contact_radius.to_bits(),
-                        cold.contact_radius.to_bits(),
-                        "id={id} k={k} skip={skip}"
-                    );
-                    assert_eq!(scratch2.last_members(), cold_members.as_slice());
-                    assert_eq!(competitors2, cold_competitors, "id={id} k={k} skip={skip}");
-                }
-            }
         }
     }
 

@@ -35,7 +35,7 @@ use crate::config::{CoordinateMode, ExecutionMode, LaacadConfig};
 use crate::error::LaacadError;
 use crate::history::{History, RoundReport, RunSummary};
 use crate::hooks::{EventOutcome, HookAction, NetworkEvent};
-use crate::localview::{compute_node_view, compute_node_view_warm, NodeView};
+use crate::localview::{compute_node_view, NodeView};
 use crate::observer::Observer;
 use crate::protocol::{finalize_views, RoundAggregate};
 use crate::scratch::RoundScratch;
@@ -44,7 +44,6 @@ use laacad_geom::Point;
 use laacad_region::Region;
 use laacad_telemetry::{Recorder, Stage};
 use laacad_wsn::mobility::step_toward;
-use laacad_wsn::multihop::{hop_budget, DEFAULT_HOP_SLACK};
 use laacad_wsn::{Adjacency, FlatGrid, Network, NodeId};
 
 /// One node's movement during a round: id plus the exact positions
@@ -110,10 +109,7 @@ pub struct ObservedRound {
 /// **Cumulative** work counters over a session's lifetime: every field
 /// is a running total that each round adds to and that nothing resets
 /// implicitly — they are *not* per-round values (per-round deltas live
-/// on [`RoundDelta`]). Observers that want per-round numbers for
-/// metrics the delta does not carry can call [`Session::take_counters`]
-/// each round and treat the returned struct as the diff since the
-/// previous take.
+/// on [`RoundDelta`]).
 ///
 /// Counters are work, not state: a snapshot does not store them. A
 /// session restored by [`SessionBuilder::restore`] starts them at zero,
@@ -135,9 +131,6 @@ pub struct SessionCounters {
     /// ([`laacad_wsn::Adjacency::apply_moves`]); fully quiescent rounds
     /// perform neither a rebuild nor an update.
     pub adjacency_incremental_updates: u64,
-    /// Ring searches that were ρ-warm-started (at least one expansion's
-    /// domination check skipped as known-to-fail).
-    pub warm_started: u64,
 }
 
 /// Builder for a [`Session`] — the target area and initial deployment
@@ -271,23 +264,6 @@ pub struct Session {
     /// recorder whose `enabled()` is `false` — reduces the
     /// instrumentation to one branch per stage.
     recorder: Option<Box<dyn Recorder>>,
-    /// Arena for the classifier's round-transient buffers (see
-    /// [`ClassifyPool`]).
-    pool: ClassifyPool,
-}
-
-/// Session-owned arena recycling the dirty-node classifier's per-round
-/// buffers — the movement-endpoint cloud, the dirty mask and the
-/// warm-skip table. They are taken at classification, fully reset to
-/// their fresh-allocation state, and returned at the end of the round,
-/// so a steady stream of partially-active rounds re-uses one high-water
-/// allocation instead of allocating (and zeroing the heap for) three
-/// `O(N)` vectors per round.
-#[derive(Debug, Default)]
-struct ClassifyPool {
-    endpoints: Vec<Point>,
-    mask: Vec<bool>,
-    warm: Vec<u32>,
 }
 
 impl Session {
@@ -383,7 +359,6 @@ impl Session {
             counters: SessionCounters::default(),
             event_log: Vec::new(),
             recorder: None,
-            pool: ClassifyPool::default(),
         })
     }
 
@@ -418,19 +393,10 @@ impl Session {
     }
 
     /// Cumulative work counters (ring searches, quiescent skips, cache
-    /// hits/misses) — running totals since construction or the last
-    /// [`Session::take_counters`], never reset by rounds or events.
+    /// hits/misses) — running totals since construction, never reset
+    /// by rounds or events.
     pub fn counters(&self) -> SessionCounters {
         self.counters
-    }
-
-    /// Returns the cumulative counters and resets them to zero, so an
-    /// observer can call this once per round and read each result as
-    /// the per-round diff without keeping a previous copy around.
-    /// Orthogonal to telemetry: an installed [`Recorder`] receives its
-    /// own per-round deltas and is unaffected by takes.
-    pub fn take_counters(&mut self) -> SessionCounters {
-        std::mem::take(&mut self.counters)
     }
 
     /// Installs a telemetry [`Recorder`], replacing any existing one.
@@ -530,29 +496,6 @@ impl Session {
         view.contact_radius.max(view.rho) + self.config.gamma + 1e-9
     }
 
-    /// How many leading ring-search expansions of a re-activated node
-    /// may skip their domination checks: stage `j` explores at most
-    /// `hop_budget(ρ_j)·γ` from the node (one extra `γ` of margin is
-    /// granted for arrivals), so while that sphere stays strictly inside
-    /// the distance to the nearest mover, the stage's inputs are exactly
-    /// what they were when the stored search evaluated it — and its
-    /// check failed then. The terminating stage is never skipped.
-    fn warm_skip_for(&self, view: &NodeView, clearance: f64) -> u32 {
-        let gamma = self.config.gamma;
-        let max_skip = view.rho_stages.saturating_sub(1);
-        let mut skip = 0usize;
-        let mut rho = 0.0;
-        while skip < max_skip {
-            rho += gamma;
-            let hops = hop_budget(rho, gamma, DEFAULT_HOP_SLACK);
-            if (hops as f64 + 1.0) * gamma + 1e-9 >= clearance {
-                break;
-            }
-            skip += 1;
-        }
-        skip as u32
-    }
-
     /// Classifies this round's work for the dirty-node index.
     ///
     /// A stored view may be replayed only if *no* node that the previous
@@ -562,11 +505,9 @@ impl Session {
     /// membership as surely as arriving). Movers are probed through a
     /// spatial index over the round's movement endpoints, so the
     /// classification costs `O(N + M)` plus the local candidates rather
-    /// than `O(N·M)`. For each re-activated node the distance to its
-    /// nearest mover is also recorded — the clearance the ρ warm start
-    /// feeds on. The classification runs serially before the parallel
-    /// fan-out, so it is identical for every worker count.
-    fn classify_dirty(&mut self) -> DirtyClass {
+    /// than `O(N·M)`. The classification runs serially before the
+    /// parallel fan-out, so it is identical for every worker count.
+    fn classify_dirty(&self) -> DirtyClass {
         let n = self.net.len();
         if !self.dirty_skip_active() || !self.views_valid || self.views.len() != n {
             return DirtyClass::AllDirty;
@@ -580,11 +521,11 @@ impl Session {
         if self.last_movers.len() * 4 >= n {
             return DirtyClass::AllDirty;
         }
-        // The round-transient buffers come out of the session pool; every
-        // one is reset to exactly its fresh-allocation state before use.
-        let mut endpoints = std::mem::take(&mut self.pool.endpoints);
-        endpoints.clear();
-        endpoints.extend(self.last_movers.iter().flat_map(|m| [m.from, m.to]));
+        let endpoints: Vec<Point> = self
+            .last_movers
+            .iter()
+            .flat_map(|m| [m.from, m.to])
+            .collect();
         // One grid over the movement endpoints, celled at the largest
         // safe radius so every per-node probe touches at most 9 cells.
         let mut max_safe = self.config.gamma;
@@ -592,21 +533,10 @@ impl Session {
             max_safe = max_safe.max(self.safe_radius(view));
         }
         let grid = FlatGrid::build(&endpoints, max_safe);
-        let mut mask = std::mem::take(&mut self.pool.mask);
-        mask.clear();
-        mask.resize(n, false);
-        let mut warm = std::mem::take(&mut self.pool.warm);
-        warm.clear();
-        warm.resize(n, 0u32);
+        let mut mask = vec![false; n];
         for m in &self.last_movers {
             mask[m.id.index()] = true;
         }
-        // A clearance at or below the first expansion's sphere of
-        // influence can never earn a warm skip, so the nearest-mover
-        // probe may stop refining there — the verdicts are identical to
-        // an exact scan of every mover.
-        let gamma = self.config.gamma;
-        let stage1_ball = (hop_budget(gamma, gamma, DEFAULT_HOP_SLACK) as f64 + 1.0) * gamma + 1e-9;
         // Bounding box of the endpoint cloud: a node farther from the box
         // than its safe radius provably has no mover in range — the
         // common case under a localized disturbance — and skips the grid
@@ -614,9 +544,9 @@ impl Session {
         let bb = laacad_geom::Aabb::from_points(endpoints.iter().copied())
             .expect("movement set is non-empty");
         let (bb_min, bb_max) = (bb.min(), bb.max());
-        for i in 0..n {
-            if mask[i] {
-                continue; // movers always recompute, cold
+        for (i, dirty) in mask.iter_mut().enumerate() {
+            if *dirty {
+                continue; // movers always recompute
             }
             let p = self.net.position(NodeId(i));
             let safe = self.safe_radius(&self.views[i]);
@@ -625,14 +555,9 @@ impl Session {
             if dx * dx + dy * dy > safe * safe {
                 continue;
             }
-            let clearance = grid.min_distance_within(&endpoints, p, safe, stage1_ball.min(safe));
-            if clearance <= safe {
-                mask[i] = true;
-                warm[i] = self.warm_skip_for(&self.views[i], clearance);
-            }
+            *dirty = grid.any_within(&endpoints, p, safe);
         }
-        self.pool.endpoints = endpoints;
-        DirtyClass::Partial(PartialDirty { mask, warm })
+        DirtyClass::Partial(mask)
     }
 
     /// Brings the shared adjacency snapshot up to date with the current
@@ -708,11 +633,6 @@ impl Session {
         recorder.counter("messages_unicast", round, delta.report.messages.unicast);
         recorder.counter("messages_broadcast", round, delta.report.messages.broadcast);
         recorder.counter(
-            "warm_started",
-            round,
-            after.warm_started - before.warm_started,
-        );
-        recorder.counter(
             "adjacency_rebuilds",
             round,
             after.adjacency_rebuilds - before.adjacency_rebuilds,
@@ -739,7 +659,6 @@ impl Session {
         let views: Vec<NodeView>;
         let mut ring_searches = 0usize;
         let mut cache_hits = 0usize;
-        let mut warm_started = 0u64;
         if matches!(dirty, DirtyClass::AllClean) {
             // Fully quiescent round: no movement anywhere since the
             // stored views were computed — replay them wholesale. No
@@ -756,26 +675,21 @@ impl Session {
             let (net, region, config) = (&self.net, &self.region, &self.config);
             let (round, adjacency) = (self.round, &self.adjacency);
             let old_views = &self.views;
-            let partial = match &dirty {
-                DirtyClass::Partial(partial) => Some(partial),
+            let mask = match &dirty {
+                DirtyClass::Partial(mask) => Some(mask),
                 _ => None,
             };
             views = parallel_map_scratched(&mut self.scratches, n, |scratch, i| {
-                let mut warm_skip = 0usize;
-                if let Some(partial) = partial {
-                    if !partial.mask[i] {
-                        return old_views[i];
-                    }
-                    warm_skip = partial.warm[i] as usize;
+                if mask.is_some_and(|mask| !mask[i]) {
+                    return old_views[i];
                 }
-                compute_node_view_warm(
+                compute_node_view(
                     net,
                     Some(adjacency),
                     NodeId(i),
                     region,
                     config,
                     round,
-                    warm_skip,
                     scratch,
                 )
             });
@@ -783,17 +697,10 @@ impl Session {
             // Work accounting: skipped nodes replayed a stored view; the
             // rest ran a ring search and either hit or missed the cache.
             for (i, view) in views.iter().enumerate() {
-                let computed = match partial {
-                    Some(partial) => partial.mask[i],
-                    None => true,
-                };
-                if computed {
+                if mask.is_none_or(|mask| mask[i]) {
                     ring_searches += 1;
                     if view.cache_hit {
                         cache_hits += 1;
-                    }
-                    if partial.is_some_and(|partial| partial.warm[i] > 0) {
-                        warm_started += 1;
                     }
                 }
             }
@@ -814,13 +721,6 @@ impl Session {
             // with next round.
             self.adjacency_state = AdjacencyState::StaleMoves;
         }
-        // Recycle the classifier's O(N) buffers into the session pool so
-        // the next partially-active round reuses their allocations.
-        if let DirtyClass::Partial(PartialDirty { mask, warm }) = dirty {
-            self.pool.mask = mask;
-            self.pool.warm = warm;
-        }
-        self.counters.warm_started += warm_started;
         self.finish_round(agg, views, moved, ring_searches, cache_hits)
     }
 
@@ -1227,18 +1127,9 @@ enum DirtyClass {
     /// No movement since the stored views were computed: every node
     /// replays its view.
     AllClean,
-    /// Per-node verdicts.
-    Partial(PartialDirty),
-}
-
-/// The per-node verdicts of a partially-active round.
-#[derive(Debug, Clone)]
-struct PartialDirty {
-    /// `true` = recompute, `false` = replay the stored view.
-    mask: Vec<bool>,
-    /// Warm-start stage skips for re-activated nodes (0 = cold search;
-    /// always 0 for movers).
-    warm: Vec<u32>,
+    /// Per-node verdicts: `true` = recompute, `false` = replay the
+    /// stored view.
+    Partial(Vec<bool>),
 }
 
 /// How the shared adjacency snapshot relates to the current positions.
@@ -1279,7 +1170,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_are_cumulative_and_take_resets() {
+    fn counters_are_cumulative() {
         let region = Region::square(1.0).unwrap();
         let initial = sample_uniform(&region, 14, 21);
         let mut sim = session(quick_config(1, 50), region, initial);
@@ -1296,17 +1187,6 @@ mod tests {
             sim.counters().cache_misses,
             (d1.cache_misses + d2.cache_misses) as u64
         );
-        let taken = sim.take_counters();
-        assert_eq!(
-            taken.ring_searches,
-            (d1.ring_searches + d2.ring_searches) as u64
-        );
-        assert_eq!(sim.counters(), SessionCounters::default());
-        // After a take, the totals restart from zero — so taking once
-        // per round yields per-round diffs directly.
-        let d3 = sim.step();
-        assert_eq!(sim.take_counters().ring_searches, d3.ring_searches as u64);
-        assert_eq!(sim.take_counters(), SessionCounters::default());
     }
 
     #[test]

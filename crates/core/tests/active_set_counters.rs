@@ -11,7 +11,7 @@
 //! * a round reacting to 10 % localized movers re-activates under 30 %
 //!   of the deployment, and the recovery from a localized failure
 //!   reaches rounds that skip far nodes while the failure site
-//!   searches;
+//!   searches — both with their exact per-node verdict counts pinned;
 //! * Gauss–Seidel rounds search every node every round (the dirty-node
 //!   index never applies there).
 
@@ -133,6 +133,9 @@ fn localized_movers_reactivate_a_small_share_of_the_deployment() {
         "{movers} localized movers re-activated {} of {n} nodes",
         delta.ring_searches
     );
+    // The exact verdicts: re-computing a clean node reproduces its view,
+    // so an over-eager classifier would pass every bound above.
+    assert_eq!((delta.ring_searches, delta.skipped_quiescent), (937, 3_063));
 }
 
 #[test]
@@ -188,6 +191,8 @@ fn partial_quiescence_skips_far_nodes_only() {
             sim.network().len()
         );
         if delta.skipped_quiescent > 0 && delta.ring_searches > 0 {
+            // The exact verdicts of the first partially-quiescent round.
+            assert_eq!((delta.ring_searches, delta.skipped_quiescent), (72, 115));
             partial = true;
             break;
         }

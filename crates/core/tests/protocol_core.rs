@@ -10,7 +10,6 @@ use laacad_wsn::{Network, NodeId};
 fn view(chebyshev: Option<Circle>, reach: f64) -> NodeView {
     NodeView {
         rho: 0.4,
-        rho_stages: 2,
         dominated: true,
         saturated: false,
         messages: MessageStats {

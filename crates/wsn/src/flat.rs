@@ -207,26 +207,18 @@ impl FlatGrid {
         }
     }
 
-    /// Distance from `q` to the nearest indexed point within `radius`
-    /// (`f64::INFINITY` when none), with an early-exit threshold: a
-    /// return value `> stop_below` is the exact minimum; a value
-    /// `≤ stop_below` witnesses some point at that distance (not
-    /// necessarily the closest). Nothing is materialized or sorted —
-    /// the form a tight classification loop probes per node.
-    pub fn min_distance_within(
-        &self,
-        points: &[Point],
-        q: Point,
-        radius: f64,
-        stop_below: f64,
-    ) -> f64 {
+    /// Whether some indexed point lies within Euclidean distance `radius`
+    /// of `q`: a point counts when its squared distance passes the
+    /// inclusive [`FlatGrid::within_into`] test *and* its distance is at
+    /// most `radius` (a negative `radius` counts as 0). Stops at the
+    /// first such point — the form a tight classification loop probes
+    /// per node.
+    pub fn any_within(&self, points: &[Point], q: Point, radius: f64) -> bool {
         let r = radius.max(0.0);
         let r_sq = r * r + 1e-12;
-        let mut best_sq = f64::INFINITY;
-        let stop_sq = stop_below * stop_below;
         let (lo, hi) = self.clamped_range(q, r);
         let Some(((cx0, cx1), (cy0, cy1))) = range_cells(lo, hi) else {
-            return best_sq.sqrt();
+            return false;
         };
         for cy in cy0..=cy1 {
             let row = cy * self.cols;
@@ -234,16 +226,13 @@ impl FlatGrid {
                 let start = self.starts[c] as usize;
                 for &e in &self.entries[start..start + self.lens[c] as usize] {
                     let d_sq = points[e as usize].distance_sq(q);
-                    if d_sq <= r_sq && d_sq < best_sq {
-                        best_sq = d_sq;
-                        if best_sq <= stop_sq {
-                            return best_sq.sqrt();
-                        }
+                    if d_sq <= r_sq && d_sq.sqrt() <= r {
+                        return true;
                     }
                 }
             }
         }
-        best_sq.sqrt()
+        false
     }
 
     /// The query's key range intersected with the grid extent, as
@@ -461,20 +450,43 @@ mod tests {
     }
 
     #[test]
-    fn min_distance_matches_brute_force() {
+    fn any_within_matches_brute_force() {
         let pts = cloud();
         let grid = FlatGrid::build(&pts, 0.25);
-        for &(qx, qy, r) in &[(0.52, 0.47, 0.2), (1.4, 1.4, 0.3), (1.45, 0.5, 0.6)] {
+        for &(qx, qy, r) in &[
+            (0.52, 0.47, 0.2),
+            (1.4, 1.4, 0.3),
+            (1.45, 0.5, 0.6),
+            (0.55, 0.55, 0.01),
+            (0.55, 0.55, 0.1),
+            (0.5, 0.5, -1.0),
+        ] {
             let q = Point::new(qx, qy);
-            let got = grid.min_distance_within(&pts, q, r, 0.0);
             let expect = brute(&pts, q, r)
                 .into_iter()
-                .map(|i| pts[i].distance(q))
-                .fold(f64::INFINITY, f64::min);
-            assert_eq!(got, expect, "({qx},{qy}) r={r}");
+                .any(|i| pts[i].distance_sq(q).sqrt() <= r.max(0.0));
+            assert_eq!(grid.any_within(&pts, q, r), expect, "({qx},{qy}) r={r}");
         }
-        let witnessed = grid.min_distance_within(&pts, Point::new(0.5, 0.5), 0.5, 0.2);
-        assert!(witnessed <= 0.2);
+        // Fixed rim cases, one point each, at r = 0.25 from q.
+        let q = Point::new(0.5, 0.5);
+        let r = 0.25;
+        for (p, counts, what) in [
+            (Point::new(0.75, 0.5), true, "exactly at r"),
+            // d² exceeds r² by an ulp and √d² still rounds to r.
+            (Point::new(0.75, 0.5 + 3e-9), true, "√d² rounds to r"),
+            // Inside the 1e-12 band of the squared test, but √d² > r.
+            (Point::new(0.75, 0.5 + 1e-7), false, "in the band, beyond r"),
+        ] {
+            let d_sq = p.distance_sq(q);
+            assert!(d_sq <= r * r + 1e-12, "{what}");
+            assert_eq!(d_sq.sqrt() <= r, counts, "{what}");
+            let lone = [p];
+            assert_eq!(
+                FlatGrid::build(&lone, 0.1).any_within(&lone, q, r),
+                counts,
+                "{what}"
+            );
+        }
     }
 
     #[test]

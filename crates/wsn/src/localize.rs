@@ -78,14 +78,6 @@ impl LocalFrame {
         &self.local
     }
 
-    /// Local coordinates of a specific member, if present.
-    pub fn local_of(&self, id: NodeId) -> Option<Point> {
-        self.ids
-            .iter()
-            .position(|&m| m == id)
-            .map(|i| self.local[i])
-    }
-
     /// Maps a point expressed in the local frame into world coordinates.
     pub fn to_world(&self, p: Point) -> Point {
         self.to_world.apply(p)
@@ -147,15 +139,6 @@ mod tests {
         let f = LocalFrame::build(&members(8), &pts, &noise, 3).unwrap();
         assert!(f.alignment_rmse() > 0.0);
         assert!(f.alignment_rmse() < 0.3, "rmse {}", f.alignment_rmse());
-    }
-
-    #[test]
-    fn lookup_by_id() {
-        let pts = vec![Point::new(0.0, 0.0), Point::new(1.0, 1.0)];
-        let ids = vec![NodeId(5), NodeId(9)];
-        let f = LocalFrame::build(&ids, &pts, &RangingNoise::NONE, 4).unwrap();
-        assert!(f.local_of(NodeId(5)).is_some());
-        assert!(f.local_of(NodeId(7)).is_none());
     }
 
     #[test]

@@ -447,11 +447,6 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
         &self.scratch.members
     }
 
-    /// Current members as owned [`NodeId`]s.
-    pub fn members_to_vec(&self) -> Vec<NodeId> {
-        self.scratch.members.iter().map(|&i| NodeId(i)).collect()
-    }
-
     /// Euclidean distance from the center to the farthest member (0 when
     /// the neighborhood is empty).
     pub fn farthest_member_distance(&self) -> f64 {
@@ -485,6 +480,13 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
 mod tests {
     use super::*;
     use laacad_geom::Point;
+
+    impl RingQuery<'_, '_> {
+        /// Current members as owned [`NodeId`]s.
+        fn members_to_vec(&self) -> Vec<NodeId> {
+            self.members().iter().map(|&i| NodeId(i)).collect()
+        }
+    }
 
     #[test]
     fn euclidean_and_hop_constraints_combine() {

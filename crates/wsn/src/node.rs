@@ -98,12 +98,6 @@ impl SensorNode {
         }
     }
 
-    /// Moves the node to `target`, updating the odometer.
-    pub fn move_to(&mut self, target: Point) {
-        self.distance_moved += self.position.distance(target);
-        self.position = target;
-    }
-
     /// Sets the sensing range.
     ///
     /// # Panics
@@ -134,15 +128,6 @@ impl std::fmt::Display for SensorNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn movement_accumulates_odometer() {
-        let mut n = SensorNode::new(NodeId(0), Point::new(0.0, 0.0));
-        n.move_to(Point::new(3.0, 4.0));
-        n.move_to(Point::new(3.0, 0.0));
-        assert!((n.distance_moved() - 9.0).abs() < 1e-12);
-        assert_eq!(n.position(), Point::new(3.0, 0.0));
-    }
 
     #[test]
     fn coverage_indicator() {

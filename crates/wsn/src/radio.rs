@@ -2,9 +2,9 @@
 //!
 //! Two nodes can exchange messages iff they are within the transmission
 //! range `γ` of each other. Multi-hop communication follows graph paths;
-//! [`hop_distances`] gives BFS hop counts, and [`connected_components`]
-//! partitions the network (boundary nodes of Algorithm 2 stop expanding
-//! their rings once the ring saturates their component).
+//! [`connected_components`] partitions the network (boundary nodes of
+//! Algorithm 2 stop expanding their rings once the ring saturates their
+//! component).
 
 use crate::network::Network;
 use crate::node::NodeId;
@@ -39,25 +39,6 @@ impl std::fmt::Display for MessageStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} unicast + {} broadcast", self.unicast, self.broadcast)
     }
-}
-
-/// BFS hop distance from `source` to every node (`usize::MAX` when
-/// unreachable).
-pub fn hop_distances(net: &Network, source: NodeId) -> Vec<usize> {
-    let n = net.len();
-    let mut dist = vec![usize::MAX; n];
-    dist[source.index()] = 0;
-    let mut queue = VecDeque::from([source]);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u.index()];
-        for v in net.one_hop_neighbors(u) {
-            if dist[v.index()] == usize::MAX {
-                dist[v.index()] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
 }
 
 /// Connected components of the communication graph, as a component id per
@@ -119,21 +100,6 @@ mod tests {
 
     fn chain(n: usize, spacing: f64, gamma: f64) -> Network {
         Network::from_positions(gamma, (0..n).map(|i| Point::new(i as f64 * spacing, 0.0)))
-    }
-
-    #[test]
-    fn hop_distances_along_a_chain() {
-        let net = chain(5, 0.1, 0.12);
-        let d = hop_distances(&net, NodeId(0));
-        assert_eq!(d, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn unreachable_nodes_are_max() {
-        let net = Network::from_positions(0.1, [Point::new(0.0, 0.0), Point::new(5.0, 5.0)]);
-        let d = hop_distances(&net, NodeId(0));
-        assert_eq!(d[0], 0);
-        assert_eq!(d[1], usize::MAX);
     }
 
     #[test]

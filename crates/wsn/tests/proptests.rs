@@ -121,15 +121,15 @@ proptest! {
     /// build to coarsen; moves reach outside the unit square, and a batch
     /// the grid refuses is answered by a rebuild, as `Network` does.
     /// `within_into` must return exactly the points within the radius;
-    /// `min_distance_within` the exact minimum when it reports more than
-    /// `stop_below`, otherwise the distance of a real point within reach.
+    /// `any_within` whether one of them lies at a distance of at most
+    /// the radius.
     #[test]
     fn flat_grid_matches_brute_force(
         pts in points(0, 80),
         outliers in prop::collection::vec((-1e4f64..1e4, -1e4f64..1e4), 0..3),
         moves in prop::collection::vec((0usize..90, -0.5f64..1.5, -0.5f64..1.5), 0..12),
         queries in prop::collection::vec(
-            (-0.2f64..1.2, -0.2f64..1.2, 0.0f64..0.8, 0.0f64..0.3),
+            (-0.2f64..1.2, -0.2f64..1.2, 0.0f64..0.8),
             1..8,
         ),
         cell in 0.001f64..0.5,
@@ -139,7 +139,7 @@ proptest! {
         let mut grid = FlatGrid::build(&pts, cell);
         prop_assert!(grid.cell_size() >= cell);
         let mut out = Vec::new();
-        for (chunk, &(qx, qy, r, stop_below)) in queries.iter().enumerate() {
+        for (chunk, &(qx, qy, r)) in queries.iter().enumerate() {
             // Apply a slice of the move batch before each query.
             let lo = chunk * moves.len() / queries.len();
             let hi = (chunk + 1) * moves.len() / queries.len();
@@ -165,19 +165,8 @@ proptest! {
                 .collect();
             grid.within_into(&pts, q, r, &mut out);
             prop_assert_eq!(&out, &expect);
-            let exact = expect
-                .iter()
-                .map(|&i| pts[i].distance_sq(q).sqrt())
-                .fold(f64::INFINITY, f64::min);
-            let got = grid.min_distance_within(&pts, q, r, stop_below);
-            if got > stop_below {
-                prop_assert_eq!(got, exact);
-            } else {
-                prop_assert!(
-                    expect.iter().any(|&i| pts[i].distance_sq(q).sqrt() == got),
-                    "{} witnesses no point within {}", got, r
-                );
-            }
+            let any = expect.iter().any(|&i| pts[i].distance_sq(q).sqrt() <= r);
+            prop_assert_eq!(grid.any_within(&pts, q, r), any);
         }
     }
 
