@@ -8,9 +8,6 @@
 //! sensors k-cover both incident triangles. The node count is
 //! `N*_k = 6k|A| / ((4π − 3√3) r²)`.
 
-use laacad_geom::Point;
-use laacad_region::Region;
-
 /// Node count of the Ammari–Das deployment:
 /// `N*_k = 6·k·area / ((4π − 3√3)·r²)`, for `k ≥ 3` per the original
 /// derivation (the formula is defined for any `k ≥ 1`; Table II uses
@@ -22,53 +19,6 @@ use laacad_region::Region;
 pub fn ammari_min_nodes(area: f64, r: f64, k: usize) -> f64 {
     assert!(area > 0.0 && r > 0.0 && k >= 1, "invalid inputs");
     6.0 * k as f64 * area / ((4.0 * std::f64::consts::PI - 3.0 * 3.0f64.sqrt()) * r * r)
-}
-
-/// Generates the lens deployment: a triangular lattice of side `r`
-/// partitions the plane into equilateral triangles (the skeletons of the
-/// Reuleaux tiles); each interior lattice *edge midpoint* is a lens
-/// center and receives `k` co-located sensors.
-pub fn ammari_pattern(region: &Region, r: f64, k: usize) -> Vec<Point> {
-    assert!(r > 0.0 && k >= 1, "invalid pattern parameters");
-    let bb = region.bounding_box();
-    let row_height = r * 3.0f64.sqrt() / 2.0;
-    let ny = (bb.height() / row_height).ceil() as usize + 2;
-    let nx = (bb.width() / r).ceil() as usize + 3;
-    // Collect lattice vertices row by row (staggered).
-    let vertex = |ix: isize, iy: isize| -> Point {
-        let offset = if iy.rem_euclid(2) == 0 { 0.0 } else { r / 2.0 };
-        Point::new(
-            bb.min().x + offset + ix as f64 * r - r,
-            bb.min().y + iy as f64 * row_height - row_height,
-        )
-    };
-    let mut lens_centers = Vec::new();
-    for iy in 0..ny as isize {
-        for ix in 0..nx as isize {
-            let v = vertex(ix, iy);
-            // Three canonical edges per vertex (east, north-east,
-            // north-west) enumerate every lattice edge exactly once.
-            let east = vertex(ix + 1, iy);
-            let (ne, nw) = if iy.rem_euclid(2) == 0 {
-                (vertex(ix, iy + 1), vertex(ix - 1, iy + 1))
-            } else {
-                (vertex(ix + 1, iy + 1), vertex(ix, iy + 1))
-            };
-            for other in [east, ne, nw] {
-                let mid = v.midpoint(other);
-                if region.contains(mid) {
-                    lens_centers.push(mid);
-                }
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(k * lens_centers.len());
-    for c in lens_centers {
-        for _ in 0..k {
-            out.push(c);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -92,45 +42,6 @@ mod tests {
             let err = (n - n_star).abs() / n_star;
             assert!(err < 0.01, "k={k}: {n} vs paper {n_star}");
         }
-    }
-
-    #[test]
-    fn pattern_count_scales_with_k() {
-        let region = Region::square(3.0).unwrap();
-        let n3 = ammari_pattern(&region, 0.5, 3).len();
-        let n6 = ammari_pattern(&region, 0.5, 6).len();
-        assert_eq!(n6, 2 * n3);
-    }
-
-    #[test]
-    fn pattern_k_covers() {
-        use laacad_coverage::evaluate_coverage;
-        use laacad_wsn::Network;
-        let region = Region::square(2.0).unwrap();
-        let r = 0.5;
-        let k = 3;
-        let pts = ammari_pattern(&region, r, k);
-        let mut net = Network::from_positions(1.0, pts.iter().copied());
-        for id in net.ids().collect::<Vec<_>>() {
-            net.set_sensing_radius(id, r);
-        }
-        let report = evaluate_coverage(&net, &region, k, 4000);
-        assert!(report.covered_fraction > 0.97, "{report}");
-    }
-
-    #[test]
-    fn pattern_node_count_tracks_formula_shape() {
-        // The realized lens deployment uses Θ(k/r²) nodes like the formula
-        // (constants differ: the formula is the paper's per-area bound,
-        // the generator includes boundary lenses).
-        let region = Region::square(4.0).unwrap();
-        let a = ammari_pattern(&region, 0.5, 3).len() as f64;
-        let b = ammari_pattern(&region, 0.25, 3).len() as f64;
-        let ratio = b / a;
-        assert!(
-            (ratio - 4.0).abs() < 0.7,
-            "halving r ≈ 4× nodes, got {ratio}"
-        );
     }
 
     #[test]

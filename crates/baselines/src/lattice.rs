@@ -3,31 +3,6 @@
 use laacad_geom::Point;
 use laacad_region::Region;
 
-/// Square-grid deployment with the given spacing, clipped to the region.
-///
-/// # Panics
-///
-/// Panics for non-positive spacing.
-pub fn square_grid(region: &Region, spacing: f64) -> Vec<Point> {
-    assert!(spacing > 0.0, "spacing must be positive");
-    let bb = region.bounding_box();
-    let mut out = Vec::new();
-    let nx = (bb.width() / spacing).ceil() as usize + 1;
-    let ny = (bb.height() / spacing).ceil() as usize + 1;
-    for iy in 0..ny {
-        for ix in 0..nx {
-            let p = Point::new(
-                bb.min().x + ix as f64 * spacing,
-                bb.min().y + iy as f64 * spacing,
-            );
-            if region.contains(p) {
-                out.push(p);
-            }
-        }
-    }
-    out
-}
-
 /// Triangular-lattice deployment with the given side length, clipped to
 /// the region — the canonical minimum-node 1-coverage layout (side `√3·r`
 /// covers with range `r`), and the regular deployment Fig. 2 assumes.
@@ -71,14 +46,6 @@ pub fn central_node(points: &[Point], region: &Region) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn grid_fills_unit_square() {
-        let r = Region::square(1.0).unwrap();
-        let pts = square_grid(&r, 0.25);
-        assert_eq!(pts.len(), 25); // 5×5
-        assert!(pts.iter().all(|&p| r.contains(p)));
-    }
 
     #[test]
     fn triangular_lattice_has_hexagonal_neighborhoods() {
@@ -133,7 +100,7 @@ mod tests {
         let hole =
             laacad_geom::Polygon::rectangle(Point::new(1.0, 1.0), Point::new(3.0, 3.0)).unwrap();
         let region = Region::with_holes(outer, vec![hole]).unwrap();
-        let pts = square_grid(&region, 0.5);
+        let pts = triangular_lattice(&region, 0.5);
         assert!(!pts
             .iter()
             .any(|p| p.x > 1.01 && p.x < 2.99 && p.y > 1.01 && p.y < 2.99));

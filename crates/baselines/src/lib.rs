@@ -3,12 +3,13 @@
 //! Everything the paper's evaluation compares against, implemented from
 //! the cited constructions:
 //!
-//! * [`lattice`] — square-grid and triangular-lattice deployments (the
-//!   regular deployment behind Fig. 2's hop-count study);
+//! * [`lattice`] — triangular-lattice deployments (the regular
+//!   deployment behind Fig. 2's hop-count study);
 //! * [`bai`] — Bai et al. \[3\], the *optimal* 2-coverage density
 //!   `4π/(3√3)` and a pattern generator realizing it (Table I);
-//! * [`ammari`] — Ammari & Das \[15\], Reuleaux-triangle lens deployments
-//!   needing `6k|A|/((4π−3√3)r²)` nodes for k-coverage (Table II);
+//! * [`ammari`] — Ammari & Das \[15\], whose Reuleaux-triangle lens
+//!   deployments need `6k|A|/((4π−3√3)r²)` nodes for k-coverage
+//!   (Table II);
 //! * [`lloyd`] — a centroid-target (Lloyd) ablation of LAACAD's
 //!   Chebyshev-center motion rule, the strategy of the paper's refs
 //!   \[9\]/\[10\] generalized to order-k regions.
@@ -30,7 +31,7 @@ pub mod bai;
 pub mod lattice;
 pub mod lloyd;
 
-pub use ammari::{ammari_min_nodes, ammari_pattern};
+pub use ammari::ammari_min_nodes;
 pub use bai::{bai_min_nodes, bai_pattern};
-pub use lattice::{square_grid, triangular_lattice};
+pub use lattice::triangular_lattice;
 pub use lloyd::{lloyd_run, LloydOutcome};

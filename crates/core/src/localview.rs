@@ -13,9 +13,9 @@
 //!   geometric inputs are unchanged since their previous computation
 //!   skip the subdivision entirely. Zero heap allocations in steady
 //!   state (oracle mode).
-//! * [`compute_local_view`] / [`compute_local_view_scratched`] — the
-//!   convenience API returning a full [`LocalView`] with an owned
-//!   [`DominatingRegion`]; same geometry, materialized at the boundary.
+//! * [`compute_local_view`] — the convenience API returning a full
+//!   [`LocalView`] with an owned [`DominatingRegion`]; same geometry,
+//!   materialized at the boundary.
 
 use crate::config::{CoordinateMode, LaacadConfig, RingCapPolicy};
 use crate::ring::{
@@ -80,9 +80,10 @@ pub struct NodeView {
 ///
 /// Pure read: the network is the shared position snapshot of the round,
 /// which is what lets the synchronous engine evaluate all `N` views
-/// concurrently. This convenience form allocates fresh buffers; the
-/// round engine threads a per-worker [`RoundScratch`] through
-/// [`compute_node_view`] instead.
+/// concurrently. This form allocates fresh buffers, never consults the
+/// cross-round cache and returns an owned [`LocalView`]; it is meant for
+/// analysis and tests. The round engine threads a per-worker
+/// [`RoundScratch`] through [`compute_node_view`] instead.
 pub fn compute_local_view(
     net: &Network,
     id: NodeId,
@@ -90,41 +91,19 @@ pub fn compute_local_view(
     config: &LaacadConfig,
     round: usize,
 ) -> LocalView {
-    compute_local_view_scratched(net, None, id, area, config, round, &mut RoundScratch::new())
-}
-
-/// [`compute_local_view`] with reusable per-worker buffers, optionally
-/// against a prebuilt one-hop [`Adjacency`] snapshot of `net` (the
-/// synchronous engine builds one per round and shares it across
-/// workers; pass `None` whenever positions may have changed since the
-/// snapshot, as in sequential mode).
-///
-/// This path never consults the cross-round cache — it returns an owned
-/// [`LocalView`] and is meant for analysis and tests; the engine uses
-/// [`compute_node_view`].
-#[allow(clippy::too_many_arguments)]
-pub fn compute_local_view_scratched(
-    net: &Network,
-    adjacency: Option<&Adjacency>,
-    id: NodeId,
-    area: &Region,
-    config: &LaacadConfig,
-    round: usize,
-    scratch: &mut RoundScratch,
-) -> LocalView {
+    let mut s = RoundScratch::new();
     let max_rho = config.max_rho.unwrap_or(2.0 * area.diameter_bound());
     let ring = expanding_ring_search_scratched(
         net,
-        adjacency,
+        None,
         id,
         area,
         config.k,
         max_rho,
-        &mut scratch.ring,
-        &mut scratch.competitors,
+        &mut s.ring,
+        &mut s.competitors,
     );
-    let rmse = build_sites(net, id, &ring.candidates, config, round, scratch);
-    let s = &mut *scratch;
+    let rmse = build_sites(net, id, &ring.candidates, config, round, &mut s);
     let self_est = s.sites[0];
     load_site_bisectors(0, &s.sites, &mut s.carve.subdivision);
     let (chebyshev, _) = carve_and_measure(
@@ -146,8 +125,12 @@ pub fn compute_local_view_scratched(
     }
 }
 
-/// The round engine's hot path: like [`compute_local_view_scratched`]
-/// but without materializing the region, with the Chebyshev disk and
+/// The round engine's hot path: like [`compute_local_view`] but over
+/// reusable per-worker buffers, optionally against a prebuilt one-hop
+/// [`Adjacency`] snapshot of `net` (the synchronous engine builds one
+/// per round and shares it across workers; pass `None` whenever
+/// positions may have changed since the snapshot, as in sequential
+/// mode), without materializing the region, with the Chebyshev disk and
 /// farthest distance computed in one vertex pass, and — in oracle mode —
 /// with the whole geometry stage skipped whenever the node's exact inputs
 /// are unchanged since its previous computation in this worker's

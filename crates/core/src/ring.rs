@@ -40,8 +40,8 @@ pub struct RingOutcome {
     pub messages: MessageStats,
 }
 
-/// Reusable buffers for the [`circle_dominated_scratched`] check: the
-/// in-area query arcs, the boundary-crossing angle scratch, the
+/// Reusable buffers for the ring-domination check
+/// ([`circle_dominated`]): the in-area query arcs, the boundary-crossing angle scratch, the
 /// competitor indices in nearest-first selection order, the competitor
 /// bisectors, the dominance-arc cover and the depth-sweep buffers (which
 /// also hold the pseudo-angle cover's endpoints). One instance per worker makes every
@@ -95,7 +95,7 @@ impl MemberBisectors {
     }
 
     /// `len` unknown slots aligned with a competitor list that is not a
-    /// member list (the standalone [`circle_dominated_scratched`]).
+    /// member list (the standalone [`circle_dominated`]).
     fn unaligned(&mut self, len: usize) {
         self.reset();
         self.slots.resize(len, Slot::Unknown);
@@ -156,31 +156,12 @@ pub fn circle_dominated(
     region: &Region,
     k: usize,
 ) -> bool {
-    circle_dominated_scratched(
-        center,
-        competitors,
-        circle,
-        region,
-        k,
-        &mut DominationScratch::new(),
-    )
-}
-
-/// [`circle_dominated`] over reusable buffers — the allocation-free form
-/// of the check.
-pub fn circle_dominated_scratched(
-    center: Point,
-    competitors: &[Point],
-    circle: &Circle,
-    region: &Region,
-    k: usize,
-    scratch: &mut DominationScratch,
-) -> bool {
+    let mut scratch = DominationScratch::new();
     scratch.bisectors.unaligned(competitors.len());
-    settle_domination(center, competitors, circle, region, k, scratch).holds()
+    settle_domination(center, competitors, circle, region, k, &mut scratch).holds()
 }
 
-/// Which step of [`circle_dominated_scratched`] settled a check, and —
+/// Which step of [`circle_dominated`] settled a check, and —
 /// for the sweeps — whether the pseudo-angle sweep did
 /// ([`PseudoArcCover`]) or the angle sweep ([`ArcCover`]).
 #[derive(Debug, Clone, Copy)]
@@ -278,7 +259,7 @@ fn add_pseudo_arcs(
     }
 }
 
-/// The body of [`circle_dominated_scratched`], reporting which step
+/// The body of [`circle_dominated`], reporting which step
 /// settled the verdict. `scratch.bisectors` must hold one slot per
 /// competitor.
 ///
@@ -758,7 +739,7 @@ mod tests {
         cover.min_depth_on(&query) >= k
     }
 
-    /// [`settle_domination`] as [`circle_dominated_scratched`] runs it.
+    /// [`settle_domination`] as [`circle_dominated`] runs it.
     fn settle(
         center: Point,
         competitors: &[Point],

@@ -86,7 +86,7 @@ pub(crate) struct CarveScratch {
 
 /// The constant part of the ring-cap polygons: for each vertex count
 /// `n` in use, the unit directions of
-/// [`PolygonBuf::assign_regular`]`(.., n, 0.0)` and the circumscription
+/// [`laacad_geom::Polygon::regular`]`(.., n, 0.0)` and the circumscription
 /// factor `cos(π/n)`, computed once with the same calls and reused for
 /// every cap — a worker meets one or two counts per run.
 #[derive(Debug, Clone, Default)]

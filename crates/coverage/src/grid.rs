@@ -81,11 +81,6 @@ pub fn evaluate_coverage(
     }
 }
 
-/// Coverage degree at a single point.
-pub fn degree_at(net: &Network, p: Point) -> usize {
-    net.nodes().filter(|n| n.covers(p)).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,12 +140,5 @@ mod tests {
         let net = single_node_net(1.0);
         let rep = evaluate_coverage(&net, &region, 1, 2000);
         assert!(rep.is_k_covered());
-    }
-
-    #[test]
-    fn degree_at_point() {
-        let net = single_node_net(0.3);
-        assert_eq!(degree_at(&net, Point::new(0.5, 0.5)), 1);
-        assert_eq!(degree_at(&net, Point::new(0.0, 0.0)), 0);
     }
 }

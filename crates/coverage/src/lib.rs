@@ -5,11 +5,11 @@
 //!
 //! * [`grid::CoverageReport`] — grid-sampled coverage-degree statistics
 //!   (fraction k-covered, minimum degree, holes);
-//! * [`metrics`] — sensing-range statistics, redundancy, and the "even
-//!   clustering" cluster-size histogram behind Fig. 5's observation that
-//!   nodes gather in groups of `k`;
-//! * connectivity re-exports from `laacad-wsn` plus degree distributions
-//!   (Sec. IV-C's connectivity argument).
+//! * [`metrics`] — sensing-range statistics and the "even clustering"
+//!   cluster-size histogram behind Fig. 5's observation that nodes gather
+//!   in groups of `k`;
+//! * [`optimality`] — the optimal-assignment range bound of Prop. 2 and
+//!   a worst-case fault-tolerance probe.
 //!
 //! # Example
 //!
@@ -34,5 +34,5 @@ pub mod metrics;
 pub mod optimality;
 
 pub use grid::{evaluate_coverage, CoverageReport};
-pub use metrics::{cluster_sizes, radius_stats, redundancy, RadiusStats};
+pub use metrics::{radius_stats, RadiusStats};
 pub use optimality::{fault_tolerance, optimal_range_bound, FaultToleranceReport};

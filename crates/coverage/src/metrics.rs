@@ -49,26 +49,13 @@ pub fn radius_stats(net: &Network) -> RadiusStats {
     }
 }
 
-/// Coverage redundancy: `Σ_i π r_i² / (k · |A|)` — how much sensing area
-/// the deployment spends per unit of demanded coverage (1.0 would be a
-/// perfect, overlap-free partition; real disks always overlap).
-pub fn redundancy(net: &Network, area: f64, k: usize) -> f64 {
-    assert!(area > 0.0 && k >= 1, "need positive area and k ≥ 1");
-    let total: f64 = net
-        .sensing_radii()
-        .iter()
-        .map(|&r| std::f64::consts::PI * r * r)
-        .sum();
-    total / (k as f64 * area)
-}
-
 /// Sizes of co-location clusters: nodes within `merge_radius` of each
 /// other (transitively) count as one cluster.
 ///
 /// Fig. 5's "even clustering" observation predicts that after LAACAD
 /// converges with coverage degree `k`, the histogram concentrates on
 /// cluster size `k`.
-pub fn cluster_sizes(net: &Network, merge_radius: f64) -> Vec<usize> {
+fn cluster_sizes(net: &Network, merge_radius: f64) -> Vec<usize> {
     let n = net.len();
     let positions = net.positions();
     // Union–find over proximity.
@@ -136,15 +123,6 @@ mod tests {
         assert_eq!(s.max, 3.0);
         assert!((s.mean - 2.0).abs() < 1e-12);
         assert!((s.std_dev - (2.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn redundancy_of_perfect_partition_is_one() {
-        // One node with disk area exactly equal to |A| and k = 1.
-        let mut net = Network::from_positions(1.0, [Point::new(0.0, 0.0)]);
-        let r = (1.0 / std::f64::consts::PI).sqrt();
-        net.set_sensing_radius(NodeId(0), r);
-        assert!((redundancy(&net, 1.0, 1) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use laacad_wsn::Network;
 /// # Panics
 ///
 /// Panics when `k` exceeds the node count or is zero.
-pub fn kth_nearest_distance(net: &Network, v: Point, k: usize) -> f64 {
+fn kth_nearest_distance(net: &Network, v: Point, k: usize) -> f64 {
     let n = net.len();
     assert!(k >= 1 && k <= n, "need 1 ≤ k ≤ N (k={k}, N={n})");
     let mut d: Vec<f64> = net.positions().iter().map(|p| p.distance(v)).collect();

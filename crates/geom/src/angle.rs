@@ -5,57 +5,6 @@
 
 use std::f64::consts::{PI, TAU};
 
-/// An angle in radians, kept as a plain `f64` newtype for documentation
-/// purposes in public APIs that would otherwise take a bare float.
-///
-/// # Example
-///
-/// ```
-/// use laacad_geom::Angle;
-/// let a = Angle::from_degrees(180.0);
-/// assert!((a.radians() - std::f64::consts::PI).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct Angle(f64);
-
-impl Angle {
-    /// Creates an angle from radians.
-    #[inline]
-    pub const fn from_radians(rad: f64) -> Self {
-        Angle(rad)
-    }
-
-    /// Creates an angle from degrees.
-    #[inline]
-    pub fn from_degrees(deg: f64) -> Self {
-        Angle(deg.to_radians())
-    }
-
-    /// The value in radians.
-    #[inline]
-    pub const fn radians(self) -> f64 {
-        self.0
-    }
-
-    /// The value in degrees.
-    #[inline]
-    pub fn degrees(self) -> f64 {
-        self.0.to_degrees()
-    }
-
-    /// Normalizes into `[0, 2π)`.
-    #[inline]
-    pub fn normalized(self) -> Self {
-        Angle(normalize_angle(self.0))
-    }
-}
-
-impl std::fmt::Display for Angle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} rad", self.0)
-    }
-}
-
 /// Normalizes an angle (radians) into `[0, 2π)`.
 ///
 /// # Example
@@ -216,14 +165,5 @@ mod tests {
         assert!(!ccw_contains(4.712, 1.57, PI));
         assert!(ccw_contains(0.0, PI, 1.0));
         assert!(!ccw_contains(0.0, PI, 4.0));
-    }
-
-    #[test]
-    fn angle_unit_conversions() {
-        let a = Angle::from_degrees(90.0);
-        assert!((a.radians() - PI / 2.0).abs() < 1e-12);
-        assert!((a.degrees() - 90.0).abs() < 1e-12);
-        let n = Angle::from_radians(-PI / 2.0).normalized();
-        assert!((n.radians() - 3.0 * PI / 2.0).abs() < 1e-12);
     }
 }

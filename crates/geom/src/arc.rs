@@ -142,7 +142,6 @@ pub enum ArcSpan {
 /// cover.add(Arc::new(0.0, PI * 1.5));
 /// cover.add(Arc::new(PI, PI * 1.5)); // together they wrap the circle
 /// assert_eq!(cover.min_depth(), 1);
-/// assert_eq!(cover.max_depth(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ArcCover {
@@ -180,21 +179,9 @@ impl ArcCover {
         }
     }
 
-    /// Number of arcs covering direction `theta` (generic position — if
-    /// `theta` is an arc endpoint the closed convention applies).
-    pub fn depth_at(&self, theta: f64) -> usize {
-        self.full_count + self.arcs.iter().filter(|a| a.contains(theta)).count()
-    }
-
     /// Exact minimum coverage depth over the whole circle.
     pub fn min_depth(&self) -> usize {
-        self.extreme_depth_on(&[Arc::full()], true, &mut DepthScratch::default())
-            .0
-    }
-
-    /// Exact maximum coverage depth over the whole circle.
-    pub fn max_depth(&self) -> usize {
-        self.extreme_depth_on(&[Arc::full()], false, &mut DepthScratch::default())
+        self.sweep_min_depth(&[Arc::full()], &mut DepthScratch::default())
             .0
     }
 
@@ -204,14 +191,13 @@ impl ArcCover {
     /// — for the ring check this reads as "nothing left to dominate", which
     /// correctly terminates the expansion.
     pub fn min_depth_on(&self, query: &[Arc]) -> usize {
-        self.extreme_depth_on(query, true, &mut DepthScratch::default())
-            .0
+        self.sweep_min_depth(query, &mut DepthScratch::default()).0
     }
 
     /// [`ArcCover::min_depth_on`] over reusable sweep buffers — the
     /// allocation-free form the ring-domination hot path uses.
     pub fn min_depth_on_scratched(&self, query: &[Arc], scratch: &mut DepthScratch) -> usize {
-        self.extreme_depth_on(query, true, scratch).0
+        self.sweep_min_depth(query, scratch).0
     }
 
     /// [`ArcCover::min_depth_on_scratched`] for a sweep that must not lean
@@ -234,25 +220,19 @@ impl ArcCover {
         query: &[Arc],
         scratch: &mut DepthScratch,
     ) -> Option<usize> {
-        let (depth, exact) = self.extreme_depth_on(query, true, scratch);
+        let (depth, exact) = self.sweep_min_depth(query, scratch);
         exact.then_some(depth)
     }
 
-    /// Sweep-line extreme depth: depth is piecewise constant between arc
-    /// endpoints, so one pass over the sorted endpoint events suffices —
-    /// `O(M log M)` where the per-interval `depth_at` scan this replaced
-    /// was `O(M²)` (it dominated every ring-domination check). The flag
-    /// is `false` when a tolerance merged two distinct breakpoints or
-    /// skipped an interval (see [`ArcCover::min_depth_on_certified`]).
-    fn extreme_depth_on(
-        &self,
-        query: &[Arc],
-        take_min: bool,
-        scratch: &mut DepthScratch,
-    ) -> (usize, bool) {
+    /// Sweep-line minimum depth: depth is piecewise constant between arc
+    /// endpoints, so one `O(M log M)` pass over the sorted endpoint events
+    /// suffices. The flag is `false` when a tolerance merged two distinct
+    /// breakpoints or skipped an interval (see
+    /// [`ArcCover::min_depth_on_certified`]).
+    fn sweep_min_depth(&self, query: &[Arc], scratch: &mut DepthScratch) -> (usize, bool) {
         let live = |a: &&Arc| a.span() > 0.0;
         if !query.iter().any(|a| a.span() > 0.0) {
-            return (if take_min { usize::MAX } else { 0 }, true);
+            return (usize::MAX, true);
         }
         // Events: +1 where an arc begins, −1 just past its end; arcs that
         // wrap past 2π already cover angle 0 and seed the running depth.
@@ -326,18 +306,9 @@ impl ArcCover {
                 continue;
             }
             let d = depth.max(0) as usize;
-            best = Some(match best {
-                None => d,
-                Some(x) => {
-                    if take_min {
-                        x.min(d)
-                    } else {
-                        x.max(d)
-                    }
-                }
-            });
+            best = Some(best.map_or(d, |x| x.min(d)));
         }
-        (best.unwrap_or(if take_min { usize::MAX } else { 0 }), exact)
+        (best.unwrap_or(usize::MAX), exact)
     }
 
     /// Number of proper arcs added (full-circle arcs excluded).
@@ -638,7 +609,6 @@ mod tests {
     fn min_depth_empty_cover_is_zero() {
         let cover = ArcCover::new();
         assert_eq!(cover.min_depth(), 0);
-        assert_eq!(cover.max_depth(), 0);
         assert!(cover.is_empty());
     }
 
@@ -647,7 +617,6 @@ mod tests {
         let mut cover = ArcCover::new();
         cover.add(Arc::new(0.0, PI)); // covers upper half
         assert_eq!(cover.min_depth(), 0);
-        assert_eq!(cover.max_depth(), 1);
         cover.add(Arc::new(PI, PI)); // covers lower half
         assert_eq!(cover.min_depth(), 1);
     }
@@ -659,7 +628,6 @@ mod tests {
         cover.add(Arc::full());
         cover.add(Arc::new(1.0, 0.5));
         assert_eq!(cover.min_depth(), 2);
-        assert_eq!(cover.max_depth(), 3);
     }
 
     #[test]
@@ -688,15 +656,12 @@ mod tests {
             cover.add(a);
         }
         let mut brute_min = usize::MAX;
-        let mut brute_max = 0;
         for i in 0..7200 {
             let th = (i as f64 + 0.5) / 7200.0 * TAU;
             let d = arcs.iter().filter(|a| a.contains(th)).count();
             brute_min = brute_min.min(d);
-            brute_max = brute_max.max(d);
         }
         assert_eq!(cover.min_depth(), brute_min);
-        assert_eq!(cover.max_depth(), brute_max);
 
         // Random arc sets under random queries: the merged-breakpoint
         // sweep must equal the two-sort sweep exactly.
@@ -715,11 +680,11 @@ mod tests {
             let q: Vec<Arc> = (0..1 + pick(&mut rng, 3))
                 .map(|_| random_arc(&mut rng, &pool))
                 .collect();
-            for (query, take_min) in [(&q[..], true), (&q[..], false), (&[Arc::full()][..], true)] {
+            for query in [&q[..], &[Arc::full()][..]] {
                 assert_eq!(
-                    cover.extreme_depth_on(query, take_min, &mut scratch).0,
-                    two_sort_sweep(&cover, query, take_min),
-                    "arcs {:?} query {query:?} take_min {take_min}",
+                    cover.sweep_min_depth(query, &mut scratch).0,
+                    two_sort_sweep(&cover, query),
+                    "arcs {:?} query {query:?}",
                     cover.arcs
                 );
             }
@@ -728,11 +693,11 @@ mod tests {
 
     /// The sweep as it stood before the breakpoint merge: event angles,
     /// 0 and the query endpoints sorted together in a second full sort.
-    /// The test oracle for [`ArcCover::extreme_depth_on`].
-    fn two_sort_sweep(cover: &ArcCover, query: &[Arc], take_min: bool) -> usize {
+    /// The test oracle for [`ArcCover::sweep_min_depth`].
+    fn two_sort_sweep(cover: &ArcCover, query: &[Arc]) -> usize {
         let live = |a: &&Arc| a.span() > 0.0;
         if !query.iter().any(|a| a.span() > 0.0) {
-            return if take_min { usize::MAX } else { 0 };
+            return usize::MAX;
         }
         let mut events = Vec::new();
         let mut depth = cover.full_count as i64;
@@ -772,13 +737,9 @@ mod tests {
                 continue;
             }
             let d = depth.max(0) as usize;
-            best = Some(match best {
-                None => d,
-                Some(x) if take_min => x.min(d),
-                Some(x) => x.max(d),
-            });
+            best = Some(best.map_or(d, |x| x.min(d)));
         }
-        best.unwrap_or(if take_min { usize::MAX } else { 0 })
+        best.unwrap_or(usize::MAX)
     }
 
     /// xorshift64: a uniform pick from `0..n`.
@@ -835,7 +796,6 @@ mod tests {
         cover.add_span(ArcSpan::Full);
         cover.add_span(ArcSpan::Partial(Arc::new(0.0, 1.0)));
         assert_eq!(cover.min_depth(), 1);
-        assert_eq!(cover.max_depth(), 2);
         assert_eq!(cover.len(), 1);
     }
 }

@@ -93,25 +93,11 @@ impl Circle {
         self.center + Vector::from_angle(theta) * self.radius
     }
 
-    /// Returns `true` when the two closed disks overlap.
-    pub fn intersects_circle(&self, other: &Circle) -> bool {
-        let r = self.radius + other.radius;
-        self.center.distance_sq(other.center) <= r * r + EPS
-    }
-
-    /// Intersection angles (on `self`) of `self`'s circle with the segment.
-    ///
-    /// Returns 0–2 angles in `[0, 2π)`, the parameters of the crossing
-    /// points. Used to clip ring-check circles against region boundaries.
-    pub fn intersect_segment_angles(&self, seg: &Segment) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.intersect_segment_angles_into(seg, &mut out);
-        out
-    }
-
-    /// [`Circle::intersect_segment_angles`] appending into a caller
-    /// buffer (nothing is cleared; the tangent-case deduplication only
-    /// considers this segment's own crossings).
+    /// Appends the intersection angles (on `self`) of `self`'s circle
+    /// with the segment to `out`: 0–2 angles in `[0, 2π)`, the parameters
+    /// of the crossing points. Used to clip ring-check circles against
+    /// region boundaries. Nothing is cleared; the tangent-case
+    /// deduplication only considers this segment's own crossings.
     pub fn intersect_segment_angles_into(&self, seg: &Segment, out: &mut Vec<f64>) {
         let d = seg.direction();
         let f = seg.a - self.center;
@@ -201,30 +187,21 @@ mod tests {
     }
 
     #[test]
-    fn circle_circle_intersection_predicate() {
-        let a = Circle::new(Point::new(0.0, 0.0), 1.0);
-        let b = Circle::new(Point::new(1.5, 0.0), 1.0);
-        let c = Circle::new(Point::new(5.0, 0.0), 1.0);
-        assert!(a.intersects_circle(&b));
-        assert!(!a.intersects_circle(&c));
-        // Tangent circles touch.
-        let t = Circle::new(Point::new(2.0, 0.0), 1.0);
-        assert!(a.intersects_circle(&t));
-    }
-
-    #[test]
     fn segment_intersection_angles() {
         let c = Circle::new(Point::new(0.0, 0.0), 1.0);
         // Horizontal chord through the center: crossings at 0 and π.
         let seg = Segment::new(Point::new(-2.0, 0.0), Point::new(2.0, 0.0));
-        let mut angles = c.intersect_segment_angles(&seg);
+        let mut angles = Vec::new();
+        c.intersect_segment_angles_into(&seg, &mut angles);
         angles.sort_by(f64::total_cmp);
         assert_eq!(angles.len(), 2);
         assert!(angles[0].abs() < 1e-9);
         assert!((angles[1] - std::f64::consts::PI).abs() < 1e-9);
         // Segment that stops short of the circle: no crossings.
         let short = Segment::new(Point::new(-0.5, 0.0), Point::new(0.5, 0.0));
-        assert!(c.intersect_segment_angles(&short).is_empty());
+        let mut angles = Vec::new();
+        c.intersect_segment_angles_into(&short, &mut angles);
+        assert!(angles.is_empty());
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod transform;
 pub mod welzl;
 
 pub use aabb::{Aabb, DiagonalTol};
-pub use angle::{normalize_angle, Angle};
+pub use angle::normalize_angle;
 pub use arc::{Arc, ArcCover, ArcSpan, DepthScratch, PseudoArcCover};
 pub use circle::Circle;
 pub use halfplane::HalfPlane;

@@ -200,13 +200,6 @@ impl Vector {
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite()
     }
-
-    /// Rotates the vector by `theta` radians counter-clockwise.
-    #[inline]
-    pub fn rotated(self, theta: f64) -> Vector {
-        let (s, c) = theta.sin_cos();
-        Vector::new(c * self.x - s * self.y, s * self.x + c * self.y)
-    }
 }
 
 impl fmt::Display for Point {
@@ -423,13 +416,6 @@ mod tests {
         assert!(Vector::ZERO.normalized(1e-12).is_none());
         let u = Vector::new(3.0, 4.0).normalized(1e-12).unwrap();
         assert!((u.norm() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rotated_quarter_turn() {
-        let v = Vector::new(2.0, 0.0);
-        let r = v.rotated(std::f64::consts::FRAC_PI_2);
-        assert!(r.x.abs() < 1e-12 && (r.y - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -150,11 +150,6 @@ impl Polygon {
         signed_area(&self.vertices)
     }
 
-    /// Perimeter length.
-    pub fn perimeter(&self) -> f64 {
-        self.edges().map(|e| e.length()).sum()
-    }
-
     /// Area centroid.
     pub fn centroid(&self) -> Point {
         let mut cx = 0.0;
@@ -327,13 +322,6 @@ impl Polygon {
         best
     }
 
-    /// Translates all vertices by `v`.
-    pub fn translated(&self, v: Vector) -> Polygon {
-        Polygon {
-            vertices: self.vertices.iter().map(|&p| p + v).collect(),
-        }
-    }
-
     /// Uniformly scales the polygon about `center`.
     ///
     /// # Panics
@@ -432,21 +420,12 @@ impl PolygonBuf {
         self.vertices.extend_from_slice(vertices);
     }
 
-    /// Loads the regular `n`-gon of [`Polygon::regular`], reusing the
-    /// buffer's storage. Returns `false` for invalid parameters.
-    pub fn assign_regular(&mut self, center: Point, r: f64, n: usize, phase: f64) -> bool {
-        if n < 3 || r.is_nan() || r <= 0.0 {
-            self.vertices.clear();
-            return false;
-        }
-        self.assign((0..n).map(|i| center + regular_direction(i, n, phase) * r))
-    }
-
-    /// [`PolygonBuf::assign_regular`] from the polygon's unit vertex
-    /// directions, precomputed by [`regular_directions`] (`n` is
-    /// `dirs.len()`): the same vertices, bit for bit, without the `2n`
-    /// trigonometric calls — callers that draw many polygons of one `n`
-    /// compute the directions once.
+    /// Loads the regular `n`-gon of [`Polygon::regular`] from its unit
+    /// vertex directions, precomputed by [`regular_directions`] (`n` is
+    /// `dirs.len()`), reusing the buffer's storage: the polygon's
+    /// vertices without the `2n` trigonometric calls — callers that draw
+    /// many polygons of one `n` compute the directions once. Returns
+    /// `false` for invalid parameters.
     pub fn assign_regular_from(&mut self, center: Point, r: f64, dirs: &[Vector]) -> bool {
         if dirs.len() < 3 || r.is_nan() || r <= 0.0 {
             self.vertices.clear();
@@ -501,13 +480,6 @@ impl PolygonBuf {
         let in_ok = inside.is_some_and(|b| clip_walk(subject, tol, |i| dist[i], &mut b.vertices));
         (out_ok, in_ok)
     }
-
-    /// Materializes the held loop as an owned [`Polygon`].
-    ///
-    /// Returns `None` when the buffer is empty.
-    pub fn to_polygon(&self) -> Option<Polygon> {
-        (!self.is_empty()).then(|| Polygon::from_normalized(self.vertices.clone()))
-    }
 }
 
 /// The unit direction of vertex `i` of the regular `n`-gon starting at
@@ -551,11 +523,6 @@ impl PolygonPool {
     pub fn release(&mut self, mut buf: PolygonBuf) {
         buf.clear();
         self.free.push(buf);
-    }
-
-    /// Buffers currently available for reuse.
-    pub fn available(&self) -> usize {
-        self.free.len()
     }
 }
 
@@ -760,11 +727,10 @@ mod tests {
     }
 
     #[test]
-    fn area_centroid_perimeter_of_square() {
+    fn area_and_centroid_of_square() {
         let sq = unit_square();
         assert!((sq.area() - 1.0).abs() < 1e-12);
         assert!(sq.centroid().approx_eq(Point::new(0.5, 0.5), 1e-12));
-        assert!((sq.perimeter() - 4.0).abs() < 1e-12);
         assert!(sq.is_convex());
     }
 
@@ -853,11 +819,8 @@ mod tests {
     }
 
     #[test]
-    fn translation_and_scaling() {
+    fn scaling_about_a_point() {
         let sq = unit_square();
-        let t = sq.translated(Vector::new(2.0, 3.0));
-        assert!(t.centroid().approx_eq(Point::new(2.5, 3.5), 1e-12));
-        assert!((t.area() - 1.0).abs() < 1e-12);
         let s = sq.scaled_about(Point::new(0.5, 0.5), 2.0);
         assert!((s.area() - 4.0).abs() < 1e-12);
         assert!(s.centroid().approx_eq(Point::new(0.5, 0.5), 1e-12));
@@ -985,7 +948,9 @@ mod tests {
             ] {
                 regular_directions(n, phase, &mut dirs);
                 assert_eq!(dirs.len(), n);
-                let ok_a = a.assign_regular(center, r, n, phase);
+                // The vertices of `Polygon::regular`, drawn trig call by
+                // trig call.
+                let ok_a = a.assign((0..n).map(|i| center + regular_direction(i, n, phase) * r));
                 let ok_b = b.assign_regular_from(center, r, &dirs);
                 assert_eq!(ok_a, ok_b, "n={n}");
                 assert_eq!(bits(a.vertices()), bits(b.vertices()), "n={n} r={r}");

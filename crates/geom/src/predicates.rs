@@ -38,25 +38,9 @@ pub fn cross3(a: Point, b: Point, c: Point) -> f64 {
     (b - a).cross(c - a)
 }
 
-/// Ternary orientation of the triple `a → b → c` using tolerance `tol`
-/// (scaled by the magnitude of the inputs to stay meaningful both for
-/// metre- and kilometre-scale coordinates).
-pub fn orient2d_with(a: Point, b: Point, c: Point, tol: f64) -> Orientation {
-    let det = cross3(a, b, c);
-    // Scale-aware threshold: |det| is quadratic in coordinate magnitude.
-    let scale = (b - a).norm() * (c - a).norm();
-    let thr = tol * (1.0 + scale);
-    if det > thr {
-        Orientation::CounterClockwise
-    } else if det < -thr {
-        Orientation::Clockwise
-    } else {
-        Orientation::Collinear
-    }
-}
-
 /// Ternary orientation of the triple `a → b → c` with the crate default
-/// tolerance [`EPS`].
+/// tolerance [`EPS`], scaled by the magnitude of the inputs to stay
+/// meaningful both for metre- and kilometre-scale coordinates.
 ///
 /// # Example
 ///
@@ -71,21 +55,17 @@ pub fn orient2d_with(a: Point, b: Point, c: Point, tol: f64) -> Orientation {
 /// ```
 #[inline]
 pub fn orient2d(a: Point, b: Point, c: Point) -> Orientation {
-    orient2d_with(a, b, c, EPS)
-}
-
-/// Returns `true` when point `p` lies inside the circumcircle of the
-/// counter-clockwise triangle `a, b, c` (strictly, up to tolerance).
-///
-/// Standard `incircle` determinant; used by test oracles for the Voronoi
-/// machinery.
-pub fn in_circle(a: Point, b: Point, c: Point, p: Point) -> bool {
-    let (ax, ay) = (a.x - p.x, a.y - p.y);
-    let (bx, by) = (b.x - p.x, b.y - p.y);
-    let (cx, cy) = (c.x - p.x, c.y - p.y);
-    let det = (ax * ax + ay * ay) * (bx * cy - cx * by) - (bx * bx + by * by) * (ax * cy - cx * ay)
-        + (cx * cx + cy * cy) * (ax * by - bx * ay);
-    det > EPS
+    let det = cross3(a, b, c);
+    // Scale-aware threshold: |det| is quadratic in coordinate magnitude.
+    let scale = (b - a).norm() * (c - a).norm();
+    let thr = EPS * (1.0 + scale);
+    if det > thr {
+        Orientation::CounterClockwise
+    } else if det < -thr {
+        Orientation::Clockwise
+    } else {
+        Orientation::Collinear
+    }
 }
 
 #[cfg(test)]
@@ -125,14 +105,5 @@ mod tests {
         let b = Point::new(1000.0, 1000.0);
         let c = Point::new(2000.0, 2000.0 + 1e-12);
         assert_eq!(orient2d(a, b, c), Orientation::Collinear);
-    }
-
-    #[test]
-    fn in_circle_basic() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(1.0, 0.0);
-        let c = Point::new(0.0, 1.0);
-        assert!(in_circle(a, b, c, Point::new(0.5, 0.5)));
-        assert!(!in_circle(a, b, c, Point::new(5.0, 5.0)));
     }
 }

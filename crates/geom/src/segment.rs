@@ -122,12 +122,6 @@ impl Segment {
             || other.contains(self.a, tol)
             || other.contains(self.b, tol)
     }
-
-    /// Reversed copy (`b → a`).
-    #[inline]
-    pub fn reversed(&self) -> Segment {
-        Segment::new(self.b, self.a)
-    }
 }
 
 impl std::fmt::Display for Segment {

@@ -19,7 +19,9 @@ use crate::EPS;
 /// ```
 /// use laacad_geom::transform::Isometry;
 /// use laacad_geom::Point;
-/// let iso = Isometry::rotation(std::f64::consts::FRAC_PI_2).then_translate(
+/// let iso = Isometry::new(
+///     std::f64::consts::FRAC_PI_2,
+///     false,
 ///     laacad_geom::Vector::new(1.0, 0.0),
 /// );
 /// let p = iso.apply(Point::new(1.0, 0.0));
@@ -38,34 +40,6 @@ pub struct Isometry {
 }
 
 impl Isometry {
-    /// The identity map.
-    pub fn identity() -> Self {
-        Isometry {
-            cos: 1.0,
-            sin: 0.0,
-            reflect: false,
-            translation: Vector::ZERO,
-        }
-    }
-
-    /// Pure rotation by `theta` radians about the origin.
-    pub fn rotation(theta: f64) -> Self {
-        Isometry {
-            cos: theta.cos(),
-            sin: theta.sin(),
-            reflect: false,
-            translation: Vector::ZERO,
-        }
-    }
-
-    /// Pure translation.
-    pub fn translation(v: Vector) -> Self {
-        Isometry {
-            translation: v,
-            ..Isometry::identity()
-        }
-    }
-
     /// Builds an isometry from rotation parameters and translation.
     pub fn new(theta: f64, reflect: bool, translation: Vector) -> Self {
         Isometry {
@@ -76,17 +50,6 @@ impl Isometry {
         }
     }
 
-    /// Returns this isometry followed by a translation.
-    pub fn then_translate(mut self, v: Vector) -> Self {
-        self.translation += v;
-        self
-    }
-
-    /// Whether the isometry includes a reflection (is orientation-reversing).
-    pub fn is_reflecting(&self) -> bool {
-        self.reflect
-    }
-
     /// Applies the isometry to a point.
     pub fn apply(&self, p: Point) -> Point {
         let y = if self.reflect { -p.y } else { p.y };
@@ -94,53 +57,6 @@ impl Isometry {
             self.cos * p.x - self.sin * y + self.translation.x,
             self.sin * p.x + self.cos * y + self.translation.y,
         )
-    }
-
-    /// Applies the isometry to a displacement (ignores translation).
-    pub fn apply_vector(&self, v: Vector) -> Vector {
-        let y = if self.reflect { -v.y } else { v.y };
-        Vector::new(self.cos * v.x - self.sin * y, self.sin * v.x + self.cos * y)
-    }
-
-    /// The inverse isometry.
-    pub fn inverse(&self) -> Isometry {
-        // p' = R S p + t  ⇒  p = S⁻¹ R⁻¹ (p' − t) = (S Rᵀ) p' − S Rᵀ t,
-        // and S Rᵀ = rotation(−θ) composed with the same reflection flag
-        // rearranged; verified by the round-trip test.
-        let inv_lin = |v: Vector| {
-            // Rᵀ v
-            let rx = self.cos * v.x + self.sin * v.y;
-            let ry = -self.sin * v.x + self.cos * v.y;
-            if self.reflect {
-                Vector::new(rx, -ry)
-            } else {
-                Vector::new(rx, ry)
-            }
-        };
-        let t = inv_lin(self.translation);
-        // Build the matching (theta, reflect) parameters.
-        if self.reflect {
-            // Forward linear map: [cos sin; sin -cos]; it is its own inverse.
-            Isometry {
-                cos: self.cos,
-                sin: self.sin,
-                reflect: true,
-                translation: -t,
-            }
-        } else {
-            Isometry {
-                cos: self.cos,
-                sin: -self.sin,
-                reflect: false,
-                translation: -t,
-            }
-        }
-    }
-}
-
-impl Default for Isometry {
-    fn default() -> Self {
-        Isometry::identity()
     }
 }
 
@@ -260,20 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_and_inverse_round_trip() {
-        let iso = Isometry::new(0.7, false, Vector::new(1.0, -2.0));
-        let inv = iso.inverse();
-        for p in tri() {
-            assert!(inv.apply(iso.apply(p)).approx_eq(p, 1e-12));
-        }
-        let refl = Isometry::new(-1.3, true, Vector::new(-4.0, 0.5));
-        let rinv = refl.inverse();
-        for p in tri() {
-            assert!(rinv.apply(refl.apply(p)).approx_eq(p, 1e-12));
-        }
-    }
-
-    #[test]
     fn isometry_preserves_distance() {
         let iso = Isometry::new(2.1, true, Vector::new(5.0, 5.0));
         let pts = tri();
@@ -292,7 +194,7 @@ mod tests {
         let src = tri();
         let dst: Vec<Point> = src.iter().map(|&p| truth.apply(p)).collect();
         let t = procrustes(&src, &dst).unwrap();
-        assert!(!t.is_reflecting());
+        assert!(!t.reflect);
         for (s, d) in src.iter().zip(&dst) {
             assert!(t.apply(*s).approx_eq(*d, 1e-9));
         }
@@ -304,7 +206,7 @@ mod tests {
         let src = tri();
         let dst: Vec<Point> = src.iter().map(|&p| truth.apply(p)).collect();
         let t = procrustes(&src, &dst).unwrap();
-        assert!(t.is_reflecting());
+        assert!(t.reflect);
         for (s, d) in src.iter().zip(&dst) {
             assert!(t.apply(*s).approx_eq(*d, 1e-9));
         }
@@ -339,16 +241,5 @@ mod tests {
         );
         let same = vec![Point::new(1.0, 1.0); 4];
         assert_eq!(procrustes(&same, &a).unwrap_err(), AlignError::Degenerate);
-    }
-
-    #[test]
-    fn apply_vector_ignores_translation() {
-        let iso = Isometry::new(
-            std::f64::consts::FRAC_PI_2,
-            false,
-            Vector::new(100.0, 100.0),
-        );
-        let v = iso.apply_vector(Vector::new(1.0, 0.0));
-        assert!((v.x - 0.0).abs() < 1e-12 && (v.y - 1.0).abs() < 1e-12);
     }
 }

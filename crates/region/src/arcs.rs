@@ -105,11 +105,6 @@ fn angle_zero_point(circle: &Circle) -> Point {
     circle.center + Vector::new(1.0, 0.0) * circle.radius
 }
 
-/// Total angular measure (radians) of a set of disjoint arcs.
-pub fn total_span(arcs: &[Arc]) -> f64 {
-    arcs.iter().map(|a| a.span()).sum()
-}
-
 /// Merges arcs that touch end-to-start (within tolerance) into single
 /// arcs, in place (no allocation).
 fn merge_adjacent_in_place(arcs: &mut Vec<Arc>) {
@@ -151,6 +146,11 @@ mod tests {
     use super::*;
     use laacad_geom::Polygon;
     use std::f64::consts::PI;
+
+    /// Total angular measure (radians) of a set of disjoint arcs.
+    fn total_span(arcs: &[Arc]) -> f64 {
+        arcs.iter().map(|a| a.span()).sum()
+    }
 
     #[test]
     fn the_angle_zero_direction_is_exact() {

@@ -6,7 +6,7 @@
 //! checked by area preservation and point-location property tests.
 
 use laacad_geom::predicates::cross3;
-use laacad_geom::{Point, Polygon, Segment};
+use laacad_geom::{Point, Polygon};
 
 /// A triangle produced by the triangulator (counter-clockwise).
 pub type Triangle = [Point; 3];
@@ -117,7 +117,7 @@ fn diagonal_is_valid(vs: &[Point], i: usize) -> bool {
 ///
 /// Robust to collinear runs (zero-area ears are clipped away). Returns an
 /// empty vector when the input loop is degenerate beyond repair.
-pub fn ear_clip(loop_vertices: &[Point]) -> Vec<Triangle> {
+fn ear_clip(loop_vertices: &[Point]) -> Vec<Triangle> {
     let mut vs: Vec<Point> = loop_vertices.to_vec();
     let mut out: Vec<Triangle> = Vec::with_capacity(vs.len().saturating_sub(2));
     let mut guard = 0usize;
@@ -272,29 +272,6 @@ pub fn triangulate_with_holes(outer: &Polygon, holes: &[Polygon]) -> Vec<Triangl
     out
 }
 
-/// Checks that no two edges of the loop properly cross (test helper for
-/// gallery shapes; exposed for reuse in other crates' tests).
-pub fn is_simple_loop(vertices: &[Point]) -> bool {
-    let n = vertices.len();
-    if n < 3 {
-        return false;
-    }
-    for i in 0..n {
-        let e1 = Segment::new(vertices[i], vertices[(i + 1) % n]);
-        for j in i + 1..n {
-            // Skip adjacent edges (they share an endpoint by design).
-            if j == i || (j + 1) % n == i || (i + 1) % n == j {
-                continue;
-            }
-            let e2 = Segment::new(vertices[j], vertices[(j + 1) % n]);
-            if e1.intersect(&e2).is_some() {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,23 +372,5 @@ mod tests {
         .unwrap();
         let tris = triangulate_with_holes(&outer, std::slice::from_ref(&hole));
         assert!((total_area(&tris) - (64.0 - hole.area())).abs() < 1e-9);
-    }
-
-    #[test]
-    fn simple_loop_detector() {
-        let sq = [
-            Point::new(0.0, 0.0),
-            Point::new(1.0, 0.0),
-            Point::new(1.0, 1.0),
-            Point::new(0.0, 1.0),
-        ];
-        assert!(is_simple_loop(&sq));
-        let bow = [
-            Point::new(0.0, 0.0),
-            Point::new(1.0, 1.0),
-            Point::new(1.0, 0.0),
-            Point::new(0.0, 1.0),
-        ];
-        assert!(!is_simple_loop(&bow));
     }
 }

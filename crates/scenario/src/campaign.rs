@@ -781,14 +781,11 @@ impl CampaignSpec {
     }
 
     /// Loads a campaign — or a bare scenario, promoted to a one-cell
-    /// campaign — from a TOML/JSON file.
+    /// campaign — from a TOML file.
     pub fn from_path(path: &std::path::Path) -> Result<Self, SpecError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| SpecError::Build(format!("cannot read {}: {e}", path.display())))?;
-        let v = match path.extension().and_then(|e| e.to_str()) {
-            Some("json") => crate::json::parse(&text).map_err(SpecError::Json)?,
-            _ => crate::toml::parse(&text).map_err(SpecError::Toml)?,
-        };
+        let v = crate::toml::parse(&text).map_err(SpecError::Toml)?;
         if v.get("scenario").is_some() {
             Self::from_value(&v)
         } else {

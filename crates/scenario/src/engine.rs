@@ -54,7 +54,7 @@ pub struct RecoverySummary {
 /// Only rounds carrying a `covered_fraction` contribute (i.e. the
 /// scenario must set `evaluation.round_coverage_samples`); skipped
 /// events are ignored.
-pub fn recovery_metrics(
+fn recovery_metrics(
     rounds: &[RoundMetric],
     events: &[AppliedEvent],
     target: f64,
@@ -879,9 +879,11 @@ mod tests {
         let mut spec = ScenarioSpec::uniform("json", 10, 1);
         spec.laacad.max_rounds = 30;
         let out = run_scenario(&spec, 3, RunOptions::default()).unwrap();
-        let line = crate::json::to_string(&out.to_value());
-        let back = crate::json::parse(&line).unwrap();
-        assert_eq!(back.get("scenario").unwrap().as_str(), Some("json"));
-        assert_eq!(back.get("final_n").unwrap().as_i64(), Some(10));
+        let value = out.to_value();
+        let line = crate::json::to_string(&value);
+        assert_eq!(line, crate::json::to_string(&out.to_value()));
+        assert!(!line.contains('\n'), "one line: {line}");
+        assert_eq!(value.get("scenario").unwrap().as_str(), Some("json"));
+        assert_eq!(value.get("final_n").unwrap().as_i64(), Some(10));
     }
 }

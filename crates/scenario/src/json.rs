@@ -1,233 +1,13 @@
-//! JSON parser and serializer over [`Value`].
+//! JSON serializer over [`Value`].
 //!
-//! Scenario specs may be written in JSON instead of TOML, and the
-//! campaign result store emits JSONL (one JSON object per line). The
-//! serializer is deterministic: table keys are sorted (`BTreeMap`) and
-//! floats use Rust's shortest round-trip formatting, which is what makes
-//! byte-identical campaign reruns possible.
+//! JSON is an output format only: the campaign result store emits JSONL
+//! (one JSON object per line), and scenario specs are read from TOML
+//! (see [`crate::toml`]). The serializer is deterministic: table keys
+//! are sorted (`BTreeMap`) and floats use Rust's shortest round-trip
+//! formatting, which is what makes byte-identical campaign reruns
+//! possible.
 
-use crate::value::{Value, MAX_NESTING};
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// JSON parse error with a byte offset.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JsonError {
-    /// Byte offset where parsing failed.
-    pub offset: usize,
-    /// Problem description.
-    pub message: String,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "JSON parse error at byte {}: {}",
-            self.offset, self.message
-        )
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Parses a JSON document.
-pub fn parse(text: &str) -> Result<Value, JsonError> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(err(pos, "trailing characters after document"));
-    }
-    Ok(value)
-}
-
-fn err(offset: usize, message: impl Into<String>) -> JsonError {
-    JsonError {
-        offset,
-        message: message.into(),
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-/// Parses one value inside `depth` open arrays/objects.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{' | b'[') if depth == MAX_NESTING => Err(err(
-            *pos,
-            format!("arrays and objects nest deeper than {MAX_NESTING} levels"),
-        )),
-        Some(b'{') => parse_object(bytes, pos, depth + 1),
-        Some(b'[') => parse_array(bytes, pos, depth + 1),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Value::Str(String::new())),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, JsonError> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(err(*pos, format!("expected `{lit}`")))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
-    if text.contains('.') || text.contains('e') || text.contains('E') {
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| err(start, format!("invalid number `{text}`")))
-    } else {
-        text.parse::<i64>()
-            .map(Value::Int)
-            .map_err(|_| err(start, format!("invalid number `{text}`")))
-    }
-}
-
-fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, JsonError> {
-    let hex = bytes
-        .get(at..at + 4)
-        .ok_or_else(|| err(at, "bad \\u escape"))?;
-    let hex = std::str::from_utf8(hex).map_err(|_| err(at, "bad \\u escape"))?;
-    u32::from_str_radix(hex, 16).map_err(|_| err(at, "bad \\u escape"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(err(*pos, "expected `\"`"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(err(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000C}'),
-                    Some(b'u') => {
-                        let n = parse_hex4(bytes, *pos + 1)?;
-                        *pos += 4;
-                        let c = if (0xD800..0xDC00).contains(&n) {
-                            // High surrogate: a low surrogate must follow.
-                            if bytes.get(*pos + 1..*pos + 3) != Some(b"\\u") {
-                                return Err(err(*pos, "unpaired surrogate in \\u escape"));
-                            }
-                            let low = parse_hex4(bytes, *pos + 3)?;
-                            if !(0xDC00..0xE000).contains(&low) {
-                                return Err(err(*pos, "invalid low surrogate in \\u escape"));
-                            }
-                            *pos += 6;
-                            let combined = 0x10000 + ((n - 0xD800) << 10) + (low - 0xDC00);
-                            char::from_u32(combined)
-                                .ok_or_else(|| err(*pos, "bad surrogate pair"))?
-                        } else {
-                            char::from_u32(n)
-                                .ok_or_else(|| err(*pos, "unpaired surrogate in \\u escape"))?
-                        };
-                        out.push(c);
-                    }
-                    other => return Err(err(*pos, format!("bad escape {other:?}"))),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Advance one UTF-8 code point.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
-    *pos += 1; // consume `[`
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Array(items));
-            }
-            _ => return Err(err(*pos, "expected `,` or `]`")),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
-    *pos += 1; // consume `{`
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Table(map));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(err(*pos, "expected `:`"));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos, depth)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Table(map));
-            }
-            _ => return Err(err(*pos, "expected `,` or `}`")),
-        }
-    }
-}
+use crate::value::Value;
 
 /// Serializes a [`Value`] as compact single-line JSON (JSONL-friendly).
 pub fn to_string(value: &Value) -> String {
@@ -303,16 +83,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_and_serializes() {
-        let doc = r#"{"a": 1, "b": [0.5, true, "x\n"], "c": {"d": -2}}"#;
-        let v = parse(doc).unwrap();
-        assert_eq!(v.get("a").unwrap().as_i64(), Some(1));
-        assert_eq!(v.get("c").unwrap().get("d").unwrap().as_i64(), Some(-2));
-        let text = to_string(&v);
-        assert_eq!(parse(&text).unwrap(), v);
-    }
-
-    #[test]
     fn serialization_is_deterministic_and_sorted() {
         let mut t = Value::table();
         t.insert("zeta", Value::Int(1));
@@ -321,34 +91,47 @@ mod tests {
     }
 
     #[test]
+    fn nested_tables_sort_their_keys() {
+        let mut inner = Value::table();
+        inner.insert("y", Value::Bool(false));
+        inner.insert(
+            "b",
+            Value::Array(vec![Value::Int(-2), Value::Str("x".into())]),
+        );
+        let mut t = Value::table();
+        t.insert("outer", inner);
+        t.insert("a", Value::Array(vec![]));
+        assert_eq!(
+            to_string(&t),
+            r#"{"a":[],"outer":{"b":[-2,"x"],"y":false}}"#
+        );
+    }
+
+    #[test]
+    fn strings_escape_quotes_backslashes_and_controls() {
+        let s = Value::Str("q\"b\\n\nt\tr\r".into());
+        assert_eq!(to_string(&s), r#""q\"b\\n\nt\tr\r""#);
+        assert_eq!(to_string(&Value::Str("a\u{1}b".into())), r#""a\u0001b""#);
+        assert_eq!(to_string(&Value::Str("\u{1f}".into())), r#""\u001f""#);
+    }
+
+    #[test]
+    fn non_bmp_characters_pass_through_raw() {
+        let s = Value::Str("corner \u{1F600} test".into());
+        assert_eq!(to_string(&s), "\"corner \u{1F600} test\"");
+    }
+
+    #[test]
     fn integral_floats_keep_a_decimal_point() {
         assert_eq!(to_string(&Value::Float(3.0)), "3.0");
+        assert_eq!(to_string(&Value::Float(-0.0)), "-0.0");
         assert_eq!(to_string(&Value::Float(0.1)), "0.1");
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("1 2").is_err());
-    }
-
-    #[test]
-    fn surrogate_pairs_decode() {
-        let v = parse(r#""corner \ud83d\ude00 test""#).unwrap();
-        assert_eq!(v.as_str(), Some("corner \u{1F600} test"));
-        // Raw non-BMP characters pass through unescaped too.
-        let v = parse("\"corner \u{1F600} test\"").unwrap();
-        assert_eq!(v.as_str(), Some("corner \u{1F600} test"));
-        // Lone or malformed surrogates are errors, not U+FFFD mush.
-        assert!(parse(r#""\ud83d""#).is_err());
-        assert!(parse(r#""\ud83dA""#).is_err());
-        assert!(parse(r#""\udc00""#).is_err());
     }
 
     #[test]
     fn non_finite_floats_serialize_as_null() {
         assert_eq!(to_string(&Value::Float(f64::NAN)), "null");
         assert_eq!(to_string(&Value::Float(f64::INFINITY)), "null");
+        assert_eq!(to_string(&Value::Float(f64::NEG_INFINITY)), "null");
     }
 }

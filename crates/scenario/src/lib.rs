@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates LAACAD on a handful of hand-coded setups; this
 //! crate turns "a setup" into data. A [`ScenarioSpec`] — written in TOML
-//! or JSON (see `scenarios/` at the repository root) or built
-//! programmatically — describes:
+//! (see `scenarios/` at the repository root) or built programmatically —
+//! describes:
 //!
 //! * the **region** (named gallery entry, square/rect, or custom polygon
 //!   with obstacle holes),
@@ -98,8 +98,8 @@ pub use campaign::{
 };
 pub use checkpoint::{ScenarioCheckpoint, CHECKPOINT_MAGIC};
 pub use engine::{
-    build_scenario, recovery_metrics, run_scenario, CheckpointPolicy, FaultOutcome,
-    RecoverySummary, RoundMetric, RunOptions, ScenarioOutcome,
+    build_scenario, run_scenario, CheckpointPolicy, FaultOutcome, RecoverySummary, RoundMetric,
+    RunOptions, ScenarioOutcome,
 };
 pub use events::{AppliedEvent, TimelineHook};
 pub use results::{to_csv, to_jsonl, ResultStore};

@@ -22,7 +22,14 @@ pub const CSV_HEADER: &str = "index,scenario,seed,n,k,alpha,gamma,loss,delay,cor
 /// it. [`to_jsonl`] is exactly these lines concatenated, which is what
 /// lets the streaming store flush rows as cells complete and still
 /// produce byte-identical files.
-pub fn jsonl_line(r: &CellResult) -> String {
+fn jsonl_line(r: &CellResult) -> String {
+    let mut out = json::to_string(&cell_value(r));
+    out.push('\n');
+    out
+}
+
+/// The value tree behind one cell's JSONL line.
+fn cell_value(r: &CellResult) -> Value {
     let mut line = Value::table();
     line.insert("index", Value::Int(r.cell.index as i64));
     line.insert("scenario", Value::Str(r.cell.scenario.clone()));
@@ -46,18 +53,19 @@ pub fn jsonl_line(r: &CellResult) -> String {
         Ok(outcome) => line.insert("outcome", outcome.to_value()),
         Err(e) => line.insert("error", Value::Str(e.to_string())),
     }
-    let mut out = json::to_string(&line);
-    out.push('\n');
-    out
+    line
 }
 
-/// One JSONL line per cell — [`jsonl_line`] over every result.
+/// One JSONL line per cell (each with its trailing newline): the cell
+/// parameters plus either the full outcome or the error that prevented
+/// it. The streaming store appends exactly these lines as cells
+/// complete, so its files are byte-identical to this.
 pub fn to_jsonl(results: &[CellResult]) -> String {
     results.iter().map(jsonl_line).collect()
 }
 
 /// One cell's summary-CSV row (including the trailing newline).
-pub fn csv_row(r: &CellResult) -> String {
+fn csv_row(r: &CellResult) -> String {
     let c = &r.cell;
     // Scenario names come straight from user specs; keep the CSV
     // grid intact whatever they contain.
@@ -121,7 +129,8 @@ pub fn csv_row(r: &CellResult) -> String {
     }
 }
 
-/// Summary CSV: the header plus [`csv_row`] for every cell.
+/// Summary CSV: the header plus one row per cell — the rows the
+/// streaming store appends as cells complete.
 pub fn to_csv(results: &[CellResult]) -> String {
     let mut out = String::from(CSV_HEADER);
     for r in results {
@@ -203,13 +212,14 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_lines_parse_back() {
+    fn jsonl_lines_are_the_cell_values() {
         let results = tiny_results();
         let text = to_jsonl(&results);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        for (i, line) in lines.iter().enumerate() {
-            let v = crate::json::parse(line).unwrap();
+        for (i, (line, r)) in lines.iter().zip(&results).enumerate() {
+            let v = cell_value(r);
+            assert_eq!(*line, json::to_string(&v));
             assert_eq!(v.get("index").unwrap().as_i64(), Some(i as i64));
             assert!(v.get("outcome").is_some());
         }

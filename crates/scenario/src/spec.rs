@@ -4,9 +4,9 @@
 //! region (named gallery entry, parametric square/rect, or custom polygon
 //! with obstacle holes), the initial placement, the algorithm
 //! configuration, a timeline of dynamic [`EventSpec`]s, and evaluation
-//! settings. Specs load from TOML or JSON (see [`crate::toml`] /
-//! [`crate::json`]) and build the concrete [`Region`], initial positions
-//! and [`LaacadConfig`] for a given seed.
+//! settings. Specs load from TOML (see [`crate::toml`]) and build the
+//! concrete [`Region`], initial positions and [`LaacadConfig`] for a
+//! given seed.
 
 use crate::value::{decode, encode, DecodeError, Value};
 use laacad::{CoordinateMode, ExecutionMode, LaacadConfig, RingCapPolicy};
@@ -24,8 +24,6 @@ use std::fmt;
 pub enum SpecError {
     /// The document failed to parse as TOML.
     Toml(crate::toml::TomlError),
-    /// The document failed to parse as JSON.
-    Json(crate::json::JsonError),
     /// The value tree did not decode into a spec.
     Decode(DecodeError),
     /// The spec decoded but describes an unbuildable scenario.
@@ -38,7 +36,6 @@ impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SpecError::Toml(e) => write!(f, "{e}"),
-            SpecError::Json(e) => write!(f, "{e}"),
             SpecError::Decode(e) => write!(f, "{e}"),
             SpecError::Build(m) => write!(f, "cannot build scenario: {m}"),
             SpecError::Io(m) => write!(f, "result store I/O failed: {m}"),
@@ -1520,29 +1517,6 @@ impl ScenarioSpec {
     pub fn to_toml(&self) -> String {
         crate::toml::to_string(&self.to_value())
     }
-
-    /// Parses a JSON scenario document.
-    pub fn from_json(text: &str) -> Result<Self, SpecError> {
-        let v = crate::json::parse(text).map_err(SpecError::Json)?;
-        Self::from_value(&v)
-    }
-
-    /// Serializes as a JSON document.
-    pub fn to_json(&self) -> String {
-        crate::json::to_string(&self.to_value())
-    }
-
-    /// Loads a spec from a `.toml` or `.json` file (decided by
-    /// extension; anything else tries TOML first, then JSON).
-    pub fn from_path(path: &std::path::Path) -> Result<Self, SpecError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| SpecError::Build(format!("cannot read {}: {e}", path.display())))?;
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("json") => Self::from_json(&text),
-            Some("toml") => Self::from_toml(&text),
-            _ => Self::from_toml(&text).or_else(|_| Self::from_json(&text)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1590,13 +1564,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
-        let spec = sample_spec();
-        let back = ScenarioSpec::from_json(&spec.to_json()).unwrap();
-        assert_eq!(spec, back);
-    }
-
-    #[test]
     fn adversarial_fault_knobs_round_trip() {
         let mut spec = sample_spec();
         spec.laacad.faults = Some(FaultSpec {
@@ -1634,8 +1601,6 @@ mod tests {
         let text = spec.to_toml();
         let back = ScenarioSpec::from_toml(&text).unwrap();
         assert_eq!(spec, back, "TOML:\n{text}");
-        let back = ScenarioSpec::from_json(&spec.to_json()).unwrap();
-        assert_eq!(spec, back);
 
         // The mapped plan carries every adversarial knob.
         let (plan, proto) = spec.laacad.faults.as_ref().unwrap().to_plan();
@@ -1744,7 +1709,7 @@ mod tests {
     }
 
     #[test]
-    fn retired_engine_knobs_are_refused_in_toml_and_json() {
+    fn retired_engine_knobs_are_refused() {
         for key in [
             "cache",
             "dirty_skip",
@@ -1758,22 +1723,13 @@ mod tests {
                 "name = \"x\"\n[region]\nkind = \"named\"\nname = \"unit_square\"\n\
                  [placement]\nkind = \"uniform\"\nn = 10\n[laacad]\nk = 1\n{key} = false\n"
             );
-            let json = format!(
-                "{{\"name\": \"x\", \"region\": {{\"kind\": \"named\", \"name\": \"unit_square\"}}, \
-                 \"placement\": {{\"kind\": \"uniform\", \"n\": 10}}, \
-                 \"laacad\": {{\"k\": 1, \"{key}\": false}}}}"
-            );
-            for (format, result) in [
-                ("toml", ScenarioSpec::from_toml(&toml)),
-                ("json", ScenarioSpec::from_json(&json)),
-            ] {
-                let Err(SpecError::Decode(e)) = result else {
-                    panic!("{format}: `{key}` was not refused: {result:?}");
-                };
-                assert!(e.path.ends_with(&format!("laacad.{key}")), "{format}: {e}");
-                for accepted in AlgorithmSpec::KEYS {
-                    assert!(e.message.contains(accepted), "{format}: {e}");
-                }
+            let result = ScenarioSpec::from_toml(&toml);
+            let Err(SpecError::Decode(e)) = result else {
+                panic!("`{key}` was not refused: {result:?}");
+            };
+            assert!(e.path.ends_with(&format!("laacad.{key}")), "{e}");
+            for accepted in AlgorithmSpec::KEYS {
+                assert!(e.message.contains(accepted), "{e}");
             }
         }
         // The accepted keys still decode.

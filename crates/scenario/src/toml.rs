@@ -519,7 +519,7 @@ fn scalar(v: &Value) -> String {
 
 /// Shortest round-trip decimal for `x`; integral floats keep a `.0` so
 /// they re-parse as floats.
-pub fn float_str(x: f64) -> String {
+fn float_str(x: f64) -> String {
     if x.is_finite() && x == x.trunc() && x.abs() < 1e15 {
         format!("{x:.1}")
     } else {

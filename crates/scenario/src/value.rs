@@ -1,18 +1,19 @@
-//! A small dynamic value tree shared by the TOML and JSON front-ends.
+//! A small dynamic value tree behind the TOML reader and the TOML and
+//! JSON writers.
 //!
 //! The build environment is offline, so the workspace cannot depend on
 //! `serde`/`toml`/`serde_json`; scenario specs instead decode through
-//! this hand-rolled [`Value`] type. Both parsers produce it, both
-//! serializers consume it, and `spec.rs` maps it to and from the typed
-//! scenario structs.
+//! this hand-rolled [`Value`] type. The TOML parser produces it, the
+//! TOML and JSON serializers consume it, and `spec.rs` maps it to and
+//! from the typed scenario structs.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// The deepest nesting of arrays and tables the TOML and JSON parsers
-/// accept. Both parsers recurse once per level, so deeper input is
-/// refused with a typed error instead of exhausting the stack. (TOML
-/// table headers count their dotted path against the same limit.)
+/// The deepest nesting of arrays and tables the TOML parser accepts. It
+/// recurses once per level, so deeper input is refused with a typed
+/// error instead of exhausting the stack. (Table headers count their
+/// dotted path against the same limit.)
 pub const MAX_NESTING: usize = 128;
 
 /// A dynamically typed configuration value.
@@ -245,7 +246,7 @@ pub mod decode {
     }
 
     /// Converts a two-element numeric array to an `(x, y)` pair.
-    pub fn to_pair(v: &Value, path: &str) -> Result<(f64, f64), DecodeError> {
+    pub(super) fn to_pair(v: &Value, path: &str) -> Result<(f64, f64), DecodeError> {
         let items = v.as_array().ok_or_else(|| wrong(path, "[x, y] array", v))?;
         if items.len() != 2 {
             return Err(DecodeError::new(

@@ -1,5 +1,5 @@
-//! Property tests: scenario specs survive the TOML and JSON round trips
-//! whatever their shape.
+//! Property tests: scenario specs survive the TOML round trip whatever
+//! their shape.
 
 use laacad_scenario::{
     AlgorithmSpec, EvaluationSpec, EventAction, EventSpec, PlacementSpec, RegionSpec, ScenarioSpec,
@@ -140,14 +140,6 @@ proptest! {
     }
 
     #[test]
-    fn json_round_trip(spec in spec()) {
-        let text = spec.to_json();
-        let back = ScenarioSpec::from_json(&text);
-        prop_assert!(back.is_ok(), "reparse failed: {:?}\n{}", back.err(), text);
-        prop_assert_eq!(spec, back.unwrap(), "JSON:\n{}", text);
-    }
-
-    #[test]
     fn arbitrary_floats_round_trip(x in -1.0e9f64..1.0e9, frac in 0.0f64..1.0) {
         // Shortest-round-trip float formatting is exact for any f64 the
         // grid or spec might carry.
@@ -157,7 +149,5 @@ proptest! {
         spec.laacad.gamma = Some(frac + 0.1);
         let back = ScenarioSpec::from_toml(&spec.to_toml()).unwrap();
         prop_assert_eq!(spec.clone(), back);
-        let back = ScenarioSpec::from_json(&spec.to_json()).unwrap();
-        prop_assert_eq!(spec, back);
     }
 }

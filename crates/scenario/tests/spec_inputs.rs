@@ -2,15 +2,15 @@
 //! command line, decoding either yields a spec or a typed error — never
 //! a panic or a stack overflow.
 //!
-//! * Nesting deeper than [`MAX_NESTING`] is refused by both parsers
+//! * Nesting deeper than [`MAX_NESTING`] is refused by the TOML parser
 //!   (10 000 levels used to overflow the stack and abort the process).
-//! * Every shipped spec, as its TOML bytes and as its JSON rendering,
-//!   survives every single-byte flip (`^ 0x01`, `^ 0x80`, `^ 0xFF`) and
-//!   every truncation through decode, grid expansion and building each
-//!   cell's region, placement and configuration.
+//! * Every shipped spec's TOML bytes survive every single-byte flip
+//!   (`^ 0x01`, `^ 0x80`, `^ 0xFF`) and every truncation through decode,
+//!   grid expansion and building each cell's region, placement and
+//!   configuration.
 
 use laacad_scenario::value::MAX_NESTING;
-use laacad_scenario::{json, toml, CampaignSpec};
+use laacad_scenario::{toml, CampaignSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
@@ -28,10 +28,6 @@ fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
         let text = format!("x = {}", nested("{ y = ", " }", depth));
         let err = toml::parse(&text).expect_err("inline tables");
         assert!(err.message.contains("nest deeper"), "{err}");
-        let err = json::parse(&nested("[", "]", depth)).expect_err("JSON nesting limit");
-        assert!(err.message.contains("nest deeper"), "{err}");
-        let err = json::parse(&nested("{\"y\": ", "}", depth)).expect_err("objects");
-        assert!(err.message.contains("nest deeper"), "{err}");
     }
     let header = format!("[{}]", vec!["t"; 10_000].join("."));
     assert!(toml::parse(&header).is_err(), "dotted table header");
@@ -41,8 +37,6 @@ fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
     assert!(toml::parse(&text).is_ok());
     let text = format!("x = {}", nested("{ y = ", " }", MAX_NESTING));
     assert!(toml::parse(&text).is_ok());
-    assert!(json::parse(&nested("[", "]", MAX_NESTING)).is_ok());
-    assert!(json::parse(&nested("{\"y\": ", "}", MAX_NESTING)).is_ok());
 }
 
 /// Cells above this size are decoded and expanded but not built: the
@@ -50,15 +44,11 @@ fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
 const BUILD_LIMIT: usize = 5_000;
 
 /// Decodes, expands and builds every cell; any error is fine.
-fn decode_and_build(bytes: &[u8], is_json: bool) {
+fn decode_and_build(bytes: &[u8]) {
     let Ok(text) = std::str::from_utf8(bytes) else {
         return; // reading the file already fails with a typed error
     };
-    let value = match is_json {
-        true => json::parse(text).map_err(|e| e.to_string()),
-        false => toml::parse(text).map_err(|e| e.to_string()),
-    };
-    let Some(cells) = value
+    let Some(cells) = toml::parse(text)
         .ok()
         .and_then(|v| CampaignSpec::from_value(&v).ok())
         .and_then(|c| c.expand().ok())
@@ -91,27 +81,22 @@ fn mutated_and_truncated_shipped_specs_never_panic() {
     let mut panics = Vec::new();
     for path in &paths {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        let toml_bytes = std::fs::read(path).unwrap();
-        let campaign = CampaignSpec::from_path(path).unwrap();
-        let json_bytes = json::to_string(&campaign.to_value()).into_bytes();
-        for (format, bytes, is_json) in [("toml", &toml_bytes, false), ("json", &json_bytes, true)]
-        {
-            let mut check = |what: String, buf: &[u8]| {
-                cases += 1;
-                if catch_unwind(AssertUnwindSafe(|| decode_and_build(buf, is_json))).is_err() {
-                    panics.push(format!("{name} ({format}): {what}"));
-                }
-            };
-            for at in 0..bytes.len() {
-                for flip in [0x01u8, 0x80, 0xFF] {
-                    let mut buf = bytes.clone();
-                    buf[at] ^= flip;
-                    check(format!("byte {at} ^ {flip:#04x}"), &buf);
-                }
+        let bytes = std::fs::read(path).unwrap();
+        let mut check = |what: String, buf: &[u8]| {
+            cases += 1;
+            if catch_unwind(AssertUnwindSafe(|| decode_and_build(buf))).is_err() {
+                panics.push(format!("{name}: {what}"));
             }
-            for len in 0..bytes.len() {
-                check(format!("cut at {len}"), &bytes[..len]);
+        };
+        for at in 0..bytes.len() {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let mut buf = bytes.clone();
+                buf[at] ^= flip;
+                check(format!("byte {at} ^ {flip:#04x}"), &buf);
             }
+        }
+        for len in 0..bytes.len() {
+            check(format!("cut at {len}"), &bytes[..len]);
         }
     }
     assert!(cases > 0);

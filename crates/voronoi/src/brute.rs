@@ -27,20 +27,13 @@ pub fn in_dominating_region(center: usize, sites: &[Point], k: usize, v: Point) 
 
 /// The `k` nearest site indices to `v`, ties broken by index (the unique
 /// `k`-smallest set under `(distance, index)` order, returned sorted by
-/// index), as used to seed order-k cell enumeration.
+/// index), as used to seed order-k cell enumeration. `order` must hold a
+/// permutation of `0..sites.len()` on entry and is truncated to the
+/// result, so probe loops reuse one buffer.
 ///
 /// Selection is `select_nth_unstable_by` + a tail sort of the kept
 /// prefix — `O(N + k log k)` instead of a full `O(N log N)` sort, which
 /// matters to `order_k_diagram`'s 256×256-probe discovery loop.
-pub fn k_nearest(sites: &[Point], k: usize, v: Point) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..sites.len()).collect();
-    k_nearest_in_place(sites, k, v, &mut order);
-    order
-}
-
-/// [`k_nearest`] over a caller-owned index buffer: `order` must hold a
-/// permutation of `0..sites.len()` on entry and is truncated to the
-/// result — the allocation-free form used by probe loops.
 pub fn k_nearest_in_place(sites: &[Point], k: usize, v: Point, order: &mut Vec<usize>) {
     let by_distance_then_index = |&a: &usize, &b: &usize| {
         sites[a]
@@ -58,6 +51,12 @@ pub fn k_nearest_in_place(sites: &[Point], k: usize, v: Point, order: &mut Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn k_nearest(sites: &[Point], k: usize, v: Point) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..sites.len()).collect();
+        k_nearest_in_place(sites, k, v, &mut order);
+        order
+    }
 
     #[test]
     fn closer_count_ignores_self_and_colocated() {

@@ -44,12 +44,6 @@ pub struct DominatingRegion {
 }
 
 impl DominatingRegion {
-    /// Builds a region from raw convex pieces (used by the algorithm crate
-    /// to merge per-domain-piece results).
-    pub fn from_pieces(pieces: Vec<Polygon>) -> Self {
-        DominatingRegion { pieces }
-    }
-
     /// The convex pieces whose union is the region.
     #[inline]
     pub fn pieces(&self) -> &[Polygon] {
@@ -208,7 +202,7 @@ impl PieceSet {
     }
 
     /// Appends a normalized convex loop as a new piece.
-    pub fn push_piece(&mut self, vertices: &[Point]) {
+    fn push_piece(&mut self, vertices: &[Point]) {
         self.verts.extend_from_slice(vertices);
         self.ends.push(self.verts.len());
     }
@@ -344,8 +338,6 @@ pub struct SubdivisionScratch {
     /// split.
     dist: Vec<f64>,
     pool: PolygonPool,
-    /// Spare buffer for the legacy owned-output API.
-    tmp_pieces: PieceSet,
 }
 
 impl SubdivisionScratch {
@@ -497,37 +489,16 @@ pub fn dominating_region(
     k: usize,
     domain: &Polygon,
 ) -> DominatingRegion {
-    let mut scratch = SubdivisionScratch::new();
-    let mut pieces = Vec::new();
-    dominating_region_scratched(center, sites, k, domain, &mut scratch, &mut pieces);
-    DominatingRegion { pieces }
-}
-
-/// [`dominating_region`] with caller-owned buffers: appends the region's
-/// convex pieces to `out` (as owned [`Polygon`]s) and reuses `scratch`
-/// across calls. Implemented over [`dominating_region_pooled`]; the
-/// materialization is the only allocating step.
-///
-/// # Panics
-///
-/// Panics if `k == 0` or `center` is out of bounds.
-pub fn dominating_region_scratched(
-    center: usize,
-    sites: &[Point],
-    k: usize,
-    domain: &Polygon,
-    scratch: &mut SubdivisionScratch,
-    out: &mut Vec<Polygon>,
-) {
-    let mut pieces = std::mem::take(&mut scratch.tmp_pieces);
-    pieces.clear();
-    dominating_region_pooled(center, sites, k, domain.vertices(), scratch, &mut pieces);
-    out.extend(
-        pieces
-            .pieces()
-            .map(|vs| Polygon::from_normalized(vs.to_vec())),
+    let mut pieces = PieceSet::new();
+    dominating_region_pooled(
+        center,
+        sites,
+        k,
+        domain.vertices(),
+        &mut SubdivisionScratch::new(),
+        &mut pieces,
     );
-    scratch.tmp_pieces = pieces;
+    pieces.to_region()
 }
 
 /// The allocation-free core of [`dominating_region`]: carves

@@ -53,20 +53,12 @@ impl OrderKDiagram {
     pub fn total_area(&self) -> f64 {
         self.cells.iter().map(|c| c.polygon.area()).sum()
     }
-
-    /// Cells for which `site` is a generator — their union is the
-    /// dominating region `V^k_site` (paper Sec. III-C).
-    pub fn cells_of(&self, site: usize) -> impl Iterator<Item = &OrderKCell> {
-        self.cells
-            .iter()
-            .filter(move |c| c.generators.binary_search(&site).is_ok())
-    }
 }
 
 /// Exact cell for a fixed generator set `gens`: the intersection of
 /// `domain` with every dominance half-plane `closer(h, j)`, `h ∈ gens`,
 /// `j ∉ gens`. Returns `None` when empty.
-pub fn cell_of_set(gens: &[usize], sites: &[Point], domain: &Polygon) -> Option<Polygon> {
+fn cell_of_set(gens: &[usize], sites: &[Point], domain: &Polygon) -> Option<Polygon> {
     let mut cell = domain.clone();
     for &h in gens {
         for j in 0..sites.len() {
@@ -189,7 +181,14 @@ mod tests {
         let k = 3;
         let diagram = order_k_diagram(&sites, k, &domain, 128);
         for site in [0usize, 4, 7] {
-            let union_area: f64 = diagram.cells_of(site).map(|c| c.polygon.area()).sum();
+            // The cells `site` generates tile its dominating region
+            // (paper Sec. III-C).
+            let union_area: f64 = diagram
+                .cells()
+                .iter()
+                .filter(|c| c.generators.binary_search(&site).is_ok())
+                .map(|c| c.polygon.area())
+                .sum();
             let dr = crate::dominating::dominating_region(site, &sites, k, &domain);
             assert!(
                 (union_area - dr.area()).abs() < 1e-4,

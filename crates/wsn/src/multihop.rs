@@ -9,8 +9,8 @@
 //!
 //! Two forms are provided:
 //!
-//! * [`ring_neighborhood`] / [`ring_neighborhood_with_slack`] — one-shot
-//!   queries that run a fresh BFS (the reference semantics);
+//! * [`ring_neighborhood`] — a one-shot query that runs a fresh BFS (the
+//!   reference semantics);
 //! * [`RingQuery`] over a reusable [`RingScratch`] — an **incremental**
 //!   query for the expanding-ring search: each `ρ += γ` expansion resumes
 //!   the BFS frontier where the previous one stopped instead of
@@ -65,8 +65,14 @@ pub fn ring_neighborhood(net: &Network, center: NodeId, rho: f64) -> RingNeighbo
     ring_neighborhood_with_slack(net, center, rho, DEFAULT_HOP_SLACK)
 }
 
-/// The default hop-slack budget of [`ring_neighborhood`] (see
-/// [`ring_neighborhood_with_slack`] for why it exists).
+/// The hop-slack budget of [`ring_neighborhood`] and of the ring search.
+///
+/// The paper's `N(n_i, ρ)` is defined purely by Euclidean distance; a
+/// multi-hop query needs `⌈ρ/γ⌉` hops along a straight path, but sparse
+/// graphs route around gaps, so real queries grant extra hops. Two hops
+/// of slack make the collected set match the Euclidean definition in all
+/// but pathologically stretched topologies — Lemma 1's exactness depends
+/// on this set being complete.
 pub const DEFAULT_HOP_SLACK: usize = 2;
 
 /// Converts a Euclidean ring radius into the hop budget of the query —
@@ -76,14 +82,7 @@ pub fn hop_budget(rho: f64, gamma: f64, hop_slack: usize) -> usize {
 }
 
 /// [`ring_neighborhood`] with an explicit hop-slack budget.
-///
-/// The paper's `N(n_i, ρ)` is defined purely by Euclidean distance; a
-/// multi-hop query needs `⌈ρ/γ⌉` hops along a straight path, but sparse
-/// graphs route around gaps, so real queries grant extra hops. Two hops
-/// of slack (the default above) make the collected set match the
-/// Euclidean definition in all but pathologically stretched topologies —
-/// Lemma 1's exactness depends on this set being complete.
-pub fn ring_neighborhood_with_slack(
+fn ring_neighborhood_with_slack(
     net: &Network,
     center: NodeId,
     rho: f64,
@@ -242,8 +241,8 @@ pub struct RingStep {
     /// Members gained by this expansion (the set is monotone, so zero new
     /// members means the neighborhood is unchanged).
     pub new_members: usize,
-    /// Messages a fresh [`ring_neighborhood_with_slack`] query at the
-    /// same `(ρ, hops)` would have spent — the paper's accounting, where
+    /// Messages a fresh BFS query ([`ring_neighborhood`]'s) at the same
+    /// `(ρ, hops)` would have spent — the paper's accounting, where
     /// every expansion re-floods the ring.
     pub messages: MessageStats,
 }

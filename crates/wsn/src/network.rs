@@ -17,8 +17,8 @@ use laacad_geom::Point;
 /// [`Network::nodes`]).
 ///
 /// The spatial index is maintained **eagerly** on every mutation, so the
-/// whole query surface ([`Network::nodes_within`],
-/// [`Network::one_hop_neighbors`], the multihop ring machinery) works
+/// whole query surface ([`Network::one_hop_neighbors`], the multihop
+/// ring machinery) works
 /// through `&Network`. That is what lets the synchronous round engine
 /// compute every node's local view from one shared snapshot across
 /// worker threads. The index is a [`FlatGrid`] celled at `γ`; a cloud
@@ -265,7 +265,7 @@ impl Network {
 
     /// Ids of nodes within Euclidean distance `radius` of `q` (inclusive),
     /// including any node located exactly at `q`.
-    pub fn nodes_within(&self, q: Point, radius: f64) -> Vec<NodeId> {
+    fn nodes_within(&self, q: Point, radius: f64) -> Vec<NodeId> {
         let mut out = Vec::new();
         self.grid.within_into(&self.positions, q, radius, &mut out);
         out.into_iter().map(NodeId).collect()

@@ -2,9 +2,9 @@
 //!
 //! Two nodes can exchange messages iff they are within the transmission
 //! range `γ` of each other. Multi-hop communication follows graph paths;
-//! [`connected_components`] partitions the network (boundary nodes of
-//! Algorithm 2 stop expanding their rings once the ring saturates their
-//! component).
+//! [`is_connected`] checks that they join the whole network (boundary
+//! nodes of Algorithm 2 stop expanding their rings once the ring
+//! saturates their connected component).
 
 use crate::network::Network;
 use crate::node::NodeId;
@@ -43,7 +43,7 @@ impl std::fmt::Display for MessageStats {
 
 /// Connected components of the communication graph, as a component id per
 /// node.
-pub fn connected_components(net: &Network) -> Vec<usize> {
+fn connected_components(net: &Network) -> Vec<usize> {
     let n = net.len();
     let mut comp = vec![usize::MAX; n];
     let mut next = 0;

@@ -54,7 +54,7 @@ impl Default for RangingNoise {
 }
 
 /// One standard-normal draw (Box–Muller over SplitMix64).
-pub fn gaussian(rng: &mut SplitMix64) -> f64 {
+fn gaussian(rng: &mut SplitMix64) -> f64 {
     let u1 = rng.next_f64().max(1e-12);
     let u2 = rng.next_f64();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

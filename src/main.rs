@@ -4,7 +4,7 @@
 //! cargo run --release -- scenarios/fig5_corner.toml [more specs...] [--telemetry]
 //! ```
 //!
-//! For each spec file (TOML or JSON; a campaign or a bare scenario) it
+//! For each TOML spec file (a campaign or a bare scenario) it
 //! runs the campaign through [`run_campaign`], streaming the result store
 //! (`<name>.jsonl` / `<name>.csv`) into `$LAACAD_OUT` (default `./out`)
 //! and progress to stderr. It then prints one per-cell table — the grid
@@ -29,7 +29,7 @@ use report::Report;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: laacad-suite <spec.toml|spec.json>... [--telemetry]";
+const USAGE: &str = "usage: laacad-suite <spec.toml>... [--telemetry]";
 
 fn main() -> ExitCode {
     let mut telemetry = false;

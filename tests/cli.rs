@@ -1,7 +1,7 @@
 //! The command line end to end: a small spec runs and writes its result
-//! files; a missing path, an undecodable file, a spec nested 10 000 deep
-//! and an unknown flag each exit with status 2 and a message — never a
-//! panic or an abort.
+//! files; a missing path, an undecodable file, a spec nested 10 000 deep,
+//! a JSON spec (specs are TOML only) and an unknown flag each exit with
+//! status 2 and a message — never a panic or an abort.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -69,10 +69,17 @@ fn bad_input_exits_with_status_2_and_a_message() {
     let dir = scratch("bad");
     let garbage = dir.join("garbage.toml");
     std::fs::write(&garbage, "name = [1, \n").unwrap();
-    let deep = dir.join("deep.json");
+    let deep = dir.join("deep.toml");
     std::fs::write(
         &deep,
-        format!("{}{}", "[".repeat(10_000), "]".repeat(10_000)),
+        format!("x = {}1{}", "[".repeat(10_000), "]".repeat(10_000)),
+    )
+    .unwrap();
+    let json = dir.join("small.json");
+    std::fs::write(
+        &json,
+        r#"{"name": "cli-json", "region": {"kind": "named", "name": "unit_square"},
+"placement": {"kind": "uniform", "n": 12}, "laacad": {"k": 1, "max_rounds": 30}}"#,
     )
     .unwrap();
     let missing = dir.join("no-such-spec.toml");
@@ -81,6 +88,7 @@ fn bad_input_exits_with_status_2_and_a_message() {
         ("missing path", missing.as_path()),
         ("undecodable file", garbage.as_path()),
         ("nested 10 000 deep", deep.as_path()),
+        ("JSON spec", json.as_path()),
         ("unknown flag", flag),
     ] {
         let output = run(&dir.join("out"), &[arg]);

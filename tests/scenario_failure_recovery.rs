@@ -100,9 +100,8 @@ fn failure_recovery_jsonl_is_stored_and_parseable() {
     let text = std::fs::read_to_string(&jsonl_path).unwrap();
     assert_eq!(text, to_jsonl(&results));
     assert_eq!(text.lines().count(), 3);
-    for line in text.lines() {
-        let v = laacad_scenario::json::parse(line).expect("stored JSONL parses");
-        let outcome = v.get("outcome").expect("cell succeeded");
+    for result in &results {
+        let outcome = result.outcome.as_ref().expect("cell succeeded").to_value();
         let covered = outcome
             .get("coverage")
             .and_then(|c| c.get("covered_fraction"))
