@@ -9,10 +9,10 @@
 //! * [`compute_node_view`] — the round engine's hot path: carves the
 //!   region through pooled buffers, computes the Chebyshev disk and the
 //!   farthest distance in one vertex pass, and consults the per-worker
-//!   [`crate::scratch::LocalViewCache`] so that nodes whose exact
-//!   geometric inputs are unchanged since their previous computation
-//!   skip the subdivision entirely. Zero heap allocations in steady
-//!   state (oracle mode).
+//!   [`crate::scratch::LocalViewCache`] so that nodes whose geometric
+//!   inputs are unchanged since their previous computation skip the
+//!   subdivision entirely. Zero heap allocations in steady state (oracle
+//!   mode) on a thread whose kernel buffers are warm.
 //! * [`compute_local_view`] — the convenience API returning a full
 //!   [`LocalView`] with an owned [`DominatingRegion`]; same geometry,
 //!   materialized at the boundary.
@@ -21,7 +21,9 @@ use crate::config::{CoordinateMode, LaacadConfig, RingCapPolicy};
 use crate::ring::{
     expanding_ring_search_scratched, expanding_ring_search_status, RingOutcome, RingStatus,
 };
-use crate::scratch::{CarveScratch, RoundScratch};
+use crate::scratch::{
+    with_pooled_kernel, CarveScratch, KernelScratch, LocalViewCache, RoundScratch,
+};
 use laacad_geom::{Circle, Point};
 use laacad_region::Region;
 use laacad_voronoi::dominating::{
@@ -91,7 +93,7 @@ pub fn compute_local_view(
     config: &LaacadConfig,
     round: usize,
 ) -> LocalView {
-    let mut s = RoundScratch::new();
+    let mut s = KernelScratch::default();
     let max_rho = config.max_rho.unwrap_or(2.0 * area.diameter_bound());
     let ring = expanding_ring_search_scratched(
         net,
@@ -126,7 +128,7 @@ pub fn compute_local_view(
 }
 
 /// The round engine's hot path: like [`compute_local_view`] but over
-/// reusable per-worker buffers, optionally against a prebuilt one-hop
+/// reusable buffers, optionally against a prebuilt one-hop
 /// [`Adjacency`] snapshot of `net` (the synchronous engine builds one
 /// per round and shares it across workers; pass `None` whenever
 /// positions may have changed since the snapshot, as in sequential
@@ -135,6 +137,10 @@ pub fn compute_local_view(
 /// with the whole geometry stage skipped whenever the node's exact inputs
 /// are unchanged since its previous computation in this worker's
 /// [`crate::scratch::LocalViewCache`].
+///
+/// The kernel buffers are the ones `scratch` holds during an engine
+/// call, or else borrowed from the calling thread's pool for this one
+/// computation; either way only the cache persists in `scratch`.
 pub fn compute_node_view(
     net: &Network,
     adjacency: Option<&Adjacency>,
@@ -143,6 +149,27 @@ pub fn compute_node_view(
     config: &LaacadConfig,
     round: usize,
     scratch: &mut RoundScratch,
+) -> NodeView {
+    let RoundScratch { view_cache, kernel } = scratch;
+    match kernel {
+        Some(kernel) => node_view(net, adjacency, id, area, config, round, kernel, view_cache),
+        None => with_pooled_kernel(net.len(), |kernel| {
+            node_view(net, adjacency, id, area, config, round, kernel, view_cache)
+        }),
+    }
+}
+
+/// [`compute_node_view`] over the given kernel buffers and cache.
+#[allow(clippy::too_many_arguments)]
+fn node_view(
+    net: &Network,
+    adjacency: Option<&Adjacency>,
+    id: NodeId,
+    area: &Region,
+    config: &LaacadConfig,
+    round: usize,
+    scratch: &mut KernelScratch,
+    cache: &mut LocalViewCache,
 ) -> NodeView {
     let max_rho = config.max_rho.unwrap_or(2.0 * area.diameter_bound());
     // Kernel timing is armed per fan-out by the session; off, each
@@ -169,7 +196,9 @@ pub fn compute_node_view(
     }
     let true_self = net.position(id);
     let started = timing.then(std::time::Instant::now);
-    let view = geometry_stage(net, id, area, config, round, status, true_self, scratch);
+    let view = geometry_stage(
+        net, id, area, config, round, status, true_self, scratch, cache,
+    );
     if let Some(started) = started {
         scratch
             .telemetry
@@ -191,10 +220,11 @@ fn geometry_stage(
     round: usize,
     status: RingStatus,
     true_self: Point,
-    scratch: &mut RoundScratch,
+    scratch: &mut KernelScratch,
+    cache: &mut LocalViewCache,
 ) -> NodeView {
     if let CoordinateMode::Oracle = config.coordinates {
-        return cached_node_view(id, area, config, status, true_self, scratch);
+        return cached_node_view(net, id, area, config, status, true_self, scratch, cache);
     }
     // Ranging mode is uncached: it re-derives the member positions from
     // the member ids (allocating — noise is re-drawn per round by
@@ -225,24 +255,28 @@ fn geometry_stage(
 }
 
 /// The oracle-mode cached path of [`compute_node_view`].
+#[allow(clippy::too_many_arguments)]
 fn cached_node_view(
+    net: &Network,
     id: NodeId,
     area: &Region,
     config: &LaacadConfig,
     status: RingStatus,
     true_self: Point,
-    scratch: &mut RoundScratch,
+    scratch: &mut KernelScratch,
+    cache: &mut LocalViewCache,
 ) -> NodeView {
     debug_assert_eq!(config.coordinates, CoordinateMode::Oracle);
     let s = &mut *scratch;
     let members = s.ring.last_members();
-    let entry = s.view_cache.slot(id.index());
+    let entry = cache.slot(net, id.index());
     if entry.matches(
+        net,
         config.k,
         true_self,
         status.rho,
         status.dominated,
-        &s.competitors,
+        members,
     ) {
         return NodeView {
             rho: status.rho,
@@ -259,11 +293,12 @@ fn cached_node_view(
     // disk and reach are worth retaining per node) and refresh the key.
     // All buffers are reused, so this allocates nothing after warm-up.
     entry.store_key(
+        net,
         config.k,
         true_self,
         status.rho,
         status.dominated,
-        &s.competitors,
+        members,
     );
     // The competitor bisectors against `true_self` (the ring's center)
     // are the ones the ring checks computed; the rest are computed here.
@@ -308,7 +343,7 @@ fn build_sites(
     candidates: &[NodeId],
     config: &LaacadConfig,
     round: usize,
-    scratch: &mut RoundScratch,
+    scratch: &mut KernelScratch,
 ) -> f64 {
     let true_self = net.position(id);
     let mut rmse = 0.0;
@@ -629,5 +664,74 @@ mod tests {
             assert_eq!(lean.chebyshev, hit.chebyshev, "node {i}");
             assert_eq!(lean.reach.to_bits(), hit.reach.to_bits(), "node {i}");
         }
+    }
+
+    /// `node`'s view through `scratch`, checked bit for bit against a
+    /// cold computation at the same positions.
+    fn checked_view(
+        net: &Network,
+        node: NodeId,
+        area: &Region,
+        config: &LaacadConfig,
+        scratch: &mut RoundScratch,
+    ) -> NodeView {
+        let view = compute_node_view(net, None, node, area, config, 0, scratch);
+        let cold = compute_node_view(net, None, node, area, config, 0, &mut RoundScratch::new());
+        assert!(!cold.cache_hit);
+        assert_eq!(view.chebyshev, cold.chebyshev);
+        assert_eq!(view.reach.to_bits(), cold.reach.to_bits());
+        view
+    }
+
+    #[test]
+    fn a_member_moved_away_and_back_misses_the_cache() {
+        let area = Region::square(1.0).unwrap();
+        let mut net = grid_net(9, 0.12, 0.18);
+        let config = cfg(2);
+        let (node, member) = (NodeId(40), NodeId(41));
+        let mut scratch = RoundScratch::new();
+        checked_view(&net, node, &area, &config, &mut scratch);
+        assert!(checked_view(&net, node, &area, &config, &mut scratch).cache_hit);
+        let home = net.position(member);
+        net.move_node(member, Point::new(0.9, 0.9));
+        net.move_node(member, home);
+        // Same bits as when the entry was stored, but written since.
+        assert_eq!(net.position(member), home);
+        assert!(!checked_view(&net, node, &area, &config, &mut scratch).cache_hit);
+        assert!(checked_view(&net, node, &area, &config, &mut scratch).cache_hit);
+    }
+
+    #[test]
+    fn a_member_that_joins_the_ring_misses_the_cache() {
+        let area = Region::square(1.0).unwrap();
+        let mut net = grid_net(9, 0.12, 0.18);
+        let config = cfg(2);
+        let node = NodeId(40);
+        let mut scratch = RoundScratch::new();
+        let before = checked_view(&net, node, &area, &config, &mut scratch);
+        // No existing node moves: a new one appears between the node and
+        // its right-hand neighbour, inside the ring.
+        let p = net.position(node);
+        net.add_node(Point::new(p.x + 0.05, p.y + 0.01));
+        let after = checked_view(&net, node, &area, &config, &mut scratch);
+        assert!(!after.cache_hit);
+        assert_eq!(after.rho, before.rho);
+        assert!(checked_view(&net, node, &area, &config, &mut scratch).cache_hit);
+    }
+
+    #[test]
+    fn a_cache_serves_one_network_instance() {
+        let area = Region::square(1.0).unwrap();
+        let net = grid_net(9, 0.12, 0.18);
+        let config = cfg(2);
+        let mut scratch = RoundScratch::new();
+        checked_view(&net, NodeId(40), &area, &config, &mut scratch);
+        // A clone has the same positions and clock but is another
+        // network: its writes are not the original's.
+        let mut twin = net.clone();
+        let view = checked_view(&twin, NodeId(40), &area, &config, &mut scratch);
+        assert!(!view.cache_hit);
+        twin.move_node(NodeId(41), Point::new(0.9, 0.9));
+        checked_view(&net, NodeId(40), &area, &config, &mut scratch);
     }
 }

@@ -139,7 +139,9 @@ impl RunSummary {
 /// Algorithm 1 line 7: recomputes every node's view at the current
 /// positions and sets each sensing range to the minimum covering value,
 /// the view's reach. The views fan out with one worker per scratch in
-/// `scratches` (at least one); the kernel never reads sensing radii and
+/// `scratches` (at least one), each on the kernel buffers its scratch
+/// holds or else on ones borrowed per view from the worker thread's
+/// pool (see [`compute_node_view`]); the kernel never reads sensing radii and
 /// the radii are applied in id order afterwards, so every pool size gives
 /// the same bits. Returns the views, in id order.
 ///

@@ -237,7 +237,9 @@ pub struct Session {
     history: History,
     round: usize,
     converged: bool,
-    /// One [`RoundScratch`] per worker, reused across rounds.
+    /// One [`RoundScratch`] per worker, reused across rounds: the
+    /// worker's view cache, plus kernel buffers borrowed from the
+    /// thread's pool for the length of a fan-out.
     scratches: Vec<RoundScratch>,
     /// Per-round one-hop snapshot shared by every worker (synchronous
     /// mode), refreshed in place when positions changed.
@@ -436,13 +438,24 @@ impl Session {
 
     /// After a fan-out: merges the per-worker kernel timing buffers in
     /// worker-index order and reports the ring-search and geometry
-    /// aggregates. No-op (armed-off buffers are empty) with telemetry
-    /// off.
-    fn drain_kernel_telemetry(&mut self) {
-        if !self.telemetry_on() {
-            return;
+    /// aggregates, then hands every worker's kernel buffers back to the
+    /// thread's pool. The report is a no-op (armed-off buffers are
+    /// empty) with telemetry off.
+    fn return_kernels(&mut self) {
+        if self.telemetry_on() {
+            self.drain_kernel_telemetry();
         }
-        let merged = merge_worker_telemetry(self.scratches.iter_mut().map(|s| &mut s.telemetry));
+        for scratch in &mut self.scratches {
+            scratch.release();
+        }
+    }
+
+    fn drain_kernel_telemetry(&mut self) {
+        let merged = merge_worker_telemetry(
+            self.scratches
+                .iter_mut()
+                .filter_map(|s| s.kernel.as_mut().map(|k| &mut k.telemetry)),
+        );
         let round = self.round;
         if let Some(recorder) = self.recorder.as_mut() {
             recorder.kernel(Stage::RingSearch, round, &merged.ring_search);
@@ -469,17 +482,18 @@ impl Session {
         }
     }
 
-    /// Sizes the per-worker scratch pool and pre-sizes each worker's
-    /// `N`-proportional buffers, so the first fan-out never grows them
-    /// mid-computation.
-    fn ensure_scratches(&mut self, workers: usize) {
+    /// Before a fan-out: sizes the per-worker state to `workers` and
+    /// lends each worker kernel buffers from the calling thread's pool,
+    /// pre-sized for `N` and armed for kernel timing when `telemetry`
+    /// is on. [`Session::return_kernels`] hands them back.
+    fn lend_kernels(&mut self, workers: usize, telemetry: bool) {
         if self.scratches.len() < workers {
             self.scratches.resize_with(workers, RoundScratch::new);
         }
         self.scratches.truncate(workers.max(1));
         let n = self.net.len();
         for scratch in &mut self.scratches {
-            scratch.reserve(n);
+            scratch.lease(n).telemetry.arm(telemetry);
         }
     }
 
@@ -665,13 +679,10 @@ impl Session {
             // adjacency refresh, no searches, no geometry.
             views = std::mem::take(&mut self.views);
         } else {
-            self.ensure_scratches(self.workers());
+            self.lend_kernels(self.workers(), telemetry);
             let stage_started = telemetry.then(std::time::Instant::now);
             self.refresh_adjacency();
             self.record_span(Stage::Adjacency, stage_started);
-            for scratch in &mut self.scratches {
-                scratch.telemetry.arm(telemetry);
-            }
             let (net, region, config) = (&self.net, &self.region, &self.config);
             let (round, adjacency) = (self.round, &self.adjacency);
             let old_views = &self.views;
@@ -693,7 +704,7 @@ impl Session {
                     scratch,
                 )
             });
-            self.drain_kernel_telemetry();
+            self.return_kernels();
             // Work accounting: skipped nodes replayed a stored view; the
             // rest ran a ring search and either hit or missed the cache.
             for (i, view) in views.iter().enumerate() {
@@ -729,13 +740,12 @@ impl Session {
     /// immediately. Serial by definition; the dirty-node index is inert.
     fn step_sequential(&mut self) -> RoundDelta {
         let n = self.net.len();
-        self.ensure_scratches(1);
         // Per-node kernel timings still accumulate (one serial worker);
         // compute and movement interleave here, so the serial stages
         // (classify/adjacency/move-apply) have no spans — the Round
         // span from `step` covers the sweep.
         let telemetry = self.telemetry_on();
-        self.scratches[0].telemetry.arm(telemetry);
+        self.lend_kernels(1, telemetry);
         let mut agg = RoundAggregate::default();
         let mut moved = Vec::new();
         let mut views = Vec::with_capacity(n);
@@ -754,7 +764,7 @@ impl Session {
             self.apply_view(&mut agg, id, &view, &mut moved);
             views.push(view);
         }
-        self.drain_kernel_telemetry();
+        self.return_kernels();
         let cache_hits = views.iter().filter(|v| v.cache_hit).count();
         if !moved.is_empty() || self.adjacency_state != AdjacencyState::Fresh {
             // Gauss–Seidel rounds never refresh the snapshot, so no
@@ -972,6 +982,9 @@ impl Session {
                     });
                 }
                 outcome.removed = self.net.remove_nodes(&ids);
+                for scratch in &mut self.scratches {
+                    scratch.view_cache.truncate(self.net.len());
+                }
             }
             NetworkEvent::InsertNodes(points) => {
                 for (i, p) in points.iter().enumerate() {
@@ -1095,11 +1108,8 @@ impl Session {
                 self.net.set_sensing_radius(NodeId(i), self.views[i].reach);
             }
         } else {
-            self.ensure_scratches(self.workers());
+            self.lend_kernels(self.workers(), telemetry);
             self.refresh_adjacency();
-            for scratch in &mut self.scratches {
-                scratch.telemetry.arm(telemetry);
-            }
             finalize_views(
                 &mut self.net,
                 &self.adjacency,
@@ -1108,7 +1118,7 @@ impl Session {
                 self.round,
                 &mut self.scratches,
             );
-            self.drain_kernel_telemetry();
+            self.return_kernels();
         }
         self.record_span(Stage::Finalize, stage_started);
         if self.config.snapshot_every.is_some() {
@@ -1480,6 +1490,23 @@ mod tests {
                 .unwrap(),
             0
         );
+    }
+
+    #[test]
+    fn failures_trim_the_view_caches_to_the_survivors() {
+        let region = Region::square(1.0).unwrap();
+        let initial = sample_uniform(&region, 16, 2);
+        let mut sim = session(quick_config(1, 400), region, initial);
+        sim.step();
+        let slots = |sim: &Session| -> Vec<usize> {
+            sim.scratches.iter().map(|s| s.view_cache.len()).collect()
+        };
+        assert_eq!(slots(&sim), vec![16]);
+        sim.apply_event(NetworkEvent::FailNodes(vec![NodeId(3), NodeId(9)]))
+            .unwrap();
+        assert_eq!(slots(&sim), vec![14]);
+        // Kernel buffers are lent for a call, never kept by the session.
+        assert!(sim.scratches.iter().all(|s| s.kernel.is_none()));
     }
 
     #[test]

@@ -386,7 +386,8 @@ pub struct AsyncExecutor {
     queue: EventQueue,
     now: u64,
     nodes: Vec<NodeMachine>,
-    /// Buffers of the local-view kernel, reused across computes.
+    /// The local-view cache, reused across computes; each compute
+    /// borrows the kernel buffers from the thread's pool.
     scratch: RoundScratch,
     /// Per-round records, indexed by round − 1; node computes land in
     /// the round they belong to, whenever they happen.

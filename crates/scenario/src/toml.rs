@@ -55,6 +55,15 @@ struct Parser<'a> {
     _text: &'a str,
 }
 
+/// How an error message names the character at the cursor: in
+/// backticks, or `end of input` past the last one.
+fn found(c: Option<char>) -> String {
+    match c {
+        Some(c) => format!("`{}`", c.escape_debug()),
+        None => "end of input".to_string(),
+    }
+}
+
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Parser {
@@ -205,7 +214,7 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c == stop => break,
                 other => {
-                    return Err(self.err(format!("unexpected {other:?} in table header")));
+                    return Err(self.err(format!("unexpected {} in table header", found(other))));
                 }
             }
         }
@@ -227,7 +236,7 @@ impl<'a> Parser<'a> {
                 }
                 Ok(s)
             }
-            other => Err(self.err(format!("expected key, found {other:?}"))),
+            other => Err(self.err(format!("expected key, found {}", found(other)))),
         }
     }
 
@@ -255,7 +264,7 @@ impl<'a> Parser<'a> {
                             .map_err(|_| self.err(format!("bad \\u escape `{code}`")))?;
                         s.push(char::from_u32(n).ok_or_else(|| self.err("bad \\u code point"))?);
                     }
-                    other => return Err(self.err(format!("bad escape {other:?}"))),
+                    other => return Err(self.err(format!("bad escape {}", found(other)))),
                 },
                 Some(c) => s.push(c),
             }
@@ -270,7 +279,7 @@ impl<'a> Parser<'a> {
             Some('{') => self.inline_table(),
             Some('t') | Some('f') => self.boolean(),
             Some(c) if c == '+' || c == '-' || c.is_ascii_digit() => self.number(),
-            other => Err(self.err(format!("expected value, found {other:?}"))),
+            other => Err(self.err(format!("expected value, found {}", found(other)))),
         }
     }
 
@@ -333,7 +342,9 @@ impl<'a> Parser<'a> {
                     self.bump();
                 }
                 Some(']') => {}
-                other => return Err(self.err(format!("expected `,` or `]`, found {other:?}"))),
+                other => {
+                    return Err(self.err(format!("expected `,` or `]`, found {}", found(other))))
+                }
             }
         }
         self.depth -= 1;
@@ -368,7 +379,9 @@ impl<'a> Parser<'a> {
                     self.bump();
                 }
                 Some('}') => {}
-                other => return Err(self.err(format!("expected `,` or `}}`, found {other:?}"))),
+                other => {
+                    return Err(self.err(format!("expected `,` or `}}`, found {}", found(other))))
+                }
             }
         }
         self.depth -= 1;
@@ -622,6 +635,30 @@ center = [0.5, 0.5]
         let err = parse("ok = 1\nbad =\n").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(parse("dup = 1\ndup = 2\n").is_err());
+    }
+
+    #[test]
+    fn errors_name_the_offending_character_in_plain_words() {
+        for (input, expected) in [
+            ("[a b]\n", "unexpected `b` in table header"),
+            ("[a", "unexpected end of input in table header"),
+            ("{\"name\":\"x\"}\n", "expected key, found `{`"),
+            ("x = \"\\q\"\n", "bad escape `q`"),
+            ("x = \"\\", "bad escape end of input"),
+            ("x = \n", "expected value, found `\\n`"),
+            ("x =", "expected value, found end of input"),
+            ("x = [1 2]\n", "expected `,` or `]`, found `2`"),
+            ("x = [1", "expected `,` or `]`, found end of input"),
+            ("x = {a = 1 b = 2}\n", "expected `,` or `}`, found `b`"),
+            ("x = {a = 1", "expected `,` or `}`, found end of input"),
+        ] {
+            let message = parse(input).unwrap_err().to_string();
+            assert!(message.contains(expected), "{input:?}: {message}");
+            assert!(
+                !message.contains("Some(") && !message.contains("None"),
+                "{input:?}: {message}"
+            );
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::flat::FlatGrid;
 use crate::node::{NodeId, SensorNode};
 use laacad_geom::Point;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A WSN: a set of sensor nodes with one shared transmission range `γ`
 /// (paper Sec. III-A: "All nodes have an identical transmission range γ"),
@@ -25,6 +26,13 @@ use laacad_geom::Point;
 /// too sparse for that cell (say, one far outlier) gets a coarser cell
 /// with the same exact query results.
 ///
+/// Every position write advances a **write clock** and stamps the
+/// written nodes with its new value ([`Network::write_clock`],
+/// [`Network::written_at`]): a node whose stamp is at most a clock value
+/// read earlier has kept its position since that read. Together with the
+/// network's [`Network::instance`] identity this lets a consumer cache
+/// per-node results keyed by node ids instead of copied coordinates.
+///
 /// # Example
 ///
 /// ```
@@ -45,6 +53,29 @@ pub struct Network {
     /// Odometry of nodes that have since been removed (kept so that
     /// movement-energy totals survive node failures).
     retired_distance: f64,
+    /// Advanced once by every call that writes positions.
+    clock: u64,
+    /// Per node, the clock value of its latest position write.
+    written: Vec<u64>,
+    instance: Instance,
+}
+
+/// The identity of one network value: fresh at construction and on every
+/// clone, so two networks never share one even when their clocks agree.
+#[derive(Debug, PartialEq, Eq)]
+struct Instance(u64);
+
+impl Instance {
+    fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        Instance(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for Instance {
+    fn clone(&self) -> Self {
+        Instance::fresh()
+    }
 }
 
 impl Network {
@@ -65,17 +96,46 @@ impl Network {
             gamma,
             grid: FlatGrid::build(&[], gamma),
             retired_distance: 0.0,
+            clock: 0,
+            written: Vec::new(),
+            instance: Instance::fresh(),
         }
     }
 
-    /// Creates a network from initial node positions.
+    /// Creates a network from initial node positions (one write of every
+    /// node: the clock reads 1 and so does every stamp).
     pub fn from_positions(gamma: f64, positions: impl IntoIterator<Item = Point>) -> Self {
-        let mut net = Network::new(gamma);
-        net.positions = positions.into_iter().collect();
-        net.sensing_radius = vec![0.0; net.positions.len()];
-        net.distance_moved = vec![0.0; net.positions.len()];
-        net.rebuild_grid();
-        net
+        let positions: Vec<Point> = positions.into_iter().collect();
+        let n = positions.len();
+        Network::from_parts(gamma, positions, vec![0.0; n], vec![0.0; n], 0.0)
+    }
+
+    /// The write clock: the number of position-writing calls since the
+    /// network was built or cloned, construction counting as one.
+    #[inline]
+    pub fn write_clock(&self) -> u64 {
+        self.clock
+    }
+
+    /// The write-clock value of `id`'s latest position write. Every node
+    /// whose id a removal changed counts as written by that removal.
+    #[inline]
+    pub fn written_at(&self, id: NodeId) -> u64 {
+        self.written[id.0]
+    }
+
+    /// This network value's identity, unique in the process: a clone or
+    /// a rebuilt network gets a new one, so write-clock readings are only
+    /// comparable between equal identities.
+    #[inline]
+    pub fn instance(&self) -> u64 {
+        self.instance.0
+    }
+
+    /// Advances the write clock, returning the stamp of this write.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
     }
 
     /// Rebuilds the spatial index from the current positions — the O(N)
@@ -89,9 +149,11 @@ impl Network {
     /// place when it can be, rebuilt when the new point does not fit.
     pub fn add_node(&mut self, position: Point) -> NodeId {
         let id = NodeId(self.positions.len());
+        let stamp = self.tick();
         self.positions.push(position);
         self.sensing_radius.push(0.0);
         self.distance_moved.push(0.0);
+        self.written.push(stamp);
         if !self.grid.insert(id.0, position) {
             self.rebuild_grid();
         }
@@ -160,6 +222,7 @@ impl Network {
         let old = self.positions[id.0];
         self.distance_moved[id.0] += old.distance(target);
         self.positions[id.0] = target;
+        self.written[id.0] = self.tick();
         if !self.grid.relocate(id.0, old, target) {
             self.rebuild_grid();
         }
@@ -167,15 +230,19 @@ impl Network {
 
     /// Moves a batch of nodes at once, maintaining odometry and feeding
     /// the spatial index one move-delta batch ([`FlatGrid::apply_moves`])
-    /// instead of per-node calls. Results are identical to calling
-    /// [`Network::move_node`] per entry.
+    /// instead of per-node calls. Positions, odometry and queries are
+    /// identical to calling [`Network::move_node`] per entry; the write
+    /// clock advances once for the whole batch.
     pub fn apply_displacements(&mut self, moves: &[(NodeId, Point)]) {
+        let stamp = self.tick();
         let positions = &mut self.positions;
         let distance_moved = &mut self.distance_moved;
+        let written = &mut self.written;
         let ok = self.grid.apply_moves(moves.iter().map(|&(id, target)| {
             let old = positions[id.0];
             distance_moved[id.0] += old.distance(target);
             positions[id.0] = target;
+            written[id.0] = stamp;
             (id.0, old, target)
         }));
         if !ok {
@@ -188,10 +255,12 @@ impl Network {
     /// for belief-perturbed evaluations (a node computing its local rule
     /// under forged neighbor claims): callers apply the claimed
     /// positions, compute, then restore the returned truth — the round
-    /// trip leaves [`Network::total_distance_moved`] untouched.
+    /// trip leaves [`Network::total_distance_moved`] untouched. Both
+    /// writes of the round trip advance the write clock.
     pub fn override_position(&mut self, id: NodeId, target: Point) -> Point {
         let old = self.positions[id.0];
         self.positions[id.0] = target;
+        self.written[id.0] = self.tick();
         if !self.grid.relocate(id.0, old, target) {
             self.rebuild_grid();
         }
@@ -223,20 +292,26 @@ impl Network {
         if removing == 0 {
             return 0;
         }
+        // A survivor that changes id takes a new position at its new id.
+        let stamp = self.tick();
         let mut w = 0;
         for (i, &dead) in doomed.iter().enumerate() {
             if dead {
                 self.retired_distance += self.distance_moved[i];
             } else {
-                self.positions[w] = self.positions[i];
-                self.sensing_radius[w] = self.sensing_radius[i];
-                self.distance_moved[w] = self.distance_moved[i];
+                if w != i {
+                    self.positions[w] = self.positions[i];
+                    self.sensing_radius[w] = self.sensing_radius[i];
+                    self.distance_moved[w] = self.distance_moved[i];
+                    self.written[w] = stamp;
+                }
                 w += 1;
             }
         }
         self.positions.truncate(w);
         self.sensing_radius.truncate(w);
         self.distance_moved.truncate(w);
+        self.written.truncate(w);
         self.rebuild_grid();
         removing
     }
@@ -328,6 +403,7 @@ impl Network {
     /// The spatial index is rebuilt deterministically from the positions
     /// (query results do not depend on the index's cell layout, so a
     /// rebuilt index yields bit-identical behavior to the original).
+    /// The write clock starts at 1 with every node stamped 1.
     ///
     /// # Panics
     ///
@@ -347,6 +423,7 @@ impl Network {
         assert_eq!(positions.len(), sensing_radius.len());
         assert_eq!(positions.len(), distance_moved.len());
         let grid = FlatGrid::build(&positions, gamma);
+        let written = vec![1; positions.len()];
         Network {
             positions,
             sensing_radius,
@@ -354,6 +431,9 @@ impl Network {
             gamma,
             grid,
             retired_distance,
+            clock: 1,
+            written,
+            instance: Instance::fresh(),
         }
     }
 }
@@ -457,6 +537,92 @@ mod tests {
             net.nodes_within(Point::new(1.0, 1.0), 0.1),
             Vec::<NodeId>::new()
         );
+    }
+
+    /// The nodes of `net` stamped with the current write clock.
+    fn stamped_now(net: &Network) -> Vec<usize> {
+        (0..net.len())
+            .filter(|&i| net.written_at(NodeId(i)) == net.write_clock())
+            .collect()
+    }
+
+    fn line(n: usize) -> Network {
+        Network::from_positions(0.5, (0..n).map(|i| Point::new(i as f64, 0.0)))
+    }
+
+    #[test]
+    fn from_parts_stamps_every_node_once() {
+        assert_eq!(Network::new(0.5).write_clock(), 0);
+        let net = Network::from_parts(
+            0.5,
+            vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)],
+            vec![0.0; 2],
+            vec![0.0; 2],
+            0.0,
+        );
+        assert_eq!(net.write_clock(), 1);
+        assert_eq!(stamped_now(&net), vec![0, 1]);
+        // A clone or a rebuilt network is a different instance.
+        assert_ne!(net.clone().instance(), net.instance());
+        assert_ne!(line(2).instance(), net.instance());
+    }
+
+    #[test]
+    fn move_node_stamps_the_moved_node() {
+        let mut net = line(3);
+        let before = net.write_clock();
+        net.move_node(NodeId(1), Point::new(1.0, 1.0));
+        assert_eq!(net.write_clock(), before + 1);
+        assert_eq!(stamped_now(&net), vec![1]);
+    }
+
+    #[test]
+    fn apply_displacements_stamps_the_batch_once() {
+        let mut net = line(4);
+        let before = net.write_clock();
+        net.apply_displacements(&[
+            (NodeId(0), Point::new(0.0, 1.0)),
+            (NodeId(2), Point::new(2.0, 1.0)),
+        ]);
+        assert_eq!(net.write_clock(), before + 1);
+        assert_eq!(stamped_now(&net), vec![0, 2]);
+    }
+
+    #[test]
+    fn override_round_trip_stamps_both_writes() {
+        let mut net = line(3);
+        let before = net.write_clock();
+        let truth = net.override_position(NodeId(2), Point::new(5.0, 5.0));
+        assert_eq!(net.write_clock(), before + 1);
+        assert_eq!(stamped_now(&net), vec![2]);
+        net.override_position(NodeId(2), truth);
+        // Back at the same bits, yet written since `before`.
+        assert_eq!(net.position(NodeId(2)), truth);
+        assert_eq!(net.write_clock(), before + 2);
+        assert_eq!(stamped_now(&net), vec![2]);
+    }
+
+    #[test]
+    fn add_node_stamps_the_new_node() {
+        let mut net = line(2);
+        let before = net.write_clock();
+        let id = net.add_node(Point::new(9.0, 9.0));
+        assert_eq!(net.write_clock(), before + 1);
+        assert_eq!(stamped_now(&net), vec![id.index()]);
+    }
+
+    #[test]
+    fn remove_nodes_stamps_every_node_whose_id_changes() {
+        let mut net = line(5);
+        let before = net.write_clock();
+        net.remove_nodes(&[NodeId(1), NodeId(3)]);
+        assert_eq!(net.write_clock(), before + 1);
+        // Old 2 and old 4 are now 1 and 2; node 0 kept its id.
+        assert_eq!(stamped_now(&net), vec![1, 2]);
+        assert_eq!(net.written_at(NodeId(0)), before);
+        // Removing nothing writes nothing.
+        net.remove_nodes(&[NodeId(7)]);
+        assert_eq!(net.write_clock(), before + 1);
     }
 
     #[test]
