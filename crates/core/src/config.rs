@@ -140,7 +140,7 @@ impl LaacadConfig {
         if self.alpha.is_nan() || self.alpha <= 0.0 || self.alpha > 1.0 {
             return Err(LaacadError::InvalidAlpha(self.alpha));
         }
-        if self.epsilon.is_nan() || self.epsilon <= 0.0 {
+        if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
             return Err(LaacadError::InvalidEpsilon(self.epsilon));
         }
         if !(self.gamma.is_finite() && self.gamma > 0.0) {
@@ -299,6 +299,14 @@ mod tests {
             LaacadConfig::builder(1).epsilon(0.0).build(),
             Err(LaacadError::InvalidEpsilon(_))
         ));
+        // An infinite tolerance would stop every run after its first
+        // round and report it converged.
+        for epsilon in [f64::INFINITY, f64::NAN] {
+            assert!(matches!(
+                LaacadConfig::builder(1).epsilon(epsilon).build(),
+                Err(LaacadError::InvalidEpsilon(_))
+            ));
+        }
         assert!(matches!(
             LaacadConfig::builder(1).transmission_range(-1.0).build(),
             Err(LaacadError::InvalidGamma(_))

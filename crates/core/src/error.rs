@@ -12,7 +12,7 @@ pub enum LaacadError {
     },
     /// Step size `α` must lie in `(0, 1]` (paper Prop. 4).
     InvalidAlpha(f64),
-    /// Stopping tolerance `ε` must be strictly positive.
+    /// Stopping tolerance `ε` must be strictly positive and finite.
     InvalidEpsilon(f64),
     /// Transmission range `γ` must be strictly positive and finite.
     InvalidGamma(f64),
@@ -57,7 +57,7 @@ impl std::fmt::Display for LaacadError {
                 write!(f, "step size α={a} must lie in (0, 1]")
             }
             LaacadError::InvalidEpsilon(e) => {
-                write!(f, "stopping tolerance ε={e} must be positive")
+                write!(f, "stopping tolerance ε={e} must be positive and finite")
             }
             LaacadError::InvalidGamma(g) => {
                 write!(f, "transmission range γ={g} must be positive and finite")

@@ -21,7 +21,7 @@ use crate::checkpoint::ScenarioCheckpoint;
 use crate::engine::{run_scenario, CheckpointPolicy, RunOptions, ScenarioOutcome};
 use crate::results::ResultStore;
 use crate::spec::{DelaySpec, ScenarioSpec, SpecError};
-use crate::value::{decode, encode, DecodeError, Value};
+use crate::value::{decode, DecodeError, Value};
 use laacad::{Recorder, SessionTelemetry};
 use laacad_exec::parallel_map_visit;
 use std::time::Instant;
@@ -171,67 +171,6 @@ impl ParamGrid {
             corruption: list_f64("corruption")?,
             zip,
         })
-    }
-
-    fn to_value(&self) -> Value {
-        let mut t = Value::table();
-        if !self.seeds.is_empty() {
-            t.insert(
-                "seeds",
-                Value::Array(self.seeds.iter().map(|&s| Value::Int(s as i64)).collect()),
-            );
-        }
-        if !self.n.is_empty() {
-            t.insert(
-                "n",
-                Value::Array(self.n.iter().map(|&x| encode::int(x)).collect()),
-            );
-        }
-        if !self.k.is_empty() {
-            t.insert(
-                "k",
-                Value::Array(self.k.iter().map(|&x| encode::int(x)).collect()),
-            );
-        }
-        if !self.alpha.is_empty() {
-            t.insert(
-                "alpha",
-                Value::Array(self.alpha.iter().map(|&x| Value::Float(x)).collect()),
-            );
-        }
-        if !self.gamma.is_empty() {
-            t.insert(
-                "gamma",
-                Value::Array(self.gamma.iter().map(|&x| Value::Float(x)).collect()),
-            );
-        }
-        if !self.loss.is_empty() {
-            t.insert(
-                "loss",
-                Value::Array(self.loss.iter().map(|&x| Value::Float(x)).collect()),
-            );
-        }
-        if !self.delay.is_empty() {
-            t.insert(
-                "delay",
-                Value::Array(self.delay.iter().map(|&x| Value::Float(x)).collect()),
-            );
-        }
-        if !self.corruption.is_empty() {
-            t.insert(
-                "corruption",
-                Value::Array(self.corruption.iter().map(|&x| Value::Float(x)).collect()),
-            );
-        }
-        match &self.zip {
-            ZipSpec::None => {}
-            ZipSpec::All => t.insert("zip", Value::Bool(true)),
-            ZipSpec::Axes(axes) => t.insert(
-                "zip",
-                Value::Array(axes.iter().map(|a| Value::Str(a.clone())).collect()),
-            ),
-        }
-        t
     }
 }
 
@@ -757,27 +696,10 @@ impl CampaignSpec {
         })
     }
 
-    /// Encodes the campaign as a [`Value`] tree.
-    pub fn to_value(&self) -> Value {
-        let mut t = Value::table();
-        t.insert("name", Value::Str(self.name.clone()));
-        if self.checkpoint_every > 0 {
-            t.insert("checkpoint_every", encode::int(self.checkpoint_every));
-        }
-        t.insert("scenario", self.scenario.to_value());
-        t.insert("grid", self.grid.to_value());
-        t
-    }
-
     /// Parses a TOML campaign document.
     pub fn from_toml(text: &str) -> Result<Self, SpecError> {
         let v = crate::toml::parse(text).map_err(SpecError::Toml)?;
         Self::from_value(&v)
-    }
-
-    /// Serializes as TOML.
-    pub fn to_toml(&self) -> String {
-        crate::toml::to_string(&self.to_value())
     }
 
     /// Loads a campaign — or a bare scenario, promoted to a one-cell
@@ -1034,6 +956,18 @@ fn write_cell_telemetry(
 mod tests {
     use super::*;
 
+    /// Parses a campaign over `ScenarioSpec::uniform(name, 10, k)`;
+    /// `rest` continues the `[scenario.laacad]` table and may open
+    /// further sections.
+    fn uniform_campaign(name: &str, k: usize, rest: &str) -> CampaignSpec {
+        let text = format!(
+            "[scenario]\nname = \"{name}\"\n[scenario.region]\nkind = \"named\"\n\
+             name = \"unit_square\"\n[scenario.placement]\nkind = \"uniform\"\nn = 10\n\
+             [scenario.laacad]\nk = {k}\n{rest}"
+        );
+        CampaignSpec::from_toml(&text).unwrap_or_else(|e| panic!("{e}\n{text}"))
+    }
+
     #[test]
     fn expansion_order_is_deterministic() {
         let mut campaign = CampaignSpec::over_seeds(ScenarioSpec::uniform("grid", 10, 1), [1, 2]);
@@ -1090,14 +1024,20 @@ mod tests {
     }
 
     #[test]
-    fn campaign_toml_round_trip() {
+    fn campaign_parses_from_its_literal() {
         let mut campaign = CampaignSpec::over_seeds(ScenarioSpec::uniform("rt", 10, 2), [3, 4]);
         campaign.grid.alpha = vec![0.5, 1.0];
         campaign.grid.gamma = vec![0.3, 0.4];
         campaign.grid.zip = ZipSpec::All;
-        let text = campaign.to_toml();
-        let back = CampaignSpec::from_toml(&text).unwrap();
-        assert_eq!(campaign, back, "TOML:\n{text}");
+        let rest = "[grid]\nseeds = [3, 4]\nalpha = [0.5, 1]\ngamma = [0.3, 4e-1]\nzip = true\n";
+        assert_eq!(uniform_campaign("rt", 2, rest), campaign);
+
+        // `seed_start`/`seed_count` spell out a seed range, and
+        // `zip = false` is the cross product.
+        campaign.grid.zip = ZipSpec::None;
+        let rest = "[grid]\nseed_start = 3\nseed_count = 2\nalpha = [0.5, 1.0]\n\
+                    gamma = [0.3, 0.4]\nzip = false\n";
+        assert_eq!(uniform_campaign("rt", 2, rest), campaign);
     }
 
     #[test]
@@ -1214,15 +1154,15 @@ mod tests {
     }
 
     #[test]
-    fn zip_group_toml_round_trips() {
+    fn zip_group_parses_from_its_literal() {
         let mut campaign = CampaignSpec::over_seeds(ScenarioSpec::uniform("rt-mix", 10, 1), [1]);
         campaign.grid.zip = ZipSpec::Axes(vec!["n".into(), "gamma".into()]);
         campaign.grid.n = vec![40, 90];
         campaign.grid.gamma = vec![0.3, 0.2];
         campaign.grid.k = vec![1, 2];
-        let text = campaign.to_toml();
-        let back = CampaignSpec::from_toml(&text).unwrap();
-        assert_eq!(campaign, back, "TOML:\n{text}");
+        let rest = "[grid]\nseeds = [1]\nn = [40, 90]\ngamma = [0.3, 0.2]\nk = [1, 2]\n\
+                    zip = [\"n\", \"gamma\"]\n";
+        assert_eq!(uniform_campaign("rt-mix", 1, rest), campaign);
     }
 
     #[test]
@@ -1261,14 +1201,16 @@ mod tests {
     }
 
     #[test]
-    fn corruption_axis_toml_round_trips() {
+    fn fault_axes_parse_from_their_literal() {
         let mut spec = ScenarioSpec::uniform("rt-byz", 10, 1);
         spec.laacad.faults = Some(crate::spec::FaultSpec::default());
         let mut campaign = CampaignSpec::over_seeds(spec, [1, 2]);
         campaign.grid.corruption = vec![0.0, 0.1, 0.3];
-        let text = campaign.to_toml();
-        let back = CampaignSpec::from_toml(&text).unwrap();
-        assert_eq!(campaign, back, "TOML:\n{text}");
+        campaign.grid.loss = vec![0.05];
+        campaign.grid.delay = vec![0.0, 2.0];
+        let rest = "[scenario.faults]\n[grid]\nseeds = [1, 2]\ncorruption = [0.0, 0.1, 0.3]\n\
+                    loss = [0.05]\ndelay = [0, 2.0]\n";
+        assert_eq!(uniform_campaign("rt-byz", 1, rest), campaign);
     }
 
     #[test]
@@ -1288,8 +1230,14 @@ mod tests {
         );
 
         // The decoded form is refused the same way.
-        let back = CampaignSpec::from_toml(&campaign.to_toml()).unwrap();
-        assert!(back.expand().is_err());
+        let decoded = CampaignSpec::from_toml(
+            "checkpoint_every = 5\n[scenario]\nname = \"x\"\n[scenario.region]\n\
+             kind = \"square\"\nside = 1.0\n[scenario.placement]\nkind = \"uniform\"\n\
+             n = 10\n[scenario.laacad]\nk = 1\n[scenario.faults]\n",
+        )
+        .unwrap();
+        assert_eq!(decoded.checkpoint_every, 5);
+        assert!(decoded.expand().is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! concrete [`Region`], initial positions and [`LaacadConfig`] for a
 //! given seed.
 
-use crate::value::{decode, encode, DecodeError, Value};
+use crate::value::{decode, DecodeError, Value};
 use laacad::{CoordinateMode, ExecutionMode, LaacadConfig, RingCapPolicy};
 use laacad_dist::{
     AsyncConfig, Axis, Backoff, Corruption, CrashEvent, DelayModel, Drift, FaultPlan,
@@ -161,36 +161,6 @@ impl RegionSpec {
             .into()),
         }
     }
-
-    fn to_value(&self) -> Value {
-        let mut t = Value::table();
-        match self {
-            RegionSpec::Named(name) => {
-                t.insert("kind", Value::Str("named".into()));
-                t.insert("name", Value::Str(name.clone()));
-            }
-            RegionSpec::Square { side } => {
-                t.insert("kind", Value::Str("square".into()));
-                t.insert("side", Value::Float(*side));
-            }
-            RegionSpec::Rect { width, height } => {
-                t.insert("kind", Value::Str("rect".into()));
-                t.insert("width", Value::Float(*width));
-                t.insert("height", Value::Float(*height));
-            }
-            RegionSpec::Polygon { outer, holes } => {
-                t.insert("kind", Value::Str("polygon".into()));
-                t.insert("outer", encode::pairs(outer));
-                if !holes.is_empty() {
-                    t.insert(
-                        "holes",
-                        Value::Array(holes.iter().map(|h| encode::pairs(h)).collect()),
-                    );
-                }
-            }
-        }
-        t
-    }
 }
 
 /// Initial node placement.
@@ -318,32 +288,6 @@ impl PlacementSpec {
             )
             .into()),
         }
-    }
-
-    fn to_value(&self) -> Value {
-        let mut t = Value::table();
-        match self {
-            PlacementSpec::Uniform { n } => {
-                t.insert("kind", Value::Str("uniform".into()));
-                t.insert("n", encode::int(*n));
-            }
-            PlacementSpec::Clustered { n, center, radius } => {
-                t.insert("kind", Value::Str("clustered".into()));
-                t.insert("n", encode::int(*n));
-                t.insert("center", encode::pair(*center));
-                t.insert("radius", Value::Float(*radius));
-            }
-            PlacementSpec::Corner { n, radius } => {
-                t.insert("kind", Value::Str("corner".into()));
-                t.insert("n", encode::int(*n));
-                t.insert("radius", Value::Float(*radius));
-            }
-            PlacementSpec::Custom { points } => {
-                t.insert("kind", Value::Str("custom".into()));
-                t.insert("points", encode::pairs(points));
-            }
-        }
-        t
     }
 }
 
@@ -550,63 +494,6 @@ impl AlgorithmSpec {
             // `ScenarioSpec::from_value`, not from the laacad table.
             faults: None,
         })
-    }
-
-    fn to_value(&self) -> Value {
-        let d = AlgorithmSpec::default();
-        let mut t = Value::table();
-        t.insert("k", encode::int(self.k));
-        t.insert("alpha", Value::Float(self.alpha));
-        if let Some(e) = self.epsilon {
-            t.insert("epsilon", Value::Float(e));
-        }
-        if let Some(g) = self.gamma {
-            t.insert("gamma", Value::Float(g));
-        }
-        t.insert("max_rounds", encode::int(self.max_rounds));
-        if self.execution != d.execution {
-            t.insert(
-                "execution",
-                Value::Str(
-                    match self.execution {
-                        ExecutionMode::Synchronous => "synchronous",
-                        ExecutionMode::Sequential => "sequential",
-                    }
-                    .into(),
-                ),
-            );
-        }
-        if let CoordinateMode::Ranging(noise) = self.coordinates {
-            t.insert("coordinates", Value::Str("ranging".into()));
-            if noise.rel_sigma != 0.0 {
-                t.insert("ranging_rel", Value::Float(noise.rel_sigma));
-            }
-            if noise.abs_sigma != 0.0 {
-                t.insert("ranging_abs", Value::Float(noise.abs_sigma));
-            }
-        }
-        if self.ring_cap != d.ring_cap {
-            t.insert(
-                "ring_cap",
-                Value::Str(
-                    match self.ring_cap {
-                        RingCapPolicy::Exact => "exact",
-                        RingCapPolicy::AlwaysCap => "always_cap",
-                    }
-                    .into(),
-                ),
-            );
-        }
-        if let Some(every) = self.snapshot_every {
-            t.insert("snapshot_every", encode::int(every));
-        }
-        if let Some(threads) = self.threads {
-            t.insert("threads", encode::int(threads));
-        }
-        if self.telemetry != d.telemetry {
-            t.insert("telemetry", Value::Bool(self.telemetry));
-        }
-        t
     }
 }
 
@@ -1033,141 +920,6 @@ impl FaultSpec {
         }
         Ok(spec)
     }
-
-    fn to_value(&self) -> Value {
-        let d = FaultSpec::default();
-        let mut t = Value::table();
-        if self.loss != d.loss {
-            t.insert("loss", Value::Float(self.loss));
-        }
-        if self.duplicate != d.duplicate {
-            t.insert("duplicate", Value::Float(self.duplicate));
-        }
-        match self.delay {
-            DelaySpec::None => {}
-            DelaySpec::Fixed(ticks) => {
-                t.insert("delay", Value::Str("fixed".into()));
-                t.insert("delay_ticks", encode::int(ticks as usize));
-            }
-            DelaySpec::Uniform { lo, hi } => {
-                t.insert("delay", Value::Str("uniform".into()));
-                t.insert("delay_lo", encode::int(lo as usize));
-                t.insert("delay_hi", encode::int(hi as usize));
-            }
-            DelaySpec::Exp { mean } => {
-                t.insert("delay", Value::Str("exp".into()));
-                t.insert("delay_mean", Value::Float(mean));
-            }
-        }
-        if self.jitter != d.jitter {
-            t.insert("jitter", Value::Float(self.jitter));
-        }
-        if self.ack_timeout != d.ack_timeout {
-            t.insert("ack_timeout", encode::int(self.ack_timeout as usize));
-        }
-        if self.max_retries != d.max_retries {
-            t.insert("max_retries", encode::int(self.max_retries as usize));
-        }
-        if self.max_ticks != d.max_ticks {
-            t.insert("max_ticks", encode::int(self.max_ticks as usize));
-        }
-        if !self.crash.is_empty() {
-            t.insert(
-                "crash",
-                Value::Array(
-                    self.crash
-                        .iter()
-                        .map(|c| {
-                            let mut ct = Value::table();
-                            ct.insert("node", encode::int(c.node));
-                            ct.insert("at", encode::int(c.at as usize));
-                            if let Some(r) = c.recover_at {
-                                ct.insert("recover_at", encode::int(r as usize));
-                            }
-                            ct
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        if self.corruption_rate != d.corruption_rate {
-            t.insert("corruption_rate", Value::Float(self.corruption_rate));
-        }
-        if self.corruption_validate != d.corruption_validate {
-            t.insert("corruption_validate", Value::Bool(self.corruption_validate));
-        }
-        if self.quarantine_ticks != d.quarantine_ticks {
-            t.insert(
-                "quarantine_ticks",
-                encode::int(self.quarantine_ticks as usize),
-            );
-        }
-        if self.corruption_tolerance != d.corruption_tolerance {
-            t.insert(
-                "corruption_tolerance",
-                Value::Float(self.corruption_tolerance),
-            );
-        }
-        if let BackoffSpec::Adaptive { cap, jitter } = self.backoff {
-            t.insert("backoff", Value::Str("adaptive".into()));
-            t.insert("backoff_cap", encode::int(cap as usize));
-            if jitter != 0.0 {
-                t.insert("backoff_jitter", Value::Float(jitter));
-            }
-        }
-        if self.drift_rate != d.drift_rate {
-            t.insert("drift_rate", Value::Float(self.drift_rate));
-        }
-        if self.drift_skew != d.drift_skew {
-            t.insert("drift_skew", encode::int(self.drift_skew as usize));
-        }
-        if self.probe_every != d.probe_every {
-            t.insert("probe_every", encode::int(self.probe_every as usize));
-        }
-        if !self.partition.is_empty() {
-            t.insert(
-                "partition",
-                Value::Array(
-                    self.partition
-                        .iter()
-                        .map(|p| {
-                            let mut pt = Value::table();
-                            match &p.kind {
-                                PartitionKindSpec::Bipartition { axis, coord } => {
-                                    pt.insert("kind", Value::Str("bipartition".into()));
-                                    pt.insert("axis", Value::Str(axis.to_string()));
-                                    pt.insert("coord", Value::Float(*coord));
-                                }
-                                PartitionKindSpec::Links { pairs } => {
-                                    pt.insert("kind", Value::Str("links".into()));
-                                    pt.insert(
-                                        "pairs",
-                                        Value::Array(
-                                            pairs
-                                                .iter()
-                                                .map(|&(a, b)| {
-                                                    Value::Array(vec![
-                                                        encode::int(a),
-                                                        encode::int(b),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    );
-                                }
-                            }
-                            pt.insert("at", encode::int(p.at as usize));
-                            if let Some(h) = p.heal_at {
-                                pt.insert("heal_at", encode::int(h as usize));
-                            }
-                            pt
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        t
-    }
 }
 
 /// One timed entry of the dynamic-event timeline.
@@ -1286,54 +1038,6 @@ impl EventSpec {
         };
         Ok(EventSpec { round, action })
     }
-
-    fn to_value(&self) -> Value {
-        let mut t = Value::table();
-        t.insert("round", encode::int(self.round));
-        match &self.action {
-            EventAction::FailFraction { fraction } => {
-                t.insert("action", Value::Str("fail_fraction".into()));
-                t.insert("fraction", Value::Float(*fraction));
-            }
-            EventAction::FailNodes { ids } => {
-                t.insert("action", Value::Str("fail_nodes".into()));
-                t.insert(
-                    "ids",
-                    Value::Array(ids.iter().map(|&i| encode::int(i)).collect()),
-                );
-            }
-            EventAction::FailRegion { center, radius } => {
-                t.insert("action", Value::Str("fail_region".into()));
-                t.insert("center", encode::pair(*center));
-                t.insert("radius", Value::Float(*radius));
-            }
-            EventAction::DepleteBatteries {
-                capacity,
-                move_cost,
-                sense_cost,
-                exponent,
-            } => {
-                t.insert("action", Value::Str("deplete_batteries".into()));
-                t.insert("capacity", Value::Float(*capacity));
-                t.insert("move_cost", Value::Float(*move_cost));
-                t.insert("sense_cost", Value::Float(*sense_cost));
-                t.insert("exponent", Value::Float(*exponent));
-            }
-            EventAction::Insert { placement } => {
-                t.insert("action", Value::Str("insert".into()));
-                t.insert("placement", placement.to_value());
-            }
-            EventAction::SetK { k } => {
-                t.insert("action", Value::Str("set_k".into()));
-                t.insert("k", encode::int(*k));
-            }
-            EventAction::SetAlpha { alpha } => {
-                t.insert("action", Value::Str("set_alpha".into()));
-                t.insert("alpha", Value::Float(*alpha));
-            }
-        }
-        t
-    }
 }
 
 /// Evaluation settings.
@@ -1378,23 +1082,6 @@ impl EvaluationSpec {
             recovery_target: decode::opt_f64(v, "recovery_target", path)?
                 .unwrap_or(d.recovery_target),
         })
-    }
-
-    fn to_value(&self) -> Value {
-        let d = EvaluationSpec::default();
-        let mut t = Value::table();
-        t.insert("coverage_samples", encode::int(self.coverage_samples));
-        t.insert("energy_exponent", Value::Float(self.energy_exponent));
-        if self.round_coverage_samples != d.round_coverage_samples {
-            t.insert(
-                "round_coverage_samples",
-                encode::int(self.round_coverage_samples),
-            );
-        }
-        if self.recovery_target != d.recovery_target {
-            t.insert("recovery_target", Value::Float(self.recovery_target));
-        }
-        t
     }
 }
 
@@ -1483,39 +1170,10 @@ impl ScenarioSpec {
         })
     }
 
-    /// Encodes the spec as a [`Value`] tree.
-    pub fn to_value(&self) -> Value {
-        let mut t = Value::table();
-        t.insert("name", Value::Str(self.name.clone()));
-        if !self.description.is_empty() {
-            t.insert("description", Value::Str(self.description.clone()));
-        }
-        t.insert("region", self.region.to_value());
-        t.insert("placement", self.placement.to_value());
-        t.insert("laacad", self.laacad.to_value());
-        if let Some(f) = &self.laacad.faults {
-            t.insert("faults", f.to_value());
-        }
-        if !self.events.is_empty() {
-            t.insert(
-                "events",
-                Value::Array(self.events.iter().map(|e| e.to_value()).collect()),
-            );
-        }
-        t.insert("evaluation", self.evaluation.to_value());
-        t
-    }
-
     /// Parses a TOML scenario document.
     pub fn from_toml(text: &str) -> Result<Self, SpecError> {
         let v = crate::toml::parse(text).map_err(SpecError::Toml)?;
         Self::from_value(&v)
-    }
-
-    /// Serializes as a TOML document (round-trips through
-    /// [`ScenarioSpec::from_toml`]).
-    pub fn to_toml(&self) -> String {
-        crate::toml::to_string(&self.to_value())
     }
 }
 
@@ -1555,16 +1213,350 @@ mod tests {
         }
     }
 
+    /// [`sample_spec`] as TOML text.
+    const SAMPLE: &str = r#"
+name = "failure-recovery"
+description = "kill 20% mid-run"
+
+[region]
+kind = "named"
+name = "unit_square"
+
+[placement]
+kind = "uniform"
+n = 40
+
+[laacad]
+k = 2
+alpha = 0.6
+max_rounds = 150
+
+[[events]]
+round = 40
+action = "fail_fraction"
+fraction = 0.2
+
+[[events]]
+round = 60
+action = "insert"
+
+[events.placement]
+kind = "clustered"
+n = 4
+center = [0.5, 0.5]
+radius = 0.1
+"#;
+
+    /// A scenario document with the given `[region]` and `[placement]`
+    /// bodies; `rest` continues the `[laacad]` table (`k = 1`) and may
+    /// open further sections.
+    fn doc(region: &str, placement: &str, rest: &str) -> String {
+        format!(
+            "name = \"v\"\n[region]\n{region}\n[placement]\n{placement}\n[laacad]\nk = 1\n{rest}"
+        )
+    }
+
+    /// Decodes [`doc`], which must succeed.
+    fn parse(region: &str, placement: &str, rest: &str) -> ScenarioSpec {
+        let text = doc(region, placement, rest);
+        ScenarioSpec::from_toml(&text).unwrap_or_else(|e| panic!("{e}\n{text}"))
+    }
+
+    const SQUARE: &str = "kind = \"square\"\nside = 1.0";
+    const UNIFORM: &str = "kind = \"uniform\"\nn = 8";
+
     #[test]
-    fn toml_round_trip() {
-        let spec = sample_spec();
-        let text = spec.to_toml();
-        let back = ScenarioSpec::from_toml(&text).unwrap();
-        assert_eq!(spec, back, "TOML:\n{text}");
+    fn sample_spec_parses_from_its_literal() {
+        assert_eq!(ScenarioSpec::from_toml(SAMPLE).unwrap(), sample_spec());
     }
 
     #[test]
-    fn adversarial_fault_knobs_round_trip() {
+    fn every_region_and_placement_parses_from_its_literal() {
+        for (text, expected) in [
+            (
+                "kind = \"named\"\nname = \"lakes\"",
+                RegionSpec::Named("lakes".into()),
+            ),
+            (
+                "kind = \"square\"\nside = 2.5",
+                RegionSpec::Square { side: 2.5 },
+            ),
+            (
+                "kind = \"rect\"\nwidth = 3\nheight = 1.5e-1",
+                RegionSpec::Rect {
+                    width: 3.0,
+                    height: 0.15,
+                },
+            ),
+            (
+                "kind = \"polygon\"\nouter = [[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [0.0, 3.0]]",
+                RegionSpec::Polygon {
+                    outer: vec![(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (0.0, 3.0)],
+                    holes: Vec::new(),
+                },
+            ),
+            (
+                "kind = \"polygon\"\nouter = [[0.0, 0.0], [4.0, 0.0], [4.0, 3.0]]\n\
+                 holes = [[[1.0, 0.5], [2.0, 0.5], [2.0, 1.0]]]",
+                RegionSpec::Polygon {
+                    outer: vec![(0.0, 0.0), (4.0, 0.0), (4.0, 3.0)],
+                    holes: vec![vec![(1.0, 0.5), (2.0, 0.5), (2.0, 1.0)]],
+                },
+            ),
+        ] {
+            assert_eq!(parse(text, UNIFORM, "").region, expected, "{text}");
+        }
+        for (text, expected) in [
+            (
+                "kind = \"uniform\"\nn = 12",
+                PlacementSpec::Uniform { n: 12 },
+            ),
+            (
+                "kind = \"clustered\"\nn = 5\ncenter = [0.25, 0.75]\nradius = 0.1",
+                PlacementSpec::Clustered {
+                    n: 5,
+                    center: (0.25, 0.75),
+                    radius: 0.1,
+                },
+            ),
+            (
+                "kind = \"corner\"\nn = 6\nradius = 2e-1",
+                PlacementSpec::Corner { n: 6, radius: 0.2 },
+            ),
+            (
+                "kind = \"custom\"\npoints = [[0.1, 0.2], [0.3, 0.4]]",
+                PlacementSpec::Custom {
+                    points: vec![(0.1, 0.2), (0.3, 0.4)],
+                },
+            ),
+        ] {
+            assert_eq!(parse(SQUARE, text, "").placement, expected, "{text}");
+        }
+    }
+
+    #[test]
+    fn every_event_parses_from_its_literal() {
+        let events = r#"
+[[events]]
+round = 1
+action = "fail_fraction"
+fraction = 0.2
+
+[[events]]
+round = 2
+action = "fail_nodes"
+ids = [1, 2, 9]
+
+[[events]]
+round = 3
+action = "fail_region"
+center = [0.5, 0.25]
+radius = 0.2
+
+[[events]]
+round = 4
+action = "deplete_batteries"
+capacity = 5
+
+[[events]]
+round = 5
+action = "deplete_batteries"
+capacity = 5.0
+move_cost = 0.5
+sense_cost = 2.0
+exponent = 3.0
+
+[[events]]
+round = 6
+action = "insert"
+
+[events.placement]
+kind = "corner"
+n = 3
+radius = 0.1
+
+[[events]]
+round = 7
+action = "set_k"
+k = 2
+
+[[events]]
+round = 0
+action = "set_alpha"
+alpha = 0.75
+"#;
+        let actions = [
+            EventAction::FailFraction { fraction: 0.2 },
+            EventAction::FailNodes { ids: vec![1, 2, 9] },
+            EventAction::FailRegion {
+                center: (0.5, 0.25),
+                radius: 0.2,
+            },
+            EventAction::DepleteBatteries {
+                capacity: 5.0,
+                move_cost: 1.0,
+                sense_cost: 1.0,
+                exponent: 2.0,
+            },
+            EventAction::DepleteBatteries {
+                capacity: 5.0,
+                move_cost: 0.5,
+                sense_cost: 2.0,
+                exponent: 3.0,
+            },
+            EventAction::Insert {
+                placement: PlacementSpec::Corner { n: 3, radius: 0.1 },
+            },
+            EventAction::SetK { k: 2 },
+            EventAction::SetAlpha { alpha: 0.75 },
+        ];
+        let expected: Vec<EventSpec> = actions
+            .into_iter()
+            .zip([1, 2, 3, 4, 5, 6, 7, 0])
+            .map(|(action, round)| EventSpec { round, action })
+            .collect();
+        assert_eq!(parse(SQUARE, UNIFORM, events).events, expected);
+    }
+
+    #[test]
+    fn laacad_and_evaluation_keys_parse_from_their_literal() {
+        let rest = "alpha = 1\nepsilon = 1e-3\ngamma = 0.3\nmax_rounds = 90\n\
+                    execution = \"sequential\"\ncoordinates = \"oracle\"\n\
+                    ring_cap = \"always_cap\"\nsnapshot_every = 5\nthreads = 2\n\
+                    telemetry = true\n[evaluation]\ncoverage_samples = 500\n\
+                    energy_exponent = 3.0\nround_coverage_samples = 100\n\
+                    recovery_target = 0.9\n";
+        let spec = parse(SQUARE, UNIFORM, rest);
+        assert_eq!(
+            spec.laacad,
+            AlgorithmSpec {
+                k: 1,
+                alpha: 1.0,
+                epsilon: Some(1e-3),
+                gamma: Some(0.3),
+                max_rounds: 90,
+                execution: ExecutionMode::Sequential,
+                coordinates: CoordinateMode::Oracle,
+                ring_cap: RingCapPolicy::AlwaysCap,
+                snapshot_every: Some(5),
+                threads: Some(2),
+                telemetry: true,
+                faults: None,
+            }
+        );
+        assert_eq!(
+            spec.evaluation,
+            EvaluationSpec {
+                coverage_samples: 500,
+                energy_exponent: 3.0,
+                round_coverage_samples: 100,
+                recovery_target: 0.9,
+            }
+        );
+        // Omitted keys take their defaults.
+        let bare = parse(SQUARE, UNIFORM, "");
+        assert_eq!(bare.laacad, AlgorithmSpec::default());
+        assert_eq!(bare.evaluation, EvaluationSpec::default());
+        assert_eq!(bare.description, "");
+    }
+
+    #[test]
+    fn every_delay_and_backoff_parses_from_its_literal() {
+        let faults = |body: &str| {
+            parse(SQUARE, UNIFORM, &format!("[faults]\n{body}"))
+                .laacad
+                .faults
+                .expect("faults section")
+        };
+        // An empty section is the fault-free default.
+        assert_eq!(faults(""), FaultSpec::default());
+        for (text, expected) in [
+            ("delay = \"none\"", DelaySpec::None),
+            ("delay = \"fixed\"", DelaySpec::Fixed(1)),
+            ("delay = \"fixed\"\ndelay_ticks = 3", DelaySpec::Fixed(3)),
+            (
+                "delay = \"uniform\"\ndelay_lo = 1\ndelay_hi = 4",
+                DelaySpec::Uniform { lo: 1, hi: 4 },
+            ),
+            (
+                "delay = \"exp\"\ndelay_mean = 2.5",
+                DelaySpec::Exp { mean: 2.5 },
+            ),
+            ("delay = \"exp\"", DelaySpec::Exp { mean: 1.0 }),
+        ] {
+            assert_eq!(faults(text).delay, expected, "{text}");
+        }
+        for (text, expected) in [
+            ("backoff = \"fixed\"", BackoffSpec::Fixed),
+            (
+                "backoff = \"adaptive\"",
+                BackoffSpec::Adaptive {
+                    cap: 64,
+                    jitter: 0.0,
+                },
+            ),
+        ] {
+            assert_eq!(faults(text).backoff, expected, "{text}");
+        }
+        let text = "duplicate = 0.05\njitter = 0.2\nack_timeout = 6\nmax_retries = 5\n\
+                    max_ticks = 900\n[[faults.crash]]\nnode = 3\nat = 40\nrecover_at = 200\n\
+                    [[faults.crash]]\nnode = 4\nat = 50\n";
+        assert_eq!(
+            faults(text),
+            FaultSpec {
+                duplicate: 0.05,
+                jitter: 0.2,
+                ack_timeout: 6,
+                max_retries: 5,
+                max_ticks: 900,
+                crash: vec![
+                    CrashSpec {
+                        node: 3,
+                        at: 40,
+                        recover_at: Some(200),
+                    },
+                    CrashSpec {
+                        node: 4,
+                        at: 50,
+                        recover_at: None,
+                    },
+                ],
+                ..FaultSpec::default()
+            }
+        );
+    }
+
+    #[test]
+    fn adversarial_fault_knobs_parse_from_their_literal() {
+        let text = format!(
+            "{SAMPLE}{}",
+            r#"
+[faults]
+loss = 0.1
+corruption_rate = 0.15
+corruption_validate = false
+quarantine_ticks = 48
+corruption_tolerance = 0.3
+backoff = "adaptive"
+backoff_cap = 32
+backoff_jitter = 0.25
+drift_rate = 0.05
+drift_skew = 3
+probe_every = 4
+
+[[faults.partition]]
+kind = "bipartition"
+axis = "y"
+coord = 0.4
+at = 10
+heal_at = 90
+
+[[faults.partition]]
+kind = "links"
+pairs = [[0, 3], [1, 7]]
+at = 20
+"#
+        );
         let mut spec = sample_spec();
         spec.laacad.faults = Some(FaultSpec {
             loss: 0.1,
@@ -1598,9 +1590,17 @@ mod tests {
             probe_every: 4,
             ..FaultSpec::default()
         });
-        let text = spec.to_toml();
-        let back = ScenarioSpec::from_toml(&text).unwrap();
-        assert_eq!(spec, back, "TOML:\n{text}");
+        assert_eq!(ScenarioSpec::from_toml(&text).unwrap(), spec);
+        // An omitted axis cuts along x.
+        let x = text.replace("axis = \"y\"\n", "");
+        let back = ScenarioSpec::from_toml(&x).unwrap();
+        assert_eq!(
+            back.laacad.faults.unwrap().partition[0].kind,
+            PartitionKindSpec::Bipartition {
+                axis: 'x',
+                coord: 0.4
+            }
+        );
 
         // The mapped plan carries every adversarial knob.
         let (plan, proto) = spec.laacad.faults.as_ref().unwrap().to_plan();
@@ -1642,22 +1642,31 @@ mod tests {
     }
 
     #[test]
-    fn coordinates_knob_round_trips_and_builds() {
-        let mut spec = sample_spec();
-        spec.laacad.coordinates =
-            CoordinateMode::Ranging(laacad_wsn::ranging::RangingNoise::new(0.01, 0.002));
-        let text = spec.to_toml();
-        assert!(text.contains("coordinates = \"ranging\""), "TOML:\n{text}");
-        let back = ScenarioSpec::from_toml(&text).unwrap();
-        assert_eq!(spec, back, "TOML:\n{text}");
+    fn coordinates_knob_parses_and_builds() {
+        let rest = "coordinates = \"ranging\"\nranging_rel = 0.01\nranging_abs = 0.002\n";
+        let spec = parse(SQUARE, UNIFORM, rest);
+        assert_eq!(
+            spec.laacad.coordinates,
+            CoordinateMode::Ranging(laacad_wsn::ranging::RangingNoise::new(0.01, 0.002))
+        );
+        // Either sigma may be left out; it is zero then.
+        let rel_only = parse(
+            SQUARE,
+            UNIFORM,
+            "coordinates = \"ranging\"\nranging_rel = 0.01\n",
+        );
+        assert_eq!(
+            rel_only.laacad.coordinates,
+            CoordinateMode::Ranging(laacad_wsn::ranging::RangingNoise::new(0.01, 0.0))
+        );
         let region = spec.region.build().unwrap();
-        let config = spec.laacad.build(&region, 40, 7).unwrap();
+        let config = spec.laacad.build(&region, 8, 7).unwrap();
         assert_eq!(config.coordinates, spec.laacad.coordinates);
 
-        let bad = text.replace("ranging_rel = 0.01", "ranging_rel = -1.0");
-        assert!(ScenarioSpec::from_toml(&bad).is_err());
-        let unknown = text.replace("\"ranging\"", "\"gps\"");
-        assert!(ScenarioSpec::from_toml(&unknown).is_err());
+        let bad = rest.replace("ranging_rel = 0.01", "ranging_rel = -1.0");
+        assert!(ScenarioSpec::from_toml(&doc(SQUARE, UNIFORM, &bad)).is_err());
+        let unknown = rest.replace("\"ranging\"", "\"gps\"");
+        assert!(ScenarioSpec::from_toml(&doc(SQUARE, UNIFORM, &unknown)).is_err());
     }
 
     #[test]
@@ -1733,8 +1742,7 @@ mod tests {
             }
         }
         // The accepted keys still decode.
-        let doc = sample_spec().to_toml();
-        assert_eq!(ScenarioSpec::from_toml(&doc).unwrap(), sample_spec());
+        assert_eq!(ScenarioSpec::from_toml(SAMPLE).unwrap(), sample_spec());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A practical TOML subset — parser and serializer over [`Value`].
+//! A practical TOML subset, parsed into a [`Value`] tree.
 //!
 //! Supports everything the scenario specs use: bare/quoted keys,
 //! `key = value` pairs, `[table]` and `[[array-of-tables]]` headers,
@@ -313,9 +313,13 @@ impl<'a> Parser<'a> {
             }
         }
         if text.contains('.') || text.contains('e') || text.contains('E') {
+            // `"1e999".parse()` is `inf`: an overflowing literal is refused
+            // like any other malformed float.
             text.parse::<f64>()
+                .ok()
+                .filter(|x| x.is_finite())
                 .map(Value::Float)
-                .map_err(|_| self.err(format!("invalid float `{text}`")))
+                .ok_or_else(|| self.err(format!("invalid float `{text}`")))
         } else {
             text.parse::<i64>()
                 .map(Value::Int)
@@ -431,130 +435,6 @@ fn resolve_mut<'t>(root: &'t mut Table, path: &[String]) -> Result<&'t mut Table
     ensure_table(root, path)
 }
 
-/// Serializes a [`Value::Table`] as a TOML document.
-///
-/// Layout: scalar and scalar-array keys first (in sorted order), then
-/// `[sub.table]` sections, then `[[array.of.tables]]` sections. Guaranteed
-/// to round-trip through [`parse`] for values produced by the spec
-/// encoders (no heterogeneous arrays mixing tables and scalars).
-pub fn to_string(value: &Value) -> String {
-    let mut out = String::new();
-    let table = match value {
-        Value::Table(map) => map,
-        other => panic!("TOML document must be a table, got {}", other.type_name()),
-    };
-    write_table(&mut out, table, &mut Vec::new());
-    out
-}
-
-fn is_table_array(v: &Value) -> bool {
-    matches!(v, Value::Array(items) if !items.is_empty() && items.iter().all(|x| matches!(x, Value::Table(_))))
-}
-
-fn write_table(out: &mut String, table: &Table, path: &mut Vec<String>) {
-    // 1. Plain key/value pairs.
-    for (key, v) in table {
-        match v {
-            Value::Table(_) => {}
-            v if is_table_array(v) => {}
-            v => {
-                out.push_str(&format!("{} = {}\n", key_str(key), scalar(v)));
-            }
-        }
-    }
-    // 2. Sub-tables.
-    for (key, v) in table {
-        if let Value::Table(sub) = v {
-            path.push(key.clone());
-            out.push_str(&format!("\n[{}]\n", path_str(path)));
-            write_table(out, sub, path);
-            path.pop();
-        }
-    }
-    // 3. Arrays of tables.
-    for (key, v) in table {
-        if is_table_array(v) {
-            if let Value::Array(items) = v {
-                for item in items {
-                    if let Value::Table(sub) = item {
-                        path.push(key.clone());
-                        out.push_str(&format!("\n[[{}]]\n", path_str(path)));
-                        write_table(out, sub, path);
-                        path.pop();
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn key_str(key: &str) -> String {
-    let bare = !key.is_empty()
-        && key
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-');
-    if bare {
-        key.to_string()
-    } else {
-        format!("\"{}\"", escape(key))
-    }
-}
-
-fn path_str(path: &[String]) -> String {
-    path.iter()
-        .map(|k| key_str(k))
-        .collect::<Vec<_>>()
-        .join(".")
-}
-
-fn scalar(v: &Value) -> String {
-    match v {
-        Value::Bool(b) => b.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(x) => float_str(*x),
-        Value::Str(s) => format!("\"{}\"", escape(s)),
-        Value::Array(items) => {
-            let inner: Vec<String> = items.iter().map(scalar).collect();
-            format!("[{}]", inner.join(", "))
-        }
-        Value::Table(map) => {
-            // Inline table (only reachable for tables nested inside arrays
-            // of scalars, which the spec encoders do not produce — kept for
-            // completeness).
-            let inner: Vec<String> = map
-                .iter()
-                .map(|(k, v)| format!("{} = {}", key_str(k), scalar(v)))
-                .collect();
-            format!("{{{}}}", inner.join(", "))
-        }
-    }
-}
-
-/// Shortest round-trip decimal for `x`; integral floats keep a `.0` so
-/// they re-parse as floats.
-fn float_str(x: f64) -> String {
-    if x.is_finite() && x == x.trunc() && x.abs() < 1e15 {
-        format!("{x:.1}")
-    } else {
-        format!("{x}")
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,8 +541,12 @@ center = [0.5, 0.5]
         }
     }
 
+    fn table<const N: usize>(entries: [(&str, Value); N]) -> Value {
+        Value::Table(entries.map(|(k, v)| (k.to_string(), v)).into())
+    }
+
     #[test]
-    fn serializer_round_trips() {
+    fn document_parses_to_the_expected_tree() {
         let doc = r#"
 name = "rt"
 ratio = 0.5
@@ -679,19 +563,92 @@ id = 1
 [[items]]
 id = 2
 "#;
-        let v = parse(doc).unwrap();
-        let text = to_string(&v);
-        let reparsed = parse(&text).unwrap();
-        assert_eq!(v, reparsed, "serialized:\n{text}");
+        let expected = table([
+            ("name", Value::Str("rt".into())),
+            ("ratio", Value::Float(0.5)),
+            ("n", Value::Int(7)),
+            (
+                "tags",
+                Value::Array(vec![Value::Str("a".into()), Value::Str("b".into())]),
+            ),
+            (
+                "sub",
+                table([
+                    ("flag", Value::Bool(false)),
+                    (
+                        "pt",
+                        Value::Array(vec![Value::Float(1.0), Value::Float(2.5)]),
+                    ),
+                ]),
+            ),
+            (
+                "items",
+                Value::Array(vec![
+                    table([("id", Value::Int(1))]),
+                    table([("id", Value::Int(2))]),
+                ]),
+            ),
+        ]);
+        assert_eq!(parse(doc).unwrap(), expected);
     }
 
     #[test]
-    fn integral_floats_stay_floats() {
-        assert_eq!(float_str(2.0), "2.0");
-        assert_eq!(float_str(0.5), "0.5");
-        let v = parse("x = 2.0\n").unwrap();
-        assert_eq!(v.get("x"), Some(&Value::Float(2.0)));
-        let rt = parse(&to_string(&v)).unwrap();
-        assert_eq!(v, rt);
+    fn nested_and_array_tables_build_the_expected_tree() {
+        let doc = "[a.b]\nx = 1\n\n[[s.events]]\nround = 1\n\n\
+                   [s.events.placement]\nn = 3\n\n[[s.events]]\nround = 2\n";
+        let expected = table([
+            ("a", table([("b", table([("x", Value::Int(1))]))])),
+            (
+                "s",
+                table([(
+                    "events",
+                    Value::Array(vec![
+                        table([
+                            ("round", Value::Int(1)),
+                            ("placement", table([("n", Value::Int(3))])),
+                        ]),
+                        table([("round", Value::Int(2))]),
+                    ]),
+                )]),
+            ),
+        ]);
+        assert_eq!(parse(doc).unwrap(), expected);
+    }
+
+    #[test]
+    fn float_literals_parse_exactly() {
+        for (text, expected) in [
+            ("2.0", 2.0),
+            ("2e0", 2.0),
+            ("1e-3", 1e-3),
+            ("2.5E+2", 250.0),
+            ("-1.5e-7", -1.5e-7),
+            ("1_000.5", 1000.5),
+            ("1.7e308", 1.7e308),
+            ("0.30000000000000004", 0.30000000000000004),
+        ] {
+            let v = parse(&format!("x = {text}\n")).unwrap();
+            assert_eq!(v.get("x"), Some(&Value::Float(expected)), "{text}");
+        }
+        // An integral literal stays an integer; with a point it is a float.
+        assert_eq!(parse("x = 2\n").unwrap().get("x"), Some(&Value::Int(2)));
+        // Negative zero keeps its sign bit.
+        for text in ["-0.0", "-0e0"] {
+            let v = parse(&format!("x = {text}\n")).unwrap();
+            let Some(Value::Float(x)) = v.get("x") else {
+                panic!("{text}: {v:?}");
+            };
+            assert!(*x == 0.0 && x.is_sign_negative(), "{text}: {x}");
+        }
+    }
+
+    #[test]
+    fn non_finite_floats_are_refused() {
+        for text in ["nan", "inf", "+inf", "-inf", "+nan", "1e999", "-1e999"] {
+            let err = parse(&format!("ok = 1\nx = {text}\n")).unwrap_err();
+            assert_eq!(err.line, 2, "{text}: {err}");
+        }
+        let err = parse("x = 1e999\n").unwrap_err();
+        assert!(err.message.contains("invalid float `1e999`"), "{err}");
     }
 }

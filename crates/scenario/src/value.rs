@@ -1,11 +1,11 @@
-//! A small dynamic value tree behind the TOML reader and the TOML and
-//! JSON writers.
+//! A small dynamic value tree behind the TOML reader and the JSON
+//! writer.
 //!
 //! The build environment is offline, so the workspace cannot depend on
 //! `serde`/`toml`/`serde_json`; scenario specs instead decode through
-//! this hand-rolled [`Value`] type. The TOML parser produces it, the
-//! TOML and JSON serializers consume it, and `spec.rs` maps it to and
-//! from the typed scenario structs.
+//! this hand-rolled [`Value`] type. The TOML parser produces it,
+//! `spec.rs` decodes it into the typed scenario structs, and the JSON
+//! writer serializes the result records built from it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -276,18 +276,13 @@ pub mod decode {
     }
 }
 
-/// Encoding helpers used by `spec.rs`.
+/// Encoding helpers for the result records (`engine.rs`).
 pub mod encode {
     use super::Value;
 
     /// A `(x, y)` pair as a two-element array.
     pub fn pair(p: (f64, f64)) -> Value {
         Value::Array(vec![Value::Float(p.0), Value::Float(p.1)])
-    }
-
-    /// A list of `(x, y)` pairs.
-    pub fn pairs(ps: &[(f64, f64)]) -> Value {
-        Value::Array(ps.iter().map(|&p| pair(p)).collect())
     }
 
     /// A `usize` as an integer value.

@@ -1,4 +1,4 @@
-//! The `[faults]` path through the scenario layer: spec round-trips,
+//! The `[faults]` path through the scenario layer: spec parsing,
 //! deterministic asynchronous runs with convergence-under-faults
 //! metrics, fault grid axes, and the events × faults exclusion.
 
@@ -17,8 +17,18 @@ fn faulty_spec(name: &str, loss: f64) -> ScenarioSpec {
     spec
 }
 
+/// The scenario of [`faulty_spec`] as TOML text, with `faults` as the
+/// body of its `[faults]` table.
+fn faulty_toml(name: &str, faults: &str) -> String {
+    format!(
+        "name = \"{name}\"\n[region]\nkind = \"named\"\nname = \"unit_square\"\n\
+         [placement]\nkind = \"uniform\"\nn = 16\n[laacad]\nk = 1\nmax_rounds = 400\n\
+         [faults]\n{faults}"
+    )
+}
+
 #[test]
-fn faults_toml_round_trips() {
+fn faults_parse_from_their_literal() {
     let mut spec = faulty_spec("rt", 0.1);
     {
         let f = spec.laacad.faults.as_mut().unwrap();
@@ -32,16 +42,26 @@ fn faults_toml_round_trips() {
             recover_at: Some(200),
         }];
     }
-    let text = spec.to_toml();
-    assert!(text.contains("[faults]"), "TOML:\n{text}");
-    let back = ScenarioSpec::from_toml(&text).unwrap();
-    assert_eq!(spec, back, "TOML:\n{text}");
+    let text = faulty_toml(
+        "rt",
+        "loss = 0.1\nduplicate = 0.05\njitter = 0.2\ndelay = \"exp\"\ndelay_mean = 1.5\n\
+         max_retries = 5\n[[faults.crash]]\nnode = 3\nat = 40\nrecover_at = 200\n",
+    );
+    assert_eq!(
+        ScenarioSpec::from_toml(&text).unwrap(),
+        spec,
+        "TOML:\n{text}"
+    );
 
-    // Defaults stay implicit: a default FaultSpec serializes to an
-    // empty table and decodes back to itself.
+    // Omitted knobs take the fault-free defaults: an empty `[faults]`
+    // table decodes to `FaultSpec::default()`.
     let bare = faulty_spec("bare", FaultSpec::default().loss);
-    let back = ScenarioSpec::from_toml(&bare.to_toml()).unwrap();
-    assert_eq!(bare, back);
+    let text = faulty_toml("bare", "");
+    assert_eq!(
+        ScenarioSpec::from_toml(&text).unwrap(),
+        bare,
+        "TOML:\n{text}"
+    );
 }
 
 #[test]
@@ -127,10 +147,38 @@ fn loss_and_delay_grid_axes_cross_and_override() {
         }
     }
 
-    // Round trip the grid axes through TOML.
-    let text = campaign.to_toml();
-    let back = CampaignSpec::from_toml(&text).unwrap();
-    assert_eq!(campaign, back, "TOML:\n{text}");
+    // The same grid axes, parsed from a campaign document.
+    let text = r#"
+name = "sweep"
+
+[scenario]
+name = "sweep"
+
+[scenario.region]
+kind = "named"
+name = "unit_square"
+
+[scenario.placement]
+kind = "uniform"
+n = 16
+
+[scenario.laacad]
+k = 1
+max_rounds = 400
+
+[scenario.faults]
+loss = 0.0
+
+[grid]
+seeds = [1]
+loss = [0.0, 0.1]
+delay = [0.0, 2.0]
+"#;
+    assert_eq!(
+        CampaignSpec::from_toml(text).unwrap(),
+        campaign,
+        "TOML:\n{text}"
+    );
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! the parallel executor schedules cells.
 
 use laacad_scenario::{
-    run_campaign, to_csv, to_jsonl, CampaignRunOptions, CampaignSpec, ScenarioSpec,
+    run_campaign, to_csv, to_jsonl, CampaignRunOptions, CampaignSpec, EventAction, EventSpec,
+    PlacementSpec, ScenarioSpec,
 };
 
 const SPEC: &str = r#"
@@ -105,23 +106,35 @@ fn different_seeds_different_results() {
 
 #[test]
 fn programmatic_and_parsed_specs_agree() {
-    // The same campaign built in code and parsed from its own TOML
-    // serialization must produce identical results.
-    let campaign = CampaignSpec::from_toml(SPEC).expect("spec parses");
-    let reparsed = CampaignSpec::from_toml(&{
-        let mut t = campaign.to_toml();
-        t.push('\n');
-        t
-    })
-    .expect("round-tripped spec parses");
-    assert_eq!(campaign, reparsed);
-    let direct = {
-        let mut spec = ScenarioSpec::from_toml(&campaign.scenario.to_toml()).unwrap();
-        spec.name = campaign.scenario.name.clone();
-        spec
-    };
-    assert_eq!(direct, campaign.scenario);
-    let a = run_campaign(&campaign, CampaignRunOptions::default()).unwrap();
-    let b = run_campaign(&reparsed, CampaignRunOptions::default()).unwrap();
+    // The campaign of `SPEC`, built in code, equals the parsed one and
+    // produces identical results.
+    let mut scenario = ScenarioSpec::uniform("determinism-probe", 18, 1);
+    scenario.laacad.alpha = 0.6;
+    scenario.laacad.gamma = Some(0.4);
+    scenario.laacad.max_rounds = 60;
+    scenario.events = vec![
+        EventSpec {
+            round: 12,
+            action: EventAction::FailFraction { fraction: 0.2 },
+        },
+        EventSpec {
+            round: 20,
+            action: EventAction::Insert {
+                placement: PlacementSpec::Clustered {
+                    n: 3,
+                    center: (0.5, 0.5),
+                    radius: 0.1,
+                },
+            },
+        },
+    ];
+    scenario.evaluation.coverage_samples = 2000;
+    let mut programmatic = CampaignSpec::over_seeds(scenario, 1..=6);
+    programmatic.grid.k = vec![1, 2];
+
+    let parsed = CampaignSpec::from_toml(SPEC).expect("spec parses");
+    assert_eq!(programmatic, parsed);
+    let a = run_campaign(&programmatic, CampaignRunOptions::default()).unwrap();
+    let b = run_campaign(&parsed, CampaignRunOptions::default()).unwrap();
     assert_eq!(to_jsonl(&a), to_jsonl(&b));
 }

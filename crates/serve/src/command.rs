@@ -1,16 +1,14 @@
-//! The host's command model: what clients ask of a hosted session, what
-//! they get back, and the append-only log a host run replays from.
+//! The host's command model: what clients ask of a hosted session and
+//! what they get back.
 
 use laacad::{EventOutcome, NetworkEvent, RoundDelta};
 use laacad_geom::Point;
 use laacad_wsn::NodeId;
 
-use crate::host::HostConfig;
-
 /// Handle to one hosted session — the dense slot index a
 /// [`crate::SessionHost`] assigned at admission. Ids are never reused
-/// within a host's lifetime (retired slots stay empty), so a log entry
-/// naming an id is unambiguous.
+/// within a host's lifetime (retired slots stay empty), so an id names
+/// one session for good.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SessionId(pub usize);
 
@@ -74,46 +72,4 @@ pub struct CoverageAnswer {
     pub min_degree: usize,
     /// Mean observed coverage degree.
     pub mean_degree: f64,
-}
-
-/// One entry of a host's append-only command log.
-///
-/// The log is self-contained: admissions carry the admitted session's
-/// snapshot bytes, so [`crate::SessionHost::replay`] reconstructs the
-/// whole run from the log alone — no out-of-band initial state.
-/// Rejected submissions never enter the log (they never entered a
-/// queue); sheds are *not* logged either, because they are a
-/// deterministic function of the logged submissions and ticks.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LogEntry {
-    /// A session was admitted with this snapshot as its initial state.
-    Admit {
-        /// `laacad-snapshot/3` bytes of the session at admission.
-        snapshot: Vec<u8>,
-    },
-    /// A command was accepted into a session's queue.
-    Submit {
-        /// The target session.
-        session: SessionId,
-        /// The accepted command.
-        command: Command,
-    },
-    /// A session was retired (removed from scheduling).
-    Retire {
-        /// The retired session.
-        session: SessionId,
-    },
-    /// One scheduling tick ran.
-    Tick,
-}
-
-/// A complete, replayable record of a host run: the host configuration
-/// plus every logged entry in order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CommandLog {
-    /// The configuration the host ran under (queue bounds and budgets
-    /// shape which commands executed when, so replay needs them).
-    pub config: HostConfig,
-    /// Entries in the order they happened.
-    pub entries: Vec<LogEntry>,
 }

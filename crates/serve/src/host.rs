@@ -2,11 +2,11 @@
 
 use std::collections::VecDeque;
 
-use laacad::{Recorder, Session, SessionBuilder, SnapshotError};
+use laacad::{Recorder, Session};
 use laacad_coverage::evaluate_coverage;
 use laacad_exec::parallel_map_with;
 
-use crate::command::{Command, CommandLog, CoverageAnswer, LogEntry, Response, SessionId};
+use crate::command::{Command, CoverageAnswer, Response, SessionId};
 
 /// What to do when a command arrives at a full session queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,32 +69,6 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Why a [`SessionHost::replay`] failed.
-#[derive(Debug)]
-pub enum ReplayError {
-    /// An admission snapshot failed to restore.
-    Snapshot(SnapshotError),
-    /// A logged submission was not accepted on replay — the log and
-    /// config disagree (e.g. a smaller queue bound than the recording
-    /// host's).
-    Submit(SubmitError),
-    /// A logged entry referenced a session the replaying host does not
-    /// have.
-    UnknownSession(SessionId),
-}
-
-impl std::fmt::Display for ReplayError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReplayError::Snapshot(e) => write!(f, "replay: bad admission snapshot: {e}"),
-            ReplayError::Submit(e) => write!(f, "replay: logged submission refused: {e}"),
-            ReplayError::UnknownSession(id) => write!(f, "replay: {id} does not exist"),
-        }
-    }
-}
-
-impl std::error::Error for ReplayError {}
-
 /// Running totals over a host's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HostStats {
@@ -129,10 +103,9 @@ struct Hosted {
 /// tick budget) in **ascending session-id order** and fans the batches
 /// out over `laacad-exec` workers — one worker per session, sessions
 /// mutually independent — so a tick's results are identical at any
-/// thread count. Everything that shapes the run is captured in an
-/// append-only [`CommandLog`] (admissions carry snapshot bytes), and
-/// [`SessionHost::replay`] reproduces the run byte-for-byte from the
-/// log alone.
+/// thread count. The host keeps no history: a session's state is its
+/// [`Session::snapshot`], and the same admissions, submissions and
+/// ticks give the same responses and snapshots byte for byte.
 ///
 /// # Example
 ///
@@ -163,7 +136,6 @@ pub struct SessionHost {
     /// Slot per [`SessionId`]; retired slots stay `None` (ids are never
     /// reused).
     slots: Vec<Option<Hosted>>,
-    log: CommandLog,
     stats: HostStats,
     /// Stats already reported to the recorder (per-tick deltas).
     reported: HostStats,
@@ -180,10 +152,6 @@ impl SessionHost {
         SessionHost {
             config,
             slots: Vec::new(),
-            log: CommandLog {
-                config,
-                entries: Vec::new(),
-            },
             stats: HostStats::default(),
             reported: HostStats::default(),
             recorder: None,
@@ -195,13 +163,9 @@ impl SessionHost {
         &self.config
     }
 
-    /// Admits a session, returning its id. The session's snapshot is
-    /// recorded in the command log as the replay starting point.
+    /// Admits a session, returning its id.
     pub fn admit(&mut self, session: Session) -> SessionId {
         let id = SessionId(self.slots.len());
-        self.log.entries.push(LogEntry::Admit {
-            snapshot: session.snapshot(),
-        });
         self.slots.push(Some(Hosted {
             session: Some(session),
             queue: VecDeque::new(),
@@ -214,7 +178,6 @@ impl SessionHost {
     /// commands are dropped (counted as shed).
     pub fn retire(&mut self, id: SessionId) -> Option<Session> {
         let hosted = self.slots.get_mut(id.0)?.take()?;
-        self.log.entries.push(LogEntry::Retire { session: id });
         self.stats.retired += 1;
         self.stats.shed += hosted.queue.len() as u64;
         hosted.session
@@ -227,7 +190,7 @@ impl SessionHost {
     ///
     /// [`SubmitError::UnknownSession`] for dead ids;
     /// [`SubmitError::QueueFull`] under [`QueuePolicy::Reject`] at
-    /// capacity (the command did not enter and is not logged).
+    /// capacity (the command did not enter the queue).
     pub fn submit(&mut self, id: SessionId, command: Command) -> Result<(), SubmitError> {
         let hosted = self
             .slots
@@ -246,10 +209,6 @@ impl SessionHost {
                 }
             }
         }
-        self.log.entries.push(LogEntry::Submit {
-            session: id,
-            command: command.clone(),
-        });
         hosted.queue.push_back(command);
         self.stats.accepted += 1;
         Ok(())
@@ -263,7 +222,6 @@ impl SessionHost {
     /// `threads` setting (sessions are independent and results are
     /// collected in input order).
     pub fn tick(&mut self) -> Vec<(SessionId, Vec<Response>)> {
-        self.log.entries.push(LogEntry::Tick);
         self.stats.ticks += 1;
         let budget = if self.config.tick_budget == 0 {
             usize::MAX
@@ -403,17 +361,6 @@ impl SessionHost {
         self.stats
     }
 
-    /// The append-only record of this run.
-    pub fn log(&self) -> &CommandLog {
-        &self.log
-    }
-
-    /// Consumes the host, returning the command log (e.g. to persist it
-    /// and replay elsewhere).
-    pub fn into_log(self) -> CommandLog {
-        self.log
-    }
-
     /// Installs a host-level telemetry recorder (counters per tick, see
     /// [`SessionHost::tick`]); purely observational, like the engine's.
     pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
@@ -423,43 +370,5 @@ impl SessionHost {
     /// Removes and returns the installed recorder.
     pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
         self.recorder.take()
-    }
-
-    /// Reconstructs a host run from its command log: restores every
-    /// admission snapshot, re-submits every accepted command, and
-    /// re-runs every tick. Because queues, budgets, and per-session
-    /// execution are all deterministic, the replayed host's sessions are
-    /// **byte-for-byte identical** to the original's — compare
-    /// [`laacad::Session::snapshot`] bytes (pinned by
-    /// `tests/host_scheduler.rs`). Responses are discarded; the replay's
-    /// own log equals the input log.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplayError`] when the log is internally inconsistent (bad
-    /// snapshot bytes, submissions to dead sessions).
-    pub fn replay(log: &CommandLog) -> Result<SessionHost, ReplayError> {
-        let mut host = SessionHost::new(log.config);
-        for entry in &log.entries {
-            match entry {
-                LogEntry::Admit { snapshot } => {
-                    let session =
-                        SessionBuilder::restore(snapshot).map_err(ReplayError::Snapshot)?;
-                    host.admit(session);
-                }
-                LogEntry::Submit { session, command } => {
-                    host.submit(*session, command.clone())
-                        .map_err(ReplayError::Submit)?;
-                }
-                LogEntry::Retire { session } => {
-                    host.retire(*session)
-                        .ok_or(ReplayError::UnknownSession(*session))?;
-                }
-                LogEntry::Tick => {
-                    host.tick();
-                }
-            }
-        }
-        Ok(host)
     }
 }

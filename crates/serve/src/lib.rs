@@ -9,8 +9,8 @@
 //! Three layers:
 //!
 //! * **Snapshots** — the `laacad-snapshot/3` format lives in
-//!   [`laacad::snapshot`]; this crate consumes it for admission records
-//!   and the [`Command::Snapshot`] request.
+//!   [`laacad::snapshot`]; a session's snapshot is its whole state, and
+//!   the [`Command::Snapshot`] request returns it.
 //! * **Scheduling** — [`SessionHost`] owns N sessions with per-session
 //!   FIFO command queues, drained in ascending session-id order each
 //!   [`SessionHost::tick`] and executed in parallel over `laacad-exec`
@@ -23,10 +23,10 @@
 //!   the batch. Host health flows through the standard telemetry
 //!   [`Recorder`](laacad::Recorder) as per-tick counters.
 //!
-//! Every run is captured in an append-only [`CommandLog`] whose
-//! admission entries carry full snapshot bytes, so
-//! [`SessionHost::replay`] reproduces a host run **byte-for-byte** from
-//! the log alone.
+//! The host keeps no command history. It is deterministic instead: the
+//! same admissions, submissions and ticks give the same responses and
+//! the same session snapshots, byte for byte, at any thread count
+//! (pinned by `tests/host_scheduler.rs`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,8 +34,8 @@
 mod command;
 mod host;
 
-pub use command::{Command, CommandLog, CoverageAnswer, LogEntry, Response, SessionId};
-pub use host::{HostConfig, HostStats, QueuePolicy, ReplayError, SessionHost, SubmitError};
+pub use command::{Command, CoverageAnswer, Response, SessionId};
+pub use host::{HostConfig, HostStats, QueuePolicy, SessionHost, SubmitError};
 
 #[cfg(test)]
 mod tests {
@@ -148,31 +148,6 @@ mod tests {
         assert!(matches!(results[0].1[0], Response::Failed(_)));
         assert!(matches!(results[0].1[1], Response::Failed(_)));
         assert_eq!(host.session(id).unwrap().snapshot(), before);
-    }
-
-    #[test]
-    fn replay_reproduces_sessions_byte_for_byte() {
-        let mut host = SessionHost::new(HostConfig {
-            threads: 2,
-            ..HostConfig::default()
-        });
-        let a = host.admit(session(14, 7));
-        let b = host.admit(session(14, 8));
-        for _ in 0..3 {
-            host.submit(a, Command::Step).unwrap();
-            host.submit(b, Command::Step).unwrap();
-            host.tick();
-        }
-        host.retire(b);
-        host.submit(a, Command::Step).unwrap();
-        host.tick();
-        let replayed = SessionHost::replay(host.log()).unwrap();
-        assert_eq!(
-            replayed.session(a).unwrap().snapshot(),
-            host.session(a).unwrap().snapshot()
-        );
-        assert!(replayed.session(b).is_none());
-        assert_eq!(replayed.log(), host.log());
     }
 
     #[test]

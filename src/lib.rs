@@ -17,8 +17,8 @@
 //! * [`laacad_viz`] — SVG figure rendering,
 //! * [`laacad_scenario`] — declarative scenarios, dynamic events, and the
 //!   parallel campaign runner,
-//! * [`laacad_serve`] — coverage-as-a-service: session snapshots, the
-//!   multi-session host/scheduler, command-log replay.
+//! * [`laacad_serve`] — coverage-as-a-service: session snapshots and
+//!   the deterministic multi-session host/scheduler.
 //!
 //! # Example
 //!
