@@ -246,8 +246,8 @@ pub(crate) struct CacheEntry {
     pub(crate) clock: u64,
     /// The ring's members in the search's order (ascending ids). Their
     /// positions are what the geometry reads; they are unchanged while
-    /// no member is written after `clock`.
-    pub(crate) members: Vec<u32>,
+    /// no member is written after `clock`. Exactly as long as the ring.
+    pub(crate) members: Box<[u32]>,
     // --- cached view -------------------------------------------------
     // (The region pieces themselves are not retained: hits only ever
     // need the disk and the reach, so caching the geometry would hold
@@ -267,7 +267,7 @@ impl Default for CacheEntry {
             self_pos: Point::ORIGIN,
             rho: 0.0,
             clock: 0,
-            members: Vec::new(),
+            members: Box::default(),
             chebyshev: None,
             reach: 0.0,
         }
@@ -299,7 +299,9 @@ impl CacheEntry {
 
     /// Overwrites the key fields with the inputs of a computation at
     /// `net`'s current write clock (the caller recomputes the view and
-    /// stores the resulting disk/reach afterwards).
+    /// stores the resulting disk/reach afterwards). The member ids are
+    /// overwritten in place when the ring kept its length and
+    /// reallocated at the new length otherwise.
     pub(crate) fn store_key(
         &mut self,
         net: &Network,
@@ -314,11 +316,17 @@ impl CacheEntry {
         self.rho = rho;
         self.dominated = dominated;
         self.clock = net.write_clock();
-        self.members.clear();
-        self.members.extend(members.iter().map(|&m| {
+        let ids = members.iter().map(|&m| {
             debug_assert!(m <= u32::MAX as usize, "node id {m} exceeds u32");
             m as u32
-        }));
+        });
+        if self.members.len() == members.len() {
+            for (stored, id) in self.members.iter_mut().zip(ids) {
+                *stored = id;
+            }
+        } else {
+            self.members = ids.collect();
+        }
     }
 }
 

@@ -252,9 +252,10 @@ pub struct Session {
     /// Whether `views` may be replayed (synchronous + oracle, and no
     /// event since they were computed).
     views_valid: bool,
-    /// The previous round's movement set — the changed-positions input
-    /// of the dirty classification.
-    last_movers: Vec<MovedNode>,
+    /// The movement since the stored views were computed — the
+    /// changed-positions input of the dirty classification and of the
+    /// adjacency patch.
+    movement: Movement,
     counters: SessionCounters,
     /// Events applied since the last observer dispatch (drained by
     /// [`Session::run_with_observers`]).
@@ -357,7 +358,7 @@ impl Session {
             adjacency_state: AdjacencyState::StaleFull,
             views: Vec::new(),
             views_valid: false,
-            last_movers: Vec::new(),
+            movement: Movement::default(),
             counters: SessionCounters::default(),
             event_log: Vec::new(),
             recorder: None,
@@ -526,20 +527,12 @@ impl Session {
         if !self.dirty_skip_active() || !self.views_valid || self.views.len() != n {
             return DirtyClass::AllDirty;
         }
-        if self.last_movers.is_empty() {
-            return DirtyClass::AllClean;
-        }
-        // With a large mover set nearly everything is dirty anyway;
-        // skip the classification. Purely a work heuristic — recomputing
-        // a clean node reproduces its stored view exactly.
-        if self.last_movers.len() * 4 >= n {
-            return DirtyClass::AllDirty;
-        }
-        let endpoints: Vec<Point> = self
-            .last_movers
-            .iter()
-            .flat_map(|m| [m.from, m.to])
-            .collect();
+        let moves = match &self.movement {
+            Movement::Many => return DirtyClass::AllDirty,
+            Movement::Few(moves) if moves.is_empty() => return DirtyClass::AllClean,
+            Movement::Few(moves) => moves,
+        };
+        let endpoints: Vec<Point> = moves.iter().flat_map(|m| [m.from, m.to]).collect();
         // One grid over the movement endpoints, celled at the largest
         // safe radius so every per-node probe touches at most 9 cells.
         let mut max_safe = self.config.gamma;
@@ -548,7 +541,7 @@ impl Session {
         }
         let grid = FlatGrid::build(&endpoints, max_safe);
         let mut mask = vec![false; n];
-        for m in &self.last_movers {
+        for m in moves {
             mask[m.id.index()] = true;
         }
         // Bounding box of the endpoint cloud: a node farther from the box
@@ -580,16 +573,12 @@ impl Session {
     /// worth it), a full rebuild otherwise.
     fn refresh_adjacency(&mut self) {
         let n = self.net.len();
-        match self.adjacency_state {
-            AdjacencyState::Fresh => return,
-            AdjacencyState::StaleMoves
-                if self.adjacency.len() == n && self.last_movers.len() * 4 < n =>
-            {
+        match (self.adjacency_state, &self.movement) {
+            (AdjacencyState::Fresh, _) => return,
+            (AdjacencyState::StaleMoves, Movement::Few(moves)) if self.adjacency.len() == n => {
                 self.adjacency.apply_moves(
                     &self.net,
-                    self.last_movers
-                        .iter()
-                        .map(|m| (m.id.index(), m.from, m.to)),
+                    moves.iter().map(|m| (m.id.index(), m.from, m.to)),
                 );
                 self.counters.adjacency_incremental_updates += 1;
             }
@@ -830,8 +819,7 @@ impl Session {
         };
         self.views = views;
         self.views_valid = self.dirty_skip_active();
-        self.last_movers.clear();
-        self.last_movers.extend_from_slice(&moved);
+        self.movement.replace(&moved, n);
         let report = agg.report(self.round);
         // An observer may keep a converged run alive for pending events;
         // only the transition into convergence earns an off-cadence
@@ -1018,7 +1006,7 @@ impl Session {
         // `k` re-keys every search) and the shared adjacency snapshot.
         self.views.clear();
         self.views_valid = false;
-        self.last_movers.clear();
+        self.movement = Movement::default();
         self.adjacency_state = AdjacencyState::StaleFull;
         self.event_log.push((record, outcome));
         if self.config.snapshot_every.is_some() {
@@ -1066,21 +1054,23 @@ impl Session {
             if from == target {
                 continue;
             }
-            // Appending (not replacing) keeps `last_movers` the exact
-            // movement set since the stored views were computed, which is
-            // what the dirty classifier replays against.
-            self.last_movers.push(MovedNode {
-                id,
-                from,
-                to: target,
-            });
+            // Appending (not replacing) keeps `movement` the movement
+            // since the stored views were computed, which is what the
+            // dirty classifier replays against.
+            self.movement.push(
+                MovedNode {
+                    id,
+                    from,
+                    to: target,
+                },
+                n,
+            );
             displaced += 1;
         }
         if displaced > 0 {
             self.net.apply_displacements(moves);
-            // A fresh (or move-delta-patchable) snapshot stays patchable:
-            // the displacements were appended to `last_movers`, keeping
-            // it the exact delta since the snapshot was fresh.
+            // A fresh (or move-delta-patchable) snapshot stays patchable
+            // while `movement` holds the exact delta since it was fresh.
             if self.adjacency_state == AdjacencyState::Fresh {
                 self.adjacency_state = AdjacencyState::StaleMoves;
             }
@@ -1101,7 +1091,7 @@ impl Session {
         let stage_started = telemetry.then(std::time::Instant::now);
         if self.dirty_skip_active()
             && self.views_valid
-            && self.last_movers.is_empty()
+            && self.movement.is_still()
             && self.views.len() == n
         {
             for i in 0..n {
@@ -1142,13 +1132,71 @@ enum DirtyClass {
     Partial(Vec<bool>),
 }
 
+/// The movement since the stored views were computed.
+///
+/// A large movement set is not kept: with `N/4` moves or more nearly
+/// every node is dirty anyway, so the classification and the adjacency
+/// patch are skipped for a full recompute and a rebuild. Purely a work
+/// heuristic — recomputing a clean node reproduces its stored view
+/// exactly, and a rebuilt adjacency equals a patched one.
+#[derive(Debug, Clone)]
+enum Movement {
+    /// The exact moves, in order, fewer than `N/4` of them (a node may
+    /// appear more than once).
+    Few(Vec<MovedNode>),
+    /// `N/4` moves or more: too many to read.
+    Many,
+}
+
+impl Default for Movement {
+    fn default() -> Self {
+        Movement::Few(Vec::new())
+    }
+}
+
+impl Movement {
+    /// Whether `moves` moves among `n` nodes are few enough to keep.
+    fn few(moves: usize, n: usize) -> bool {
+        moves * 4 < n
+    }
+
+    /// Whether nothing moved.
+    fn is_still(&self) -> bool {
+        matches!(self, Movement::Few(moves) if moves.is_empty())
+    }
+
+    /// Replaces the movement by one round's `moved` among `n` nodes,
+    /// reusing the buffer of an exact set.
+    fn replace(&mut self, moved: &[MovedNode], n: usize) {
+        if !Movement::few(moved.len(), n) {
+            *self = Movement::Many;
+        } else if let Movement::Few(moves) = self {
+            moves.clear();
+            moves.extend_from_slice(moved);
+        } else {
+            *self = Movement::Few(moved.to_vec());
+        }
+    }
+
+    /// Appends one move among `n` nodes.
+    fn push(&mut self, moved: MovedNode, n: usize) {
+        if let Movement::Few(moves) = self {
+            if Movement::few(moves.len() + 1, n) {
+                moves.push(moved);
+            } else {
+                *self = Movement::Many;
+            }
+        }
+    }
+}
+
 /// How the shared adjacency snapshot relates to the current positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AdjacencyState {
     /// Describes the current positions.
     Fresh,
-    /// Stale, but `Session::last_movers` is the exact movement set since
-    /// it was fresh — patchable via [`Adjacency::apply_moves`].
+    /// Stale by the moves of `Session::movement` since it was fresh —
+    /// patchable via [`Adjacency::apply_moves`] while those are few.
     StaleMoves,
     /// Stale beyond patching (construction, events, Gauss–Seidel
     /// sweeps): only a full rebuild helps.

@@ -12,6 +12,10 @@
 //!   of the deployment, and the recovery from a localized failure
 //!   reaches rounds that skip far nodes while the failure site
 //!   searches — both with their exact per-node verdict counts pinned;
+//! * the movement set is read below `⌈N/4⌉` moves and not at or above
+//!   it: one mover fewer patches the adjacency and re-activates part of
+//!   the deployment, `⌈N/4⌉` movers rebuild it and search every node,
+//!   and so does a small displacement after a round that moved many;
 //! * Gauss–Seidel rounds search every node every round (the dirty-node
 //!   index never applies there).
 
@@ -37,6 +41,33 @@ fn session(n: usize, k: usize, threads: usize, execution: ExecutionMode) -> Sess
         .region(region)
         .build()
         .unwrap()
+}
+
+/// The `movers` nodes nearest the (0, 0) corner, each stepping a
+/// quarter of the radio range toward the centre: a localized
+/// disturbance.
+fn corner_moves(sim: &Session, movers: usize) -> Vec<(NodeId, Point)> {
+    let gamma = sim.config().gamma;
+    let (corner, center) = (Point::new(0.0, 0.0), Point::new(0.5, 0.5));
+    let positions = sim.network().positions();
+    let mut order: Vec<usize> = (0..positions.len()).collect();
+    order.sort_by(|&a, &b| {
+        positions[a]
+            .distance_sq(corner)
+            .total_cmp(&positions[b].distance_sq(corner))
+            .then(a.cmp(&b))
+    });
+    order[..movers]
+        .iter()
+        .map(|&i| {
+            let p = positions[i];
+            let d = p.distance(center);
+            (
+                NodeId(i),
+                p.lerp(center, (0.25 * gamma).min(d) / d.max(1e-12)),
+            )
+        })
+        .collect()
 }
 
 /// Steps to convergence, then one more round so the stored views
@@ -101,30 +132,9 @@ fn localized_movers_reactivate_a_small_share_of_the_deployment() {
     let n = 4_000;
     let mut sim = session(n, 3, 1, ExecutionMode::Synchronous);
     settle(&mut sim);
-    // The 10 % of nodes nearest the (0, 0) corner each step a quarter of
-    // the radio range toward the centre: a localized disturbance.
-    let gamma = sim.config().gamma;
-    let (corner, center) = (Point::new(0.0, 0.0), Point::new(0.5, 0.5));
-    let positions = sim.network().positions().to_vec();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        positions[a]
-            .distance_sq(corner)
-            .total_cmp(&positions[b].distance_sq(corner))
-            .then(a.cmp(&b))
-    });
+    // The 10 % of nodes nearest the corner move.
     let movers = n / 10;
-    let moves: Vec<(NodeId, Point)> = order[..movers]
-        .iter()
-        .map(|&i| {
-            let p = positions[i];
-            let d = p.distance(center);
-            (
-                NodeId(i),
-                p.lerp(center, (0.25 * gamma).min(d) / d.max(1e-12)),
-            )
-        })
-        .collect();
+    let moves = corner_moves(&sim, movers);
     assert_eq!(sim.displace_nodes(&moves).unwrap(), movers);
     let delta = sim.step();
     assert!(delta.ring_searches >= movers, "every mover searches");
@@ -136,6 +146,75 @@ fn localized_movers_reactivate_a_small_share_of_the_deployment() {
     // The exact verdicts: re-computing a clean node reproduces its view,
     // so an over-eager classifier would pass every bound above.
     assert_eq!((delta.ring_searches, delta.skipped_quiescent), (937, 3_063));
+}
+
+#[test]
+fn a_quarter_of_the_nodes_moving_counts_as_all_of_them() {
+    let n: usize = 400;
+    let quarter = n.div_ceil(4);
+    for (movers, patched) in [(quarter - 1, true), (quarter, false)] {
+        let mut sim = session(n, 1, 1, ExecutionMode::Synchronous);
+        settle(&mut sim);
+        assert_eq!(
+            sim.displace_nodes(&corner_moves(&sim, movers)).unwrap(),
+            movers
+        );
+        let before = sim.counters();
+        let delta = sim.step();
+        let after = sim.counters();
+        assert_eq!(
+            after.adjacency_incremental_updates - before.adjacency_incremental_updates,
+            u64::from(patched),
+            "{movers} movers"
+        );
+        assert_eq!(
+            after.adjacency_rebuilds - before.adjacency_rebuilds,
+            u64::from(!patched),
+            "{movers} movers"
+        );
+        if patched {
+            assert!(
+                (movers..n).contains(&delta.ring_searches),
+                "{movers} movers re-activated {} of {n} nodes",
+                delta.ring_searches
+            );
+        } else {
+            assert_eq!(delta.ring_searches, n, "{movers} movers");
+        }
+    }
+}
+
+#[test]
+fn a_small_displacement_after_a_many_mover_round_still_rebuilds() {
+    let n = 400;
+    // Nodes packed into the lower-left quarter of the square spread out.
+    let config = LaacadConfig::builder(1)
+        .transmission_range(LaacadConfig::recommended_gamma(1.0, n, 1))
+        .alpha(0.6)
+        .epsilon(1e-3)
+        .max_rounds(1_000)
+        .threads(1)
+        .build()
+        .unwrap();
+    let mut sim = Session::builder(config)
+        .positions(sample_uniform(&Region::square(0.5).unwrap(), n, 42))
+        .region(Region::square(1.0).unwrap())
+        .build()
+        .unwrap();
+    let spread = sim.step().moved.len();
+    assert!(spread * 4 >= n, "the first round moved only {spread} nodes");
+    // One displaced node on top of that round's moves is still too many
+    // to read.
+    assert_eq!(sim.displace_nodes(&corner_moves(&sim, 1)).unwrap(), 1);
+    let before = sim.counters();
+    let delta = sim.step();
+    let after = sim.counters();
+    assert_eq!(delta.ring_searches, n);
+    assert_eq!(after.adjacency_rebuilds - before.adjacency_rebuilds, 1);
+    assert_eq!(
+        after.adjacency_incremental_updates,
+        before.adjacency_incremental_updates
+    );
 }
 
 #[test]

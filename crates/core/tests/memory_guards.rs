@@ -10,9 +10,14 @@
 //! * the heap a session keeps after its first step, beyond what it held
 //!   when built: 56–66 kB over these seeds when every session owned a
 //!   full kernel scratch and its cache keys copied member positions,
-//!   26–29 kB with the kernel borrowed and member ids in the keys;
-//! * the heap it gains over the next 23 steps (7–14 kB before, 4–8 kB
-//!   after: round records, and cache keys of rings that grew).
+//!   26–29 kB with the kernel borrowed and member ids in the keys, and
+//!   18–20 kB once adjacency rows reserve no more entries than there
+//!   are blocks, cache keys are exactly as long as their rings and a
+//!   round's movement set is not copied when a quarter of the nodes or
+//!   more moved;
+//! * the heap it gains over the next 23 steps (7–14 kB, then 4–8 kB,
+//!   now −0.8 to +0.6 kB: round records, and cache keys re-sized to
+//!   their rings).
 //!
 //! `#[global_allocator]` applies per binary, hence a binary of its own.
 //! The count is per thread (allocations minus deallocations made on the
@@ -73,9 +78,9 @@ const SESSIONS: u64 = 8;
 /// Steps after the first one.
 const LATER_STEPS: usize = 23;
 /// Ceiling on the heap a session keeps after its first step.
-const FIRST_STEP_CEILING: i64 = 38_000;
+const FIRST_STEP_CEILING: i64 = 24_000;
 /// Ceiling on the heap it gains over the next `LATER_STEPS` steps.
-const LATER_STEPS_CEILING: i64 = 8_000;
+const LATER_STEPS_CEILING: i64 = 2_000;
 
 /// A session shaped like one hosted session of the `host_stream`
 /// benchmark: 64 uniform nodes, k = 1, α = 0.5, ε = 5·10⁻³.

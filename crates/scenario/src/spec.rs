@@ -507,14 +507,14 @@ pub enum DelaySpec {
     None,
     /// Constant extra delay (`delay = "fixed"`, `delay_ticks = t`).
     Fixed(u64),
-    /// Uniform extra delay (`delay = "uniform"`, `delay_lo`/`delay_hi`).
+    /// Uniform extra delay (`delay = "uniform"`, `delay_lo ≤ delay_hi`).
     Uniform {
         /// Minimum extra delay in ticks.
         lo: u64,
         /// Maximum extra delay in ticks (inclusive).
         hi: u64,
     },
-    /// Exponential extra delay (`delay = "exp"`, `delay_mean = m`).
+    /// Exponential extra delay (`delay = "exp"`, `delay_mean = m > 0`).
     Exp {
         /// Mean extra delay in ticks.
         mean: f64,
@@ -748,13 +748,29 @@ impl FaultSpec {
                 "fixed" => {
                     DelaySpec::Fixed(decode::opt_usize(v, "delay_ticks", path)?.unwrap_or(1) as u64)
                 }
-                "uniform" => DelaySpec::Uniform {
-                    lo: decode::opt_usize(v, "delay_lo", path)?.unwrap_or(0) as u64,
-                    hi: decode::opt_usize(v, "delay_hi", path)?.unwrap_or(1) as u64,
-                },
-                "exp" => DelaySpec::Exp {
-                    mean: decode::opt_f64(v, "delay_mean", path)?.unwrap_or(1.0),
-                },
+                "uniform" => {
+                    let lo = decode::opt_usize(v, "delay_lo", path)?.unwrap_or(0) as u64;
+                    let hi = decode::opt_usize(v, "delay_hi", path)?.unwrap_or(1) as u64;
+                    if lo > hi {
+                        return Err(DecodeError::new(
+                            format!("{path}.delay_lo"),
+                            format!("{lo} exceeds delay_hi = {hi}"),
+                        )
+                        .into());
+                    }
+                    DelaySpec::Uniform { lo, hi }
+                }
+                "exp" => {
+                    let mean = decode::opt_f64(v, "delay_mean", path)?.unwrap_or(1.0);
+                    if mean <= 0.0 || mean.is_nan() {
+                        return Err(DecodeError::new(
+                            format!("{path}.delay_mean"),
+                            format!("must be positive, got {mean}"),
+                        )
+                        .into());
+                    }
+                    DelaySpec::Exp { mean }
+                }
                 other => {
                     return Err(DecodeError::new(
                         format!("{path}.delay"),
@@ -1479,8 +1495,16 @@ alpha = 0.75
                 DelaySpec::Uniform { lo: 1, hi: 4 },
             ),
             (
+                "delay = \"uniform\"\ndelay_lo = 3\ndelay_hi = 3",
+                DelaySpec::Uniform { lo: 3, hi: 3 },
+            ),
+            (
                 "delay = \"exp\"\ndelay_mean = 2.5",
                 DelaySpec::Exp { mean: 2.5 },
+            ),
+            (
+                "delay = \"exp\"\ndelay_mean = 1e-3",
+                DelaySpec::Exp { mean: 1e-3 },
             ),
             ("delay = \"exp\"", DelaySpec::Exp { mean: 1.0 }),
         ] {
@@ -1524,6 +1548,27 @@ alpha = 0.75
                 ..FaultSpec::default()
             }
         );
+    }
+
+    #[test]
+    fn delay_settings_that_would_run_another_model_are_refused() {
+        // An exponential delay of mean ≤ 0 would run with no delay, and a
+        // uniform one with `delay_lo > delay_hi` as a fixed one.
+        for (body, key) in [
+            ("delay = \"exp\"\ndelay_mean = 0.0", "faults.delay_mean"),
+            ("delay = \"exp\"\ndelay_mean = -2.5", "faults.delay_mean"),
+            (
+                "delay = \"uniform\"\ndelay_lo = 5\ndelay_hi = 2",
+                "faults.delay_lo",
+            ),
+            ("delay = \"uniform\"\ndelay_lo = 2", "faults.delay_lo"),
+        ] {
+            let text = doc(SQUARE, UNIFORM, &format!("[faults]\n{body}"));
+            match ScenarioSpec::from_toml(&text) {
+                Err(SpecError::Decode(e)) => assert_eq!(e.path, key, "{body}"),
+                other => panic!("{body}: expected a decode error at {key}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

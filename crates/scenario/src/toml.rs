@@ -46,13 +46,12 @@ pub fn parse(text: &str) -> Result<Value, TomlError> {
     Parser::new(text).document()
 }
 
-struct Parser<'a> {
+struct Parser {
     chars: Vec<char>,
     pos: usize,
     line: usize,
     /// Arrays and inline tables currently open.
     depth: usize,
-    _text: &'a str,
 }
 
 /// How an error message names the character at the cursor: in
@@ -64,14 +63,13 @@ fn found(c: Option<char>) -> String {
     }
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
+impl Parser {
+    fn new(text: &str) -> Self {
         Parser {
             chars: text.chars().collect(),
             pos: 0,
             line: 1,
             depth: 0,
-            _text: text,
         }
     }
 

@@ -22,8 +22,10 @@
 //! about one entry per neighbour.
 //!
 //! Rows live in one contiguous pair of arrays (blocks and masks), each
-//! row followed by `ROW_SLACK` spare entries (the way the flat grid
-//! keeps per-cell slack), so a move can be patched in place:
+//! row followed by up to `ROW_SLACK` spare entries (the way the flat
+//! grid keeps per-cell slack) — never more than the `⌈N/64⌉` blocks a
+//! row can name, so at `N ≤ 64` a row reserves its one entry and never
+//! relocates — and a move can be patched in place:
 //! [`Adjacency::apply_moves`] re-queries each mover's row, diffs it
 //! against the stored one block by block, and clears or sets the
 //! mover's bit in only the rows of the non-movers that lost or gained
@@ -39,8 +41,15 @@ use crate::network::Network;
 use crate::node::NodeId;
 use laacad_geom::Point;
 
-/// Spare entries kept after every row at (re)build and relocation time.
-const ROW_SLACK: u32 = 4;
+/// Spare entries kept after every row at (re)build and relocation time,
+/// up to the row's largest possible length.
+const ROW_SLACK: usize = 4;
+
+/// Entries reserved for a row of `len` entries among `n` nodes: `len`
+/// plus slack, capped at the `⌈n/64⌉` blocks a row can hold at most.
+fn row_cap(len: usize, n: usize) -> usize {
+    (len + ROW_SLACK).min(n.div_ceil(64))
+}
 
 /// Where one row lives in the shared arrays.
 #[derive(Debug, Clone, Copy, Default)]
@@ -117,16 +126,18 @@ impl Adjacency {
         self.caps.clear();
         self.blocks.clear();
         self.masks.clear();
-        for i in 0..net.len() {
+        let n = net.len();
+        for i in 0..n {
             let start = self.blocks.len();
             append_row(net, i, &mut self.blocks, &mut self.masks);
-            let len = (self.blocks.len() - start) as u32;
-            self.pad(start + (len + ROW_SLACK) as usize);
+            let len = self.blocks.len() - start;
+            let cap = row_cap(len, n);
+            self.pad(start + cap);
             self.rows.push(Row {
                 start: start as u32,
-                len,
+                len: len as u32,
             });
-            self.caps.push(len + ROW_SLACK);
+            self.caps.push(cap as u32);
         }
         self.built = true;
         self.limit = 2 * self.blocks.len();
@@ -305,7 +316,7 @@ impl Adjacency {
     /// plus slack. Returns `false` when that would push the arrays past
     /// their relocation budget.
     fn relocate(&mut self, j: usize, need: usize) -> bool {
-        let cap = need + ROW_SLACK as usize;
+        let cap = row_cap(need, self.len());
         let tail = self.blocks.len();
         if tail + cap > self.limit {
             return false;
@@ -450,6 +461,52 @@ mod tests {
         let fresh = Adjacency::build(&net);
         for i in 0..net.len() {
             assert_eq!(adj.row(i), fresh.row(i), "row {i} after second batch");
+        }
+    }
+
+    #[test]
+    fn rows_at_two_blocks_or_fewer_never_relocate() {
+        // At N ≤ 128 every row reserves room for every block it could
+        // name, so a long random patch sequence (nudges, jumps, moves
+        // onto another node, moves out of reach, batches of one to
+        // three) never grows the arrays and never falls back to a
+        // rebuild, and every row still equals a fresh build.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for n in [64usize, 100] {
+            let mut net = Network::from_positions(0.2, (0..n).map(|_| Point::new(next(), next())));
+            let mut adj = Adjacency::build(&net);
+            let reserved = adj.blocks.len();
+            if n == 64 {
+                assert_eq!(reserved, n, "one entry per row");
+            }
+            for _ in 0..2_000 {
+                let mut batch = Vec::new();
+                for _ in 0..1 + (next() * 3.0) as usize {
+                    let i = (next() * n as f64) as usize;
+                    let here = net.position(NodeId(i));
+                    let to = match (next() * 4.0) as usize {
+                        0 => Point::new(here.x + 0.05 * next(), here.y - 0.05 * next()),
+                        1 => net.position(NodeId((next() * n as f64) as usize)),
+                        2 => Point::new(3.0 + next(), 3.0 + next()),
+                        _ => Point::new(next(), next()),
+                    };
+                    net.move_node(NodeId(i), to);
+                    batch.push((i, here, to));
+                }
+                adj.apply_moves(&net, batch);
+                assert_eq!(adj.blocks.len(), reserved, "N = {n}: a row relocated");
+                let fresh = Adjacency::build(&net);
+                for i in 0..n {
+                    assert_eq!(adj.row(i), fresh.row(i), "N = {n}, row {i}");
+                }
+            }
+            assert_eq!(adj.overflow_rebuilds(), 0, "N = {n}");
         }
     }
 

@@ -236,21 +236,22 @@ proptest! {
 }
 
 proptest! {
-    // Each case patches and checks 240 snapshots of 330–480 nodes.
+    // Each case patches and checks 600 snapshots of 900–1100 nodes.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Herding nodes whose ids span five to eight blocks, one
-    /// single-mover patch at a time, into a disc smaller than γ: the
-    /// herded rows gain an entry per block, grow past their slack,
-    /// relocate, and finally exhaust the relocation budget, forcing
-    /// counted fallback rebuilds — and every intermediate snapshot still
-    /// equals a fresh build.
+    /// Herding nodes whose ids span 15 to 18 blocks, one single-mover
+    /// patch at a time, into a disc smaller than γ: the herded rows gain
+    /// an entry per block, grow past their slack, relocate, and finally
+    /// exhaust the relocation budget, forcing counted fallback rebuilds
+    /// — and every intermediate snapshot still equals a fresh build. (A
+    /// row never reserves more entries than there are blocks, so a herd
+    /// over fewer blocks relocates too little to spend the budget.)
     #[test]
     fn adjacency_patch_survives_slack_overflow(
-        pts in points(330, 480),
+        pts in points(900, 1100),
         cx in 0.2f64..0.8,
         cy in 0.2f64..0.8,
-        offsets in prop::collection::vec((-0.004f64..0.004, -0.004f64..0.004), 240),
+        offsets in prop::collection::vec((-0.004f64..0.004, -0.004f64..0.004), 600),
     ) {
         let mut net = Network::from_positions(0.02, pts.iter().copied());
         let mut adj = Adjacency::build(&net);
