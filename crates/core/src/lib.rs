@@ -73,7 +73,7 @@ pub use ring::{
     expanding_ring_search, expanding_ring_search_scratched, expanding_ring_search_status,
     DominationScratch, RingOutcome, RingStatus,
 };
-pub use scratch::{LocalViewCache, RoundScratch};
+pub use scratch::ViewStore;
 pub use session::{MovedNode, ObservedRound, RoundDelta, Session, SessionBuilder, SessionCounters};
 pub use snapshot::{fnv1a64, SnapshotError, SNAPSHOT_MAGIC};
 

@@ -6,13 +6,13 @@
 //!
 //! Two entry points:
 //!
-//! * [`compute_node_view`] — the round engine's hot path: carves the
-//!   region through pooled buffers, computes the Chebyshev disk and the
-//!   farthest distance in one vertex pass, and consults the per-worker
-//!   [`crate::scratch::LocalViewCache`] so that nodes whose geometric
-//!   inputs are unchanged since their previous computation skip the
-//!   subdivision entirely. Zero heap allocations in steady state (oracle
-//!   mode) on a thread whose kernel buffers are warm.
+//! * [`compute_node_view`] — the engines' hot path: carves the region
+//!   through pooled buffers, computes the Chebyshev disk and the
+//!   farthest distance in one vertex pass, and stores the view in the
+//!   node's slot of the engine's [`ViewStore`], whose key lets a node
+//!   whose geometric inputs are unchanged since its previous computation
+//!   skip the subdivision entirely. Zero heap allocations in steady
+//!   state (oracle mode) on a thread whose kernel buffers are warm.
 //! * [`compute_local_view`] — the convenience API returning a full
 //!   [`LocalView`] with an owned [`DominatingRegion`]; same geometry,
 //!   materialized at the boundary.
@@ -21,9 +21,7 @@ use crate::config::{CoordinateMode, LaacadConfig, RingCapPolicy};
 use crate::ring::{
     expanding_ring_search_scratched, expanding_ring_search_status, RingOutcome, RingStatus,
 };
-use crate::scratch::{
-    with_pooled_kernel, CarveScratch, KernelScratch, LocalViewCache, RoundScratch,
-};
+use crate::scratch::{give_back, lend_kernel, CarveScratch, KernelScratch, ViewSlot, ViewStore};
 use laacad_geom::{Circle, Point};
 use laacad_region::Region;
 use laacad_voronoi::dominating::{
@@ -55,7 +53,7 @@ pub struct LocalView {
 /// circumradius `R_i`) and the farthest distance `r_i` from the node's
 /// true position (its required sensing range). The region itself stays
 /// in pooled storage and is never materialized.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct NodeView {
     /// Final ring radius `ρ`.
     pub rho: f64,
@@ -74,7 +72,8 @@ pub struct NodeView {
     /// [`crate::RingStatus::contact_radius`]). The dirty-node classifier
     /// uses it as the node's true sphere of influence.
     pub contact_radius: f64,
-    /// Whether the view was served from the cross-round cache.
+    /// Whether the disk and reach were reused from the node's previous
+    /// view (the cross-round cache).
     pub cache_hit: bool,
 }
 
@@ -82,10 +81,10 @@ pub struct NodeView {
 ///
 /// Pure read: the network is the shared position snapshot of the round,
 /// which is what lets the synchronous engine evaluate all `N` views
-/// concurrently. This form allocates fresh buffers, never consults the
-/// cross-round cache and returns an owned [`LocalView`]; it is meant for
-/// analysis and tests. The round engine threads a per-worker
-/// [`RoundScratch`] through [`compute_node_view`] instead.
+/// concurrently. This form allocates fresh buffers, stores nothing and
+/// returns an owned [`LocalView`]; it is meant for analysis and tests.
+/// The engines go through [`compute_node_view`] and a [`ViewStore`]
+/// instead.
 pub fn compute_local_view(
     net: &Network,
     id: NodeId,
@@ -127,7 +126,7 @@ pub fn compute_local_view(
     }
 }
 
-/// The round engine's hot path: like [`compute_local_view`] but over
+/// The engines' hot path: like [`compute_local_view`] but over
 /// reusable buffers, optionally against a prebuilt one-hop
 /// [`Adjacency`] snapshot of `net` (the synchronous engine builds one
 /// per round and shares it across workers; pass `None` whenever
@@ -135,12 +134,10 @@ pub fn compute_local_view(
 /// mode), without materializing the region, with the Chebyshev disk and
 /// farthest distance computed in one vertex pass, and — in oracle mode —
 /// with the whole geometry stage skipped whenever the node's exact inputs
-/// are unchanged since its previous computation in this worker's
-/// [`crate::scratch::LocalViewCache`].
+/// are unchanged since the view its slot of `store` holds.
 ///
-/// The kernel buffers are the ones `scratch` holds during an engine
-/// call, or else borrowed from the calling thread's pool for this one
-/// computation; either way only the cache persists in `scratch`.
+/// The view is stored in that slot and returned. The kernel buffers are
+/// borrowed from the calling thread's pool for this one computation.
 pub fn compute_node_view(
     net: &Network,
     adjacency: Option<&Adjacency>,
@@ -148,20 +145,19 @@ pub fn compute_node_view(
     area: &Region,
     config: &LaacadConfig,
     round: usize,
-    scratch: &mut RoundScratch,
+    store: &mut ViewStore,
 ) -> NodeView {
-    let RoundScratch { view_cache, kernel } = scratch;
-    match kernel {
-        Some(kernel) => node_view(net, adjacency, id, area, config, round, kernel, view_cache),
-        None => with_pooled_kernel(net.len(), |kernel| {
-            node_view(net, adjacency, id, area, config, round, kernel, view_cache)
-        }),
-    }
+    let slot = &mut store.slots_for(net)[id.index()];
+    let mut kernel = lend_kernel(net.len());
+    let view = node_view(net, adjacency, id, area, config, round, &mut kernel, slot);
+    give_back(kernel);
+    view
 }
 
-/// [`compute_node_view`] over the given kernel buffers and cache.
+/// [`compute_node_view`] over the given kernel buffers, into `slot`
+/// (node `id`'s slot of a store of `net`).
 #[allow(clippy::too_many_arguments)]
-fn node_view(
+pub(crate) fn node_view(
     net: &Network,
     adjacency: Option<&Adjacency>,
     id: NodeId,
@@ -169,7 +165,7 @@ fn node_view(
     config: &LaacadConfig,
     round: usize,
     scratch: &mut KernelScratch,
-    cache: &mut LocalViewCache,
+    slot: &mut ViewSlot,
 ) -> NodeView {
     let max_rho = config.max_rho.unwrap_or(2.0 * area.diameter_bound());
     // Kernel timing is armed per fan-out by the session; off, each
@@ -197,7 +193,7 @@ fn node_view(
     let true_self = net.position(id);
     let started = timing.then(std::time::Instant::now);
     let view = geometry_stage(
-        net, id, area, config, round, status, true_self, scratch, cache,
+        net, id, area, config, round, status, true_self, scratch, slot,
     );
     if let Some(started) = started {
         scratch
@@ -210,7 +206,8 @@ fn node_view(
 
 /// The geometry stage of [`compute_node_view`] — everything after
 /// the ring search: the cached oracle-mode lookup, or site assembly
-/// plus the subdivision/clip/Chebyshev kernel.
+/// plus the subdivision/clip/Chebyshev kernel. Stores the view in
+/// `slot`.
 #[allow(clippy::too_many_arguments)]
 fn geometry_stage(
     net: &Network,
@@ -221,10 +218,10 @@ fn geometry_stage(
     status: RingStatus,
     true_self: Point,
     scratch: &mut KernelScratch,
-    cache: &mut LocalViewCache,
+    slot: &mut ViewSlot,
 ) -> NodeView {
     if let CoordinateMode::Oracle = config.coordinates {
-        return cached_node_view(net, id, area, config, status, true_self, scratch, cache);
+        return cached_node_view(net, area, config, status, true_self, scratch, slot);
     }
     // Ranging mode is uncached: it re-derives the member positions from
     // the member ids (allocating — noise is re-drawn per round by
@@ -242,6 +239,14 @@ fn geometry_stage(
         true_self,
         &mut s.carve,
     );
+    let view = view_of(status, chebyshev, reach, false);
+    slot.store_unkeyed(view);
+    view
+}
+
+/// The view of a ring search `status` whose region has disk `chebyshev`
+/// and reach `reach`.
+fn view_of(status: RingStatus, chebyshev: Option<Circle>, reach: f64, cache_hit: bool) -> NodeView {
     NodeView {
         rho: status.rho,
         dominated: status.dominated,
@@ -250,27 +255,24 @@ fn geometry_stage(
         chebyshev,
         reach,
         contact_radius: status.contact_radius,
-        cache_hit: false,
+        cache_hit,
     }
 }
 
 /// The oracle-mode cached path of [`compute_node_view`].
-#[allow(clippy::too_many_arguments)]
 fn cached_node_view(
     net: &Network,
-    id: NodeId,
     area: &Region,
     config: &LaacadConfig,
     status: RingStatus,
     true_self: Point,
     scratch: &mut KernelScratch,
-    cache: &mut LocalViewCache,
+    slot: &mut ViewSlot,
 ) -> NodeView {
     debug_assert_eq!(config.coordinates, CoordinateMode::Oracle);
     let s = &mut *scratch;
     let members = s.ring.last_members();
-    let entry = cache.slot(net, id.index());
-    if entry.matches(
+    if slot.matches(
         net,
         config.k,
         true_self,
@@ -278,28 +280,15 @@ fn cached_node_view(
         status.dominated,
         members,
     ) {
-        return NodeView {
-            rho: status.rho,
-            dominated: status.dominated,
-            saturated: status.saturated,
-            messages: status.messages,
-            chebyshev: entry.chebyshev,
-            reach: entry.reach,
-            contact_radius: status.contact_radius,
-            cache_hit: true,
-        };
+        let stored = slot.view;
+        slot.view = view_of(status, stored.chebyshev, stored.reach, true);
+        return slot.view;
     }
     // Miss: recompute (through the scratch's piece buffer — only the
-    // disk and reach are worth retaining per node) and refresh the key.
-    // All buffers are reused, so this allocates nothing after warm-up.
-    entry.store_key(
-        net,
-        config.k,
-        true_self,
-        status.rho,
-        status.dominated,
-        members,
-    );
+    // disk and reach are worth retaining per node) and store the view
+    // under its new key. All buffers are reused, so this allocates
+    // nothing after warm-up.
+    //
     // The competitor bisectors against `true_self` (the ring's center)
     // are the ones the ring checks computed; the rest are computed here.
     let bisectors = &mut s.domination.bisectors;
@@ -319,19 +308,9 @@ fn cached_node_view(
         true_self,
         &mut s.carve,
     );
-    entry.chebyshev = chebyshev;
-    entry.reach = reach;
-    entry.valid = true;
-    NodeView {
-        rho: status.rho,
-        dominated: status.dominated,
-        saturated: status.saturated,
-        messages: status.messages,
-        chebyshev,
-        reach,
-        contact_radius: status.contact_radius,
-        cache_hit: false,
-    }
+    let view = view_of(status, chebyshev, reach, false);
+    slot.store_keyed(net, config.k, true_self, members, view);
+    view
 }
 
 /// Assembles the site list (`sites[0]` = the node's own estimate) into
@@ -648,35 +627,35 @@ mod tests {
             .transmission_range(0.18)
             .build()
             .unwrap();
-        let mut scratch = RoundScratch::new();
+        let mut store = ViewStore::new();
         for i in [0usize, 4, 40, 44, 80] {
             let id = NodeId(i);
             let view = compute_local_view(&net, id, &area, &config, 0);
-            let lean = compute_node_view(&net, None, id, &area, &config, 0, &mut scratch);
+            let lean = compute_node_view(&net, None, id, &area, &config, 0, &mut store);
             assert!(!lean.cache_hit, "first computation of node {i}");
             assert_eq!(view.chebyshev, lean.chebyshev, "node {i}");
             let reach = view.region.farthest_distance(net.position(id));
             assert_eq!(reach.to_bits(), lean.reach.to_bits(), "node {i}");
             assert_eq!(view.ring.messages, lean.messages, "node {i}");
             // Second pass: identical inputs → cache hit, identical output.
-            let hit = compute_node_view(&net, None, id, &area, &config, 1, &mut scratch);
+            let hit = compute_node_view(&net, None, id, &area, &config, 1, &mut store);
             assert!(hit.cache_hit, "node {i}");
             assert_eq!(lean.chebyshev, hit.chebyshev, "node {i}");
             assert_eq!(lean.reach.to_bits(), hit.reach.to_bits(), "node {i}");
         }
     }
 
-    /// `node`'s view through `scratch`, checked bit for bit against a
+    /// `node`'s view through `store`, checked bit for bit against a
     /// cold computation at the same positions.
     fn checked_view(
         net: &Network,
         node: NodeId,
         area: &Region,
         config: &LaacadConfig,
-        scratch: &mut RoundScratch,
+        store: &mut ViewStore,
     ) -> NodeView {
-        let view = compute_node_view(net, None, node, area, config, 0, scratch);
-        let cold = compute_node_view(net, None, node, area, config, 0, &mut RoundScratch::new());
+        let view = compute_node_view(net, None, node, area, config, 0, store);
+        let cold = compute_node_view(net, None, node, area, config, 0, &mut ViewStore::new());
         assert!(!cold.cache_hit);
         assert_eq!(view.chebyshev, cold.chebyshev);
         assert_eq!(view.reach.to_bits(), cold.reach.to_bits());
@@ -689,16 +668,16 @@ mod tests {
         let mut net = grid_net(9, 0.12, 0.18);
         let config = cfg(2);
         let (node, member) = (NodeId(40), NodeId(41));
-        let mut scratch = RoundScratch::new();
-        checked_view(&net, node, &area, &config, &mut scratch);
-        assert!(checked_view(&net, node, &area, &config, &mut scratch).cache_hit);
+        let mut store = ViewStore::new();
+        checked_view(&net, node, &area, &config, &mut store);
+        assert!(checked_view(&net, node, &area, &config, &mut store).cache_hit);
         let home = net.position(member);
         net.move_node(member, Point::new(0.9, 0.9));
         net.move_node(member, home);
         // Same bits as when the entry was stored, but written since.
         assert_eq!(net.position(member), home);
-        assert!(!checked_view(&net, node, &area, &config, &mut scratch).cache_hit);
-        assert!(checked_view(&net, node, &area, &config, &mut scratch).cache_hit);
+        assert!(!checked_view(&net, node, &area, &config, &mut store).cache_hit);
+        assert!(checked_view(&net, node, &area, &config, &mut store).cache_hit);
     }
 
     #[test]
@@ -707,16 +686,16 @@ mod tests {
         let mut net = grid_net(9, 0.12, 0.18);
         let config = cfg(2);
         let node = NodeId(40);
-        let mut scratch = RoundScratch::new();
-        let before = checked_view(&net, node, &area, &config, &mut scratch);
+        let mut store = ViewStore::new();
+        let before = checked_view(&net, node, &area, &config, &mut store);
         // No existing node moves: a new one appears between the node and
         // its right-hand neighbour, inside the ring.
         let p = net.position(node);
         net.add_node(Point::new(p.x + 0.05, p.y + 0.01));
-        let after = checked_view(&net, node, &area, &config, &mut scratch);
+        let after = checked_view(&net, node, &area, &config, &mut store);
         assert!(!after.cache_hit);
         assert_eq!(after.rho, before.rho);
-        assert!(checked_view(&net, node, &area, &config, &mut scratch).cache_hit);
+        assert!(checked_view(&net, node, &area, &config, &mut store).cache_hit);
     }
 
     #[test]
@@ -724,14 +703,14 @@ mod tests {
         let area = Region::square(1.0).unwrap();
         let net = grid_net(9, 0.12, 0.18);
         let config = cfg(2);
-        let mut scratch = RoundScratch::new();
-        checked_view(&net, NodeId(40), &area, &config, &mut scratch);
+        let mut store = ViewStore::new();
+        checked_view(&net, NodeId(40), &area, &config, &mut store);
         // A clone has the same positions and clock but is another
         // network: its writes are not the original's.
         let mut twin = net.clone();
-        let view = checked_view(&twin, NodeId(40), &area, &config, &mut scratch);
+        let view = checked_view(&twin, NodeId(40), &area, &config, &mut store);
         assert!(!view.cache_hit);
         twin.move_node(NodeId(41), Point::new(0.9, 0.9));
-        checked_view(&net, NodeId(40), &area, &config, &mut scratch);
+        checked_view(&net, NodeId(40), &area, &config, &mut store);
     }
 }

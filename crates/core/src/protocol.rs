@@ -21,8 +21,7 @@
 use crate::config::LaacadConfig;
 use crate::history::{RoundReport, RunSummary};
 use crate::localview::{compute_node_view, NodeView};
-use crate::scratch::RoundScratch;
-use laacad_exec::parallel_map_scratched;
+use crate::scratch::ViewStore;
 use laacad_geom::Point;
 use laacad_region::Region;
 use laacad_wsn::radio::MessageStats;
@@ -136,14 +135,13 @@ impl RunSummary {
     }
 }
 
-/// Algorithm 1 line 7: recomputes every node's view at the current
-/// positions and sets each sensing range to the minimum covering value,
-/// the view's reach. The views fan out with one worker per scratch in
-/// `scratches` (at least one), each on the kernel buffers its scratch
-/// holds or else on ones borrowed per view from the worker thread's
-/// pool (see [`compute_node_view`]); the kernel never reads sensing radii and
-/// the radii are applied in id order afterwards, so every pool size gives
-/// the same bits. Returns the views, in id order.
+/// Algorithm 1 line 7 for an engine without a dirty-node index:
+/// recomputes every node's view at the current positions, in id order,
+/// into `store`, and sets each sensing range to the minimum covering
+/// value, the view's reach. The kernel never reads sensing radii, so
+/// setting them as the views come in changes no view. Returns the views,
+/// in id order. ([`crate::Session::finalize`] runs its own Phase 1 over
+/// its store instead, recomputing only the nodes whose views are stale.)
 ///
 /// `adjacency` must describe the current positions.
 pub fn finalize_views(
@@ -152,22 +150,14 @@ pub fn finalize_views(
     region: &Region,
     config: &LaacadConfig,
     round: usize,
-    scratches: &mut [RoundScratch],
+    store: &mut ViewStore,
 ) -> Vec<NodeView> {
-    let snapshot = &*net;
-    let views = parallel_map_scratched(scratches, snapshot.len(), |scratch, i| {
-        compute_node_view(
-            snapshot,
-            Some(adjacency),
-            NodeId(i),
-            region,
-            config,
-            round,
-            scratch,
-        )
-    });
-    for (i, view) in views.iter().enumerate() {
-        net.set_sensing_radius(NodeId(i), view.reach);
-    }
-    views
+    (0..net.len())
+        .map(|i| {
+            let id = NodeId(i);
+            let view = compute_node_view(net, Some(adjacency), id, region, config, round, store);
+            net.set_sensing_radius(id, view.reach);
+            view
+        })
+        .collect()
 }

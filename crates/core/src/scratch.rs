@@ -1,5 +1,5 @@
-//! Scratch for the round engine: per-thread kernel buffers and
-//! per-worker view caches.
+//! Scratch for the round engine: per-thread kernel buffers and the
+//! per-engine view store.
 //!
 //! One LAACAD round issues `N` local-view computations, each of which
 //! runs an expanding-ring BFS and a bisector subdivision. All of the
@@ -7,62 +7,32 @@
 //! competitor and site vectors, the pooled subdivision worklist, the
 //! cap / domain clip buffers, the Welzl scratch — form one
 //! `KernelScratch`. Its contents never outlive a computation, so it
-//! belongs to no session: each thread keeps a pool of them, and an
+//! belongs to no engine: each thread keeps a pool of them, and an
 //! engine borrows one per worker for one call (a round's fan-out, a
 //! finalization) and hands it back afterwards. Many sessions stepped on
 //! one thread therefore share one set of buffers, and a warm thread
 //! computes views allocation-free.
 //!
-//! What an engine does keep is a [`RoundScratch`] per worker: the
-//! worker's [`LocalViewCache`] of per-node entries keyed by the inputs of
-//! the node's previous computation (position, ring radius, ring verdict,
-//! member ids, `k`) and the network's write clock when it was stored. A
-//! hit skips the subdivision and Welzl entirely; it requires every input
-//! position to be unchanged, so a hit returns exactly what a
-//! recomputation would.
+//! What an engine does keep is one [`ViewStore`]: a slot per node
+//! holding the node's last [`NodeView`] together with the key that
+//! guards reuse of its geometry (`k`, the node's position, ring radius
+//! and verdict, the ring's member ids and the network's write clock when
+//! the view was computed). The session's dirty-node index replays a
+//! clean node's slot as it is; a dirty node runs its ring search and
+//! then reuses the slot's disk and reach when the key still matches. A
+//! hit requires every input position to be unchanged, so it returns
+//! exactly what a recomputation would. The slot of node `i` is the same
+//! whichever worker computes it, so the work counters do not depend on
+//! the thread count.
 
+use crate::localview::NodeView;
 use crate::ring::DominationScratch;
 use laacad_geom::polygon::regular_directions;
-use laacad_geom::{Circle, Point, PolygonBuf, Vector};
+use laacad_geom::{Point, PolygonBuf, Vector};
 use laacad_voronoi::dominating::{PieceSet, SubdivisionScratch};
 use laacad_wsn::multihop::RingScratch;
 use laacad_wsn::{Network, NodeId};
 use std::cell::RefCell;
-
-/// One worker's state across rounds: its view cache, plus the kernel
-/// buffers it holds while an engine call runs.
-#[derive(Debug, Clone, Default)]
-pub struct RoundScratch {
-    /// Cross-round per-node view cache (see [`LocalViewCache`]).
-    pub(crate) view_cache: LocalViewCache,
-    /// Kernel buffers borrowed from the thread's pool; `None` between
-    /// calls.
-    pub(crate) kernel: Option<Box<KernelScratch>>,
-}
-
-impl RoundScratch {
-    /// Creates a worker state with an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Borrows kernel buffers from the calling thread's pool, unless
-    /// some are held already, and pre-sizes the `N`-proportional ones
-    /// (the ring BFS's visited bits, `N/64` words) so a fan-out never
-    /// grows them mid-computation.
-    pub(crate) fn lease(&mut self, n: usize) -> &mut KernelScratch {
-        let kernel = self.kernel.get_or_insert_with(take_pooled);
-        kernel.ring.reserve(n);
-        kernel
-    }
-
-    /// Hands the held kernel buffers back to the calling thread's pool.
-    pub(crate) fn release(&mut self) {
-        if let Some(kernel) = self.kernel.take() {
-            give_back(kernel);
-        }
-    }
-}
 
 /// Reusable buffers for one local-view computation at a time.
 #[derive(Debug, Clone, Default)]
@@ -94,29 +64,25 @@ thread_local! {
     static POOL: RefCell<Vec<Box<KernelScratch>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A kernel from the calling thread's pool, or a fresh one.
-fn take_pooled() -> Box<KernelScratch> {
-    POOL.try_with(|pool| pool.borrow_mut().pop())
+/// A kernel from the calling thread's pool, or a fresh one, with its
+/// `N`-proportional buffers (the ring BFS's visited bits, `N/64` words)
+/// pre-sized for `n` nodes so a fan-out never grows them
+/// mid-computation.
+pub(crate) fn lend_kernel(n: usize) -> Box<KernelScratch> {
+    let mut kernel: Box<KernelScratch> = POOL
+        .try_with(|pool| pool.borrow_mut().pop())
         .ok()
         .flatten()
-        .unwrap_or_default()
+        .unwrap_or_default();
+    kernel.ring.reserve(n);
+    kernel
 }
 
 /// Returns `kernel` to the calling thread's pool (dropping it while the
 /// thread tears down).
-fn give_back(mut kernel: Box<KernelScratch>) {
+pub(crate) fn give_back(mut kernel: Box<KernelScratch>) {
     kernel.telemetry.enabled = false;
     let _ = POOL.try_with(|pool| pool.borrow_mut().push(kernel));
-}
-
-/// Runs `f` on kernel buffers borrowed from the calling thread's pool
-/// for the one call, sized for `n` nodes.
-pub(crate) fn with_pooled_kernel<R>(n: usize, f: impl FnOnce(&mut KernelScratch) -> R) -> R {
-    let mut kernel = take_pooled();
-    kernel.ring.reserve(n);
-    let out = f(&mut kernel);
-    give_back(kernel);
-    out
 }
 
 /// The buffers of one region carving: the subdivision, the ring cap and
@@ -179,104 +145,83 @@ impl CapShapes {
     }
 }
 
-/// Cross-round cache of per-node local views.
+/// One engine's per-node views, indexed by node id (see the module
+/// docs).
 ///
-/// Entries are indexed by node id and keyed by the inputs of the
-/// dominating-region computation: the scalar inputs by value, the
-/// member positions by the members' ids plus the network's write clock
-/// at compute time (a member written since then fails the key). The
-/// cache serves one network instance and starts over when it meets
-/// another. With multiple workers each worker owns its own cache and
-/// nodes migrate between workers, so hits degrade gracefully (a miss
-/// just recomputes — results never change); with the serial default
-/// every node hits its previous round's entry as soon as its
-/// neighborhood stops moving.
+/// The slots describe one network instance and start over when they
+/// meet another: a clone or a rebuilt network has its own writes.
 #[derive(Debug, Clone, Default)]
-pub struct LocalViewCache {
-    /// [`Network::instance`] of the network the entries describe.
+pub struct ViewStore {
+    /// [`Network::instance`] of the network the slots describe.
     instance: u64,
-    entries: Vec<CacheEntry>,
+    slots: Vec<ViewSlot>,
 }
 
-impl LocalViewCache {
-    /// The entry slot for node `i` of `net`, growing the table to `net`'s
-    /// size on demand and forgetting every entry when `net` is not the
-    /// network the entries were stored against.
-    pub(crate) fn slot(&mut self, net: &Network, i: usize) -> &mut CacheEntry {
+impl ViewStore {
+    /// An empty store.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The slots of `net`'s nodes, in id order: every slot is forgotten
+    /// when `net` is not the network they were stored against, and the
+    /// table grows to `net`'s size on demand.
+    pub(crate) fn slots_for(&mut self, net: &Network) -> &mut [ViewSlot] {
         if self.instance != net.instance() {
             self.instance = net.instance();
-            self.entries.clear();
+            self.slots.clear();
         }
-        if self.entries.len() <= i {
-            self.entries.resize_with(net.len(), CacheEntry::default);
+        let n = net.len();
+        if self.slots.len() < n {
+            self.slots.resize_with(n, ViewSlot::default);
         }
-        &mut self.entries[i]
+        &mut self.slots[..n]
     }
 
-    /// Drops the entries of ids `n` and above (nodes that no longer
-    /// exist after a removal).
+    /// The stored view of node `i`.
+    pub(crate) fn view(&self, i: usize) -> &NodeView {
+        &self.slots[i].view
+    }
+
+    /// The stored views, in id order.
+    pub(crate) fn views(&self) -> impl Iterator<Item = &NodeView> {
+        self.slots.iter().map(|slot| &slot.view)
+    }
+
+    /// Drops the slots of ids `n` and above (nodes that no longer exist
+    /// after a removal).
     pub(crate) fn truncate(&mut self, n: usize) {
-        self.entries.truncate(n);
-    }
-
-    /// Number of node slots held.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.truncate(n);
     }
 }
 
-/// One node's cached view, together with the key that guards its reuse.
-#[derive(Debug, Clone)]
-pub(crate) struct CacheEntry {
-    /// Whether the entry holds a computed view.
-    pub(crate) valid: bool,
-    // --- key ---------------------------------------------------------
-    /// Ring-check outcome (determines whether the cap applies under
-    /// [`crate::RingCapPolicy::Exact`]).
-    pub(crate) dominated: bool,
+/// One node's last view, together with the key that guards reuse of
+/// its disk and reach.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ViewSlot {
+    /// The node's most recent view. Its ring radius and verdict complete
+    /// the key below.
+    pub(crate) view: NodeView,
+    /// Whether the key describes `view` (an oracle-mode computation
+    /// stored it).
+    keyed: bool,
     /// Coverage degree the view was computed for (`SetK` events change it
     /// mid-run).
-    pub(crate) k: usize,
+    k: u32,
     /// The node's exact position.
-    pub(crate) self_pos: Point,
-    /// Final ring radius (determines the ρ/2 cap).
-    pub(crate) rho: f64,
+    self_pos: Point,
     /// The network's write clock when the view was computed.
-    pub(crate) clock: u64,
+    clock: u64,
     /// The ring's members in the search's order (ascending ids). Their
     /// positions are what the geometry reads; they are unchanged while
     /// no member is written after `clock`. Exactly as long as the ring.
-    pub(crate) members: Box<[u32]>,
-    // --- cached view -------------------------------------------------
-    // (The region pieces themselves are not retained: hits only ever
-    // need the disk and the reach, so caching the geometry would hold
-    // per-node vertex buffers per worker with zero readers.)
-    /// Chebyshev disk of the region.
-    pub(crate) chebyshev: Option<Circle>,
-    /// Farthest distance from `self_pos` to the region.
-    pub(crate) reach: f64,
+    members: Box<[u32]>,
 }
 
-impl Default for CacheEntry {
-    fn default() -> Self {
-        CacheEntry {
-            valid: false,
-            dominated: false,
-            k: 0,
-            self_pos: Point::ORIGIN,
-            rho: 0.0,
-            clock: 0,
-            members: Box::default(),
-            chebyshev: None,
-            reach: 0.0,
-        }
-    }
-}
-
-impl CacheEntry {
-    /// Whether the entry's key matches the given inputs: equal scalars
-    /// and member ids, and no member written since the entry was stored.
+impl ViewSlot {
+    /// Whether the stored disk and reach answer a computation with these
+    /// inputs: equal scalars and member ids, and no member written since
+    /// the view was stored.
     pub(crate) fn matches(
         &self,
         net: &Network,
@@ -286,35 +231,34 @@ impl CacheEntry {
         dominated: bool,
         members: &[usize],
     ) -> bool {
-        self.valid
-            && self.k == k
+        self.keyed
+            && self.k as usize == k
             && self.self_pos == self_pos
-            && self.rho == rho
-            && self.dominated == dominated
+            && self.view.rho == rho
+            && self.view.dominated == dominated
             && self.members.len() == members.len()
             && self.members.iter().zip(members).all(|(&stored, &m)| {
                 stored as usize == m && net.written_at(NodeId(m)) <= self.clock
             })
     }
 
-    /// Overwrites the key fields with the inputs of a computation at
-    /// `net`'s current write clock (the caller recomputes the view and
-    /// stores the resulting disk/reach afterwards). The member ids are
-    /// overwritten in place when the ring kept its length and
-    /// reallocated at the new length otherwise.
-    pub(crate) fn store_key(
+    /// Stores `view`, computed from these inputs at `net`'s current write
+    /// clock, under its key. The member ids are overwritten in place when
+    /// the ring kept its length and reallocated at the new length
+    /// otherwise.
+    pub(crate) fn store_keyed(
         &mut self,
         net: &Network,
         k: usize,
         self_pos: Point,
-        rho: f64,
-        dominated: bool,
         members: &[usize],
+        view: NodeView,
     ) {
-        self.k = k;
+        debug_assert!(k <= u32::MAX as usize, "k = {k} exceeds u32");
+        self.view = view;
+        self.keyed = true;
+        self.k = k as u32;
         self.self_pos = self_pos;
-        self.rho = rho;
-        self.dominated = dominated;
         self.clock = net.write_clock();
         let ids = members.iter().map(|&m| {
             debug_assert!(m <= u32::MAX as usize, "node id {m} exceeds u32");
@@ -328,6 +272,13 @@ impl CacheEntry {
             self.members = ids.collect();
         }
     }
+
+    /// Stores `view` with no key (a computation whose inputs are not
+    /// only positions, as in ranging mode): it is replayed, never reused.
+    pub(crate) fn store_unkeyed(&mut self, view: NodeView) {
+        self.view = view;
+        self.keyed = false;
+    }
 }
 
 #[cfg(test)]
@@ -337,16 +288,23 @@ mod tests {
     #[test]
     fn a_longer_member_list_of_unwritten_nodes_misses() {
         let net = Network::from_positions(0.5, (0..4).map(|i| Point::new(i as f64, 0.0)));
-        let mut cache = LocalViewCache::default();
-        let entry = cache.slot(&net, 0);
-        entry.store_key(&net, 1, net.position(NodeId(0)), 1.0, true, &[1, 2]);
-        entry.valid = true;
+        let mut store = ViewStore::new();
+        let slot = &mut store.slots_for(&net)[0];
         let p = net.position(NodeId(0));
-        assert!(entry.matches(&net, 1, p, 1.0, true, &[1, 2]));
-        // Node 3 was never written after the entry, yet it is not one of
-        // the members the entry describes.
-        assert!(!entry.matches(&net, 1, p, 1.0, true, &[1, 2, 3]));
-        assert!(!entry.matches(&net, 1, p, 1.0, true, &[1, 3]));
-        assert!(!entry.matches(&net, 1, p, 1.0, true, &[1]));
+        let view = NodeView {
+            rho: 1.0,
+            dominated: true,
+            ..NodeView::default()
+        };
+        slot.store_keyed(&net, 1, p, &[1, 2], view);
+        assert!(slot.matches(&net, 1, p, 1.0, true, &[1, 2]));
+        // Node 3 was never written after the view, yet it is not one of
+        // the members the key describes.
+        assert!(!slot.matches(&net, 1, p, 1.0, true, &[1, 2, 3]));
+        assert!(!slot.matches(&net, 1, p, 1.0, true, &[1, 3]));
+        assert!(!slot.matches(&net, 1, p, 1.0, true, &[1]));
+        // An unkeyed view is never reused.
+        slot.store_unkeyed(view);
+        assert!(!slot.matches(&net, 1, p, 1.0, true, &[1, 2]));
     }
 }

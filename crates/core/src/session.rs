@@ -14,7 +14,8 @@
 //! whose entire ρ-neighborhood (plus the multi-hop slack margin) saw no
 //! movement since its previous computation would re-derive exactly the
 //! same local view, so the engine skips its expanding-ring search and
-//! domination sweep entirely and replays the stored view. The skip
+//! domination sweep entirely and replays the view its slot of the
+//! session's [`ViewStore`] holds. The skip
 //! criterion is conservative and exact — it covers every node the
 //! previous search could possibly have contacted — so every round equals
 //! a from-scratch recomputation of every node's view, at any worker
@@ -35,14 +36,14 @@ use crate::config::{CoordinateMode, ExecutionMode, LaacadConfig};
 use crate::error::LaacadError;
 use crate::history::{History, RoundReport, RunSummary};
 use crate::hooks::{EventOutcome, HookAction, NetworkEvent};
-use crate::localview::{compute_node_view, NodeView};
+use crate::localview::{node_view, NodeView};
 use crate::observer::Observer;
-use crate::protocol::{finalize_views, RoundAggregate};
-use crate::scratch::RoundScratch;
-use laacad_exec::{merge_worker_telemetry, parallel_map_scratched, resolve_workers};
+use crate::protocol::RoundAggregate;
+use crate::scratch::{give_back, lend_kernel, KernelScratch, ViewStore};
+use laacad_exec::{parallel_for_each_slot, resolve_workers};
 use laacad_geom::Point;
 use laacad_region::Region;
-use laacad_telemetry::{Recorder, Stage};
+use laacad_telemetry::{Recorder, Stage, WorkerBuffer};
 use laacad_wsn::mobility::step_toward;
 use laacad_wsn::{Adjacency, FlatGrid, Network, NodeId};
 
@@ -72,8 +73,9 @@ pub struct RoundDelta {
     /// Every node that moved this round, with old and new positions
     /// (empty once the deployment is quiescent).
     pub moved: Vec<MovedNode>,
-    /// Nodes whose final ring radius ρ differs from the previous round
-    /// (every node counts on the first round).
+    /// Nodes whose final ring radius ρ differs from their stored view's:
+    /// the previous round's, or the one [`Session::finalize`] stored if
+    /// it ran since (every node counts on the first round).
     pub rho_changed: usize,
     /// `true` exactly when this round entered convergence (the previous
     /// round had movement, this one had none). Dynamic events leave
@@ -84,8 +86,8 @@ pub struct RoundDelta {
     /// Nodes served from the dirty-node index without any search or
     /// geometry (their ρ-neighborhood saw no movement).
     pub skipped_quiescent: usize,
-    /// Among the executed searches, nodes whose geometry stage was
-    /// answered by the per-worker cross-round cache.
+    /// Among the executed searches, nodes whose geometry stage reused
+    /// their stored view's disk and reach (the cross-round cache).
     pub cache_hits: usize,
     /// Executed searches that recomputed the geometry.
     pub cache_misses: usize,
@@ -211,9 +213,9 @@ impl SessionBuilder {
 }
 
 /// A session's primary state — everything [`Session::snapshot`] stores.
-/// The engine's caches (stored views, pending movers, the adjacency
-/// snapshot, the per-worker local-view caches) and its work counters
-/// are derived from it and start cold in [`Session::from_state`].
+/// The engine's caches (the view store, pending movers, the adjacency
+/// snapshot) and its work counters are derived from it and start cold
+/// in [`Session::from_state`].
 #[derive(Debug)]
 pub(crate) struct SessionState {
     pub(crate) config: LaacadConfig,
@@ -237,21 +239,21 @@ pub struct Session {
     history: History,
     round: usize,
     converged: bool,
-    /// One [`RoundScratch`] per worker, reused across rounds: the
-    /// worker's view cache, plus kernel buffers borrowed from the
-    /// thread's pool for the length of a fan-out.
-    scratches: Vec<RoundScratch>,
+    /// Every node's last view and the key guarding reuse of its
+    /// geometry (see [`ViewStore`]).
+    store: ViewStore,
+    /// Whether the store holds every node's view from the most recent
+    /// Phase 1 (false until the first round and after an event). The
+    /// dirty-node index replays these in synchronous oracle mode.
+    has_views: bool,
+    /// The Phase-1 workers: kernel buffers borrowed from the thread's
+    /// pool for the length of a fan-out, empty between calls.
+    workers: Vec<Worker>,
     /// Per-round one-hop snapshot shared by every worker (synchronous
     /// mode), refreshed in place when positions changed.
     adjacency: Adjacency,
     /// How `adjacency` relates to the current positions.
     adjacency_state: AdjacencyState,
-    /// Every node's view from the most recent Phase 1 (the dirty-node
-    /// index replays these for quiescent nodes).
-    views: Vec<NodeView>,
-    /// Whether `views` may be replayed (synchronous + oracle, and no
-    /// event since they were computed).
-    views_valid: bool,
     /// The movement since the stored views were computed — the
     /// changed-positions input of the dirty classification and of the
     /// adjacency patch.
@@ -281,8 +283,8 @@ impl Session {
 
     /// The one constructor behind [`SessionBuilder::build`] and
     /// [`SessionBuilder::restore`]: validates the primary state, then
-    /// starts every derived structure cold — adjacency stale, no stored
-    /// views, empty caches, zero counters.
+    /// starts every derived structure cold — adjacency stale, an empty
+    /// view store, zero counters.
     ///
     /// # Errors
     ///
@@ -353,11 +355,11 @@ impl Session {
             history,
             round,
             converged,
-            scratches: Vec::new(),
+            store: ViewStore::new(),
+            has_views: false,
+            workers: Vec::new(),
             adjacency: Adjacency::default(),
             adjacency_state: AdjacencyState::StaleFull,
-            views: Vec::new(),
-            views_valid: false,
             movement: Movement::default(),
             counters: SessionCounters::default(),
             event_log: Vec::new(),
@@ -437,31 +439,30 @@ impl Session {
         }
     }
 
-    /// After a fan-out: merges the per-worker kernel timing buffers in
-    /// worker-index order and reports the ring-search and geometry
-    /// aggregates, then hands every worker's kernel buffers back to the
-    /// thread's pool. The report is a no-op (armed-off buffers are
-    /// empty) with telemetry off.
-    fn return_kernels(&mut self) {
+    /// After a fan-out: with telemetry on, merges the per-worker kernel
+    /// timing buffers in worker-index order on this thread (so the
+    /// aggregate does not depend on scheduling) and reports the
+    /// ring-search and geometry aggregates; then hands every worker's
+    /// kernel buffers back to the thread's pool. Returns the workers'
+    /// ρ-change tallies, summed.
+    fn return_kernels(&mut self) -> usize {
         if self.telemetry_on() {
-            self.drain_kernel_telemetry();
+            let mut merged = WorkerBuffer::default();
+            for worker in &mut self.workers {
+                merged.absorb(&mut worker.kernel.telemetry);
+            }
+            let round = self.round;
+            if let Some(recorder) = self.recorder.as_mut() {
+                recorder.kernel(Stage::RingSearch, round, &merged.ring_search);
+                recorder.kernel(Stage::Geometry, round, &merged.geometry);
+            }
         }
-        for scratch in &mut self.scratches {
-            scratch.release();
+        let mut rho_changed = 0;
+        for worker in self.workers.drain(..) {
+            rho_changed += worker.rho_changed;
+            give_back(worker.kernel);
         }
-    }
-
-    fn drain_kernel_telemetry(&mut self) {
-        let merged = merge_worker_telemetry(
-            self.scratches
-                .iter_mut()
-                .filter_map(|s| s.kernel.as_mut().map(|k| &mut k.telemetry)),
-        );
-        let round = self.round;
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.kernel(Stage::RingSearch, round, &merged.ring_search);
-            recorder.kernel(Stage::Geometry, round, &merged.geometry);
-        }
+        rho_changed
     }
 
     /// Whether the dirty-node index may skip work in this configuration:
@@ -483,19 +484,20 @@ impl Session {
         }
     }
 
-    /// Before a fan-out: sizes the per-worker state to `workers` and
-    /// lends each worker kernel buffers from the calling thread's pool,
-    /// pre-sized for `N` and armed for kernel timing when `telemetry`
-    /// is on. [`Session::return_kernels`] hands them back.
+    /// Before a fan-out: lends `workers` workers kernel buffers from
+    /// the calling thread's pool, pre-sized for `N` and armed for kernel
+    /// timing when `telemetry` is on. [`Session::return_kernels`] hands
+    /// them back.
     fn lend_kernels(&mut self, workers: usize, telemetry: bool) {
-        if self.scratches.len() < workers {
-            self.scratches.resize_with(workers, RoundScratch::new);
-        }
-        self.scratches.truncate(workers.max(1));
         let n = self.net.len();
-        for scratch in &mut self.scratches {
-            scratch.lease(n).telemetry.arm(telemetry);
-        }
+        self.workers.extend((0..workers.max(1)).map(|_| {
+            let mut kernel = lend_kernel(n);
+            kernel.telemetry.arm(telemetry);
+            Worker {
+                kernel,
+                rho_changed: 0,
+            }
+        }));
     }
 
     /// The safe re-activation radius of a stored view: a mover outside
@@ -524,7 +526,7 @@ impl Session {
     /// parallel fan-out, so it is identical for every worker count.
     fn classify_dirty(&self) -> DirtyClass {
         let n = self.net.len();
-        if !self.dirty_skip_active() || !self.views_valid || self.views.len() != n {
+        if !self.dirty_skip_active() || !self.has_views {
             return DirtyClass::AllDirty;
         }
         let moves = match &self.movement {
@@ -536,7 +538,7 @@ impl Session {
         // One grid over the movement endpoints, celled at the largest
         // safe radius so every per-node probe touches at most 9 cells.
         let mut max_safe = self.config.gamma;
-        for view in &self.views {
+        for view in self.store.views() {
             max_safe = max_safe.max(self.safe_radius(view));
         }
         let grid = FlatGrid::build(&endpoints, max_safe);
@@ -556,7 +558,7 @@ impl Session {
                 continue; // movers always recompute
             }
             let p = self.net.position(NodeId(i));
-            let safe = self.safe_radius(&self.views[i]);
+            let safe = self.safe_radius(self.store.view(i));
             let dx = (bb_min.x - p.x).max(p.x - bb_max.x).max(0.0);
             let dy = (bb_min.y - p.y).max(p.y - bb_max.y).max(0.0);
             if dx * dx + dy * dy > safe * safe {
@@ -649,69 +651,79 @@ impl Session {
         recorder.round_end(round);
     }
 
-    /// Synchronous (Jacobi) round: every node decides from the same
-    /// position snapshot — quiescent nodes replayed from the dirty-node
-    /// index, the rest fanned out across `config.threads` workers — then
-    /// all move.
-    fn step_synchronous(&mut self) -> RoundDelta {
-        let n = self.net.len();
-        let telemetry = self.telemetry_on();
-        let stage_started = telemetry.then(std::time::Instant::now);
+    /// Phase 1 at the current positions: every node the dirty-node
+    /// index does not clear recomputes its view into the store, fanned
+    /// out across `config.threads` workers, and every other node keeps
+    /// its stored view. `telemetry` arms the kernel timing; `spans`
+    /// reports the classification and adjacency-refresh spans. Returns
+    /// the work done.
+    fn phase1(&mut self, telemetry: bool, spans: bool) -> Phase1Work {
+        let stage_started = spans.then(std::time::Instant::now);
         let dirty = self.classify_dirty();
         self.record_span(Stage::Classify, stage_started);
-        let views: Vec<NodeView>;
-        let mut ring_searches = 0usize;
-        let mut cache_hits = 0usize;
-        if matches!(dirty, DirtyClass::AllClean) {
-            // Fully quiescent round: no movement anywhere since the
-            // stored views were computed — replay them wholesale. No
+        let mask = match dirty {
+            // Fully quiescent: no movement anywhere since the stored
+            // views were computed, so every one still holds. No
             // adjacency refresh, no searches, no geometry.
-            views = std::mem::take(&mut self.views);
-        } else {
-            self.lend_kernels(self.workers(), telemetry);
-            let stage_started = telemetry.then(std::time::Instant::now);
-            self.refresh_adjacency();
-            self.record_span(Stage::Adjacency, stage_started);
-            let (net, region, config) = (&self.net, &self.region, &self.config);
-            let (round, adjacency) = (self.round, &self.adjacency);
-            let old_views = &self.views;
-            let mask = match &dirty {
-                DirtyClass::Partial(mask) => Some(mask),
-                _ => None,
-            };
-            views = parallel_map_scratched(&mut self.scratches, n, |scratch, i| {
-                if mask.is_some_and(|mask| !mask[i]) {
-                    return old_views[i];
-                }
-                compute_node_view(
-                    net,
-                    Some(adjacency),
-                    NodeId(i),
-                    region,
-                    config,
-                    round,
-                    scratch,
-                )
-            });
-            self.return_kernels();
-            // Work accounting: skipped nodes replayed a stored view; the
-            // rest ran a ring search and either hit or missed the cache.
-            for (i, view) in views.iter().enumerate() {
-                if mask.is_none_or(|mask| mask[i]) {
-                    ring_searches += 1;
-                    if view.cache_hit {
-                        cache_hits += 1;
-                    }
-                }
+            DirtyClass::AllClean => return Phase1Work::default(),
+            DirtyClass::AllDirty => None,
+            DirtyClass::Partial(mask) => Some(mask),
+        };
+        let mask = mask.as_deref();
+        self.lend_kernels(self.workers(), telemetry);
+        let stage_started = spans.then(std::time::Instant::now);
+        self.refresh_adjacency();
+        self.record_span(Stage::Adjacency, stage_started);
+        let (net, region, config) = (&self.net, &self.region, &self.config);
+        let (round, adjacency) = (self.round, &self.adjacency);
+        let slots = self.store.slots_for(net);
+        parallel_for_each_slot(&mut self.workers, slots, |worker, i, slot| {
+            if mask.is_some_and(|mask| !mask[i]) {
+                return;
+            }
+            let old_rho = slot.view.rho;
+            let view = node_view(
+                net,
+                Some(adjacency),
+                NodeId(i),
+                region,
+                config,
+                round,
+                &mut worker.kernel,
+                slot,
+            );
+            worker.rho_changed += usize::from(view.rho != old_rho);
+        });
+        let rho_changed = self.return_kernels();
+        // Work accounting: skipped nodes kept their stored views; the
+        // rest ran a ring search and either hit or missed the cache.
+        let mut work = Phase1Work {
+            rho_changed,
+            ..Phase1Work::default()
+        };
+        for (i, view) in self.store.views().enumerate() {
+            if mask.is_none_or(|mask| mask[i]) {
+                work.ring_searches += 1;
+                work.cache_hits += usize::from(view.cache_hit);
             }
         }
+        work
+    }
+
+    /// Synchronous (Jacobi) round: every node decides from the same
+    /// position snapshot — quiescent nodes keep their stored views, the
+    /// rest recompute across `config.threads` workers — then all move.
+    fn step_synchronous(&mut self) -> RoundDelta {
+        let telemetry = self.telemetry_on();
+        let work = self.phase1(telemetry, telemetry);
         // Phase 2 in id order: every view was computed from the round's
         // snapshot, and a node's step moves only that node.
         let stage_started = telemetry.then(std::time::Instant::now);
         let mut agg = RoundAggregate::default();
         let mut moved = Vec::new();
-        for (i, view) in views.iter().enumerate() {
-            self.apply_view(&mut agg, NodeId(i), view, &mut moved);
+        for i in 0..self.net.len() {
+            let view = *self.store.view(i);
+            self.apply_view(&mut agg, NodeId(i), &view, &mut moved);
         }
         self.record_span(Stage::MoveApply, stage_started);
         if !moved.is_empty() {
@@ -721,7 +733,7 @@ impl Session {
             // with next round.
             self.adjacency_state = AdjacencyState::StaleMoves;
         }
-        self.finish_round(agg, views, moved, ring_searches, cache_hits)
+        self.finish_round(agg, moved, work)
     }
 
     /// Sequential (Gauss–Seidel) round: each node computes against the
@@ -737,31 +749,37 @@ impl Session {
         self.lend_kernels(1, telemetry);
         let mut agg = RoundAggregate::default();
         let mut moved = Vec::new();
-        let mut views = Vec::with_capacity(n);
+        let mut work = Phase1Work {
+            ring_searches: n,
+            ..Phase1Work::default()
+        };
         for i in 0..n {
             let id = NodeId(i);
+            let slot = &mut self.store.slots_for(&self.net)[i];
+            let old_rho = slot.view.rho;
             // No adjacency snapshot: predecessors have already moved.
-            let view = compute_node_view(
+            let view = node_view(
                 &self.net,
                 None,
                 id,
                 &self.region,
                 &self.config,
                 self.round,
-                &mut self.scratches[0],
+                &mut self.workers[0].kernel,
+                slot,
             );
+            self.workers[0].rho_changed += usize::from(view.rho != old_rho);
+            work.cache_hits += usize::from(view.cache_hit);
             self.apply_view(&mut agg, id, &view, &mut moved);
-            views.push(view);
         }
-        self.return_kernels();
-        let cache_hits = views.iter().filter(|v| v.cache_hit).count();
+        work.rho_changed = self.return_kernels();
         if !moved.is_empty() || self.adjacency_state != AdjacencyState::Fresh {
             // Gauss–Seidel rounds never refresh the snapshot, so no
             // recorded delta relates a stale one (moved by this sweep or
             // by an earlier displacement) to the final positions.
             self.adjacency_state = AdjacencyState::StaleFull;
         }
-        self.finish_round(agg, views, moved, n, cache_hits)
+        self.finish_round(agg, moved, work)
     }
 
     /// Algorithm 1 lines 3–6 for one node of this round: absorbs its view
@@ -792,33 +810,30 @@ impl Session {
         }
     }
 
-    /// Shared round epilogue. `ring_searches` of the round's `views` were
-    /// computed, `cache_hits` of them from the cache; the rest replayed
-    /// stored views. The views and the movement set become the dirty-node
-    /// index's inputs; then the convergence latch, history, snapshots,
-    /// counters, and the assembled [`RoundDelta`].
+    /// Shared round epilogue after the round's Phase 1 did `work`. The
+    /// stored views and the movement set become the dirty-node index's
+    /// inputs; then the convergence latch, history, snapshots, counters,
+    /// and the assembled [`RoundDelta`].
     fn finish_round(
         &mut self,
         agg: RoundAggregate,
-        views: Vec<NodeView>,
         moved: Vec<MovedNode>,
-        ring_searches: usize,
-        cache_hits: usize,
+        work: Phase1Work,
     ) -> RoundDelta {
-        let n = views.len();
+        let n = self.net.len();
+        let Phase1Work {
+            ring_searches,
+            cache_hits,
+            rho_changed,
+        } = work;
         let rho_changed = if ring_searches == 0 {
             0 // every view was replayed
-        } else if self.views.len() != n {
+        } else if !self.has_views {
             n
         } else {
-            views
-                .iter()
-                .zip(&self.views)
-                .filter(|(new, old)| new.rho != old.rho)
-                .count()
+            rho_changed
         };
-        self.views = views;
-        self.views_valid = self.dirty_skip_active();
+        self.has_views = true;
         self.movement.replace(&moved, n);
         let report = agg.report(self.round);
         // An observer may keep a converged run alive for pending events;
@@ -970,9 +985,7 @@ impl Session {
                     });
                 }
                 outcome.removed = self.net.remove_nodes(&ids);
-                for scratch in &mut self.scratches {
-                    scratch.view_cache.truncate(self.net.len());
-                }
+                self.store.truncate(self.net.len());
             }
             NetworkEvent::InsertNodes(points) => {
                 for (i, p) in points.iter().enumerate() {
@@ -1002,10 +1015,11 @@ impl Session {
             }
         }
         self.converged = false;
-        // Any event invalidates the stored views (populations re-index,
-        // `k` re-keys every search) and the shared adjacency snapshot.
-        self.views.clear();
-        self.views_valid = false;
+        // Any event ends the replay of the stored views (populations
+        // re-index, `k` re-keys every search) and invalidates the shared
+        // adjacency snapshot. The views' keys stay: a recomputed node
+        // whose geometric inputs are unchanged still reuses its disk.
+        self.has_views = false;
         self.movement = Movement::default();
         self.adjacency_state = AdjacencyState::StaleFull;
         self.event_log.push((record, outcome));
@@ -1079,36 +1093,22 @@ impl Session {
         Ok(displaced)
     }
 
-    /// Recomputes every node's dominating region at the final positions
-    /// and tunes sensing ranges to the minimum covering value
-    /// (`r*_i = max_{u ∈ V^k_i} ‖u − u_i‖`). Positions are fixed here,
-    /// so the per-node computation fans out like a synchronous Phase 1 —
-    /// or, when the network is quiescent and the stored views already
-    /// describe the final positions, replays their reaches directly.
+    /// Tunes every sensing range to the minimum covering value at the
+    /// final positions (`r*_i = max_{u ∈ V^k_i} ‖u − u_i‖`, Algorithm 1
+    /// line 7). This is a synchronous Phase 1 without the moves, over the
+    /// same store: the nodes whose stored views are stale recompute them,
+    /// and every node's sensing range becomes its view's reach. Its work
+    /// does not count toward the round counters. The movement set is
+    /// left as it is, so a round stepped after it searches the nodes it
+    /// would have searched without it, reusing the geometry stored here.
     pub fn finalize(&mut self) {
-        let n = self.net.len();
         let telemetry = self.telemetry_on();
         let stage_started = telemetry.then(std::time::Instant::now);
-        if self.dirty_skip_active()
-            && self.views_valid
-            && self.movement.is_still()
-            && self.views.len() == n
-        {
-            for i in 0..n {
-                self.net.set_sensing_radius(NodeId(i), self.views[i].reach);
-            }
-        } else {
-            self.lend_kernels(self.workers(), telemetry);
-            self.refresh_adjacency();
-            finalize_views(
-                &mut self.net,
-                &self.adjacency,
-                &self.region,
-                &self.config,
-                self.round,
-                &mut self.scratches,
-            );
-            self.return_kernels();
+        self.phase1(telemetry, false);
+        let n = self.net.len();
+        for i in 0..n {
+            self.net
+                .set_sensing_radius(NodeId(i), self.store.view(i).reach);
         }
         self.record_span(Stage::Finalize, stage_started);
         if self.config.snapshot_every.is_some() {
@@ -1116,6 +1116,25 @@ impl Session {
                 .push_snapshot(self.round, self.net.positions().to_vec());
         }
     }
+}
+
+/// One Phase-1 worker: kernel buffers borrowed from the thread's pool
+/// for one fan-out, and how many of the nodes it computed changed ρ.
+#[derive(Debug)]
+struct Worker {
+    kernel: Box<KernelScratch>,
+    rho_changed: usize,
+}
+
+/// The work of one Phase 1.
+#[derive(Debug, Clone, Copy, Default)]
+struct Phase1Work {
+    /// Ring searches run (nodes recomputed).
+    ring_searches: usize,
+    /// Of those, the nodes that reused their stored disk and reach.
+    cache_hits: usize,
+    /// Of those, the nodes whose ρ differs from their stored view's.
+    rho_changed: usize,
 }
 
 /// The dirty-node index's verdict for one round.
@@ -1158,11 +1177,6 @@ impl Movement {
     /// Whether `moves` moves among `n` nodes are few enough to keep.
     fn few(moves: usize, n: usize) -> bool {
         moves * 4 < n
-    }
-
-    /// Whether nothing moved.
-    fn is_still(&self) -> bool {
-        matches!(self, Movement::Few(moves) if moves.is_empty())
     }
 
     /// Replaces the movement by one round's `moved` among `n` nodes,
@@ -1541,20 +1555,17 @@ mod tests {
     }
 
     #[test]
-    fn failures_trim_the_view_caches_to_the_survivors() {
+    fn failures_trim_the_view_store_to_the_survivors() {
         let region = Region::square(1.0).unwrap();
         let initial = sample_uniform(&region, 16, 2);
         let mut sim = session(quick_config(1, 400), region, initial);
         sim.step();
-        let slots = |sim: &Session| -> Vec<usize> {
-            sim.scratches.iter().map(|s| s.view_cache.len()).collect()
-        };
-        assert_eq!(slots(&sim), vec![16]);
+        assert_eq!(sim.store.views().count(), 16);
         sim.apply_event(NetworkEvent::FailNodes(vec![NodeId(3), NodeId(9)]))
             .unwrap();
-        assert_eq!(slots(&sim), vec![14]);
+        assert_eq!(sim.store.views().count(), 14);
         // Kernel buffers are lent for a call, never kept by the session.
-        assert!(sim.scratches.iter().all(|s| s.kernel.is_none()));
+        assert!(sim.workers.is_empty());
     }
 
     #[test]

@@ -17,9 +17,15 @@
 //!   the deployment, `⌈N/4⌉` movers rebuild it and search every node,
 //!   and so does a small displacement after a round that moved many;
 //! * Gauss–Seidel rounds search every node every round (the dirty-node
-//!   index never applies there).
+//!   index never applies there);
+//! * an event ends the replay of the stored views but keeps their keys,
+//!   so unchanged geometry is still reused after it;
+//! * every work counter is the same at every thread count: the engine
+//!   keeps one view store, whichever worker computes a node;
+//! * a round stepped after `finalize` searches the nodes it would have
+//!   searched without it, and reuses the geometry `finalize` stored.
 
-use laacad::{ExecutionMode, LaacadConfig, NetworkEvent, Session};
+use laacad::{ExecutionMode, LaacadConfig, NetworkEvent, Session, SessionCounters};
 use laacad_geom::Point;
 use laacad_region::sampling::sample_uniform;
 use laacad_region::Region;
@@ -294,5 +300,136 @@ fn gauss_seidel_rounds_search_every_node() {
         let delta = sim.step();
         assert_eq!(delta.ring_searches, n);
         assert_eq!(delta.skipped_quiescent, 0);
+    }
+}
+
+/// A uniform k = 1 deployment of `n` nodes at `seed`, recommended γ,
+/// α = 0.5 and ε = 10⁻³.
+fn k1_session(n: usize, seed: u64, threads: usize) -> Session {
+    let region = Region::square(1.0).unwrap();
+    let config = LaacadConfig::builder(1)
+        .transmission_range(LaacadConfig::recommended_gamma(1.0, n, 1))
+        .alpha(0.5)
+        .epsilon(1e-3)
+        .max_rounds(10_000)
+        .threads(threads)
+        .build()
+        .unwrap();
+    Session::builder(config)
+        .positions(sample_uniform(&region, n, seed))
+        .region(region)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn events_end_the_replay_but_keep_the_stores_keys() {
+    for threads in [1usize, 2] {
+        let mut sim = k1_session(120, 3, threads);
+        while !sim.step().report.converged {}
+        sim.step();
+        // Nothing moved: every node searches again, and every geometry
+        // is reused.
+        sim.apply_event(NetworkEvent::SetAlpha(0.7)).unwrap();
+        let delta = sim.step();
+        assert_eq!(
+            (delta.ring_searches, delta.cache_hits),
+            (120, 120),
+            "threads {threads}: after SetAlpha"
+        );
+        // Node 100 fails and the 19 nodes above it take new ids, which
+        // counts as a write: a node hits only when it kept its id and its
+        // ring names no renumbered node.
+        sim.apply_event(NetworkEvent::FailNodes(vec![NodeId(100)]))
+            .unwrap();
+        let delta = sim.step();
+        assert_eq!(
+            (delta.ring_searches, delta.cache_hits),
+            (119, 19),
+            "threads {threads}: after FailNodes"
+        );
+    }
+}
+
+#[test]
+fn work_counters_do_not_depend_on_the_thread_count() {
+    let expected = SessionCounters {
+        ring_searches: 31_733,
+        skipped_quiescent: 22_267,
+        cache_hits: 14_594,
+        cache_misses: 17_139,
+        adjacency_rebuilds: 38,
+        adjacency_incremental_updates: 108,
+    };
+    for threads in [1usize, 2, 2, 2, 4] {
+        let mut sim = k1_session(300, 7, threads);
+        for _ in 0..150 {
+            sim.step();
+        }
+        let from = sim.network().position(NodeId(5));
+        sim.displace_nodes(&[(NodeId(5), from.lerp(Point::new(0.5, 0.5), 0.1))])
+            .unwrap();
+        for _ in 0..30 {
+            sim.step();
+        }
+        assert_eq!(sim.counters(), expected, "threads {threads}");
+    }
+}
+
+#[test]
+fn a_round_after_finalize_searches_the_same_nodes() {
+    for threads in [1usize, 2] {
+        let mut plain = k1_session(300, 7, threads);
+        let mut finalized = k1_session(300, 7, threads);
+        for sim in [&mut plain, &mut finalized] {
+            for _ in 0..150 {
+                sim.step();
+            }
+            let from = sim.network().position(NodeId(5));
+            sim.displace_nodes(&[(NodeId(5), from.lerp(Point::new(0.5, 0.5), 0.1))])
+                .unwrap();
+            sim.step();
+            sim.step();
+        }
+        finalized.finalize();
+        let (a, b) = (plain.step(), finalized.step());
+        assert_eq!(a.moved, b.moved, "threads {threads}");
+        assert_eq!(
+            (
+                a.ring_searches,
+                a.skipped_quiescent,
+                a.cache_hits,
+                a.cache_misses
+            ),
+            (173, 127, 135, 38),
+            "threads {threads}: without finalize"
+        );
+        // The same 173 nodes search, and each finds the disk and reach
+        // that `finalize` stored for its unchanged inputs.
+        assert_eq!(
+            (
+                b.ring_searches,
+                b.skipped_quiescent,
+                b.cache_hits,
+                b.cache_misses
+            ),
+            (173, 127, 173, 0),
+            "threads {threads}: after finalize"
+        );
+    }
+    // ρ changes are counted against the stored views, which `finalize`
+    // refreshed at the positions the next round starts from.
+    for threads in [1usize, 2] {
+        let mut sim = k1_session(200, 42, threads);
+        for _ in 0..3 {
+            sim.step();
+        }
+        sim.finalize();
+        let delta = sim.step();
+        assert_eq!(
+            (delta.ring_searches, delta.cache_hits, delta.rho_changed),
+            (200, 200, 0),
+            "threads {threads}"
+        );
     }
 }

@@ -1,23 +1,17 @@
 //! Heap kept per session, in bytes.
 //!
-//! A session keeps its primary state, its stored views, the adjacency
-//! snapshot and one local-view cache per worker. The kernel's transient
-//! buffers are borrowed from a per-thread pool for the length of a call,
-//! so many sessions stepped on one thread share one set of them. The
-//! guards below step a series of 64-node, k = 1 sessions at
-//! `threads(1)` on one thread whose pool is already warm, and bound:
+//! A session keeps its primary state, its view store (one slot per node:
+//! the node's last view and the key guarding reuse of its geometry) and
+//! the adjacency snapshot. The kernel's transient buffers are borrowed
+//! from a per-thread pool for the length of a call, so many sessions
+//! stepped on one thread share one set of them. The guards below step a
+//! series of 64-node, k = 1 sessions at `threads(1)` on one thread whose
+//! pool is already warm, and bound:
 //!
 //! * the heap a session keeps after its first step, beyond what it held
-//!   when built: 56–66 kB over these seeds when every session owned a
-//!   full kernel scratch and its cache keys copied member positions,
-//!   26–29 kB with the kernel borrowed and member ids in the keys, and
-//!   18–20 kB once adjacency rows reserve no more entries than there
-//!   are blocks, cache keys are exactly as long as their rings and a
-//!   round's movement set is not copied when a quarter of the nodes or
-//!   more moved;
-//! * the heap it gains over the next 23 steps (7–14 kB, then 4–8 kB,
-//!   now −0.8 to +0.6 kB: round records, and cache keys re-sized to
-//!   their rings).
+//!   when built (14–16 kB over these seeds);
+//! * the heap it gains over the next 23 steps (−0.8 to +0.6 kB: round
+//!   records, and member ids re-sized to their rings).
 //!
 //! `#[global_allocator]` applies per binary, hence a binary of its own.
 //! The count is per thread (allocations minus deallocations made on the
@@ -78,7 +72,7 @@ const SESSIONS: u64 = 8;
 /// Steps after the first one.
 const LATER_STEPS: usize = 23;
 /// Ceiling on the heap a session keeps after its first step.
-const FIRST_STEP_CEILING: i64 = 24_000;
+const FIRST_STEP_CEILING: i64 = 18_000;
 /// Ceiling on the heap it gains over the next `LATER_STEPS` steps.
 const LATER_STEPS_CEILING: i64 = 2_000;
 

@@ -14,7 +14,7 @@
 //! bits and message totals must match the session after every round and
 //! after `finalize`, at one and at four worker threads.
 
-use laacad::{compute_node_view, ExecutionMode, LaacadConfig, NetworkEvent, RoundScratch, Session};
+use laacad::{compute_node_view, ExecutionMode, LaacadConfig, NetworkEvent, Session, ViewStore};
 use laacad_geom::Point;
 use laacad_region::sampling::sample_uniform;
 use laacad_region::Region;
@@ -53,8 +53,8 @@ fn reference_round(sim: &Session) -> (Network, MessageStats) {
     let round = sim.rounds_executed() + 1;
     let views: Vec<_> = (0..net.len())
         .map(|i| {
-            let mut scratch = RoundScratch::new();
-            compute_node_view(&net, None, NodeId(i), region, config, round, &mut scratch)
+            let mut store = ViewStore::new();
+            compute_node_view(&net, None, NodeId(i), region, config, round, &mut store)
         })
         .collect();
     let mut messages = MessageStats::default();
@@ -81,7 +81,7 @@ fn reference_finalize(sim: &Session) -> Network {
     let mut net = sim.network().clone();
     let round = sim.rounds_executed();
     for i in 0..net.len() {
-        let mut scratch = RoundScratch::new();
+        let mut store = ViewStore::new();
         let view = compute_node_view(
             &net,
             None,
@@ -89,7 +89,7 @@ fn reference_finalize(sim: &Session) -> Network {
             sim.region(),
             sim.config(),
             round,
-            &mut scratch,
+            &mut store,
         );
         net.set_sensing_radius(NodeId(i), view.reach);
     }
@@ -207,7 +207,7 @@ fn parallel_engine_matches_the_from_scratch_reference() {
 /// Node 0's view at the positions of `net`, from scratch.
 fn view_of_node_0(sim: &Session, net: &Network) -> laacad::NodeView {
     let round = sim.rounds_executed() + 1;
-    let mut scratch = RoundScratch::new();
+    let mut store = ViewStore::new();
     compute_node_view(
         net,
         None,
@@ -215,7 +215,7 @@ fn view_of_node_0(sim: &Session, net: &Network) -> laacad::NodeView {
         sim.region(),
         sim.config(),
         round,
-        &mut scratch,
+        &mut store,
     )
 }
 

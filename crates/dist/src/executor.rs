@@ -45,7 +45,7 @@
 
 use laacad::{
     compute_node_view, finalize_views, LaacadConfig, LaacadError, NodeView, RoundAggregate,
-    RoundReport, RoundScratch, RunSummary,
+    RoundReport, RunSummary, ViewStore,
 };
 use laacad_geom::Point;
 use laacad_region::sampling::SplitMix64;
@@ -386,9 +386,14 @@ pub struct AsyncExecutor {
     queue: EventQueue,
     now: u64,
     nodes: Vec<NodeMachine>,
-    /// The local-view cache, reused across computes; each compute
-    /// borrows the kernel buffers from the thread's pool.
-    scratch: RoundScratch,
+    /// Every node's last view and the key guarding reuse of its
+    /// geometry; each compute borrows the kernel buffers from the
+    /// thread's pool.
+    store: ViewStore,
+    /// Computes whose geometry reused the node's stored view (the rest
+    /// of [`ProtocolStats::computes`] recomputed it). A recorder counter
+    /// only, not a protocol statistic.
+    cache_hits: u64,
     /// Per-round records, indexed by round − 1; node computes land in
     /// the round they belong to, whenever they happen.
     rounds: Vec<RoundAggregate>,
@@ -505,7 +510,8 @@ impl AsyncExecutor {
             queue: EventQueue::default(),
             now: 0,
             nodes: (0..n).map(|_| NodeMachine::new()).collect(),
-            scratch: RoundScratch::new(),
+            store: ViewStore::new(),
+            cache_hits: 0,
             rounds: Vec::new(),
             stats: ProtocolStats::default(),
             recorder: None,
@@ -1036,7 +1042,7 @@ impl AsyncExecutor {
             &self.region,
             &self.config,
             round,
-            &mut self.scratch,
+            &mut self.store,
         );
         for &(subject, truth) in saved.iter().rev() {
             self.net.override_position(NodeId(subject), truth);
@@ -1061,10 +1067,11 @@ impl AsyncExecutor {
                 &self.region,
                 &self.config,
                 round,
-                &mut self.scratch,
+                &mut self.store,
             )
         };
         self.stats.computes += 1;
+        self.cache_hits += u64::from(view.cache_hit);
         let target = self.rounds[round - 1].absorb(&mut self.net, id, &view, self.config.epsilon);
         let epoch = {
             let m = &mut self.nodes[i];
@@ -1214,7 +1221,7 @@ impl AsyncExecutor {
             &self.region,
             &self.config,
             rounds_executed,
-            std::slice::from_mut(&mut self.scratch),
+            &mut self.store,
         )
         .iter()
         .map(|view| view.rho)
@@ -1284,6 +1291,8 @@ impl AsyncExecutor {
                 );
                 rec.counter("async_rtt_samples", round, self.stats.rtt_samples);
                 rec.counter("async_ticks", round, self.now);
+                rec.counter("cache_hits", round, self.cache_hits);
+                rec.counter("cache_misses", round, self.stats.computes - self.cache_hits);
                 rec.counter("adjacency_patches", round, self.adjacency_patches);
                 rec.counter(
                     "adjacency_overflow_rebuilds",
@@ -1394,6 +1403,43 @@ mod tests {
             .counters()
             .any(|(name, total)| name == "adjacency_overflow_rebuilds"
                 && total == exec.adjacency.overflow_rebuilds()));
+    }
+
+    /// The run's telemetry splits its computes into cache hits and
+    /// misses, under the sync session's counter names; a lossy cell
+    /// reuses some of its nodes' geometry.
+    #[test]
+    fn telemetry_reports_cache_hits_and_misses_over_the_computes() {
+        let region = Region::square(1.0).unwrap();
+        let n = 64;
+        let config = LaacadConfig::builder(1)
+            .alpha(0.5)
+            .epsilon(5e-3)
+            .transmission_range(LaacadConfig::recommended_gamma(1.0, n, 1))
+            .seed(11)
+            .build()
+            .unwrap();
+        let plan = FaultPlan {
+            loss: 0.1,
+            ..FaultPlan::default()
+        };
+        let positions = sample_uniform(&region, n, 11);
+        let mut exec =
+            AsyncExecutor::new(config, region, positions, plan, AsyncConfig::default()).unwrap();
+        exec.set_recorder(Box::new(laacad::TelemetryRegistry::new()));
+        let report = exec.run();
+        let recorder = exec.take_recorder().unwrap();
+        let reg = recorder
+            .as_any()
+            .downcast_ref::<laacad::TelemetryRegistry>()
+            .unwrap();
+        let (hits, misses) = (
+            reg.counter_total("cache_hits"),
+            reg.counter_total("cache_misses"),
+        );
+        assert_eq!(hits + misses, report.protocol.computes);
+        assert!(hits > 0, "no hit in {} computes", report.protocol.computes);
+        assert!(misses > 0);
     }
 
     /// The move-patched adjacency never drifts from the ground truth:

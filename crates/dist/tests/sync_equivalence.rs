@@ -5,7 +5,7 @@
 //! same round count and per-round records, same `MessageStats` — at any
 //! thread count of the sync engine.
 
-use laacad::{compute_node_view, LaacadConfig, RoundScratch, Session};
+use laacad::{compute_node_view, LaacadConfig, Session, ViewStore};
 use laacad_dist::{AsyncConfig, AsyncExecutor, FaultPlan};
 use laacad_geom::Point;
 use laacad_region::sampling::sample_uniform;
@@ -42,9 +42,9 @@ fn radii_bits(net: &Network) -> Vec<u64> {
 /// node's cache slot cold, so each view is computed from the positions
 /// alone.
 fn final_rhos(net: &Network, region: &Region, config: &LaacadConfig, round: usize) -> Vec<f64> {
-    let mut scratch = RoundScratch::new();
+    let mut store = ViewStore::new();
     (0..net.len())
-        .map(|i| compute_node_view(net, None, NodeId(i), region, config, round, &mut scratch).rho)
+        .map(|i| compute_node_view(net, None, NodeId(i), region, config, round, &mut store).rho)
         .collect()
 }
 

@@ -14,10 +14,11 @@
 //!   at an outer level can bound nesting;
 //! * [`parallel_map_visit`] — the same, visiting each result in input
 //!   order as soon as its ordered prefix completes;
-//! * [`parallel_map_scratched`] — map over the index range `0..len` with
-//!   one caller-owned scratch value per worker, for hot loops whose
-//!   per-item work reuses large buffers (the round engine's
-//!   `RoundScratch`).
+//! * [`parallel_for_each_slot`] — visit every element of a mutable slice
+//!   with one caller-owned worker value per thread, workers claiming
+//!   one element at a time, for hot loops that update per-item
+//!   state in place with large reusable buffers (the round engine's view
+//!   store and kernel scratch).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -176,80 +177,55 @@ where
     })
 }
 
-/// Maps `f` over the index range `0..len` with one scratch value per
-/// worker, preserving index order in the output.
+/// Calls `f(worker, i, &mut slots[i])` once for every index of `slots`,
+/// with one worker value per thread.
 ///
-/// `scratches` supplies the per-worker state: one worker is spawned per
-/// element (callers size it with [`resolve_workers`] and keep it across
-/// calls so buffers warm up once). With zero or one scratch the map runs
-/// sequentially on the caller's thread using `scratches[0]`.
+/// `workers` supplies the per-thread state: one thread is spawned per
+/// element (callers size it with [`resolve_workers`]). Threads claim
+/// one slot at a time from a shared iterator over `slots`, so every
+/// slot is borrowed by exactly one thread and no `unsafe` is needed.
+/// With one worker the visit runs sequentially on the caller's thread,
+/// in index order.
 ///
-/// Determinism: `f` receives only the claimed index and its worker's
-/// scratch, so as long as `f(_, i)` is a pure function of `i` (scratch
-/// used for buffers, not for cross-item state), the output is identical
-/// for every worker count and schedule.
+/// Determinism: as long as `f`'s effect on slot `i` is a pure function
+/// of `i` and the slot (the worker used for buffers, or for tallies
+/// whose merge does not depend on order), the slots end identical for
+/// every worker count and schedule.
 ///
 /// # Panics
 ///
-/// Panics when `len > 0` and `scratches` is empty, and propagates panics
-/// from `f`.
-pub fn parallel_map_scratched<S, R, F>(scratches: &mut [S], len: usize, f: F) -> Vec<R>
+/// Panics when `slots` is non-empty and `workers` is empty, and
+/// propagates panics from `f`.
+pub fn parallel_for_each_slot<W, T, F>(workers: &mut [W], slots: &mut [T], f: F)
 where
-    S: Send,
-    R: Send,
-    F: Fn(&mut S, usize) -> R + Sync,
+    W: Send,
+    T: Send,
+    F: Fn(&mut W, usize, &mut T) + Sync,
 {
-    if len == 0 {
-        return Vec::new();
+    if slots.is_empty() {
+        return;
     }
-    assert!(!scratches.is_empty(), "need at least one scratch value");
-    if scratches.len() == 1 {
-        let scratch = &mut scratches[0];
-        return (0..len).map(|i| f(scratch, i)).collect();
+    assert!(!workers.is_empty(), "need at least one worker");
+    if workers.len() == 1 {
+        let worker = &mut workers[0];
+        for (i, slot) in slots.iter_mut().enumerate() {
+            f(worker, i, slot);
+        }
+        return;
     }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..len).map(|_| Mutex::new(None)).collect();
+    let claims = Mutex::new(slots.iter_mut().enumerate());
+    let (claims, f) = (&claims, &f);
     std::thread::scope(|scope| {
-        for scratch in scratches.iter_mut() {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= len {
+        for worker in workers.iter_mut() {
+            scope.spawn(move || loop {
+                let claimed = claims.lock().expect("slot mutex").next();
+                let Some((i, slot)) = claimed else {
                     break;
-                }
-                let result = f(scratch, i);
-                *slots[i].lock().expect("slot mutex") = Some(result);
+                };
+                f(worker, i, slot);
             });
         }
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot mutex")
-                .expect("every index produces a result")
-        })
-        .collect()
-}
-
-/// Merges (and drains) per-worker telemetry buffers into one aggregate,
-/// visiting them in worker-index order. Lives here because the buffers
-/// are the telemetry face of [`parallel_map_scratched`]'s per-worker
-/// scratches: workers record into their own buffer without
-/// synchronization, and this single-threaded fold after the fan-out is
-/// what makes the aggregate independent of thread scheduling (the
-/// accumulator's sums and min/max are order-independent, and the
-/// traversal order is fixed besides).
-///
-/// Each source buffer is cleared as it is absorbed, so the scratches
-/// are ready for the next round's [`laacad_telemetry::WorkerBuffer::arm`].
-pub fn merge_worker_telemetry<'a>(
-    buffers: impl Iterator<Item = &'a mut laacad_telemetry::WorkerBuffer>,
-) -> laacad_telemetry::WorkerBuffer {
-    let mut merged = laacad_telemetry::WorkerBuffer::default();
-    for buffer in buffers {
-        merged.absorb(buffer);
-    }
-    merged
 }
 
 #[cfg(test)]
@@ -267,27 +243,6 @@ mod tests {
         let empty: Vec<i32> = parallel_map_with(0, Vec::new(), |x| x);
         assert!(empty.is_empty());
         assert_eq!(parallel_map_with(0, vec![7], |x: u32| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn merge_worker_telemetry_aggregates_and_drains() {
-        let mut buffers: Vec<laacad_telemetry::WorkerBuffer> = (0..4)
-            .map(|worker| {
-                let mut b = laacad_telemetry::WorkerBuffer::default();
-                b.arm(true);
-                b.ring_search.record(100 * (worker + 1));
-                b.geometry.record(10 * (worker + 1));
-                b
-            })
-            .collect();
-        let merged = merge_worker_telemetry(buffers.iter_mut());
-        assert_eq!(merged.ring_search.count, 4);
-        assert_eq!(merged.ring_search.total_nanos, 100 + 200 + 300 + 400);
-        assert_eq!(merged.geometry.min_nanos, 10);
-        assert_eq!(merged.geometry.max_nanos, 40);
-        for buffer in &buffers {
-            assert!(buffer.ring_search.is_empty() && buffer.geometry.is_empty());
-        }
     }
 
     #[test]
@@ -321,24 +276,34 @@ mod tests {
     }
 
     #[test]
-    fn scratched_map_is_order_and_threadcount_independent() {
+    fn slot_visit_is_order_and_threadcount_independent() {
         let expect: Vec<usize> = (0..321).map(|i| i + 1000).collect();
         for workers in [1usize, 2, 5, 8] {
-            let mut scratches = vec![0usize; workers];
-            let got = parallel_map_scratched(&mut scratches, 321, |s, i| {
-                *s += 1; // scratch mutation must not affect results
-                i + 1000
+            let mut visits = vec![0usize; workers];
+            let mut slots = vec![0usize; 321];
+            parallel_for_each_slot(&mut visits, &mut slots, |visited, i, slot| {
+                *visited += 1; // worker mutation must not affect results
+                *slot += i + 1000;
             });
-            assert_eq!(got, expect, "workers = {workers}");
-            // Every item was processed exactly once across workers.
-            assert_eq!(scratches.iter().sum::<usize>(), 321);
+            assert_eq!(slots, expect, "workers = {workers}");
+            // Every slot was visited exactly once across workers.
+            assert_eq!(visits.iter().sum::<usize>(), 321);
         }
     }
 
     #[test]
-    fn scratched_map_empty_len_is_fine_without_scratches() {
-        let out: Vec<u8> = parallel_map_scratched(&mut Vec::<u8>::new(), 0, |_, _| 0);
-        assert!(out.is_empty());
+    fn slot_visit_of_no_slots_needs_no_workers() {
+        parallel_for_each_slot(&mut Vec::<u8>::new(), &mut Vec::<u8>::new(), |_, _, _| {});
+    }
+
+    #[test]
+    #[should_panic]
+    fn slot_visit_propagates_worker_panics() {
+        parallel_for_each_slot(&mut [(), ()], &mut [0u8; 64], |_, i, _| {
+            if i == 13 {
+                panic!("boom");
+            }
+        });
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::checkpoint::ScenarioCheckpoint;
 use crate::engine::{run_scenario, CheckpointPolicy, RunOptions, ScenarioOutcome};
 use crate::results::ResultStore;
-use crate::spec::{DelaySpec, ScenarioSpec, SpecError};
+use crate::spec::{DelaySpec, FaultRange, ScenarioSpec, SpecError};
 use crate::value::{decode, DecodeError, Value};
 use laacad::{Recorder, SessionTelemetry};
 use laacad_exec::parallel_map_visit;
@@ -294,10 +294,12 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// Fails only when an override cannot be expressed at all — a
+    /// Fails when an override cannot be expressed at all — a
     /// node-count sweep over a custom placement, zipped axes of unequal
-    /// lengths, or a zip group naming an unknown or empty axis;
-    /// per-cell *run* failures are reported in the cell's
+    /// lengths, or a zip group naming an unknown or empty axis — and
+    /// when a fault axis holds a value its `[faults]` knob would refuse
+    /// (a `loss` or `corruption` outside `[0, 1]`, a `delay` that is
+    /// negative or not finite), naming it as `grid.<axis>[i]`; per-cell *run* failures are reported in the cell's
     /// [`CellResult`] instead.
     pub fn expand(&self) -> Result<Vec<CampaignCell>, SpecError> {
         let seeds: &[u64] = if self.grid.seeds.is_empty() {
@@ -321,6 +323,15 @@ impl CampaignSpec {
                  no [faults] section to override"
                     .into(),
             ));
+        }
+        for (axis, values, range) in [
+            ("loss", &self.grid.loss, FaultRange::Probability),
+            ("delay", &self.grid.delay, FaultRange::MeanDelay),
+            ("corruption", &self.grid.corruption, FaultRange::Probability),
+        ] {
+            for (i, &value) in values.iter().enumerate() {
+                range.check(value, &format!("grid.{axis}[{i}]"))?;
+            }
         }
         if self.checkpoint_every > 0 && self.scenario.laacad.faults.is_some() {
             return Err(SpecError::Build(
@@ -1211,6 +1222,43 @@ mod tests {
         let rest = "[scenario.faults]\n[grid]\nseeds = [1, 2]\ncorruption = [0.0, 0.1, 0.3]\n\
                     loss = [0.05]\ndelay = [0, 2.0]\n";
         assert_eq!(uniform_campaign("rt-byz", 1, rest), campaign);
+    }
+
+    #[test]
+    fn fault_axis_values_out_of_range_are_refused_at_both_bounds() {
+        let expand = |grid: &str| {
+            let rest = format!("[scenario.faults]\n[grid]\nseeds = [1]\n{grid}\n");
+            uniform_campaign("bounds", 1, &rest).expand()
+        };
+        for grid in [
+            "loss = [0.0, 1.0]",
+            "corruption = [0.0, 1.0]",
+            "delay = [0.0, 1e300]",
+        ] {
+            assert!(expand(grid).is_ok(), "{grid}");
+        }
+        for (grid, path) in [
+            ("loss = [-0.01]", "grid.loss[0]"),
+            ("loss = [0.5, 1.5]", "grid.loss[1]"),
+            ("corruption = [-1e-9]", "grid.corruption[0]"),
+            ("corruption = [1.000001]", "grid.corruption[0]"),
+            ("delay = [-2.0]", "grid.delay[0]"),
+            ("delay = [0, -1e-300]", "grid.delay[1]"),
+        ] {
+            match expand(grid) {
+                Err(SpecError::Decode(e)) => assert_eq!(e.path, path, "{grid}"),
+                other => panic!("{grid}: expected a decode error at {path}, got {other:?}"),
+            }
+        }
+        // TOML has no literal for these; a grid built in code can.
+        let mut spec = ScenarioSpec::uniform("bounds", 10, 1);
+        spec.laacad.faults = Some(crate::spec::FaultSpec::default());
+        let mut campaign = CampaignSpec::over_seeds(spec, [1]);
+        campaign.grid.delay = vec![f64::INFINITY];
+        assert!(campaign.expand().is_err());
+        campaign.grid.delay.clear();
+        campaign.grid.loss = vec![f64::NAN];
+        assert!(campaign.expand().is_err());
     }
 
     #[test]

@@ -762,12 +762,11 @@ impl FaultSpec {
                 }
                 "exp" => {
                     let mean = decode::opt_f64(v, "delay_mean", path)?.unwrap_or(1.0);
-                    if mean <= 0.0 || mean.is_nan() {
-                        return Err(DecodeError::new(
-                            format!("{path}.delay_mean"),
-                            format!("must be positive, got {mean}"),
-                        )
-                        .into());
+                    let at = format!("{path}.delay_mean");
+                    FaultRange::MeanDelay.check(mean, &at)?;
+                    // A mean of 0 would run with no delay at all.
+                    if mean == 0.0 {
+                        return Err(DecodeError::new(at, "must be positive, got 0").into());
                     }
                     DelaySpec::Exp { mean }
                 }
@@ -922,11 +921,7 @@ impl FaultSpec {
             ("jitter", spec.jitter),
             ("corruption_rate", spec.corruption_rate),
         ] {
-            if !(0.0..=1.0).contains(&p) || p.is_nan() {
-                return Err(SpecError::Build(format!(
-                    "faults.{name} must be a probability in [0, 1], got {p}"
-                )));
-            }
+            FaultRange::Probability.check(p, &format!("{path}.{name}"))?;
         }
         if spec.drift_rate < 0.0 || spec.drift_rate >= 1.0 || spec.drift_rate.is_nan() {
             return Err(SpecError::Build(format!(
@@ -935,6 +930,38 @@ impl FaultSpec {
             )));
         }
         Ok(spec)
+    }
+}
+
+/// The admissible values of a fault knob. One rule per kind of knob,
+/// checked where `[faults]` is decoded and again where a campaign grid
+/// overrides the knob, so neither can let through what the other
+/// refuses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FaultRange {
+    /// A probability in `[0, 1]` (`loss`, `duplicate`, `jitter`,
+    /// `corruption_rate`).
+    Probability,
+    /// A mean delay in ticks: finite and `≥ 0`.
+    MeanDelay,
+}
+
+impl FaultRange {
+    /// Refuses `value` outside the range (NaN included) with a decode
+    /// error at `path`.
+    pub(crate) fn check(self, value: f64, path: &str) -> Result<(), SpecError> {
+        let (ok, rule) = match self {
+            FaultRange::Probability => ((0.0..=1.0).contains(&value), "a probability in [0, 1]"),
+            FaultRange::MeanDelay => (
+                value.is_finite() && value >= 0.0,
+                "a finite delay of at least 0 ticks",
+            ),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(DecodeError::new(path, format!("must be {rule}, got {value}")).into())
+        }
     }
 }
 

@@ -24,10 +24,10 @@
 //!   and the registry's histograms carry them.
 //!
 //! Parallel rounds accumulate per-node kernel timings into one
-//! [`WorkerBuffer`] per worker scratch; `laacad-exec` merges the
-//! buffers in worker-index order after each fan-out, so the aggregate a
-//! recorder sees does not depend on thread scheduling (histogram bucket
-//! sums are order-independent, and the traversal order is fixed).
+//! [`WorkerBuffer`] per worker; the engine absorbs the buffers in
+//! worker-index order on one thread after each fan-out, so the aggregate
+//! a recorder sees does not depend on thread scheduling (histogram
+//! bucket sums are order-independent, and the traversal order is fixed).
 
 mod registry;
 mod sink;
@@ -198,10 +198,10 @@ impl StageAccum {
 }
 
 /// Per-worker accumulation buffer for the Phase-1 kernels. The engine
-/// arms one of these per worker scratch when (and only when) an enabled
+/// arms one of these per worker when (and only when) an enabled
 /// recorder is installed; workers record into their own buffer without
-/// synchronization, and `laacad_exec::merge_worker_telemetry` drains
-/// them into one aggregate after the fan-out.
+/// synchronization, and the engine drains them into one aggregate with
+/// [`WorkerBuffer::absorb`] after the fan-out.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerBuffer {
     /// Whether the kernels should time themselves this round. `false`
@@ -362,6 +362,30 @@ mod tests {
         assert_eq!(a.ring_search.count, 1);
         assert_eq!(a.geometry.total_nanos, 20);
         assert!(b.ring_search.is_empty() && b.geometry.is_empty());
+    }
+
+    #[test]
+    fn worker_buffers_absorbed_in_turn_aggregate_and_drain() {
+        let mut buffers: Vec<WorkerBuffer> = (0..4)
+            .map(|worker| {
+                let mut b = WorkerBuffer::default();
+                b.arm(true);
+                b.ring_search.record(100 * (worker + 1));
+                b.geometry.record(10 * (worker + 1));
+                b
+            })
+            .collect();
+        let mut merged = WorkerBuffer::default();
+        for buffer in &mut buffers {
+            merged.absorb(buffer);
+        }
+        assert_eq!(merged.ring_search.count, 4);
+        assert_eq!(merged.ring_search.total_nanos, 100 + 200 + 300 + 400);
+        assert_eq!(merged.geometry.min_nanos, 10);
+        assert_eq!(merged.geometry.max_nanos, 40);
+        for buffer in &buffers {
+            assert!(buffer.ring_search.is_empty() && buffer.geometry.is_empty());
+        }
     }
 
     #[test]
