@@ -221,7 +221,7 @@ fn geometry_stage(
     slot: &mut ViewSlot,
 ) -> NodeView {
     if let CoordinateMode::Oracle = config.coordinates {
-        return cached_node_view(net, area, config, status, true_self, scratch, slot);
+        return cached_node_view(net, id, area, config, status, scratch, slot);
     }
     // Ranging mode is uncached: it re-derives the member positions from
     // the member ids (allocating — noise is re-drawn per round by
@@ -262,27 +262,22 @@ fn view_of(status: RingStatus, chebyshev: Option<Circle>, reach: f64, cache_hit:
 /// The oracle-mode cached path of [`compute_node_view`].
 fn cached_node_view(
     net: &Network,
+    id: NodeId,
     area: &Region,
     config: &LaacadConfig,
     status: RingStatus,
-    true_self: Point,
     scratch: &mut KernelScratch,
     slot: &mut ViewSlot,
 ) -> NodeView {
     debug_assert_eq!(config.coordinates, CoordinateMode::Oracle);
+    let true_self = net.position(id);
     let s = &mut *scratch;
     let members = s.ring.last_members();
-    if slot.matches(
-        net,
-        config.k,
-        true_self,
-        status.rho,
-        status.dominated,
-        members,
-    ) {
-        let stored = slot.view;
-        slot.view = view_of(status, stored.chebyshev, stored.reach, true);
-        return slot.view;
+    if slot.matches(net, id, config.k, status.rho, status.dominated, members) {
+        let stored = slot.view();
+        let view = view_of(status, stored.chebyshev, stored.reach, true);
+        slot.store_hit(view);
+        return view;
     }
     // Miss: recompute (through the scratch's piece buffer — only the
     // disk and reach are worth retaining per node) and store the view
@@ -309,7 +304,7 @@ fn cached_node_view(
         &mut s.carve,
     );
     let view = view_of(status, chebyshev, reach, false);
-    slot.store_keyed(net, config.k, true_self, members, view);
+    slot.store_keyed(net, config.k, members, view);
     view
 }
 

@@ -539,7 +539,7 @@ impl Session {
         // safe radius so every per-node probe touches at most 9 cells.
         let mut max_safe = self.config.gamma;
         for view in self.store.views() {
-            max_safe = max_safe.max(self.safe_radius(view));
+            max_safe = max_safe.max(self.safe_radius(&view));
         }
         let grid = FlatGrid::build(&endpoints, max_safe);
         let mut mask = vec![false; n];
@@ -558,7 +558,7 @@ impl Session {
                 continue; // movers always recompute
             }
             let p = self.net.position(NodeId(i));
-            let safe = self.safe_radius(self.store.view(i));
+            let safe = self.safe_radius(&self.store.view(i));
             let dx = (bb_min.x - p.x).max(p.x - bb_max.x).max(0.0);
             let dy = (bb_min.y - p.y).max(p.y - bb_max.y).max(0.0);
             if dx * dx + dy * dy > safe * safe {
@@ -681,7 +681,7 @@ impl Session {
             if mask.is_some_and(|mask| !mask[i]) {
                 return;
             }
-            let old_rho = slot.view.rho;
+            let old_rho = slot.rho();
             let view = node_view(
                 net,
                 Some(adjacency),
@@ -722,7 +722,7 @@ impl Session {
         let mut agg = RoundAggregate::default();
         let mut moved = Vec::new();
         for i in 0..self.net.len() {
-            let view = *self.store.view(i);
+            let view = self.store.view(i);
             self.apply_view(&mut agg, NodeId(i), &view, &mut moved);
         }
         self.record_span(Stage::MoveApply, stage_started);
@@ -756,7 +756,7 @@ impl Session {
         for i in 0..n {
             let id = NodeId(i);
             let slot = &mut self.store.slots_for(&self.net)[i];
-            let old_rho = slot.view.rho;
+            let old_rho = slot.rho();
             // No adjacency snapshot: predecessors have already moved.
             let view = node_view(
                 &self.net,

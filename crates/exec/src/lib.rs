@@ -7,18 +7,17 @@
 //! synchronous LAACAD round engine (`laacad`), scenario campaigns
 //! (`laacad-scenario`) and experiment sweeps all route here.
 //!
-//! Three entry points:
+//! Two entry points:
 //!
-//! * [`parallel_map_with`] — map over owned inputs with an explicit
+//! * [`parallel_map_visit`] — map over owned inputs with an explicit
 //!   worker count (`0` = all cores), so callers that already parallelize
-//!   at an outer level can bound nesting;
-//! * [`parallel_map_visit`] — the same, visiting each result in input
+//!   at an outer level can bound nesting, visiting each result in input
 //!   order as soon as its ordered prefix completes;
 //! * [`parallel_for_each_slot`] — visit every element of a mutable slice
 //!   with one caller-owned worker value per thread, workers claiming
-//!   one element at a time, for hot loops that update per-item
-//!   state in place with large reusable buffers (the round engine's view
-//!   store and kernel scratch).
+//!   one element at a time, for loops that update per-item state in
+//!   place (the round engine's view store with its kernel scratch, the
+//!   session host's sessions).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -53,7 +52,18 @@ fn machine_workers() -> usize {
 }
 
 /// Maps `f` over `inputs` on up to `threads` scoped workers (`0` = all
-/// cores, never more than there are inputs), preserving input order.
+/// cores, never more than there are inputs), preserving input order,
+/// and **visits every result in input order as soon as its ordered
+/// prefix completes** — the substrate for streaming consumers (e.g. a
+/// campaign runner flushing result rows to disk while later cells are
+/// still running).
+///
+/// Workers claim inputs through an atomic counter; the calling thread
+/// drains finished results in input order and hands each to
+/// `visit(index, &result)` before the full map is done. `visit` runs on
+/// the calling thread, outside any lock, strictly in input order — so a
+/// sequential sink (a file writer) needs no synchronization of its own.
+/// The returned vector holds every result in input order.
 ///
 /// With one input or one worker it degrades to a plain sequential map.
 /// A panic in `f` propagates to the caller.
@@ -61,31 +71,9 @@ fn machine_workers() -> usize {
 /// # Example
 ///
 /// ```
-/// let squares = laacad_exec::parallel_map_with(0, vec![1, 2, 3], |x| x * x);
+/// let squares = laacad_exec::parallel_map_visit(0, vec![1, 2, 3], |x| x * x, |_, _| {});
 /// assert_eq!(squares, vec![1, 4, 9]);
 /// ```
-pub fn parallel_map_with<T, R, F>(threads: usize, inputs: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    // One scheduler serves both entry points: this is the visiting map
-    // with a no-op sink.
-    parallel_map_visit(threads, inputs, f, |_, _| {})
-}
-
-/// [`parallel_map_with`] that additionally **visits every result in
-/// input order as soon as its ordered prefix completes** — the substrate
-/// for streaming consumers (e.g. a campaign runner flushing result rows
-/// to disk while later cells are still running).
-///
-/// Workers claim inputs exactly as in [`parallel_map_with`]; the calling
-/// thread drains finished results in input order and hands each to
-/// `visit(index, &result)` before the full map is done. `visit` runs on
-/// the calling thread, outside any lock, strictly in input order — so a
-/// sequential sink (a file writer) needs no synchronization of its own.
-/// The returned vector is identical to [`parallel_map_with`]'s.
 pub fn parallel_map_visit<T, R, F, V>(threads: usize, inputs: Vec<T>, f: F, mut visit: V) -> Vec<R>
 where
     T: Send,
@@ -232,22 +220,27 @@ where
 mod tests {
     use super::*;
 
+    /// The plain map: [`parallel_map_visit`] with a no-op visitor.
+    fn map<T: Send, R: Send>(threads: usize, inputs: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+        parallel_map_visit(threads, inputs, f, |_, _| {})
+    }
+
     #[test]
     fn preserves_order() {
-        let out = parallel_map_with(0, (0..200).collect(), |x: i32| x * 2);
+        let out = map(0, (0..200).collect(), |x: i32| x * 2);
         assert_eq!(out, (0..200).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_singleton() {
-        let empty: Vec<i32> = parallel_map_with(0, Vec::new(), |x| x);
+        let empty: Vec<i32> = map(0, Vec::new(), |x| x);
         assert!(empty.is_empty());
-        assert_eq!(parallel_map_with(0, vec![7], |x: u32| x + 1), vec![8]);
+        assert_eq!(map(0, vec![7], |x: u32| x + 1), vec![8]);
     }
 
     #[test]
     fn non_copy_payloads() {
-        let out = parallel_map_with(
+        let out = map(
             0,
             vec!["a".to_string(), "bb".to_string(), "ccc".to_string()],
             |s| s.len(),
@@ -258,7 +251,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn worker_panics_propagate() {
-        let _ = parallel_map_with(0, vec![1, 2, 3], |x: i32| {
+        let _ = map(0, vec![1, 2, 3], |x: i32| {
             if x == 2 {
                 panic!("boom");
             }
@@ -270,7 +263,7 @@ mod tests {
     fn explicit_thread_counts_agree() {
         let expect: Vec<i64> = (0..97).map(|x| x * x).collect();
         for threads in [0usize, 1, 2, 3, 8] {
-            let got = parallel_map_with(threads, (0..97).collect(), |x: i64| x * x);
+            let got = map(threads, (0..97).collect(), |x: i64| x * x);
             assert_eq!(got, expect, "threads = {threads}");
         }
     }

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use laacad::{Recorder, Session};
 use laacad_coverage::evaluate_coverage;
-use laacad_exec::parallel_map_with;
+use laacad_exec::{parallel_for_each_slot, resolve_workers};
 
 use crate::command::{Command, CoverageAnswer, Response, SessionId};
 
@@ -33,8 +33,10 @@ pub struct HostConfig {
     /// starving the batch.
     pub tick_budget: usize,
     /// Worker threads for the tick fan-out over sessions (`0` = all
-    /// cores). Sessions execute independently, one worker each, so any
-    /// value yields identical results.
+    /// cores, never more than there are sessions with queued work).
+    /// Workers claim one session at a time and run its batch where it
+    /// lives; sessions are independent, so any value yields identical
+    /// results.
     pub threads: usize,
 }
 
@@ -88,22 +90,24 @@ pub struct HostStats {
     pub rejected: u64,
 }
 
-/// One hosted session and its bounded command queue. The session is
-/// `None` only transiently, while it is out with the tick fan-out.
+/// One hosted session, its bounded command queue and the responses of
+/// the batch the current tick ran on it (empty between ticks).
 #[derive(Debug)]
 struct Hosted {
-    session: Option<Session>,
+    session: Session,
     queue: VecDeque<Command>,
+    responses: Vec<Response>,
 }
 
 /// A deterministic multi-session scheduler.
 ///
 /// The host owns N concurrent [`Session`]s, each with a bounded command
 /// queue. [`SessionHost::tick`] drains every queue (up to the per-session
-/// tick budget) in **ascending session-id order** and fans the batches
-/// out over `laacad-exec` workers — one worker per session, sessions
-/// mutually independent — so a tick's results are identical at any
-/// thread count. The host keeps no history: a session's state is its
+/// tick budget) and runs each batch on its session in place, over
+/// `laacad-exec` workers that claim one session at a time. Sessions are
+/// mutually independent and responses are returned in **ascending
+/// session-id order**, so a tick's results are identical at any thread
+/// count. The host keeps no history: a session's state is its
 /// [`Session::snapshot`], and the same admissions, submissions and
 /// ticks give the same responses and snapshots byte for byte.
 ///
@@ -167,8 +171,9 @@ impl SessionHost {
     pub fn admit(&mut self, session: Session) -> SessionId {
         let id = SessionId(self.slots.len());
         self.slots.push(Some(Hosted {
-            session: Some(session),
+            session,
             queue: VecDeque::new(),
+            responses: Vec::new(),
         }));
         self.stats.admitted += 1;
         id
@@ -180,7 +185,7 @@ impl SessionHost {
         let hosted = self.slots.get_mut(id.0)?.take()?;
         self.stats.retired += 1;
         self.stats.shed += hosted.queue.len() as u64;
-        hosted.session
+        Some(hosted.session)
     }
 
     /// Enqueues a command for `id`, applying the admission policy at a
@@ -215,12 +220,12 @@ impl SessionHost {
     }
 
     /// Runs one scheduling tick: drains up to `tick_budget` commands
-    /// from every live session's queue in ascending id order and
-    /// executes the per-session batches in parallel over the exec
+    /// from every live session's queue and executes each batch on its
+    /// session where it lives, the sessions spread over the exec
     /// workers. Returns `(id, responses)` for every session that
     /// executed at least one command, in id order — identical at any
-    /// `threads` setting (sessions are independent and results are
-    /// collected in input order).
+    /// `threads` setting (sessions are independent, and each batch runs
+    /// in queue order on its own session).
     pub fn tick(&mut self) -> Vec<(SessionId, Vec<Response>)> {
         self.stats.ticks += 1;
         let budget = if self.config.tick_budget == 0 {
@@ -228,35 +233,36 @@ impl SessionHost {
         } else {
             self.config.tick_budget
         };
-        // Pull every session with pending work out of its slot together
-        // with its drained batch; the slot keeps the remaining queue and
-        // is refilled from the fan-out results.
-        let mut work: Vec<(usize, Session, Vec<Command>)> = Vec::new();
+        let busy = self
+            .slots
+            .iter()
+            .flatten()
+            .filter(|h| !h.queue.is_empty())
+            .count();
+        let mut workers = vec![(); resolve_workers(self.config.threads, busy)];
+        parallel_for_each_slot(&mut workers, &mut self.slots, |_, _, slot| {
+            let Some(hosted) = slot.as_mut() else {
+                return;
+            };
+            let take = hosted.queue.len().min(budget);
+            if take == 0 {
+                return;
+            }
+            hosted.responses.reserve_exact(take);
+            for command in hosted.queue.drain(..take) {
+                let response = Self::execute(&mut hosted.session, command);
+                hosted.responses.push(response);
+            }
+        });
+        let mut out = Vec::with_capacity(busy);
         for (i, slot) in self.slots.iter_mut().enumerate() {
             let Some(hosted) = slot.as_mut() else {
                 continue;
             };
-            if hosted.queue.is_empty() {
-                continue;
+            if !hosted.responses.is_empty() {
+                self.stats.executed += hosted.responses.len() as u64;
+                out.push((SessionId(i), std::mem::take(&mut hosted.responses)));
             }
-            let take = hosted.queue.len().min(budget);
-            let batch: Vec<Command> = hosted.queue.drain(..take).collect();
-            let session = hosted.session.take().expect("session out during tick");
-            work.push((i, session, batch));
-        }
-        let results = parallel_map_with(self.config.threads, work, |(i, mut session, batch)| {
-            let responses: Vec<Response> = batch
-                .into_iter()
-                .map(|c| Self::execute(&mut session, c))
-                .collect();
-            (i, session, responses)
-        });
-        let mut out = Vec::with_capacity(results.len());
-        for (i, session, responses) in results {
-            self.stats.executed += responses.len() as u64;
-            let hosted = self.slots[i].as_mut().expect("slot emptied mid-tick");
-            hosted.session = Some(session);
-            out.push((SessionId(i), responses));
         }
         self.emit_telemetry();
         out
@@ -340,10 +346,7 @@ impl SessionHost {
 
     /// Read access to a hosted session.
     pub fn session(&self, id: SessionId) -> Option<&Session> {
-        self.slots
-            .get(id.0)?
-            .as_ref()
-            .and_then(|h| h.session.as_ref())
+        self.slots.get(id.0)?.as_ref().map(|h| &h.session)
     }
 
     /// Pending queue depth of a session (`None` for dead ids).

@@ -12,10 +12,12 @@
 //!   [`laacad::snapshot`]; a session's snapshot is its whole state, and
 //!   the [`Command::Snapshot`] request returns it.
 //! * **Scheduling** — [`SessionHost`] owns N sessions with per-session
-//!   FIFO command queues, drained in ascending session-id order each
-//!   [`SessionHost::tick`] and executed in parallel over `laacad-exec`
-//!   workers (one worker per session; sessions are independent, so any
-//!   thread count yields identical results).
+//!   FIFO command queues. Each [`SessionHost::tick`] runs every
+//!   session's batch on the session where it lives, over `laacad-exec`
+//!   workers that claim one session at a time, and returns the
+//!   responses in ascending session-id order. Sessions are independent,
+//!   so any thread count yields identical results, and no session is
+//!   moved or copied by a tick.
 //! * **Backpressure** — queues are bounded ([`HostConfig`]); a full
 //!   queue either refuses the submission ([`QueuePolicy::Reject`]) or
 //!   drops the oldest pending command ([`QueuePolicy::ShedOldest`]), and

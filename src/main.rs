@@ -17,8 +17,8 @@
 //!
 //! Exit status: 0 when every cell ran; 1 when a cell failed or a file
 //! could not be written; 2 for a bad command line — an unknown flag, a
-//! missing path or an undecodable spec, all checked before anything
-//! runs.
+//! missing path, an undecodable spec or one whose grid does not expand,
+//! all checked before anything runs.
 
 mod report;
 
@@ -48,7 +48,9 @@ fn main() -> ExitCode {
     }
     let mut campaigns = Vec::with_capacity(paths.len());
     for path in &paths {
-        match CampaignSpec::from_path(path) {
+        // Expanding the grid checks every cell's parameters, so a spec
+        // refused there stops the command line before any cell runs.
+        match CampaignSpec::from_path(path).and_then(|c| c.expand().map(|_| c)) {
             Ok(campaign) => campaigns.push(campaign),
             Err(e) => return usage_error(&format!("{}: {e}", path.display())),
         }

@@ -1,7 +1,8 @@
 //! The command line end to end: a small spec runs and writes its result
 //! files; a missing path, an undecodable file, a spec nested 10 000 deep,
 //! a JSON spec (specs are TOML only) and an unknown flag each exit with
-//! status 2 and a message — never a panic or an abort.
+//! status 2 and a message — never a panic or an abort. So does a spec
+//! whose grid does not expand, before the specs named ahead of it run.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -99,5 +100,39 @@ fn bad_input_exits_with_status_2_and_a_message() {
         assert!(!stderr.contains("panicked"), "{what}: {stderr}");
     }
     assert!(!dir.join("out").exists(), "nothing ran");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_grid_that_does_not_expand_stops_every_spec_before_it_runs() {
+    let dir = scratch("grid");
+    let shipped = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios/async_faults.toml"),
+    )
+    .unwrap();
+    let tiny = shipped.replace("n = 24", "n = 8");
+    assert_ne!(tiny, shipped, "the shipped spec places 24 nodes");
+    let loss15 = tiny.replace("loss = [0.0, 0.05, 0.1]", "loss = [1.5]");
+    assert_ne!(loss15, tiny, "the shipped spec sweeps three losses");
+    let (good, bad) = (dir.join("tiny.toml"), dir.join("loss15.toml"));
+    std::fs::write(&good, tiny).unwrap();
+    std::fs::write(&bad, loss15).unwrap();
+    let out = dir.join("out");
+    let output = run(&out, &[&good, &bad]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    assert!(stderr.starts_with("laacad-suite: "), "{stderr}");
+    assert!(stderr.contains("loss15.toml"), "names the path: {stderr}");
+    assert!(stderr.contains("grid.loss"), "names the axis: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one line: {stderr}");
+    let written: Vec<_> = std::fs::read_dir(&out)
+        .map(|entries| entries.flatten().map(|e| e.path()).collect())
+        .unwrap_or_default();
+    assert!(
+        !written
+            .iter()
+            .any(|p| p.extension().is_some_and(|e| e == "jsonl")),
+        "no cell ran: {written:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
