@@ -76,16 +76,14 @@ pub struct LaacadConfig {
     pub coordinates: CoordinateMode,
     /// Execution schedule (synchronous rounds vs sequential updates).
     pub execution: ExecutionMode,
-    /// Record node-position snapshots every this many rounds (`None`
-    /// disables snapshots; round 0 and the final round are always kept
-    /// when enabled).
-    pub snapshot_every: Option<usize>,
     /// Seed for ranging-noise simulation.
     pub seed: u64,
-    /// Worker threads for the synchronous round engine (`0` = all cores,
-    /// `1` = serial — the default). Every node's local view is a pure
-    /// function of the round's shared position snapshot, so results are
-    /// bit-identical for every thread count. Sequential (Gauss–Seidel)
+    /// Threads for the synchronous round engine, the calling thread
+    /// included (`0` = all cores, `1` = serial — the default): with `t`
+    /// threads a Phase 1 runs on the caller and `t − 1` scoped threads.
+    /// Every node's local view is a pure function of the round's shared
+    /// position snapshot, so results are bit-identical for every thread
+    /// count. Sequential (Gauss–Seidel)
     /// execution and the asynchronous executor (`laacad-dist`) run on
     /// the calling thread and do not read this field.
     pub threads: usize,
@@ -125,7 +123,6 @@ impl LaacadConfig {
                 cap_vertices: 64,
                 coordinates: CoordinateMode::Oracle,
                 execution: ExecutionMode::Synchronous,
-                snapshot_every: None,
                 seed: 0x1AACAD,
                 threads: 1,
             },
@@ -212,20 +209,15 @@ impl LaacadConfigBuilder {
         self
     }
 
-    /// Enables position snapshots every `rounds` rounds.
-    pub fn snapshot_every(&mut self, rounds: usize) -> &mut Self {
-        self.config.snapshot_every = Some(rounds.max(1));
-        self
-    }
-
     /// Sets the noise seed.
     pub fn seed(&mut self, seed: u64) -> &mut Self {
         self.config.seed = seed;
         self
     }
 
-    /// Sets the synchronous-round worker count (`0` = all cores, `1` =
-    /// serial). Results are identical for every value.
+    /// Sets the synchronous-round thread count, the calling thread
+    /// included (`0` = all cores, `1` = serial). Results are identical
+    /// for every value.
     pub fn threads(&mut self, threads: usize) -> &mut Self {
         self.config.threads = threads;
         self
@@ -271,7 +263,6 @@ mod tests {
             .ring_cap(RingCapPolicy::AlwaysCap)
             .cap_vertices(32)
             .execution(ExecutionMode::Sequential)
-            .snapshot_every(10)
             .seed(7)
             .threads(4)
             .build()
@@ -282,7 +273,6 @@ mod tests {
         assert_eq!(c.ring_cap, RingCapPolicy::AlwaysCap);
         assert_eq!(c.cap_vertices, 32);
         assert_eq!(c.execution, ExecutionMode::Sequential);
-        assert_eq!(c.snapshot_every, Some(10));
     }
 
     #[test]

@@ -50,12 +50,12 @@
 
 pub mod config;
 pub mod error;
-pub mod history;
 pub mod hooks;
 pub mod localview;
 pub mod minnode;
 pub mod observer;
 pub mod protocol;
+pub mod report;
 pub mod ring;
 pub mod scratch;
 pub mod session;
@@ -63,12 +63,12 @@ pub mod snapshot;
 
 pub use config::{CoordinateMode, ExecutionMode, LaacadConfig, LaacadConfigBuilder, RingCapPolicy};
 pub use error::LaacadError;
-pub use history::{History, RoundReport, RunSummary};
 pub use hooks::{EventOutcome, HookAction, NetworkEvent};
 pub use localview::{compute_local_view, compute_node_view, LocalView, NodeView};
 pub use minnode::{min_node_deployment, MinNodeResult};
 pub use observer::Observer;
 pub use protocol::{finalize_views, RoundAggregate};
+pub use report::{RoundReport, RunSummary};
 pub use ring::{
     expanding_ring_search, expanding_ring_search_scratched, expanding_ring_search_status,
     DominationScratch, RingOutcome, RingStatus,

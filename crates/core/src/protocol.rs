@@ -11,7 +11,7 @@
 //!   round, sets the node's sensing radius and returns the target of its
 //!   move, if any (Algorithm 1 lines 3–4);
 //! * [`RoundAggregate::report`] turns a round into its [`RoundReport`];
-//! * [`RunSummary::new`] summarizes a run from its round records;
+//! * [`RunSummary::new`] summarizes a run from its running totals;
 //! * [`finalize_views`] tunes every sensing range at the final positions
 //!   (Algorithm 1 line 7).
 //!
@@ -19,8 +19,8 @@
 //! differ only in when each node computes, never in what it decides.
 
 use crate::config::LaacadConfig;
-use crate::history::{RoundReport, RunSummary};
 use crate::localview::{compute_node_view, NodeView};
+use crate::report::{RoundReport, RunSummary};
 use crate::scratch::ViewStore;
 use laacad_geom::Point;
 use laacad_region::Region;
@@ -37,6 +37,7 @@ pub struct RoundAggregate {
     max_disp: f64,
     messages: MessageStats,
     absorbed: usize,
+    isolated: usize,
     moved: usize,
 }
 
@@ -49,6 +50,7 @@ impl Default for RoundAggregate {
             max_disp: 0.0,
             messages: MessageStats::default(),
             absorbed: 0,
+            isolated: 0,
             moved: 0,
         }
     }
@@ -72,6 +74,7 @@ impl RoundAggregate {
         epsilon: f64,
     ) -> Option<Point> {
         self.absorbed += 1;
+        self.isolated += usize::from(view.messages.unicast == 0);
         self.messages.absorb(view.messages);
         let disk = view.chebyshev?;
         let displacement = net.position(id).distance(disk.center);
@@ -89,6 +92,12 @@ impl RoundAggregate {
     /// Views absorbed so far.
     pub fn absorbed(&self) -> usize {
         self.absorbed
+    }
+
+    /// Absorbed views whose ring search found no member: no reply came
+    /// back (`messages.unicast == 0`), so the node sees no neighbour.
+    pub fn isolated(&self) -> usize {
+        self.isolated
     }
 
     /// The round's record: the circumradius and reach extremes, the
@@ -115,17 +124,18 @@ impl RoundAggregate {
 }
 
 impl RunSummary {
-    /// The summary of a run whose round records are `rounds` and whose
-    /// final deployment is `net`: one executed round per record, message
-    /// totals over every record, and the final sensing-radius extremes
+    /// The summary of a run that executed `rounds` rounds, spent
+    /// `messages` over them in total, and whose final deployment is
+    /// `net`: the totals as given, plus the final sensing-radius extremes
     /// and odometry of `net`.
-    pub fn new(rounds: &[RoundReport], net: &Network, converged: bool) -> RunSummary {
-        let mut messages = MessageStats::default();
-        for report in rounds {
-            messages.absorb(report.messages);
-        }
+    pub fn new(
+        rounds: usize,
+        messages: MessageStats,
+        net: &Network,
+        converged: bool,
+    ) -> RunSummary {
         RunSummary {
-            rounds: rounds.len(),
+            rounds,
             converged,
             max_sensing_radius: net.max_sensing_radius(),
             min_sensing_radius: net.min_sensing_radius(),

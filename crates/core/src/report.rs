@@ -1,6 +1,11 @@
-//! Run history: per-round records and summaries (the data behind Fig. 6).
+//! Per-round records and run summaries (the data behind Fig. 6).
+//!
+//! A session keeps no round records: each [`RoundReport`] goes out with
+//! its round's [`RoundDelta`](crate::RoundDelta), and the session keeps
+//! only the running totals a [`RunSummary`] needs. A caller that wants
+//! the series collects it, for instance with an
+//! [`Observer`](crate::Observer) of its own.
 
-use laacad_geom::Point;
 use laacad_wsn::radio::MessageStats;
 
 /// Per-round record.
@@ -25,44 +30,6 @@ pub struct RoundReport {
     pub messages: MessageStats,
     /// Whether the round satisfied the global termination condition.
     pub converged: bool,
-}
-
-/// Complete run history.
-#[derive(Debug, Clone, Default)]
-pub struct History {
-    rounds: Vec<RoundReport>,
-    snapshots: Vec<(usize, Vec<Point>)>,
-}
-
-impl History {
-    /// Appends a round record.
-    pub fn push_round(&mut self, report: RoundReport) {
-        self.rounds.push(report);
-    }
-
-    /// Appends a position snapshot for `round`.
-    pub fn push_snapshot(&mut self, round: usize, positions: Vec<Point>) {
-        self.snapshots.push((round, positions));
-    }
-
-    /// All per-round records, in order.
-    pub fn rounds(&self) -> &[RoundReport] {
-        &self.rounds
-    }
-
-    /// All `(round, positions)` snapshots, in order.
-    pub fn snapshots(&self) -> &[(usize, Vec<Point>)] {
-        &self.snapshots
-    }
-
-    /// The series `(round, max circumradius, min circumradius)` — exactly
-    /// what Fig. 6 plots.
-    pub fn circumradius_series(&self) -> Vec<(usize, f64, f64)> {
-        self.rounds
-            .iter()
-            .map(|r| (r.round, r.max_circumradius, r.min_circumradius))
-            .collect()
-    }
 }
 
 /// Outcome of a full [`crate::Session::run`].
@@ -104,32 +71,6 @@ impl std::fmt::Display for RunSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn report(round: usize, max_r: f64) -> RoundReport {
-        RoundReport {
-            round,
-            max_circumradius: max_r,
-            min_circumradius: max_r / 2.0,
-            max_reach: max_r * 1.1,
-            max_displacement_to_target: 0.01,
-            nodes_moved: 3,
-            messages: MessageStats::default(),
-            converged: false,
-        }
-    }
-
-    #[test]
-    fn history_accumulates_in_order() {
-        let mut h = History::default();
-        h.push_round(report(1, 0.5));
-        h.push_round(report(2, 0.4));
-        h.push_snapshot(2, vec![Point::new(0.0, 0.0)]);
-        assert_eq!(h.rounds().len(), 2);
-        assert_eq!(h.snapshots().len(), 1);
-        let series = h.circumradius_series();
-        assert_eq!(series[0], (1, 0.5, 0.25));
-        assert_eq!(series[1], (2, 0.4, 0.2));
-    }
 
     #[test]
     fn summary_display_mentions_key_facts() {

@@ -9,18 +9,25 @@
 //! nodes skipped as quiescent, cache hits/misses).
 //!
 //! The delta is not just reporting: the engine feeds it back into a
-//! **dirty-node index**. LAACAD moves nodes by at most `αγ` per round
-//! and most nodes stop moving long before the last one does; a node
-//! whose entire ρ-neighborhood (plus the multi-hop slack margin) saw no
-//! movement since its previous computation would re-derive exactly the
-//! same local view, so the engine skips its expanding-ring search and
-//! domination sweep entirely and replays the view its slot of the
-//! session's [`ViewStore`] holds. The skip
+//! **dirty-node index**. Most nodes stop moving long before the last one
+//! does, and every move is known exactly: each mover's old and new
+//! positions. A node with neither endpoint of any move inside its
+//! ρ-neighborhood (plus the multi-hop slack margin) since its previous
+//! computation would re-derive exactly the same local view, so the
+//! engine skips its expanding-ring search and domination sweep entirely
+//! and replays the view its slot of the session's [`ViewStore`] holds.
+//! The skip
 //! criterion is conservative and exact — it covers every node the
 //! previous search could possibly have contacted — so every round equals
 //! a from-scratch recomputation of every node's view, at any worker
 //! count (pinned by `tests/reference_engine.rs`). A fully quiescent
-//! network steps in `O(N)` time with **zero** ring searches.
+//! network steps in `O(N)` time with **zero** ring searches. No bound on
+//! the step length is assumed: a step is `α‖c − u‖`, which can exceed
+//! `γ` when a node's dominating region reaches far past its ring.
+//!
+//! A session keeps fixed-size running totals of its rounds (the round
+//! count, the summed messages and the convergence latch), never a
+//! per-round history, so its state does not grow with the round count.
 //!
 //! Rounds are synchronous by default: every node computes its dominating
 //! region and Chebyshev center from the same position snapshot, then all
@@ -34,17 +41,18 @@
 
 use crate::config::{CoordinateMode, ExecutionMode, LaacadConfig};
 use crate::error::LaacadError;
-use crate::history::{History, RoundReport, RunSummary};
 use crate::hooks::{EventOutcome, HookAction, NetworkEvent};
 use crate::localview::{node_view, NodeView};
 use crate::observer::Observer;
 use crate::protocol::RoundAggregate;
+use crate::report::{RoundReport, RunSummary};
 use crate::scratch::{give_back, lend_kernel, KernelScratch, ViewStore};
 use laacad_exec::{parallel_for_each_slot, resolve_workers};
 use laacad_geom::Point;
 use laacad_region::Region;
 use laacad_telemetry::{Recorder, Stage, WorkerBuffer};
 use laacad_wsn::mobility::step_toward;
+use laacad_wsn::radio::MessageStats;
 use laacad_wsn::{Adjacency, FlatGrid, Network, NodeId};
 
 /// One node's movement during a round: id plus the exact positions
@@ -68,7 +76,8 @@ pub struct MovedNode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundDelta {
     /// The classic per-round record (circumradii, messages, convergence
-    /// flag) — what [`crate::History`] stores.
+    /// flag). The session keeps only its running totals; a caller that
+    /// wants the series collects these.
     pub report: RoundReport,
     /// Every node that moved this round, with old and new positions
     /// (empty once the deployment is quiescent).
@@ -91,6 +100,10 @@ pub struct RoundDelta {
     pub cache_hits: usize,
     /// Executed searches that recomputed the geometry.
     pub cache_misses: usize,
+    /// Nodes whose view this round came from a ring search that found
+    /// no member (`messages.unicast == 0`): nodes out of radio range of
+    /// every other node, which see the whole area as theirs.
+    pub isolated: usize,
 }
 
 /// Verdict of one observed round ([`Session::step_observed`]): the
@@ -194,10 +207,6 @@ impl SessionBuilder {
         } = self;
         let region = region.ok_or(LaacadError::IncompleteSession { missing: "region" })?;
         let n = positions.len();
-        let mut history = History::default();
-        if config.snapshot_every.is_some() {
-            history.push_snapshot(0, positions.clone());
-        }
         Session::from_state(SessionState {
             config,
             region,
@@ -207,7 +216,7 @@ impl SessionBuilder {
             retired_distance: 0.0,
             round: 0,
             converged: false,
-            history,
+            messages: MessageStats::default(),
         })
     }
 }
@@ -227,7 +236,8 @@ pub(crate) struct SessionState {
     pub(crate) retired_distance: f64,
     pub(crate) round: usize,
     pub(crate) converged: bool,
-    pub(crate) history: History,
+    /// Messages summed over every executed round.
+    pub(crate) messages: MessageStats,
 }
 
 /// A LAACAD deployment session (see the [module docs](self)).
@@ -236,9 +246,10 @@ pub struct Session {
     config: LaacadConfig,
     region: Region,
     net: Network,
-    history: History,
     round: usize,
     converged: bool,
+    /// Messages summed over every executed round.
+    messages: MessageStats,
     /// Every node's last view and the key guarding reuse of its
     /// geometry (see [`ViewStore`]).
     store: ViewStore,
@@ -293,8 +304,7 @@ impl Session {
     /// * [`LaacadError::NodeOutsideRegion`] — a non-finite position or
     ///   one outside the target area;
     /// * [`LaacadError::InvalidState`] — a sensing radius, distance
-    ///   moved or retired distance that is negative or not finite, or a
-    ///   round count that differs from the number of round records.
+    ///   moved or retired distance that is negative or not finite.
     pub(crate) fn from_state(state: SessionState) -> Result<Session, LaacadError> {
         let SessionState {
             config,
@@ -305,7 +315,7 @@ impl Session {
             retired_distance,
             round,
             converged,
-            history,
+            messages,
         } = state;
         if positions.is_empty() {
             return Err(LaacadError::EmptyDeployment);
@@ -334,13 +344,6 @@ impl Session {
                 value: retired_distance,
             });
         }
-        // A summary counts one executed round per history record.
-        if history.rounds().len() != round {
-            return Err(LaacadError::InvalidState {
-                what: format!("round count ({} round records)", history.rounds().len()),
-                value: round as f64,
-            });
-        }
         let net = Network::from_parts(
             config.gamma,
             positions,
@@ -352,9 +355,9 @@ impl Session {
             config,
             region,
             net,
-            history,
             round,
             converged,
+            messages,
             store: ViewStore::new(),
             has_views: false,
             workers: Vec::new(),
@@ -380,11 +383,6 @@ impl Session {
     /// The configuration in force.
     pub fn config(&self) -> &LaacadConfig {
         &self.config
-    }
-
-    /// Recorded history (Fig. 6 series, snapshots).
-    pub fn history(&self) -> &History {
-        &self.history
     }
 
     /// Rounds executed so far.
@@ -635,6 +633,7 @@ impl Session {
         recorder.counter("cache_misses", round, delta.cache_misses as u64);
         recorder.counter("nodes_moved", round, delta.moved.len() as u64);
         recorder.counter("rho_changed", round, delta.rho_changed as u64);
+        recorder.counter("isolated_nodes", round, delta.isolated as u64);
         recorder.counter("messages_unicast", round, delta.report.messages.unicast);
         recorder.counter("messages_broadcast", round, delta.report.messages.broadcast);
         recorder.counter(
@@ -812,8 +811,8 @@ impl Session {
 
     /// Shared round epilogue after the round's Phase 1 did `work`. The
     /// stored views and the movement set become the dirty-node index's
-    /// inputs; then the convergence latch, history, snapshots, counters,
-    /// and the assembled [`RoundDelta`].
+    /// inputs; then the convergence latch, the running totals, the
+    /// counters, and the assembled [`RoundDelta`].
     fn finish_round(
         &mut self,
         agg: RoundAggregate,
@@ -836,18 +835,9 @@ impl Session {
         self.has_views = true;
         self.movement.replace(&moved, n);
         let report = agg.report(self.round);
-        // An observer may keep a converged run alive for pending events;
-        // only the transition into convergence earns an off-cadence
-        // snapshot, or idle rounds would each push a full position copy.
         let newly_converged = report.converged && !self.converged;
         self.converged = report.converged;
-        self.history.push_round(report.clone());
-        if let Some(every) = self.config.snapshot_every {
-            if self.round.is_multiple_of(every) || newly_converged {
-                self.history
-                    .push_snapshot(self.round, self.net.positions().to_vec());
-            }
-        }
+        self.messages.absorb(report.messages);
         let delta = RoundDelta {
             report,
             moved,
@@ -857,6 +847,7 @@ impl Session {
             skipped_quiescent: n - ring_searches,
             cache_hits,
             cache_misses: ring_searches - cache_hits,
+            isolated: agg.isolated(),
         };
         self.counters.ring_searches += delta.ring_searches as u64;
         self.counters.skipped_quiescent += delta.skipped_quiescent as u64;
@@ -947,19 +938,19 @@ impl Session {
     }
 
     /// The [`RunSummary`] describing the rounds executed so far — what
-    /// [`Session::run`] returns after its loop. Message totals fold over
-    /// the full round history, so a session restored from a snapshot
-    /// summarizes the *whole* run, not just the rounds since restore.
+    /// [`Session::run`] returns after its loop. The round count and the
+    /// message totals are part of the snapshot, so a session restored
+    /// from one summarizes the *whole* run, not just the rounds since
+    /// restore.
     pub fn summarize(&self) -> RunSummary {
-        RunSummary::new(self.history.rounds(), &self.net, self.converged)
+        RunSummary::new(self.round, self.messages, &self.net, self.converged)
     }
 
     /// Applies a dynamic [`NetworkEvent`] between rounds.
     ///
     /// Validation happens up front and failures leave the session
     /// untouched; a successful event resets the convergence latch (the
-    /// deployment must re-balance), invalidates the dirty-node index,
-    /// and records a position snapshot when snapshots are enabled.
+    /// deployment must re-balance) and invalidates the dirty-node index.
     ///
     /// # Errors
     ///
@@ -1023,10 +1014,6 @@ impl Session {
         self.movement = Movement::default();
         self.adjacency_state = AdjacencyState::StaleFull;
         self.event_log.push((record, outcome));
-        if self.config.snapshot_every.is_some() {
-            self.history
-                .push_snapshot(self.round, self.net.positions().to_vec());
-        }
         Ok(outcome)
     }
 
@@ -1111,10 +1098,6 @@ impl Session {
                 .set_sensing_radius(NodeId(i), self.store.view(i).reach);
         }
         self.record_span(Stage::Finalize, stage_started);
-        if self.config.snapshot_every.is_some() {
-            self.history
-                .push_snapshot(self.round, self.net.positions().to_vec());
-        }
     }
 }
 
@@ -1306,8 +1289,11 @@ mod tests {
         // keeps every ring search fully informed.
         config.gamma = 1.0;
         let mut sim = session(config, region, initial);
-        sim.run();
-        let series = sim.history().circumradius_series();
+        let mut series = Vec::new();
+        while !sim.is_converged() && sim.rounds_executed() < sim.config().max_rounds {
+            let report = sim.step().report;
+            series.push((report.round, report.max_circumradius));
+        }
         for w in series.windows(2) {
             assert!(
                 w[1].1 <= w[0].1 + 1e-6,
@@ -1334,6 +1320,33 @@ mod tests {
             summary.min_sensing_radius > 0.8 * summary.max_sensing_radius,
             "{summary}"
         );
+    }
+
+    #[test]
+    fn a_node_out_of_radio_range_counts_as_isolated() {
+        // γ = 0.25: the far node is more than γ from every other node,
+        // so its ring search finds no member and gets no reply.
+        let region = Region::square(1.0).unwrap();
+        let initial = vec![
+            Point::new(0.10, 0.10),
+            Point::new(0.20, 0.10),
+            Point::new(0.10, 0.20),
+            Point::new(0.90, 0.90),
+        ];
+        let mut sim = session(quick_config(1, 10), region, initial);
+        sim.set_recorder(Box::new(laacad_telemetry::TelemetryRegistry::new()));
+        let delta = sim.step();
+        assert_eq!(delta.isolated, 1);
+        assert!(
+            delta.report.messages.unicast > 0,
+            "the cluster found itself"
+        );
+        let recorder = sim.take_recorder().unwrap();
+        let registry = recorder
+            .as_any()
+            .downcast_ref::<laacad_telemetry::TelemetryRegistry>()
+            .unwrap();
+        assert_eq!(registry.counter_total("isolated_nodes"), 1);
     }
 
     #[test]
@@ -1365,18 +1378,6 @@ mod tests {
                 .build(),
             Err(LaacadError::NodeOutsideRegion { index: 0 })
         ));
-    }
-
-    #[test]
-    fn snapshots_recorded_when_enabled() {
-        let region = Region::square(1.0).unwrap();
-        let mut config = quick_config(1, 10);
-        config.snapshot_every = Some(2);
-        let initial = sample_uniform(&region, 8, 1);
-        let mut sim = session(config, region, initial);
-        sim.run();
-        assert!(sim.history().snapshots().len() >= 2);
-        assert_eq!(sim.history().snapshots()[0].0, 0);
     }
 
     #[test]

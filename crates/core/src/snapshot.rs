@@ -2,15 +2,15 @@
 //!
 //! [`Session::snapshot`] captures the state a LAACAD session actually
 //! has: its configuration, the target area, the deployment (positions,
-//! sensing radii, odometry), the round count, the convergence flag and
-//! the run history. Each round of Algorithm 1 rebuilds every node's
+//! sensing radii, odometry), and the run's running totals: the round
+//! count, the convergence flag and the summed messages. Each round of Algorithm 1 rebuilds every node's
 //! k-order dominating region and Chebyshev centre from its neighbours'
 //! current positions, so everything else the engine keeps is derived
 //! from that state. [`SessionBuilder::restore`] decodes it and builds
 //! the session through the same constructor as
 //! [`SessionBuilder::build`], which validates it.
 //!
-//! # Format (`laacad-snapshot/3`)
+//! # Format (`laacad-snapshot/4`)
 //!
 //! Hand-rolled little-endian binary, in the spirit of the byte-stable
 //! telemetry JSONL schema: a magic/version line, fixed-order sections,
@@ -20,7 +20,9 @@
 //! `Option<T>` a one-byte tag followed by `T` when present. Sections, in
 //! order: config, region (outer + hole vertex loops), network (retired
 //! distance, positions, sensing radii, distances moved), round,
-//! converged flag, and history (round reports + position snapshots).
+//! converged flag, and the summed messages (unicast, broadcast). No
+//! section grows with the round count: a snapshot is `32·N` bytes plus
+//! the config, the region and a fixed frame, whatever the round.
 //! The network's transmission range is the config's γ, so it is stored
 //! once: a second copy could only disagree with the first.
 //! Snapshot bytes depend only on that state: two sessions in the same
@@ -43,7 +45,7 @@
 //! # Restore contract
 //!
 //! A restored session's positions, sensing radii, round reports,
-//! history and convergence are **bit-identical** to the uninterrupted
+//! summary and convergence are **bit-identical** to the uninterrupted
 //! run's, at every thread count and in both execution modes (pinned by
 //! `tests/snapshot_roundtrip.rs`). Its first round is cold: it runs
 //! `ring_searches = N`, `skipped_quiescent = 0` and `rho_changed = N`,
@@ -56,11 +58,11 @@
 //! version they know; any layout change bumps the version. There is no
 //! in-place migration — a checkpoint is only as durable as the binary
 //! that wrote it. Buffers of the retired versions 1 and 2 (which also
-//! stored the caches above) are refused with
+//! stored the caches above) and 3 (which also stored every round report
+//! and any position snapshots, 65 B per round) are refused with
 //! [`SnapshotError::UnsupportedVersion`].
 
 use crate::config::{CoordinateMode, ExecutionMode, LaacadConfig, RingCapPolicy};
-use crate::history::{History, RoundReport};
 use crate::session::{Session, SessionBuilder, SessionState};
 use laacad_geom::polygon::signed_area;
 use laacad_geom::{Point, Polygon};
@@ -70,7 +72,7 @@ use laacad_wsn::ranging::RangingNoise;
 use laacad_wsn::Network;
 
 /// Magic/version line opening every snapshot.
-pub const SNAPSHOT_MAGIC: &[u8] = b"laacad-snapshot/3\n";
+pub const SNAPSHOT_MAGIC: &[u8] = b"laacad-snapshot/4\n";
 
 /// The version-independent start of every snapshot's magic line.
 const MAGIC_PREFIX: &[u8] = b"laacad-snapshot/";
@@ -95,10 +97,10 @@ pub enum SnapshotError {
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SnapshotError::BadMagic => write!(f, "not a laacad-snapshot/3 buffer"),
+            SnapshotError::BadMagic => write!(f, "not a laacad-snapshot/4 buffer"),
             SnapshotError::UnsupportedVersion(v) => write!(
                 f,
-                "laacad-snapshot/{v} is not readable (this build reads laacad-snapshot/3)"
+                "laacad-snapshot/{v} is not readable (this build reads laacad-snapshot/4)"
             ),
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::TrailingBytes => write!(f, "trailing bytes after snapshot"),
@@ -158,16 +160,6 @@ impl Writer {
             Some(x) => {
                 self.u8(1);
                 self.f64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-
-    fn opt_usize(&mut self, v: Option<usize>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.usize(x);
             }
             None => self.u8(0),
         }
@@ -283,14 +275,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn opt_usize(&mut self) -> Result<Option<usize>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.usize()?)),
-            b => Err(corrupt(format!("bad option tag {b}"))),
-        }
-    }
-
     fn point(&mut self) -> Result<Point, SnapshotError> {
         Ok(Point::new(self.f64()?, self.f64()?))
     }
@@ -355,7 +339,6 @@ fn write_config(w: &mut Writer, c: &LaacadConfig) {
         ExecutionMode::Synchronous => 0,
         ExecutionMode::Sequential => 1,
     });
-    w.opt_usize(c.snapshot_every);
     w.u64(c.seed);
     w.usize(c.threads);
 }
@@ -386,7 +369,6 @@ fn read_config(r: &mut Reader) -> Result<LaacadConfig, SnapshotError> {
         1 => ExecutionMode::Sequential,
         b => return Err(corrupt(format!("bad execution tag {b}"))),
     };
-    let snapshot_every = r.opt_usize()?;
     let seed = r.u64()?;
     let threads = r.usize()?;
     Ok(LaacadConfig {
@@ -400,7 +382,6 @@ fn read_config(r: &mut Reader) -> Result<LaacadConfig, SnapshotError> {
         cap_vertices,
         coordinates,
         execution,
-        snapshot_every,
         seed,
         threads,
     })
@@ -450,37 +431,13 @@ fn write_network(w: &mut Writer, net: &Network) {
     }
 }
 
-fn write_report(w: &mut Writer, rep: &RoundReport) {
-    w.usize(rep.round);
-    w.f64(rep.max_circumradius);
-    w.f64(rep.min_circumradius);
-    w.f64(rep.max_reach);
-    w.f64(rep.max_displacement_to_target);
-    w.usize(rep.nodes_moved);
-    w.messages(rep.messages);
-    w.bool(rep.converged);
-}
-
-fn read_report(r: &mut Reader) -> Result<RoundReport, SnapshotError> {
-    Ok(RoundReport {
-        round: r.usize()?,
-        max_circumradius: r.f64()?,
-        min_circumradius: r.f64()?,
-        max_reach: r.f64()?,
-        max_displacement_to_target: r.f64()?,
-        nodes_moved: r.usize()?,
-        messages: r.messages()?,
-        converged: r.bool()?,
-    })
-}
-
 // ---------------------------------------------------------------------
 // Session entry points
 // ---------------------------------------------------------------------
 
 impl Session {
     /// Serializes the session's primary state into a
-    /// `laacad-snapshot/3` buffer (see the [module docs](self)).
+    /// `laacad-snapshot/4` buffer (see the [module docs](self)).
     ///
     /// The engine's caches and work counters, the installed telemetry
     /// [`Recorder`](laacad_telemetry::Recorder) and any event
@@ -491,18 +448,10 @@ impl Session {
         write_config(&mut w, self.config());
         write_region(&mut w, self.region());
         write_network(&mut w, self.network());
-        w.usize(self.rounds_executed());
-        w.bool(self.is_converged());
-        let history = self.history();
-        w.usize(history.rounds().len());
-        for rep in history.rounds() {
-            write_report(&mut w, rep);
-        }
-        w.usize(history.snapshots().len());
-        for (round, positions) in history.snapshots() {
-            w.usize(*round);
-            w.points(positions);
-        }
+        let totals = self.summarize();
+        w.usize(totals.rounds);
+        w.bool(totals.converged);
+        w.messages(totals.messages);
         w.finish()
     }
 }
@@ -522,8 +471,7 @@ impl SessionBuilder {
     /// [`SnapshotError`] on unknown versions, a checksum mismatch,
     /// truncation, trailing bytes, or any decoded state that fails
     /// validation: non-finite or outside-region positions, negative or
-    /// non-finite sensing radii or odometry, `k > N`, a round count that
-    /// differs from the number of recorded rounds.
+    /// non-finite sensing radii or odometry, `k > N`.
     pub fn restore(bytes: &[u8]) -> Result<Session, SnapshotError> {
         let mut r = Reader::new(bytes)?;
         let config = read_config(&mut r)?;
@@ -535,15 +483,7 @@ impl SessionBuilder {
         let distances_moved: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
         let round = r.usize()?;
         let converged = r.bool()?;
-        let mut history = History::default();
-        for _ in 0..r.count(8)? {
-            history.push_round(read_report(&mut r)?);
-        }
-        for _ in 0..r.count(8)? {
-            let round = r.usize()?;
-            let positions = r.points()?;
-            history.push_snapshot(round, positions);
-        }
+        let messages = r.messages()?;
         r.finish()?;
         Session::from_state(SessionState {
             config,
@@ -554,7 +494,7 @@ impl SessionBuilder {
             retired_distance,
             round,
             converged,
-            history,
+            messages,
         })
         .map_err(|e| corrupt(format!("state rejected: {e}")))
     }
@@ -573,7 +513,6 @@ mod tests {
             .alpha(0.6)
             .epsilon(1e-3)
             .max_rounds(120)
-            .snapshot_every(10)
             .build()
             .unwrap();
         Session::builder(config)
@@ -607,7 +546,7 @@ mod tests {
         assert_eq!(restored.network().positions(), s.network().positions());
         // Work counters are not state: a restored session starts at zero.
         assert_eq!(restored.counters(), SessionCounters::default());
-        assert_eq!(restored.history().rounds(), s.history().rounds());
+        assert_eq!(restored.summarize(), s.summarize());
         // And a restored session re-snapshots to the same bytes.
         assert_eq!(restored.snapshot(), snap);
     }

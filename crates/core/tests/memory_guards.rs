@@ -9,9 +9,13 @@
 //! pool is already warm, and bound:
 //!
 //! * the heap a session keeps after its first step, beyond what it held
-//!   when built (12.3–14.1 kB over these seeds);
-//! * the heap it gains over the next 23 steps (−0.8 to +0.6 kB: round
-//!   records, and member ids re-sized to their rings).
+//!   when built (12.0–13.8 kB over these seeds);
+//! * the heap it gains over the next 23 steps (−2.8 to −1.4 kB: member
+//!   ids re-sized to their rings; a session keeps running totals, not
+//!   one record per round);
+//! * the heap a long-lived session gains from round 24 to round 10⁴
+//!   (72 B, all before round 10³), and its snapshot length, which is the
+//!   same at rounds 24, 10³ and 10⁴.
 //!
 //! `#[global_allocator]` applies per binary, hence a binary of its own.
 //! The count is per thread (allocations minus deallocations made on the
@@ -74,7 +78,12 @@ const LATER_STEPS: usize = 23;
 /// Ceiling on the heap a session keeps after its first step.
 const FIRST_STEP_CEILING: i64 = 16_000;
 /// Ceiling on the heap it gains over the next `LATER_STEPS` steps.
-const LATER_STEPS_CEILING: i64 = 2_000;
+const LATER_STEPS_CEILING: i64 = 0;
+/// Rounds at which a long-lived session's heap and snapshot are read.
+const CHECKPOINTS: [usize; 3] = [24, 1_000, 10_000];
+/// Ceiling on the heap a long-lived session gains between the first and
+/// the last checkpoint: one 8-byte record per round would be 80 kB.
+const LONG_RUN_CEILING: i64 = 1_000;
 
 /// A session shaped like one hosted session of the `host_stream`
 /// benchmark: 64 uniform nodes, k = 1, α = 0.5, ε = 5·10⁻³.
@@ -126,4 +135,27 @@ fn a_hosted_session_keeps_its_state_not_kernel_scratch() {
         );
         kept.push(sim);
     }
+}
+
+#[test]
+fn a_long_lived_session_stops_growing() {
+    let mut sim = session(5);
+    let mut kept = Vec::new();
+    let mut snapshot_lens = Vec::new();
+    for round in CHECKPOINTS {
+        while sim.rounds_executed() < round {
+            sim.step();
+        }
+        kept.push(live());
+        snapshot_lens.push(sim.snapshot().len());
+    }
+    let grown = kept[2] - kept[0];
+    assert!(
+        grown <= LONG_RUN_CEILING,
+        "rounds {CHECKPOINTS:?} kept {kept:?} B: {grown} B gained (ceiling {LONG_RUN_CEILING} B)"
+    );
+    assert!(
+        snapshot_lens.iter().all(|&len| len == snapshot_lens[0]),
+        "snapshot lengths {snapshot_lens:?} at rounds {CHECKPOINTS:?}"
+    );
 }

@@ -1,27 +1,34 @@
 //! The synchronous round engine must be bit-identical for every worker
 //! count: Phase 1 is a pure function of the round's position snapshot
 //! and of the one view store, so `threads ∈ {1, 2, 8}` may only change
-//! wall-clock, never history and never the work done — every round's
-//! searches, skips and cache hits included.
+//! wall-clock, never results and never the work done — every round's
+//! reports, moves, searches, skips and cache hits included.
 
-use laacad::{HookAction, LaacadConfig, NetworkEvent, Observer, RoundDelta, Session};
+use laacad::{HookAction, LaacadConfig, NetworkEvent, Observer, RoundDelta, RoundReport, Session};
 use laacad_geom::Point;
 use laacad_region::sampling::sample_uniform;
 use laacad_region::Region;
 use laacad_wsn::NodeId;
 
-/// Records every round's work fields.
+/// Records every round's report, moves and work fields.
 #[derive(Default)]
-struct WorkLog(Vec<[usize; 5]>);
+struct WorkLog {
+    reports: Vec<RoundReport>,
+    moves: Vec<String>,
+    work: Vec<[usize; 6]>,
+}
 
 impl WorkLog {
     fn push(&mut self, delta: &RoundDelta) {
-        self.0.push([
+        self.reports.push(delta.report.clone());
+        self.moves.push(format!("{:?}", delta.moved));
+        self.work.push([
             delta.ring_searches,
             delta.skipped_quiescent,
             delta.cache_hits,
             delta.cache_misses,
             delta.rho_changed,
+            delta.isolated,
         ]);
     }
 }
@@ -36,8 +43,8 @@ impl Observer for WorkLog {
 /// Runs a 500-node deployment with mid-run dynamic events (failures,
 /// insertion, a k change) for 40 rounds, long enough for rounds that
 /// skip nodes and reuse stored geometry, and returns every observable
-/// artifact as a byte-comparable string: per-round reports and work,
-/// snapshots, final summary, work counters and final positions.
+/// artifact as a byte-comparable string: per-round reports, moves and
+/// work, final summary, work counters and final positions.
 fn run_fingerprint(threads: usize) -> String {
     let region = Region::square(1.0).unwrap();
     let n = 500;
@@ -47,7 +54,6 @@ fn run_fingerprint(threads: usize) -> String {
         .alpha(0.6)
         .epsilon(2e-3)
         .max_rounds(40)
-        .snapshot_every(3)
         .threads(threads)
         .build()
         .unwrap();
@@ -77,11 +83,11 @@ fn run_fingerprint(threads: usize) -> String {
     sim.apply_event(NetworkEvent::SetK(3)).unwrap();
     let summary = sim.run_with_observers(&mut [&mut work]);
     format!(
-        "rounds={:?}\nwork={:?}\nsnapshots={:?}\nsummary={:?}\ncounters={:?}\n\
+        "rounds={:?}\nwork={:?}\nmoves={:?}\nsummary={:?}\ncounters={:?}\n\
          positions={:?}\nradii={:?}",
-        sim.history().rounds(),
-        work.0,
-        sim.history().snapshots(),
+        work.reports,
+        work.work,
+        work.moves,
         summary,
         sim.counters(),
         sim.network().positions(),

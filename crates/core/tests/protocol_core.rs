@@ -104,7 +104,11 @@ fn a_summary_counts_one_round_per_record_and_sums_messages() {
     let mut agg = RoundAggregate::default();
     agg.absorb(&mut net.clone(), NodeId(0), &view(None, 1.0), 0.0);
     let rounds = [agg.report(1), agg.report(2)];
-    let summary = RunSummary::new(&rounds, &net, true);
+    let mut messages = MessageStats::default();
+    for report in &rounds {
+        messages.absorb(report.messages);
+    }
+    let summary = RunSummary::new(rounds.len(), messages, &net, true);
     assert_eq!(summary.rounds, 2);
     assert!(summary.converged);
     assert_eq!(

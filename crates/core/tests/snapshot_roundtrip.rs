@@ -1,11 +1,11 @@
-//! Property test: `laacad-snapshot/3` round-trips are invisible.
+//! Property test: `laacad-snapshot/4` round-trips are invisible.
 //!
 //! For both execution schedules (synchronous vs sequential) at 1 or 4
 //! worker threads, random populations and a random checkpoint offset, a
 //! session snapshotted mid-run and restored must (a) re-serialize to the
 //! identical bytes and (b) step forward bit-identically to the
 //! uninterrupted original — positions, per-round reports, convergence
-//! state — and (c) snapshot to the same bytes as the original at the
+//! state, run summary — and (c) snapshot to the same bytes as the original at the
 //! end: snapshot bytes depend only on state, never on caches or
 //! counters.
 //!
@@ -97,7 +97,7 @@ proptest! {
         prop_assert_eq!(position_bits(&original), position_bits(&restored));
         prop_assert_eq!(original.rounds_executed(), restored.rounds_executed());
         prop_assert_eq!(original.is_converged(), restored.is_converged());
-        prop_assert_eq!(original.history().rounds(), restored.history().rounds());
+        prop_assert_eq!(original.summarize(), restored.summarize());
         prop_assert_eq!(original.snapshot(), restored.snapshot());
     }
 }
@@ -133,7 +133,7 @@ fn version_1_snapshots_are_refused() {
     sim.step();
     let snap = sim.snapshot();
     assert!(snap.starts_with(SNAPSHOT_MAGIC));
-    for v in [1, 2] {
+    for v in [1, 2, 3] {
         let mut old = format!("laacad-snapshot/{v}\n").into_bytes();
         old.extend_from_slice(&snap[SNAPSHOT_MAGIC.len()..]);
         assert_eq!(
@@ -210,32 +210,44 @@ fn impossible_state_is_refused() {
             other => panic!("{value} ({why}): decoded with {other:?}"),
         }
     }
-    // The round count follows the distances moved; a summary counts one
-    // executed round per recorded round, so the two must agree.
+    // The running totals follow the distances moved: the round count,
+    // the converged flag and the summed messages, then the checksum.
     let round = network_fields(&snap, &sim, 0)[1] + 32 * sim.network().len();
     assert_eq!(&snap[round..round + 8], &3u64.to_le_bytes());
+    let converged = round + 8;
+    assert_eq!(snap[converged], u8::from(sim.is_converged()));
+    let messages = sim.summarize().messages;
+    assert_eq!(
+        &snap[converged + 1..converged + 17],
+        [messages.unicast, messages.broadcast]
+            .map(u64::to_le_bytes)
+            .concat()
+    );
+    assert_eq!(snap.len(), converged + 25);
     let mut bytes = snap.clone();
-    bytes[round..round + 8].copy_from_slice(&4u64.to_le_bytes());
+    bytes[converged] = 2;
     match SessionBuilder::restore(&reseal(bytes)).err() {
-        Some(SnapshotError::Corrupt(msg)) => assert!(msg.contains("round count"), "{msg}"),
-        other => panic!("4 rounds over 3 records: decoded with {other:?}"),
+        Some(SnapshotError::Corrupt(msg)) => assert!(msg.contains("bool"), "{msg}"),
+        other => panic!("a converged flag of 2 decoded with {other:?}"),
     }
 }
 
 /// A snapshot is state only: 32 bytes per node (position, sensing
-/// radius, distance moved) and 65 per recorded round, plus a few
-/// hundred bytes of config, region and framing — no per-node view,
-/// adjacency or cache bytes.
+/// radius, distance moved), plus a few hundred bytes of config, region,
+/// running totals and framing — no per-node view, adjacency or cache
+/// bytes, and nothing per round.
 #[test]
 fn snapshot_holds_only_primary_state() {
     let mut sim = session(64, 1, 7, ExecutionMode::Synchronous, 1);
+    let built = sim.snapshot().len();
     while !sim.is_converged() && sim.rounds_executed() < 60 {
         sim.step();
     }
     let len = sim.snapshot().len();
-    let state = 32 * sim.network().len() + 65 * sim.history().rounds().len();
+    let state = 32 * sim.network().len();
     assert!(
         (state..state + 300).contains(&len),
-        "{len} bytes for {state} bytes of node and round state"
+        "{len} bytes for {state} bytes of node state"
     );
+    assert_eq!(len, built, "the snapshot grew with the round count");
 }

@@ -33,7 +33,6 @@ fn build(threads: usize) -> Session {
         .alpha(0.5)
         .epsilon(1e-5)
         .max_rounds(500)
-        .snapshot_every(40)
         .threads(threads)
         .build()
         .unwrap();
@@ -56,8 +55,12 @@ fn run_fingerprint(threads: usize, wiring: Wiring) -> (String, Option<Box<dyn Re
         Wiring::Noop => sim.set_recorder(Box::new(NoopRecorder)),
         Wiring::Full => sim.set_recorder(Box::new(SessionTelemetry::new())),
     }
+    let mut rounds = Vec::new();
+    let mut moves = Vec::new();
     for round in 1..=300usize {
-        sim.step();
+        let delta = sim.step();
+        rounds.push(delta.report);
+        moves.push(delta.moved);
         if round == 80 {
             sim.apply_event(NetworkEvent::FailNodes(
                 (0..7).map(|i| NodeId(i * 5)).collect(),
@@ -91,9 +94,7 @@ fn run_fingerprint(threads: usize, wiring: Wiring) -> (String, Option<Box<dyn Re
     }
     sim.finalize();
     let fingerprint = format!(
-        "rounds={:?}\nsnapshots={:?}\npositions={:?}\nradii={:?}",
-        sim.history().rounds(),
-        sim.history().snapshots(),
+        "rounds={rounds:?}\nmoves={moves:?}\npositions={:?}\nradii={:?}",
         sim.network().positions(),
         sim.network().sensing_radii().to_vec(),
     );

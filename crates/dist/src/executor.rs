@@ -52,6 +52,7 @@ use laacad_region::sampling::SplitMix64;
 use laacad_region::Region;
 use laacad_telemetry::Recorder;
 use laacad_wsn::mobility::step_toward;
+use laacad_wsn::radio::MessageStats;
 use laacad_wsn::{Adjacency, Network, NodeId};
 
 use crate::backoff::{Backoff, RttEstimator};
@@ -149,7 +150,7 @@ impl std::fmt::Display for Termination {
 
 /// Coordination-plane message accounting, kept strictly separate from
 /// the algorithm's ring-search
-/// [`MessageStats`](laacad_wsn::radio::MessageStats) (which must match the
+/// [`MessageStats`] (which must match the
 /// synchronous engine exactly in the zero-fault limit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProtocolStats {
@@ -206,8 +207,9 @@ pub struct AsyncRunReport {
     /// sensing radii, algorithm messages, distance moved) — directly
     /// comparable with [`laacad::Session::run`]'s.
     pub summary: RunSummary,
-    /// Per-round records, directly comparable with the synchronous
-    /// engine's [`laacad::History`].
+    /// Per-round records, directly comparable with the
+    /// [`RoundDelta::report`](laacad::RoundDelta::report) of each
+    /// [`laacad::Session::step`].
     pub rounds: Vec<RoundReport>,
     /// Coordination-plane counters.
     pub protocol: ProtocolStats,
@@ -1231,7 +1233,16 @@ impl AsyncExecutor {
             .enumerate()
             .map(|(idx, agg)| agg.report(idx + 1))
             .collect();
-        let summary = RunSummary::new(&reports, &self.net, termination == Termination::Converged);
+        let mut messages = MessageStats::default();
+        for report in &reports {
+            messages.absorb(report.messages);
+        }
+        let summary = RunSummary::new(
+            reports.len(),
+            messages,
+            &self.net,
+            termination == Termination::Converged,
+        );
         self.emit_telemetry(&reports);
         AsyncRunReport {
             termination,

@@ -5,7 +5,10 @@
 //! same round count and per-round records, same `MessageStats` — at any
 //! thread count of the sync engine.
 
-use laacad::{compute_node_view, LaacadConfig, Session, ViewStore};
+use laacad::{
+    compute_node_view, HookAction, LaacadConfig, Observer, RoundDelta, RoundReport, Session,
+    ViewStore,
+};
 use laacad_dist::{AsyncConfig, AsyncExecutor, FaultPlan};
 use laacad_geom::Point;
 use laacad_region::sampling::sample_uniform;
@@ -21,6 +24,17 @@ fn config(k: usize, gamma: f64, seed: u64) -> LaacadConfig {
         .seed(seed)
         .build()
         .unwrap()
+}
+
+/// Collects the sync engine's per-round records.
+#[derive(Default)]
+struct Reports(Vec<RoundReport>);
+
+impl Observer for Reports {
+    fn on_round_end(&mut self, _session: &mut Session, delta: &RoundDelta) -> HookAction {
+        self.0.push(delta.report.clone());
+        HookAction::Default
+    }
 }
 
 fn bits(positions: &[Point]) -> Vec<(u64, u64)> {
@@ -59,7 +73,8 @@ fn assert_equivalent(n: usize, k: usize, gamma: f64, seed: u64, threads: usize) 
         .positions(positions.clone())
         .build()
         .unwrap();
-    let sync_summary = session.run();
+    let mut sync_reports = Reports::default();
+    let sync_summary = session.run_with_observers(&mut [&mut sync_reports]);
 
     let mut exec = AsyncExecutor::new(
         cfg.clone(),
@@ -91,7 +106,7 @@ fn assert_equivalent(n: usize, k: usize, gamma: f64, seed: u64, threads: usize) 
     // Per-round records, including per-round message accounting.
     assert_eq!(
         report.rounds.as_slice(),
-        session.history().rounds(),
+        sync_reports.0.as_slice(),
         "round reports (threads={threads})"
     );
     // ρ per node at the final configuration.

@@ -17,7 +17,9 @@
 //!   with one caller-owned worker value per thread, workers claiming
 //!   one element at a time, for loops that update per-item state in
 //!   place (the round engine's view store with its kernel scratch, the
-//!   session host's sessions).
+//!   session host's sessions). `t` workers means `t` threads in total:
+//!   the calling thread runs worker 0 and `t − 1` scoped threads run
+//!   the rest.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -168,12 +170,13 @@ where
 /// Calls `f(worker, i, &mut slots[i])` once for every index of `slots`,
 /// with one worker value per thread.
 ///
-/// `workers` supplies the per-thread state: one thread is spawned per
-/// element (callers size it with [`resolve_workers`]). Threads claim
-/// one slot at a time from a shared iterator over `slots`, so every
-/// slot is borrowed by exactly one thread and no `unsafe` is needed.
-/// With one worker the visit runs sequentially on the caller's thread,
-/// in index order.
+/// `workers` supplies the per-thread state, one element per thread in
+/// total (callers size it with [`resolve_workers`]): worker 0 runs on
+/// the calling thread and one scoped thread is spawned for each of the
+/// others. Threads claim one slot at a time from a shared iterator over
+/// `slots`, so every slot is borrowed by exactly one thread and no
+/// `unsafe` is needed. With one worker the visit runs sequentially on
+/// the caller's thread, in index order, and spawns nothing.
 ///
 /// Determinism: as long as `f`'s effect on slot `i` is a pure function
 /// of `i` and the slot (the worker used for buffers, or for tallies
@@ -202,17 +205,19 @@ where
         return;
     }
     let claims = Mutex::new(slots.iter_mut().enumerate());
-    let (claims, f) = (&claims, &f);
+    let claim_loop = |worker: &mut W| loop {
+        let claimed = claims.lock().expect("slot mutex").next();
+        let Some((i, slot)) = claimed else {
+            break;
+        };
+        f(worker, i, slot);
+    };
+    let (first, rest) = workers.split_first_mut().expect("checked non-empty");
     std::thread::scope(|scope| {
-        for worker in workers.iter_mut() {
-            scope.spawn(move || loop {
-                let claimed = claims.lock().expect("slot mutex").next();
-                let Some((i, slot)) = claimed else {
-                    break;
-                };
-                f(worker, i, slot);
-            });
+        for worker in rest {
+            scope.spawn(|| claim_loop(worker));
         }
+        claim_loop(first);
     });
 }
 
@@ -282,6 +287,33 @@ mod tests {
             // Every slot was visited exactly once across workers.
             assert_eq!(visits.iter().sum::<usize>(), 321);
         }
+    }
+
+    #[test]
+    fn slot_visit_runs_worker_zero_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let mut workers = [0usize, 1];
+        let mut slots = vec![None; 300];
+        parallel_for_each_slot(&mut workers, &mut slots, |&mut worker, _, slot| {
+            *slot = Some((worker, std::thread::current().id()));
+        });
+        let visits: Vec<_> = slots.into_iter().map(|s| s.expect("visited")).collect();
+        for &(worker, thread) in &visits {
+            if worker == 0 {
+                assert_eq!(thread, caller, "worker 0 left the calling thread");
+            }
+        }
+        let mut others = Vec::new();
+        for &(_, thread) in &visits {
+            if thread != caller && !others.contains(&thread) {
+                others.push(thread);
+            }
+        }
+        assert!(
+            others.len() <= 1,
+            "two workers used {} other threads",
+            others.len()
+        );
     }
 
     #[test]

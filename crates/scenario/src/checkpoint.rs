@@ -1,28 +1,29 @@
 //! Mid-run checkpointing of synchronous scenario runs.
 //!
 //! A [`ScenarioCheckpoint`] captures **everything** a running scenario
-//! needs to continue: the engine state as a `laacad-snapshot/3` buffer
+//! needs to continue: the engine state as a `laacad-snapshot/4` buffer
 //! ([`laacad::Session::snapshot`]), the timeline hook's resumable state
 //! (next event index, victim/placement RNG state, applied-event log),
-//! the per-round coverage-probe series, and the loop verdict of the
-//! checkpointed round. Resuming from a checkpoint and running to
+//! the per-round series of the outcome rows (the session keeps no round
+//! records, so the scenario's own observer collects it, coverage probes
+//! included), and the loop verdict of the checkpointed round. Resuming from a checkpoint and running to
 //! completion produces a [`crate::ScenarioOutcome`] **bit-identical**
 //! to the uninterrupted run — pinned by this module's tests and the
 //! `checkpoint_roundtrip` integration test.
 //!
-//! The wire format is `laacad-checkpoint/2`: the magic line, then the
-//! length-prefixed session snapshot, then the hook and probe sections,
+//! The wire format is `laacad-checkpoint/3`: the magic line, then the
+//! length-prefixed session snapshot, then the hook and round sections,
 //! all integers little-endian u64 and floats as IEEE-754 bit patterns
 //! (the same conventions as the session snapshot it embeds), then an
 //! FNV-1a 64 checksum ([`laacad::fnv1a64`]) of everything before it.
 //! The embedded snapshot carries its own checksum, but the loop
-//! verdict, the hook's RNG state and the probe series lie outside it
+//! verdict, the hook's RNG state and the round series lie outside it
 //! and have no other consistency check: without this checksum a
 //! flipped bit there decodes cleanly and resumes to a different
-//! answer. Resume also cross-checks the header
-//! round and the hook's event cursor against the restored session, so
-//! a well-formed but inconsistent file is refused rather than
-//! re-firing applied events.
+//! answer. Resume also cross-checks the header round, the length of the
+//! round series and the hook's event cursor against the restored
+//! session, so a well-formed but inconsistent file is refused rather
+//! than re-firing applied events or reporting a round twice.
 //!
 //! Campaigns opt in with `checkpoint_every = <rounds>` at the top level
 //! of the campaign document; the runner then writes
@@ -31,22 +32,22 @@
 //! A single run checkpoints and resumes through
 //! [`crate::CheckpointPolicy`].
 
-use crate::engine::CoverageProbe;
+use crate::engine::{RoundMetric, RoundProbe};
 use crate::events::{AppliedEvent, TimelineHook};
 use crate::spec::{ScenarioSpec, SpecError};
 use laacad::{fnv1a64, ObservedRound, Session, SessionBuilder};
 
 /// First bytes of every serialized checkpoint; the trailing newline
 /// makes `head -1` on a checkpoint file print the version.
-pub const CHECKPOINT_MAGIC: &[u8] = b"laacad-checkpoint/2\n";
+pub const CHECKPOINT_MAGIC: &[u8] = b"laacad-checkpoint/3\n";
 
 /// The resumable state of a synchronous scenario run, captured after a
-/// completed round (events fired, probe sampled).
+/// completed round (events fired, round recorded).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioCheckpoint {
     /// Round the checkpoint was taken after (1-based).
     round: usize,
-    /// `laacad-snapshot/3` bytes of the session.
+    /// `laacad-snapshot/4` bytes of the session.
     session: Vec<u8>,
     /// Loop verdict of the checkpointed round: an observer demanded a
     /// stop. Needed so resume does not step past a round the
@@ -60,8 +61,8 @@ pub struct ScenarioCheckpoint {
     hook_rng: u64,
     /// Timeline hook: events applied (or skipped) so far.
     hook_log: Vec<AppliedEvent>,
-    /// Coverage-probe series `(round, covered_fraction)` so far.
-    probe: Vec<(usize, f64)>,
+    /// The outcome rows' per-round series so far, one per round.
+    rounds: Vec<RoundMetric>,
 }
 
 impl ScenarioCheckpoint {
@@ -72,7 +73,7 @@ impl ScenarioCheckpoint {
 
     pub(crate) fn capture(
         sim: &Session,
-        probe: &CoverageProbe,
+        probe: &RoundProbe,
         hook: &TimelineHook,
         verdict: &ObservedRound,
     ) -> Self {
@@ -85,24 +86,25 @@ impl ScenarioCheckpoint {
             hook_next,
             hook_rng,
             hook_log: log.to_vec(),
-            probe: probe.series.clone(),
+            rounds: probe.rounds.clone(),
         }
     }
 
     /// Rebuilds the run state this checkpoint captured: the session,
-    /// the timeline hook and the probe series, plus whether the
+    /// the timeline hook and the round series, plus whether the
     /// interrupted run had already ended on the checkpointed round.
     ///
     /// # Errors
     ///
     /// [`SpecError::Build`] when the embedded session snapshot fails
-    /// validation, when the header round differs from the restored
-    /// session's, or when the hook's event cursor and log do not match
-    /// the timeline entries due by that round.
+    /// validation, when the header round or the length of the round
+    /// series differs from the restored session's round count, or when
+    /// the hook's event cursor and log do not match the timeline entries
+    /// due by that round.
     pub(crate) fn restore(
         &self,
         spec: &ScenarioSpec,
-    ) -> Result<(Session, TimelineHook, CoverageProbe, bool), SpecError> {
+    ) -> Result<(Session, TimelineHook, RoundProbe, bool), SpecError> {
         let sim = SessionBuilder::restore(&self.session).map_err(|e| {
             SpecError::Build(format!("cannot restore the checkpointed session: {e}"))
         })?;
@@ -113,6 +115,13 @@ impl ScenarioCheckpoint {
                 sim.rounds_executed()
             )));
         }
+        if self.rounds.len() != self.round {
+            return Err(SpecError::Build(format!(
+                "checkpoint: {} recorded rounds for round {}",
+                self.rounds.len(),
+                self.round
+            )));
+        }
         let hook = TimelineHook::restore(
             &spec.events,
             self.round,
@@ -121,9 +130,9 @@ impl ScenarioCheckpoint {
             self.hook_log.clone(),
         )
         .map_err(|e| SpecError::Build(format!("checkpoint: {e}")))?;
-        let probe = CoverageProbe {
+        let probe = RoundProbe {
             samples: spec.evaluation.round_coverage_samples,
-            series: self.probe.clone(),
+            rounds: self.rounds.clone(),
         };
         // The interrupted run may have ended on the checkpointed round;
         // re-applying its loop verdict keeps resume from stepping one
@@ -132,7 +141,7 @@ impl ScenarioCheckpoint {
         Ok((sim, hook, probe, done))
     }
 
-    /// Serializes as a `laacad-checkpoint/2` buffer.
+    /// Serializes as a `laacad-checkpoint/3` buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(CHECKPOINT_MAGIC.len() + 72 + self.session.len());
         out.extend_from_slice(CHECKPOINT_MAGIC);
@@ -157,17 +166,26 @@ impl ScenarioCheckpoint {
                 }
             }
         }
-        put_u64(&mut out, self.probe.len() as u64);
-        for &(round, fraction) in &self.probe {
-            put_u64(&mut out, round as u64);
-            put_u64(&mut out, fraction.to_bits());
+        put_u64(&mut out, self.rounds.len() as u64);
+        for r in &self.rounds {
+            put_u64(&mut out, r.round as u64);
+            put_u64(&mut out, r.max_circumradius.to_bits());
+            put_u64(&mut out, r.min_circumradius.to_bits());
+            put_u64(&mut out, r.nodes_moved as u64);
+            match r.covered_fraction {
+                None => out.push(0),
+                Some(fraction) => {
+                    out.push(1);
+                    put_u64(&mut out, fraction.to_bits());
+                }
+            }
         }
         let checksum = fnv1a64(&out);
         put_u64(&mut out, checksum);
         out
     }
 
-    /// Deserializes a `laacad-checkpoint/2` buffer.
+    /// Deserializes a `laacad-checkpoint/3` buffer.
     ///
     /// # Errors
     ///
@@ -180,7 +198,7 @@ impl ScenarioCheckpoint {
         if bytes.len() < CHECKPOINT_MAGIC.len() + 8
             || &bytes[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC
         {
-            return Err(corrupt("not a laacad-checkpoint/2 buffer"));
+            return Err(corrupt("not a laacad-checkpoint/3 buffer"));
         }
         let (bytes, checksum) = bytes.split_at(bytes.len() - 8);
         if fnv1a64(bytes).to_le_bytes() != checksum {
@@ -217,15 +235,23 @@ impl ScenarioCheckpoint {
                 skipped,
             });
         }
-        let probe_len = r.take_count(16)?;
-        let mut probe = Vec::with_capacity(probe_len);
-        for _ in 0..probe_len {
-            let round = r.take_u64()? as usize;
-            let fraction = f64::from_bits(r.take_u64()?);
-            probe.push((round, fraction));
+        let rounds_len = r.take_count(33)?;
+        let mut rounds = Vec::with_capacity(rounds_len);
+        for _ in 0..rounds_len {
+            rounds.push(RoundMetric {
+                round: r.take_u64()? as usize,
+                max_circumradius: f64::from_bits(r.take_u64()?),
+                min_circumradius: f64::from_bits(r.take_u64()?),
+                nodes_moved: r.take_u64()? as usize,
+                covered_fraction: if r.take_bool()? {
+                    Some(f64::from_bits(r.take_u64()?))
+                } else {
+                    None
+                },
+            });
         }
         if r.at != bytes.len() {
-            return Err(corrupt("trailing bytes after the probe section"));
+            return Err(corrupt("trailing bytes after the round section"));
         }
         Ok(ScenarioCheckpoint {
             round,
@@ -235,7 +261,7 @@ impl ScenarioCheckpoint {
             hook_next,
             hook_rng,
             hook_log,
-            probe,
+            rounds,
         })
     }
 }
@@ -329,7 +355,7 @@ mod tests {
 
     /// A failure+churn scenario exercising every checkpointed component:
     /// RNG-consuming events on both sides of the checkpoint and a
-    /// populated probe series.
+    /// round series with coverage probes.
     fn churn_spec() -> ScenarioSpec {
         let mut spec = ScenarioSpec::uniform("ckpt", 24, 1);
         spec.laacad.max_rounds = 60;
@@ -459,6 +485,13 @@ mod tests {
                 "short log",
                 ScenarioCheckpoint {
                     hook_log: Vec::new(),
+                    ..ckpt.clone()
+                },
+            ),
+            (
+                "short series",
+                ScenarioCheckpoint {
+                    rounds: ckpt.rounds[1..].to_vec(),
                     ..ckpt.clone()
                 },
             ),

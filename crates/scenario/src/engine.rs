@@ -94,18 +94,37 @@ fn recovery_metrics(
         .collect()
 }
 
-/// An [`Observer`] sampling k-coverage after every round. Its series is
-/// part of a run's resumable state, so the checkpoint module
-/// ([`crate::checkpoint`]) serializes and restores it.
-pub(crate) struct CoverageProbe {
-    pub(crate) samples: usize,
-    pub(crate) series: Vec<(usize, f64)>,
+impl RoundMetric {
+    /// The outcome row of one round's record, with its covered fraction
+    /// when the round was probed.
+    fn new(report: &RoundReport, covered_fraction: Option<f64>) -> RoundMetric {
+        RoundMetric {
+            round: report.round,
+            max_circumradius: report.max_circumradius,
+            min_circumradius: report.min_circumradius,
+            nodes_moved: report.nodes_moved,
+            covered_fraction,
+        }
+    }
 }
 
-impl Observer for CoverageProbe {
+/// An [`Observer`] collecting a synchronous run's per-round series, and
+/// sampling k-coverage after every round when `samples` is non-zero.
+/// The session keeps no round records, so this series is part of a
+/// run's resumable state: the checkpoint module ([`crate::checkpoint`])
+/// serializes and restores it.
+pub(crate) struct RoundProbe {
+    pub(crate) samples: usize,
+    pub(crate) rounds: Vec<RoundMetric>,
+}
+
+impl Observer for RoundProbe {
     fn on_round_end(&mut self, sim: &mut Session, delta: &RoundDelta) -> HookAction {
-        let cov = evaluate_coverage(sim.network(), sim.region(), sim.config().k, self.samples);
-        self.series.push((delta.report.round, cov.covered_fraction));
+        let covered = (self.samples > 0).then(|| {
+            evaluate_coverage(sim.network(), sim.region(), sim.config().k, self.samples)
+                .covered_fraction
+        });
+        self.rounds.push(RoundMetric::new(&delta.report, covered));
         HookAction::Default
     }
 }
@@ -486,9 +505,9 @@ pub fn run_scenario(
                 // Round-0 events act on the initial deployment, before
                 // any movement.
                 hook.fire_due(&mut sim, 0);
-                let probe = CoverageProbe {
+                let probe = RoundProbe {
                     samples: spec.evaluation.round_coverage_samples,
-                    series: Vec::new(),
+                    rounds: Vec::new(),
                 };
                 (sim, hook, probe, false)
             }
@@ -538,11 +557,11 @@ fn take_recorder(slot: &mut Option<&mut Box<dyn Recorder>>) -> Option<Box<dyn Re
 /// (where [`run_scenario`] hooks its checkpoint capture).
 fn drive_rounds(
     sim: &mut Session,
-    probe: &mut CoverageProbe,
+    probe: &mut RoundProbe,
     hook: &mut TimelineHook,
     mut after_round: impl FnMut(
         &Session,
-        &CoverageProbe,
+        &RoundProbe,
         &TimelineHook,
         &ObservedRound,
     ) -> Result<(), SpecError>,
@@ -550,11 +569,7 @@ fn drive_rounds(
     while sim.rounds_executed() < sim.config().max_rounds {
         // Probe first: the event-round sample must see the pre-event
         // network (the timeline observer mutates it afterwards).
-        let verdict = if probe.samples > 0 {
-            sim.step_observed(&mut [probe, hook])
-        } else {
-            sim.step_observed(&mut [hook])
-        };
+        let verdict = sim.step_observed(&mut [probe, hook]);
         after_round(sim, probe, hook, &verdict)?;
         if verdict.stop {
             break;
@@ -572,7 +587,7 @@ fn drive_rounds(
 fn assemble_sync_outcome(
     mut sim: Session,
     mut hook: TimelineHook,
-    probe: CoverageProbe,
+    probe: RoundProbe,
     spec: &ScenarioSpec,
     seed: u64,
     summary: RunSummary,
@@ -594,15 +609,8 @@ fn assemble_sync_outcome(
         sim.config().k,
         spec.evaluation.coverage_samples,
     );
-    let mut outcome = deployment_outcome(
-        spec,
-        seed,
-        sim.network(),
-        coverage,
-        summary,
-        sim.history().rounds(),
-        &probe.series,
-    );
+    let mut outcome =
+        deployment_outcome(spec, seed, sim.network(), coverage, summary, probe.rounds);
     // Without per-round probes every summary field would be None — keep
     // the documented "empty unless probing is enabled" contract instead
     // of emitting data-free rows.
@@ -617,33 +625,17 @@ fn assemble_sync_outcome(
 
 /// The deployment half of a [`ScenarioOutcome`], the same for both
 /// engines: the final population, positions and radii, the sensing loads
-/// and balance under the spec's energy model, and one [`RoundMetric`] per
-/// round record, carrying the covered fraction of each round in `probed`
-/// (`(round, fraction)`, ascending). Events, recovery, warnings and fault
-/// metrics start empty.
+/// and balance under the spec's energy model, and the per-round series.
+/// Events, recovery, warnings and fault metrics start empty.
 fn deployment_outcome(
     spec: &ScenarioSpec,
     seed: u64,
     net: &Network,
     coverage: CoverageReport,
     summary: RunSummary,
-    reports: &[RoundReport],
-    probed: &[(usize, f64)],
+    rounds: Vec<RoundMetric>,
 ) -> ScenarioOutcome {
     let model = EnergyModel::new(std::f64::consts::PI, spec.evaluation.energy_exponent);
-    let mut probed = probed.iter().copied().peekable();
-    let rounds = reports
-        .iter()
-        .map(|r| RoundMetric {
-            round: r.round,
-            max_circumradius: r.max_circumradius,
-            min_circumradius: r.min_circumradius,
-            nodes_moved: r.nodes_moved,
-            covered_fraction: probed
-                .next_if(|&(round, _)| round == r.round)
-                .map(|(_, c)| c),
-        })
-        .collect();
     ScenarioOutcome {
         scenario: spec.name.clone(),
         seed,
@@ -818,8 +810,11 @@ fn run_async_impl(
         exec.network(),
         coverage,
         report.summary,
-        &report.rounds,
-        &[],
+        report
+            .rounds
+            .iter()
+            .map(|r| RoundMetric::new(r, None))
+            .collect(),
     );
     outcome.warnings = warnings;
     outcome.faults = Some(faults);

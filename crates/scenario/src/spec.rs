@@ -318,8 +318,6 @@ pub struct AlgorithmSpec {
     pub coordinates: CoordinateMode,
     /// Ring-cap policy.
     pub ring_cap: RingCapPolicy,
-    /// Snapshot cadence (`None` disables snapshots).
-    pub snapshot_every: Option<usize>,
     /// Worker threads for the synchronous round engine (`Some(0)` = all
     /// cores). `None` keeps the engine serial — campaigns already run
     /// one cell per core, so per-cell parallelism would oversubscribe.
@@ -353,7 +351,6 @@ impl Default for AlgorithmSpec {
             execution: ExecutionMode::Synchronous,
             coordinates: CoordinateMode::Oracle,
             ring_cap: RingCapPolicy::Exact,
-            snapshot_every: None,
             threads: None,
             telemetry: false,
             faults: None,
@@ -383,9 +380,6 @@ impl AlgorithmSpec {
             .coordinates(self.coordinates)
             .ring_cap(self.ring_cap)
             .seed(seed);
-        if let Some(every) = self.snapshot_every {
-            builder.snapshot_every(every);
-        }
         if let Some(threads) = self.threads {
             builder.threads(threads);
         }
@@ -393,7 +387,7 @@ impl AlgorithmSpec {
     }
 
     /// Every key the `[laacad]` table accepts.
-    const KEYS: [&'static str; 13] = [
+    const KEYS: [&'static str; 12] = [
         "k",
         "alpha",
         "epsilon",
@@ -404,7 +398,6 @@ impl AlgorithmSpec {
         "ranging_rel",
         "ranging_abs",
         "ring_cap",
-        "snapshot_every",
         "threads",
         "telemetry",
     ];
@@ -487,7 +480,6 @@ impl AlgorithmSpec {
             execution,
             coordinates,
             ring_cap,
-            snapshot_every: decode::opt_usize(v, "snapshot_every", path)?,
             threads: decode::opt_usize(v, "threads", path)?,
             telemetry: decode::opt_bool(v, "telemetry", path)?.unwrap_or(d.telemetry),
             // Decoded from the document's top-level `faults` table by
@@ -1465,7 +1457,7 @@ alpha = 0.75
     fn laacad_and_evaluation_keys_parse_from_their_literal() {
         let rest = "alpha = 1\nepsilon = 1e-3\ngamma = 0.3\nmax_rounds = 90\n\
                     execution = \"sequential\"\ncoordinates = \"oracle\"\n\
-                    ring_cap = \"always_cap\"\nsnapshot_every = 5\nthreads = 2\n\
+                    ring_cap = \"always_cap\"\nthreads = 2\n\
                     telemetry = true\n[evaluation]\ncoverage_samples = 500\n\
                     energy_exponent = 3.0\nround_coverage_samples = 100\n\
                     recovery_target = 0.9\n";
@@ -1481,7 +1473,6 @@ alpha = 0.75
                 execution: ExecutionMode::Sequential,
                 coordinates: CoordinateMode::Oracle,
                 ring_cap: RingCapPolicy::AlwaysCap,
-                snapshot_every: Some(5),
                 threads: Some(2),
                 telemetry: true,
                 faults: None,
@@ -1799,6 +1790,7 @@ at = 20
             "incremental_index",
             "flat_grid",
             "arena",
+            "snapshot_every",
         ] {
             let toml = format!(
                 "name = \"x\"\n[region]\nkind = \"named\"\nname = \"unit_square\"\n\

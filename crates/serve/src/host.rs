@@ -32,11 +32,12 @@ pub struct HostConfig {
     /// whole queue. A bounded budget keeps one chatty session from
     /// starving the batch.
     pub tick_budget: usize,
-    /// Worker threads for the tick fan-out over sessions (`0` = all
-    /// cores, never more than there are sessions with queued work).
-    /// Workers claim one session at a time and run its batch where it
-    /// lives; sessions are independent, so any value yields identical
-    /// results.
+    /// Threads for the tick fan-out over sessions, the calling thread
+    /// included (`0` = all cores, never more than there are sessions
+    /// with queued work): at `t` the caller runs one worker and `t − 1`
+    /// scoped threads run the rest. Workers claim one session at a time
+    /// and run its batch where it lives; sessions are independent, so
+    /// any value yields identical results.
     pub threads: usize,
 }
 

@@ -26,8 +26,13 @@ fn max_circumradius_monotone_for_alpha_one() {
             .positions(initial)
             .build()
             .unwrap();
-        sim.run();
-        let series = sim.history().circumradius_series();
+        // `Session::run`'s loop, collecting each round's (round, R^l).
+        let mut series = Vec::new();
+        while sim.rounds_executed() < sim.config().max_rounds && !sim.is_converged() {
+            let report = sim.step().report;
+            series.push((report.round, report.max_circumradius));
+        }
+        sim.finalize();
         for w in series.windows(2) {
             assert!(
                 w[1].1 <= w[0].1 + 1e-6,
